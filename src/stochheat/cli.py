@@ -1,8 +1,13 @@
 """Experiment runner: seeded, configured, byte-stable reporting.
 
 Subcommands: simulate, frequency, ucp, observe, control, verify.  Exit codes:
-0 all asserted checks pass; 1 a check failed; 2 configuration error; 3
-output not writable.
+
+0  all asserted checks pass;
+1  a check failed;
+2  the configuration cannot be run: an unreadable config file or any
+   package error (StochHeatError) raised before the report is written,
+   reported in one line naming the error class;
+3  the report or its timing sidecar could not be written.
 """
 
 from __future__ import annotations
@@ -17,9 +22,10 @@ from . import config as cfgmod
 from . import control as ctl
 from . import observability as obs
 from . import ucp as ucpmod
-from .errors import ConfigurationError, DomainError, GeometryError, ResourceError
-from .forward import (CoefficientField, exp_transform_oracle, solve_forward,
-                      solve_forward_moments, solve_semilinear,
+from .errors import (ConfigurationError, DomainError, GeometryError,
+                     ResourceError, StochHeatError)
+from .forward import (CoefficientField, energy_trace, exp_transform_oracle,
+                      solve_forward, solve_forward_moments, solve_semilinear,
                       step_invertibility_report)
 from .frequency import (boundary_sign_audit, frequency_bound_check,
                         hprime_identity_residual)
@@ -72,7 +78,7 @@ class Experiment:
         else:
             self.noise = sample_ensemble(self.mesh, int(cfg["mc.paths"]), self.seed)
         self.coeffs = _coefficients(cfg, self.grid, self.mesh, self.seed)
-        self.x0 = tuple(cfg["geometry.x0"])
+        self.x0 = _as_tuple(cfg["geometry.x0"])
         self.y0 = initial_field(self.grid, cfg["initial.kind"], self.x0)
         self._ensemble = None
 
@@ -115,8 +121,7 @@ def run_simulate(exp: Experiment):
     inv = step_invertibility_report(exp.coeffs, ens)
     checks.append(check_record("step_invertibility", inv["invertible"],
                                min_factor=inv["min_factor"]))
-    energy = exp.grid.quad_weight * ens.quad_diag(exp.mesh.steps,
-                                                  np.ones(exp.grid.n_nodes))
+    energy = energy_trace(ens)[-1]
     checks.append(check_record("terminal_energy_finite", np.isfinite(energy),
                                lhs=energy))
     if exp.cfg["coeff.kind"] == "constant":
@@ -192,10 +197,8 @@ def run_frequency(exp: Experiment):
 def run_ucp(exp: Experiment):
     checks, extras = [], {}
     grid, mesh, ens = exp.grid, exp.mesh, exp.ensemble
-    ones = np.ones(grid.n_nodes)
-    w = grid.quad_weight
-    e0 = w * ens.quad_diag(0, ones)
-    e_t = w * ens.quad_diag(mesh.steps, ones)
+    energy = energy_trace(ens)
+    e0, e_t = energy[0], energy[-1]
     r = float(exp.cfg["geometry.g0_radius"]) * 0.8  # B_r strictly inside G0
     try:
         constants = ucpmod.compute_constants(grid, exp.x0, r, mesh.horizon,
@@ -236,7 +239,7 @@ def run_ucp(exp: Experiment):
         checks.append(check_record("three_ball_inequality", True,
                                    excluded=True,
                                    note="no qualifying shift; profile reported"))
-    g0 = Ball(tuple(exp.cfg["geometry.g0_center"]),
+    g0 = Ball(_as_tuple(exp.cfg["geometry.g0_center"]),
               float(exp.cfg["geometry.g0_radius"]))
     try:
         prop = ucpmod.propagate_vanishing(ens, g0, g0)
@@ -259,10 +262,8 @@ def run_observe(exp: Experiment):
     checks.append(check_record("density_sequence_condition",
                                seq.found and seq.condition_holds(),
                                best_margin=seq.best_margin, t0=seq.t0, t1=seq.t1))
-    ones = np.ones(grid.n_nodes)
-    w = grid.quad_weight
-    e0 = w * ens.quad_diag(0, ones)
-    e_t = w * ens.quad_diag(mesh.steps, ones)
+    energy = energy_trace(ens)
+    e0, e_t = energy[0], energy[-1]
     r = float(exp.cfg["geometry.g0_radius"]) * 0.8
     constants = ucpmod.compute_constants(grid, exp.x0, r, mesh.horizon,
                                          exp.coeffs, e0, e_t)
@@ -317,7 +318,8 @@ def run_control(exp: Experiment):
     tree = build_tree(mesh)
     coeffs = CoefficientField.constant(grid, mesh, float(cfg["coeff.a"]),
                                        float(cfg["coeff.b"]))
-    g0 = Ball(tuple(cfg["control.g0_center"]), float(cfg["control.g0_radius"]))
+    g0 = Ball(_as_tuple(cfg["control.g0_center"]),
+              float(cfg["control.g0_radius"]))
     e1_vals = cfg["control.e1"]
     e1 = obs.MeasurableTimeSet(
         tuple((e1_vals[i], e1_vals[i + 1]) for i in range(0, len(e1_vals), 2)),
@@ -453,8 +455,9 @@ def main(argv=None) -> int:
         runner = run_verify if args.subcommand == "verify" else \
             SUBCOMMANDS[args.subcommand]
         checks, extras, tables = runner(exp)
-    except (ConfigurationError, OSError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+    except (StochHeatError, OSError) as exc:
+        print(f"configuration error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 2
     report = {"experiment": args.subcommand,
               "config_hash": cfgmod.config_hash(cfg),

@@ -369,7 +369,9 @@ def synthesize_approx_control(z_terminal: np.ndarray, z0_target: np.ndarray,
     Solves (Gramian + eps_reg I) u = z_free(0) - z0_target over a descending
     log-spaced regularization sweep (1e0 down to the 1e-12 floor), verifying
     the achieved distance after each solve and stopping once the target
-    accuracy is met.  The residual curve is monotone nonincreasing.
+    accuracy is met.  The residual curve is monotone nonincreasing.  Each
+    curve row records whether its CG solve converged within the iteration
+    cap (`cg_converged`).
     """
     weights = control_level_weights(time_set, mesh)
     free = solve_backward_tree(z_terminal, coeffs, mesh, grid, tree, h=h,
@@ -395,7 +397,8 @@ def synthesize_approx_control(z_terminal: np.ndarray, z0_target: np.ndarray,
         residual = np.sqrt(w * float((pair.z0 - z0_target)
                                      @ (pair.z0 - z0_target)))
         curve.append({"eps_reg": float(eps_reg), "residual": float(residual),
-                      "cg_iterations": cg_info["iterations"]})
+                      "cg_iterations": cg_info["iterations"],
+                      "cg_converged": cg_info["converged"]})
         if best is None or residual <= best[0]:
             best = (residual, ctrl, pair)
         if residual <= goal:

@@ -178,21 +178,15 @@ class TrajectoryEnsemble:
     def expectation_field(self, k: int) -> np.ndarray:
         return self.weights @ self.values[:, k, :]
 
-    def quad_diag(self, k: int, d: np.ndarray) -> float:
-        """E[sum_i d_i y_i(t_k)^2]."""
-        return float(self.weights @ ((self.values[:, k, :] ** 2) @ d))
-
-    def quad(self, k: int, q) -> float:
-        """E[y(t_k)^T Q y(t_k)] for a (sparse or dense) matrix Q."""
-        y = self.values[:, k, :]
-        return float(np.einsum("pi,pi->p", y, (q @ y.T).T) @ self.weights)
-
-    def cross_quad(self, k: int, left, right) -> float:
-        """E[(L y)^T diag-free (R y)] = E[y^T L^T R y] without forming L^T R."""
-        y = self.values[:, k, :]
-        ly = (left @ y.T).T if left is not None else y
-        ry = (right @ y.T).T if right is not None else y
-        return float(np.einsum("pi,pi->p", ly, ry) @ self.weights)
+    def nodal_moment(self, left=None, right=None) -> np.ndarray:
+        """E[(L y(t_k))_i (R y(t_k))_i], shape (steps+1, n); None is the identity."""
+        out = np.empty((self.mesh.steps + 1, self.grid.n_nodes))
+        for k in range(self.mesh.steps + 1):
+            y = self.values[:, k, :]
+            ly = _apply(left, y)
+            ry = ly if right is left else _apply(right, y)
+            out[k] = np.einsum("p,pi,pi->i", self.weights, ly, ry)
+        return out
 
 
 @dataclass
@@ -214,18 +208,19 @@ class SecondMomentEnsemble:
     def expectation_field(self, k: int) -> np.ndarray:
         return self.means[k]
 
-    def quad_diag(self, k: int, d: np.ndarray) -> float:
-        return float(np.dot(np.diag(self.second_moments[k]), d))
+    def nodal_moment(self, left=None, right=None) -> np.ndarray:
+        """diag(L P_k R^T) per time node, shape (steps+1, n); None is the identity."""
+        out = np.empty((self.mesh.steps + 1, self.grid.n_nodes))
+        r = None if right is None else right.toarray()
+        for k, p in enumerate(self.second_moments):
+            lp = p if left is None else left @ p
+            out[k] = np.diagonal(lp) if r is None else np.einsum("ij,ij->i", lp, r)
+        return out
 
-    def quad(self, k: int, q) -> float:
-        qm = q.toarray() if sp.issparse(q) else np.asarray(q)
-        return float(np.sum(qm * self.second_moments[k]))
 
-    def cross_quad(self, k: int, left, right) -> float:
-        p = self.second_moments[k]
-        lp = (left @ p) if left is not None else p
-        lpr = (right @ lp.T).T if right is not None else lp
-        return float(np.trace(lpr))
+def _apply(op, y: np.ndarray) -> np.ndarray:
+    """Apply a sparse operator to each row of `y`; None is the identity."""
+    return y if op is None else (op @ y.T).T
 
 
 def step_forward(y: np.ndarray, a_k: np.ndarray, b_k: np.ndarray, db,
@@ -371,16 +366,12 @@ def exp_transform_oracle(ensemble: TrajectoryEnsemble, b_const: float, a,
 
 def energy_trace(ens) -> np.ndarray:
     """E ||y(t_k)||^2_{L2(G)} over the time nodes (exact in tree/moment mode)."""
-    ones = np.ones(ens.grid.n_nodes)
-    w = ens.grid.quad_weight
-    return np.array([w * ens.quad_diag(k, ones) for k in range(ens.mesh.steps + 1)])
+    return ens.grid.quad_weight * ens.nodal_moment().sum(axis=1)
 
 
 def local_mass_trace(ens, mask: np.ndarray) -> np.ndarray:
     """E of the squared mass restricted to a node mask, per time node."""
-    d = mask.astype(float)
-    w = ens.grid.quad_weight
-    return np.array([w * ens.quad_diag(k, d) for k in range(ens.mesh.steps + 1)])
+    return ens.grid.quad_weight * (ens.nodal_moment() @ mask.astype(float))
 
 
 def step_invertibility_report(coeffs: CoefficientField,

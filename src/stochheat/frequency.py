@@ -5,10 +5,14 @@ field Phi = phi*y carries the quantities
 
     H(t) = E int Phi^2 K,   D(t) = E int |grad Phi|^2 K,   N(t) = 2 D / H,
 
-plus the commutator source F = a*Phi - y*Lap(phi) - 2 grad(phi).grad(y).
-Everything is evaluated through quadratic functionals E[y^T Q y], so the same
-code runs on a sampled ensemble, an exact Bernoulli tree, or the closed-form
-second-moment recursion.
+plus the commutator source F = a*Phi + S y with the static part
+S = -Lap(phi) - 2 grad(phi).grad.  Each functional is a contraction
+sum_i K(t, x_i) f_i(t) of the kernel against a nodal field f built from
+second moments E[(L y)_i (R y)_i] of the ensemble (`nodal_moment`).  The
+fields do not depend on the kernel shift, so they are built once per
+ensemble, cutoff and coefficients, and the same code runs on a sampled
+ensemble, an exact Bernoulli tree, or the closed-form second-moment
+recursion.
 """
 
 from __future__ import annotations
@@ -18,14 +22,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigurationError, NumericalError
+from .errors import NumericalError
 from .forward import CoefficientField
 from .geometry import CutoffFunction, HeatKernelWeight, SpatialGrid
 
 __all__ = [
-    "LocalizedOperators",
+    "LocalizedFields",
     "FrequencyTrace",
-    "localize",
+    "localized_fields",
     "compute_hdn",
     "hprime_identity_residual",
     "frequency_bound_check",
@@ -33,47 +37,6 @@ __all__ = [
 ]
 
 H_FLOOR = 1e-300
-
-
-@dataclass
-class LocalizedOperators:
-    """Sparse operators for the cutoff phi (phi = 1 when cutoff is None).
-
-    mult_phi sends y to Phi = phi*y; grad_ops differentiate Phi; source(k)
-    sends y to F at step k.
-    """
-
-    grid: SpatialGrid
-    phi: np.ndarray
-    mult_phi: sp.spmatrix | None
-    grad_phi_ops: list
-    source_static: sp.spmatrix | None  # -Lap(phi) - 2 grad(phi).grad
-    support_mask: np.ndarray
-
-    def source(self, a_k: np.ndarray) -> sp.spmatrix:
-        op = sp.diags(a_k * self.phi)
-        if self.source_static is not None:
-            op = op + self.source_static
-        return sp.csr_matrix(op)
-
-
-def localize(grid: SpatialGrid, cutoff: CutoffFunction | None) -> LocalizedOperators:
-    grads = grid.gradient_ops()
-    if cutoff is None:
-        return LocalizedOperators(grid=grid, phi=np.ones(grid.n_nodes),
-                                  mult_phi=None, grad_phi_ops=list(grads),
-                                  source_static=None,
-                                  support_mask=np.ones(grid.n_nodes, dtype=bool))
-    phi = cutoff.values
-    mult = sp.diags(phi)
-    static = sp.csr_matrix(-sp.diags(cutoff.lap))
-    for ax, g in enumerate(grads):
-        static = static - 2.0 * sp.diags(cutoff.grad[:, ax]) @ g
-    loc_grads = [g @ mult for g in grads]
-    return LocalizedOperators(grid=grid, phi=phi, mult_phi=mult,
-                              grad_phi_ops=loc_grads,
-                              source_static=sp.csr_matrix(static),
-                              support_mask=phi > 0.0)
 
 
 @dataclass
@@ -85,8 +48,76 @@ class FrequencyTrace:
     aux: dict = field(default_factory=dict, repr=False)
 
 
-def _weight_nodes(weight: HeatKernelWeight, grid: SpatialGrid, t: float) -> np.ndarray:
-    return weight.values(t, grid.coords)
+@dataclass
+class LocalizedFields:
+    """Kernel-free nodal integrands, each of shape (steps+1, n_nodes).
+
+    `h` = phi^2 E[y^2], `d` = sum_ax E[(d_ax Phi)^2]; `sources` holds
+    `phi_f` = E[Phi F], `b_sq` = b^2 phi^2 E[y^2] and `f_sq` = E[F^2], or
+    NaN fields when no coefficients were given.
+    """
+
+    grid: SpatialGrid
+    times: np.ndarray
+    h: np.ndarray
+    d: np.ndarray
+    sources: dict
+    support_mask: np.ndarray
+
+    def contract(self, weight: HeatKernelWeight) -> FrequencyTrace:
+        """H, D, N and the source integrals under the kernel weight."""
+        kw = np.stack([weight.values(t, self.grid.coords) for t in self.times]) \
+            * self.grid.quad_weight
+        h_arr, d_arr = (np.einsum("ki,ki->k", kw, f) for f in (self.h, self.d))
+        if np.any(h_arr < 0):
+            raise NumericalError("negative weighted energy; quadrature is broken")
+        aux = {name: np.einsum("ki,ki->k", kw, f)
+               for name, f in self.sources.items()}
+        aux["support_mask"] = self.support_mask
+        n_arr = 2.0 * d_arr / np.maximum(h_arr, H_FLOOR)
+        return FrequencyTrace(times=self.times.copy(), h=h_arr, d=d_arr,
+                              n=n_arr, aux=aux)
+
+
+def localized_fields(ens, cutoff: CutoffFunction | None = None,
+                     coeffs: CoefficientField | None = None) -> LocalizedFields:
+    """Nodal second moments of Phi = phi*y, grad Phi and the source F.
+
+    phi = 1 and S = 0 when `cutoff` is None.  The coefficients at time node
+    k are those of step min(k, steps-1), since coefficients live on steps.
+    """
+    grid, mesh = ens.grid, ens.mesh
+    grads = grid.gradient_ops()
+    if cutoff is None:
+        phi, static = np.ones(grid.n_nodes), None
+        loc_grads = grads
+    else:
+        phi = cutoff.values
+        static = -sp.diags(cutoff.lap)
+        for ax, g in enumerate(grads):
+            static = static - 2.0 * sp.diags(cutoff.grad[:, ax]) @ g
+        static = sp.csr_matrix(static)
+        loc_grads = [sp.csr_matrix(g @ sp.diags(phi)) for g in grads]
+    y_sq = ens.nodal_moment()
+    h = phi ** 2 * y_sq
+    d = sum(ens.nodal_moment(g, g) for g in loc_grads)
+    if coeffs is None:
+        sources = {name: np.full_like(h, np.nan)
+                   for name in ("phi_f", "b_sq", "f_sq")}
+    else:
+        steps = np.minimum(np.arange(mesh.steps + 1), mesh.steps - 1)
+        a_phi = np.array([coeffs.a_at(k) * phi for k in steps])
+        b_phi_sq = np.array([(coeffs.b_at(k) * phi) ** 2 for k in steps])
+        if static is None:
+            y_src = src_sq = 0.0
+        else:
+            y_src = ens.nodal_moment(None, static)
+            src_sq = ens.nodal_moment(static, static)
+        sources = {"phi_f": a_phi * phi * y_sq + phi * y_src,
+                   "b_sq": b_phi_sq * y_sq,
+                   "f_sq": a_phi ** 2 * y_sq + 2.0 * a_phi * y_src + src_sq}
+    return LocalizedFields(grid=grid, times=mesh.times, h=h, d=d,
+                           sources=sources, support_mask=phi > 0.0)
 
 
 def compute_hdn(ens, weight: HeatKernelWeight,
@@ -95,43 +126,9 @@ def compute_hdn(ens, weight: HeatKernelWeight,
     """H, D, N traces plus the derivative-identity integrands.
 
     aux carries, per time node: `phi_f` = E int Phi F K, `b_sq` =
-    E int b^2 Phi^2 K, `f_sq` = E int F^2 K (the latter two need `coeffs`).
+    E int b^2 Phi^2 K, `f_sq` = E int F^2 K (NaN without `coeffs`).
     """
-    grid, mesh = ens.grid, ens.mesh
-    loc = localize(grid, cutoff)
-    w = grid.quad_weight
-    n_t = mesh.steps + 1
-    h_arr = np.empty(n_t)
-    d_arr = np.empty(n_t)
-    phi_f = np.full(n_t, np.nan)
-    b_sq = np.full(n_t, np.nan)
-    f_sq = np.full(n_t, np.nan)
-    phi_sq = loc.phi ** 2
-    for k in range(n_t):
-        kv = _weight_nodes(weight, grid, mesh.times[k])
-        kw = kv * w
-        h_arr[k] = ens.quad_diag(k, phi_sq * kw)
-        dk = sp.diags(kw)
-        q_d = None
-        for g in loc.grad_phi_ops:
-            term = (g.T @ dk @ g).tocsr()
-            q_d = term if q_d is None else q_d + term
-        d_arr[k] = ens.quad(k, q_d)
-        if coeffs is not None:
-            kc = min(k, mesh.steps - 1)  # coefficients live on steps
-            a_k = coeffs.a_at(kc)
-            b_k = coeffs.b_at(kc)
-            src = loc.source(a_k)
-            left = sp.diags(loc.phi * kw)
-            phi_f[k] = ens.quad(k, (left @ src).tocsr())
-            b_sq[k] = ens.quad_diag(k, (b_k ** 2) * phi_sq * kw)
-            f_sq[k] = ens.quad(k, (src.T @ dk @ src).tocsr())
-    if np.any(h_arr < 0):
-        raise NumericalError("negative weighted energy; quadrature is broken")
-    n_arr = 2.0 * d_arr / np.maximum(h_arr, H_FLOOR)
-    return FrequencyTrace(times=mesh.times.copy(), h=h_arr, d=d_arr, n=n_arr,
-                          aux={"phi_f": phi_f, "b_sq": b_sq, "f_sq": f_sq,
-                               "support_mask": loc.support_mask})
+    return localized_fields(ens, cutoff, coeffs).contract(weight)
 
 
 def hprime_identity_residual(ens, weight: HeatKernelWeight,

@@ -20,7 +20,6 @@ __all__ = [
     "CutoffFunction",
     "HeatKernelWeight",
     "build_grid",
-    "eval_kernel",
     "kernel_caloric_residual",
     "build_cutoff",
     "ball_chain",
@@ -236,11 +235,6 @@ class HeatKernelWeight:
         return -(self.dim / (2.0 * s)) * k + (d2 / (4.0 * s**2)) * k
 
 
-def eval_kernel(weight: HeatKernelWeight, t: float, grid: SpatialGrid) -> np.ndarray:
-    """Nodal field K(., t) on the grid's interior nodes."""
-    return weight.values(t, grid.coords)
-
-
 def kernel_caloric_residual(weight: HeatKernelWeight, grid: SpatialGrid, t: float,
                             dt_fd: float = 1e-4) -> dict:
     """max |K_t + Delta K| over interior nodes, closed form and finite differences.
@@ -252,9 +246,9 @@ def kernel_caloric_residual(weight: HeatKernelWeight, grid: SpatialGrid, t: floa
     if not 0.0 < t < weight.horizon:
         raise DomainError(f"t={t} must lie in (0, {weight.horizon})")
     closed = weight.time_derivative(t, grid.coords) + weight.laplacian_closed_form(t, grid.coords)
-    k_now = eval_kernel(weight, t, grid)
+    k_now = weight.values(t, grid.coords)
     t2 = min(t + dt_fd, weight.horizon)
-    kt_fd = (eval_kernel(weight, t2, grid) - k_now) / (t2 - t)
+    kt_fd = (weight.values(t2, grid.coords) - k_now) / (t2 - t)
     lap_fd = grid.laplacian() @ k_now
     # The discrete Laplacian sees the Dirichlet zero ghost, wrong for K near
     # the boundary; restrict the FD audit to nodes one stencil away from it.
@@ -262,11 +256,9 @@ def kernel_caloric_residual(weight: HeatKernelWeight, grid: SpatialGrid, t: floa
     if grid.dim == 1:
         interior[[0, -1]] = False
     else:
-        idx = np.arange(grid.n_nodes).reshape(grid.shape)
         interior = np.zeros(grid.shape, dtype=bool)
         interior[1:-1, 1:-1] = True
         interior = interior.ravel()
-        del idx
     return {
         "closed_form": float(np.max(np.abs(closed))),
         "finite_difference": float(np.max(np.abs((kt_fd + lap_fd)[interior]))) if interior.any() else 0.0,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .forward import CoefficientField
+from .forward import CoefficientField, energy_trace, local_mass_trace
 from .geometry import Ball, SpatialGrid
 from .noise import TimeMesh
 from .ucp import UcpConstants, default_tolerance
@@ -240,10 +240,8 @@ def interpolation_split(energy: np.ndarray, local_energy: np.ndarray,
 def observation_mass(ens, ball: Ball, time_set: MeasurableTimeSet,
                      s: float | None = None, t: float | None = None) -> float:
     """E int_{E cap (s,t)} int_{B} y^2 dx dtau by trapezoid over time cells."""
-    grid, mesh = ens.grid, ens.mesh
-    d = grid.ball_mask(ball).astype(float)
-    w = grid.quad_weight
-    local = np.array([w * ens.quad_diag(k, d) for k in range(mesh.steps + 1)])
+    mesh = ens.mesh
+    local = local_mass_trace(ens, ens.grid.ball_mask(ball))
     lo = 0.0 if s is None else s
     hi = mesh.horizon if t is None else t
     total = 0.0
@@ -281,9 +279,7 @@ def telescoping_check(ens, ball: Ball, time_set: MeasurableTimeSet,
     grid, mesh = ens.grid, ens.mesh
     if tol is None:
         tol = default_tolerance(mesh, grid)
-    ones = np.ones(grid.n_nodes)
-    w = grid.quad_weight
-    energy = np.array([w * ens.quad_diag(k, ones) for k in range(mesh.steps + 1)])
+    energy = energy_trace(ens)
     c = constants.c_abt
     n = len(constants.alpha)
     gap_records = []
@@ -329,9 +325,7 @@ def energy_estimate_check(ens, coeffs: CoefficientField,
     grid, mesh = ens.grid, ens.mesh
     if tol is None:
         tol = default_tolerance(mesh, grid)
-    ones = np.ones(grid.n_nodes)
-    w = grid.quad_weight
-    energy = np.array([w * ens.quad_diag(k, ones) for k in range(mesh.steps + 1)])
+    energy = energy_trace(ens)
     rate = growth_rate(coeffs, variant)
     bound = np.exp(rate * mesh.times) * energy[0]
     rel = (energy - bound) / np.maximum(bound, 1e-300)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .forward import CoefficientField
-from .frequency import compute_hdn
+from .forward import CoefficientField, energy_trace, local_mass_trace
+from .frequency import localized_fields
 from .geometry import (Ball, CutoffFunction, HeatKernelWeight, SpatialGrid,
                        ball_chain)
 from .noise import TimeMesh
@@ -146,12 +146,13 @@ def amplitude_profile(ens, coeffs: CoefficientField, cutoff: CutoffFunction,
     center = cutoff.inner.center
     k2 = int(round((horizon - 2.0 * epsilon) / mesh.dt))
     k1 = int(round((horizon - epsilon) / mesh.dt))
+    fields = localized_fields(ens, cutoff, coeffs)
+    b_norm = coeffs.sup_b_over(fields.support_mask)
     profile = []
     for lam in np.atleast_1d(lambdas):
         weight = HeatKernelWeight(horizon=horizon, shift=float(lam),
                                   center=center, dim=grid.dim)
-        tr = compute_hdn(ens, weight, cutoff=cutoff, coeffs=coeffs)
-        b_norm = coeffs.sup_b_over(tr.aux["support_mask"])
+        tr = fields.contract(weight)
         h_arr = np.maximum(tr.h, 1e-300)
         log_term = max(float(np.log(h_arr[k2] / h_arr[k1])), 0.0)
         f_over_h = tr.aux["f_sq"] / h_arr
@@ -199,10 +200,9 @@ def three_ball_check(ens, x0, r1: float, r2: float, lambda1: float,
     theta_w = np.exp(-d2 / (4.0 * lambda1))
     in1 = d2 < r1 ** 2
     in2 = d2 < r2 ** 2
-    w = grid.quad_weight
-    k_final = ens.mesh.steps
-    lhs = w * ens.quad_diag(k_final, in2 * d2 * theta_w)
-    rhs = r1 ** 2 * w * ens.quad_diag(k_final, in1 * theta_w)
+    terminal = grid.quad_weight * ens.nodal_moment()[-1]
+    lhs = terminal @ (in2 * d2 * theta_w)
+    rhs = r1 ** 2 * (terminal @ (in1 * theta_w))
     return {"lhs": float(lhs), "rhs": float(rhs), "lambda1": float(lambda1),
             "pass": bool(lhs <= rhs * (1.0 + tol) + tol * max(rhs, 1e-300))}
 
@@ -214,13 +214,9 @@ def quantitative_ucp_check(ens, ball: Ball, constants: UcpConstants,
     E||y(T)||^2 <= 2^delta exp(beta) (E||y(0)||^2)^{1-delta}
                   (E int_{B_r} y(T)^2)^delta.
     """
-    grid = ens.grid
-    w = grid.quad_weight
-    k_final = ens.mesh.steps
-    ones = np.ones(grid.n_nodes)
-    lhs = w * ens.quad_diag(k_final, ones)
-    e0 = w * ens.quad_diag(0, ones)
-    local = w * ens.quad_diag(k_final, grid.ball_mask(ball).astype(float))
+    energy = energy_trace(ens)
+    lhs, e0 = energy[-1], energy[0]
+    local = local_mass_trace(ens, ens.grid.ball_mask(ball))[-1]
     delta = constants.delta
     rhs = 2.0 ** delta * np.exp(constants.beta) * e0 ** (1.0 - delta) \
         * local ** delta
@@ -242,13 +238,12 @@ def propagate_vanishing(ens, seed_ball: Ball, target_ball: Ball,
     """
     grid = ens.grid
     chain = ball_chain(seed_ball, target_ball, grid)
-    k_final = ens.mesh.steps
-    w = grid.quad_weight
-    global_mass = w * ens.quad_diag(k_final, np.ones(grid.n_nodes))
+    terminal = grid.quad_weight * ens.nodal_moment()[-1]
+    global_mass = terminal.sum()
     floor = threshold * max(global_mass, 1e-300)
 
     def rel_mass(ball):
-        return w * ens.quad_diag(k_final, grid.ball_mask(ball).astype(float))
+        return terminal @ grid.ball_mask(ball).astype(float)
 
     steps = []
     propagated = True

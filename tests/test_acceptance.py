@@ -15,7 +15,7 @@ import pytest
 from stochheat import (Ball, CoefficientField, HeatKernelWeight,
                        MeasurableTimeSet, PathEnsemble, TimeMesh, build_cutoff,
                        build_grid, build_tree, compute_constants, compute_hdn,
-                       density_sequence, epsilon_sequence,
+                       density_sequence, energy_trace, epsilon_sequence,
                        exp_transform_oracle, frequency_bound_check,
                        quantitative_ucp_check, select_lambda, solve_forward,
                        solve_forward_moments, synthesize_approx_control,
@@ -67,11 +67,9 @@ def sweep():
 
 def _endpoint_constants(sw, cfg, r=0.08):
     grid, mesh = sw["grid"], sw["mesh"]
-    ones = np.ones(grid.n_nodes)
-    w = grid.quad_weight
+    energy = energy_trace(cfg["ens"])
     return compute_constants(grid, (0.5,), r, mesh.horizon, cfg["coeffs"],
-                             w * cfg["ens"].quad_diag(0, ones),
-                             w * cfg["ens"].quad_diag(mesh.steps, ones))
+                             energy[0], energy[-1])
 
 
 def test_criterion_01_deterministic_heat_oracle():
@@ -163,12 +161,9 @@ def test_criterion_05_interpolation_inequality(sweep):
     base_rep = quantitative_ucp_check(cfg["ens"], OBS_BALL,
                                       _endpoint_constants(sweep, cfg),
                                       tol=sweep["tol"])
-    ones = np.ones(grid.n_nodes)
-    w = grid.quad_weight
+    energy3 = energy_trace(scaled)
     const3 = compute_constants(grid, (0.5,), 0.08, mesh.horizon,
-                               cfg["coeffs"],
-                               w * scaled.quad_diag(0, ones),
-                               w * scaled.quad_diag(mesh.steps, ones))
+                               cfg["coeffs"], energy3[0], energy3[-1])
     scaled_rep = quantitative_ucp_check(scaled, OBS_BALL, const3,
                                         tol=sweep["tol"])
     ok &= scaled_rep["pass"] == base_rep["pass"]
@@ -208,11 +203,9 @@ def test_criterion_07_density_sequence_and_recursion():
     x = grid.coords[:, 0]
     ens = solve_forward(np.sin(np.pi * x), coeffs, build_tree(mesh), mesh,
                         grid)
-    ones = np.ones(grid.n_nodes)
-    w = grid.quad_weight
+    energy = energy_trace(ens)
     ucp_c = compute_constants(grid, (0.5,), 0.08, mesh.horizon, coeffs,
-                              w * ens.quad_diag(0, ones),
-                              w * ens.quad_diag(mesh.steps, ones))
+                              energy[0], energy[-1])
     oc = epsilon_sequence(build_constants(ucp_c, coeffs, mesh.horizon),
                           seq.gap_measures)
     ok &= bool(np.all(oc.eps <= oc.eps1 * (1.0 + 1e-12)))

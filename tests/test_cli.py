@@ -92,12 +92,15 @@ def test_write_report_byte_stable(tmp_path):
     assert payload["schema_version"] == "1"
 
 
-def _fast_config(tmp_path, extra=""):
+def _fast_text(extra=""):
     # a reduced configuration so CLI round-trips stay quick
+    return ("grid.nodes = 31\ntree.depth = 6\ncontrol.depth = 6\n"
+            "ucp.kernel_shift = 0.25\n" + extra)
+
+
+def _fast_config(tmp_path, extra=""):
     path = tmp_path / "fast.cfg"
-    path.write_text(
-        "grid.nodes = 31\ntree.depth = 6\ncontrol.depth = 6\n"
-        "ucp.kernel_shift = 0.25\n" + extra)
+    path.write_text(_fast_text(extra))
     return str(path)
 
 
@@ -114,12 +117,41 @@ def test_cli_simulate_pass(tmp_path, capsys):
 
 
 def test_cli_bad_config_exit_2(tmp_path, capsys):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("coeff.bogus = 1\n")
-    code = main(["simulate", "--config", str(bad),
-                 "--out", str(tmp_path / "out")])
-    assert code == 2
-    assert "configuration error" in capsys.readouterr().err
+    # (subcommand, config, error class): every package error raised before
+    # the report is written exits 2 with one line naming its class
+    cases = [
+        ("simulate", "coeff.bogus = 1\n", "ConfigurationError"),
+        ("frequency", _fast_text("geometry.r4 = 0.6\n"), "GeometryError"),
+        ("ucp", _fast_text("geometry.r4 = 0.6\n"), "GeometryError"),
+        ("simulate", "tree.depth = 20\n", "ResourceError"),
+    ]
+    for i, (sub, text, error) in enumerate(cases):
+        bad = tmp_path / f"bad{i}.cfg"
+        bad.write_text(text)
+        code = main([sub, "--config", str(bad),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, (sub, text)
+        assert "configuration error" in err
+        assert error in err and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_scalar_points_run_like_tuples(tmp_path, capsys):
+    # a scalar point is the 1-D point (x,): same exit code, same report
+    points = ("geometry.x0", "geometry.g0_center", "control.g0_center")
+    codes, reports = [], []
+    for name, value in (("scalar", "0.45"), ("tuple", "0.45,")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(_fast_text("".join(f"{key} = {value}\n"
+                                          for key in points)))
+        codes.append(main(["verify", "--config", str(cfg),
+                           "--out", str(tmp_path / name)]))
+        reports.append(open(tmp_path / name / "verify.json", "rb").read())
+    assert codes[0] == codes[1] and codes[0] in (0, 1)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["details"]["ucp"]["constants"]
+    capsys.readouterr()
 
 
 def test_cli_missing_config_exit_2(tmp_path, capsys):

@@ -204,6 +204,28 @@ def test_approx_control_smooth_target(lab):
     assert all(r2 <= r1 * (1.0 + 1e-9) for r1, r2 in zip(res, res[1:]))
 
 
+def test_approx_control_curve_flags_cg_convergence(lab):
+    # every sweep row says whether its CG solve met the tolerance; a solve
+    # that stops short of the iteration cap (len(rhs)) has converged, and an
+    # unconverged one ran to the cap
+    grid, mesh, tree, coeffs, ball, time_set = lab
+    rng = _rng(6)
+    x = grid.coords[:, 0]
+    z_t = rng.standard_normal((tree.n_leaves, grid.n_nodes))
+    target = 0.1 * sum(rng.standard_normal() * np.sin(k * np.pi * x)
+                       for k in range(1, 4))
+    _, rep = synthesize_approx_control(z_t, target, coeffs, ball, time_set,
+                                       mesh, grid, tree, accuracy=1e-2)
+    for row in rep["curve"]:
+        assert isinstance(row["cg_converged"], bool)
+        if row["cg_iterations"] < grid.n_nodes:
+            assert row["cg_converged"]
+        if not row["cg_converged"]:
+            assert row["cg_iterations"] == grid.n_nodes
+    # the well-conditioned first solve (eps_reg = 1) converges
+    assert rep["curve"][0]["cg_converged"]
+
+
 def test_duality_support_check(lab):
     grid, mesh, tree, coeffs, ball, time_set = lab
     u = _rng(7).standard_normal(grid.n_nodes)

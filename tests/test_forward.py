@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochheat import (CoefficientField, ConfigurationError, PathEnsemble,
-                       TimeMesh, build_grid, build_tree, energy_trace,
-                       exp_transform_oracle, solve_forward,
-                       solve_forward_moments, solve_semilinear)
+from stochheat import (Ball, CoefficientField, ConfigurationError,
+                       PathEnsemble, TimeMesh, build_cutoff, build_grid,
+                       build_tree, energy_trace, exp_transform_oracle,
+                       solve_forward, solve_forward_moments, solve_semilinear)
 from stochheat.forward import (ImplicitHeatSolver, local_mass_trace,
                                step_invertibility_report)
 
@@ -77,12 +78,26 @@ def test_moment_propagator_matches_tree_exactly(grid):
     mom = solve_forward_moments(y0, coeffs, mesh, grid)
     rng = np.random.Generator(np.random.Philox(key=[1, 4]))
     d = rng.uniform(0.0, 1.0, grid.n_nodes)
+    y_sq_tree, y_sq_mom = ens.nodal_moment(), mom.nodal_moment()
     for k in (0, 3, mesh.steps):
-        a = ens.quad_diag(k, d)
-        b = mom.quad_diag(k, d)
+        a = y_sq_tree[k] @ d
+        b = y_sq_mom[k] @ d
         assert abs(a - b) <= 1e-12 * max(abs(a), 1.0)
         assert np.allclose(ens.expectation_field(k), mom.expectation_field(k),
                            atol=1e-13)
+    # whole nodal fields, including the localized gradient and the static
+    # cutoff source -Lap(phi) - 2 grad(phi).grad
+    cutoff = build_cutoff(Ball((0.5,), 0.18), Ball((0.5,), 0.24), grid)
+    (grad,) = grid.gradient_ops()
+    grad_phi = sp.csr_matrix(grad @ sp.diags(cutoff.values))
+    source = sp.csr_matrix(-sp.diags(cutoff.lap)
+                           - 2.0 * sp.diags(cutoff.grad[:, 0]) @ grad)
+    for left, right in ((None, None), (grad_phi, grad_phi), (None, source),
+                        (source, source), (grad, source)):
+        a = ens.nodal_moment(left, right)
+        b = mom.nodal_moment(left, right)
+        assert a.shape == (mesh.steps + 1, grid.n_nodes)
+        assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(a)), 1.0)
 
 
 def test_moment_propagator_rejects_adapted(grid, mesh):

@@ -41,6 +41,33 @@ def test_hdn_brute_force_oracle(tree_ensemble, weight, grid, coeffs):
     tr = compute_hdn(tree_ensemble, weight, coeffs=coeffs)
     assert np.isclose(tr.h[k], h_direct, rtol=1e-12)
     assert np.isclose(tr.d[k], d_direct, rtol=1e-12)
+    # localized field Phi = phi*y under random bounded coefficients, with the
+    # source F = a*Phi - y*Lap(phi) - 2 grad(phi).grad(y) built per path; at
+    # the last node the coefficients are those of the last step
+    cutoff = build_cutoff(Ball((0.5,), 0.18), Ball((0.5,), 0.24), grid)
+    mesh = tree_ensemble.mesh
+    rough = CoefficientField.random_bounded(grid, mesh, 5, 0.5, 0.5)
+    tr = compute_hdn(tree_ensemble, weight, cutoff=cutoff, coeffs=rough)
+    for k in (4, mesh.steps):
+        kv = weight.values(mesh.times[k], grid.coords)
+        y = tree_ensemble.values[:, k, :]
+        a = rough.a_at(min(k, mesh.steps - 1))
+        b = rough.b_at(min(k, mesh.steps - 1))
+        big_phi = cutoff.values * y
+        grad_phi = np.stack([grid.gradient(row)[:, 0] for row in big_phi])
+        grad_y = np.stack([grid.gradient(row)[:, 0] for row in y])
+        src = a * big_phi - y * cutoff.lap - 2.0 * cutoff.grad[:, 0] * grad_y
+
+        def direct(integrand):
+            return float(w @ ((integrand * kv).sum(axis=1))) * grid.quad_weight
+
+        assert np.isclose(tr.h[k], direct(big_phi ** 2), rtol=1e-12)
+        assert np.isclose(tr.d[k], direct(grad_phi ** 2), rtol=1e-12)
+        assert np.isclose(tr.aux["phi_f"][k], direct(big_phi * src),
+                          rtol=1e-12)
+        assert np.isclose(tr.aux["b_sq"][k], direct(b ** 2 * big_phi ** 2),
+                          rtol=1e-12)
+        assert np.isclose(tr.aux["f_sq"][k], direct(src ** 2), rtol=1e-12)
 
 
 def test_hdn_scale_invariance_of_n(y0, coeffs, tree, mesh, grid, weight):

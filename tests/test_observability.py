@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from stochheat import (Ball, CoefficientField, MeasurableTimeSet, TimeMesh,
                        build_grid, build_tree, compute_constants,
-                       density_sequence, energy_estimate_check,
+                       density_sequence, energy_estimate_check, energy_trace,
                        epsilon_sequence, solve_forward, telescoping_check)
 from stochheat.errors import ConfigurationError
+from stochheat.forward import local_mass_trace
 from stochheat.observability import (build_constants, growth_rate,
                                      interpolation_split, observation_mass)
 from stochheat.ucp import default_tolerance
@@ -95,11 +96,9 @@ def test_growth_rate_variants(setup):
 
 def _obs_constants(setup, time_set):
     grid, mesh, coeffs, ens = setup
-    ones = np.ones(grid.n_nodes)
-    w = grid.quad_weight
+    energy = energy_trace(ens)
     ucp_c = compute_constants(grid, (0.5,), 0.08, mesh.horizon, coeffs,
-                              w * ens.quad_diag(0, ones),
-                              w * ens.quad_diag(mesh.steps, ones))
+                              energy[0], energy[-1])
     return build_constants(ucp_c, coeffs, mesh.horizon)
 
 
@@ -130,13 +129,8 @@ def test_epsilon_recursion_rejects_zero_gaps(setup, time_set):
 def test_interpolation_split(setup, time_set):
     grid, mesh, coeffs, ens = setup
     oc = _obs_constants(setup, time_set)
-    ones = np.ones(grid.n_nodes)
-    w = grid.quad_weight
-    energy = np.array([w * ens.quad_diag(k, ones)
-                       for k in range(mesh.steps + 1)])
-    mask = grid.ball_mask(Ball((0.5,), 0.08)).astype(float)
-    local = np.array([w * ens.quad_diag(k, mask)
-                      for k in range(mesh.steps + 1)])
+    energy = energy_trace(ens)
+    local = local_mass_trace(ens, grid.ball_mask(Ball((0.5,), 0.08)))
     rep = interpolation_split(energy, local, oc, eps=0.5, k=mesh.steps,
                               tol=default_tolerance(mesh, grid))
     assert rep["pass"]
@@ -148,10 +142,12 @@ def test_observation_mass_manual_oracle(setup, time_set):
     grid, mesh, _, ens = setup
     ball = Ball((0.5,), 0.08)
     total = observation_mass(ens, ball, time_set)
-    # manual trapezoid over the same cells
+    # manual trapezoid over the same cells, of the explicit per-path sums
     d = grid.ball_mask(ball).astype(float)
     w = grid.quad_weight
-    local = np.array([w * ens.quad_diag(k, d) for k in range(mesh.steps + 1)])
+    local = np.array([w * sum(ens.weights[p] * float(ens.values[p, k] ** 2 @ d)
+                              for p in range(ens.n_paths))
+                      for k in range(mesh.steps + 1)])
     manual = 0.0
     for k in range(mesh.steps):
         ov = time_set.measure_between(mesh.times[k], mesh.times[k + 1])

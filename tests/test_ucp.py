@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from stochheat import (Ball, CoefficientField, TimeMesh, build_cutoff,
-                       build_grid, compute_constants, propagate_vanishing,
-                       quantitative_ucp_check, select_lambda, solve_forward,
-                       three_ball_check)
+from stochheat import (Ball, CoefficientField, HeatKernelWeight, TimeMesh,
+                       build_cutoff, build_grid, compute_constants,
+                       compute_hdn, energy_trace,
+                       propagate_vanishing, quantitative_ucp_check,
+                       select_lambda, solve_forward, three_ball_check)
 from stochheat.errors import ConfigurationError, DomainError
 from stochheat.ucp import (LAMBDA_GRID, amplitude_profile, default_tolerance)
 
@@ -107,6 +108,29 @@ def test_amplitude_profile_and_selection(tree_ensemble, coeffs, grid):
     assert sel["qualifies"]
 
 
+def test_amplitude_profile_matches_compute_hdn(tree_ensemble, coeffs, grid,
+                                               mesh):
+    # the profile contracts shared fields; rebuild A(lambda) from its
+    # defining formula on compute_hdn at separately built kernel weights
+    cutoff = build_cutoff(Ball((0.5,), 0.18), Ball((0.5,), 0.24), grid)
+    eps, horizon = 0.1, mesh.horizon
+    profile = dict(amplitude_profile(tree_ensemble, coeffs, cutoff,
+                                     eps)["profile"])
+    k2 = int(round((horizon - 2.0 * eps) / mesh.dt))
+    k1 = int(round((horizon - eps) / mesh.dt))
+    for lam in (LAMBDA_GRID[0], LAMBDA_GRID[7], LAMBDA_GRID[30]):
+        weight = HeatKernelWeight(horizon=horizon, shift=float(lam),
+                                  center=(0.5,), dim=1)
+        tr = compute_hdn(tree_ensemble, weight, cutoff=cutoff, coeffs=coeffs)
+        b = coeffs.sup_b_over(tr.aux["support_mask"])
+        log_term = max(float(np.log(tr.h[k2] / tr.h[k1])), 0.0)
+        integral = np.trapezoid(tr.aux["f_sq"][k2:] / tr.h[k2:], dx=mesh.dt)
+        expected = (horizon + lam) / eps * np.exp(2.0 * horizon * b ** 2) \
+            * (log_term + eps + eps * (1.0 + 2.0 * horizon) * b ** 2
+               + (eps + 1.0) * integral)
+        assert np.isclose(profile[float(lam)], expected, rtol=1e-12)
+
+
 def test_amplitude_profile_epsilon_validation(tree_ensemble, coeffs, grid):
     cutoff = build_cutoff(Ball((0.5,), 0.18), Ball((0.5,), 0.24), grid)
     with pytest.raises(ConfigurationError):
@@ -133,11 +157,9 @@ def test_quantitative_ucp_check_and_scale_invariance(unit_grid):
     results = []
     for scale in (1.0, 3.0):
         ens = solve_forward(scale * y0, coeffs, tree, mesh, unit_grid)
-        ones = np.ones(unit_grid.n_nodes)
-        w = unit_grid.quad_weight
+        energy = energy_trace(ens)
         const = compute_constants(unit_grid, (0.5,), 0.08, mesh.horizon,
-                                  coeffs, w * ens.quad_diag(0, ones),
-                                  w * ens.quad_diag(mesh.steps, ones))
+                                  coeffs, energy[0], energy[-1])
         results.append(quantitative_ucp_check(ens, ball, const, tol=tol))
     assert results[0]["pass"] and results[1]["pass"]
     # the inequality is scale-invariant: both sides pick up the same factor
