@@ -13,8 +13,9 @@ from .geometry import (Ball, CutoffFunction, HeatKernelWeight, SpatialGrid,
 from .noise import BernoulliTree, PathEnsemble, TimeMesh, build_tree, \
     conditional_expectation, path_increments, sample_ensemble
 from .forward import (CoefficientField, SecondMomentEnsemble,
-                      TrajectoryEnsemble, energy_trace, exp_transform_oracle,
-                      solve_forward, solve_forward_moments, solve_semilinear)
+                      TrajectoryEnsemble, TreeEnsemble, energy_trace,
+                      exp_transform_oracle, solve_forward,
+                      solve_forward_moments, solve_semilinear)
 from .frequency import (FrequencyTrace, boundary_sign_audit, compute_hdn,
                         frequency_bound_check, hprime_identity_residual)
 from .ucp import (UcpConstants, amplitude_profile, compute_constants,

@@ -38,15 +38,22 @@ from .report import (all_pass, check_record, write_report,
 MACHINE_TOL = 1e-10
 
 
-def _extent_pairs(flat):
-    flat = tuple(flat)
-    if len(flat) % 2 != 0:
-        raise ConfigurationError("domain.extents needs an even number of values")
+def _pairs(flat):
+    """(lo, hi) pairs of a flat even-length tuple (checked by validate_config)."""
     return tuple((flat[i], flat[i + 1]) for i in range(0, len(flat), 2))
 
 
 def _as_tuple(value):
     return tuple(value) if isinstance(value, tuple) else (value,)
+
+
+def _point(cfg: dict, key: str, dim: int) -> tuple:
+    """A point config value; a scalar is the 1-D point (x,)."""
+    point = _as_tuple(cfg[key])
+    if len(point) != dim:
+        raise ConfigurationError(
+            f"{key} has {len(point)} coordinates, the grid has {dim} axes")
+    return point
 
 
 def _coefficients(cfg: dict, grid, mesh, seed: int) -> CoefficientField:
@@ -64,7 +71,7 @@ class Experiment:
     def __init__(self, cfg: dict):
         cfgmod.validate_config(cfg)
         self.cfg = cfg
-        extents = _extent_pairs(cfg["domain.extents"])
+        extents = _pairs(cfg["domain.extents"])
         nodes = _as_tuple(cfg["grid.nodes"])
         nodes = tuple(int(n) for n in nodes)
         if len(nodes) == 1 and len(extents) == 2:
@@ -78,7 +85,8 @@ class Experiment:
         else:
             self.noise = sample_ensemble(self.mesh, int(cfg["mc.paths"]), self.seed)
         self.coeffs = _coefficients(cfg, self.grid, self.mesh, self.seed)
-        self.x0 = _as_tuple(cfg["geometry.x0"])
+        self.x0 = _point(cfg, "geometry.x0", self.grid.dim)
+        self.g0_center = _point(cfg, "geometry.g0_center", self.grid.dim)
         self.y0 = initial_field(self.grid, cfg["initial.kind"], self.x0)
         self._ensemble = None
 
@@ -239,8 +247,7 @@ def run_ucp(exp: Experiment):
         checks.append(check_record("three_ball_inequality", True,
                                    excluded=True,
                                    note="no qualifying shift; profile reported"))
-    g0 = Ball(_as_tuple(exp.cfg["geometry.g0_center"]),
-              float(exp.cfg["geometry.g0_radius"]))
+    g0 = Ball(exp.g0_center, float(exp.cfg["geometry.g0_radius"]))
     try:
         prop = ucpmod.propagate_vanishing(ens, g0, g0)
         extras["vanishing_propagation"] = {"verdict": prop["verdict"],
@@ -254,10 +261,8 @@ def run_ucp(exp: Experiment):
 def run_observe(exp: Experiment):
     checks, extras = [], {}
     grid, mesh, ens = exp.grid, exp.mesh, exp.ensemble
-    e_vals = exp.cfg["time_set.e"]
-    time_set = obs.MeasurableTimeSet(
-        tuple((e_vals[i], e_vals[i + 1]) for i in range(0, len(e_vals), 2)),
-        horizon=mesh.horizon)
+    time_set = obs.MeasurableTimeSet(_pairs(exp.cfg["time_set.e"]),
+                                     horizon=mesh.horizon)
     seq = obs.density_sequence(time_set)
     checks.append(check_record("density_sequence_condition",
                                seq.found and seq.condition_holds(),
@@ -311,19 +316,16 @@ def run_observe(exp: Experiment):
 def run_control(exp: Experiment):
     checks, extras = [], {}
     cfg = exp.cfg
-    grid = build_grid(_extent_pairs(cfg["domain.extents"]),
-                      (int(cfg["control.nodes"]),) * 1)
+    extents = _pairs(cfg["domain.extents"])
+    grid = build_grid(extents, (int(cfg["control.nodes"]),) * len(extents))
     mesh = TimeMesh(horizon=float(cfg["control.horizon"]),
                     steps=int(cfg["control.depth"]))
     tree = build_tree(mesh)
     coeffs = CoefficientField.constant(grid, mesh, float(cfg["coeff.a"]),
                                        float(cfg["coeff.b"]))
-    g0 = Ball(_as_tuple(cfg["control.g0_center"]),
+    g0 = Ball(_point(cfg, "control.g0_center", grid.dim),
               float(cfg["control.g0_radius"]))
-    e1_vals = cfg["control.e1"]
-    e1 = obs.MeasurableTimeSet(
-        tuple((e1_vals[i], e1_vals[i + 1]) for i in range(0, len(e1_vals), 2)),
-        horizon=mesh.horizon)
+    e1 = obs.MeasurableTimeSet(_pairs(cfg["control.e1"]), horizon=mesh.horizon)
     rng = np.random.Generator(np.random.Philox(key=[exp.seed, 0xc0de]))
     n = grid.n_nodes
     z_term = rng.standard_normal((tree.n_leaves, n))
@@ -331,10 +333,9 @@ def run_control(exp: Experiment):
     u = rng.standard_normal(n)
     v = rng.standard_normal(n)
     weights = ctl.control_level_weights(e1, mesh)
-    mask = grid.ball_mask(g0).astype(float)
-    dual_u = ctl.solve_dual_forward(u, coeffs, mesh, grid, tree)
-    ctrl_u = ctl.ControlField(levels=dual_u[:-1], mask=mask, weights=weights,
-                              ball=g0, time_set=e1)
+    lam_u, ctrl_u = ctl.gramian_apply(u, coeffs, g0, e1, mesh, grid, tree,
+                                      weights, return_control=True)
+    mask = ctrl_u.mask
     pair = ctl.solve_backward_tree(z_term, coeffs, mesh, grid, tree, h=h_src,
                                    control=ctrl_u, mode="adjoint")
     dual_v = ctl.solve_dual_forward(v, coeffs, mesh, grid, tree)
@@ -347,7 +348,6 @@ def run_control(exp: Experiment):
                                        mode="independent")
     dc_ind = ctl.duality_check(dual_v, pair_ind, h=h_src, control=ctrl_u)
     extras["duality_independent_residual"] = dc_ind["relative_residual"]
-    lam_u = ctl.gramian_apply(u, coeffs, g0, e1, mesh, grid, tree, weights)
     lam_v = ctl.gramian_apply(v, coeffs, g0, e1, mesh, grid, tree, weights)
     sym_gap = abs(float(v @ lam_u) - float(u @ lam_v)) \
         / max(abs(float(v @ lam_u)), 1e-300)
@@ -391,8 +391,8 @@ def run_control(exp: Experiment):
                 if mask[i]:
                     rows.append([k, node] + list(grid.coords[i])
                                 + [level[node, i]])
-    tables = {"control": {"header": ["level", "node", "x", "value"],
-                          "rows": rows}}
+    header = ["level", "node"] + ["x", "y"][:grid.dim] + ["value"]
+    tables = {"control": {"header": header, "rows": rows}}
     return checks, extras, tables
 
 

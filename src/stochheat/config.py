@@ -131,12 +131,20 @@ def validate_config(cfg: dict) -> None:
             + ", ".join(str(r) for r in radii))
     if cfg["time.horizon"] <= 0:
         raise ConfigurationError("time.horizon must be positive")
-    if cfg["tree.depth"] < 1 or cfg["grid.nodes"] < 3:
-        raise ConfigurationError("tree.depth >= 1 and grid.nodes >= 3 required")
+    if cfg["tree.depth"] < 1:
+        raise ConfigurationError("tree.depth >= 1 required")
+    nodes = cfg["grid.nodes"]
+    for n in nodes if isinstance(nodes, tuple) else (nodes,):
+        if not isinstance(n, (int, float)) or not float(n).is_integer() or n < 3:
+            raise ConfigurationError(
+                f"grid.nodes must be whole numbers >= 3, got {nodes}")
     if cfg["noise.mode"] not in ("tree", "mc"):
         raise ConfigurationError("noise.mode must be 'tree' or 'mc'")
-    e = cfg["time_set.e"]
-    if len(e) % 2 != 0 or len(e) == 0:
-        raise ConfigurationError("time_set.e needs an even number of endpoints")
+    for key in ("domain.extents", "time_set.e", "control.e1"):
+        value = cfg[key]
+        if not isinstance(value, tuple) or len(value) % 2 != 0 or not value:
+            raise ConfigurationError(
+                f"{key} needs an even number of comma-separated values, "
+                f"got {value!r}")
     if not 0.0 < 2.0 * cfg["ucp.epsilon"] < cfg["time.horizon"]:
         raise ConfigurationError("ucp.epsilon must satisfy 0 < 2*eps < horizon")

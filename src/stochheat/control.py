@@ -4,10 +4,15 @@ The backward pair (z, Z) solves, toward t = 0,
 
     dz + Lap z dt = a1 z dt + b1 Z dt + h dt + chi_{E1} chi_{G0} f dt + Z dB,
 
-discretized on the exact binary tree.  Two backward modes are available:
+discretized on the exact binary tree.  The dual forward solve and the
+adjoint backward solve run on the level-wise tree propagator of `forward`
+(`tree_step` and its transpose `tree_step_adjoint`), with the dual factors
+1 - dt*a1 -/+ sqrt(dt)*b1 and the one factorization of I - dt*Lap_h per
+(grid, dt).  Two backward modes are available:
 
 * ``independent`` -- martingale-representation induction (conditional
-  expectation + implicit solve), consistent with the equation to O(dt);
+  expectation + an implicit solve of I - dt*Lap_h + dt*diag(a1), factorized
+  per step), consistent with the equation to O(dt);
 * ``adjoint`` -- the exact discrete adjoint of the dual forward scheme, which
   makes the duality pairing hold to machine precision and yields a clean
   symmetric positive semidefinite control Gramian.
@@ -25,7 +30,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import ConfigurationError, NumericalError, ShapeError
-from .forward import CoefficientField, ImplicitHeatSolver
+from .forward import (CoefficientField, implicit_solver, tree_step,
+                      tree_step_adjoint)
 from .geometry import Ball, SpatialGrid
 from .noise import BernoulliTree, TimeMesh
 from .observability import MeasurableTimeSet
@@ -113,7 +119,7 @@ def _level_source(src, k: int, n: int):
 
 def _step_factors(coeffs: CoefficientField, k: int, dt: float):
     """Dual-scheme diagonal factors 1 - dt*a1 -/+ sqrt(dt)*b1."""
-    a_k, b_k = coeffs.a_at(k), coeffs.b_at(k)
+    a_k, b_k = coeffs.a[k], coeffs.b[k]
     root = np.sqrt(dt)
     return 1.0 - dt * a_k - root * b_k, 1.0 - dt * a_k + root * b_k
 
@@ -125,18 +131,15 @@ def solve_dual_forward(y0_hat: np.ndarray, coeffs: CoefficientField,
 
     Returns the solution per history level: level k is a (2^k, n) array; the
     two children of node h at the next level are 2h (down move) and 2h+1.
+    Each level is one `forward.tree_step` with the factors of `_step_factors`.
     """
     if tree.depth != mesh.steps:
         raise ShapeError("tree depth and time mesh disagree")
-    solver = ImplicitHeatSolver(grid, mesh.dt)
+    solver = implicit_solver(grid, mesh.dt)
     levels = [np.asarray(y0_hat, dtype=float)[None, :].copy()]
     for k in range(mesh.steps):
-        minus, plus = _step_factors(coeffs, k, mesh.dt)
-        cur = levels[-1]
-        nxt = np.empty((2 * cur.shape[0], grid.n_nodes))
-        nxt[0::2] = cur * minus
-        nxt[1::2] = cur * plus
-        levels.append(solver.solve(nxt))
+        levels.append(tree_step(levels[-1], *_step_factors(coeffs, k, mesh.dt),
+                                solver))
     return levels
 
 
@@ -147,10 +150,11 @@ def solve_backward_tree(z_terminal: np.ndarray, coeffs: CoefficientField,
     """Solve the backward pair from leaf terminal data down to the root.
 
     `h` is an optional free source (per level or deterministic); `control`
-    carries the localized actuation.  In adjoint mode each step is the exact
-    transpose of the dual forward step, so the duality pairing telescopes
-    exactly; independent mode performs the martingale-representation
-    induction with a diffusion-implicit solve.
+    carries the localized actuation.  In adjoint mode each step is
+    `forward.tree_step_adjoint`, the exact transpose of the dual forward
+    step, so the duality pairing telescopes exactly; independent mode
+    performs the martingale-representation induction with an implicit solve
+    of I - dt*Lap_h + dt*diag(a_k), factorized per step.
     """
     if mode not in ("adjoint", "independent"):
         raise ConfigurationError(f"unknown backward mode '{mode}'")
@@ -161,48 +165,34 @@ def solve_backward_tree(z_terminal: np.ndarray, coeffs: CoefficientField,
     if z.shape != (tree.n_leaves, n):
         raise ShapeError(f"terminal data shape {z.shape}, "
                          f"expected ({tree.n_leaves}, {n})")
-    solver = ImplicitHeatSolver(grid, mesh.dt)
+    solver = implicit_solver(grid, mesh.dt)
     dt = mesh.dt
     root = np.sqrt(dt)
     z_levels = [None] * (mesh.steps + 1)
     z_mart = [None] * mesh.steps
     z_levels[mesh.steps] = z.copy()
-    lu_cache = {}
     for k in range(mesh.steps - 1, -1, -1):
         z_next = z_levels[k + 1]
-        h_k = _level_source(h, k, n)
-        f_k = None
-        w_k = 0.0
-        if control is not None and control.weights[k] > 0.0:
-            f_k = control.level(k) * control.mask
-            w_k = control.weights[k]
         if mode == "adjoint":
-            minus, plus = _step_factors(coeffs, k, dt)
-            sz = solver.solve(z_next)
-            zk = 0.5 * (minus * sz[0::2] + plus * sz[1::2])
+            zk, sz = tree_step_adjoint(z_next, *_step_factors(coeffs, k, dt),
+                                       solver)
             z_mart[k] = (sz[1::2] - sz[0::2]) / (2.0 * root)
-            if h_k is not None:
-                zk = zk - dt * h_k
-            if f_k is not None:
-                zk = zk - w_k * f_k
         else:
-            cond = 0.5 * (z_next[0::2] + z_next[1::2])
-            big_z = (z_next[1::2] - z_next[0::2]) / (2.0 * root)
-            z_mart[k] = big_z
-            a_k, b_k = coeffs.a_at(k), coeffs.b_at(k)
-            rhs = cond - dt * (b_k * big_z)
-            if h_k is not None:
-                rhs = rhs - dt * h_k
-            if f_k is not None:
-                rhs = rhs - w_k * f_k
-            key = k if coeffs.adapted else "static"
-            if key not in lu_cache:
-                mat = sp.eye(n) - dt * grid.laplacian() + dt * sp.diags(a_k)
-                try:
-                    lu_cache[key] = splu(sp.csc_matrix(mat))
-                except RuntimeError as exc:
-                    raise NumericalError(f"backward solve failed: {exc}") from exc
-            zk = lu_cache[key].solve(rhs.T).T
+            z_mart[k] = (z_next[1::2] - z_next[0::2]) / (2.0 * root)
+            zk = 0.5 * (z_next[0::2] + z_next[1::2]) \
+                - dt * (coeffs.b[k] * z_mart[k])
+        h_k = _level_source(h, k, n)
+        if h_k is not None:
+            zk = zk - dt * h_k
+        if control is not None and control.weights[k] > 0.0:
+            zk = zk - control.weights[k] * (control.level(k) * control.mask)
+        if mode == "independent":
+            mat = sp.eye(n) - dt * grid.laplacian() + dt * sp.diags(coeffs.a[k])
+            try:
+                lu = splu(sp.csc_matrix(mat))
+            except RuntimeError as exc:
+                raise NumericalError(f"backward solve failed: {exc}") from exc
+            zk = lu.solve(zk.T).T
         z_levels[k] = zk
     return BackwardPair(z_levels=z_levels, z_martingale=z_mart, mode=mode,
                         mesh=mesh, grid=grid)
@@ -240,14 +230,6 @@ def duality_check(dual_levels: list, pair: BackwardPair, h=None,
             "relative_residual": abs(lhs - rhs) / scale}
 
 
-def _observation_levels(dual_levels: list, mask: np.ndarray,
-                        weights: np.ndarray) -> list:
-    obs = []
-    for k, w_k in enumerate(weights):
-        obs.append(dual_levels[k] * mask if w_k > 0.0 else None)
-    return obs
-
-
 def gramian_apply(y0_hat: np.ndarray, coeffs: CoefficientField,
                   ball: Ball, time_set: MeasurableTimeSet, mesh: TimeMesh,
                   grid: SpatialGrid, tree: BernoulliTree,
@@ -270,7 +252,7 @@ def gramian_apply(y0_hat: np.ndarray, coeffs: CoefficientField,
                                mode="adjoint")
     out = -pair.z0
     if return_control:
-        return out, ctrl, dual
+        return out, ctrl
     return out
 
 
@@ -345,7 +327,7 @@ def synthesize_null_control(z_terminal: np.ndarray, coeffs: CoefficientField,
 
     u_star, cg_info = conjugate_gradient(matvec, target, tol=cg_tol,
                                          max_iter=max_iter, eps_reg=eps_reg)
-    _, ctrl, _ = gramian_apply(u_star, coeffs, ball, time_set, mesh, grid,
+    _, ctrl = gramian_apply(u_star, coeffs, ball, time_set, mesh, grid,
                                tree, weights=weights, return_control=True)
     verified = solve_backward_tree(z_terminal, coeffs, mesh, grid, tree,
                                    control=ctrl, mode="adjoint")
@@ -390,7 +372,7 @@ def synthesize_approx_control(z_terminal: np.ndarray, z0_target: np.ndarray,
     for eps_reg in np.logspace(0.0, np.log10(EPS_REG_FLOOR), n_sweep):
         u, cg_info = conjugate_gradient(matvec, rhs, tol=1e-13,
                                         eps_reg=float(eps_reg))
-        _, ctrl, _ = gramian_apply(u, coeffs, ball, time_set, mesh, grid,
+        _, ctrl = gramian_apply(u, coeffs, ball, time_set, mesh, grid,
                                    tree, weights=weights, return_control=True)
         pair = solve_backward_tree(z_terminal, coeffs, mesh, grid, tree, h=h,
                                    control=ctrl, mode="adjoint")

@@ -4,15 +4,20 @@ Scheme: diffusion-implicit, reaction/noise-explicit Euler-Maruyama,
 
     (I - dt*Lap_h) y_{k+1} = y_k + dt*a_k y_k + b_k y_k dB_k,
 
-which keeps the Ito evaluation point of the noise.  Besides the pathwise
-ensembles this module provides an exact second-moment propagator: for
-deterministic coefficients the tree expectation of any quadratic functional
-of the solution is reproduced exactly by the recursion on E[y y^T], at any
-depth, without enumerating paths.
+which keeps the Ito evaluation point of the noise; a and b are deterministic
+arrays indexed by step.  Every tree solve (this equation, and the dual and
+adjoint equations of `control`) is one level-wise propagator: `tree_step`
+takes the (2^k, n) history level k to level k+1, and `tree_step_adjoint` is
+its exact transpose.  The forward tree solve returns a `TreeEnsemble` of
+history levels, whose expectations are level means.  All solves share one
+factorization of I - dt*Lap_h per (grid, dt).  The exact second-moment
+propagator reproduces tree expectations of quadratic functionals by the
+recursion on E[y y^T], at any depth, without enumerating paths.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,9 +31,13 @@ from .noise import BernoulliTree, PathEnsemble, TimeMesh
 __all__ = [
     "CoefficientField",
     "TrajectoryEnsemble",
+    "TreeEnsemble",
     "SecondMomentEnsemble",
     "ImplicitHeatSolver",
-    "step_forward",
+    "implicit_solver",
+    "tree_factors",
+    "tree_step",
+    "tree_step_adjoint",
     "solve_forward",
     "solve_forward_moments",
     "solve_semilinear",
@@ -45,8 +54,6 @@ class ImplicitHeatSolver:
     """Prefactorized solve of (I - dt*Lap_h) u = rhs."""
 
     def __init__(self, grid: SpatialGrid, dt: float):
-        self.grid = grid
-        self.dt = dt
         mat = sp.eye(grid.n_nodes) - dt * grid.laplacian()
         try:
             self._lu = splu(sp.csc_matrix(mat))
@@ -62,35 +69,35 @@ class ImplicitHeatSolver:
         return self._lu.solve(flat.T).T.reshape(rhs.shape)
 
 
+# grid -> {dt: solver}; solvers hold no reference to their grid
+_SOLVERS = weakref.WeakKeyDictionary()
+
+
+def implicit_solver(grid: SpatialGrid, dt: float) -> ImplicitHeatSolver:
+    """The factorization of I - dt*Lap_h, built once per (grid, dt)."""
+    per_grid = _SOLVERS.setdefault(grid, {})
+    if dt not in per_grid:
+        per_grid[dt] = ImplicitHeatSolver(grid, dt)
+    return per_grid[dt]
+
+
 class CoefficientField:
     """Coefficients a (potential) and b (noise intensity) on the grid.
 
-    Deterministic coefficients are stored as arrays of shape (steps, n_nodes);
-    sup norms and the W^{1,inf} norm of b are cached.  Adapted (per-path)
-    coefficients are callables receiving only past increments.
+    Deterministic arrays of shape (steps, n_nodes), indexed by step; sup
+    norms and the W^{1,inf} norm of b are cached.
     """
 
-    def __init__(self, grid: SpatialGrid, mesh: TimeMesh, a, b,
-                 adapted: bool = False, sup_a: float | None = None,
-                 sup_b: float | None = None):
+    def __init__(self, grid: SpatialGrid, mesh: TimeMesh, a, b):
         self.grid = grid
         self.mesh = mesh
-        self.adapted = adapted
-        if adapted:
-            self._a_fn, self._b_fn = a, b
-            if sup_a is None or sup_b is None:
-                raise ConfigurationError("adapted coefficients need explicit sup bounds")
-            self.sup_a = float(sup_a)
-            self.sup_b_w1inf = float(sup_b)
-        else:
-            self.a = self._materialize(a)
-            self.b = self._materialize(b)
-            self.b_grad = np.stack([grid.field_gradient(self.b[k])
-                                    for k in range(mesh.steps)])
-            self.sup_a = float(np.max(np.abs(self.a))) if sup_a is None else float(sup_a)
-            grad_sup = float(np.max(np.abs(self.b_grad))) if self.b_grad.size else 0.0
-            w1 = max(float(np.max(np.abs(self.b))), grad_sup)
-            self.sup_b_w1inf = w1 if sup_b is None else float(sup_b)
+        self.a = self._materialize(a)
+        self.b = self._materialize(b)
+        self.b_grad = np.stack([grid.field_gradient(self.b[k])
+                                for k in range(mesh.steps)])
+        self.sup_a = float(np.max(np.abs(self.a)))
+        grad_sup = float(np.max(np.abs(self.b_grad))) if self.b_grad.size else 0.0
+        self.sup_b_w1inf = max(float(np.max(np.abs(self.b))), grad_sup)
 
     def _materialize(self, values) -> np.ndarray:
         arr = np.asarray(values, dtype=float)
@@ -138,20 +145,8 @@ class CoefficientField:
             return bound * f / peak if peak > 0 else f
         return cls(grid, mesh, a=smooth_field(a_bound), b=smooth_field(b_bound))
 
-    def a_at(self, k: int, past_increments: np.ndarray | None = None) -> np.ndarray:
-        if self.adapted:
-            return np.asarray(self._a_fn(k, past_increments), dtype=float)
-        return self.a[k]
-
-    def b_at(self, k: int, past_increments: np.ndarray | None = None) -> np.ndarray:
-        if self.adapted:
-            return np.asarray(self._b_fn(k, past_increments), dtype=float)
-        return self.b[k]
-
     def sup_b_over(self, mask: np.ndarray) -> float:
         """W^{1,inf} norm of b restricted to a node mask (e.g. supp phi)."""
-        if self.adapted:
-            return self.sup_b_w1inf
         vals = float(np.max(np.abs(self.b[:, mask]))) if mask.any() else 0.0
         grads = float(np.max(np.abs(self.b_grad[:, mask, :]))) if mask.any() else 0.0
         return max(vals, grads)
@@ -169,8 +164,6 @@ class TrajectoryEnsemble:
     provenance: dict
     excluded: np.ndarray | None = None
 
-    is_exact_expectation = False
-
     @property
     def n_paths(self) -> int:
         return self.values.shape[0]
@@ -180,13 +173,30 @@ class TrajectoryEnsemble:
 
     def nodal_moment(self, left=None, right=None) -> np.ndarray:
         """E[(L y(t_k))_i (R y(t_k))_i], shape (steps+1, n); None is the identity."""
-        out = np.empty((self.mesh.steps + 1, self.grid.n_nodes))
-        for k in range(self.mesh.steps + 1):
-            y = self.values[:, k, :]
-            ly = _apply(left, y)
-            ry = ly if right is left else _apply(right, y)
-            out[k] = np.einsum("p,pi,pi->i", self.weights, ly, ry)
-        return out
+        return np.stack([_weighted_moment(self.weights, self.values[:, k, :],
+                                          left, right)
+                         for k in range(self.mesh.steps + 1)])
+
+
+@dataclass
+class TreeEnsemble:
+    """Solution on the Bernoulli tree by history level: levels[k] has shape
+    (2^k, n_nodes), node h has the children 2h (down) and 2h+1 (up), and level
+    means (weight 2^-k) are exact tree expectations."""
+
+    levels: list = field(repr=False)
+    mesh: TimeMesh
+    grid: SpatialGrid
+    provenance: dict
+
+    def expectation_field(self, k: int) -> np.ndarray:
+        return self.levels[k].mean(axis=0)
+
+    def nodal_moment(self, left=None, right=None) -> np.ndarray:
+        """E[(L y(t_k))_i (R y(t_k))_i], shape (steps+1, n); None is the identity."""
+        return np.stack([_weighted_moment(np.full(len(y), 2.0 ** -k), y,
+                                          left, right)
+                         for k, y in enumerate(self.levels)])
 
 
 @dataclass
@@ -203,8 +213,6 @@ class SecondMomentEnsemble:
     grid: SpatialGrid
     provenance: dict
 
-    is_exact_expectation = True
-
     def expectation_field(self, k: int) -> np.ndarray:
         return self.means[k]
 
@@ -218,56 +226,84 @@ class SecondMomentEnsemble:
         return out
 
 
-def _apply(op, y: np.ndarray) -> np.ndarray:
-    """Apply a sparse operator to each row of `y`; None is the identity."""
-    return y if op is None else (op @ y.T).T
+def _weighted_moment(weights: np.ndarray, y: np.ndarray, left, right) -> np.ndarray:
+    """sum_p weights_p (L y_p)_i (R y_p)_i over the rows y_p of `y`; a sparse
+    operator None is the identity."""
+    ly = y if left is None else (left @ y.T).T
+    ry = ly if right is left else y if right is None else (right @ y.T).T
+    return np.einsum("p,pi,pi->i", weights, ly, ry)
 
 
-def step_forward(y: np.ndarray, a_k: np.ndarray, b_k: np.ndarray, db,
-                 dt: float, solver: ImplicitHeatSolver) -> np.ndarray:
-    """One scheme step; `y` is (n,) or (paths, n), `db` scalar or (paths,)."""
-    db = np.asarray(db, dtype=float)
-    noise = db[..., None] if db.ndim else db
-    rhs = y + dt * a_k * y + b_k * y * noise
-    return solver.solve(rhs)
+def tree_factors(coeffs: CoefficientField, k: int, dt: float):
+    """Forward nodal factors 1 + dt*a_k -/+ sqrt(dt)*b_k of the down and up
+    child at step k."""
+    root = np.sqrt(dt)
+    a_k, b_k = coeffs.a[k], coeffs.b[k]
+    return 1.0 + dt * a_k - root * b_k, 1.0 + dt * a_k + root * b_k
 
 
-def _increments_and_weights(noise):
-    if isinstance(noise, BernoulliTree):
-        return noise.leaf_increments(), noise.weights, "tree"
-    if isinstance(noise, PathEnsemble):
-        return noise.increments, noise.weights, "sampled"
-    raise ConfigurationError(f"unsupported noise source {type(noise).__name__}")
+def tree_step(level: np.ndarray, down: np.ndarray, up: np.ndarray,
+              solver: ImplicitHeatSolver) -> np.ndarray:
+    """History level k, shape (2^k, n), to level k+1: the children 2h and
+    2h+1 of node h get the nodal factors `down` and `up`, then one batched
+    implicit solve runs."""
+    children = np.empty((2 * level.shape[0], level.shape[1]))
+    children[0::2] = level * down
+    children[1::2] = level * up
+    return solver.solve(children)
+
+
+def tree_step_adjoint(z_next: np.ndarray, down: np.ndarray, up: np.ndarray,
+                      solver: ImplicitHeatSolver):
+    """Exact transpose of `tree_step` under the level-mean pairing; returns
+    z at level k and the solved children M^{-1} z_{k+1} (M is symmetric)."""
+    solved = solver.solve(z_next)
+    return 0.5 * (down * solved[0::2] + up * solved[1::2]), solved
+
+
+def _sampled_increments(noise, mesh: TimeMesh) -> np.ndarray:
+    if not isinstance(noise, PathEnsemble):
+        raise ConfigurationError(f"unsupported noise source {type(noise).__name__}")
+    if noise.increments.shape[1] != mesh.steps:
+        raise ConfigurationError("noise source and time mesh disagree on step count")
+    return noise.increments
 
 
 def solve_forward(y0: np.ndarray, coeffs: CoefficientField, noise,
-                  mesh: TimeMesh, grid: SpatialGrid) -> TrajectoryEnsemble:
-    """Iterate the scheme over every path of the noise source."""
-    inc, weights, mode = _increments_and_weights(noise)
-    if inc.shape[1] != mesh.steps:
-        raise ConfigurationError("noise source and time mesh disagree on step count")
-    solver = ImplicitHeatSolver(grid, mesh.dt)
+                  mesh: TimeMesh, grid: SpatialGrid):
+    """Iterate the scheme: a `BernoulliTree` gives a `TreeEnsemble`, sampled
+    paths a `TrajectoryEnsemble`."""
+    solver = implicit_solver(grid, mesh.dt)
+    y0 = np.asarray(y0, dtype=float)
+    prov = {"scheme": "implicit-diffusion euler-maruyama", "dt": mesh.dt,
+            "h": tuple(grid.h)}
+    if isinstance(noise, BernoulliTree):
+        if noise.depth != mesh.steps:
+            raise ConfigurationError("noise source and time mesh disagree on step count")
+        levels = [y0[None, :].copy()]
+        for k in range(mesh.steps):
+            levels.append(tree_step(levels[-1], *tree_factors(coeffs, k, mesh.dt),
+                                    solver))
+        return TreeEnsemble(levels=levels, mesh=mesh, grid=grid,
+                            provenance={**prov, "mode": "tree"})
+    inc = _sampled_increments(noise, mesh)
     n_paths = inc.shape[0]
     values = np.empty((n_paths, mesh.steps + 1, grid.n_nodes))
-    values[:, 0, :] = np.asarray(y0, dtype=float)
-    y = np.broadcast_to(np.asarray(y0, dtype=float), (n_paths, grid.n_nodes)).copy()
+    values[:, 0, :] = y0
+    y = np.broadcast_to(y0, (n_paths, grid.n_nodes)).copy()
     for k in range(mesh.steps):
-        past = inc[:, :k]
-        y = step_forward(y, coeffs.a_at(k, past), coeffs.b_at(k, past),
-                         inc[:, k], mesh.dt, solver)
+        db = inc[:, k][:, None]
+        y = solver.solve(y + mesh.dt * coeffs.a[k] * y + coeffs.b[k] * y * db)
         values[:, k + 1, :] = y
-    prov = {"scheme": "implicit-diffusion euler-maruyama", "dt": mesh.dt,
-            "h": tuple(grid.h), "mode": mode}
-    return TrajectoryEnsemble(values=values, weights=weights, increments=inc,
-                              mesh=mesh, grid=grid, provenance=prov)
+    return TrajectoryEnsemble(values=values, weights=noise.weights, increments=inc,
+                              mesh=mesh, grid=grid,
+                              provenance={**prov, "mode": "sampled"})
 
 
 def solve_forward_moments(y0: np.ndarray, coeffs: CoefficientField,
                           mesh: TimeMesh, grid: SpatialGrid) -> SecondMomentEnsemble:
-    """Exact tree-expectation moments E[y] and E[y y^T] (deterministic coeffs)."""
-    if coeffs.adapted:
-        raise ConfigurationError("moment propagation needs deterministic coefficients")
-    solver = ImplicitHeatSolver(grid, mesh.dt)
+    """Exact tree-expectation moments E[y] and E[y y^T]."""
+    solver = implicit_solver(grid, mesh.dt)
     y0 = np.asarray(y0, dtype=float)
     means = [y0.copy()]
     moments = [np.outer(y0, y0)]
@@ -291,15 +327,17 @@ def solve_forward_moments(y0: np.ndarray, coeffs: CoefficientField,
 
 def solve_semilinear(w0: np.ndarray, m: int, noise, mesh: TimeMesh,
                      grid: SpatialGrid, blowup_cap: float = 1e6):
-    """Semilinear equation with noise term w^m dB; returns (ensemble, report).
+    """Semilinear equation with noise term w^m dB on sampled paths; returns
+    (ensemble, report).
 
     Paths whose sup norm exceeds `blowup_cap` are frozen at the offending
     step, flagged, and excluded from the ensemble weights.
     """
     if m < 0 or int(m) != m:
         raise ConfigurationError("semilinear exponent must be a natural number")
-    inc, weights, mode = _increments_and_weights(noise)
-    solver = ImplicitHeatSolver(grid, mesh.dt)
+    inc = _sampled_increments(noise, mesh)
+    weights = noise.weights
+    solver = implicit_solver(grid, mesh.dt)
     n_paths = inc.shape[0]
     values = np.empty((n_paths, mesh.steps + 1, grid.n_nodes))
     values[:, 0, :] = np.asarray(w0, dtype=float)
@@ -324,7 +362,7 @@ def solve_semilinear(w0: np.ndarray, m: int, noise, mesh: TimeMesh,
     ens = TrajectoryEnsemble(values=values, weights=weights, increments=inc,
                              mesh=mesh, grid=grid,
                              provenance={"scheme": "semilinear", "m": m, "dt": mesh.dt,
-                                         "h": tuple(grid.h), "mode": mode},
+                                         "h": tuple(grid.h), "mode": "sampled"},
                              excluded=excluded if excluded.any() else None)
     report = {"n_paths": int(n_paths), "n_excluded": int(excluded.sum()),
               "blowup_steps": blowup_step[excluded].tolist()}
@@ -343,7 +381,7 @@ def exp_transform_oracle(ensemble: TrajectoryEnsemble, b_const: float, a,
     """
     if np.ndim(b_const) != 0:
         raise ConfigurationError("the transform oracle needs constant b")
-    solver = ImplicitHeatSolver(grid, mesh.dt)
+    solver = implicit_solver(grid, mesh.dt)
     a_arr = np.asarray(a, dtype=float)
     if a_arr.ndim == 0:
         a_arr = np.full(grid.n_nodes, float(a_arr))
@@ -374,21 +412,23 @@ def local_mass_trace(ens, mask: np.ndarray) -> np.ndarray:
     return ens.grid.quad_weight * (ens.nodal_moment() @ mask.astype(float))
 
 
-def step_invertibility_report(coeffs: CoefficientField,
-                              ensemble: TrajectoryEnsemble) -> dict:
+def step_invertibility_report(coeffs: CoefficientField, ensemble) -> dict:
     """Audit the nodal step factors 1 + dt*a + b*dB for degeneracy.
 
-    Each step is the composition of an invertible implicit solve and a nodal
-    multiplication; a factor below tolerance breaks the backward-uniqueness
-    argument at the discrete level and is flagged instead of asserted.
+    On the tree these are the two `tree_factors` per step.  Each step is the
+    composition of an invertible implicit solve and a nodal multiplication; a
+    factor below tolerance breaks the backward-uniqueness argument at the
+    discrete level and is flagged instead of asserted.
     """
     dt = ensemble.mesh.dt
     min_factor = np.inf
     flagged = []
     for k in range(ensemble.mesh.steps):
-        past = ensemble.increments[:, :k]
-        factors = 1.0 + dt * coeffs.a_at(k, past) + \
-            coeffs.b_at(k, past) * ensemble.increments[:, k][:, None]
+        if isinstance(ensemble, TreeEnsemble):
+            factors = np.stack(tree_factors(coeffs, k, dt))
+        else:
+            factors = 1.0 + dt * coeffs.a[k] + \
+                coeffs.b[k] * ensemble.increments[:, k][:, None]
         m = float(np.min(np.abs(factors)))
         min_factor = min(min_factor, m)
         if m < DEGENERATE_STEP_TOL:

@@ -106,8 +106,8 @@ def localized_fields(ens, cutoff: CutoffFunction | None = None,
                    for name in ("phi_f", "b_sq", "f_sq")}
     else:
         steps = np.minimum(np.arange(mesh.steps + 1), mesh.steps - 1)
-        a_phi = np.array([coeffs.a_at(k) * phi for k in steps])
-        b_phi_sq = np.array([(coeffs.b_at(k) * phi) ** 2 for k in steps])
+        a_phi = coeffs.a[steps] * phi
+        b_phi_sq = (coeffs.b[steps] * phi) ** 2
         if static is None:
             y_src = src_sq = 0.0
         else:

@@ -64,23 +64,31 @@ def test_dual_forward_per_leaf_brute_force(lab):
 
 
 def test_backward_independent_brute_force(lab):
-    # martingale-representation induction recomputed longhand per level
+    # martingale-representation induction recomputed longhand per level, for
+    # constant coefficients and for a potential ramping from 0 to 3, whose
+    # implicit matrix I - dt Lap + dt diag(a_k) changes at every step
     grid, mesh, tree, coeffs, _, _ = lab
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
+    ramp = CoefficientField(
+        grid, mesh, a=np.linspace(0.0, 3.0, mesh.steps)[:, None]
+        * np.ones(grid.n_nodes), b=0.5)
     z_t = _rng(1).standard_normal((tree.n_leaves, grid.n_nodes))
-    pair = solve_backward_tree(z_t, coeffs, mesh, grid, tree,
-                               mode="independent")
     dt, rootdt = mesh.dt, np.sqrt(mesh.dt)
-    lu = splu(sp.csc_matrix(sp.eye(grid.n_nodes) - dt * grid.laplacian()
-                            + dt * sp.diags(coeffs.a[0])))
-    z = z_t.copy()
-    for k in range(mesh.steps - 1, -1, -1):
-        cond = 0.5 * (z[0::2] + z[1::2])
-        big_z = (z[1::2] - z[0::2]) / (2.0 * rootdt)
-        z = lu.solve((cond - dt * coeffs.b[k] * big_z).T).T
-        assert np.allclose(pair.z_levels[k], z, rtol=1e-12, atol=1e-14)
-        assert np.allclose(pair.z_martingale[k], big_z, rtol=1e-12, atol=1e-14)
+    for c in (coeffs, ramp):
+        pair = solve_backward_tree(z_t, c, mesh, grid, tree,
+                                   mode="independent")
+        z = z_t.copy()
+        for k in range(mesh.steps - 1, -1, -1):
+            lu = splu(sp.csc_matrix(sp.eye(grid.n_nodes)
+                                    - dt * grid.laplacian()
+                                    + dt * sp.diags(c.a[k])))
+            cond = 0.5 * (z[0::2] + z[1::2])
+            big_z = (z[1::2] - z[0::2]) / (2.0 * rootdt)
+            z = lu.solve((cond - dt * c.b[k] * big_z).T).T
+            assert np.allclose(pair.z_levels[k], z, rtol=1e-12, atol=1e-14)
+            assert np.allclose(pair.z_martingale[k], big_z, rtol=1e-12,
+                               atol=1e-14)
 
 
 def test_backward_modes_agree_to_first_order(lab):

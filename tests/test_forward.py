@@ -60,10 +60,31 @@ def test_random_bounded_respects_w1inf_bound(grid, mesh):
         assert np.max(np.abs(grad)) <= 0.3 + 1e-12
 
 
-def test_adapted_coefficients_need_bounds(grid, mesh):
-    with pytest.raises(ConfigurationError):
-        CoefficientField(grid, mesh, a=lambda k, past: 0.0,
-                         b=lambda k, past: 0.0, adapted=True)
+def test_tree_forward_per_leaf_brute_force(grid):
+    # follow one leaf history explicitly through (I - dt Lap) y_{k+1} = y_k +
+    # dt a_k y_k + b_k y_k dB_k, with dB_k = -sqrt(dt) on an even (down) child
+    # and +sqrt(dt) on an odd (up) child, under time-varying coefficients
+    mesh = TimeMesh(horizon=0.4, steps=6)
+    rng = np.random.Generator(np.random.Philox(key=[3, 8]))
+    shape = (mesh.steps, grid.n_nodes)
+    coeffs = CoefficientField(grid, mesh, a=rng.uniform(-1.0, 1.0, shape),
+                              b=rng.uniform(-1.0, 1.0, shape))
+    y0 = rng.standard_normal(grid.n_nodes)
+    ens = solve_forward(y0, coeffs, build_tree(mesh), mesh, grid)
+    assert [level.shape for level in ens.levels] \
+        == [(2 ** k, grid.n_nodes) for k in range(mesh.steps + 1)]
+    solver = ImplicitHeatSolver(grid, mesh.dt)
+    root = np.sqrt(mesh.dt)
+    for leaf in (0, 5, 2 ** mesh.steps - 1):
+        y, node = y0.copy(), 0
+        for k in range(mesh.steps):
+            bit = (leaf >> (mesh.steps - 1 - k)) & 1
+            db = root if bit else -root
+            y = solver.solve(y + mesh.dt * coeffs.a[k] * y
+                             + coeffs.b[k] * y * db)
+            node = 2 * node + bit
+            assert np.allclose(ens.levels[k + 1][node], y, rtol=1e-12,
+                               atol=1e-14)
 
 
 def test_moment_propagator_matches_tree_exactly(grid):
@@ -98,14 +119,6 @@ def test_moment_propagator_matches_tree_exactly(grid):
         b = mom.nodal_moment(left, right)
         assert a.shape == (mesh.steps + 1, grid.n_nodes)
         assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(a)), 1.0)
-
-
-def test_moment_propagator_rejects_adapted(grid, mesh):
-    c = CoefficientField(grid, mesh, a=lambda k, p: np.zeros(grid.n_nodes),
-                         b=lambda k, p: np.zeros(grid.n_nodes), adapted=True,
-                         sup_a=0.0, sup_b=0.0)
-    with pytest.raises(ConfigurationError):
-        solve_forward_moments(np.zeros(grid.n_nodes), c, mesh, grid)
 
 
 @settings(max_examples=20, deadline=None)

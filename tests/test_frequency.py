@@ -27,12 +27,13 @@ def test_hdn_positive_and_shapes(tree_ensemble, weight, coeffs):
 
 
 def test_hdn_brute_force_oracle(tree_ensemble, weight, grid, coeffs):
-    # recompute H and D at one time node by direct per-path quadrature
+    # recompute H and D at one time node by direct quadrature over the
+    # history nodes of its level, each of probability 2^-k
     k = 4
     t = tree_ensemble.mesh.times[k]
     kv = weight.values(t, grid.coords)
-    y = tree_ensemble.values[:, k, :]
-    w = tree_ensemble.weights
+    y = tree_ensemble.levels[k]
+    w = np.full(2 ** k, 2.0 ** -k)
     h_direct = float(w @ ((y ** 2 * kv) @ np.ones(grid.n_nodes))) \
         * grid.quad_weight
     gy = np.stack([grid.gradient(y[p]) for p in range(y.shape[0])])
@@ -50,9 +51,10 @@ def test_hdn_brute_force_oracle(tree_ensemble, weight, grid, coeffs):
     tr = compute_hdn(tree_ensemble, weight, cutoff=cutoff, coeffs=rough)
     for k in (4, mesh.steps):
         kv = weight.values(mesh.times[k], grid.coords)
-        y = tree_ensemble.values[:, k, :]
-        a = rough.a_at(min(k, mesh.steps - 1))
-        b = rough.b_at(min(k, mesh.steps - 1))
+        y = tree_ensemble.levels[k]
+        w = np.full(2 ** k, 2.0 ** -k)
+        a = rough.a[min(k, mesh.steps - 1)]
+        b = rough.b[min(k, mesh.steps - 1)]
         big_phi = cutoff.values * y
         grad_phi = np.stack([grid.gradient(row)[:, 0] for row in big_phi])
         grad_y = np.stack([grid.gradient(row)[:, 0] for row in y])

@@ -142,11 +142,12 @@ def test_observation_mass_manual_oracle(setup, time_set):
     grid, mesh, _, ens = setup
     ball = Ball((0.5,), 0.08)
     total = observation_mass(ens, ball, time_set)
-    # manual trapezoid over the same cells, of the explicit per-path sums
+    # manual trapezoid over the same cells, of the explicit sums over the
+    # history nodes of each level, each of probability 2^-k
     d = grid.ball_mask(ball).astype(float)
     w = grid.quad_weight
-    local = np.array([w * sum(ens.weights[p] * float(ens.values[p, k] ** 2 @ d)
-                              for p in range(ens.n_paths))
+    local = np.array([w * sum(2.0 ** -k * float(row ** 2 @ d)
+                              for row in ens.levels[k])
                       for k in range(mesh.steps + 1)])
     manual = 0.0
     for k in range(mesh.steps):
