@@ -4,15 +4,12 @@ The backward pair (z, Z) solves, toward t = 0,
 
     dz + Lap z dt = a1 z dt + b1 Z dt + h dt + chi_{E1} chi_{G0} f dt + Z dB,
 
-discretized on the exact binary tree.  The dual forward solve and the
-adjoint backward solve run on the level-wise tree propagator of `forward`
-(`tree_step` and its transpose `tree_step_adjoint`), with the dual factors
-1 - dt*a1 -/+ sqrt(dt)*b1 and the one factorization of I - dt*Lap_h per
-(grid, dt).  Two backward modes are available:
+discretized on the exact binary tree.  The dual forward solve is
+`forward.tree_levels` with the dual factors 1 - dt*a1 -/+ sqrt(dt)*b1.  Two
+backward modes are available:
 
 * ``independent`` -- martingale-representation induction (conditional
-  expectation + an implicit solve of I - dt*Lap_h + dt*diag(a1), factorized
-  per step), consistent with the equation to O(dt);
+  expectation + implicit solve), consistent with the equation to O(dt);
 * ``adjoint`` -- the exact discrete adjoint of the dual forward scheme, which
   makes the duality pairing hold to machine precision and yields a clean
   symmetric positive semidefinite control Gramian.
@@ -30,8 +27,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import ConfigurationError, NumericalError, ShapeError
-from .forward import (CoefficientField, implicit_solver, tree_step,
-                      tree_step_adjoint)
+from .forward import (CoefficientField, implicit_solver, step_factors,
+                      tree_levels, tree_moves, tree_step_adjoint)
 from .geometry import Ball, SpatialGrid
 from .noise import BernoulliTree, TimeMesh
 from .observability import MeasurableTimeSet
@@ -83,10 +80,6 @@ class BackwardPair:
     def z0(self) -> np.ndarray:
         return self.z_levels[0][0]
 
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.z_levels[-1]
-
 
 @dataclass
 class ControlField:
@@ -106,8 +99,6 @@ def _level_source(src, k: int, n: int):
     """Normalize a source term to a (2^k, n) array (or None)."""
     if src is None:
         return None
-    if callable(src):
-        return np.asarray(src(k), dtype=float)
     arr = np.asarray(src[k] if isinstance(src, (list, tuple)) else src, dtype=float)
     if arr.ndim == 1:
         return np.broadcast_to(arr, (2 ** k, n))
@@ -117,13 +108,6 @@ def _level_source(src, k: int, n: int):
     return arr
 
 
-def _step_factors(coeffs: CoefficientField, k: int, dt: float):
-    """Dual-scheme diagonal factors 1 - dt*a1 -/+ sqrt(dt)*b1."""
-    a_k, b_k = coeffs.a[k], coeffs.b[k]
-    root = np.sqrt(dt)
-    return 1.0 - dt * a_k - root * b_k, 1.0 - dt * a_k + root * b_k
-
-
 def solve_dual_forward(y0_hat: np.ndarray, coeffs: CoefficientField,
                        mesh: TimeMesh, grid: SpatialGrid,
                        tree: BernoulliTree) -> list:
@@ -131,16 +115,10 @@ def solve_dual_forward(y0_hat: np.ndarray, coeffs: CoefficientField,
 
     Returns the solution per history level: level k is a (2^k, n) array; the
     two children of node h at the next level are 2h (down move) and 2h+1.
-    Each level is one `forward.tree_step` with the factors of `_step_factors`.
     """
     if tree.depth != mesh.steps:
         raise ShapeError("tree depth and time mesh disagree")
-    solver = implicit_solver(grid, mesh.dt)
-    levels = [np.asarray(y0_hat, dtype=float)[None, :].copy()]
-    for k in range(mesh.steps):
-        levels.append(tree_step(levels[-1], *_step_factors(coeffs, k, mesh.dt),
-                                solver))
-    return levels
+    return tree_levels(y0_hat, coeffs, mesh, grid, sign=-1.0)
 
 
 def solve_backward_tree(z_terminal: np.ndarray, coeffs: CoefficientField,
@@ -154,7 +132,8 @@ def solve_backward_tree(z_terminal: np.ndarray, coeffs: CoefficientField,
     `forward.tree_step_adjoint`, the exact transpose of the dual forward
     step, so the duality pairing telescopes exactly; independent mode
     performs the martingale-representation induction with an implicit solve
-    of I - dt*Lap_h + dt*diag(a_k), factorized per step.
+    of I - dt*Lap_h + dt*diag(a_k).  That matrix changes with a_k, so it is
+    factorized afresh at every step, outside the shared factorization.
     """
     if mode not in ("adjoint", "independent"):
         raise ConfigurationError(f"unknown backward mode '{mode}'")
@@ -167,18 +146,18 @@ def solve_backward_tree(z_terminal: np.ndarray, coeffs: CoefficientField,
                          f"expected ({tree.n_leaves}, {n})")
     solver = implicit_solver(grid, mesh.dt)
     dt = mesh.dt
-    root = np.sqrt(dt)
+    moves = tree_moves(dt)
     z_levels = [None] * (mesh.steps + 1)
     z_mart = [None] * mesh.steps
     z_levels[mesh.steps] = z.copy()
     for k in range(mesh.steps - 1, -1, -1):
         z_next = z_levels[k + 1]
         if mode == "adjoint":
-            zk, sz = tree_step_adjoint(z_next, *_step_factors(coeffs, k, dt),
-                                       solver)
-            z_mart[k] = (sz[1::2] - sz[0::2]) / (2.0 * root)
+            zk, sz = tree_step_adjoint(
+                z_next, *step_factors(coeffs, k, dt, moves, sign=-1.0), solver)
+            z_mart[k] = (sz[1::2] - sz[0::2]) / (2.0 * moves[1])
         else:
-            z_mart[k] = (z_next[1::2] - z_next[0::2]) / (2.0 * root)
+            z_mart[k] = (z_next[1::2] - z_next[0::2]) / (2.0 * moves[1])
             zk = 0.5 * (z_next[0::2] + z_next[1::2]) \
                 - dt * (coeffs.b[k] * z_mart[k])
         h_k = _level_source(h, k, n)
@@ -212,7 +191,7 @@ def duality_check(dual_levels: list, pair: BackwardPair, h=None,
         raise ShapeError("dual forward levels and backward pair disagree")
     w = grid.quad_weight
     terminal = float(np.mean(np.einsum("ij,ij->i", dual_levels[-1],
-                                       pair.terminal))) * w
+                                       pair.z_levels[-1]))) * w
     initial = float(dual_levels[0][0] @ pair.z_levels[0][0]) * w
     lhs = terminal - initial
     rhs = 0.0

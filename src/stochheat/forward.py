@@ -5,11 +5,9 @@ Scheme: diffusion-implicit, reaction/noise-explicit Euler-Maruyama,
     (I - dt*Lap_h) y_{k+1} = y_k + dt*a_k y_k + b_k y_k dB_k,
 
 which keeps the Ito evaluation point of the noise; a and b are deterministic
-arrays indexed by step.  Every tree solve (this equation, and the dual and
-adjoint equations of `control`) is one level-wise propagator: `tree_step`
-takes the (2^k, n) history level k to level k+1, and `tree_step_adjoint` is
-its exact transpose.  The forward tree solve returns a `TreeEnsemble` of
-history levels, whose expectations are level means.  All solves share one
+arrays indexed by step.  Every tree solve (this one and the dual and adjoint
+solves of `control`) is `tree_step`, level k to level k+1 of the history
+tree, or its transpose `tree_step_adjoint`; all solves share one
 factorization of I - dt*Lap_h per (grid, dt).  The exact second-moment
 propagator reproduces tree expectations of quadratic functionals by the
 recursion on E[y y^T], at any depth, without enumerating paths.
@@ -24,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, ShapeError
 from .geometry import SpatialGrid
 from .noise import BernoulliTree, PathEnsemble, TimeMesh
 
@@ -35,8 +33,10 @@ __all__ = [
     "SecondMomentEnsemble",
     "ImplicitHeatSolver",
     "implicit_solver",
-    "tree_factors",
+    "step_factors",
+    "tree_moves",
     "tree_step",
+    "tree_levels",
     "tree_step_adjoint",
     "solve_forward",
     "solve_forward_moments",
@@ -63,8 +63,6 @@ class ImplicitHeatSolver:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for one field (n,) or a batch (..., n)."""
         rhs = np.asarray(rhs, dtype=float)
-        if rhs.ndim == 1:
-            return self._lu.solve(rhs)
         flat = rhs.reshape(-1, rhs.shape[-1])
         return self._lu.solve(flat.T).T.reshape(rhs.shape)
 
@@ -101,19 +99,12 @@ class CoefficientField:
 
     def _materialize(self, values) -> np.ndarray:
         arr = np.asarray(values, dtype=float)
-        if arr.ndim == 0:
-            arr = np.full(self.grid.n_nodes, float(arr))
-        if arr.ndim == 1:
-            try:
-                arr = np.broadcast_to(arr, (self.mesh.steps, self.grid.n_nodes))
-            except ValueError as exc:
-                raise ConfigurationError(
-                    f"coefficient shape {arr.shape} incompatible with "
-                    f"({self.mesh.steps}, {self.grid.n_nodes})") from exc
-        if arr.shape != (self.mesh.steps, self.grid.n_nodes):
+        target = (self.mesh.steps, self.grid.n_nodes)
+        if arr.shape in ((), (1,), (target[1],)):
+            arr = np.broadcast_to(arr, target)
+        if arr.shape != target:
             raise ConfigurationError(
-                f"coefficient shape {arr.shape} incompatible with "
-                f"({self.mesh.steps}, {self.grid.n_nodes})")
+                f"coefficient shape {arr.shape} incompatible with {target}")
         return np.array(arr, dtype=float)
 
     @classmethod
@@ -180,14 +171,20 @@ class TrajectoryEnsemble:
 
 @dataclass
 class TreeEnsemble:
-    """Solution on the Bernoulli tree by history level: levels[k] has shape
-    (2^k, n_nodes), node h has the children 2h (down) and 2h+1 (up), and level
-    means (weight 2^-k) are exact tree expectations."""
+    """Tree solution by history level: levels[k] has shape (2^k, n_nodes),
+    node h has the children 2h (down) and 2h+1 (up), level means are exact
+    tree expectations, and increments[:, k] are the two moves of step k."""
 
     levels: list = field(repr=False)
+    increments: np.ndarray = field(repr=False)
     mesh: TimeMesh
     grid: SpatialGrid
     provenance: dict
+
+    @property
+    def values(self) -> "LeafHistories":
+        """The histories indexed by leaf, as in `TrajectoryEnsemble.values`."""
+        return LeafHistories(self.levels)
 
     def expectation_field(self, k: int) -> np.ndarray:
         return self.levels[k].mean(axis=0)
@@ -197,6 +194,33 @@ class TreeEnsemble:
         return np.stack([_weighted_moment(np.full(len(y), 2.0 ** -k), y,
                                           left, right)
                          for k, y in enumerate(self.levels)])
+
+
+class LeafHistories:
+    """History levels read by leaf, shape (2^d, d+1, n): leaf l at time node k
+    is node l >> (d - k) of level k.  Indexing builds the array; assigning
+    writes it back into the levels, so leaves sharing a node must agree."""
+
+    def __init__(self, levels: list):
+        self.levels = levels
+
+    def __array__(self, dtype=None, copy=None):
+        d = len(self.levels) - 1
+        return np.stack([np.repeat(y, 2 ** (d - k), axis=0)
+                         for k, y in enumerate(self.levels)], axis=1)
+
+    def __getitem__(self, key):
+        return np.asarray(self)[key]
+
+    def __setitem__(self, key, value):
+        leaves = np.asarray(self)
+        leaves[key] = value
+        d = len(self.levels) - 1
+        nodes = [leaves[::2 ** (d - k), k] for k in range(d + 1)]
+        if not np.array_equal(np.asarray(LeafHistories(nodes)), leaves):
+            raise ShapeError("leaves that share a history node must agree")
+        for y, node in zip(self.levels, nodes):
+            y[...] = node
 
 
 @dataclass
@@ -234,12 +258,16 @@ def _weighted_moment(weights: np.ndarray, y: np.ndarray, left, right) -> np.ndar
     return np.einsum("p,pi,pi->i", weights, ly, ry)
 
 
-def tree_factors(coeffs: CoefficientField, k: int, dt: float):
-    """Forward nodal factors 1 + dt*a_k -/+ sqrt(dt)*b_k of the down and up
-    child at step k."""
-    root = np.sqrt(dt)
-    a_k, b_k = coeffs.a[k], coeffs.b[k]
-    return 1.0 + dt * a_k - root * b_k, 1.0 + dt * a_k + root * b_k
+def tree_moves(dt: float) -> np.ndarray:
+    """The down and up increment -/+ sqrt(dt) of a tree step."""
+    return np.sqrt(dt) * np.array([-1.0, 1.0])
+
+
+def step_factors(coeffs: CoefficientField, k: int, dt: float, db,
+                 sign: float = 1.0) -> np.ndarray:
+    """Nodal factors 1 + sign*dt*a_k + b_k*dB of step k, one row per
+    increment dB of `db`; sign = -1 gives the dual scheme of `control`."""
+    return 1.0 + sign * dt * coeffs.a[k] + coeffs.b[k] * np.asarray(db)[:, None]
 
 
 def tree_step(level: np.ndarray, down: np.ndarray, up: np.ndarray,
@@ -247,10 +275,21 @@ def tree_step(level: np.ndarray, down: np.ndarray, up: np.ndarray,
     """History level k, shape (2^k, n), to level k+1: the children 2h and
     2h+1 of node h get the nodal factors `down` and `up`, then one batched
     implicit solve runs."""
-    children = np.empty((2 * level.shape[0], level.shape[1]))
-    children[0::2] = level * down
-    children[1::2] = level * up
-    return solver.solve(children)
+    children = np.stack([level * down, level * up], axis=1)
+    return solver.solve(children.reshape(-1, level.shape[1]))
+
+
+def tree_levels(y0: np.ndarray, coeffs: CoefficientField, mesh: TimeMesh,
+                grid: SpatialGrid, sign: float = 1.0) -> list:
+    """History levels 0..steps of the tree solve from y0: `tree_step` with
+    the `step_factors` (of `sign`) of the down and up move."""
+    solver = implicit_solver(grid, mesh.dt)
+    moves = tree_moves(mesh.dt)
+    levels = [np.asarray(y0, dtype=float)[None, :].copy()]
+    for k in range(mesh.steps):
+        levels.append(tree_step(
+            levels[-1], *step_factors(coeffs, k, mesh.dt, moves, sign), solver))
+    return levels
 
 
 def tree_step_adjoint(z_next: np.ndarray, down: np.ndarray, up: np.ndarray,
@@ -273,19 +312,17 @@ def solve_forward(y0: np.ndarray, coeffs: CoefficientField, noise,
                   mesh: TimeMesh, grid: SpatialGrid):
     """Iterate the scheme: a `BernoulliTree` gives a `TreeEnsemble`, sampled
     paths a `TrajectoryEnsemble`."""
-    solver = implicit_solver(grid, mesh.dt)
     y0 = np.asarray(y0, dtype=float)
     prov = {"scheme": "implicit-diffusion euler-maruyama", "dt": mesh.dt,
             "h": tuple(grid.h)}
     if isinstance(noise, BernoulliTree):
         if noise.depth != mesh.steps:
             raise ConfigurationError("noise source and time mesh disagree on step count")
-        levels = [y0[None, :].copy()]
-        for k in range(mesh.steps):
-            levels.append(tree_step(levels[-1], *tree_factors(coeffs, k, mesh.dt),
-                                    solver))
-        return TreeEnsemble(levels=levels, mesh=mesh, grid=grid,
+        inc = np.repeat(tree_moves(mesh.dt)[:, None], mesh.steps, axis=1)
+        return TreeEnsemble(levels=tree_levels(y0, coeffs, mesh, grid),
+                            increments=inc, mesh=mesh, grid=grid,
                             provenance={**prov, "mode": "tree"})
+    solver = implicit_solver(grid, mesh.dt)
     inc = _sampled_increments(noise, mesh)
     n_paths = inc.shape[0]
     values = np.empty((n_paths, mesh.steps + 1, grid.n_nodes))
@@ -382,12 +419,9 @@ def exp_transform_oracle(ensemble: TrajectoryEnsemble, b_const: float, a,
     if np.ndim(b_const) != 0:
         raise ConfigurationError("the transform oracle needs constant b")
     solver = implicit_solver(grid, mesh.dt)
-    a_arr = np.asarray(a, dtype=float)
-    if a_arr.ndim == 0:
-        a_arr = np.full(grid.n_nodes, float(a_arr))
     z = ensemble.values[0, 0, :].copy()
     z_path = [z.copy()]
-    pot = a_arr - 0.5 * float(b_const) ** 2
+    pot = np.asarray(a, dtype=float) - 0.5 * float(b_const) ** 2
     for _ in range(mesh.steps):
         z = solver.solve(z + mesh.dt * pot * z)
         z_path.append(z.copy())
@@ -415,20 +449,15 @@ def local_mass_trace(ens, mask: np.ndarray) -> np.ndarray:
 def step_invertibility_report(coeffs: CoefficientField, ensemble) -> dict:
     """Audit the nodal step factors 1 + dt*a + b*dB for degeneracy.
 
-    On the tree these are the two `tree_factors` per step.  Each step is the
-    composition of an invertible implicit solve and a nodal multiplication; a
-    factor below tolerance breaks the backward-uniqueness argument at the
-    discrete level and is flagged instead of asserted.
+    Each step is the composition of an invertible implicit solve and a nodal
+    multiplication; a factor below tolerance breaks the backward-uniqueness
+    argument at the discrete level and is flagged instead of asserted.
     """
     dt = ensemble.mesh.dt
     min_factor = np.inf
     flagged = []
     for k in range(ensemble.mesh.steps):
-        if isinstance(ensemble, TreeEnsemble):
-            factors = np.stack(tree_factors(coeffs, k, dt))
-        else:
-            factors = 1.0 + dt * coeffs.a[k] + \
-                coeffs.b[k] * ensemble.increments[:, k][:, None]
+        factors = step_factors(coeffs, k, dt, ensemble.increments[:, k])
         m = float(np.min(np.abs(factors)))
         min_factor = min(min_factor, m)
         if m < DEGENERATE_STEP_TOL:

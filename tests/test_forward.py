@@ -10,6 +10,7 @@ from stochheat import (Ball, CoefficientField, ConfigurationError,
                        PathEnsemble, TimeMesh, build_cutoff, build_grid,
                        build_tree, energy_trace, exp_transform_oracle,
                        solve_forward, solve_forward_moments, solve_semilinear)
+from stochheat.errors import ShapeError
 from stochheat.forward import (ImplicitHeatSolver, local_mass_trace,
                                step_invertibility_report)
 
@@ -85,6 +86,27 @@ def test_tree_forward_per_leaf_brute_force(grid):
             node = 2 * node + bit
             assert np.allclose(ens.levels[k + 1][node], y, rtol=1e-12,
                                atol=1e-14)
+
+
+def test_tree_leaf_view_reads_and_writes_levels(grid):
+    # values[l, k] is node l >> (d - k) of level k; a write that keeps the
+    # leaves of each node equal lands in the levels, any other is refused
+    mesh = TimeMesh(horizon=0.4, steps=4)
+    y0 = np.sin(np.pi * grid.coords[:, 0])
+    ens = solve_forward(y0, CoefficientField.constant(grid, mesh, 0.5, 0.8),
+                        build_tree(mesh), mesh, grid)
+    leaves = np.asarray(ens.values)
+    assert leaves.shape == (2 ** mesh.steps, mesh.steps + 1, grid.n_nodes)
+    for leaf in range(2 ** mesh.steps):
+        for k in range(mesh.steps + 1):
+            assert np.array_equal(leaves[leaf, k],
+                                  ens.levels[k][leaf >> (mesh.steps - k)])
+    level2 = ens.levels[2].copy()
+    ens.values[:, 2, :] *= 3.0
+    assert np.array_equal(ens.levels[2], 3.0 * level2)
+    with pytest.raises(ShapeError):
+        ens.values[0, 2, :] = 0.0
+    assert np.array_equal(ens.levels[2], 3.0 * level2)
 
 
 def test_moment_propagator_matches_tree_exactly(grid):
