@@ -26,7 +26,8 @@ from .observability import (DensitySequence, MeasurableTimeSet,
                             energy_estimate_check, epsilon_sequence,
                             telescoping_check)
 from .control import (BackwardPair, ControlField, duality_check,
-                      gramian_apply, solve_backward_tree, solve_dual_forward,
-                      synthesize_approx_control, synthesize_null_control)
+                      gramian_apply, gramian_matrix, solve_backward_tree,
+                      solve_dual_forward, synthesize_approx_control,
+                      synthesize_null_control)
 
 __version__ = "0.1.0"

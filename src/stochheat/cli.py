@@ -355,12 +355,19 @@ def run_control(exp: Experiment):
                                lhs=sym_gap, rhs=MACHINE_TOL))
     checks.append(check_record("gramian_positivity", float(u @ lam_u) >= 0.0,
                                lhs=float(u @ lam_u)))
+    gram = ctl.gramian_matrix(coeffs, g0, e1, mesh, grid, weights)
+    matrix_gap = float(np.linalg.norm(gram @ u - lam_u)
+                       / max(np.linalg.norm(lam_u), 1e-300))
+    checks.append(check_record("gramian_matrix_matches_tree",
+                               matrix_gap <= MACHINE_TOL,
+                               lhs=matrix_gap, rhs=MACHINE_TOL))
     null_ctrl, null_rep = ctl.synthesize_null_control(
         z_term, coeffs, g0, e1, mesh, grid, tree)
     checks.append(check_record("null_control_verified",
                                null_rep["relative_z0"] <= 1e-6,
                                lhs=null_rep["relative_z0"], rhs=1e-6,
                                cg_iterations=null_rep["cg"]["iterations"]))
+    extras["gramian_spectrum"] = null_rep["spectrum"]
     # smooth target: the attainable set at finite resolution excludes the
     # high-frequency modes the dual flow damps below round-off
     x = (grid.coords[:, 0] - grid.extents[0][0]) \

@@ -38,7 +38,6 @@ DEFAULTS = {
     "geometry.g0_center": (0.5,),
     "geometry.g0_radius": 0.1,
     "time_set.e": (0.1, 0.2, 0.3, 0.45),
-    "time_set.e1": (0.05, 0.35),
     "ucp.epsilon": 0.1,
     "ucp.kernel_shift": 0.01,
     "constants.variant": "max",
@@ -123,7 +122,23 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical_serialization(cfg).encode()).hexdigest()[:16]
 
 
+def _numbers(value) -> bool:
+    """Whether value is a number or a tuple of numbers (bools are neither)."""
+    items = value if isinstance(value, tuple) else (value,)
+    return all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in items)
+
+
 def validate_config(cfg: dict) -> None:
+    # a numeric key takes a number, or numbers where its default is a tuple
+    # (grid.nodes may give one count per axis)
+    for key, default in DEFAULTS.items():
+        many = isinstance(default, tuple) or key == "grid.nodes"
+        value = cfg[key]
+        if _numbers(default) and not _numbers(value if many else (value,)):
+            raise ConfigurationError(
+                f"{key} must be {'numeric' if many else 'a number'}, "
+                f"got {value!r}")
     radii = [cfg[f"geometry.r{i}"] for i in (1, 2, 3, 4)]
     if not all(r1 < r2 for r1, r2 in zip(radii, radii[1:])):
         raise ConfigurationError(
@@ -135,7 +150,7 @@ def validate_config(cfg: dict) -> None:
         raise ConfigurationError("tree.depth >= 1 required")
     nodes = cfg["grid.nodes"]
     for n in nodes if isinstance(nodes, tuple) else (nodes,):
-        if not isinstance(n, (int, float)) or not float(n).is_integer() or n < 3:
+        if not float(n).is_integer() or n < 3:
             raise ConfigurationError(
                 f"grid.nodes must be whole numbers >= 3, got {nodes}")
     if cfg["noise.mode"] not in ("tree", "mc"):

@@ -14,8 +14,14 @@ backward modes are available:
   makes the duality pairing hold to machine precision and yields a clean
   symmetric positive semidefinite control Gramian.
 
-Control synthesis inverts the Gramian by conjugate gradients (null control)
-or a regularized sweep (approximate control).
+Control synthesis works on the assembled Gramian: `gramian_matrix` builds the
+dense n x n matrix once by a backward second-moment recursion (exact for the
+tree, without its 2^k levels), one eigendecomposition gives null control as
+the minimum-norm least-squares solution and every value of the approximate
+control's regularization sweep in closed form, and conjugate gradients on the
+matrix cross-check each solve.  Every control is re-verified by a tree solve.
+The spectrum decays exponentially: this is the ill-posedness of null control
+for the heat equation (Muench & Zuazua, Inverse Problems 2010).
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ __all__ = [
     "solve_backward_tree",
     "duality_check",
     "gramian_apply",
+    "gramian_matrix",
     "conjugate_gradient",
     "synthesize_null_control",
     "synthesize_approx_control",
@@ -235,10 +242,51 @@ def gramian_apply(y0_hat: np.ndarray, coeffs: CoefficientField,
     return out
 
 
+def gramian_matrix(coeffs: CoefficientField, ball: Ball,
+                   time_set: MeasurableTimeSet, mesh: TimeMesh,
+                   grid: SpatialGrid, weights: np.ndarray | None = None):
+    """The control Gramian as a dense (n, n) matrix, column j being
+    `gramian_apply(e_j)`.
+
+    With Phi_k the dual flow to level k, G = sum_k w_k E[Phi_k^T chi Phi_k].
+    The factors of step k are deterministic and independent of Phi_k, so the
+    backward recursion Q_steps = 0,
+    Q_k = w_k diag(chi) + E[D_k M^-1 Q_{k+1} M^-1 D_k] with the two dual
+    factor rows D_k of `step_factors` and M = I - dt*Lap_h ends in G = Q_0,
+    exactly for the tree and without its 2^k levels.
+    """
+    if weights is None:
+        weights = control_level_weights(time_set, mesh)
+    mask = grid.ball_mask(ball).astype(float)
+    solver = implicit_solver(grid, mesh.dt)
+    moves = tree_moves(mesh.dt)
+    diagonal = np.diag_indices(grid.n_nodes)
+    q = np.zeros((grid.n_nodes, grid.n_nodes))
+    for k in range(mesh.steps - 1, -1, -1):
+        # the solve acts on rows, and Q and M are symmetric
+        q = solver.solve(solver.solve(q).T)
+        factors = step_factors(coeffs, k, mesh.dt, moves, sign=-1.0)
+        q *= 0.5 * (factors.T @ factors)
+        q[diagonal] += weights[k] * mask
+    return q
+
+
+def _spectrum(gramian: np.ndarray):
+    """Eigenpairs of the Gramian and numpy's rank cutoff n*eps*lambda_max
+    (the default of `pinv` and `lstsq`)."""
+    lam, vec = np.linalg.eigh(gramian)
+    cutoff = len(lam) * np.finfo(float).eps * max(lam[-1], 0.0)
+    return lam, vec, cutoff
+
+
+def _relative_gap(x: np.ndarray, ref: np.ndarray) -> float:
+    return float(np.linalg.norm(x - ref) / max(np.linalg.norm(ref), 1e-300))
+
+
 def conjugate_gradient(matvec, rhs: np.ndarray, tol: float = 1e-10,
-                       max_iter: int | None = None,
                        eps_reg: float = 0.0) -> tuple[np.ndarray, dict]:
-    """Plain CG on the SPD operator matvec (+ eps_reg * identity).
+    """Plain CG on the SPD operator matvec (+ eps_reg * identity), capped at
+    len(rhs) iterations.
 
     Tracks the CG energy functional phi(x) = x.(A x)/2 - rhs.x, which is
     strictly nonincreasing along iterations (unlike the 2-norm residual) and
@@ -254,10 +302,9 @@ def conjugate_gradient(matvec, rhs: np.ndarray, tol: float = 1e-10,
                    "converged": True}
     residuals = [np.sqrt(rs) / rhs_norm]
     energies = [0.0]
-    cap = max_iter if max_iter is not None else len(rhs)
     converged = residuals[-1] <= tol
     it = 0
-    while not converged and it < cap:
+    while not converged and it < len(rhs):
         ap = matvec(p) + eps_reg * p
         denom = float(p @ ap)
         if denom <= 0.0:
@@ -282,16 +329,17 @@ def conjugate_gradient(matvec, rhs: np.ndarray, tol: float = 1e-10,
 def synthesize_null_control(z_terminal: np.ndarray, coeffs: CoefficientField,
                             ball: Ball, time_set: MeasurableTimeSet,
                             mesh: TimeMesh, grid: SpatialGrid,
-                            tree: BernoulliTree, cg_tol: float = 1e-12,
-                            max_iter: int | None = None,
-                            eps_reg: float = 0.0):
+                            tree: BernoulliTree):
     """Drive z(0) to zero by inverting the Gramian.
 
     The free backward solve gives z_free(0); superposition makes the
     controlled value z(0) = z_free(0) - Gramian(u), so the dual datum solves
-    Gramian(u) = z_free(0).  The control is the observed dual flow from u.
-    Returns (ControlField, report); the report includes the independently
-    re-verified ||z(0)||.
+    Gramian(u) = z_free(0).  u is the minimum-norm least-squares solution:
+    eigenvalues at or below the `_spectrum` cutoff count as zero.  The
+    control is the observed dual flow from u.  Returns (ControlField,
+    report); the report holds the independently re-verified ||z(0)||, the
+    spectrum and the CG cross-check (`cg`, with `gap` its relative distance
+    from u).
     """
     weights = control_level_weights(time_set, mesh)
     if not weights.any():
@@ -299,22 +347,24 @@ def synthesize_null_control(z_terminal: np.ndarray, coeffs: CoefficientField,
     free = solve_backward_tree(z_terminal, coeffs, mesh, grid, tree,
                                mode="adjoint")
     target = free.z0.copy()
-
-    def matvec(u):
-        return gramian_apply(u, coeffs, ball, time_set, mesh, grid, tree,
-                             weights=weights)
-
-    u_star, cg_info = conjugate_gradient(matvec, target, tol=cg_tol,
-                                         max_iter=max_iter, eps_reg=eps_reg)
+    gram = gramian_matrix(coeffs, ball, time_set, mesh, grid, weights)
+    lam, vec, cutoff = _spectrum(gram)
+    keep = lam > cutoff
+    u_star = vec[:, keep] @ ((vec[:, keep].T @ target) / lam[keep])
+    u_cg, cg_info = conjugate_gradient(lambda p: gram @ p, target, tol=1e-12)
+    cg_info["gap"] = _relative_gap(u_cg, u_star)
     _, ctrl = gramian_apply(u_star, coeffs, ball, time_set, mesh, grid,
-                               tree, weights=weights, return_control=True)
+                            tree, weights=weights, return_control=True)
     verified = solve_backward_tree(z_terminal, coeffs, mesh, grid, tree,
                                    control=ctrl, mode="adjoint")
     w = grid.quad_weight
     z0_norm = np.sqrt(w * float(verified.z0 @ verified.z0))
     zt_norm = np.sqrt(w * float(np.mean(np.einsum("ij,ij->i", z_terminal,
                                                   z_terminal))))
-    report = {"cg": cg_info, "z0_norm": z0_norm, "z_terminal_norm": zt_norm,
+    spectrum = {"lambda_min": float(lam[0]), "lambda_max": float(lam[-1]),
+                "cutoff": float(cutoff), "below_cutoff": int(np.sum(~keep))}
+    report = {"cg": cg_info, "spectrum": spectrum, "z0_norm": z0_norm,
+              "z_terminal_norm": zt_norm,
               "relative_z0": z0_norm / max(zt_norm, 1e-300)}
     return ctrl, report
 
@@ -327,12 +377,15 @@ def synthesize_approx_control(z_terminal: np.ndarray, z0_target: np.ndarray,
                               n_sweep: int = 13):
     """Steer z(0) within `accuracy` of a deterministic target.
 
-    Solves (Gramian + eps_reg I) u = z_free(0) - z0_target over a descending
-    log-spaced regularization sweep (1e0 down to the 1e-12 floor), verifying
-    the achieved distance after each solve and stopping once the target
-    accuracy is met.  The residual curve is monotone nonincreasing.  Each
-    curve row records whether its CG solve converged within the iteration
-    cap (`cg_converged`).
+    Solves (Gramian + eps_reg I) u = z_free(0) - z0_target in closed form,
+    u = V (V^T rhs) / (lambda + eps_reg) on the Gramian's eigenpairs, over a
+    descending log-spaced regularization sweep (1e0 down to the 1e-12
+    floor), verifying the achieved distance after each solve by a tree solve
+    and stopping once the target accuracy is met.  The residual curve is
+    monotone nonincreasing.  Each curve row records the CG cross-check on
+    the same system: its iterations, whether it converged within the
+    iteration cap (`cg_converged`) and its relative distance from u
+    (`cg_gap`).
     """
     weights = control_level_weights(time_set, mesh)
     free = solve_backward_tree(z_terminal, coeffs, mesh, grid, tree, h=h,
@@ -341,30 +394,31 @@ def synthesize_approx_control(z_terminal: np.ndarray, z0_target: np.ndarray,
     w = grid.quad_weight
     target_norm = np.sqrt(w * float(z0_target @ z0_target))
     goal = accuracy * max(target_norm, 1e-300)
-
-    def matvec(u):
-        return gramian_apply(u, coeffs, ball, time_set, mesh, grid, tree,
-                             weights=weights)
+    gram = gramian_matrix(coeffs, ball, time_set, mesh, grid, weights)
+    lam, vec, _ = _spectrum(gram)
+    coef = vec.T @ rhs
 
     curve = []
     best = None
     for eps_reg in np.logspace(0.0, np.log10(EPS_REG_FLOOR), n_sweep):
-        u, cg_info = conjugate_gradient(matvec, rhs, tol=1e-13,
-                                        eps_reg=float(eps_reg))
+        u = vec @ (coef / (lam + eps_reg))
+        u_cg, cg_info = conjugate_gradient(lambda p: gram @ p, rhs, tol=1e-13,
+                                           eps_reg=float(eps_reg))
         _, ctrl = gramian_apply(u, coeffs, ball, time_set, mesh, grid,
-                                   tree, weights=weights, return_control=True)
+                                tree, weights=weights, return_control=True)
         pair = solve_backward_tree(z_terminal, coeffs, mesh, grid, tree, h=h,
                                    control=ctrl, mode="adjoint")
         residual = np.sqrt(w * float((pair.z0 - z0_target)
                                      @ (pair.z0 - z0_target)))
         curve.append({"eps_reg": float(eps_reg), "residual": float(residual),
                       "cg_iterations": cg_info["iterations"],
-                      "cg_converged": cg_info["converged"]})
+                      "cg_converged": cg_info["converged"],
+                      "cg_gap": _relative_gap(u_cg, u)})
         if best is None or residual <= best[0]:
-            best = (residual, ctrl, pair)
+            best = (residual, ctrl)
         if residual <= goal:
             break
-    residual, ctrl, pair = best
+    residual, ctrl = best
     report = {"curve": curve, "achieved_residual": float(residual),
               "target_norm": float(target_norm),
               "achieved": bool(residual <= goal),

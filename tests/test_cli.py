@@ -134,6 +134,10 @@ def test_cli_bad_config_exit_2(tmp_path, capsys):
         ("control", "control.e1 = 0.3\n", "ConfigurationError"),
         ("simulate", "domain.extents = 1\n", "ConfigurationError"),
         ("simulate", "grid.nodes = 15.5\n", "ConfigurationError"),
+        # a word or a pair where a number belongs
+        ("simulate", "tree.depth = abc\n", "ConfigurationError"),
+        ("control", "control.g0_radius = abc\n", "ConfigurationError"),
+        ("simulate", "time.horizon = 0.5,1\n", "ConfigurationError"),
     ]
     for i, (sub, text, error) in enumerate(cases):
         bad = tmp_path / f"bad{i}.cfg"
@@ -191,11 +195,12 @@ def test_cli_mc_mode(tmp_path, capsys):
 
 
 def test_cli_2d_verify_runs_control(tmp_path, capsys):
-    # 2-D end to end, control included.  Known failures at this config:
-    # approximate control and its regularization curve stop at the CG
-    # iteration cap; null control cannot be met, because the 5-node actuator
-    # around (0.5, 0.5) misses the 9 grid modes sin(j pi x) sin(k pi y) with
-    # j and k even, so the control Gramian is singular
+    # 2-D end to end, control included.  Known failure at this config:
+    # approximate control; its target varies in x only, so it carries the
+    # odd modes in y, and the 5-node actuator around (0.5, 0.5) reaches few
+    # of them.  Null control passes although that actuator leaves the
+    # Gramian singular: the closed form is the minimum-norm least-squares
+    # solution, and the free flow has damped the unreachable modes
     cfg = tmp_path / "2d.cfg"
     cfg.write_text("domain.extents = 0,1,0,1\ngrid.nodes = 7\n"
                    "control.nodes = 7\ntree.depth = 6\ncontrol.depth = 6\n"
@@ -206,8 +211,7 @@ def test_cli_2d_verify_runs_control(tmp_path, capsys):
     capsys.readouterr()
     assert code != 2
     report = json.load(open(out / "verify.json"))
-    known = {"control.null_control_verified", "control.approximate_control",
-             "control.regularization_curve_monotone"}
+    known = {"control.approximate_control"}
     failed = {rec["name"] for rec in report["checks"] if not rec["pass"]}
     assert failed <= known, failed
     assert "control.duality_identity_adjoint" in \

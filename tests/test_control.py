@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from stochheat import (CoefficientField, MeasurableTimeSet, TimeMesh,
-                       build_grid, build_tree, duality_check, gramian_apply,
-                       solve_backward_tree, solve_dual_forward,
-                       synthesize_approx_control, synthesize_null_control)
+                       build_grid, build_tree, cli, duality_check,
+                       gramian_apply, gramian_matrix, solve_backward_tree,
+                       solve_dual_forward, synthesize_approx_control,
+                       synthesize_null_control)
+from stochheat import config as cfgmod
 from stochheat.control import (conjugate_gradient, control_level_weights,
                                duality_support_check)
 from stochheat.errors import ConfigurationError, NumericalError, ShapeError
@@ -146,6 +148,65 @@ def test_gramian_symmetric_positive(lab):
             rhs = us[j] @ applied[i]
             scale = max(abs(lhs), abs(rhs), 1e-300)
             assert abs(lhs - rhs) / scale < 1e-10
+
+
+def test_gramian_matrix_matches_tree_columns(lab):
+    # the backward second-moment recursion against the tree, column by
+    # column: random smooth coefficients, a potential ramping by step, and a
+    # 2-D grid whose one-node actuator leaves the Gramian singular
+    grid, mesh, tree, _, ball, time_set = lab
+    rough = CoefficientField.random_bounded(grid, mesh, 11, 0.5, 0.5)
+    ramp = CoefficientField(grid, mesh, b=rough.b,
+                            a=np.linspace(0.0, 3.0, mesh.steps)[:, None]
+                            * np.ones(grid.n_nodes))
+    grid2 = build_grid([(0.0, 1.0), (0.0, 1.0)], (5, 5))
+    mesh2 = TimeMesh(horizon=0.5, steps=5)
+    cases = [(rough, ball, grid, mesh, tree), (ramp, ball, grid, mesh, tree),
+             (CoefficientField.constant(grid2, mesh2, 0.3, 0.4),
+              Ball((0.5, 0.5), 0.15), grid2, mesh2, build_tree(mesh2))]
+    for coeffs, g0, g, m, t in cases:
+        gram = gramian_matrix(coeffs, g0, time_set, m, g)
+        cols = np.stack([gramian_apply(e, coeffs, g0, time_set, m, g, t)
+                         for e in np.eye(g.n_nodes)], axis=1)
+        assert gram.shape == (g.n_nodes, g.n_nodes)
+        assert np.max(np.abs(gram - cols)) <= 1e-12 * np.max(np.abs(cols))
+
+
+def test_closed_form_control_on_seeds_that_hit_the_cg_cap():
+    # seeds on which the CG solves of the regularization sweep ran to their
+    # iteration cap: the closed form reaches the goal with a monotone curve
+    # and drives z(0) to round-off
+    runs = [(10, seed) for seed in (1, 17, 30)] \
+        + [(12, seed) for seed in (1, 4, 5, 1234)]
+    for depth, seed in runs:
+        cfg = cfgmod.merge_config({"control.depth": depth, "seed": seed})
+        checks, _, _ = cli.run_control(cli.Experiment(cfg))
+        failed = [rec["name"] for rec in checks if not rec["pass"]]
+        assert not failed, (depth, seed, failed)
+        null = next(rec for rec in checks
+                    if rec["name"] == "null_control_verified")
+        assert null["lhs"] <= 1e-10
+
+
+def test_cg_cross_check_agrees_with_closed_form(lab):
+    # a CG solve that met its tolerance tol is within kappa * tol of the
+    # closed form (relative), kappa the condition number of G + eps I
+    grid, mesh, tree, coeffs, ball, time_set = lab
+    lam = np.linalg.eigvalsh(gramian_matrix(coeffs, ball, time_set, mesh,
+                                            grid))
+    rng = _rng(8)
+    x = grid.coords[:, 0]
+    z_t = rng.standard_normal((tree.n_leaves, grid.n_nodes))
+    target = 0.1 * sum(rng.standard_normal() * np.sin(k * np.pi * x)
+                       for k in range(1, 4))
+    _, rep = synthesize_approx_control(z_t, target, coeffs, ball, time_set,
+                                       mesh, grid, tree, accuracy=1e-6)
+    converged = [row for row in rep["curve"] if row["cg_converged"]]
+    assert converged
+    for row in converged:
+        eps = row["eps_reg"]
+        kappa = (lam[-1] + eps) / (max(lam[0], 0.0) + eps)
+        assert row["cg_gap"] <= 10.0 * kappa * 1e-13, row
 
 
 def test_conjugate_gradient_against_numpy():
