@@ -15,7 +15,7 @@ from .noise import BernoulliTree, PathEnsemble, TimeMesh, build_tree, \
 from .forward import (CoefficientField, SecondMomentEnsemble,
                       TrajectoryEnsemble, TreeEnsemble, energy_trace,
                       exp_transform_oracle, solve_forward,
-                      solve_forward_moments, solve_semilinear)
+                      solve_forward_moments)
 from .frequency import (FrequencyTrace, boundary_sign_audit, compute_hdn,
                         frequency_bound_check, hprime_identity_residual)
 from .ucp import (UcpConstants, amplitude_profile, compute_constants,

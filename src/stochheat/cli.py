@@ -25,7 +25,7 @@ from . import ucp as ucpmod
 from .errors import (ConfigurationError, DomainError, GeometryError,
                      ResourceError, StochHeatError)
 from .forward import (CoefficientField, energy_trace, exp_transform_oracle,
-                      solve_forward, solve_forward_moments, solve_semilinear,
+                      solve_forward, solve_forward_moments,
                       step_invertibility_report)
 from .frequency import (boundary_sign_audit, frequency_bound_check,
                         hprime_identity_residual)
@@ -54,6 +54,17 @@ def _point(cfg: dict, key: str, dim: int) -> tuple:
         raise ConfigurationError(
             f"{key} has {len(point)} coordinates, the grid has {dim} axes")
     return point
+
+
+def _ball(cfg: dict, key: str, grid) -> Ball:
+    """The ball `<key>_center`, `<key>_radius`; one holding no grid node is
+    refused, since every mass and actuator over it would be empty."""
+    ball = Ball(_point(cfg, f"{key}_center", grid.dim),
+                float(cfg[f"{key}_radius"]))
+    if not grid.ball_mask(ball).any():
+        raise ConfigurationError(
+            f"{key}_center/{key}_radius: the ball holds no grid node")
+    return ball
 
 
 def _coefficients(cfg: dict, grid, mesh, seed: int) -> CoefficientField:
@@ -86,7 +97,7 @@ class Experiment:
             self.noise = sample_ensemble(self.mesh, int(cfg["mc.paths"]), self.seed)
         self.coeffs = _coefficients(cfg, self.grid, self.mesh, self.seed)
         self.x0 = _point(cfg, "geometry.x0", self.grid.dim)
-        self.g0_center = _point(cfg, "geometry.g0_center", self.grid.dim)
+        self.g0 = _ball(cfg, "geometry.g0", self.grid)
         self.y0 = initial_field(self.grid, cfg["initial.kind"], self.x0)
         self._ensemble = None
 
@@ -128,7 +139,8 @@ def run_simulate(exp: Experiment):
     ens = exp.ensemble
     inv = step_invertibility_report(exp.coeffs, ens)
     checks.append(check_record("step_invertibility", inv["invertible"],
-                               min_factor=inv["min_factor"]))
+                               min_factor=inv["min_factor"],
+                               sign_loss_steps=inv["sign_loss_steps"]))
     energy = energy_trace(ens)[-1]
     checks.append(check_record("terminal_energy_finite", np.isfinite(energy),
                                lhs=energy))
@@ -142,12 +154,6 @@ def run_simulate(exp: Experiment):
                                    gap["max_gap"] < 1.0, lhs=gap["max_gap"]))
         extras["transform_oracle"] = {"max_gap": gap["max_gap"],
                                       "mean_gap": gap["mean_gap"]}
-    semi_noise = sample_ensemble(exp.mesh, 16, exp.seed + 2)
-    _, semi_report = solve_semilinear(0.1 * exp.y0, 2, semi_noise, exp.mesh,
-                                      exp.grid)
-    extras["semilinear"] = semi_report
-    checks.append(check_record("semilinear_paths_survive",
-                               semi_report["n_excluded"] < semi_report["n_paths"]))
     return checks, extras, {}
 
 
@@ -247,9 +253,8 @@ def run_ucp(exp: Experiment):
         checks.append(check_record("three_ball_inequality", True,
                                    excluded=True,
                                    note="no qualifying shift; profile reported"))
-    g0 = Ball(exp.g0_center, float(exp.cfg["geometry.g0_radius"]))
     try:
-        prop = ucpmod.propagate_vanishing(ens, g0, g0)
+        prop = ucpmod.propagate_vanishing(ens, exp.g0, exp.g0)
         extras["vanishing_propagation"] = {"verdict": prop["verdict"],
                                            "target_mass": prop["target_mass"],
                                            "global_mass": prop["global_mass"]}
@@ -323,8 +328,7 @@ def run_control(exp: Experiment):
     tree = build_tree(mesh)
     coeffs = CoefficientField.constant(grid, mesh, float(cfg["coeff.a"]),
                                        float(cfg["coeff.b"]))
-    g0 = Ball(_point(cfg, "control.g0_center", grid.dim),
-              float(cfg["control.g0_radius"]))
+    g0 = _ball(cfg, "control.g0", grid)
     e1 = obs.MeasurableTimeSet(_pairs(cfg["control.e1"]), horizon=mesh.horizon)
     rng = np.random.Generator(np.random.Philox(key=[exp.seed, 0xc0de]))
     n = grid.n_nodes

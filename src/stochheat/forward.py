@@ -10,7 +10,9 @@ solves of `control`) is `tree_step`, level k to level k+1 of the history
 tree, or its transpose `tree_step_adjoint`; all solves share one
 factorization of I - dt*Lap_h per (grid, dt).  The exact second-moment
 propagator reproduces tree expectations of quadratic functionals by the
-recursion on E[y y^T], at any depth, without enumerating paths.
+recursion on E[y y^T], at any depth, without enumerating paths; it holds
+E[y y^T] = Z^T Z as a thin factor Z whose rows are contracted like the
+paths of a sampled ensemble.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ __all__ = [
     "tree_step_adjoint",
     "solve_forward",
     "solve_forward_moments",
-    "solve_semilinear",
     "exp_transform_oracle",
     "energy_trace",
     "local_mass_trace",
@@ -48,6 +49,9 @@ __all__ = [
 ]
 
 DEGENERATE_STEP_TOL = 1e-12
+# singular values of a moment factor below this fraction of the largest are
+# dropped: eigenvalues of E[y y^T] below 1e-18 of the largest
+MOMENT_RANK_TOL = 1e-9
 
 
 class ImplicitHeatSolver:
@@ -153,7 +157,6 @@ class TrajectoryEnsemble:
     mesh: TimeMesh
     grid: SpatialGrid
     provenance: dict
-    excluded: np.ndarray | None = None
 
     @property
     def n_paths(self) -> int:
@@ -229,6 +232,8 @@ class SecondMomentEnsemble:
 
     Valid for deterministic coefficients; reproduces Bernoulli-tree
     expectations of linear and quadratic functionals exactly at any depth.
+    second_moments[k] is a factor Z_k of shape (r_k, n) with
+    E[y(t_k) y(t_k)^T] = Z_k^T Z_k.
     """
 
     means: list = field(repr=False)
@@ -241,13 +246,9 @@ class SecondMomentEnsemble:
         return self.means[k]
 
     def nodal_moment(self, left=None, right=None) -> np.ndarray:
-        """diag(L P_k R^T) per time node, shape (steps+1, n); None is the identity."""
-        out = np.empty((self.mesh.steps + 1, self.grid.n_nodes))
-        r = None if right is None else right.toarray()
-        for k, p in enumerate(self.second_moments):
-            lp = p if left is None else left @ p
-            out[k] = np.diagonal(lp) if r is None else np.einsum("ij,ij->i", lp, r)
-        return out
+        """E[(L y(t_k))_i (R y(t_k))_i], shape (steps+1, n); None is the identity."""
+        return np.stack([_weighted_moment(np.ones(len(z)), z, left, right)
+                         for z in self.second_moments])
 
 
 def _weighted_moment(weights: np.ndarray, y: np.ndarray, left, right) -> np.ndarray:
@@ -339,71 +340,37 @@ def solve_forward(y0: np.ndarray, coeffs: CoefficientField, noise,
 
 def solve_forward_moments(y0: np.ndarray, coeffs: CoefficientField,
                           mesh: TimeMesh, grid: SpatialGrid) -> SecondMomentEnsemble:
-    """Exact tree-expectation moments E[y] and E[y y^T]."""
+    """Exact tree-expectation moments E[y] and E[y y^T] = Z^T Z.
+
+    With d = 1 + dt*a_k and M = I - dt*Lap_h, the recursion
+    P_{k+1} = M^{-1} ((d d^T + dt b_k b_k^T) o P_k) M^{-1} maps the factor
+    rows z of P_k = Z_k^T Z_k to the rows M^{-1}(d*z) and sqrt(dt) M^{-1}(b_k*z);
+    a thin SVD recompresses them to s*V^T, dropping singular values below
+    MOMENT_RANK_TOL of the largest.  Constant coefficients keep rank one.
+    provenance records the rank and the discarded sum of sigma^2 (a
+    trace-norm bound on the truncation) per time node.
+    """
     solver = implicit_solver(grid, mesh.dt)
     y0 = np.asarray(y0, dtype=float)
-    means = [y0.copy()]
-    moments = [np.outer(y0, y0)]
     dt = mesh.dt
+    means = [y0.copy()]
+    factors = [y0[None, :].copy()]
+    tails = [0.0]
     for k in range(mesh.steps):
-        a_k, b_k = coeffs.a[k], coeffs.b[k]
-        drift = 1.0 + dt * a_k
-        p = moments[-1]
-        p1 = drift[:, None] * p * drift[None, :] + dt * (b_k[:, None] * p * b_k[None, :])
-        # batch solve acts row-wise: solve(X) = X M^{-1}; two passes give
-        # M^{-1} p1 M^{-1} by symmetry of M and p1
-        nxt = solver.solve(solver.solve(p1).T)
-        nxt = 0.5 * (nxt + nxt.T)
-        moments.append(nxt)
+        drift = 1.0 + dt * coeffs.a[k]
+        z = factors[-1]
+        stacked = solver.solve(np.concatenate(
+            [drift * z, np.sqrt(dt) * coeffs.b[k] * z]))
+        _, s, vt = np.linalg.svd(stacked, full_matrices=False)
+        keep = s > MOMENT_RANK_TOL * s[:1]  # s[:1] is empty for an empty factor
+        factors.append(s[keep, None] * vt[keep])
+        tails.append(float(np.sum(s[~keep] ** 2)))
         means.append(solver.solve(drift * means[-1]))
     prov = {"scheme": "second-moment recursion", "dt": dt, "h": tuple(grid.h),
-            "mode": "exact"}
-    return SecondMomentEnsemble(means=means, second_moments=moments,
+            "mode": "exact", "rank": [len(z) for z in factors],
+            "discarded_tail": tails}
+    return SecondMomentEnsemble(means=means, second_moments=factors,
                                 mesh=mesh, grid=grid, provenance=prov)
-
-
-def solve_semilinear(w0: np.ndarray, m: int, noise, mesh: TimeMesh,
-                     grid: SpatialGrid, blowup_cap: float = 1e6):
-    """Semilinear equation with noise term w^m dB on sampled paths; returns
-    (ensemble, report).
-
-    Paths whose sup norm exceeds `blowup_cap` are frozen at the offending
-    step, flagged, and excluded from the ensemble weights.
-    """
-    if m < 0 or int(m) != m:
-        raise ConfigurationError("semilinear exponent must be a natural number")
-    inc = _sampled_increments(noise, mesh)
-    weights = noise.weights
-    solver = implicit_solver(grid, mesh.dt)
-    n_paths = inc.shape[0]
-    values = np.empty((n_paths, mesh.steps + 1, grid.n_nodes))
-    values[:, 0, :] = np.asarray(w0, dtype=float)
-    w = np.broadcast_to(np.asarray(w0, dtype=float), (n_paths, grid.n_nodes)).copy()
-    alive = np.ones(n_paths, dtype=bool)
-    blowup_step = np.full(n_paths, -1)
-    for k in range(mesh.steps):
-        rhs = w + (w ** m) * inc[:, k][:, None]
-        w_new = solver.solve(rhs)
-        bad = alive & (np.max(np.abs(w_new), axis=1) > blowup_cap)
-        blowup_step[bad & (blowup_step < 0)] = k
-        alive &= ~bad
-        w = np.where(alive[:, None], w_new, w)
-        values[:, k + 1, :] = w
-    excluded = ~alive
-    if excluded.any():
-        weights = np.where(excluded, 0.0, weights)
-        total = weights.sum()
-        if total == 0.0:
-            raise NumericalError("every semilinear path blew up; raise the cap")
-        weights = weights / total
-    ens = TrajectoryEnsemble(values=values, weights=weights, increments=inc,
-                             mesh=mesh, grid=grid,
-                             provenance={"scheme": "semilinear", "m": m, "dt": mesh.dt,
-                                         "h": tuple(grid.h), "mode": "sampled"},
-                             excluded=excluded if excluded.any() else None)
-    report = {"n_paths": int(n_paths), "n_excluded": int(excluded.sum()),
-              "blowup_steps": blowup_step[excluded].tolist()}
-    return ens, report
 
 
 def exp_transform_oracle(ensemble: TrajectoryEnsemble, b_const: float, a,
@@ -452,15 +419,19 @@ def step_invertibility_report(coeffs: CoefficientField, ensemble) -> dict:
     Each step is the composition of an invertible implicit solve and a nodal
     multiplication; a factor below tolerance breaks the backward-uniqueness
     argument at the discrete level and is flagged instead of asserted.
+    `min_factor` is the signed minimum and `sign_loss_steps` lists the steps
+    with a factor <= 0, where the scheme no longer preserves sign.
     """
     dt = ensemble.mesh.dt
     min_factor = np.inf
-    flagged = []
+    flagged, sign_loss = [], []
     for k in range(ensemble.mesh.steps):
         factors = step_factors(coeffs, k, dt, ensemble.increments[:, k])
-        m = float(np.min(np.abs(factors)))
-        min_factor = min(min_factor, m)
-        if m < DEGENERATE_STEP_TOL:
+        lowest = float(np.min(factors))
+        min_factor = min(min_factor, lowest)
+        if lowest <= 0.0:
+            sign_loss.append(k)
+        if np.min(np.abs(factors)) < DEGENERATE_STEP_TOL:
             flagged.append(k)
-    return {"min_factor": min_factor, "degenerate_steps": flagged,
-            "invertible": not flagged}
+    return {"min_factor": min_factor, "sign_loss_steps": sign_loss,
+            "degenerate_steps": flagged, "invertible": not flagged}

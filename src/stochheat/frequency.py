@@ -12,7 +12,8 @@ second moments E[(L y)_i (R y)_i] of the ensemble (`nodal_moment`).  The
 fields do not depend on the kernel shift, so they are built once per
 ensemble, cutoff and coefficients, and the same code runs on a sampled
 ensemble, an exact Bernoulli tree, or the closed-form second-moment
-recursion.
+recursion, whose factors E[y y^T] = Z^T Z are contracted like unit-weight
+paths.
 """
 
 from __future__ import annotations

@@ -118,7 +118,7 @@ def test_cli_simulate_pass(tmp_path, capsys):
 
 
 def test_cli_bad_config_exit_2(tmp_path, capsys):
-    # (subcommand, config, error class): every package error raised before
+    # (subcommand, config, expected text): every package error raised before
     # the report is written exits 2 with one line naming its class
     cases = [
         ("simulate", "coeff.bogus = 1\n", "ConfigurationError"),
@@ -138,6 +138,11 @@ def test_cli_bad_config_exit_2(tmp_path, capsys):
         ("simulate", "tree.depth = abc\n", "ConfigurationError"),
         ("control", "control.g0_radius = abc\n", "ConfigurationError"),
         ("simulate", "time.horizon = 0.5,1\n", "ConfigurationError"),
+        # a G0 or actuator ball that holds no grid node, named by its keys
+        ("ucp", "geometry.g0_center = 1.5\n",
+         "geometry.g0_center/geometry.g0_radius"),
+        ("control", "control.g0_center = 1.5\n",
+         "control.g0_center/control.g0_radius"),
     ]
     for i, (sub, text, error) in enumerate(cases):
         bad = tmp_path / f"bad{i}.cfg"
@@ -219,6 +224,21 @@ def test_cli_2d_verify_runs_control(tmp_path, capsys):
     lines = (out / "verify.control_control.csv").read_text().splitlines()
     assert lines[0] == "level,node,x,y,value" and len(lines) > 1
     assert {len(line.split(",")) for line in lines} == {5}
+
+
+def test_cli_2d_frequency_at_31x31(tmp_path, capsys):
+    # the 400-step moment recursion on 961 nodes holds factors, not a dense
+    # 961 x 961 matrix per time node (about 3 GB)
+    cfg = tmp_path / "2d31.cfg"
+    cfg.write_text("domain.extents = 0,1,0,1\ngrid.nodes = 31\n"
+                   "tree.depth = 6\ngeometry.x0 = 0.5,0.5\n"
+                   "geometry.g0_center = 0.5,0.5\n")
+    out = tmp_path / "out"
+    code = main(["frequency", "--config", str(cfg), "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    report = json.load(open(out / "frequency.json"))
+    assert report["checks"] and all(rec["pass"] for rec in report["checks"])
 
 
 def test_one_factorization_per_run(monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from stochheat import (Ball, CoefficientField, ConfigurationError,
                        PathEnsemble, TimeMesh, build_cutoff, build_grid,
                        build_tree, energy_trace, exp_transform_oracle,
-                       solve_forward, solve_forward_moments, solve_semilinear)
+                       solve_forward, solve_forward_moments)
 from stochheat.errors import ShapeError
 from stochheat.forward import (ImplicitHeatSolver, local_mass_trace,
                                step_invertibility_report)
@@ -143,6 +143,49 @@ def test_moment_propagator_matches_tree_exactly(grid):
         assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(a)), 1.0)
 
 
+def _dense_moments(y0, coeffs, mesh, grid):
+    # P_{k+1} = M^{-1} ((d d^T + dt b b^T) o P_k) M^{-1}, d = 1 + dt a_k,
+    # with M = I - dt Lap inverted densely
+    m_inv = np.linalg.inv(np.eye(grid.n_nodes)
+                          - mesh.dt * grid.laplacian().toarray())
+    p = [np.outer(y0, y0)]
+    for k in range(mesh.steps):
+        d, b = 1.0 + mesh.dt * coeffs.a[k], coeffs.b[k]
+        p.append(m_inv @ ((np.outer(d, d) + mesh.dt * np.outer(b, b)) * p[-1])
+                 @ m_inv)
+    return p
+
+
+def test_moment_factors_match_dense_recursion():
+    # E[y y^T] = Z^T Z against the dense n x n recursion, 1-D and 2-D, under
+    # space-varying coefficients (factor rank above one)
+    mesh = TimeMesh(horizon=0.5, steps=400)
+    for grid in (build_grid([(0.0, 1.0)], (31,)),
+                 build_grid([(0.0, 1.0), (0.0, 1.0)], (5, 5))):
+        coeffs = CoefficientField.random_bounded(grid, mesh, 5, 0.5, 0.5)
+        y0 = np.prod(np.sin(np.pi * grid.coords), axis=1) \
+            + 0.3 * np.sin(3 * np.pi * grid.coords[:, 0])
+        mom = solve_forward_moments(y0, coeffs, mesh, grid)
+        assert max(mom.provenance["rank"]) > 1
+        for z, p in zip(mom.second_moments, _dense_moments(y0, coeffs, mesh,
+                                                           grid)):
+            assert z.shape[1] == grid.n_nodes
+            assert np.max(np.abs(z.T @ z - p)) <= 1e-12 * np.max(np.abs(p))
+
+
+def test_constant_coefficients_keep_rank_one(grid):
+    # constant a, b: P_k = c^k (M^-k y0)(M^-k y0)^T, one factor row per step
+    mesh = TimeMesh(horizon=0.5, steps=400)
+    coeffs = CoefficientField.constant(grid, mesh, 0.3, 0.4)
+    y0 = np.sin(np.pi * grid.coords[:, 0]) * (1.0 + grid.coords[:, 0])
+    mom = solve_forward_moments(y0, coeffs, mesh, grid)
+    assert mom.provenance["rank"] == [1] * (mesh.steps + 1)
+    assert all(z.shape == (1, grid.n_nodes) for z in mom.second_moments)
+    traces = [float(np.sum(z ** 2)) for z in mom.second_moments]
+    for tail, trace in zip(mom.provenance["discarded_tail"], traces):
+        assert 0.0 <= tail <= 1e-18 * trace
+
+
 @settings(max_examples=20, deadline=None)
 @given(scale=st.floats(0.1, 10.0))
 def test_quadratic_functionals_scale_quadratically(scale):
@@ -184,32 +227,25 @@ def test_exp_transform_gap_shrinks_with_dt():
     assert gaps[1] < gaps[0]
 
 
-def test_semilinear_blowup_exclusion(grid):
-    mesh = TimeMesh(horizon=0.2, steps=20)
-    x = grid.coords[:, 0]
-    rng = np.random.Generator(np.random.Philox(key=[9, 9]))
-    inc = np.sqrt(mesh.dt) * rng.standard_normal((8, 20))
-    inc[0] = 50.0  # force one path through the cap
-    noise = PathEnsemble(mesh=mesh, seed=9, increments=inc)
-    ens, rep = solve_semilinear(5.0 * np.sin(np.pi * x), 3, noise, mesh, grid,
-                                blowup_cap=1e3)
-    assert rep["n_excluded"] >= 1
-    assert ens.excluded is not None
-    assert ens.weights[ens.excluded].sum() == 0.0
-    assert np.isclose(ens.weights.sum(), 1.0)
-
-
-def test_semilinear_rejects_negative_exponent(grid, mesh):
-    with pytest.raises(ConfigurationError):
-        solve_semilinear(np.zeros(grid.n_nodes), -1, _silent_noise(mesh),
-                         mesh, grid)
-
-
 def test_step_invertibility_report(tree_ensemble, coeffs):
     rep = step_invertibility_report(coeffs, tree_ensemble)
     assert rep["invertible"]
     assert rep["min_factor"] > 0.0
-    assert rep["degenerate_steps"] == []
+    assert rep["sign_loss_steps"] == rep["degenerate_steps"] == []
+
+
+def test_step_invertibility_keeps_the_sign(grid):
+    # b sqrt(dt) > 1 + dt a: the down move 1 + dt a - b sqrt(dt) is negative,
+    # which min |factor| hid; it is still invertible, so the check passes
+    mesh = TimeMesh(horizon=0.5, steps=2)
+    coeffs = CoefficientField.constant(grid, mesh, 0.3, 40.0)
+    ens = solve_forward(np.sin(np.pi * grid.coords[:, 0]), coeffs,
+                        build_tree(mesh), mesh, grid)
+    rep = step_invertibility_report(coeffs, ens)
+    down = 1.0 + mesh.dt * 0.3 - 40.0 * np.sqrt(mesh.dt)
+    assert np.isclose(rep["min_factor"], down, rtol=1e-14)
+    assert rep["sign_loss_steps"] == [0, 1]
+    assert rep["invertible"] and rep["degenerate_steps"] == []
 
 
 def test_local_mass_bounded_by_energy(tree_ensemble, grid):
