@@ -25,9 +25,9 @@ from .observability import (DensitySequence, MeasurableTimeSet,
                             ObservabilityConstants, density_sequence,
                             energy_estimate_check, epsilon_sequence,
                             telescoping_check)
-from .control import (BackwardPair, ControlField, duality_check,
-                      gramian_apply, gramian_matrix, solve_backward_tree,
-                      solve_dual_forward, synthesize_approx_control,
-                      synthesize_null_control)
+from .control import (BackwardPair, ControlField, dual_control,
+                      duality_check, gramian_apply, gramian_matrix,
+                      solve_backward_tree, solve_dual_forward,
+                      synthesize_approx_control, synthesize_null_control)
 
 __version__ = "0.1.0"

@@ -56,15 +56,19 @@ def _point(cfg: dict, key: str, dim: int) -> tuple:
     return point
 
 
-def _ball(cfg: dict, key: str, grid) -> Ball:
-    """The ball `<key>_center`, `<key>_radius`; one holding no grid node is
-    refused, since every mass and actuator over it would be empty."""
-    ball = Ball(_point(cfg, f"{key}_center", grid.dim),
-                float(cfg[f"{key}_radius"]))
+def _nonempty(ball: Ball, keys: str, grid) -> Ball:
+    """`ball`, refused (naming the config `keys` that set it) when it holds
+    no grid node, since every mass and actuator over it would be empty."""
     if not grid.ball_mask(ball).any():
-        raise ConfigurationError(
-            f"{key}_center/{key}_radius: the ball holds no grid node")
+        raise ConfigurationError(f"{keys}: the ball holds no grid node")
     return ball
+
+
+def _ball(cfg: dict, key: str, grid) -> Ball:
+    """The ball `<key>_center`, `<key>_radius`."""
+    return _nonempty(Ball(_point(cfg, f"{key}_center", grid.dim),
+                          float(cfg[f"{key}_radius"])),
+                     f"{key}_center/{key}_radius", grid)
 
 
 def _coefficients(cfg: dict, grid, mesh, seed: int) -> CoefficientField:
@@ -98,6 +102,12 @@ class Experiment:
         self.coeffs = _coefficients(cfg, self.grid, self.mesh, self.seed)
         self.x0 = _point(cfg, "geometry.x0", self.grid.dim)
         self.g0 = _ball(cfg, "geometry.g0", self.grid)
+        # the observation ball B_r(x0), r = 0.8 r_G0, strictly inside G0
+        self.obs_ball = _nonempty(
+            Ball(self.x0, 0.8 * float(cfg["geometry.g0_radius"])),
+            "geometry.x0/geometry.g0_radius", self.grid)
+        _nonempty(Ball(self.x0, float(cfg["geometry.r1"])),
+                  "geometry.x0/geometry.r1", self.grid)
         self.y0 = initial_field(self.grid, cfg["initial.kind"], self.x0)
         self._ensemble = None
 
@@ -213,10 +223,9 @@ def run_ucp(exp: Experiment):
     grid, mesh, ens = exp.grid, exp.mesh, exp.ensemble
     energy = energy_trace(ens)
     e0, e_t = energy[0], energy[-1]
-    r = float(exp.cfg["geometry.g0_radius"]) * 0.8  # B_r strictly inside G0
     try:
-        constants = ucpmod.compute_constants(grid, exp.x0, r, mesh.horizon,
-                                             exp.coeffs, e0, e_t)
+        constants = ucpmod.compute_constants(grid, exp.x0, exp.obs_ball.radius,
+                                             mesh.horizon, exp.coeffs, e0, e_t)
     except DomainError as exc:
         extras["branch_note"] = str(exc)
         checks.append(check_record("backward_uniqueness_branch", True))
@@ -231,7 +240,7 @@ def run_ucp(exp: Experiment):
                            "big_d": constants.big_d, "big_j": constants.big_j,
                            "variants": constants.variants}
     tol = ucpmod.default_tolerance(mesh, grid, float(exp.cfg["tol_scale"]))
-    qc = ucpmod.quantitative_ucp_check(ens, Ball(exp.x0, r), constants, tol=tol)
+    qc = ucpmod.quantitative_ucp_check(ens, exp.obs_ball, constants, tol=tol)
     checks.append(check_record("interpolation_inequality", qc["pass"],
                                lhs=qc["lhs"], rhs=qc["rhs"]))
     if qc["note"]:
@@ -274,9 +283,8 @@ def run_observe(exp: Experiment):
                                best_margin=seq.best_margin, t0=seq.t0, t1=seq.t1))
     energy = energy_trace(ens)
     e0, e_t = energy[0], energy[-1]
-    r = float(exp.cfg["geometry.g0_radius"]) * 0.8
-    constants = ucpmod.compute_constants(grid, exp.x0, r, mesh.horizon,
-                                         exp.coeffs, e0, e_t)
+    constants = ucpmod.compute_constants(grid, exp.x0, exp.obs_ball.radius,
+                                         mesh.horizon, exp.coeffs, e0, e_t)
     ob_const = obs.build_constants(constants, exp.coeffs, mesh.horizon,
                                    variant=str(exp.cfg["constants.variant"]))
     ob_const = obs.epsilon_sequence(ob_const, seq.gap_measures)
@@ -284,7 +292,7 @@ def run_observe(exp: Experiment):
                                eps1=ob_const.eps1,
                                sigma_tail=float(ob_const.sigma[-1])))
     tol = ucpmod.default_tolerance(mesh, grid, float(exp.cfg["tol_scale"]))
-    tele = obs.telescoping_check(ens, Ball(exp.x0, r), time_set, seq,
+    tele = obs.telescoping_check(ens, exp.obs_ball, time_set, seq,
                                  ob_const, tol=tol)
     checks.append(check_record("per_gap_inequalities",
                                all(g["pass"] for g in tele["per_gap"])))
@@ -326,8 +334,7 @@ def run_control(exp: Experiment):
     mesh = TimeMesh(horizon=float(cfg["control.horizon"]),
                     steps=int(cfg["control.depth"]))
     tree = build_tree(mesh)
-    coeffs = CoefficientField.constant(grid, mesh, float(cfg["coeff.a"]),
-                                       float(cfg["coeff.b"]))
+    coeffs = _coefficients(cfg, grid, mesh, exp.seed)
     g0 = _ball(cfg, "control.g0", grid)
     e1 = obs.MeasurableTimeSet(_pairs(cfg["control.e1"]), horizon=mesh.horizon)
     rng = np.random.Generator(np.random.Philox(key=[exp.seed, 0xc0de]))
@@ -336,10 +343,8 @@ def run_control(exp: Experiment):
     h_src = rng.standard_normal(n)
     u = rng.standard_normal(n)
     v = rng.standard_normal(n)
-    weights = ctl.control_level_weights(e1, mesh)
-    lam_u, ctrl_u = ctl.gramian_apply(u, coeffs, g0, e1, mesh, grid, tree,
-                                      weights, return_control=True)
-    mask = ctrl_u.mask
+    ctrl_u = ctl.dual_control(u, coeffs, g0, e1, mesh, grid, tree)
+    lam_u = ctl.gramian_apply(u, coeffs, g0, e1, mesh, grid, tree)
     pair = ctl.solve_backward_tree(z_term, coeffs, mesh, grid, tree, h=h_src,
                                    control=ctrl_u, mode="adjoint")
     dual_v = ctl.solve_dual_forward(v, coeffs, mesh, grid, tree)
@@ -352,21 +357,21 @@ def run_control(exp: Experiment):
                                        mode="independent")
     dc_ind = ctl.duality_check(dual_v, pair_ind, h=h_src, control=ctrl_u)
     extras["duality_independent_residual"] = dc_ind["relative_residual"]
-    lam_v = ctl.gramian_apply(v, coeffs, g0, e1, mesh, grid, tree, weights)
+    lam_v = ctl.gramian_apply(v, coeffs, g0, e1, mesh, grid, tree)
     sym_gap = abs(float(v @ lam_u) - float(u @ lam_v)) \
         / max(abs(float(v @ lam_u)), 1e-300)
     checks.append(check_record("gramian_symmetry", sym_gap <= MACHINE_TOL,
                                lhs=sym_gap, rhs=MACHINE_TOL))
     checks.append(check_record("gramian_positivity", float(u @ lam_u) >= 0.0,
                                lhs=float(u @ lam_u)))
-    gram = ctl.gramian_matrix(coeffs, g0, e1, mesh, grid, weights)
+    gram = ctl.gramian_matrix(coeffs, g0, e1, mesh, grid)
     matrix_gap = float(np.linalg.norm(gram @ u - lam_u)
                        / max(np.linalg.norm(lam_u), 1e-300))
     checks.append(check_record("gramian_matrix_matches_tree",
                                matrix_gap <= MACHINE_TOL,
                                lhs=matrix_gap, rhs=MACHINE_TOL))
     null_ctrl, null_rep = ctl.synthesize_null_control(
-        z_term, coeffs, g0, e1, mesh, grid, tree)
+        z_term, gram, coeffs, g0, e1, mesh, grid, tree)
     checks.append(check_record("null_control_verified",
                                null_rep["relative_z0"] <= 1e-6,
                                lhs=null_rep["relative_z0"], rhs=1e-6,
@@ -379,7 +384,7 @@ def run_control(exp: Experiment):
     z0_target = 0.1 * sum(rng.standard_normal() * np.sin((k + 1) * np.pi * x)
                           for k in range(3))
     _, approx_rep = ctl.synthesize_approx_control(
-        z_term, z0_target, coeffs, g0, e1, mesh, grid, tree,
+        z_term, z0_target, gram, coeffs, g0, e1, mesh, grid, tree,
         accuracy=float(cfg["control.accuracy"]))
     residuals = [row["residual"] for row in approx_rep["curve"]]
     monotone = all(b <= a * (1.0 + 1e-9) for a, b in zip(residuals, residuals[1:]))
@@ -389,7 +394,7 @@ def run_control(exp: Experiment):
                                * approx_rep["target_norm"]))
     checks.append(check_record("regularization_curve_monotone", monotone,
                                curve=approx_rep["curve"]))
-    support = ctl.duality_support_check(u, coeffs, g0, e1, mesh, grid, tree)
+    support = ctl.duality_support_check(ctrl_u, grid)
     checks.append(check_record("dual_support_mass_positive",
                                not support["ucp_red_flag"],
                                lhs=support["observed_mass"]))
@@ -399,7 +404,7 @@ def run_control(exp: Experiment):
             continue
         for node in range(level.shape[0]):
             for i in range(n):
-                if mask[i]:
+                if null_ctrl.mask[i]:
                     rows.append([k, node] + list(grid.coords[i])
                                 + [level[node, i]])
     header = ["level", "node"] + ["x", "y"][:grid.dim] + ["value"]

@@ -14,14 +14,17 @@ backward modes are available:
   makes the duality pairing hold to machine precision and yields a clean
   symmetric positive semidefinite control Gramian.
 
-Control synthesis works on the assembled Gramian: `gramian_matrix` builds the
-dense n x n matrix once by a backward second-moment recursion (exact for the
-tree, without its 2^k levels), one eigendecomposition gives null control as
-the minimum-norm least-squares solution and every value of the approximate
-control's regularization sweep in closed form, and conjugate gradients on the
-matrix cross-check each solve.  Every control is re-verified by a tree solve.
-The spectrum decays exponentially: this is the ill-posedness of null control
-for the heat equation (Muench & Zuazua, Inverse Problems 2010).
+The control of a dual datum is `dual_control`, its dual flow observed on
+G0 x E1; the Gramian apply (-z(0) of the adjoint solve it drives from zero
+terminal data), both syntheses and the observed-mass check read it.
+`gramian_matrix` builds the dense n x n Gramian by a backward second-moment
+recursion (exact for the tree, without its 2^k levels); a run assembles it
+once and both syntheses eigendecompose it, giving null control as the
+minimum-norm least-squares solution and the approximate control's
+regularization sweep in closed form, with conjugate gradients on the matrix
+as a cross-check.  Each control is verified by one backward tree solve.
+The spectrum decays exponentially: this is the ill-posedness of null
+control for the heat equation (Muench & Zuazua, Inverse Problems 2010).
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ __all__ = [
     "BackwardPair",
     "ControlField",
     "control_level_weights",
+    "dual_control",
     "solve_dual_forward",
     "solve_backward_tree",
     "duality_check",
@@ -62,13 +66,16 @@ def control_level_weights(time_set: MeasurableTimeSet, mesh: TimeMesh) -> np.nda
 
     A step is active when the time set covers at least half of its cell; the
     weight is the exact overlap measure, so the total actuation measure is
-    preserved by the quadrature.
+    preserved by the quadrature.  A set that activates no step is refused,
+    since every control and Gramian over it would vanish.
     """
     weights = np.zeros(mesh.steps)
     for k in range(mesh.steps):
         overlap = time_set.measure_between(mesh.times[k], mesh.times[k + 1])
         if overlap >= 0.5 * mesh.dt:
             weights[k] = overlap
+    if not weights.any():
+        raise ConfigurationError("actuation time set activates no time step")
     return weights
 
 
@@ -79,7 +86,6 @@ class BackwardPair:
 
     z_levels: list = field(repr=False)
     z_martingale: list = field(repr=False)
-    mode: str
     mesh: TimeMesh
     grid: SpatialGrid
 
@@ -95,11 +101,6 @@ class ControlField:
     levels: list = field(repr=False)       # per step k: (2^k, n_nodes)
     mask: np.ndarray = field(repr=False)   # spatial indicator of G0
     weights: np.ndarray = field(repr=False)  # per-step actuation measure
-    ball: Ball
-    time_set: MeasurableTimeSet
-
-    def level(self, k: int) -> np.ndarray:
-        return self.levels[k]
 
 
 def _level_source(src, k: int, n: int):
@@ -126,6 +127,17 @@ def solve_dual_forward(y0_hat: np.ndarray, coeffs: CoefficientField,
     if tree.depth != mesh.steps:
         raise ShapeError("tree depth and time mesh disagree")
     return tree_levels(y0_hat, coeffs, mesh, grid, sign=-1.0)
+
+
+def dual_control(y0_hat: np.ndarray, coeffs: CoefficientField, ball: Ball,
+                 time_set: MeasurableTimeSet, mesh: TimeMesh,
+                 grid: SpatialGrid, tree: BernoulliTree) -> ControlField:
+    """The control of a dual datum: its dual flow at levels 0..steps-1,
+    acting on G0 with the per-step weights of E1."""
+    weights = control_level_weights(time_set, mesh)
+    dual = solve_dual_forward(y0_hat, coeffs, mesh, grid, tree)
+    return ControlField(levels=dual[:-1], mask=grid.ball_mask(ball).astype(float),
+                        weights=weights)
 
 
 def solve_backward_tree(z_terminal: np.ndarray, coeffs: CoefficientField,
@@ -171,7 +183,7 @@ def solve_backward_tree(z_terminal: np.ndarray, coeffs: CoefficientField,
         if h_k is not None:
             zk = zk - dt * h_k
         if control is not None and control.weights[k] > 0.0:
-            zk = zk - control.weights[k] * (control.level(k) * control.mask)
+            zk = zk - control.weights[k] * (control.levels[k] * control.mask)
         if mode == "independent":
             mat = sp.eye(n) - dt * grid.laplacian() + dt * sp.diags(coeffs.a[k])
             try:
@@ -180,8 +192,8 @@ def solve_backward_tree(z_terminal: np.ndarray, coeffs: CoefficientField,
                 raise NumericalError(f"backward solve failed: {exc}") from exc
             zk = lu.solve(zk.T).T
         z_levels[k] = zk
-    return BackwardPair(z_levels=z_levels, z_martingale=z_mart, mode=mode,
-                        mesh=mesh, grid=grid)
+    return BackwardPair(z_levels=z_levels, z_martingale=z_mart, mesh=mesh,
+                        grid=grid)
 
 
 def duality_check(dual_levels: list, pair: BackwardPair, h=None,
@@ -208,7 +220,7 @@ def duality_check(dual_levels: list, pair: BackwardPair, h=None,
         if h_k is not None:
             rhs += mesh.dt * float(np.mean(np.einsum("ij,ij->i", y_k, h_k))) * w
         if control is not None and control.weights[k] > 0.0:
-            f_k = control.level(k) * control.mask
+            f_k = control.levels[k] * control.mask
             rhs += control.weights[k] \
                 * float(np.mean(np.einsum("ij,ij->i", y_k, f_k))) * w
     scale = max(abs(lhs), abs(rhs), 1e-300)
@@ -218,33 +230,22 @@ def duality_check(dual_levels: list, pair: BackwardPair, h=None,
 
 def gramian_apply(y0_hat: np.ndarray, coeffs: CoefficientField,
                   ball: Ball, time_set: MeasurableTimeSet, mesh: TimeMesh,
-                  grid: SpatialGrid, tree: BernoulliTree,
-                  weights: np.ndarray | None = None,
-                  return_control: bool = False):
-    """Apply the control Gramian: dual forward, observe on G0 x E1, adjoint
-    backward with zero terminal data, return -z(0).
+                  grid: SpatialGrid, tree: BernoulliTree) -> np.ndarray:
+    """Apply the control Gramian: -z(0) of the adjoint backward solve from
+    zero terminal data, driven by the `dual_control` of the datum.
 
     Symmetric positive semidefinite by the exact duality of adjoint mode:
     <Gramian u, u> equals the observed quadratic mass of the dual flow.
     """
-    if weights is None:
-        weights = control_level_weights(time_set, mesh)
-    mask = grid.ball_mask(ball).astype(float)
-    dual = solve_dual_forward(y0_hat, coeffs, mesh, grid, tree)
-    ctrl = ControlField(levels=dual[:-1], mask=mask, weights=weights,
-                        ball=ball, time_set=time_set)
+    ctrl = dual_control(y0_hat, coeffs, ball, time_set, mesh, grid, tree)
     pair = solve_backward_tree(np.zeros((tree.n_leaves, grid.n_nodes)),
-                               coeffs, mesh, grid, tree, control=ctrl,
-                               mode="adjoint")
-    out = -pair.z0
-    if return_control:
-        return out, ctrl
-    return out
+                               coeffs, mesh, grid, tree, control=ctrl)
+    return -pair.z0
 
 
 def gramian_matrix(coeffs: CoefficientField, ball: Ball,
                    time_set: MeasurableTimeSet, mesh: TimeMesh,
-                   grid: SpatialGrid, weights: np.ndarray | None = None):
+                   grid: SpatialGrid) -> np.ndarray:
     """The control Gramian as a dense (n, n) matrix, column j being
     `gramian_apply(e_j)`.
 
@@ -255,8 +256,7 @@ def gramian_matrix(coeffs: CoefficientField, ball: Ball,
     factor rows D_k of `step_factors` and M = I - dt*Lap_h ends in G = Q_0,
     exactly for the tree and without its 2^k levels.
     """
-    if weights is None:
-        weights = control_level_weights(time_set, mesh)
+    weights = control_level_weights(time_set, mesh)
     mask = grid.ball_mask(ball).astype(float)
     solver = implicit_solver(grid, mesh.dt)
     moves = tree_moves(mesh.dt)
@@ -289,8 +289,8 @@ def conjugate_gradient(matvec, rhs: np.ndarray, tol: float = 1e-10,
     len(rhs) iterations.
 
     Tracks the CG energy functional phi(x) = x.(A x)/2 - rhs.x, which is
-    strictly nonincreasing along iterations (unlike the 2-norm residual) and
-    is asserted as the monotonicity invariant.
+    strictly nonincreasing along iterations (unlike the 2-norm residual); its
+    values are recorded in `energies`, not asserted.
     """
     x = np.zeros_like(rhs)
     r = rhs.copy()
@@ -326,37 +326,31 @@ def conjugate_gradient(matvec, rhs: np.ndarray, tol: float = 1e-10,
                "converged": bool(converged)}
 
 
-def synthesize_null_control(z_terminal: np.ndarray, coeffs: CoefficientField,
-                            ball: Ball, time_set: MeasurableTimeSet,
-                            mesh: TimeMesh, grid: SpatialGrid,
-                            tree: BernoulliTree):
-    """Drive z(0) to zero by inverting the Gramian.
+def synthesize_null_control(z_terminal: np.ndarray, gram: np.ndarray,
+                            coeffs: CoefficientField, ball: Ball,
+                            time_set: MeasurableTimeSet, mesh: TimeMesh,
+                            grid: SpatialGrid, tree: BernoulliTree):
+    """Drive z(0) to zero by inverting the Gramian `gram` (`gramian_matrix`
+    of the same actuator).
 
     The free backward solve gives z_free(0); superposition makes the
     controlled value z(0) = z_free(0) - Gramian(u), so the dual datum solves
     Gramian(u) = z_free(0).  u is the minimum-norm least-squares solution:
     eigenvalues at or below the `_spectrum` cutoff count as zero.  The
-    control is the observed dual flow from u.  Returns (ControlField,
-    report); the report holds the independently re-verified ||z(0)||, the
-    spectrum and the CG cross-check (`cg`, with `gap` its relative distance
-    from u).
+    control is the `dual_control` of u.  Returns (ControlField, report); the
+    report holds the independently re-verified ||z(0)||, the spectrum and
+    the CG cross-check (`cg`, with `gap` its relative distance from u).
     """
-    weights = control_level_weights(time_set, mesh)
-    if not weights.any():
-        raise ConfigurationError("actuation time set activates no time step")
-    free = solve_backward_tree(z_terminal, coeffs, mesh, grid, tree,
-                               mode="adjoint")
-    target = free.z0.copy()
-    gram = gramian_matrix(coeffs, ball, time_set, mesh, grid, weights)
+    free = solve_backward_tree(z_terminal, coeffs, mesh, grid, tree)
+    target = free.z0
     lam, vec, cutoff = _spectrum(gram)
     keep = lam > cutoff
     u_star = vec[:, keep] @ ((vec[:, keep].T @ target) / lam[keep])
     u_cg, cg_info = conjugate_gradient(lambda p: gram @ p, target, tol=1e-12)
     cg_info["gap"] = _relative_gap(u_cg, u_star)
-    _, ctrl = gramian_apply(u_star, coeffs, ball, time_set, mesh, grid,
-                            tree, weights=weights, return_control=True)
+    ctrl = dual_control(u_star, coeffs, ball, time_set, mesh, grid, tree)
     verified = solve_backward_tree(z_terminal, coeffs, mesh, grid, tree,
-                                   control=ctrl, mode="adjoint")
+                                   control=ctrl)
     w = grid.quad_weight
     z0_norm = np.sqrt(w * float(verified.z0 @ verified.z0))
     zt_norm = np.sqrt(w * float(np.mean(np.einsum("ij,ij->i", z_terminal,
@@ -370,31 +364,28 @@ def synthesize_null_control(z_terminal: np.ndarray, coeffs: CoefficientField,
 
 
 def synthesize_approx_control(z_terminal: np.ndarray, z0_target: np.ndarray,
-                              coeffs: CoefficientField, ball: Ball,
-                              time_set: MeasurableTimeSet, mesh: TimeMesh,
-                              grid: SpatialGrid, tree: BernoulliTree,
-                              accuracy: float, h=None,
+                              gram: np.ndarray, coeffs: CoefficientField,
+                              ball: Ball, time_set: MeasurableTimeSet,
+                              mesh: TimeMesh, grid: SpatialGrid,
+                              tree: BernoulliTree, accuracy: float, h=None,
                               n_sweep: int = 13):
     """Steer z(0) within `accuracy` of a deterministic target.
 
     Solves (Gramian + eps_reg I) u = z_free(0) - z0_target in closed form,
-    u = V (V^T rhs) / (lambda + eps_reg) on the Gramian's eigenpairs, over a
+    u = V (V^T rhs) / (lambda + eps_reg) on the eigenpairs of `gram`, over a
     descending log-spaced regularization sweep (1e0 down to the 1e-12
-    floor), verifying the achieved distance after each solve by a tree solve
-    and stopping once the target accuracy is met.  The residual curve is
-    monotone nonincreasing.  Each curve row records the CG cross-check on
-    the same system: its iterations, whether it converged within the
-    iteration cap (`cg_converged`) and its relative distance from u
-    (`cg_gap`).
+    floor), verifying the achieved distance after each solve by one tree
+    solve driven by the `dual_control` of u, and stopping once the target
+    accuracy is met.  The residual curve is monotone nonincreasing.  Each
+    curve row records the CG cross-check on the same system: its
+    iterations, whether it converged within the iteration cap
+    (`cg_converged`) and its relative distance from u (`cg_gap`).
     """
-    weights = control_level_weights(time_set, mesh)
-    free = solve_backward_tree(z_terminal, coeffs, mesh, grid, tree, h=h,
-                               mode="adjoint")
+    free = solve_backward_tree(z_terminal, coeffs, mesh, grid, tree, h=h)
     rhs = free.z0 - np.asarray(z0_target, dtype=float)
     w = grid.quad_weight
     target_norm = np.sqrt(w * float(z0_target @ z0_target))
     goal = accuracy * max(target_norm, 1e-300)
-    gram = gramian_matrix(coeffs, ball, time_set, mesh, grid, weights)
     lam, vec, _ = _spectrum(gram)
     coef = vec.T @ rhs
 
@@ -404,10 +395,9 @@ def synthesize_approx_control(z_terminal: np.ndarray, z0_target: np.ndarray,
         u = vec @ (coef / (lam + eps_reg))
         u_cg, cg_info = conjugate_gradient(lambda p: gram @ p, rhs, tol=1e-13,
                                            eps_reg=float(eps_reg))
-        _, ctrl = gramian_apply(u, coeffs, ball, time_set, mesh, grid,
-                                tree, weights=weights, return_control=True)
+        ctrl = dual_control(u, coeffs, ball, time_set, mesh, grid, tree)
         pair = solve_backward_tree(z_terminal, coeffs, mesh, grid, tree, h=h,
-                                   control=ctrl, mode="adjoint")
+                                   control=ctrl)
         residual = np.sqrt(w * float((pair.z0 - z0_target)
                                      @ (pair.z0 - z0_target)))
         curve.append({"eps_reg": float(eps_reg), "residual": float(residual),
@@ -426,25 +416,21 @@ def synthesize_approx_control(z_terminal: np.ndarray, z0_target: np.ndarray,
     return ctrl, report
 
 
-def duality_support_check(y0_hat: np.ndarray, coeffs: CoefficientField,
-                          ball: Ball, time_set: MeasurableTimeSet,
-                          mesh: TimeMesh, grid: SpatialGrid,
-                          tree: BernoulliTree) -> dict:
-    """Observed mass of the dual flow on G0 x E1.
+def duality_support_check(control: ControlField, grid: SpatialGrid) -> dict:
+    """Observed mass of a control's dual flow on G0 x E1, against its datum
+    (the flow at level 0).
 
     Near-zero mass with a nonzero dual datum would witness a discrete
     unique-continuation failure and is flagged rather than asserted.
     """
-    weights = control_level_weights(time_set, mesh)
-    mask = grid.ball_mask(ball).astype(float)
-    dual = solve_dual_forward(y0_hat, coeffs, mesh, grid, tree)
     w = grid.quad_weight
     mass = 0.0
-    for k, w_k in enumerate(weights):
+    for k, w_k in enumerate(control.weights):
         if w_k > 0.0:
-            obs = dual[k] * mask
+            obs = control.levels[k] * control.mask
             mass += w_k * float(np.mean(np.einsum("ij,ij->i", obs, obs))) * w
-    datum_norm_sq = w * float(np.asarray(y0_hat) @ np.asarray(y0_hat))
+    datum = control.levels[0][0]
+    datum_norm_sq = w * float(datum @ datum)
     flag = mass <= 1e-14 * max(datum_norm_sq, 1e-300) and datum_norm_sq > 0.0
     return {"observed_mass": float(mass), "datum_norm_sq": float(datum_norm_sq),
             "ratio": float(mass / max(datum_norm_sq, 1e-300)),

@@ -17,10 +17,10 @@ from stochheat import (Ball, CoefficientField, HeatKernelWeight,
                        build_grid, build_tree, compute_constants, compute_hdn,
                        density_sequence, energy_trace, epsilon_sequence,
                        exp_transform_oracle, frequency_bound_check,
-                       quantitative_ucp_check, select_lambda, solve_forward,
-                       solve_forward_moments, synthesize_approx_control,
-                       synthesize_null_control, telescoping_check,
-                       three_ball_check)
+                       gramian_matrix, quantitative_ucp_check, select_lambda,
+                       solve_forward, solve_forward_moments,
+                       synthesize_approx_control, synthesize_null_control,
+                       telescoping_check, three_ball_check)
 from stochheat import control as ctl
 from stochheat.cli import main as cli_main
 from stochheat.frequency import hprime_identity_residual
@@ -243,17 +243,13 @@ def test_criterion_09_duality():
     mesh = TimeMesh(horizon=0.5, steps=10)
     tree = build_tree(mesh)
     coeffs = CoefficientField.constant(grid, mesh, 0.3, 0.4)
-    weights = ctl.control_level_weights(e1, mesh)
-    mask = grid.ball_mask(g0).astype(float)
     for trial in range(10):
         rng = np.random.Generator(np.random.Philox(key=[trial, 31]))
         z_t = rng.standard_normal((tree.n_leaves, grid.n_nodes))
         h = [rng.standard_normal((2 ** k, grid.n_nodes))
              for k in range(mesh.steps)]
         u = rng.standard_normal(grid.n_nodes)
-        du = ctl.solve_dual_forward(u, coeffs, mesh, grid, tree)
-        cf = ctl.ControlField(levels=du[:-1], mask=mask, weights=weights,
-                              ball=g0, time_set=e1)
+        cf = ctl.dual_control(u, coeffs, g0, e1, mesh, grid, tree)
         pair = ctl.solve_backward_tree(z_t, coeffs, mesh, grid, tree, h=h,
                                        control=cf, mode="adjoint")
         v = rng.standard_normal(grid.n_nodes)
@@ -276,10 +272,7 @@ def test_criterion_09_duality():
         h = c[3] * np.sin(2 * np.pi * x)
         u = c[4] * np.sin(np.pi * x) + 0.3 * c[5] * np.sin(3 * np.pi * x)
         v = np.sin(np.pi * x) * np.cos(np.pi * (x - 0.5))
-        weights = ctl.control_level_weights(e1, mesh)
-        du = ctl.solve_dual_forward(u, coeffs, mesh, grid, tree)
-        cf = ctl.ControlField(levels=du[:-1], mask=mask, weights=weights,
-                              ball=g0, time_set=e1)
+        cf = ctl.dual_control(u, coeffs, g0, e1, mesh, grid, tree)
         pair = ctl.solve_backward_tree(z_t, coeffs, mesh, grid, tree, h=h,
                                        control=cf, mode="independent")
         dv = ctl.solve_dual_forward(v, coeffs, mesh, grid, tree)
@@ -302,12 +295,13 @@ def control_lab():
 
 def test_criterion_10_null_controllability(control_lab):
     grid, mesh, tree, coeffs, ball, time_set = control_lab
+    gram = gramian_matrix(coeffs, ball, time_set, mesh, grid)
     ok = True
     for seed in range(5):
         rng = np.random.Generator(np.random.Philox(key=[seed, 41]))
         z_t = rng.standard_normal((tree.n_leaves, grid.n_nodes))
-        _, rep = synthesize_null_control(z_t, coeffs, ball, time_set, mesh,
-                                         grid, tree)
+        _, rep = synthesize_null_control(z_t, gram, coeffs, ball, time_set,
+                                         mesh, grid, tree)
         ok &= rep["relative_z0"] <= 1e-6
         ok &= rep["cg"]["iterations"] <= 15
     _line(10, "null controllability", ok)
@@ -316,6 +310,7 @@ def test_criterion_10_null_controllability(control_lab):
 def test_criterion_11_approximate_controllability(control_lab):
     grid, mesh, tree, coeffs, ball, time_set = control_lab
     x = grid.coords[:, 0]
+    gram = gramian_matrix(coeffs, ball, time_set, mesh, grid)
     ok = True
     for seed in range(5):
         rng = np.random.Generator(np.random.Philox(key=[seed, 51]))
@@ -324,7 +319,7 @@ def test_criterion_11_approximate_controllability(control_lab):
         # the high-frequency modes the dual flow damps below round-off
         target = 0.1 * sum(rng.standard_normal() * np.sin(k * np.pi * x)
                            for k in range(1, 4))
-        _, rep = synthesize_approx_control(z_t, target, coeffs, ball,
+        _, rep = synthesize_approx_control(z_t, target, gram, coeffs, ball,
                                            time_set, mesh, grid, tree,
                                            accuracy=1e-2)
         ok &= rep["achieved"] and rep["relative_residual"] <= 1e-2

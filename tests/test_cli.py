@@ -143,6 +143,11 @@ def test_cli_bad_config_exit_2(tmp_path, capsys):
          "geometry.g0_center/geometry.g0_radius"),
         ("control", "control.g0_center = 1.5\n",
          "control.g0_center/control.g0_radius"),
+        # an observation ball B_{0.8 r_G0}(x0) or B_{r1}(x0) with no node
+        ("ucp", _fast_text("geometry.x0 = 0.508\ngeometry.g0_radius = 0.005\n"),
+         "geometry.x0/geometry.g0_radius"),
+        ("ucp", _fast_text("geometry.x0 = 0.508\ngeometry.r1 = 0.005\n"),
+         "geometry.x0/geometry.r1"),
     ]
     for i, (sub, text, error) in enumerate(cases):
         bad = tmp_path / f"bad{i}.cfg"

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from stochheat import (CoefficientField, MeasurableTimeSet, TimeMesh,
-                       build_grid, build_tree, cli, duality_check,
-                       gramian_apply, gramian_matrix, solve_backward_tree,
-                       solve_dual_forward, synthesize_approx_control,
-                       synthesize_null_control)
+                       build_grid, build_tree, cli, dual_control,
+                       duality_check, gramian_apply, gramian_matrix,
+                       solve_backward_tree, solve_dual_forward,
+                       synthesize_approx_control, synthesize_null_control)
 from stochheat import config as cfgmod
+from stochheat import control
 from stochheat.control import (conjugate_gradient, control_level_weights,
                                duality_support_check)
 from stochheat.errors import ConfigurationError, NumericalError, ShapeError
@@ -192,15 +193,16 @@ def test_cg_cross_check_agrees_with_closed_form(lab):
     # a CG solve that met its tolerance tol is within kappa * tol of the
     # closed form (relative), kappa the condition number of G + eps I
     grid, mesh, tree, coeffs, ball, time_set = lab
-    lam = np.linalg.eigvalsh(gramian_matrix(coeffs, ball, time_set, mesh,
-                                            grid))
+    gram = gramian_matrix(coeffs, ball, time_set, mesh, grid)
+    lam = np.linalg.eigvalsh(gram)
     rng = _rng(8)
     x = grid.coords[:, 0]
     z_t = rng.standard_normal((tree.n_leaves, grid.n_nodes))
     target = 0.1 * sum(rng.standard_normal() * np.sin(k * np.pi * x)
                        for k in range(1, 4))
-    _, rep = synthesize_approx_control(z_t, target, coeffs, ball, time_set,
-                                       mesh, grid, tree, accuracy=1e-6)
+    _, rep = synthesize_approx_control(z_t, target, gram, coeffs, ball,
+                                       time_set, mesh, grid, tree,
+                                       accuracy=1e-6)
     converged = [row for row in rep["curve"] if row["cg_converged"]]
     assert converged
     for row in converged:
@@ -233,8 +235,9 @@ def test_null_control(lab):
     grid, mesh, tree, coeffs, ball, time_set = lab
     rng = _rng(5)
     z_t = rng.standard_normal((tree.n_leaves, grid.n_nodes))
-    ctrl, rep = synthesize_null_control(z_t, coeffs, ball, time_set, mesh,
-                                        grid, tree)
+    gram = gramian_matrix(coeffs, ball, time_set, mesh, grid)
+    ctrl, rep = synthesize_null_control(z_t, gram, coeffs, ball, time_set,
+                                        mesh, grid, tree)
     # at this coarse tree depth the Gramian is worse conditioned than in the
     # verification configuration, so the accuracy demand is softer here
     assert rep["relative_z0"] < 1e-5
@@ -243,17 +246,26 @@ def test_null_control(lab):
     for k, w_k in enumerate(ctrl.weights):
         if w_k == 0.0:
             continue
-        field = ctrl.level(k) * ctrl.mask
-        outside = ctrl.level(k) * (1.0 - ctrl.mask)
+        field = ctrl.levels[k] * ctrl.mask
+        outside = ctrl.levels[k] * (1.0 - ctrl.mask)
         assert np.max(np.abs(field)) > 0.0 or np.max(np.abs(outside)) == 0.0
 
 
 def test_null_control_needs_active_steps(lab):
-    grid, mesh, tree, coeffs, ball, _ = lab
+    # a set covering less than half of every step activates none of them;
+    # every entry point that weighs the steps refuses it
+    grid, mesh, tree, coeffs, ball, time_set = lab
     tiny = MeasurableTimeSet(((0.01, 0.012),), horizon=0.5)
-    with pytest.raises(ConfigurationError):
-        synthesize_null_control(np.zeros((tree.n_leaves, grid.n_nodes)),
-                                coeffs, ball, tiny, mesh, grid, tree)
+    gram = gramian_matrix(coeffs, ball, time_set, mesh, grid)
+    u = _rng(9).standard_normal(grid.n_nodes)
+    for call in (lambda: synthesize_null_control(
+                     np.zeros((tree.n_leaves, grid.n_nodes)), gram, coeffs,
+                     ball, tiny, mesh, grid, tree),
+                 lambda: dual_control(u, coeffs, ball, tiny, mesh, grid, tree),
+                 lambda: gramian_apply(u, coeffs, ball, tiny, mesh, grid, tree),
+                 lambda: gramian_matrix(coeffs, ball, tiny, mesh, grid)):
+        with pytest.raises(ConfigurationError, match="activates no time step"):
+            call()
 
 
 def test_approx_control_smooth_target(lab):
@@ -265,8 +277,10 @@ def test_approx_control_smooth_target(lab):
     # high-frequency modes the dual flow damps below round-off
     target = 0.1 * sum(rng.standard_normal() * np.sin(k * np.pi * x)
                        for k in range(1, 4))
-    ctrl, rep = synthesize_approx_control(z_t, target, coeffs, ball, time_set,
-                                          mesh, grid, tree, accuracy=1e-2)
+    gram = gramian_matrix(coeffs, ball, time_set, mesh, grid)
+    ctrl, rep = synthesize_approx_control(z_t, target, gram, coeffs, ball,
+                                          time_set, mesh, grid, tree,
+                                          accuracy=1e-2)
     assert rep["achieved"]
     assert rep["relative_residual"] <= 1e-2
     res = [row["residual"] for row in rep["curve"]]
@@ -283,8 +297,10 @@ def test_approx_control_curve_flags_cg_convergence(lab):
     z_t = rng.standard_normal((tree.n_leaves, grid.n_nodes))
     target = 0.1 * sum(rng.standard_normal() * np.sin(k * np.pi * x)
                        for k in range(1, 4))
-    _, rep = synthesize_approx_control(z_t, target, coeffs, ball, time_set,
-                                       mesh, grid, tree, accuracy=1e-2)
+    gram = gramian_matrix(coeffs, ball, time_set, mesh, grid)
+    _, rep = synthesize_approx_control(z_t, target, gram, coeffs, ball,
+                                       time_set, mesh, grid, tree,
+                                       accuracy=1e-2)
     for row in rep["curve"]:
         assert isinstance(row["cg_converged"], bool)
         if row["cg_iterations"] < grid.n_nodes:
@@ -298,6 +314,65 @@ def test_approx_control_curve_flags_cg_convergence(lab):
 def test_duality_support_check(lab):
     grid, mesh, tree, coeffs, ball, time_set = lab
     u = _rng(7).standard_normal(grid.n_nodes)
-    rep = duality_support_check(u, coeffs, ball, time_set, mesh, grid, tree)
+    rep = duality_support_check(
+        dual_control(u, coeffs, ball, time_set, mesh, grid, tree), grid)
     assert rep["observed_mass"] > 0.0
     assert not rep["ucp_red_flag"]
+
+
+SMALL_CONTROL = {"control.nodes": 9, "control.depth": 6}
+
+
+def test_one_gramian_per_run_control(monkeypatch):
+    # the Gramian is assembled once and shared by the matrix check and both
+    # syntheses
+    calls = []
+    assemble = control.gramian_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(control, "gramian_matrix", counting)
+    cli.run_control(cli.Experiment(cfgmod.merge_config(SMALL_CONTROL)))
+    assert len(calls) == 1
+
+
+def test_approx_control_verifies_each_sweep_row_by_one_backward_solve(
+        lab, monkeypatch):
+    # one free solve, then one tree solve per curve row: the control of a
+    # dual datum is its dual flow, with no backward solve of its own
+    grid, mesh, tree, coeffs, ball, time_set = lab
+    gram = gramian_matrix(coeffs, ball, time_set, mesh, grid)
+    calls = []
+    backward = control.solve_backward_tree
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("control"))
+        return backward(*args, **kwargs)
+
+    monkeypatch.setattr(control, "solve_backward_tree", counting)
+    rng = _rng(6)
+    x = grid.coords[:, 0]
+    z_t = rng.standard_normal((tree.n_leaves, grid.n_nodes))
+    target = 0.1 * sum(rng.standard_normal() * np.sin(k * np.pi * x)
+                       for k in range(1, 4))
+    _, rep = synthesize_approx_control(z_t, target, gram, coeffs, ball,
+                                       time_set, mesh, grid, tree,
+                                       accuracy=1e-6)
+    assert len(rep["curve"]) > 1
+    assert len(calls) == 1 + len(rep["curve"])
+    assert calls[0] is None and all(c is not None for c in calls[1:])
+
+
+def test_run_control_uses_the_configured_coefficients():
+    # coeff.kind = random gives the control run its own space-varying
+    # coefficients, and so another Gramian than the constant default
+    spectra = {}
+    for kind in ("constant", "random"):
+        cfg = cfgmod.merge_config(dict(SMALL_CONTROL, **{"coeff.kind": kind}))
+        checks, extras, _ = cli.run_control(cli.Experiment(cfg))
+        assert all(rec["pass"] for rec in checks), kind
+        spectra[kind] = extras["gramian_spectrum"]
+    assert spectra["random"] != spectra["constant"]
+    assert spectra["random"]["lambda_max"] != spectra["constant"]["lambda_max"]

@@ -186,3 +186,17 @@ def test_energy_estimate(setup):
     for variant in ("derivation", "printed", "max"):
         rep = energy_estimate_check(ens, coeffs, variant=variant)
         assert rep["pass"], variant
+
+
+def test_energy_estimate_with_an_overflowing_bound(setup):
+    # at a = -50 the bound e^{Ct} E(0) overflows a float; the decaying
+    # energy meets it, so the excess is finite and the check passes
+    grid, mesh, _, ens = setup
+    strong = CoefficientField.constant(grid, mesh, -50.0, 0.4)
+    decayed = solve_forward(ens.levels[0][0], strong, build_tree(mesh), mesh,
+                            grid)
+    with np.errstate(over="ignore"):
+        assert np.exp(growth_rate(strong) * mesh.horizon) == np.inf
+    rep = energy_estimate_check(decayed, strong)
+    assert np.isfinite(rep["worst_relative_excess"])
+    assert rep["pass"]
