@@ -12,9 +12,8 @@ from .geometry import (Ball, CutoffFunction, HeatKernelWeight, SpatialGrid,
                        ball_chain, build_cutoff, build_grid)
 from .noise import BernoulliTree, PathEnsemble, TimeMesh, build_tree, \
     conditional_expectation, path_increments, sample_ensemble
-from .forward import (CoefficientField, SecondMomentEnsemble,
-                      TrajectoryEnsemble, TreeEnsemble, energy_trace,
-                      exp_transform_oracle, solve_forward,
+from .forward import (CoefficientField, Ensemble, SecondMomentEnsemble,
+                      energy_trace, exp_transform_oracle, solve_forward,
                       solve_forward_moments)
 from .frequency import (FrequencyTrace, boundary_sign_audit, compute_hdn,
                         frequency_bound_check, hprime_identity_residual)

@@ -159,7 +159,7 @@ def run_simulate(exp: Experiment):
         oracle_ens = solve_forward(exp.y0, exp.coeffs, oracle_noise,
                                    exp.mesh, exp.grid)
         gap = exp_transform_oracle(oracle_ens, float(exp.cfg["coeff.b"]),
-                                   float(exp.cfg["coeff.a"]), exp.mesh, exp.grid)
+                                   float(exp.cfg["coeff.a"]))
         checks.append(check_record("transform_oracle_gap_bounded",
                                    gap["max_gap"] < 1.0, lhs=gap["max_gap"]))
         extras["transform_oracle"] = {"max_gap": gap["max_gap"],
@@ -370,8 +370,9 @@ def run_control(exp: Experiment):
     checks.append(check_record("gramian_matrix_matches_tree",
                                matrix_gap <= MACHINE_TOL,
                                lhs=matrix_gap, rhs=MACHINE_TOL))
+    spectrum = ctl.gramian_spectrum(gram)
     null_ctrl, null_rep = ctl.synthesize_null_control(
-        z_term, gram, coeffs, g0, e1, mesh, grid, tree)
+        z_term, spectrum, coeffs, g0, e1, mesh, grid, tree)
     checks.append(check_record("null_control_verified",
                                null_rep["relative_z0"] <= 1e-6,
                                lhs=null_rep["relative_z0"], rhs=1e-6,
@@ -384,7 +385,7 @@ def run_control(exp: Experiment):
     z0_target = 0.1 * sum(rng.standard_normal() * np.sin((k + 1) * np.pi * x)
                           for k in range(3))
     _, approx_rep = ctl.synthesize_approx_control(
-        z_term, z0_target, gram, coeffs, g0, e1, mesh, grid, tree,
+        z_term, z0_target, spectrum, coeffs, g0, e1, mesh, grid, tree,
         accuracy=float(cfg["control.accuracy"]))
     residuals = [row["residual"] for row in approx_rep["curve"]]
     monotone = all(b <= a * (1.0 + 1e-9) for a, b in zip(residuals, residuals[1:]))

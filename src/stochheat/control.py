@@ -19,11 +19,11 @@ G0 x E1; the Gramian apply (-z(0) of the adjoint solve it drives from zero
 terminal data), both syntheses and the observed-mass check read it.
 `gramian_matrix` builds the dense n x n Gramian by a backward second-moment
 recursion (exact for the tree, without its 2^k levels); a run assembles it
-once and both syntheses eigendecompose it, giving null control as the
-minimum-norm least-squares solution and the approximate control's
-regularization sweep in closed form, with conjugate gradients on the matrix
-as a cross-check.  Each control is verified by one backward tree solve.
-The spectrum decays exponentially: this is the ill-posedness of null
+and eigendecomposes it (`gramian_spectrum`) once for both syntheses, giving
+null control as the minimum-norm least-squares solution and the approximate
+control's regularization sweep in closed form, with conjugate gradients on
+the matrix as a cross-check.  Each control is verified by one backward tree
+solve.  The spectrum decays exponentially: this is the ill-posedness of null
 control for the heat equation (Muench & Zuazua, Inverse Problems 2010).
 """
 
@@ -52,6 +52,7 @@ __all__ = [
     "duality_check",
     "gramian_apply",
     "gramian_matrix",
+    "gramian_spectrum",
     "conjugate_gradient",
     "synthesize_null_control",
     "synthesize_approx_control",
@@ -59,6 +60,7 @@ __all__ = [
 ]
 
 EPS_REG_FLOOR = 1e-12
+N_SWEEP = 13  # regularizations of the approximate-control sweep
 
 
 def control_level_weights(time_set: MeasurableTimeSet, mesh: TimeMesh) -> np.ndarray:
@@ -271,12 +273,14 @@ def gramian_matrix(coeffs: CoefficientField, ball: Ball,
     return q
 
 
-def _spectrum(gramian: np.ndarray):
-    """Eigenpairs of the Gramian and numpy's rank cutoff n*eps*lambda_max
-    (the default of `pinv` and `lstsq`)."""
-    lam, vec = np.linalg.eigh(gramian)
-    cutoff = len(lam) * np.finfo(float).eps * max(lam[-1], 0.0)
-    return lam, vec, cutoff
+def gramian_spectrum(gram) -> tuple:
+    """(G, eigenvalues, eigenvectors, rank cutoff) of a `gramian_matrix` G;
+    the cutoff n*eps*lambda_max is the default of `pinv` and `lstsq`.  A
+    spectrum is returned as it is."""
+    if isinstance(gram, tuple):
+        return gram
+    lam, vec = np.linalg.eigh(gram)
+    return gram, lam, vec, len(lam) * np.finfo(float).eps * max(lam[-1], 0.0)
 
 
 def _relative_gap(x: np.ndarray, ref: np.ndarray) -> float:
@@ -326,24 +330,24 @@ def conjugate_gradient(matvec, rhs: np.ndarray, tol: float = 1e-10,
                "converged": bool(converged)}
 
 
-def synthesize_null_control(z_terminal: np.ndarray, gram: np.ndarray,
+def synthesize_null_control(z_terminal: np.ndarray, gram,
                             coeffs: CoefficientField, ball: Ball,
                             time_set: MeasurableTimeSet, mesh: TimeMesh,
                             grid: SpatialGrid, tree: BernoulliTree):
     """Drive z(0) to zero by inverting the Gramian `gram` (`gramian_matrix`
-    of the same actuator).
+    of the same actuator, or its `gramian_spectrum`).
 
     The free backward solve gives z_free(0); superposition makes the
     controlled value z(0) = z_free(0) - Gramian(u), so the dual datum solves
     Gramian(u) = z_free(0).  u is the minimum-norm least-squares solution:
-    eigenvalues at or below the `_spectrum` cutoff count as zero.  The
+    eigenvalues at or below the spectrum's cutoff count as zero.  The
     control is the `dual_control` of u.  Returns (ControlField, report); the
     report holds the independently re-verified ||z(0)||, the spectrum and
     the CG cross-check (`cg`, with `gap` its relative distance from u).
     """
     free = solve_backward_tree(z_terminal, coeffs, mesh, grid, tree)
     target = free.z0
-    lam, vec, cutoff = _spectrum(gram)
+    gram, lam, vec, cutoff = gramian_spectrum(gram)
     keep = lam > cutoff
     u_star = vec[:, keep] @ ((vec[:, keep].T @ target) / lam[keep])
     u_cg, cg_info = conjugate_gradient(lambda p: gram @ p, target, tol=1e-12)
@@ -364,39 +368,39 @@ def synthesize_null_control(z_terminal: np.ndarray, gram: np.ndarray,
 
 
 def synthesize_approx_control(z_terminal: np.ndarray, z0_target: np.ndarray,
-                              gram: np.ndarray, coeffs: CoefficientField,
+                              gram, coeffs: CoefficientField,
                               ball: Ball, time_set: MeasurableTimeSet,
                               mesh: TimeMesh, grid: SpatialGrid,
-                              tree: BernoulliTree, accuracy: float, h=None,
-                              n_sweep: int = 13):
+                              tree: BernoulliTree, accuracy: float):
     """Steer z(0) within `accuracy` of a deterministic target.
 
     Solves (Gramian + eps_reg I) u = z_free(0) - z0_target in closed form,
-    u = V (V^T rhs) / (lambda + eps_reg) on the eigenpairs of `gram`, over a
-    descending log-spaced regularization sweep (1e0 down to the 1e-12
-    floor), verifying the achieved distance after each solve by one tree
-    solve driven by the `dual_control` of u, and stopping once the target
+    u = V (V^T rhs) / (lambda + eps_reg) on the eigenpairs of `gram` (a
+    `gramian_matrix` or its `gramian_spectrum`), over a descending sweep of
+    N_SWEEP log-spaced regularizations (1e0 down to the 1e-12 floor),
+    verifying the achieved distance after each solve by one tree solve
+    driven by the `dual_control` of u, and stopping once the target
     accuracy is met.  The residual curve is monotone nonincreasing.  Each
     curve row records the CG cross-check on the same system: its
     iterations, whether it converged within the iteration cap
     (`cg_converged`) and its relative distance from u (`cg_gap`).
     """
-    free = solve_backward_tree(z_terminal, coeffs, mesh, grid, tree, h=h)
+    free = solve_backward_tree(z_terminal, coeffs, mesh, grid, tree)
     rhs = free.z0 - np.asarray(z0_target, dtype=float)
     w = grid.quad_weight
     target_norm = np.sqrt(w * float(z0_target @ z0_target))
     goal = accuracy * max(target_norm, 1e-300)
-    lam, vec, _ = _spectrum(gram)
+    gram, lam, vec, _ = gramian_spectrum(gram)
     coef = vec.T @ rhs
 
     curve = []
     best = None
-    for eps_reg in np.logspace(0.0, np.log10(EPS_REG_FLOOR), n_sweep):
+    for eps_reg in np.logspace(0.0, np.log10(EPS_REG_FLOOR), N_SWEEP):
         u = vec @ (coef / (lam + eps_reg))
         u_cg, cg_info = conjugate_gradient(lambda p: gram @ p, rhs, tol=1e-13,
                                            eps_reg=float(eps_reg))
         ctrl = dual_control(u, coeffs, ball, time_set, mesh, grid, tree)
-        pair = solve_backward_tree(z_terminal, coeffs, mesh, grid, tree, h=h,
+        pair = solve_backward_tree(z_terminal, coeffs, mesh, grid, tree,
                                    control=ctrl)
         residual = np.sqrt(w * float((pair.z0 - z0_target)
                                      @ (pair.z0 - z0_target)))

@@ -2,17 +2,18 @@
 
 Scheme: diffusion-implicit, reaction/noise-explicit Euler-Maruyama,
 
-    (I - dt*Lap_h) y_{k+1} = y_k + dt*a_k y_k + b_k y_k dB_k,
+    (I - dt*Lap_h) y_{k+1} = (1 + dt*a_k + b_k dB_k) y_k,
 
 which keeps the Ito evaluation point of the noise; a and b are deterministic
-arrays indexed by step.  Every tree solve (this one and the dual and adjoint
-solves of `control`) is `tree_step`, level k to level k+1 of the history
-tree, or its transpose `tree_step_adjoint`; all solves share one
-factorization of I - dt*Lap_h per (grid, dt).  The exact second-moment
-propagator reproduces tree expectations of quadratic functionals by the
-recursion on E[y y^T], at any depth, without enumerating paths; it holds
-E[y y^T] = Z^T Z as a thin factor Z whose rows are contracted like the
-paths of a sampled ensemble.
+arrays indexed by step, and `step_factors` gives the nodal factor of every
+solve.  Every tree solve (this one and the dual and adjoint solves of
+`control`) is `tree_step`, level k to level k+1 of the history tree, or its
+transpose `tree_step_adjoint`; all solves share one factorization of
+I - dt*Lap_h per (grid, dt).  Each solve returns one `Ensemble`: weighted
+rows per time node, which are sampled paths, tree history levels, or the
+thin factors Z of E[y y^T] = Z^T Z from the exact second-moment recursion.
+That recursion reproduces tree expectations of quadratic functionals at any
+depth without enumerating paths.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from .noise import BernoulliTree, PathEnsemble, TimeMesh
 
 __all__ = [
     "CoefficientField",
-    "TrajectoryEnsemble",
-    "TreeEnsemble",
+    "Ensemble",
     "SecondMomentEnsemble",
     "ImplicitHeatSolver",
     "implicit_solver",
@@ -148,37 +148,16 @@ class CoefficientField:
 
 
 @dataclass
-class TrajectoryEnsemble:
-    """Pathwise solution fields; values has shape (n_paths, steps+1, n_nodes)."""
-
-    values: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
-    increments: np.ndarray = field(repr=False)
-    mesh: TimeMesh
-    grid: SpatialGrid
-    provenance: dict
-
-    @property
-    def n_paths(self) -> int:
-        return self.values.shape[0]
-
-    def expectation_field(self, k: int) -> np.ndarray:
-        return self.weights @ self.values[:, k, :]
-
-    def nodal_moment(self, left=None, right=None) -> np.ndarray:
-        """E[(L y(t_k))_i (R y(t_k))_i], shape (steps+1, n); None is the identity."""
-        return np.stack([_weighted_moment(self.weights, self.values[:, k, :],
-                                          left, right)
-                         for k in range(self.mesh.steps + 1)])
-
-
-@dataclass
-class TreeEnsemble:
-    """Tree solution by history level: levels[k] has shape (2^k, n_nodes),
-    node h has the children 2h (down) and 2h+1 (up), level means are exact
-    tree expectations, and increments[:, k] are the two moves of step k."""
+class Ensemble:
+    """Solution rows per time node: levels[k] has shape (r_k, n_nodes) and
+    weights[k] shape (r_k,), and an expectation is the weighted sum over the
+    rows of a level.  Sampled paths are the rows of every level, weighted by
+    the noise; a tree solve has its history levels, node h of level k having
+    the children 2h (down) and 2h+1 (up) and weight 2^-k.  increments[:, k]
+    are the increments of step k, one row per path or tree move."""
 
     levels: list = field(repr=False)
+    weights: list = field(repr=False)
     increments: np.ndarray = field(repr=False)
     mesh: TimeMesh
     grid: SpatialGrid
@@ -186,77 +165,59 @@ class TreeEnsemble:
 
     @property
     def values(self) -> "LeafHistories":
-        """The histories indexed by leaf, as in `TrajectoryEnsemble.values`."""
+        """The histories indexed by path, shape (paths, steps+1, n_nodes)."""
         return LeafHistories(self.levels)
 
-    def expectation_field(self, k: int) -> np.ndarray:
-        return self.levels[k].mean(axis=0)
-
     def nodal_moment(self, left=None, right=None) -> np.ndarray:
-        """E[(L y(t_k))_i (R y(t_k))_i], shape (steps+1, n); None is the identity."""
-        return np.stack([_weighted_moment(np.full(len(y), 2.0 ** -k), y,
-                                          left, right)
-                         for k, y in enumerate(self.levels)])
+        """E[(L y(t_k))_i (R y(t_k))_i], shape (steps+1, n), summed over the
+        weighted rows of each level; a sparse operator None is the identity."""
+        def moment(weights, y):  # frees its (r_k, n) temporaries per level
+            ly = y if left is None else (left @ y.T).T
+            ry = ly if right is left else y if right is None else (right @ y.T).T
+            return np.einsum("p,pi,pi->i", weights, ly, ry)
+        return np.stack([moment(w, y) for w, y in zip(self.weights, self.levels)])
 
 
 class LeafHistories:
-    """History levels read by leaf, shape (2^d, d+1, n): leaf l at time node k
-    is node l >> (d - k) of level k.  Indexing builds the array; assigning
-    writes it back into the levels, so leaves sharing a node must agree."""
+    """Levels read by path, shape (n_paths, d+1, n), n_paths = r_d: path l at
+    time node k is row l // (n_paths // r_k) of level k (on a tree, node
+    l >> (d - k)).  Indexing builds the array; assigning writes it back into
+    the levels, so paths sharing a row must agree."""
 
     def __init__(self, levels: list):
         self.levels = levels
 
     def __array__(self, dtype=None, copy=None):
-        d = len(self.levels) - 1
-        return np.stack([np.repeat(y, 2 ** (d - k), axis=0)
-                         for k, y in enumerate(self.levels)], axis=1)
+        n_paths = len(self.levels[-1])
+        return np.stack([np.repeat(y, n_paths // len(y), axis=0)
+                         for y in self.levels], axis=1)
 
     def __getitem__(self, key):
         return np.asarray(self)[key]
 
     def __setitem__(self, key, value):
-        leaves = np.asarray(self)
-        leaves[key] = value
-        d = len(self.levels) - 1
-        nodes = [leaves[::2 ** (d - k), k] for k in range(d + 1)]
-        if not np.array_equal(np.asarray(LeafHistories(nodes)), leaves):
-            raise ShapeError("leaves that share a history node must agree")
-        for y, node in zip(self.levels, nodes):
-            y[...] = node
+        paths = np.asarray(self)
+        paths[key] = value
+        rows = [paths[::len(paths) // len(y), k]
+                for k, y in enumerate(self.levels)]
+        if not np.array_equal(np.asarray(LeafHistories(rows)), paths):
+            raise ShapeError("paths that share a history node must agree")
+        for y, row in zip(self.levels, rows):
+            y[...] = row
 
 
 @dataclass
-class SecondMomentEnsemble:
-    """Exact expectation surrogate: first and second moments per time node.
-
-    Valid for deterministic coefficients; reproduces Bernoulli-tree
-    expectations of linear and quadratic functionals exactly at any depth.
-    second_moments[k] is a factor Z_k of shape (r_k, n) with
-    E[y(t_k) y(t_k)^T] = Z_k^T Z_k.
-    """
+class SecondMomentEnsemble(Ensemble):
+    """Exact expectation surrogate for deterministic coefficients: levels[k]
+    is a factor Z_k with E[y(t_k) y(t_k)^T] = Z_k^T Z_k and unit weights, and
+    means[k] = E[y(t_k)]; it reproduces Bernoulli-tree expectations of linear
+    and quadratic functionals at any depth.  Its rows are not paths."""
 
     means: list = field(repr=False)
-    second_moments: list = field(repr=False)
-    mesh: TimeMesh
-    grid: SpatialGrid
-    provenance: dict
 
-    def expectation_field(self, k: int) -> np.ndarray:
-        return self.means[k]
-
-    def nodal_moment(self, left=None, right=None) -> np.ndarray:
-        """E[(L y(t_k))_i (R y(t_k))_i], shape (steps+1, n); None is the identity."""
-        return np.stack([_weighted_moment(np.ones(len(z)), z, left, right)
-                         for z in self.second_moments])
-
-
-def _weighted_moment(weights: np.ndarray, y: np.ndarray, left, right) -> np.ndarray:
-    """sum_p weights_p (L y_p)_i (R y_p)_i over the rows y_p of `y`; a sparse
-    operator None is the identity."""
-    ly = y if left is None else (left @ y.T).T
-    ry = ly if right is left else y if right is None else (right @ y.T).T
-    return np.einsum("p,pi,pi->i", weights, ly, ry)
+    @property
+    def second_moments(self) -> list:
+        return self.levels
 
 
 def tree_moves(dt: float) -> np.ndarray:
@@ -301,41 +262,31 @@ def tree_step_adjoint(z_next: np.ndarray, down: np.ndarray, up: np.ndarray,
     return 0.5 * (down * solved[0::2] + up * solved[1::2]), solved
 
 
-def _sampled_increments(noise, mesh: TimeMesh) -> np.ndarray:
-    if not isinstance(noise, PathEnsemble):
-        raise ConfigurationError(f"unsupported noise source {type(noise).__name__}")
-    if noise.increments.shape[1] != mesh.steps:
-        raise ConfigurationError("noise source and time mesh disagree on step count")
-    return noise.increments
-
-
 def solve_forward(y0: np.ndarray, coeffs: CoefficientField, noise,
-                  mesh: TimeMesh, grid: SpatialGrid):
-    """Iterate the scheme: a `BernoulliTree` gives a `TreeEnsemble`, sampled
-    paths a `TrajectoryEnsemble`."""
+                  mesh: TimeMesh, grid: SpatialGrid) -> Ensemble:
+    """Iterate the scheme: a `BernoulliTree` gives its history levels
+    (`tree_levels`), sampled paths one row per path at every time node."""
     y0 = np.asarray(y0, dtype=float)
+    tree = isinstance(noise, BernoulliTree)
+    if not tree and not isinstance(noise, PathEnsemble):
+        raise ConfigurationError(f"unsupported noise source {type(noise).__name__}")
+    inc = np.repeat(tree_moves(mesh.dt)[:, None], noise.depth, axis=1) \
+        if tree else noise.increments
+    if inc.shape[1] != mesh.steps:
+        raise ConfigurationError("noise source and time mesh disagree on step count")
+    if tree:
+        levels = tree_levels(y0, coeffs, mesh, grid)
+        weights = [np.full(2 ** k, 2.0 ** -k) for k in range(mesh.steps + 1)]
+    else:
+        solver = implicit_solver(grid, mesh.dt)
+        levels = [np.tile(y0, (len(inc), 1))]
+        for k in range(mesh.steps):
+            levels.append(solver.solve(
+                levels[-1] * step_factors(coeffs, k, mesh.dt, inc[:, k])))
+        weights = [noise.weights] * (mesh.steps + 1)
     prov = {"scheme": "implicit-diffusion euler-maruyama", "dt": mesh.dt,
-            "h": tuple(grid.h)}
-    if isinstance(noise, BernoulliTree):
-        if noise.depth != mesh.steps:
-            raise ConfigurationError("noise source and time mesh disagree on step count")
-        inc = np.repeat(tree_moves(mesh.dt)[:, None], mesh.steps, axis=1)
-        return TreeEnsemble(levels=tree_levels(y0, coeffs, mesh, grid),
-                            increments=inc, mesh=mesh, grid=grid,
-                            provenance={**prov, "mode": "tree"})
-    solver = implicit_solver(grid, mesh.dt)
-    inc = _sampled_increments(noise, mesh)
-    n_paths = inc.shape[0]
-    values = np.empty((n_paths, mesh.steps + 1, grid.n_nodes))
-    values[:, 0, :] = y0
-    y = np.broadcast_to(y0, (n_paths, grid.n_nodes)).copy()
-    for k in range(mesh.steps):
-        db = inc[:, k][:, None]
-        y = solver.solve(y + mesh.dt * coeffs.a[k] * y + coeffs.b[k] * y * db)
-        values[:, k + 1, :] = y
-    return TrajectoryEnsemble(values=values, weights=noise.weights, increments=inc,
-                              mesh=mesh, grid=grid,
-                              provenance={**prov, "mode": "sampled"})
+            "h": tuple(grid.h), "mode": "tree" if tree else "sampled"}
+    return Ensemble(levels, weights, inc, mesh, grid, prov)
 
 
 def solve_forward_moments(y0: np.ndarray, coeffs: CoefficientField,
@@ -369,35 +320,38 @@ def solve_forward_moments(y0: np.ndarray, coeffs: CoefficientField,
     prov = {"scheme": "second-moment recursion", "dt": dt, "h": tuple(grid.h),
             "mode": "exact", "rank": [len(z) for z in factors],
             "discarded_tail": tails}
-    return SecondMomentEnsemble(means=means, second_moments=factors,
-                                mesh=mesh, grid=grid, provenance=prov)
+    return SecondMomentEnsemble(
+        levels=factors, weights=[np.ones(len(z)) for z in factors],
+        increments=np.repeat(tree_moves(dt)[:, None], mesh.steps, axis=1),
+        mesh=mesh, grid=grid, provenance=prov, means=means)
 
 
-def exp_transform_oracle(ensemble: TrajectoryEnsemble, b_const: float, a,
-                         mesh: TimeMesh, grid: SpatialGrid) -> dict:
+def exp_transform_oracle(ensemble: Ensemble, b_const: float, a) -> dict:
     """Cross-check pathwise SPDE solutions against the exponential transform.
 
     For constant noise intensity b, z(t) = exp(-b B(t)) y(t) solves the
     deterministic equation z_t - Lap z = (a - b^2/2) z pathwise (Ito
     correction of the exponential), so y is recovered as exp(b B(t)) z with z
     independent of the path.  Returns the max-over-time relative L2 gap per
-    path.
+    path of a sampled ensemble.
     """
     if np.ndim(b_const) != 0:
         raise ConfigurationError("the transform oracle needs constant b")
+    mesh, grid = ensemble.mesh, ensemble.grid
+    values = np.asarray(ensemble.values)
     solver = implicit_solver(grid, mesh.dt)
-    z = ensemble.values[0, 0, :].copy()
+    z = values[0, 0, :].copy()
     z_path = [z.copy()]
     pot = np.asarray(a, dtype=float) - 0.5 * float(b_const) ** 2
     for _ in range(mesh.steps):
         z = solver.solve(z + mesh.dt * pot * z)
         z_path.append(z.copy())
     z_path = np.asarray(z_path)
-    bm = np.concatenate([np.zeros((ensemble.n_paths, 1)),
+    bm = np.concatenate([np.zeros((len(values), 1)),
                          np.cumsum(ensemble.increments, axis=1)], axis=1)
     recon = np.exp(float(b_const) * bm)[:, :, None] * z_path[None, :, :]
-    diff = grid.l2_norm(recon - ensemble.values)
-    scale = np.maximum(grid.l2_norm(ensemble.values), 1e-300)
+    diff = grid.l2_norm(recon - values)
+    scale = np.maximum(grid.l2_norm(values), 1e-300)
     gaps = np.max(diff / scale, axis=1)
     return {"per_path_gap": gaps, "max_gap": float(np.max(gaps)),
             "mean_gap": float(np.mean(gaps))}

@@ -228,19 +228,18 @@ def quantitative_ucp_check(ens, ball: Ball, constants: UcpConstants,
             "pass": bool(lhs <= rhs * (1.0 + tol)), "note": note}
 
 
-def propagate_vanishing(ens, seed_ball: Ball, target_ball: Ball,
-                        threshold: float = VANISHING_REL) -> dict:
+def propagate_vanishing(ens, seed_ball: Ball, target_ball: Ball) -> dict:
     """Walk a ball chain checking whether terminal-time vanishing propagates.
 
     Vanishing on a ball means its weighted mass at the final time is below
-    `threshold` times the global mass; each chain link then asks whether the
+    VANISHING_REL times the global mass; each chain link then asks whether the
     bridge ball (compactly inside both neighbours) inherits it.
     """
     grid = ens.grid
     chain = ball_chain(seed_ball, target_ball, grid)
     terminal = grid.quad_weight * ens.nodal_moment()[-1]
     global_mass = terminal.sum()
-    floor = threshold * max(global_mass, 1e-300)
+    floor = VANISHING_REL * max(global_mass, 1e-300)
 
     def rel_mass(ball):
         return terminal @ grid.ball_mask(ball).astype(float)
@@ -265,6 +264,6 @@ def propagate_vanishing(ens, seed_ball: Ball, target_ball: Ball,
     target_mass = rel_mass(target_ball)
     verdict = propagated and target_mass <= floor
     return {"steps": steps, "global_mass": float(global_mass),
-            "target_mass": float(target_mass), "threshold": threshold,
+            "target_mass": float(target_mass), "threshold": VANISHING_REL,
             "verdict": bool(verdict),
             "failed_at": None if propagated else steps[-1]["index"]}

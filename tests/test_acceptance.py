@@ -338,8 +338,7 @@ def test_criterion_12_exponential_transform_refinement():
         from stochheat import sample_ensemble
         ens = solve_forward(np.sin(np.pi * x), coeffs,
                             sample_ensemble(mesh, 32, 42), mesh, grid)
-        gaps[steps] = exp_transform_oracle(ens, 0.5, 0.2, mesh,
-                                           grid)["max_gap"]
+        gaps[steps] = exp_transform_oracle(ens, 0.5, 0.2)["max_gap"]
     s1 = math.log(gaps[8] / gaps[16], 2)
     s2 = math.log(gaps[16] / gaps[32], 2)
     _line(12, f"exponential-transform refinement (slopes {s1:.2f}, {s2:.2f})",

@@ -338,6 +338,20 @@ def test_one_gramian_per_run_control(monkeypatch):
     assert len(calls) == 1
 
 
+def test_one_eigendecomposition_per_run_control(monkeypatch):
+    # both syntheses read the spectrum of the run's one Gramian
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    cli.run_control(cli.Experiment(cfgmod.merge_config(SMALL_CONTROL)))
+    assert len(calls) == 1
+
+
 def test_approx_control_verifies_each_sweep_row_by_one_backward_solve(
         lab, monkeypatch):
     # one free solve, then one tree solve per curve row: the control of a

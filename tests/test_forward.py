@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from stochheat import (Ball, CoefficientField, ConfigurationError,
                        PathEnsemble, TimeMesh, build_cutoff, build_grid,
                        build_tree, energy_trace, exp_transform_oracle,
-                       solve_forward, solve_forward_moments)
+                       sample_ensemble, solve_forward, solve_forward_moments)
 from stochheat.errors import ShapeError
 from stochheat.forward import (ImplicitHeatSolver, local_mass_trace,
-                               step_invertibility_report)
+                               step_factors, step_invertibility_report)
 
 
 def _silent_noise(mesh, n_paths=1):
@@ -88,25 +88,54 @@ def test_tree_forward_per_leaf_brute_force(grid):
                                atol=1e-14)
 
 
-def test_tree_leaf_view_reads_and_writes_levels(grid):
-    # values[l, k] is node l >> (d - k) of level k; a write that keeps the
-    # leaves of each node equal lands in the levels, any other is refused
+@pytest.mark.parametrize("mode", ["tree", "sampled"])
+def test_tree_leaf_view_reads_and_writes_levels(grid, mode):
+    # values[l, k] is node l >> (d - k) of tree level k and row l of a
+    # sampled level; a write that keeps the paths of each row equal lands in
+    # the levels, any other is refused, so a single-path write lands only on
+    # sampled noise
     mesh = TimeMesh(horizon=0.4, steps=4)
     y0 = np.sin(np.pi * grid.coords[:, 0])
+    noise = build_tree(mesh) if mode == "tree" \
+        else sample_ensemble(mesh, 2 ** mesh.steps, 7)
     ens = solve_forward(y0, CoefficientField.constant(grid, mesh, 0.5, 0.8),
-                        build_tree(mesh), mesh, grid)
+                        noise, mesh, grid)
     leaves = np.asarray(ens.values)
     assert leaves.shape == (2 ** mesh.steps, mesh.steps + 1, grid.n_nodes)
     for leaf in range(2 ** mesh.steps):
         for k in range(mesh.steps + 1):
-            assert np.array_equal(leaves[leaf, k],
-                                  ens.levels[k][leaf >> (mesh.steps - k)])
+            row = leaf >> (mesh.steps - k) if mode == "tree" else leaf
+            assert np.array_equal(leaves[leaf, k], ens.levels[k][row])
     level2 = ens.levels[2].copy()
     ens.values[:, 2, :] *= 3.0
     assert np.array_equal(ens.levels[2], 3.0 * level2)
-    with pytest.raises(ShapeError):
+    if mode == "tree":
+        with pytest.raises(ShapeError):
+            ens.values[0, 2, :] = 0.0
+        assert np.array_equal(ens.levels[2], 3.0 * level2)
+    else:
         ens.values[0, 2, :] = 0.0
-    assert np.array_equal(ens.levels[2], 3.0 * level2)
+        assert not ens.levels[2][0].any()
+        assert np.array_equal(ens.levels[2][1:], 3.0 * level2[1:])
+
+
+def test_sampled_levels_apply_the_step_factors(grid):
+    # the sampled solve is the scheme of `step_factors`, bit for bit: the
+    # factors the invertibility audit reads are the ones it applies
+    mesh = TimeMesh(horizon=0.4, steps=6)
+    rng = np.random.Generator(np.random.Philox(key=[5, 9]))
+    shape = (mesh.steps, grid.n_nodes)
+    coeffs = CoefficientField(grid, mesh, a=rng.uniform(-1.0, 1.0, shape),
+                              b=rng.uniform(-1.0, 1.0, shape))
+    noise = sample_ensemble(mesh, 8, 3)
+    ens = solve_forward(rng.standard_normal(grid.n_nodes), coeffs, noise,
+                        mesh, grid)
+    solver = ImplicitHeatSolver(grid, mesh.dt)
+    paths = np.asarray(ens.values)
+    for k in range(mesh.steps):
+        step = solver.solve(paths[:, k] * step_factors(
+            coeffs, k, mesh.dt, noise.increments[:, k]))
+        assert np.array_equal(paths[:, k + 1], step)
 
 
 def test_moment_propagator_matches_tree_exactly(grid):
@@ -126,7 +155,7 @@ def test_moment_propagator_matches_tree_exactly(grid):
         a = y_sq_tree[k] @ d
         b = y_sq_mom[k] @ d
         assert abs(a - b) <= 1e-12 * max(abs(a), 1.0)
-        assert np.allclose(ens.expectation_field(k), mom.expectation_field(k),
+        assert np.allclose(ens.levels[k].mean(axis=0), mom.means[k],
                            atol=1e-13)
     # whole nodal fields, including the localized gradient and the static
     # cutoff source -Lap(phi) - 2 grad(phi).grad
@@ -207,7 +236,7 @@ def test_exp_transform_exact_when_b_zero(grid):
     x = grid.coords[:, 0]
     ens = solve_forward(np.sin(np.pi * x), coeffs, _silent_noise(mesh, 3),
                         mesh, grid)
-    gap = exp_transform_oracle(ens, 0.0, 0.25, mesh, grid)
+    gap = exp_transform_oracle(ens, 0.0, 0.25)
     assert gap["max_gap"] < 1e-12
 
 
@@ -223,7 +252,7 @@ def test_exp_transform_gap_shrinks_with_dt():
         ens = solve_forward(np.sin(np.pi * x), coeffs,
                             PathEnsemble(mesh=mesh, seed=42, increments=inc),
                             mesh, grid)
-        gaps.append(exp_transform_oracle(ens, 0.5, 0.2, mesh, grid)["max_gap"])
+        gaps.append(exp_transform_oracle(ens, 0.5, 0.2)["max_gap"])
     assert gaps[1] < gaps[0]
 
 
