@@ -10,8 +10,8 @@ from .errors import (ConfigurationError, DomainError, GeometryError,
                      NumericalError, ResourceError, ShapeError, StochHeatError)
 from .geometry import (Ball, CutoffFunction, HeatKernelWeight, SpatialGrid,
                        ball_chain, build_cutoff, build_grid)
-from .noise import BernoulliTree, PathEnsemble, TimeMesh, build_tree, \
-    conditional_expectation, path_increments, sample_ensemble
+from .noise import (BernoulliTree, PathEnsemble, TimeMesh, build_tree,
+                    path_increments, sample_ensemble)
 from .forward import (CoefficientField, Ensemble, SecondMomentEnsemble,
                       energy_trace, exp_transform_oracle, solve_forward,
                       solve_forward_moments)

@@ -344,7 +344,9 @@ def run_control(exp: Experiment):
     u = rng.standard_normal(n)
     v = rng.standard_normal(n)
     ctrl_u = ctl.dual_control(u, coeffs, g0, e1, mesh, grid, tree)
-    lam_u = ctl.gramian_apply(u, coeffs, g0, e1, mesh, grid, tree)
+    # the Gramian applied to u, from the dual flow of u solved once
+    lam_u = -ctl.solve_backward_tree(np.zeros((tree.n_leaves, n)), coeffs,
+                                     mesh, grid, tree, control=ctrl_u).z0
     pair = ctl.solve_backward_tree(z_term, coeffs, mesh, grid, tree, h=h_src,
                                    control=ctrl_u, mode="adjoint")
     dual_v = ctl.solve_dual_forward(v, coeffs, mesh, grid, tree)

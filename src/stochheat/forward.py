@@ -13,7 +13,9 @@ I - dt*Lap_h per (grid, dt).  Each solve returns one `Ensemble`: weighted
 rows per time node, which are sampled paths, tree history levels, or the
 thin factors Z of E[y y^T] = Z^T Z from the exact second-moment recursion.
 That recursion reproduces tree expectations of quadratic functionals at any
-depth without enumerating paths.
+depth without enumerating paths.  `energy_trace` reads the energy, or the
+mass on a node mask, per time node from any of them; `Ensemble.values`, a
+leaf view of the levels, is kept for the benchmark.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ __all__ = [
     "solve_forward_moments",
     "exp_transform_oracle",
     "energy_trace",
-    "local_mass_trace",
     "step_invertibility_report",
 ]
 
@@ -182,7 +183,8 @@ class LeafHistories:
     """Levels read by path, shape (n_paths, d+1, n), n_paths = r_d: path l at
     time node k is row l // (n_paths // r_k) of level k (on a tree, node
     l >> (d - k)).  Indexing builds the array; assigning writes it back into
-    the levels, so paths sharing a row must agree."""
+    the levels, so paths sharing a row must agree.  No solver reads it: it is
+    kept as the benchmark's reader and writer of ensembles."""
 
     def __init__(self, levels: list):
         self.levels = levels
@@ -337,8 +339,10 @@ def exp_transform_oracle(ensemble: Ensemble, b_const: float, a) -> dict:
     """
     if np.ndim(b_const) != 0:
         raise ConfigurationError("the transform oracle needs constant b")
+    if ensemble.provenance["mode"] != "sampled":
+        raise ConfigurationError("the transform oracle needs sampled paths")
     mesh, grid = ensemble.mesh, ensemble.grid
-    values = np.asarray(ensemble.values)
+    values = np.stack(ensemble.levels, axis=1)
     solver = implicit_solver(grid, mesh.dt)
     z = values[0, 0, :].copy()
     z_path = [z.copy()]
@@ -357,14 +361,12 @@ def exp_transform_oracle(ensemble: Ensemble, b_const: float, a) -> dict:
             "mean_gap": float(np.mean(gaps))}
 
 
-def energy_trace(ens) -> np.ndarray:
-    """E ||y(t_k)||^2_{L2(G)} over the time nodes (exact in tree/moment mode)."""
-    return ens.grid.quad_weight * ens.nodal_moment().sum(axis=1)
-
-
-def local_mass_trace(ens, mask: np.ndarray) -> np.ndarray:
-    """E of the squared mass restricted to a node mask, per time node."""
-    return ens.grid.quad_weight * (ens.nodal_moment() @ mask.astype(float))
+def energy_trace(ens, mask: np.ndarray | None = None) -> np.ndarray:
+    """E ||y(t_k)||^2_{L2(G)} over the time nodes, or with a node mask the
+    squared mass on the masked nodes (exact in tree/moment mode)."""
+    moment = ens.nodal_moment()
+    return ens.grid.quad_weight * (
+        moment.sum(axis=1) if mask is None else moment @ mask.astype(float))
 
 
 def step_invertibility_report(coeffs: CoefficientField, ensemble) -> dict:

@@ -3,8 +3,9 @@
 Sampled mode draws Gaussian increments with a counter-based generator keyed by
 (seed, path), so any single path is recomputable without materializing the
 ensemble.  Tree mode replaces the Brownian filtration by the full binary tree
-of +-sqrt(dt) increments with uniform leaf weights: the first two moments
-match and every expectation becomes an exact finite sum.
+of +-sqrt(dt) increments: the first two moments match and every expectation
+becomes an exact finite sum over the tree's history levels, which the solvers
+of `forward` and `control` build.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ResourceError, ShapeError
+from .errors import ConfigurationError, ResourceError
 
 __all__ = [
     "TimeMesh",
@@ -22,7 +23,6 @@ __all__ = [
     "sample_ensemble",
     "path_increments",
     "build_tree",
-    "conditional_expectation",
 ]
 
 DEFAULT_TREE_CAP = 16
@@ -84,11 +84,11 @@ def sample_ensemble(mesh: TimeMesh, n_paths: int, seed: int) -> PathEnsemble:
 
 @dataclass(frozen=True)
 class BernoulliTree:
-    """Full binary tree of +-sqrt(dt) increments, uniform leaf weights.
+    """Full binary tree of +-sqrt(dt) increments, one level per time step.
 
-    Leaf `l` takes at step k the sign of bit (depth-1-k) of l, so leaves
-    sharing a history prefix are contiguous; the history node at level k of
-    leaf l is l >> (depth - k).
+    History level k holds 2^k nodes of weight 2^-k; node h has the children
+    2h (down move) and 2h+1 (up move) of `forward.tree_moves`.  Terminal
+    data of the control solves has one row per leaf, `n_leaves` = 2^depth.
     """
 
     mesh: TimeMesh
@@ -101,45 +101,9 @@ class BernoulliTree:
     def n_leaves(self) -> int:
         return 2**self.depth
 
-    @property
-    def leaf_probability(self) -> float:
-        return 2.0 ** (-self.depth)
-
-    def step_signs(self, k: int) -> np.ndarray:
-        """Signs (+-1) of the level-k increment per leaf."""
-        leaves = np.arange(self.n_leaves)
-        return 2.0 * ((leaves >> (self.depth - 1 - k)) & 1) - 1.0
-
-    def leaf_increments(self) -> np.ndarray:
-        """Increment matrix of shape (2^depth, depth)."""
-        sq = np.sqrt(self.mesh.dt)
-        return sq * np.stack([self.step_signs(k) for k in range(self.depth)], axis=1)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.full(self.n_leaves, self.leaf_probability)
-
 
 def build_tree(mesh: TimeMesh, cap: int = DEFAULT_TREE_CAP) -> BernoulliTree:
     """Build the exact-filtration tree; depth beyond `cap` is refused."""
     if mesh.steps > cap:
         raise ResourceError(f"tree depth {mesh.steps} exceeds cap {cap}")
     return BernoulliTree(mesh=mesh)
-
-
-def conditional_expectation(tree: BernoulliTree, leaf_values: np.ndarray,
-                            level: int) -> np.ndarray:
-    """E[. | F_{t_level}] of leaf-indexed values, exact on the tree.
-
-    `leaf_values` has shape (2^depth, ...); the result has shape
-    (2^level, ...), one value per level-`level` history node.
-    """
-    leaf_values = np.asarray(leaf_values)
-    if leaf_values.shape[0] != tree.n_leaves:
-        raise ShapeError(
-            f"leaf axis has length {leaf_values.shape[0]}, expected {tree.n_leaves}")
-    if not 0 <= level <= tree.depth:
-        raise ShapeError(f"level {level} outside [0, {tree.depth}]")
-    n_nodes = 2**level
-    block = tree.n_leaves // n_nodes
-    return leaf_values.reshape((n_nodes, block) + leaf_values.shape[1:]).mean(axis=1)

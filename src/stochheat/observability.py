@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .forward import CoefficientField, energy_trace, local_mass_trace
+from .forward import CoefficientField, energy_trace
 from .geometry import Ball, SpatialGrid
 from .noise import TimeMesh
 from .ucp import UcpConstants, default_tolerance
@@ -237,11 +237,12 @@ def interpolation_split(energy: np.ndarray, local_energy: np.ndarray,
             "pass": bool(lhs <= rhs * (1.0 + tol) + tol)}
 
 
-def observation_mass(ens, ball: Ball, time_set: MeasurableTimeSet,
+def observation_mass(local: np.ndarray, mesh: TimeMesh,
+                     time_set: MeasurableTimeSet,
                      s: float | None = None, t: float | None = None) -> float:
-    """E int_{E cap (s,t)} int_{B} y^2 dx dtau by trapezoid over time cells."""
-    mesh = ens.mesh
-    local = local_mass_trace(ens, ens.grid.ball_mask(ball))
+    """E int_{E cap (s,t)} int_{B} y^2 dx dtau by trapezoid over time cells,
+    from the trace `local` of E int_B y^2 per time node
+    (`energy_trace(ens, mask)`)."""
     lo = 0.0 if s is None else s
     hi = mesh.horizon if t is None else t
     total = 0.0
@@ -280,6 +281,7 @@ def telescoping_check(ens, ball: Ball, time_set: MeasurableTimeSet,
     if tol is None:
         tol = default_tolerance(mesh, grid)
     energy = energy_trace(ens)
+    local = energy_trace(ens, grid.ball_mask(ball))
     c = constants.c_abt
     n = len(constants.alpha)
     gap_records = []
@@ -287,14 +289,14 @@ def telescoping_check(ens, ball: Ball, time_set: MeasurableTimeSet,
         t_hi, t_lo = seq.times[m], seq.times[m + 1]
         e_hi = energy[_nearest_node(mesh, t_hi)]
         e_lo = energy[_nearest_node(mesh, t_lo)]
-        obs = observation_mass(ens, ball, time_set, s=t_lo, t=t_hi)
+        obs = observation_mass(local, mesh, time_set, s=t_lo, t=t_hi)
         lhs = constants.alpha[m] * np.exp(-c) * e_hi
         with np.errstate(over="ignore"):
             rhs = 2.0 * np.exp(constants.theta) * obs + constants.sigma[m] * e_lo
         gap_records.append({"m": m + 1, "lhs": float(lhs), "rhs": float(rhs),
                             "observation": float(obs),
                             "pass": bool(lhs <= rhs * (1.0 + tol) + tol)})
-    obs_full = observation_mass(ens, ball, time_set)
+    obs_full = observation_mass(local, mesh, time_set)
     e_t1 = energy[_nearest_node(mesh, seq.times[0])]
     e_tail = energy[_nearest_node(mesh, seq.times[-1])]
     summed_lhs = constants.alpha[0] * np.exp(-c) * e_t1 \

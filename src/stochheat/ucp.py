@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .forward import CoefficientField, energy_trace, local_mass_trace
+from .forward import CoefficientField, energy_trace
 from .frequency import localized_fields
 from .geometry import (Ball, CutoffFunction, HeatKernelWeight, SpatialGrid,
                        ball_chain)
@@ -216,7 +216,7 @@ def quantitative_ucp_check(ens, ball: Ball, constants: UcpConstants,
     """
     energy = energy_trace(ens)
     lhs, e0 = energy[-1], energy[0]
-    local = local_mass_trace(ens, ens.grid.ball_mask(ball))[-1]
+    local = energy_trace(ens, ens.grid.ball_mask(ball))[-1]
     delta = constants.delta
     rhs = 2.0 ** delta * np.exp(constants.beta) * e0 ** (1.0 - delta) \
         * local ** delta

@@ -23,6 +23,7 @@ from stochheat import (Ball, CoefficientField, HeatKernelWeight,
                        telescoping_check, three_ball_check)
 from stochheat import control as ctl
 from stochheat.cli import main as cli_main
+from stochheat.forward import tree_moves
 from stochheat.frequency import hprime_identity_residual
 from stochheat.observability import build_constants
 from stochheat.ucp import amplitude_profile, default_tolerance
@@ -265,7 +266,9 @@ def test_criterion_09_duality():
         mesh = TimeMesh(horizon=0.5, steps=steps)
         tree = build_tree(mesh)
         coeffs = CoefficientField.constant(grid, mesh, 0.3, 0.4)
-        b_t = tree.leaf_increments().sum(axis=1)
+        b_t = np.zeros(1)  # B(T) per leaf, built level by level
+        for _ in range(tree.depth):
+            b_t = (b_t[:, None] + tree_moves(mesh.dt)).reshape(-1)
         z_t = (c[0] * np.sin(np.pi * x)
                + 0.3 * c[1] * np.sin(2 * np.pi * x))[None, :] \
             * (1.0 + 0.5 * np.tanh(c[2] * b_t))[:, None]

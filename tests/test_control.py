@@ -338,6 +338,25 @@ def test_one_gramian_per_run_control(monkeypatch):
     assert len(calls) == 1
 
 
+def test_one_dual_flow_per_datum_in_run_control(monkeypatch):
+    # one dual flow each for u (its control and its Gramian apply), the
+    # duality datum v, the Gramian apply of v and the null control's
+    # verification, and one per regularization sweep row
+    calls = []
+    dual = control.solve_dual_forward
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return dual(*args, **kwargs)
+
+    monkeypatch.setattr(control, "solve_dual_forward", counting)
+    checks, _, _ = cli.run_control(
+        cli.Experiment(cfgmod.merge_config(SMALL_CONTROL)))
+    rows = next(c for c in checks
+                if c["name"] == "regularization_curve_monotone")["curve"]
+    assert len(calls) == 4 + len(rows) == 17
+
+
 def test_one_eigendecomposition_per_run_control(monkeypatch):
     # both syntheses read the spectrum of the run's one Gramian
     calls = []

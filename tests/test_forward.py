@@ -11,8 +11,8 @@ from stochheat import (Ball, CoefficientField, ConfigurationError,
                        build_tree, energy_trace, exp_transform_oracle,
                        sample_ensemble, solve_forward, solve_forward_moments)
 from stochheat.errors import ShapeError
-from stochheat.forward import (ImplicitHeatSolver, local_mass_trace,
-                               step_factors, step_invertibility_report)
+from stochheat.forward import (ImplicitHeatSolver, step_factors,
+                               step_invertibility_report)
 
 
 def _silent_noise(mesh, n_paths=1):
@@ -240,6 +240,17 @@ def test_exp_transform_exact_when_b_zero(grid):
     assert gap["max_gap"] < 1e-12
 
 
+@pytest.mark.parametrize("kind", ["tree", "moments"])
+def test_exp_transform_refuses_tree_and_moment_ensembles(grid, kind):
+    mesh = TimeMesh(horizon=0.4, steps=4)
+    coeffs = CoefficientField.constant(grid, mesh, 0.2, 0.5)
+    y0 = np.sin(np.pi * grid.coords[:, 0])
+    ens = solve_forward(y0, coeffs, build_tree(mesh), mesh, grid) \
+        if kind == "tree" else solve_forward_moments(y0, coeffs, mesh, grid)
+    with pytest.raises(ConfigurationError, match="sampled paths"):
+        exp_transform_oracle(ens, 0.5, 0.2)
+
+
 def test_exp_transform_gap_shrinks_with_dt():
     grid = build_grid([(0.0, 1.0)], (31,))
     x = grid.coords[:, 0]
@@ -279,7 +290,7 @@ def test_step_invertibility_keeps_the_sign(grid):
 
 def test_local_mass_bounded_by_energy(tree_ensemble, grid):
     mask = grid.ball_mask(__import__("stochheat").Ball((0.5,), 0.2))
-    local = local_mass_trace(tree_ensemble, mask)
+    local = energy_trace(tree_ensemble, mask)
     total = energy_trace(tree_ensemble)
     assert np.all(local <= total + 1e-15)
     assert np.all(local >= 0.0)

@@ -1,13 +1,11 @@
-"""Bernoulli trees, Monte Carlo ensembles, and conditional expectations."""
+"""Time meshes, Bernoulli trees and Monte Carlo ensembles."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from stochheat import (ConfigurationError, ResourceError, TimeMesh,
-                       build_tree, conditional_expectation, path_increments,
-                       sample_ensemble)
+                       build_tree, path_increments, sample_ensemble)
+from stochheat.forward import tree_moves
 
 
 def test_mesh_basics():
@@ -21,60 +19,27 @@ def test_mesh_basics():
 
 
 def test_tree_increment_moments_exact():
+    # B(t_k) per history node of level k, node h having the children 2h
+    # (down) and 2h+1 (up): E B(t_k) = 0 and E B(t_j) B(t_k) = t_min(j,k)
+    # under the weights 2^-k, to rounding
     mesh = TimeMesh(horizon=0.5, steps=6)
     tree = build_tree(mesh)
-    inc = tree.leaf_increments()
-    w = tree.weights
-    assert inc.shape == (64, 6)
-    assert w.sum() == 1.0
-    # E dB_k = 0 and E dB_j dB_k = dt * delta_jk, to rounding
-    assert np.max(np.abs(w @ inc)) < 1e-15
-    cov = (inc * w[:, None]).T @ inc
-    assert np.allclose(cov, mesh.dt * np.eye(6), atol=1e-15)
-
-
-def test_tree_leaf_histories_are_prefix_contiguous():
-    mesh = TimeMesh(horizon=0.5, steps=3)
-    tree = build_tree(mesh)
-    signs = np.stack([tree.step_signs(k) for k in range(3)], axis=1)
-    # leaf index read in binary (MSB first) encodes the sign history
-    for leaf in range(8):
-        bits = [(leaf >> (2 - k)) & 1 for k in range(3)]
-        assert np.array_equal(signs[leaf], 2.0 * np.array(bits) - 1.0)
+    levels = [np.zeros(1)]
+    for _ in range(tree.depth):
+        levels.append((levels[-1][:, None] + tree_moves(mesh.dt)).reshape(-1))
+    assert len(levels[-1]) == tree.n_leaves == 64
+    for k, b_k in enumerate(levels):
+        w = np.full(2 ** k, 2.0 ** -k)
+        assert w.sum() == 1.0
+        assert abs(w @ b_k) < 1e-15
+        for j in range(k + 1):
+            b_j = levels[j][np.arange(2 ** k) >> (k - j)]
+            assert abs(w @ (b_j * b_k) - mesh.times[j]) < 1e-15
 
 
 def test_tree_depth_cap():
     with pytest.raises(ResourceError):
         build_tree(TimeMesh(horizon=1.0, steps=20), cap=16)
-
-
-@settings(max_examples=25, deadline=None)
-@given(depth=st.integers(1, 8), level=st.integers(0, 8), seed=st.integers(0, 99))
-def test_conditional_expectation_tower_property(depth, level, seed):
-    level = min(level, depth)
-    tree = build_tree(TimeMesh(horizon=1.0, steps=depth))
-    rng = np.random.Generator(np.random.Philox(key=[seed, 1]))
-    leaf_vals = rng.standard_normal(tree.n_leaves)
-    cond = conditional_expectation(tree, leaf_vals, level)
-    assert cond.shape[0] == 2 ** level
-    # tower: averaging the conditional values reproduces the mean
-    assert np.isclose(np.mean(cond), np.mean(leaf_vals), rtol=1e-12)
-    # projection: conditioning twice at the same level is idempotent via
-    # re-expansion to the leaves
-    expanded = np.repeat(cond, 2 ** (depth - level), axis=0)
-    again = conditional_expectation(tree, expanded, level)
-    assert np.allclose(again, cond, rtol=1e-12)
-
-
-def test_conditional_expectation_brute_force():
-    tree = build_tree(TimeMesh(horizon=1.0, steps=4))
-    rng = np.random.Generator(np.random.Philox(key=[7, 2]))
-    vals = rng.standard_normal((16, 3))
-    level = 2
-    cond = conditional_expectation(tree, vals, level)
-    for node in range(4):
-        block = vals[node * 4:(node + 1) * 4]
-        assert np.allclose(cond[node], block.mean(axis=0), rtol=1e-14)
 
 
 def test_path_increments_reproducible_and_independent_of_ensemble():

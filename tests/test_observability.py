@@ -9,8 +9,9 @@ from stochheat import (Ball, CoefficientField, MeasurableTimeSet, TimeMesh,
                        build_grid, build_tree, compute_constants,
                        density_sequence, energy_estimate_check, energy_trace,
                        epsilon_sequence, solve_forward, telescoping_check)
+from stochheat import cli, forward
+from stochheat import config as cfgmod
 from stochheat.errors import ConfigurationError
-from stochheat.forward import local_mass_trace
 from stochheat.observability import (build_constants, growth_rate,
                                      interpolation_split, observation_mass)
 from stochheat.ucp import default_tolerance
@@ -130,7 +131,7 @@ def test_interpolation_split(setup, time_set):
     grid, mesh, coeffs, ens = setup
     oc = _obs_constants(setup, time_set)
     energy = energy_trace(ens)
-    local = local_mass_trace(ens, grid.ball_mask(Ball((0.5,), 0.08)))
+    local = energy_trace(ens, grid.ball_mask(Ball((0.5,), 0.08)))
     rep = interpolation_split(energy, local, oc, eps=0.5, k=mesh.steps,
                               tol=default_tolerance(mesh, grid))
     assert rep["pass"]
@@ -141,7 +142,8 @@ def test_interpolation_split(setup, time_set):
 def test_observation_mass_manual_oracle(setup, time_set):
     grid, mesh, _, ens = setup
     ball = Ball((0.5,), 0.08)
-    total = observation_mass(ens, ball, time_set)
+    traced = energy_trace(ens, grid.ball_mask(ball))
+    total = observation_mass(traced, mesh, time_set)
     # manual trapezoid over the same cells, of the explicit sums over the
     # history nodes of each level, each of probability 2^-k
     d = grid.ball_mask(ball).astype(float)
@@ -155,7 +157,7 @@ def test_observation_mass_manual_oracle(setup, time_set):
         manual += ov * 0.5 * (local[k] + local[k + 1])
     assert np.isclose(total, manual, rtol=1e-14)
     # restricting the window can only reduce the mass
-    part = observation_mass(ens, ball, time_set, s=0.3, t=0.45)
+    part = observation_mass(traced, mesh, time_set, s=0.3, t=0.45)
     assert 0.0 < part <= total + 1e-15
 
 
@@ -200,3 +202,19 @@ def test_energy_estimate_with_an_overflowing_bound(setup):
     rep = energy_estimate_check(decayed, strong)
     assert np.isfinite(rep["worst_relative_excess"])
     assert rep["pass"]
+
+
+def test_observe_reads_each_trace_once(monkeypatch):
+    # run_observe reads the energy trace, the telescoping check one energy
+    # and one local trace, and the growth estimate the energy trace
+    calls = []
+    moment = forward.Ensemble.nodal_moment
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return moment(self, *args, **kwargs)
+
+    exp = cli.Experiment(cfgmod.merge_config({}))
+    monkeypatch.setattr(forward.Ensemble, "nodal_moment", counting)
+    cli.run_observe(exp)
+    assert len(calls) == 4
