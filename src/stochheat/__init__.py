@@ -15,8 +15,9 @@ from .noise import (BernoulliTree, PathEnsemble, TimeMesh, build_tree,
 from .forward import (CoefficientField, Ensemble, SecondMomentEnsemble,
                       energy_trace, exp_transform_oracle, solve_forward,
                       solve_forward_moments)
-from .frequency import (FrequencyTrace, boundary_sign_audit, compute_hdn,
-                        frequency_bound_check, hprime_identity_residual)
+from .frequency import (FrequencyTrace, LocalizedFields, boundary_sign_audit,
+                        compute_hdn, frequency_bound_check,
+                        hprime_identity_residual, localized_fields)
 from .ucp import (UcpConstants, amplitude_profile, compute_constants,
                   propagate_vanishing, quantitative_ucp_check, select_lambda,
                   three_ball_check)

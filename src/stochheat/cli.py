@@ -15,6 +15,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 
@@ -27,8 +29,9 @@ from .errors import (ConfigurationError, DomainError, GeometryError,
 from .forward import (CoefficientField, energy_trace, exp_transform_oracle,
                       solve_forward, solve_forward_moments,
                       step_invertibility_report)
-from .frequency import (boundary_sign_audit, frequency_bound_check,
-                        hprime_identity_residual)
+from .frequency import (LocalizedFields, boundary_sign_audit,
+                        frequency_bound_check, hprime_identity_residual,
+                        localized_fields)
 from .geometry import (Ball, HeatKernelWeight, build_cutoff, build_grid,
                        kernel_caloric_residual)
 from .noise import TimeMesh, build_tree, sample_ensemble
@@ -109,14 +112,19 @@ class Experiment:
         _nonempty(Ball(self.x0, float(cfg["geometry.r1"])),
                   "geometry.x0/geometry.r1", self.grid)
         self.y0 = initial_field(self.grid, cfg["initial.kind"], self.x0)
-        self._ensemble = None
 
-    @property
+    @cached_property
     def ensemble(self):
-        if self._ensemble is None:
-            self._ensemble = solve_forward(self.y0, self.coeffs, self.noise,
-                                           self.mesh, self.grid)
-        return self._ensemble
+        return solve_forward(self.y0, self.coeffs, self.noise, self.mesh,
+                             self.grid)
+
+    @cached_property
+    def cutoff_fields(self) -> LocalizedFields:
+        """The ensemble's fields under the cutoff of B_r3(x0) inside
+        B_r4(x0), read by the drift bound and the lambda sweep."""
+        r3, r4 = (float(self.cfg[f"geometry.r{i}"]) for i in (3, 4))
+        cutoff = build_cutoff(Ball(self.x0, r3), Ball(self.x0, r4), self.grid)
+        return localized_fields(self.ensemble, cutoff, self.coeffs)
 
 
 def initial_field(grid, kind: str, x0) -> np.ndarray:
@@ -137,11 +145,6 @@ def _kernel_weight(exp: Experiment) -> HeatKernelWeight:
     return HeatKernelWeight(horizon=exp.mesh.horizon,
                             shift=float(exp.cfg["ucp.kernel_shift"]),
                             center=exp.x0, dim=exp.grid.dim)
-
-
-def _cutoff(exp: Experiment):
-    return build_cutoff(Ball(exp.x0, float(exp.cfg["geometry.r3"])),
-                        Ball(exp.x0, float(exp.cfg["geometry.r4"])), exp.grid)
 
 
 def run_simulate(exp: Experiment):
@@ -175,7 +178,7 @@ def run_frequency(exp: Experiment):
     checks.append(check_record("kernel_caloric_identity",
                                kernel["closed_form"] <= 1e-12,
                                lhs=kernel["closed_form"], rhs=1e-12))
-    cutoff = _cutoff(exp)
+    fields = exp.cutoff_fields
     tol_scale = float(exp.cfg["tol_scale"])
     # the derivative identity needs time resolution well below the kernel
     # shift; the exact second-moment recursion provides it at any depth
@@ -183,7 +186,8 @@ def run_frequency(exp: Experiment):
                          steps=max(400, exp.mesh.steps))
     fine_coeffs = _coefficients(exp.cfg, exp.grid, fine_mesh, exp.seed)
     fine_ens = solve_forward_moments(exp.y0, fine_coeffs, fine_mesh, exp.grid)
-    ident_global = hprime_identity_residual(fine_ens, weight, fine_coeffs)
+    ident_global = hprime_identity_residual(
+        localized_fields(fine_ens, None, fine_coeffs), weight)
     budget = ucpmod.default_tolerance(
         fine_mesh, exp.grid, tol_scale * max(1.0, ident_global["rhs_scale"]))
     checks.append(check_record("energy_derivative_identity",
@@ -192,19 +196,18 @@ def run_frequency(exp: Experiment):
                                max_residual=ident_global["max_residual"]))
     # the localized variant needs >= ~15 cells across the cutoff annulus;
     # at desk resolution it is reported, not asserted
-    ident_local = hprime_identity_residual(fine_ens, weight, fine_coeffs,
-                                           cutoff=cutoff)
+    ident_local = hprime_identity_residual(
+        localized_fields(fine_ens, fields.cutoff, fine_coeffs), weight)
     extras["localized_identity_residual"] = {
         "integrated": ident_local["integrated_residual"],
         "rhs_scale": ident_local["rhs_scale"],
         "note": "diagnostic: cutoff annulus spans few cells at this h"}
     budget = ucpmod.default_tolerance(exp.mesh, exp.grid, tol_scale)
-    bound = frequency_bound_check(exp.ensemble, weight, exp.coeffs,
-                                  cutoff=cutoff, slack=budget)
+    bound = frequency_bound_check(fields, weight, slack=budget)
     checks.append(check_record("frequency_drift_bound", bound["holds"],
                                lhs=bound["relative_violation"], rhs=budget))
-    convex = frequency_bound_check(exp.ensemble, weight, exp.coeffs,
-                                   convex=True, slack=budget)
+    convex = frequency_bound_check(
+        localized_fields(exp.ensemble, None, exp.coeffs), weight, slack=budget)
     checks.append(check_record("frequency_drift_bound_convex", convex["holds"],
                                lhs=convex["relative_violation"], rhs=budget))
     audit = boundary_sign_audit(weight, exp.grid,
@@ -240,19 +243,21 @@ def run_ucp(exp: Experiment):
                            "big_d": constants.big_d, "big_j": constants.big_j,
                            "variants": constants.variants}
     tol = ucpmod.default_tolerance(mesh, grid, float(exp.cfg["tol_scale"]))
-    qc = ucpmod.quantitative_ucp_check(ens, exp.obs_ball, constants, tol=tol)
+    local = energy_trace(ens, grid.ball_mask(exp.obs_ball))
+    qc = ucpmod.quantitative_ucp_check(energy, local, constants, tol=tol)
     checks.append(check_record("interpolation_inequality", qc["pass"],
                                lhs=qc["lhs"], rhs=qc["rhs"]))
     if qc["note"]:
         extras["branch_note"] = qc["note"]
-    cutoff = _cutoff(exp)
-    profile = ucpmod.amplitude_profile(ens, exp.coeffs, cutoff,
+    profile = ucpmod.amplitude_profile(exp.cutoff_fields,
                                        float(exp.cfg["ucp.epsilon"]))
     selection = ucpmod.select_lambda(profile["profile"],
                                      float(exp.cfg["geometry.r1"]), grid.dim)
     extras["lambda_selection"] = selection
+    terminal = ens.nodal_moment()[-1]
     if selection["qualifies"]:
-        tb = ucpmod.three_ball_check(ens, exp.x0, float(exp.cfg["geometry.r1"]),
+        tb = ucpmod.three_ball_check(terminal, grid, exp.x0,
+                                     float(exp.cfg["geometry.r1"]),
                                      float(exp.cfg["geometry.r2"]),
                                      selection["lambda1"], tol=tol)
         checks.append(check_record("three_ball_inequality", tb["pass"],
@@ -263,7 +268,7 @@ def run_ucp(exp: Experiment):
                                    excluded=True,
                                    note="no qualifying shift; profile reported"))
     try:
-        prop = ucpmod.propagate_vanishing(ens, exp.g0, exp.g0)
+        prop = ucpmod.propagate_vanishing(terminal, grid, exp.g0, exp.g0)
         extras["vanishing_propagation"] = {"verdict": prop["verdict"],
                                            "target_mass": prop["target_mass"],
                                            "global_mass": prop["global_mass"]}
@@ -292,7 +297,8 @@ def run_observe(exp: Experiment):
                                eps1=ob_const.eps1,
                                sigma_tail=float(ob_const.sigma[-1])))
     tol = ucpmod.default_tolerance(mesh, grid, float(exp.cfg["tol_scale"]))
-    tele = obs.telescoping_check(ens, exp.obs_ball, time_set, seq,
+    local = energy_trace(ens, grid.ball_mask(exp.obs_ball))
+    tele = obs.telescoping_check(energy, local, mesh, time_set, seq,
                                  ob_const, tol=tol)
     checks.append(check_record("per_gap_inequalities",
                                all(g["pass"] for g in tele["per_gap"])))
@@ -309,11 +315,11 @@ def run_observe(exp: Experiment):
                                tele["final"]["c_emp"] <= tele["final"]["c_explicit"],
                                lhs=tele["final"]["c_emp"],
                                rhs=tele["final"]["c_explicit"]))
-    energy = obs.energy_estimate_check(ens, exp.coeffs,
-                                       variant=str(exp.cfg["constants.variant"]),
-                                       tol=tol)
-    checks.append(check_record("energy_growth_estimate", energy["pass"],
-                               lhs=energy["worst_relative_excess"], rhs=tol))
+    growth = obs.energy_estimate_check(
+        energy, mesh, exp.coeffs, tol,
+        variant=str(exp.cfg["constants.variant"]))
+    checks.append(check_record("energy_growth_estimate", growth["pass"],
+                               lhs=growth["worst_relative_excess"], rhs=tol))
     tables = {"sequence": {
         "header": ["m", "t_m", "gap_measure", "eps_m", "alpha_m", "sigma_m"],
         "rows": [[m + 1, seq.times[m], seq.gap_measures[m], ob_const.eps[m],
@@ -344,12 +350,15 @@ def run_control(exp: Experiment):
     u = rng.standard_normal(n)
     v = rng.standard_normal(n)
     ctrl_u = ctl.dual_control(u, coeffs, g0, e1, mesh, grid, tree)
-    # the Gramian applied to u, from the dual flow of u solved once
-    lam_u = -ctl.solve_backward_tree(np.zeros((tree.n_leaves, n)), coeffs,
-                                     mesh, grid, tree, control=ctrl_u).z0
+    dual_v = ctl.solve_dual_forward(v, coeffs, mesh, grid, tree)
+
+    def gramian_of(ctrl):  # `gramian_apply` on a dual flow solved once
+        return -ctl.solve_backward_tree(np.zeros((tree.n_leaves, n)), coeffs,
+                                        mesh, grid, tree, control=ctrl).z0
+
+    lam_u = gramian_of(ctrl_u)
     pair = ctl.solve_backward_tree(z_term, coeffs, mesh, grid, tree, h=h_src,
                                    control=ctrl_u, mode="adjoint")
-    dual_v = ctl.solve_dual_forward(v, coeffs, mesh, grid, tree)
     dc = ctl.duality_check(dual_v, pair, h=h_src, control=ctrl_u)
     checks.append(check_record("duality_identity_adjoint",
                                dc["relative_residual"] <= MACHINE_TOL,
@@ -359,7 +368,7 @@ def run_control(exp: Experiment):
                                        mode="independent")
     dc_ind = ctl.duality_check(dual_v, pair_ind, h=h_src, control=ctrl_u)
     extras["duality_independent_residual"] = dc_ind["relative_residual"]
-    lam_v = ctl.gramian_apply(v, coeffs, g0, e1, mesh, grid, tree)
+    lam_v = gramian_of(replace(ctrl_u, levels=dual_v[:-1]))
     sym_gap = abs(float(v @ lam_u) - float(u @ lam_v)) \
         / max(abs(float(v @ lam_u)), 1e-300)
     checks.append(check_record("gramian_symmetry", sym_gap <= MACHINE_TOL,

@@ -155,6 +155,11 @@ def validate_config(cfg: dict) -> None:
                 f"grid.nodes must be whole numbers >= 3, got {nodes}")
     if cfg["noise.mode"] not in ("tree", "mc"):
         raise ConfigurationError("noise.mode must be 'tree' or 'mc'")
+    if cfg["coeff.kind"] not in ("constant", "random"):
+        raise ConfigurationError("coeff.kind must be 'constant' or 'random'")
+    for key in ("tol_scale", "control.accuracy"):
+        if cfg[key] <= 0:
+            raise ConfigurationError(f"{key} must be positive, got {cfg[key]}")
     for key in ("domain.extents", "time_set.e", "control.e1"):
         value = cfg[key]
         if not isinstance(value, tuple) or len(value) % 2 != 0 or not value:

@@ -96,8 +96,7 @@ class CoefficientField:
         self.mesh = mesh
         self.a = self._materialize(a)
         self.b = self._materialize(b)
-        self.b_grad = np.stack([grid.field_gradient(self.b[k])
-                                for k in range(mesh.steps)])
+        self.b_grad = grid.field_gradient(self.b)
         self.sup_a = float(np.max(np.abs(self.a)))
         grad_sup = float(np.max(np.abs(self.b_grad))) if self.b_grad.size else 0.0
         self.sup_b_w1inf = max(float(np.max(np.abs(self.b))), grad_sup)

@@ -9,11 +9,12 @@ plus the commutator source F = a*Phi + S y with the static part
 S = -Lap(phi) - 2 grad(phi).grad.  Each functional is a contraction
 sum_i K(t, x_i) f_i(t) of the kernel against a nodal field f built from
 second moments E[(L y)_i (R y)_i] of the ensemble (`nodal_moment`).  The
-fields do not depend on the kernel shift, so they are built once per
-ensemble, cutoff and coefficients, and the same code runs on a sampled
-ensemble, an exact Bernoulli tree, or the closed-form second-moment
-recursion, whose factors E[y y^T] = Z^T Z are contracted like unit-weight
-paths.
+fields do not depend on the kernel shift: `localized_fields` builds them
+once, and the derivative identity, the drift bound and the lambda sweep of
+`ucp` take them and contract them (`compute_hdn`); without a cutoff they
+are the global, convex-domain fields.  The same code runs on sampled
+paths, an exact Bernoulli tree, or the second-moment recursion, whose
+factors E[y y^T] = Z^T Z are contracted like unit-weight paths.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import scipy.sparse as sp
 from .errors import NumericalError
 from .forward import CoefficientField
 from .geometry import CutoffFunction, HeatKernelWeight, SpatialGrid
+from .noise import TimeMesh
 
 __all__ = [
     "LocalizedFields",
@@ -51,37 +53,32 @@ class FrequencyTrace:
 
 @dataclass
 class LocalizedFields:
-    """Kernel-free nodal integrands, each of shape (steps+1, n_nodes).
+    """Kernel-free nodal integrands of one ensemble, each of shape
+    (steps+1, n_nodes), with the cutoff (None: phi = 1) and the
+    coefficients they were built from.
 
     `h` = phi^2 E[y^2], `d` = sum_ax E[(d_ax Phi)^2]; `sources` holds
-    `phi_f` = E[Phi F], `b_sq` = b^2 phi^2 E[y^2] and `f_sq` = E[F^2], or
-    NaN fields when no coefficients were given.
+    `phi_f` = E[Phi F], `b_sq` = b^2 phi^2 E[y^2] and `f_sq` = E[F^2].
     """
 
     grid: SpatialGrid
-    times: np.ndarray
+    mesh: TimeMesh
+    cutoff: CutoffFunction | None
+    coeffs: CoefficientField
     h: np.ndarray
     d: np.ndarray
     sources: dict
-    support_mask: np.ndarray
 
-    def contract(self, weight: HeatKernelWeight) -> FrequencyTrace:
-        """H, D, N and the source integrals under the kernel weight."""
-        kw = np.stack([weight.values(t, self.grid.coords) for t in self.times]) \
-            * self.grid.quad_weight
-        h_arr, d_arr = (np.einsum("ki,ki->k", kw, f) for f in (self.h, self.d))
-        if np.any(h_arr < 0):
-            raise NumericalError("negative weighted energy; quadrature is broken")
-        aux = {name: np.einsum("ki,ki->k", kw, f)
-               for name, f in self.sources.items()}
-        aux["support_mask"] = self.support_mask
-        n_arr = 2.0 * d_arr / np.maximum(h_arr, H_FLOOR)
-        return FrequencyTrace(times=self.times.copy(), h=h_arr, d=d_arr,
-                              n=n_arr, aux=aux)
+    @property
+    def b_norm(self) -> float:
+        """W^{1,inf} norm of b over the cutoff support (global without one)."""
+        if self.cutoff is None:
+            return self.coeffs.sup_b_w1inf
+        return self.coeffs.sup_b_over(self.cutoff.values > 0.0)
 
 
-def localized_fields(ens, cutoff: CutoffFunction | None = None,
-                     coeffs: CoefficientField | None = None) -> LocalizedFields:
+def localized_fields(ens, cutoff: CutoffFunction | None,
+                     coeffs: CoefficientField) -> LocalizedFields:
     """Nodal second moments of Phi = phi*y, grad Phi and the source F.
 
     phi = 1 and S = 0 when `cutoff` is None.  The coefficients at time node
@@ -102,39 +99,42 @@ def localized_fields(ens, cutoff: CutoffFunction | None = None,
     y_sq = ens.nodal_moment()
     h = phi ** 2 * y_sq
     d = sum(ens.nodal_moment(g, g) for g in loc_grads)
-    if coeffs is None:
-        sources = {name: np.full_like(h, np.nan)
-                   for name in ("phi_f", "b_sq", "f_sq")}
+    steps = np.minimum(np.arange(mesh.steps + 1), mesh.steps - 1)
+    a_phi = coeffs.a[steps] * phi
+    b_phi_sq = (coeffs.b[steps] * phi) ** 2
+    if static is None:
+        y_src = src_sq = 0.0
     else:
-        steps = np.minimum(np.arange(mesh.steps + 1), mesh.steps - 1)
-        a_phi = coeffs.a[steps] * phi
-        b_phi_sq = (coeffs.b[steps] * phi) ** 2
-        if static is None:
-            y_src = src_sq = 0.0
-        else:
-            y_src = ens.nodal_moment(None, static)
-            src_sq = ens.nodal_moment(static, static)
-        sources = {"phi_f": a_phi * phi * y_sq + phi * y_src,
-                   "b_sq": b_phi_sq * y_sq,
-                   "f_sq": a_phi ** 2 * y_sq + 2.0 * a_phi * y_src + src_sq}
-    return LocalizedFields(grid=grid, times=mesh.times, h=h, d=d,
-                           sources=sources, support_mask=phi > 0.0)
+        y_src = ens.nodal_moment(None, static)
+        src_sq = ens.nodal_moment(static, static)
+    sources = {"phi_f": a_phi * phi * y_sq + phi * y_src,
+               "b_sq": b_phi_sq * y_sq,
+               "f_sq": a_phi ** 2 * y_sq + 2.0 * a_phi * y_src + src_sq}
+    return LocalizedFields(grid=grid, mesh=mesh, cutoff=cutoff, coeffs=coeffs,
+                           h=h, d=d, sources=sources)
 
 
-def compute_hdn(ens, weight: HeatKernelWeight,
-                cutoff: CutoffFunction | None = None,
-                coeffs: CoefficientField | None = None) -> FrequencyTrace:
-    """H, D, N traces plus the derivative-identity integrands.
+def compute_hdn(fields: LocalizedFields,
+                weight: HeatKernelWeight) -> FrequencyTrace:
+    """H, D, N and the source integrals of `fields` under the kernel weight.
 
     aux carries, per time node: `phi_f` = E int Phi F K, `b_sq` =
-    E int b^2 Phi^2 K, `f_sq` = E int F^2 K (NaN without `coeffs`).
+    E int b^2 Phi^2 K and `f_sq` = E int F^2 K.
     """
-    return localized_fields(ens, cutoff, coeffs).contract(weight)
+    times = fields.mesh.times
+    kw = np.stack([weight.values(t, fields.grid.coords) for t in times]) \
+        * fields.grid.quad_weight
+    h_arr, d_arr = (np.einsum("ki,ki->k", kw, f) for f in (fields.h, fields.d))
+    if np.any(h_arr < 0):
+        raise NumericalError("negative weighted energy; quadrature is broken")
+    aux = {name: np.einsum("ki,ki->k", kw, f)
+           for name, f in fields.sources.items()}
+    n_arr = 2.0 * d_arr / np.maximum(h_arr, H_FLOOR)
+    return FrequencyTrace(times=times, h=h_arr, d=d_arr, n=n_arr, aux=aux)
 
 
-def hprime_identity_residual(ens, weight: HeatKernelWeight,
-                             coeffs: CoefficientField,
-                             cutoff: CutoffFunction | None = None,
+def hprime_identity_residual(fields: LocalizedFields,
+                             weight: HeatKernelWeight,
                              rhs_eval: str = "midpoint") -> dict:
     """Residual of the energy-derivative identity
 
@@ -147,8 +147,8 @@ def hprime_identity_residual(ens, weight: HeatKernelWeight,
     """
     if rhs_eval not in ("midpoint", "left"):
         raise NumericalError(f"unknown rhs_eval '{rhs_eval}'")
-    tr = compute_hdn(ens, weight, cutoff=cutoff, coeffs=coeffs)
-    dt = ens.mesh.dt
+    tr = compute_hdn(fields, weight)
+    dt = fields.mesh.dt
     rhs = -2.0 * tr.d + 2.0 * tr.aux["phi_f"] + tr.aux["b_sq"]
     lhs = np.diff(tr.h) / dt
     rhs_mid = 0.5 * (rhs[:-1] + rhs[1:]) if rhs_eval == "midpoint" else rhs[:-1]
@@ -162,37 +162,32 @@ def hprime_identity_residual(ens, weight: HeatKernelWeight,
             "trace": tr}
 
 
-def frequency_bound_check(ens, weight: HeatKernelWeight,
-                          coeffs: CoefficientField,
-                          cutoff: CutoffFunction | None = None,
-                          convex: bool = False,
+def frequency_bound_check(fields: LocalizedFields, weight: HeatKernelWeight,
                           slack: float = 1e-9) -> dict:
     """Check the frequency drift inequality over all discrete time pairs.
 
-    General form (localized field): for s < t,
+    General form (fields built with a cutoff): for s < t,
 
         N(t) - N(s) <= int_s^t [1/(T-tau+lambda) + 2|b|^2] N dtau
                        + 2|b|^2 (t-s) + int_s^t (E int F^2 K)/H dtau,
 
     with |b| the W^{1,inf} norm over the cutoff support.  The convex variant
-    (no cutoff, convex domain) replaces the source integral by the constant
-    (|a|^2 + 2|b|^2)(t-s) and uses the weaker Gronwall rate
-    1/(T-tau+lambda) + |b|^2.
+    (fields built without a cutoff, convex domain) replaces the source
+    integral by the constant (|a|^2 + 2|b|^2)(t-s) and uses the weaker
+    Gronwall rate 1/(T-tau+lambda) + |b|^2.
     """
-    tr = compute_hdn(ens, weight, cutoff=cutoff, coeffs=coeffs)
+    tr = compute_hdn(fields, weight)
     times = tr.times
-    mask = tr.aux["support_mask"]
-    b_norm = coeffs.sup_b_over(mask)
-    if convex:
-        rate = 1.0 / (weight.horizon - times + weight.shift) + b_norm ** 2
-        integrand = rate * tr.n
-        const_rate = coeffs.sup_a ** 2 + 2.0 * b_norm ** 2
+    b_norm = fields.b_norm
+    kernel_rate = 1.0 / (weight.horizon - times + weight.shift)
+    if fields.cutoff is None:
+        integrand = (kernel_rate + b_norm ** 2) * tr.n
+        const_rate = fields.coeffs.sup_a ** 2 + 2.0 * b_norm ** 2
     else:
-        rate = 1.0 / (weight.horizon - times + weight.shift) + 2.0 * b_norm ** 2
         f_over_h = tr.aux["f_sq"] / np.maximum(tr.h, H_FLOOR)
-        integrand = rate * tr.n + f_over_h
+        integrand = (kernel_rate + 2.0 * b_norm ** 2) * tr.n + f_over_h
         const_rate = 2.0 * b_norm ** 2
-    dt = ens.mesh.dt
+    dt = fields.mesh.dt
     # cumulative trapezoid of the integrand
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (integrand[:-1] + integrand[1:]) * dt)])
     n_nodes = len(times)

@@ -144,13 +144,14 @@ class SpatialGrid:
 
         For coefficient fields, which need not vanish on the boundary, the
         Dirichlet gradient operator would fabricate O(1/h) edge derivatives.
+        A batch of fields (..., n) gives gradients (..., n, dim).
         """
         values = np.asarray(values, dtype=float)
+        arr = values.reshape(values.shape[:-1] + self.shape)
+        grads = np.gradient(arr, *self.h, axis=tuple(range(-self.dim, 0)))
         if self.dim == 1:
-            return np.gradient(values, self.h[0])[:, None]
-        arr = values.reshape(self.shape)
-        gx, gy = np.gradient(arr, self.h[0], self.h[1])
-        return np.stack([gx.ravel(), gy.ravel()], axis=-1)
+            grads = [grads]
+        return np.stack([g.reshape(values.shape) for g in grads], axis=-1)
 
     def integrate(self, values: np.ndarray) -> float | np.ndarray:
         """Quadrature over G (nodal sum; boundary contributes 0)."""
@@ -346,20 +347,3 @@ def ball_chain(start: Ball, target: Ball, grid: SpatialGrid):
         bridge = Ball(tuple(centers[j + 1]), rho / 4.0) if j < n_steps else None
         chain.append((ball, bridge))
     return chain
-
-
-def chain_containment_ok(chain) -> bool:
-    """Re-check the chain's containment predicates geometrically."""
-    for j, (ball, bridge) in enumerate(chain):
-        if bridge is None:
-            continue
-        nxt = chain[j + 1][0]
-        # bridge inside ball and inside the next ball, with positive margin
-        for outer in (ball, nxt):
-            gap = outer.radius - (np.linalg.norm(bridge.center_array - outer.center_array)
-                                  + bridge.radius)
-            if gap <= 0.0:
-                return False
-        if not np.allclose(bridge.center_array, nxt.center_array):
-            return False
-    return True

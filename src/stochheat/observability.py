@@ -7,7 +7,9 @@ the final observability inequality
 
     E ||y(T)||^2  <=  C * E int_E int_{G0} y^2,
 
-with every constant explicit.
+with every constant explicit.  The checks read the energy trace and the
+local trace on the observation ball (`forward.energy_trace`), each computed
+once by the caller.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .forward import CoefficientField, energy_trace
-from .geometry import Ball, SpatialGrid
+from .forward import CoefficientField
 from .noise import TimeMesh
-from .ucp import UcpConstants, default_tolerance
+from .ucp import UcpConstants
 
 __all__ = [
     "MeasurableTimeSet",
@@ -261,11 +262,12 @@ def _nearest_node(mesh: TimeMesh, t: float) -> int:
     return int(np.clip(round(t / mesh.dt), 0, mesh.steps))
 
 
-def telescoping_check(ens, ball: Ball, time_set: MeasurableTimeSet,
-                      seq: DensitySequence, constants: ObservabilityConstants,
-                      tol: float | None = None) -> dict:
+def telescoping_check(energy: np.ndarray, local: np.ndarray, mesh: TimeMesh,
+                      time_set: MeasurableTimeSet, seq: DensitySequence,
+                      constants: ObservabilityConstants, tol: float) -> dict:
     """Assemble the per-gap inequalities, their telescoped sum, and the
-    final observability inequality.
+    final observability inequality, from the energy trace and the local
+    trace on the observation ball B (`energy_trace`).
 
     Per gap m:  alpha_m e^{-C} E||y(t_m)||^2
                   <= 2 e^Theta (observation over E cap gap)
@@ -277,11 +279,6 @@ def telescoping_check(ens, ball: Ball, time_set: MeasurableTimeSet,
     """
     if constants.alpha is None:
         raise ConfigurationError("run epsilon_sequence before telescoping_check")
-    grid, mesh = ens.grid, ens.mesh
-    if tol is None:
-        tol = default_tolerance(mesh, grid)
-    energy = energy_trace(ens)
-    local = energy_trace(ens, grid.ball_mask(ball))
     c = constants.c_abt
     n = len(constants.alpha)
     gap_records = []
@@ -321,15 +318,12 @@ def telescoping_check(ens, ball: Ball, time_set: MeasurableTimeSet,
             "sigma_small": bool(constants.sigma[-1] <= SIGMA_THRESHOLD)}
 
 
-def energy_estimate_check(ens, coeffs: CoefficientField,
-                          variant: str = "max", tol: float | None = None) -> dict:
-    """Pointwise-in-time growth bound E||y(t)||^2 <= e^{C(a,b) t} E||y(0)||^2,
-    compared as E(t) e^{-Ct} against E(0) so that a bound too large for a
-    float reads as met, not as inf/inf."""
-    grid, mesh = ens.grid, ens.mesh
-    if tol is None:
-        tol = default_tolerance(mesh, grid)
-    energy = energy_trace(ens)
+def energy_estimate_check(energy: np.ndarray, mesh: TimeMesh,
+                          coeffs: CoefficientField, tol: float,
+                          variant: str = "max") -> dict:
+    """Pointwise-in-time growth bound E||y(t)||^2 <= e^{C(a,b) t} E||y(0)||^2
+    on the energy trace, compared as E(t) e^{-Ct} against E(0) so that a
+    bound too large for a float reads as met, not as inf/inf."""
     rate = growth_rate(coeffs, variant)
     e0 = energy[0]
     rel = (energy * np.exp(-rate * mesh.times) - e0) / max(e0, 1e-300)

@@ -3,7 +3,10 @@
 Explicit interpolation constants for the convex case, the Gaussian-weighted
 three-ball inequality at the terminal time, the dyadic selection of the
 kernel shift lambda, and propagation of numerical vanishing along ball
-chains.
+chains.  The checks read traces computed once by the caller: the energy and
+local-mass traces of `forward.energy_trace` and the terminal nodal second
+moment; the lambda sweep contracts one `frequency.LocalizedFields`, built
+with the experiment's cutoff, once per shift.
 """
 
 from __future__ import annotations
@@ -13,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .forward import CoefficientField, energy_trace
-from .frequency import localized_fields
-from .geometry import (Ball, CutoffFunction, HeatKernelWeight, SpatialGrid,
-                       ball_chain)
+from .forward import CoefficientField
+from .frequency import LocalizedFields, compute_hdn
+from .geometry import Ball, HeatKernelWeight, SpatialGrid, ball_chain
 from .noise import TimeMesh
 
 __all__ = [
@@ -129,30 +131,31 @@ def compute_constants(grid: SpatialGrid, x0, r: float, horizon: float,
                         gamma=float(gamma), variants=variants)
 
 
-def amplitude_profile(ens, coeffs: CoefficientField, cutoff: CutoffFunction,
-                      epsilon: float, lambdas=LAMBDA_GRID) -> dict:
+def amplitude_profile(fields: LocalizedFields, epsilon: float,
+                      lambdas=LAMBDA_GRID) -> dict:
     """Localized-energy amplitude A(lambda) over a shift grid.
 
     A(lambda) = ((T+lambda)/eps) * exp(2T|b|^2) * [ln(H(T-2eps)/H(T-eps))
                 + eps + eps(1+2T)|b|^2 + (eps+1) * int_{T-2eps}^T (E int F^2 K)/H]
 
     with |b| the W^{1,inf} norm over the cutoff support and H the localized
-    weighted energy at shift lambda.
+    weighted energy at shift lambda, centred at the cutoff's center.
     """
-    mesh, grid = ens.mesh, ens.grid
+    mesh, grid = fields.mesh, fields.grid
     horizon = mesh.horizon
     if not 0.0 < 2.0 * epsilon < horizon:
         raise ConfigurationError("need 0 < 2*epsilon < horizon")
-    center = cutoff.inner.center
+    if fields.cutoff is None:
+        raise ConfigurationError("the amplitude profile needs a cutoff")
+    center = fields.cutoff.inner.center
     k2 = int(round((horizon - 2.0 * epsilon) / mesh.dt))
     k1 = int(round((horizon - epsilon) / mesh.dt))
-    fields = localized_fields(ens, cutoff, coeffs)
-    b_norm = coeffs.sup_b_over(fields.support_mask)
+    b_norm = fields.b_norm
     profile = []
     for lam in np.atleast_1d(lambdas):
         weight = HeatKernelWeight(horizon=horizon, shift=float(lam),
                                   center=center, dim=grid.dim)
-        tr = fields.contract(weight)
+        tr = compute_hdn(fields, weight)
         h_arr = np.maximum(tr.h, 1e-300)
         log_term = max(float(np.log(h_arr[k2] / h_arr[k1])), 0.0)
         f_over_h = tr.aux["f_sq"] / h_arr
@@ -185,64 +188,65 @@ def select_lambda(profile, r: float, dim: int) -> dict:
             "profile": rows}
 
 
-def three_ball_check(ens, x0, r1: float, r2: float, lambda1: float,
-                     tol: float = 0.0) -> dict:
+def three_ball_check(terminal: np.ndarray, grid: SpatialGrid, x0, r1: float,
+                     r2: float, lambda1: float, tol: float = 0.0) -> dict:
     """Terminal-time Gaussian-weighted two-ball comparison.
 
     E int_{B_{r2}} |x-x0|^2 y(T)^2 vartheta <= r1^2 E int_{B_{r1}} y(T)^2
     vartheta, with vartheta = exp(-|x-x0|^2 / (4 lambda1)); both sides share
-    the quadrature and the weight.
+    the quadrature and the weight.  `terminal` is E[y(T)^2] per node, the
+    last row of `nodal_moment()`.
     """
     if not 0.0 < r1 < r2:
         raise ConfigurationError("need 0 < r1 < r2")
-    grid = ens.grid
     d2 = grid.distance_sq_to(x0)
     theta_w = np.exp(-d2 / (4.0 * lambda1))
     in1 = d2 < r1 ** 2
     in2 = d2 < r2 ** 2
-    terminal = grid.quad_weight * ens.nodal_moment()[-1]
-    lhs = terminal @ (in2 * d2 * theta_w)
-    rhs = r1 ** 2 * (terminal @ (in1 * theta_w))
+    weighted = grid.quad_weight * terminal
+    lhs = weighted @ (in2 * d2 * theta_w)
+    rhs = r1 ** 2 * (weighted @ (in1 * theta_w))
     return {"lhs": float(lhs), "rhs": float(rhs), "lambda1": float(lambda1),
             "pass": bool(lhs <= rhs * (1.0 + tol) + tol * max(rhs, 1e-300))}
 
 
-def quantitative_ucp_check(ens, ball: Ball, constants: UcpConstants,
-                           tol: float = 0.0) -> dict:
+def quantitative_ucp_check(energy: np.ndarray, local: np.ndarray,
+                           constants: UcpConstants, tol: float = 0.0) -> dict:
     """Interpolation inequality between global endpoints and local terminal mass.
 
     E||y(T)||^2 <= 2^delta exp(beta) (E||y(0)||^2)^{1-delta}
-                  (E int_{B_r} y(T)^2)^delta.
+                  (E int_{B_r} y(T)^2)^delta,
+
+    from the energy trace and the local trace on B_r (`energy_trace`).
     """
-    energy = energy_trace(ens)
-    lhs, e0 = energy[-1], energy[0]
-    local = energy_trace(ens, ens.grid.ball_mask(ball))[-1]
+    lhs, e0, local_t = energy[-1], energy[0], local[-1]
     delta = constants.delta
     rhs = 2.0 ** delta * np.exp(constants.beta) * e0 ** (1.0 - delta) \
-        * local ** delta
+        * local_t ** delta
     note = None
     if lhs <= VANISHING_REL * max(e0, 1e-300):
         note = "terminal state numerically vanishes: backward-uniqueness branch"
     return {"lhs": float(lhs), "rhs": float(rhs), "delta": delta,
-            "beta": constants.beta, "local_mass": float(local),
+            "beta": constants.beta, "local_mass": float(local_t),
             "pass": bool(lhs <= rhs * (1.0 + tol)), "note": note}
 
 
-def propagate_vanishing(ens, seed_ball: Ball, target_ball: Ball) -> dict:
+def propagate_vanishing(terminal: np.ndarray, grid: SpatialGrid,
+                        seed_ball: Ball, target_ball: Ball) -> dict:
     """Walk a ball chain checking whether terminal-time vanishing propagates.
 
     Vanishing on a ball means its weighted mass at the final time is below
     VANISHING_REL times the global mass; each chain link then asks whether the
-    bridge ball (compactly inside both neighbours) inherits it.
+    bridge ball (compactly inside both neighbours) inherits it.  `terminal`
+    is E[y(T)^2] per node, the last row of `nodal_moment()`.
     """
-    grid = ens.grid
     chain = ball_chain(seed_ball, target_ball, grid)
-    terminal = grid.quad_weight * ens.nodal_moment()[-1]
-    global_mass = terminal.sum()
+    weighted = grid.quad_weight * terminal
+    global_mass = weighted.sum()
     floor = VANISHING_REL * max(global_mass, 1e-300)
 
     def rel_mass(ball):
-        return terminal @ grid.ball_mask(ball).astype(float)
+        return weighted @ grid.ball_mask(ball).astype(float)
 
     steps = []
     propagated = True

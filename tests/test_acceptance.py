@@ -14,10 +14,11 @@ import pytest
 
 from stochheat import (Ball, CoefficientField, HeatKernelWeight,
                        MeasurableTimeSet, PathEnsemble, TimeMesh, build_cutoff,
-                       build_grid, build_tree, compute_constants, compute_hdn,
+                       build_grid, build_tree, compute_constants,
                        density_sequence, energy_trace, epsilon_sequence,
                        exp_transform_oracle, frequency_bound_check,
-                       gramian_matrix, quantitative_ucp_check, select_lambda,
+                       gramian_matrix, localized_fields,
+                       quantitative_ucp_check, select_lambda,
                        solve_forward, solve_forward_moments,
                        synthesize_approx_control, synthesize_null_control,
                        telescoping_check, three_ball_check)
@@ -44,7 +45,8 @@ def _line(num, name, passed):
 @pytest.fixture(scope="module")
 def sweep():
     """Twenty randomized configurations: random bounded coefficients and a
-    randomly placed bump initial state on the shared tree/grid."""
+    randomly placed bump initial state on the shared tree/grid, each with
+    its localized fields under the shared cutoff."""
     grid = build_grid([(0.0, 1.0)], (SWEEP_NODES,))
     mesh = TimeMesh(horizon=SWEEP_HORIZON, steps=SWEEP_DEPTH)
     tree = build_tree(mesh)
@@ -61,9 +63,15 @@ def sweep():
         wd = rng.uniform(0.08, 0.2)
         y0 = np.sin(np.pi * x) * (1.0 + np.exp(-(x - c0) ** 2 / (2 * wd ** 2)))
         ens = solve_forward(y0, coeffs, tree, mesh, grid)
-        configs.append({"seed": seed, "coeffs": coeffs, "y0": y0, "ens": ens})
+        configs.append({"seed": seed, "coeffs": coeffs, "y0": y0, "ens": ens,
+                        "fields": localized_fields(ens, cutoff, coeffs)})
     return {"grid": grid, "mesh": mesh, "tree": tree, "cutoff": cutoff,
             "weight": weight, "tol": tol, "configs": configs}
+
+
+def _traces(ens):
+    """The energy trace and the local trace on OBS_BALL."""
+    return energy_trace(ens), energy_trace(ens, ens.grid.ball_mask(OBS_BALL))
 
 
 def _endpoint_constants(sw, cfg, r=0.08):
@@ -119,7 +127,8 @@ def test_criterion_03_energy_derivative_identity():
         mesh = TimeMesh(horizon=horizon, steps=10)
         coeffs = CoefficientField.random_bounded(grid, mesh, seed, 0.5, 0.5)
         ens = solve_forward(y0, coeffs, build_tree(mesh), mesh, grid)
-        rep = hprime_identity_residual(ens, weight, coeffs)
+        rep = hprime_identity_residual(localized_fields(ens, None, coeffs),
+                                       weight)
         ok &= rep["integrated_residual"] <= 0.05
         # dt-halving: the left-endpoint residual is first order, so
         # successive Richardson differences (the spatial floor cancels)
@@ -130,7 +139,8 @@ def test_criterion_03_energy_derivative_identity():
             c2 = CoefficientField.random_bounded(grid, m2, seed, 0.5, 0.5)
             mom = solve_forward_moments(y0, c2, m2, grid)
             res[steps] = hprime_identity_residual(
-                mom, weight, c2, rhs_eval="left")["integrated_residual"]
+                localized_fields(mom, None, c2), weight,
+                rhs_eval="left")["integrated_residual"]
         ratio = (res[10] - res[20]) / (res[20] - res[40])
         ok &= 1.4 <= ratio <= 2.6
     _line(3, "energy-derivative identity", ok)
@@ -139,11 +149,11 @@ def test_criterion_03_energy_derivative_identity():
 def test_criterion_04_frequency_drift_bound(sweep):
     ok = True
     for cfg in sweep["configs"]:
-        fb = frequency_bound_check(cfg["ens"], sweep["weight"], cfg["coeffs"],
-                                   cutoff=sweep["cutoff"], slack=sweep["tol"])
-        fbc = frequency_bound_check(cfg["ens"], sweep["weight"],
-                                    cfg["coeffs"], convex=True,
-                                    slack=sweep["tol"])
+        fb = frequency_bound_check(cfg["fields"], sweep["weight"],
+                                   slack=sweep["tol"])
+        fbc = frequency_bound_check(
+            localized_fields(cfg["ens"], None, cfg["coeffs"]),
+            sweep["weight"], slack=sweep["tol"])
         ok &= fb["holds"] and fbc["holds"]
     _line(4, "frequency drift bound (20 sweeps)", ok)
 
@@ -153,19 +163,19 @@ def test_criterion_05_interpolation_inequality(sweep):
     ok = True
     for cfg in sweep["configs"]:
         const = _endpoint_constants(sweep, cfg)
-        rep = quantitative_ucp_check(cfg["ens"], OBS_BALL, const,
+        rep = quantitative_ucp_check(*_traces(cfg["ens"]), const,
                                      tol=sweep["tol"])
         ok &= rep["pass"]
     # exact scale invariance of the pass status under y -> 3y
     cfg = sweep["configs"][0]
     scaled = solve_forward(3.0 * cfg["y0"], cfg["coeffs"], tree, mesh, grid)
-    base_rep = quantitative_ucp_check(cfg["ens"], OBS_BALL,
+    base_rep = quantitative_ucp_check(*_traces(cfg["ens"]),
                                       _endpoint_constants(sweep, cfg),
                                       tol=sweep["tol"])
     energy3 = energy_trace(scaled)
     const3 = compute_constants(grid, (0.5,), 0.08, mesh.horizon,
                                cfg["coeffs"], energy3[0], energy3[-1])
-    scaled_rep = quantitative_ucp_check(scaled, OBS_BALL, const3,
+    scaled_rep = quantitative_ucp_check(*_traces(scaled), const3,
                                         tol=sweep["tol"])
     ok &= scaled_rep["pass"] == base_rep["pass"]
     ok &= np.isclose(scaled_rep["lhs"] / base_rep["lhs"], 9.0, rtol=1e-10)
@@ -175,14 +185,14 @@ def test_criterion_05_interpolation_inequality(sweep):
 def test_criterion_06_three_ball_inequality(sweep):
     qualified, passed, excluded = 0, 0, []
     for cfg in sweep["configs"]:
-        prof = amplitude_profile(cfg["ens"], cfg["coeffs"], sweep["cutoff"],
-                                 0.1)
+        prof = amplitude_profile(cfg["fields"], 0.1)
         sel = select_lambda(prof["profile"], 0.08, 1)
         if not sel["qualifies"]:
             excluded.append({"seed": cfg["seed"], "profile": sel["profile"]})
             continue
         qualified += 1
-        rep = three_ball_check(cfg["ens"], (0.5,), 0.08, 0.12, sel["lambda1"],
+        rep = three_ball_check(cfg["ens"].nodal_moment()[-1], sweep["grid"],
+                               (0.5,), 0.08, 0.12, sel["lambda1"],
                                tol=sweep["tol"])
         passed += rep["pass"]
     if excluded:
@@ -225,8 +235,8 @@ def test_criterion_08_observability_inequality(sweep):
         oc = epsilon_sequence(
             build_constants(const, cfg["coeffs"], SWEEP_HORIZON),
             seq.gap_measures)
-        rep = telescoping_check(cfg["ens"], OBS_BALL, time_set, seq, oc,
-                                tol=sweep["tol"])
+        rep = telescoping_check(*_traces(cfg["ens"]), sweep["mesh"],
+                                time_set, seq, oc, tol=sweep["tol"])
         ok &= all(g["pass"] for g in rep["per_gap"])
         ok &= rep["summed"]["pass"] and rep["final"]["pass"]
         ok &= np.isfinite(rep["final"]["c_emp"])

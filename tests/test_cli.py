@@ -148,12 +148,20 @@ def test_cli_bad_config_exit_2(tmp_path, capsys):
          "geometry.x0/geometry.g0_radius"),
         ("ucp", _fast_text("geometry.x0 = 0.508\ngeometry.r1 = 0.005\n"),
          "geometry.x0/geometry.r1"),
+        # an unknown coefficient kind, a nonpositive tolerance scale (from
+        # the config or the command line) or control accuracy
+        ("verify", "coeff.kind = bogus\n", "coeff.kind"),
+        ("verify", "tol_scale = -1\n", "tol_scale"),
+        ("verify", "tol_scale = 0\n", "tol_scale"),
+        (("verify", "--tol-scale", "-1"), "", "tol_scale"),
+        ("control", "control.accuracy = -0.5\n", "control.accuracy"),
     ]
     for i, (sub, text, error) in enumerate(cases):
         bad = tmp_path / f"bad{i}.cfg"
         bad.write_text(text)
-        code = main([sub, "--config", str(bad),
-                     "--out", str(tmp_path / "out")])
+        args = list(sub) if isinstance(sub, tuple) else [sub]
+        code = main(args + ["--config", str(bad),
+                            "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 2, (sub, text)
         assert "configuration error" in err
@@ -264,3 +272,28 @@ def test_one_factorization_per_run(monkeypatch):
     built.clear()
     cli.run_simulate(exp)
     assert len(built) == 1
+
+
+def test_one_cutoff_field_build_per_experiment(monkeypatch):
+    # a simulate/frequency/ucp/observe pass builds localized fields 4 times:
+    # for the global and the localized identity on the fine moment
+    # ensemble, for the convex drift bound, and once under the cutoff for
+    # both the drift bound and the lambda sweep; ucp alone builds only those
+    built = []
+    build = cli.localized_fields
+
+    def counting(ens, cutoff, coeffs):
+        built.append(cutoff is not None)
+        return build(ens, cutoff, coeffs)
+
+    monkeypatch.setattr(cli, "localized_fields", counting)
+    cfg = cfgmod.merge_config(cfgmod.parse_config(_fast_text()))
+    exp = cli.Experiment(cfg)
+    assert built == []  # nothing is built at set-up
+    for runner in (cli.run_simulate, cli.run_frequency, cli.run_ucp,
+                   cli.run_observe):
+        runner(exp)
+    assert len(built) == 4 and sum(built) == 2
+    built.clear()
+    cli.run_ucp(cli.Experiment(cfg))
+    assert built == [True]

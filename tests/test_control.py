@@ -340,21 +340,24 @@ def test_one_gramian_per_run_control(monkeypatch):
 
 def test_one_dual_flow_per_datum_in_run_control(monkeypatch):
     # one dual flow each for u (its control and its Gramian apply), the
-    # duality datum v, the Gramian apply of v and the null control's
-    # verification, and one per regularization sweep row
-    calls = []
+    # duality datum v (its duality check and its Gramian apply) and the null
+    # control's verification, and one per regularization sweep row; no
+    # datum is solved twice
     dual = control.solve_dual_forward
+    for overrides, solves in ((SMALL_CONTROL, 16), ({"control.depth": 12}, 15)):
+        calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return dual(*args, **kwargs)
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return dual(*args, **kwargs)
 
-    monkeypatch.setattr(control, "solve_dual_forward", counting)
-    checks, _, _ = cli.run_control(
-        cli.Experiment(cfgmod.merge_config(SMALL_CONTROL)))
-    rows = next(c for c in checks
-                if c["name"] == "regularization_curve_monotone")["curve"]
-    assert len(calls) == 4 + len(rows) == 17
+        monkeypatch.setattr(control, "solve_dual_forward", counting)
+        checks, _, _ = cli.run_control(
+            cli.Experiment(cfgmod.merge_config(overrides)))
+        rows = next(c for c in checks
+                    if c["name"] == "regularization_curve_monotone")["curve"]
+        assert len(calls) == 3 + len(rows) == solves, overrides
+        assert len({args[0].tobytes() for args in calls}) == len(calls)
 
 
 def test_one_eigendecomposition_per_run_control(monkeypatch):

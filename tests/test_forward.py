@@ -61,6 +61,20 @@ def test_random_bounded_respects_w1inf_bound(grid, mesh):
         assert np.max(np.abs(grad)) <= 0.3 + 1e-12
 
 
+def test_coefficient_gradients_match_per_step_gradients():
+    # b_grad is one batched gradient over all steps; the arithmetic is the
+    # per-field gradient's, so the results are equal, in 1-D and in 2-D
+    rng = np.random.Generator(np.random.Philox(key=[4, 2]))
+    mesh = TimeMesh(horizon=0.5, steps=7)
+    for grid in (build_grid([(0.0, 1.0)], (31,)),
+                 build_grid([(0.0, 1.0), (0.0, 2.0)], (7, 9))):
+        b = rng.standard_normal((mesh.steps, grid.n_nodes))
+        c = CoefficientField(grid, mesh, a=0.0, b=b)
+        per_step = np.stack([grid.field_gradient(row) for row in b])
+        assert c.b_grad.shape == (mesh.steps, grid.n_nodes, grid.dim)
+        assert np.array_equal(c.b_grad, per_step)
+
+
 def test_tree_forward_per_leaf_brute_force(grid):
     # follow one leaf history explicitly through (I - dt Lap) y_{k+1} = y_k +
     # dt a_k y_k + b_k y_k dB_k, with dB_k = -sqrt(dt) on an even (down) child

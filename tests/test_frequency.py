@@ -6,8 +6,8 @@ import pytest
 from stochheat import (Ball, CoefficientField, HeatKernelWeight, TimeMesh,
                        boundary_sign_audit, build_cutoff, build_grid,
                        compute_hdn, frequency_bound_check,
-                       hprime_identity_residual, solve_forward,
-                       solve_forward_moments)
+                       hprime_identity_residual, localized_fields,
+                       solve_forward, solve_forward_moments)
 from stochheat.errors import NumericalError
 from stochheat.ucp import default_tolerance
 
@@ -18,7 +18,7 @@ def weight():
 
 
 def test_hdn_positive_and_shapes(tree_ensemble, weight, coeffs):
-    tr = compute_hdn(tree_ensemble, weight, coeffs=coeffs)
+    tr = compute_hdn(localized_fields(tree_ensemble, None, coeffs), weight)
     steps = tree_ensemble.mesh.steps
     assert tr.h.shape == (steps + 1,)
     assert np.all(tr.h > 0.0)
@@ -39,7 +39,7 @@ def test_hdn_brute_force_oracle(tree_ensemble, weight, grid, coeffs):
     gy = np.stack([grid.gradient(y[p]) for p in range(y.shape[0])])
     d_direct = float(w @ ((gy[:, :, 0] ** 2 * kv).sum(axis=1))) \
         * grid.quad_weight
-    tr = compute_hdn(tree_ensemble, weight, coeffs=coeffs)
+    tr = compute_hdn(localized_fields(tree_ensemble, None, coeffs), weight)
     assert np.isclose(tr.h[k], h_direct, rtol=1e-12)
     assert np.isclose(tr.d[k], d_direct, rtol=1e-12)
     # localized field Phi = phi*y under random bounded coefficients, with the
@@ -48,7 +48,7 @@ def test_hdn_brute_force_oracle(tree_ensemble, weight, grid, coeffs):
     cutoff = build_cutoff(Ball((0.5,), 0.18), Ball((0.5,), 0.24), grid)
     mesh = tree_ensemble.mesh
     rough = CoefficientField.random_bounded(grid, mesh, 5, 0.5, 0.5)
-    tr = compute_hdn(tree_ensemble, weight, cutoff=cutoff, coeffs=rough)
+    tr = compute_hdn(localized_fields(tree_ensemble, cutoff, rough), weight)
     for k in (4, mesh.steps):
         kv = weight.values(mesh.times[k], grid.coords)
         y = tree_ensemble.levels[k]
@@ -75,8 +75,8 @@ def test_hdn_brute_force_oracle(tree_ensemble, weight, grid, coeffs):
 def test_hdn_scale_invariance_of_n(y0, coeffs, tree, mesh, grid, weight):
     base = solve_forward(y0, coeffs, tree, mesh, grid)
     scaled = solve_forward(3.0 * y0, coeffs, tree, mesh, grid)
-    n1 = compute_hdn(base, weight, coeffs=coeffs).n
-    n2 = compute_hdn(scaled, weight, coeffs=coeffs).n
+    n1 = compute_hdn(localized_fields(base, None, coeffs), weight).n
+    n2 = compute_hdn(localized_fields(scaled, None, coeffs), weight).n
     assert np.allclose(n1, n2, rtol=1e-12)
 
 
@@ -84,8 +84,8 @@ def test_hdn_agrees_between_tree_and_moments(y0, coeffs, tree, mesh, grid,
                                              weight):
     ens = solve_forward(y0, coeffs, tree, mesh, grid)
     mom = solve_forward_moments(y0, coeffs, mesh, grid)
-    t1 = compute_hdn(ens, weight, coeffs=coeffs)
-    t2 = compute_hdn(mom, weight, coeffs=coeffs)
+    t1 = compute_hdn(localized_fields(ens, None, coeffs), weight)
+    t2 = compute_hdn(localized_fields(mom, None, coeffs), weight)
     assert np.allclose(t1.h, t2.h, rtol=1e-10)
     assert np.allclose(t1.d, t2.d, rtol=1e-10)
 
@@ -98,7 +98,7 @@ def _integrated_residual(steps, mode):
     coeffs = CoefficientField.constant(fine_grid, mesh, 0.3, 0.4)
     mom = solve_forward_moments(y0, coeffs, mesh, fine_grid)
     w = HeatKernelWeight(horizon=0.1, shift=0.25, center=(0.5,), dim=1)
-    return hprime_identity_residual(mom, w, coeffs,
+    return hprime_identity_residual(localized_fields(mom, None, coeffs), w,
                                     rhs_eval=mode)["integrated_residual"]
 
 
@@ -121,18 +121,20 @@ def test_hprime_left_mode_is_first_order():
 
 def test_hprime_rejects_unknown_mode(tree_ensemble, weight, coeffs):
     with pytest.raises(NumericalError):
-        hprime_identity_residual(tree_ensemble, weight, coeffs,
-                                 rhs_eval="right")
+        hprime_identity_residual(localized_fields(tree_ensemble, None, coeffs),
+                                 weight, rhs_eval="right")
 
 
 def test_frequency_bound_holds(tree_ensemble, weight, coeffs, grid, mesh):
+    # the general form on fields built with a cutoff, the convex variant on
+    # fields built without one
     tol = default_tolerance(mesh, grid)
     cutoff = build_cutoff(Ball((0.5,), 0.18), Ball((0.5,), 0.24), grid)
-    rep = frequency_bound_check(tree_ensemble, weight, coeffs, cutoff=cutoff,
-                                slack=tol)
+    rep = frequency_bound_check(localized_fields(tree_ensemble, cutoff, coeffs),
+                                weight, slack=tol)
     assert rep["holds"]
-    rep_convex = frequency_bound_check(tree_ensemble, weight, coeffs,
-                                       convex=True, slack=tol)
+    rep_convex = frequency_bound_check(
+        localized_fields(tree_ensemble, None, coeffs), weight, slack=tol)
     assert rep_convex["holds"]
 
 
@@ -142,8 +144,13 @@ def test_frequency_bound_localized_b_norm(tree_ensemble, weight, grid, mesh):
     b = np.where(np.abs(grid.coords[:, 0] - 0.5) < 0.3, 0.1, 5.0)
     coeffs = CoefficientField(grid, mesh, a=0.0, b=b)
     cutoff = build_cutoff(Ball((0.5,), 0.1), Ball((0.5,), 0.15), grid)
-    rep = frequency_bound_check(tree_ensemble, weight, coeffs, cutoff=cutoff)
+    rep = frequency_bound_check(localized_fields(tree_ensemble, cutoff, coeffs),
+                                weight)
     assert rep["b_norm"] < 5.0
+    # without a cutoff the norm is the global one
+    rep = frequency_bound_check(localized_fields(tree_ensemble, None, coeffs),
+                                weight)
+    assert rep["b_norm"] >= 5.0
 
 
 def test_boundary_sign_audit(weight, grid, mesh):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from stochheat import (Ball, ConfigurationError, GeometryError,
                        HeatKernelWeight, ball_chain, build_cutoff, build_grid)
-from stochheat.geometry import chain_containment_ok, kernel_caloric_residual
+from stochheat.geometry import kernel_caloric_residual
 
 
 def test_laplacian_eigenpairs_1d():
@@ -122,6 +122,23 @@ def test_cutoff_derivatives_match_finite_differences():
     fd_lap = np.gradient(fd_grad, h)
     scale = max(np.max(np.abs(cut.lap)), 1.0)
     assert np.max(np.abs(cut.lap[interior] - fd_lap[interior])) < 0.1 * scale
+
+
+def chain_containment_ok(chain) -> bool:
+    """Re-check the chain's containment predicates geometrically."""
+    for j, (ball, bridge) in enumerate(chain):
+        if bridge is None:
+            continue
+        nxt = chain[j + 1][0]
+        # bridge inside ball and inside the next ball, with positive margin
+        for outer in (ball, nxt):
+            gap = outer.radius - (np.linalg.norm(bridge.center_array - outer.center_array)
+                                  + bridge.radius)
+            if gap <= 0.0:
+                return False
+        if not np.allclose(bridge.center_array, nxt.center_array):
+            return False
+    return True
 
 
 def test_ball_chain_containment():

@@ -165,7 +165,8 @@ def test_telescoping_chain(setup, time_set):
     grid, mesh, _, ens = setup
     seq = density_sequence(time_set)
     oc = epsilon_sequence(_obs_constants(setup, time_set), seq.gap_measures)
-    rep = telescoping_check(ens, Ball((0.5,), 0.08), time_set, seq, oc,
+    local = energy_trace(ens, grid.ball_mask(Ball((0.5,), 0.08)))
+    rep = telescoping_check(energy_trace(ens), local, mesh, time_set, seq, oc,
                             tol=default_tolerance(mesh, grid))
     assert all(g["pass"] for g in rep["per_gap"])
     assert rep["summed"]["pass"]
@@ -176,17 +177,21 @@ def test_telescoping_chain(setup, time_set):
 
 
 def test_telescoping_requires_epsilon_sequence(setup, time_set):
-    _, _, _, ens = setup
+    grid, mesh, _, ens = setup
     seq = density_sequence(time_set)
     oc = _obs_constants(setup, time_set)  # recursion not run
+    local = energy_trace(ens, grid.ball_mask(Ball((0.5,), 0.08)))
     with pytest.raises(ConfigurationError):
-        telescoping_check(ens, Ball((0.5,), 0.08), time_set, seq, oc)
+        telescoping_check(energy_trace(ens), local, mesh, time_set, seq, oc,
+                          tol=default_tolerance(mesh, grid))
 
 
 def test_energy_estimate(setup):
-    _, _, coeffs, ens = setup
+    grid, mesh, coeffs, ens = setup
     for variant in ("derivation", "printed", "max"):
-        rep = energy_estimate_check(ens, coeffs, variant=variant)
+        rep = energy_estimate_check(energy_trace(ens), mesh, coeffs,
+                                    default_tolerance(mesh, grid),
+                                    variant=variant)
         assert rep["pass"], variant
 
 
@@ -199,14 +204,15 @@ def test_energy_estimate_with_an_overflowing_bound(setup):
                             grid)
     with np.errstate(over="ignore"):
         assert np.exp(growth_rate(strong) * mesh.horizon) == np.inf
-    rep = energy_estimate_check(decayed, strong)
+    rep = energy_estimate_check(energy_trace(decayed), mesh, strong,
+                                default_tolerance(mesh, grid))
     assert np.isfinite(rep["worst_relative_excess"])
     assert rep["pass"]
 
 
 def test_observe_reads_each_trace_once(monkeypatch):
-    # run_observe reads the energy trace, the telescoping check one energy
-    # and one local trace, and the growth estimate the energy trace
+    # run_observe reads the energy trace and the local trace once each and
+    # passes them to the telescoping check and the growth estimate
     calls = []
     moment = forward.Ensemble.nodal_moment
 
@@ -217,4 +223,4 @@ def test_observe_reads_each_trace_once(monkeypatch):
     exp = cli.Experiment(cfgmod.merge_config({}))
     monkeypatch.setattr(forward.Ensemble, "nodal_moment", counting)
     cli.run_observe(exp)
-    assert len(calls) == 4
+    assert len(calls) == 2

@@ -5,9 +5,11 @@ import pytest
 
 from stochheat import (Ball, CoefficientField, HeatKernelWeight, TimeMesh,
                        build_cutoff, build_grid, compute_constants,
-                       compute_hdn, energy_trace,
+                       compute_hdn, energy_trace, localized_fields,
                        propagate_vanishing, quantitative_ucp_check,
                        select_lambda, solve_forward, three_ball_check)
+from stochheat import cli, forward
+from stochheat import config as cfgmod
 from stochheat.errors import ConfigurationError, DomainError
 from stochheat.ucp import (LAMBDA_GRID, amplitude_profile, default_tolerance)
 
@@ -101,8 +103,8 @@ def test_select_lambda_huge_amplitude_fails():
 
 def test_amplitude_profile_and_selection(tree_ensemble, coeffs, grid):
     cutoff = build_cutoff(Ball((0.5,), 0.18), Ball((0.5,), 0.24), grid)
-    prof = amplitude_profile(tree_ensemble, coeffs, cutoff, 0.1,
-                             lambdas=LAMBDA_GRID[20:40])
+    prof = amplitude_profile(localized_fields(tree_ensemble, cutoff, coeffs),
+                             0.1, lambdas=LAMBDA_GRID[20:40])
     assert all(a >= 0.0 for _, a in prof["profile"])
     sel = select_lambda(prof["profile"], 0.08, 1)
     assert sel["qualifies"]
@@ -114,15 +116,15 @@ def test_amplitude_profile_matches_compute_hdn(tree_ensemble, coeffs, grid,
     # defining formula on compute_hdn at separately built kernel weights
     cutoff = build_cutoff(Ball((0.5,), 0.18), Ball((0.5,), 0.24), grid)
     eps, horizon = 0.1, mesh.horizon
-    profile = dict(amplitude_profile(tree_ensemble, coeffs, cutoff,
-                                     eps)["profile"])
+    fields = localized_fields(tree_ensemble, cutoff, coeffs)
+    profile = dict(amplitude_profile(fields, eps)["profile"])
     k2 = int(round((horizon - 2.0 * eps) / mesh.dt))
     k1 = int(round((horizon - eps) / mesh.dt))
     for lam in (LAMBDA_GRID[0], LAMBDA_GRID[7], LAMBDA_GRID[30]):
         weight = HeatKernelWeight(horizon=horizon, shift=float(lam),
                                   center=(0.5,), dim=1)
-        tr = compute_hdn(tree_ensemble, weight, cutoff=cutoff, coeffs=coeffs)
-        b = coeffs.sup_b_over(tr.aux["support_mask"])
+        tr = compute_hdn(fields, weight)
+        b = coeffs.sup_b_over(cutoff.values > 0.0)
         log_term = max(float(np.log(tr.h[k2] / tr.h[k1])), 0.0)
         integral = np.trapezoid(tr.aux["f_sq"][k2:] / tr.h[k2:], dx=mesh.dt)
         expected = (horizon + lam) / eps * np.exp(2.0 * horizon * b ** 2) \
@@ -133,17 +135,21 @@ def test_amplitude_profile_matches_compute_hdn(tree_ensemble, coeffs, grid,
 
 def test_amplitude_profile_epsilon_validation(tree_ensemble, coeffs, grid):
     cutoff = build_cutoff(Ball((0.5,), 0.18), Ball((0.5,), 0.24), grid)
+    fields = localized_fields(tree_ensemble, cutoff, coeffs)
     with pytest.raises(ConfigurationError):
-        amplitude_profile(tree_ensemble, coeffs, cutoff, 0.4)  # 2 eps > T
+        amplitude_profile(fields, 0.4)  # 2 eps > T
+    with pytest.raises(ConfigurationError):  # no cutoff to centre the sweep
+        amplitude_profile(localized_fields(tree_ensemble, None, coeffs), 0.1)
 
 
 def test_three_ball_check_small_lambda(tree_ensemble, mesh, grid):
     tol = default_tolerance(mesh, grid)
-    rep = three_ball_check(tree_ensemble, (0.5,), 0.08, 0.12, 2 ** -20,
+    terminal = tree_ensemble.nodal_moment()[-1]
+    rep = three_ball_check(terminal, grid, (0.5,), 0.08, 0.12, 2 ** -20,
                            tol=tol)
     assert rep["pass"]
     with pytest.raises(ConfigurationError):
-        three_ball_check(tree_ensemble, (0.5,), 0.12, 0.08, 0.01)
+        three_ball_check(terminal, grid, (0.5,), 0.12, 0.08, 0.01)
 
 
 def test_quantitative_ucp_check_and_scale_invariance(unit_grid):
@@ -160,7 +166,8 @@ def test_quantitative_ucp_check_and_scale_invariance(unit_grid):
         energy = energy_trace(ens)
         const = compute_constants(unit_grid, (0.5,), 0.08, mesh.horizon,
                                   coeffs, energy[0], energy[-1])
-        results.append(quantitative_ucp_check(ens, ball, const, tol=tol))
+        local = energy_trace(ens, unit_grid.ball_mask(ball))
+        results.append(quantitative_ucp_check(energy, local, const, tol=tol))
     assert results[0]["pass"] and results[1]["pass"]
     # the inequality is scale-invariant: both sides pick up the same factor
     ratio = results[1]["lhs"] / results[0]["lhs"]
@@ -177,11 +184,13 @@ def test_propagate_vanishing_zero_solution(unit_grid):
     # data supported away from the seed ball but globally nonzero
     y0 = np.sin(np.pi * x)
     ens = solve_forward(y0, coeffs, tree, mesh, unit_grid)
-    rep = propagate_vanishing(ens, Ball((0.3,), 0.05), Ball((0.7,), 0.05))
+    rep = propagate_vanishing(ens.nodal_moment()[-1], unit_grid,
+                              Ball((0.3,), 0.05), Ball((0.7,), 0.05))
     # heat spreads instantly: the seed ball does not vanish, so the walk stops
     assert not rep["verdict"]
     zero = solve_forward(np.zeros_like(y0), coeffs, tree, mesh, unit_grid)
-    rep0 = propagate_vanishing(zero, Ball((0.3,), 0.05), Ball((0.7,), 0.05))
+    rep0 = propagate_vanishing(zero.nodal_moment()[-1], unit_grid,
+                               Ball((0.3,), 0.05), Ball((0.7,), 0.05))
     assert rep0["verdict"]
 
 
@@ -190,3 +199,25 @@ def test_default_tolerance_formula(unit_grid):
     tol = default_tolerance(mesh, unit_grid, scale=2.0)
     expected = 5.0 * (0.05 + float(np.max(unit_grid.h)) ** 2) * 2.0
     assert np.isclose(tol, expected, rtol=1e-14)
+
+
+def test_ucp_reads_each_trace_once(monkeypatch):
+    # run_ucp reads the energy trace, the local trace and the terminal
+    # moments once each; alone it also builds the cutoff fields, whose
+    # E[y^2] is one more call without operators
+    calls = []
+    moment = forward.Ensemble.nodal_moment
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return moment(self, *args, **kwargs)
+
+    cfg = cfgmod.merge_config({})
+    exp = cli.Experiment(cfg)
+    cli.run_frequency(exp)
+    monkeypatch.setattr(forward.Ensemble, "nodal_moment", counting)
+    cli.run_ucp(exp)
+    assert calls == [()] * 3
+    calls.clear()
+    cli.run_ucp(cli.Experiment(cfg))
+    assert sum(args == () for args in calls) == 4
