@@ -19,6 +19,7 @@ from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from . import config as cfgmod
 from . import control as ctl
@@ -27,7 +28,7 @@ from . import ucp as ucpmod
 from .errors import (ConfigurationError, DomainError, GeometryError,
                      ResourceError, StochHeatError)
 from .forward import (CoefficientField, energy_trace, exp_transform_oracle,
-                      solve_forward, solve_forward_moments,
+                      moment_trace, solve_forward, solve_forward_moments,
                       step_invertibility_report)
 from .frequency import (LocalizedFields, boundary_sign_audit,
                         frequency_bound_check, hprime_identity_residual,
@@ -154,6 +155,8 @@ def run_simulate(exp: Experiment):
     checks.append(check_record("step_invertibility", inv["invertible"],
                                min_factor=inv["min_factor"],
                                sign_loss_steps=inv["sign_loss_steps"]))
+    extras["scheme"] = {key: inv[key]
+                        for key in ("b_sqrt_dt", "a_dt", "noise_step_large")}
     energy = energy_trace(ens)[-1]
     checks.append(check_record("terminal_energy_finite", np.isfinite(energy),
                                lhs=energy))
@@ -223,8 +226,10 @@ def run_frequency(exp: Experiment):
 
 def run_ucp(exp: Experiment):
     checks, extras = [], {}
-    grid, mesh, ens = exp.grid, exp.mesh, exp.ensemble
-    energy = energy_trace(ens)
+    grid, mesh = exp.grid, exp.mesh
+    # one moment pass: the energy and local traces and the terminal moment
+    moment = exp.ensemble.nodal_moment()
+    energy = moment_trace(moment, grid)
     e0, e_t = energy[0], energy[-1]
     try:
         constants = ucpmod.compute_constants(grid, exp.x0, exp.obs_ball.radius,
@@ -243,7 +248,7 @@ def run_ucp(exp: Experiment):
                            "big_d": constants.big_d, "big_j": constants.big_j,
                            "variants": constants.variants}
     tol = ucpmod.default_tolerance(mesh, grid, float(exp.cfg["tol_scale"]))
-    local = energy_trace(ens, grid.ball_mask(exp.obs_ball))
+    local = moment_trace(moment, grid, grid.ball_mask(exp.obs_ball))
     qc = ucpmod.quantitative_ucp_check(energy, local, constants, tol=tol)
     checks.append(check_record("interpolation_inequality", qc["pass"],
                                lhs=qc["lhs"], rhs=qc["rhs"]))
@@ -254,7 +259,7 @@ def run_ucp(exp: Experiment):
     selection = ucpmod.select_lambda(profile["profile"],
                                      float(exp.cfg["geometry.r1"]), grid.dim)
     extras["lambda_selection"] = selection
-    terminal = ens.nodal_moment()[-1]
+    terminal = moment[-1]
     if selection["qualifies"]:
         tb = ucpmod.three_ball_check(terminal, grid, exp.x0,
                                      float(exp.cfg["geometry.r1"]),
@@ -279,14 +284,15 @@ def run_ucp(exp: Experiment):
 
 def run_observe(exp: Experiment):
     checks, extras = [], {}
-    grid, mesh, ens = exp.grid, exp.mesh, exp.ensemble
+    grid, mesh = exp.grid, exp.mesh
     time_set = obs.MeasurableTimeSet(_pairs(exp.cfg["time_set.e"]),
                                      horizon=mesh.horizon)
     seq = obs.density_sequence(time_set)
     checks.append(check_record("density_sequence_condition",
                                seq.found and seq.condition_holds(),
                                best_margin=seq.best_margin, t0=seq.t0, t1=seq.t1))
-    energy = energy_trace(ens)
+    moment = exp.ensemble.nodal_moment()
+    energy = moment_trace(moment, grid)
     e0, e_t = energy[0], energy[-1]
     constants = ucpmod.compute_constants(grid, exp.x0, exp.obs_ball.radius,
                                          mesh.horizon, exp.coeffs, e0, e_t)
@@ -297,7 +303,7 @@ def run_observe(exp: Experiment):
                                eps1=ob_const.eps1,
                                sigma_tail=float(ob_const.sigma[-1])))
     tol = ucpmod.default_tolerance(mesh, grid, float(exp.cfg["tol_scale"]))
-    local = energy_trace(ens, grid.ball_mask(exp.obs_ball))
+    local = moment_trace(moment, grid, grid.ball_mask(exp.obs_ball))
     tele = obs.telescoping_check(energy, local, mesh, time_set, seq,
                                  ob_const, tol=tol)
     checks.append(check_record("per_gap_inequalities",
@@ -343,7 +349,7 @@ def run_control(exp: Experiment):
     coeffs = _coefficients(cfg, grid, mesh, exp.seed)
     g0 = _ball(cfg, "control.g0", grid)
     e1 = obs.MeasurableTimeSet(_pairs(cfg["control.e1"]), horizon=mesh.horizon)
-    rng = np.random.Generator(np.random.Philox(key=[exp.seed, 0xc0de]))
+    rng = Generator(Philox(key=[exp.seed, 0xc0de]))
     n = grid.n_nodes
     z_term = rng.standard_normal((tree.n_leaves, n))
     h_src = rng.standard_normal(n)
@@ -368,6 +374,8 @@ def run_control(exp: Experiment):
                                        mode="independent")
     dc_ind = ctl.duality_check(dual_v, pair_ind, h=h_src, control=ctrl_u)
     extras["duality_independent_residual"] = dc_ind["relative_residual"]
+    # implicit solves per step of the independent mode (1: constant a_k)
+    extras["independent_solves"] = pair_ind.solves
     lam_v = gramian_of(replace(ctrl_u, levels=dual_v[:-1]))
     sym_gap = abs(float(v @ lam_u) - float(u @ lam_v)) \
         / max(abs(float(v @ lam_u)), 1e-300)

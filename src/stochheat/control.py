@@ -9,7 +9,9 @@ discretized on the exact binary tree.  The dual forward solve is
 backward modes are available:
 
 * ``independent`` -- martingale-representation induction (conditional
-  expectation + implicit solve), consistent with the equation to O(dt);
+  expectation + implicit solve), consistent with the equation to O(dt); its
+  solve with the potential a_k is the shared sine-basis solver shifted by a
+  constant, iterated on the remainder (exact in one solve for constant a);
 * ``adjoint`` -- the exact discrete adjoint of the dual forward scheme, which
   makes the duality pairing hold to machine precision and yields a clean
   symmetric positive semidefinite control Gramian.
@@ -32,8 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import ConfigurationError, NumericalError, ShapeError
 from .forward import (CoefficientField, implicit_solver, step_factors,
@@ -60,6 +60,10 @@ __all__ = [
 ]
 
 EPS_REG_FLOOR = 1e-12
+# the independent mode's shifted-solve iteration: relative update per row
+# at which it stops, and the cap at which it gives up
+SHIFT_ITERATION_TOL = 1e-14
+MAX_SHIFT_ITERATIONS = 100
 N_SWEEP = 13  # regularizations of the approximate-control sweep
 
 
@@ -72,8 +76,9 @@ def control_level_weights(time_set: MeasurableTimeSet, mesh: TimeMesh) -> np.nda
     since every control and Gramian over it would vanish.
     """
     weights = np.zeros(mesh.steps)
+    times = mesh.times
     for k in range(mesh.steps):
-        overlap = time_set.measure_between(mesh.times[k], mesh.times[k + 1])
+        overlap = time_set.measure_between(times[k], times[k + 1])
         if overlap >= 0.5 * mesh.dt:
             weights[k] = overlap
     if not weights.any():
@@ -84,12 +89,15 @@ def control_level_weights(time_set: MeasurableTimeSet, mesh: TimeMesh) -> np.nda
 @dataclass
 class BackwardPair:
     """z on tree history nodes per level (arrays of shape (2^k, n_nodes));
-    z_martingale holds the representation integrand Z per step level."""
+    z_martingale holds the representation integrand Z per step level, and
+    `solves` the implicit solves per step of independent mode (None in
+    adjoint mode)."""
 
     z_levels: list = field(repr=False)
     z_martingale: list = field(repr=False)
     mesh: TimeMesh
     grid: SpatialGrid
+    solves: list | None = None
 
     @property
     def z0(self) -> np.ndarray:
@@ -153,8 +161,7 @@ def solve_backward_tree(z_terminal: np.ndarray, coeffs: CoefficientField,
     `forward.tree_step_adjoint`, the exact transpose of the dual forward
     step, so the duality pairing telescopes exactly; independent mode
     performs the martingale-representation induction with an implicit solve
-    of I - dt*Lap_h + dt*diag(a_k).  That matrix changes with a_k, so it is
-    factorized afresh at every step, outside the shared factorization.
+    of I - dt*Lap_h + dt*diag(a_k) (`_potential_solve`).
     """
     if mode not in ("adjoint", "independent"):
         raise ConfigurationError(f"unknown backward mode '{mode}'")
@@ -170,6 +177,7 @@ def solve_backward_tree(z_terminal: np.ndarray, coeffs: CoefficientField,
     moves = tree_moves(dt)
     z_levels = [None] * (mesh.steps + 1)
     z_mart = [None] * mesh.steps
+    solves = [0] * mesh.steps if mode == "independent" else None
     z_levels[mesh.steps] = z.copy()
     for k in range(mesh.steps - 1, -1, -1):
         z_next = z_levels[k + 1]
@@ -187,15 +195,42 @@ def solve_backward_tree(z_terminal: np.ndarray, coeffs: CoefficientField,
         if control is not None and control.weights[k] > 0.0:
             zk = zk - control.weights[k] * (control.levels[k] * control.mask)
         if mode == "independent":
-            mat = sp.eye(n) - dt * grid.laplacian() + dt * sp.diags(coeffs.a[k])
-            try:
-                lu = splu(sp.csc_matrix(mat))
-            except RuntimeError as exc:
-                raise NumericalError(f"backward solve failed: {exc}") from exc
-            zk = lu.solve(zk.T).T
+            zk, solves[k] = _potential_solve(solver, zk, dt * coeffs.a[k])
         z_levels[k] = zk
     return BackwardPair(z_levels=z_levels, z_martingale=z_mart, mesh=mesh,
-                        grid=grid)
+                        grid=grid, solves=solves)
+
+
+def _potential_solve(solver, rhs: np.ndarray, potential: np.ndarray):
+    """Solve (I - dt*Lap_h + diag(potential)) z = rhs; returns z and the
+    number of implicit solves.
+
+    The solver shifted by the midpoint c of the potential's range is the
+    preconditioner of the fixed-point iteration
+    z <- (M + c)^-1 (rhs - diag(potential - c) z), which contracts by at most
+    max|potential - c| / min(M + c).  The midpoint minimises that bound and,
+    unlike the mean, equals a constant potential exactly, which is then
+    solved in one solve; the iteration stops when no row moves by more than
+    SHIFT_ITERATION_TOL of its norm, and raises NumericalError at
+    MAX_SHIFT_ITERATIONS solves or on a non-finite iterate.
+    """
+    shift = 0.5 * (float(np.max(potential)) + float(np.min(potential)))
+    rest = potential - shift
+    z = solver.solve(rhs, shift)
+    if not rest.any():
+        return z, 1
+    for count in range(2, MAX_SHIFT_ITERATIONS + 1):
+        z_next = solver.solve(rhs - rest * z, shift)
+        moved = np.linalg.norm(z_next - z, axis=-1)
+        z = z_next
+        if not np.all(np.isfinite(moved)):
+            break
+        if np.all(moved <= SHIFT_ITERATION_TOL * np.linalg.norm(z, axis=-1)):
+            return z, count
+    raise NumericalError(
+        f"independent backward solve: no convergence after {count} shifted "
+        f"solves; dt*a_k spans {float(np.ptp(potential)):.3g} around the "
+        f"shift {shift:.3g}")
 
 
 def duality_check(dual_levels: list, pair: BackwardPair, h=None,

@@ -8,14 +8,16 @@ which keeps the Ito evaluation point of the noise; a and b are deterministic
 arrays indexed by step, and `step_factors` gives the nodal factor of every
 solve.  Every tree solve (this one and the dual and adjoint solves of
 `control`) is `tree_step`, level k to level k+1 of the history tree, or its
-transpose `tree_step_adjoint`; all solves share one factorization of
-I - dt*Lap_h per (grid, dt).  Each solve returns one `Ensemble`: weighted
-rows per time node, which are sampled paths, tree history levels, or the
-thin factors Z of E[y y^T] = Z^T Z from the exact second-moment recursion.
+transpose `tree_step_adjoint`; all solves share one `ImplicitHeatSolver`
+per (grid, dt), the exact inverse of I - dt*Lap_h as dense sine-basis
+products per axis.  Each solve returns one `Ensemble`: weighted rows per
+time node, which are sampled paths, tree history levels, or the thin
+factors Z of E[y y^T] = Z^T Z from the exact second-moment recursion.
 That recursion reproduces tree expectations of quadratic functionals at any
 depth without enumerating paths.  `energy_trace` reads the energy, or the
-mass on a node mask, per time node from any of them; `Ensemble.values`, a
-leaf view of the levels, is kept for the benchmark.
+mass on a node mask, per time node from any of them (`moment_trace` from
+one `nodal_moment` pass); `Ensemble.values`, a leaf view of the levels, is
+kept for the benchmark.
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from numpy.random import Generator, Philox
 
-from .errors import ConfigurationError, NumericalError, ShapeError
+from .errors import ConfigurationError, ShapeError
 from .geometry import SpatialGrid
 from .noise import BernoulliTree, PathEnsemble, TimeMesh
 
@@ -46,6 +47,7 @@ __all__ = [
     "solve_forward_moments",
     "exp_transform_oracle",
     "energy_trace",
+    "moment_trace",
     "step_invertibility_report",
 ]
 
@@ -53,23 +55,47 @@ DEGENERATE_STEP_TOL = 1e-12
 # singular values of a moment factor below this fraction of the largest are
 # dropped: eigenvalues of E[y y^T] below 1e-18 of the largest
 MOMENT_RANK_TOL = 1e-9
+# bytes of the row blocks on which nodal_moment applies its operators
+MOMENT_BLOCK_BYTES = 1 << 18
 
 
 class ImplicitHeatSolver:
-    """Prefactorized solve of (I - dt*Lap_h) u = rhs."""
+    """Exact solve of (I - dt*Lap_h + shift) u = rhs in the sine eigenbasis.
+
+    Per axis, the Dirichlet 3-point Laplacian is S diag(lam) S with the
+    orthogonal, symmetric sine matrix S_ij = sqrt(2/(n+1)) sin(pi ij/(n+1))
+    and lam_j = -(4/h^2) sin^2(pi j/(2(n+1))), so the inverse is a product
+    of dense S per axis around a diagonal (the matrix-decomposition solver
+    of Buzbee, Golub & Nielson, SINUM 1970).  Memory is O(n1^2 + n2^2).
+    """
 
     def __init__(self, grid: SpatialGrid, dt: float):
-        mat = sp.eye(grid.n_nodes) - dt * grid.laplacian()
-        try:
-            self._lu = splu(sp.csc_matrix(mat))
-        except RuntimeError as exc:  # pragma: no cover - splu failure is exotic
-            raise NumericalError(f"implicit step factorization failed: {exc}") from exc
+        self.shape = grid.shape
+        self._sines, lams = [], []
+        for n, h in zip(grid.shape, grid.h):
+            j = np.arange(1, n + 1)
+            self._sines.append(np.sqrt(2.0 / (n + 1))
+                               * np.sin(np.pi * np.outer(j, j) / (n + 1)))
+            lams.append(-(4.0 / h**2) * np.sin(np.pi * j / (2 * (n + 1))) ** 2)
+        lam = lams[0] if grid.dim == 1 else lams[0][:, None] + lams[1][None, :]
+        self._diag = 1.0 - dt * lam
+        self._inverse = 1.0 / self._diag
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve for one field (n,) or a batch (..., n)."""
+    def solve(self, rhs: np.ndarray, shift: float = 0.0) -> np.ndarray:
+        """Solve for one field (n,) or a batch (..., n); `shift` is a scalar
+        added to the diagonal of I - dt*Lap_h."""
         rhs = np.asarray(rhs, dtype=float)
+        inverse = self._inverse if shift == 0.0 else 1.0 / (self._diag + shift)
         flat = rhs.reshape(-1, rhs.shape[-1])
-        return self._lu.solve(flat.T).T.reshape(rhs.shape)
+        if len(self.shape) == 1:
+            (s,) = self._sines
+            return (((flat @ s) * inverse) @ s).reshape(rhs.shape)
+        (n1, n2), (s1, s2) = self.shape, self._sines
+        # axis 2, then axis 1 on the transposed (r, n2, n1) view, and back
+        c = (flat.reshape(-1, n2) @ s2).reshape(-1, n1, n2)
+        c = (c.transpose(0, 2, 1).reshape(-1, n1) @ s1).reshape(-1, n2, n1)
+        c = ((c * inverse.T).reshape(-1, n1) @ s1).reshape(-1, n2, n1)
+        return (c.transpose(0, 2, 1).reshape(-1, n2) @ s2).reshape(rhs.shape)
 
 
 # grid -> {dt: solver}; solvers hold no reference to their grid
@@ -77,7 +103,7 @@ _SOLVERS = weakref.WeakKeyDictionary()
 
 
 def implicit_solver(grid: SpatialGrid, dt: float) -> ImplicitHeatSolver:
-    """The factorization of I - dt*Lap_h, built once per (grid, dt)."""
+    """The sine-basis solver of I - dt*Lap_h, built once per (grid, dt)."""
     per_grid = _SOLVERS.setdefault(grid, {})
     if dt not in per_grid:
         per_grid[dt] = ImplicitHeatSolver(grid, dt)
@@ -125,7 +151,7 @@ class CoefficientField:
         constants depend exponentially on the gradient of b, so bounding the
         value alone would let them explode.
         """
-        rng = np.random.Generator(np.random.Philox(key=[int(seed), 0x5eed]))
+        rng = Generator(Philox(key=[int(seed), 0x5eed]))
         def smooth_field(bound):
             x = grid.coords
             f = np.zeros(grid.n_nodes)
@@ -170,12 +196,38 @@ class Ensemble:
 
     def nodal_moment(self, left=None, right=None) -> np.ndarray:
         """E[(L y(t_k))_i (R y(t_k))_i], shape (steps+1, n), summed over the
-        weighted rows of each level; a sparse operator None is the identity."""
-        def moment(weights, y):  # frees its (r_k, n) temporaries per level
+        weighted rows of each level.  L and R are operators applied as
+        `L @ v` to an (n, r) batch, a `geometry.Stencil` or a matrix, and
+        None is the identity.  They run on blocks of about
+        MOMENT_BLOCK_BYTES of rows: large levels are split and small
+        consecutive levels joined, so a block stays in cache and the
+        operator calls do not grow with the number of levels."""
+        rows = max(1, MOMENT_BLOCK_BYTES // (8 * self.grid.n_nodes))
+        out = np.zeros((len(self.levels), self.grid.n_nodes))
+
+        def contract(parts):  # parts: (level, weights, rows) of one block
+            y = np.concatenate([p[2] for p in parts]) if len(parts) > 1 \
+                else parts[0][2]
             ly = y if left is None else (left @ y.T).T
             ry = ly if right is left else y if right is None else (right @ y.T).T
-            return np.einsum("p,pi,pi->i", weights, ly, ry)
-        return np.stack([moment(w, y) for w, y in zip(self.weights, self.levels)])
+            start = 0
+            for k, w, part in parts:
+                stop = start + len(part)
+                out[k] += np.einsum("p,pi,pi->i", w, ly[start:stop],
+                                    ry[start:stop])
+                start = stop
+
+        parts, size = [], 0
+        for k, (w, y) in enumerate(zip(self.weights, self.levels)):
+            for lo in range(0, len(y), rows):
+                parts.append((k, w[lo:lo + rows], y[lo:lo + rows]))
+                size += len(parts[-1][2])
+                if size >= rows:
+                    contract(parts)
+                    parts, size = [], 0
+        if parts:
+            contract(parts)
+        return out
 
 
 class LeafHistories:
@@ -363,8 +415,14 @@ def exp_transform_oracle(ensemble: Ensemble, b_const: float, a) -> dict:
 def energy_trace(ens, mask: np.ndarray | None = None) -> np.ndarray:
     """E ||y(t_k)||^2_{L2(G)} over the time nodes, or with a node mask the
     squared mass on the masked nodes (exact in tree/moment mode)."""
-    moment = ens.nodal_moment()
-    return ens.grid.quad_weight * (
+    return moment_trace(ens.nodal_moment(), ens.grid, mask)
+
+
+def moment_trace(moment: np.ndarray, grid: SpatialGrid,
+                 mask: np.ndarray | None = None) -> np.ndarray:
+    """`energy_trace` from a `nodal_moment()` array already computed, so
+    one moment pass serves several traces."""
+    return grid.quad_weight * (
         moment.sum(axis=1) if mask is None else moment @ mask.astype(float))
 
 
@@ -375,7 +433,11 @@ def step_invertibility_report(coeffs: CoefficientField, ensemble) -> dict:
     multiplication; a factor below tolerance breaks the backward-uniqueness
     argument at the discrete level and is flagged instead of asserted.
     `min_factor` is the signed minimum and `sign_loss_steps` lists the steps
-    with a factor <= 0, where the scheme no longer preserves sign.
+    with a factor <= 0, where the scheme no longer preserves sign.  The
+    scheme's step sizes are reported beside them: `b_sqrt_dt` = max|b|
+    sqrt(dt) and `a_dt` = max|a| dt, with `noise_step_large` when b sqrt(dt)
+    >= 1, where one noise increment can outweigh the state (Higham, SIAM
+    Review 2001).
     """
     dt = ensemble.mesh.dt
     min_factor = np.inf
@@ -388,5 +450,8 @@ def step_invertibility_report(coeffs: CoefficientField, ensemble) -> dict:
             sign_loss.append(k)
         if np.min(np.abs(factors)) < DEGENERATE_STEP_TOL:
             flagged.append(k)
+    b_sqrt_dt = float(np.max(np.abs(coeffs.b)) * np.sqrt(dt))
     return {"min_factor": min_factor, "sign_loss_steps": sign_loss,
-            "degenerate_steps": flagged, "invertible": not flagged}
+            "degenerate_steps": flagged, "invertible": not flagged,
+            "b_sqrt_dt": b_sqrt_dt, "a_dt": coeffs.sup_a * dt,
+            "noise_step_large": b_sqrt_dt >= 1.0}

@@ -8,10 +8,12 @@ field Phi = phi*y carries the quantities
 plus the commutator source F = a*Phi + S y with the static part
 S = -Lap(phi) - 2 grad(phi).grad.  Each functional is a contraction
 sum_i K(t, x_i) f_i(t) of the kernel against a nodal field f built from
-second moments E[(L y)_i (R y)_i] of the ensemble (`nodal_moment`).  The
-fields do not depend on the kernel shift: `localized_fields` builds them
-once, and the derivative identity, the drift bound and the lambda sweep of
-`ucp` take them and contract them (`compute_hdn`); without a cutoff they
+second moments E[(L y)_i (R y)_i] of the ensemble (`nodal_moment`), where
+the localized gradients grad(phi * .) and S are `geometry.Stencil`s
+composed with nodal scalings.  The fields do not depend on the kernel
+shift: `localized_fields` builds them once, and the derivative identity,
+the drift bound and the lambda sweep of `ucp` take them and contract them
+(`compute_hdn`); without a cutoff they
 are the global, convex-domain fields.  The same code runs on sampled
 paths, an exact Bernoulli tree, or the second-moment recursion, whose
 factors E[y y^T] = Z^T Z are contracted like unit-weight paths.
@@ -22,11 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NumericalError
 from .forward import CoefficientField
-from .geometry import CutoffFunction, HeatKernelWeight, SpatialGrid
+from .geometry import CutoffFunction, HeatKernelWeight, SpatialGrid, Stencil
 from .noise import TimeMesh
 
 __all__ = [
@@ -91,11 +92,10 @@ def localized_fields(ens, cutoff: CutoffFunction | None,
         loc_grads = grads
     else:
         phi = cutoff.values
-        static = -sp.diags(cutoff.lap)
+        static = Stencil.diagonal(grid.shape, -cutoff.lap)
         for ax, g in enumerate(grads):
-            static = static - 2.0 * sp.diags(cutoff.grad[:, ax]) @ g
-        static = sp.csr_matrix(static)
-        loc_grads = [sp.csr_matrix(g @ sp.diags(phi)) for g in grads]
+            static = static + g.scaled(left=-2.0 * cutoff.grad[:, ax])
+        loc_grads = [g.scaled(right=phi) for g in grads]
     y_sq = ens.nodal_moment()
     h = phi ** 2 * y_sq
     d = sum(ens.nodal_moment(g, g) for g in loc_grads)

@@ -2,7 +2,11 @@
 
 The domain is an interval (0, L) or a rectangle (0, L1) x (0, L2) with
 homogeneous Dirichlet data.  Fields live on the interior nodes of a uniform
-tensor grid; the boundary value 0 is eliminated from all operators.
+tensor grid; the boundary value 0 is eliminated from all operators.  The
+Laplacian and the centred gradients are `Stencil`s: 3- or 5-point operators
+applied by slicing the (n1[, n2], r) view of a field or a batch, which
+compose with nodal scalings (the localized gradients and the commutator of
+`frequency`).
 """
 
 from __future__ import annotations
@@ -10,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigurationError, DomainError, GeometryError
 
 __all__ = [
+    "Stencil",
     "SpatialGrid",
     "Ball",
     "CutoffFunction",
@@ -41,6 +45,74 @@ class Ball:
     @property
     def center_array(self) -> np.ndarray:
         return np.asarray(self.center, dtype=float)
+
+
+def _overlap(disp: tuple, shape: tuple) -> tuple:
+    """Slices of the nodes x and x + disp that both lie inside the grid."""
+    dst = tuple(slice(max(0, -e), n - max(0, e)) for e, n in zip(disp, shape))
+    src = tuple(slice(max(0, e), n - max(0, -e)) for e, n in zip(disp, shape))
+    return dst, src
+
+
+class Stencil:
+    """A banded operator on the interior nodes of a tensor grid with zero
+    Dirichlet ghosts: (S v)(x) = sum_e w_e(x) v(x + e) over displacements e
+    (tuples, one entry per axis), each weight w_e a scalar or a nodal field.
+
+    `S @ v` takes a field (n,) or a batch (n, r), like a sparse matrix.  The
+    terms are summed in ascending displacement order, the column order of a
+    sorted row-major CSR matrix.
+    """
+
+    def __init__(self, shape: tuple, weights: dict):
+        self.shape = tuple(shape)
+        self.weights = dict(weights)
+        self._terms = []  # (destination, source) index of a row batch
+        for disp in sorted(self.weights):
+            dst, src = _overlap(disp, self.shape)
+            w = self.weights[disp]
+            if np.ndim(w):
+                w = np.reshape(w, self.shape)[dst]
+            self._terms.append(((...,) + dst, (...,) + src, w))
+
+    @classmethod
+    def diagonal(cls, shape, values) -> "Stencil":
+        """The nodal multiplication diag(values)."""
+        return cls(shape, {(0,) * len(shape): np.asarray(values, dtype=float)})
+
+    def __matmul__(self, v):
+        # on the rows (r, n1[, n2]) of v.T, which a batch y.T holds contiguously
+        rows = np.asarray(v, dtype=float).T
+        field = rows.reshape(rows.shape[:-1] + self.shape)
+        out = np.zeros(field.shape)
+        for i, (dst, src, w) in enumerate(self._terms):
+            if i == 0:  # 0 + w*v is w*v: the first term is written in place
+                np.multiply(w, field[src], out=out[dst])
+            else:
+                out[dst] += w * field[src]
+        return out.reshape(rows.shape).T
+
+    def __add__(self, other: "Stencil") -> "Stencil":
+        weights = dict(self.weights)
+        for disp, w in other.weights.items():
+            weights[disp] = weights[disp] + w if disp in weights else w
+        return Stencil(self.shape, weights)
+
+    def scaled(self, left=None, right=None) -> "Stencil":
+        """diag(left) S diag(right) for nodal fields left and right."""
+        weights = {}
+        for disp, w in self.weights.items():
+            w = np.broadcast_to(w, self.shape)
+            if left is not None:
+                w = np.reshape(left, self.shape) * w
+            if right is not None:
+                # right(x + e) at x, zero where x + e is a ghost
+                shifted = np.zeros(self.shape)
+                dst, src = _overlap(disp, self.shape)
+                shifted[dst] = np.reshape(right, self.shape)[src]
+                w = w * shifted
+            weights[disp] = w
+        return Stencil(self.shape, weights)
 
 
 class SpatialGrid:
@@ -100,44 +172,33 @@ class SpatialGrid:
                 pts.append([x, b2]); normals.append([0.0, 1.0])
         return np.array(pts, dtype=float), np.array(normals, dtype=float)
 
-    def laplacian(self) -> sp.csr_matrix:
+    def _unit(self, axis: int, step: int) -> tuple:
+        return tuple(step if ax == axis else 0 for ax in range(self.dim))
+
+    def laplacian(self) -> Stencil:
         """Second-order Dirichlet Laplacian (3-point / 5-point stencil)."""
         if self._laplacian is None:
-            mats = []
-            for n, h in zip(self.shape, self.h):
-                main = -2.0 * np.ones(n)
-                off = np.ones(n - 1)
-                mats.append(sp.diags([off, main, off], [-1, 0, 1]) / h**2)
-            if self.dim == 1:
-                lap = mats[0]
-            else:
-                n1, n2 = self.shape
-                lap = sp.kron(mats[0], sp.eye(n2)) + sp.kron(sp.eye(n1), mats[1])
-            self._laplacian = sp.csr_matrix(lap)
+            weights = {self._unit(0, 0): sum(-2.0 / h**2 for h in self.h)}
+            for axis, h in enumerate(self.h):
+                weights[self._unit(axis, -1)] = 1.0 / h**2
+                weights[self._unit(axis, 1)] = 1.0 / h**2
+            self._laplacian = Stencil(self.shape, weights)
         return self._laplacian
 
-    def gradient_ops(self) -> tuple[sp.csr_matrix, ...]:
+    def gradient_ops(self) -> tuple[Stencil, ...]:
         """Centered-difference gradient per axis; zero Dirichlet ghosts."""
         if self._gradients is None:
-            mats = []
-            for n, h in zip(self.shape, self.h):
-                off = np.ones(n - 1)
-                mats.append(sp.diags([-off, off], [-1, 1]) / (2.0 * h))
-            if self.dim == 1:
-                ops = (sp.csr_matrix(mats[0]),)
-            else:
-                n1, n2 = self.shape
-                ops = (
-                    sp.csr_matrix(sp.kron(mats[0], sp.eye(n2))),
-                    sp.csr_matrix(sp.kron(sp.eye(n1), mats[1])),
-                )
-            self._gradients = ops
+            self._gradients = tuple(
+                Stencil(self.shape, {self._unit(axis, -1): -1.0 / (2.0 * h),
+                                     self._unit(axis, 1): 1.0 / (2.0 * h)})
+                for axis, h in enumerate(self.h))
         return self._gradients
 
     def gradient(self, values: np.ndarray) -> np.ndarray:
         """Nodal gradient of a field; returns shape (..., n_nodes, dim)."""
-        ops = self.gradient_ops()
-        return np.stack([values @ op.T for op in ops], axis=-1)
+        values = np.asarray(values, dtype=float)
+        return np.stack([(op @ values.T).T for op in self.gradient_ops()],
+                        axis=-1)
 
     def field_gradient(self, values: np.ndarray) -> np.ndarray:
         """Gradient without boundary conditions (one-sided at the edges).

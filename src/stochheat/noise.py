@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from .errors import ConfigurationError, ResourceError
 
@@ -52,7 +53,7 @@ class TimeMesh:
 
 def path_increments(seed: int, omega: int, mesh: TimeMesh) -> np.ndarray:
     """Increments of path `omega`, reproducible independently of the ensemble."""
-    rng = np.random.Generator(np.random.Philox(key=[int(seed), int(omega)]))
+    rng = Generator(Philox(key=[int(seed), int(omega)]))
     return np.sqrt(mesh.dt) * rng.standard_normal(mesh.steps)
 
 

@@ -247,9 +247,10 @@ def observation_mass(local: np.ndarray, mesh: TimeMesh,
     lo = 0.0 if s is None else s
     hi = mesh.horizon if t is None else t
     total = 0.0
+    times = mesh.times
     for k in range(mesh.steps):
-        lo_k = max(mesh.times[k], lo)
-        hi_k = min(mesh.times[k + 1], hi)
+        lo_k = max(times[k], lo)
+        hi_k = min(times[k + 1], hi)
         if hi_k <= lo_k:
             continue
         overlap = time_set.measure_between(lo_k, hi_k)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from stochheat import cli, forward
+from stochheat import control as ctl
 from stochheat import config as cfgmod
 from stochheat import report as repmod
 from stochheat.cli import main
@@ -255,23 +256,66 @@ def test_cli_2d_frequency_at_31x31(tmp_path, capsys):
 
 
 def test_one_factorization_per_run(monkeypatch):
-    # every tree, dual, adjoint and sampled solve of a run shares the one
-    # factorization of I - dt Lap for its (grid, dt)
-    built = []
+    # every tree, dual, adjoint, independent and sampled solve of a run
+    # shares the one solver of I - dt Lap for its (grid, dt); the
+    # independent mode's potential, constant or not, is a shift of it
+    built, modes = [], []
     init = forward.ImplicitHeatSolver.__init__
+    backward = ctl.solve_backward_tree
 
     def counting_init(self, grid, dt):
         built.append(dt)
         init(self, grid, dt)
 
+    def recording_backward(*args, **kwargs):
+        modes.append(kwargs.get("mode", "adjoint"))
+        return backward(*args, **kwargs)
+
     monkeypatch.setattr(forward.ImplicitHeatSolver, "__init__", counting_init)
-    exp = cli.Experiment(cfgmod.merge_config(
-        cfgmod.parse_config(_fast_text())))
-    cli.run_control(exp)
-    assert len(built) == 1
-    built.clear()
+    monkeypatch.setattr(ctl, "solve_backward_tree", recording_backward)
+    for kind in ("constant", "random"):
+        exp = cli.Experiment(cfgmod.merge_config(
+            cfgmod.parse_config(_fast_text(f"coeff.kind = {kind}\n"))))
+        _, extras, _ = cli.run_control(exp)
+        assert len(built) == 1 and "independent" in modes
+        solves = extras["independent_solves"]  # per step, depth 6
+        if kind == "constant":
+            assert solves == [1] * 6
+        else:
+            assert min(solves) > 1
+        built.clear()
+        modes.clear()
     cli.run_simulate(exp)
     assert len(built) == 1
+
+
+def test_cli_independent_solve_without_convergence_exit_2(tmp_path, capsys):
+    # a random potential whose spread dt*|a - c| dwarfs the implicit step:
+    # the independent mode's iteration hits its cap, a configuration the
+    # lab cannot run, reported in one line
+    code = main(["control", "--config", _fast_config(
+        tmp_path, "coeff.kind = random\ncoeff.a_bound = 1000\n"),
+        "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "NumericalError" in err and "no convergence" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "control.json").exists()
+
+
+def test_simulate_reports_the_scheme_step_sizes(tmp_path, capsys):
+    # b sqrt(dt) and |a| dt in the details; at b = 40 (dt = 0.05) a noise
+    # step of 8.9 is flagged, at the defaults (0.089) it is not
+    for extra, b_sqrt_dt, large in (("coeff.b = 40\n", 8.944, True),
+                                    ("", 0.0894, False)):
+        path = tmp_path / "scheme.cfg"
+        path.write_text(extra)
+        main(["simulate", "--config", str(path), "--out", str(tmp_path)])
+        capsys.readouterr()
+        scheme = json.load(open(tmp_path / "simulate.json"))["details"]["scheme"]
+        assert scheme["b_sqrt_dt"] == pytest.approx(b_sqrt_dt, rel=1e-3)
+        assert scheme["a_dt"] == pytest.approx(0.3 * 0.05, rel=1e-12)
+        assert scheme["noise_step_large"] is large
 
 
 def test_one_cutoff_field_build_per_experiment(monkeypatch):

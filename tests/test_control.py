@@ -66,13 +66,14 @@ def test_dual_forward_per_leaf_brute_force(lab):
             assert np.allclose(levels[k + 1][node], y, rtol=1e-12, atol=1e-14)
 
 
-def test_backward_independent_brute_force(lab):
+def test_backward_independent_brute_force(lab, sparse_operators):
     # martingale-representation induction recomputed longhand per level, for
     # constant coefficients and for a potential ramping from 0 to 3, whose
     # implicit matrix I - dt Lap + dt diag(a_k) changes at every step
     grid, mesh, tree, coeffs, _, _ = lab
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
+    lap, _ = sparse_operators(grid)
     ramp = CoefficientField(
         grid, mesh, a=np.linspace(0.0, 3.0, mesh.steps)[:, None]
         * np.ones(grid.n_nodes), b=0.5)
@@ -83,8 +84,7 @@ def test_backward_independent_brute_force(lab):
                                    mode="independent")
         z = z_t.copy()
         for k in range(mesh.steps - 1, -1, -1):
-            lu = splu(sp.csc_matrix(sp.eye(grid.n_nodes)
-                                    - dt * grid.laplacian()
+            lu = splu(sp.csc_matrix(sp.eye(grid.n_nodes) - dt * lap
                                     + dt * sp.diags(c.a[k])))
             cond = 0.5 * (z[0::2] + z[1::2])
             big_z = (z[1::2] - z[0::2]) / (2.0 * rootdt)
@@ -92,6 +92,41 @@ def test_backward_independent_brute_force(lab):
             assert np.allclose(pair.z_levels[k], z, rtol=1e-12, atol=1e-14)
             assert np.allclose(pair.z_martingale[k], big_z, rtol=1e-12,
                                atol=1e-14)
+
+
+@pytest.mark.parametrize("extents, shape", [
+    ([(0.0, 1.0)], (15,)),
+    ([(0.0, 1.0), (0.0, 2.0)], (7, 11)),
+], ids=["1d", "2d"])
+def test_backward_independent_random_potential_matches_splu(
+        extents, shape, sparse_operators, assert_rel_close):
+    # a space-varying potential: the shifted sine solve iterated on the
+    # remainder against SuperLU of I - dt Lap + dt diag(a_k) at every step
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+    grid = build_grid(extents, shape)
+    mesh = TimeMesh(horizon=0.5, steps=5)
+    tree = build_tree(mesh)
+    coeffs = CoefficientField.random_bounded(grid, mesh, 3, 2.0, 0.5)
+    lap, _ = sparse_operators(grid)
+    z_t = _rng(4).standard_normal((tree.n_leaves, grid.n_nodes))
+    pair = solve_backward_tree(z_t, coeffs, mesh, grid, tree,
+                               mode="independent")
+    assert len(pair.solves) == mesh.steps and min(pair.solves) > 1
+    dt, rootdt = mesh.dt, np.sqrt(mesh.dt)
+    z = z_t
+    for k in range(mesh.steps - 1, -1, -1):
+        lu = splu(sp.csc_matrix(sp.eye(grid.n_nodes) - dt * lap
+                                + dt * sp.diags(coeffs.a[k])))
+        big_z = (z[1::2] - z[0::2]) / (2.0 * rootdt)
+        cond = 0.5 * (z[0::2] + z[1::2])
+        z = lu.solve((cond - dt * coeffs.b[k] * big_z).T).T
+        assert_rel_close(pair.z_levels[k], z)
+    # a constant potential is exact after one solve per step
+    const = CoefficientField.constant(grid, mesh, 0.2, 0.5)
+    assert solve_backward_tree(z_t, const, mesh, grid, tree,
+                               mode="independent").solves == [1] * mesh.steps
+    assert solve_backward_tree(z_t, const, mesh, grid, tree).solves is None
 
 
 def test_backward_modes_agree_to_first_order(lab):

@@ -43,6 +43,27 @@ def test_implicit_solver_batched_and_single_agree():
         assert np.allclose(out[i], solver.solve(batch[i]), rtol=1e-13)
 
 
+def test_implicit_solver_matches_superlu(oracle_grid, sparse_operators,
+                                        assert_rel_close):
+    # the sine-basis solve against SuperLU on I - dt Lap (+ shift), for a
+    # field, a batch and a stacked batch
+    from scipy.sparse.linalg import splu
+    grid, dt = oracle_grid, 0.01
+    lap, _ = sparse_operators(grid)
+    n = grid.n_nodes
+    solver = ImplicitHeatSolver(grid, dt)
+    rng = np.random.Generator(np.random.Philox(key=[8, 5]))
+    for shift in (0.0, 0.3, -0.2):
+        lu = splu(sp.csc_matrix((1.0 + shift) * sp.eye(n) - dt * lap))
+        for rhs in (rng.standard_normal(n), rng.standard_normal((9, n)),
+                    rng.standard_normal((2, 3, n))):
+            flat = rhs.reshape(-1, n)
+            ref = lu.solve(flat.T).T.reshape(rhs.shape)
+            out = solver.solve(rhs, shift)
+            assert out.shape == rhs.shape
+            assert_rel_close(out, ref)
+
+
 def test_coefficient_field_shapes_and_sups(grid, mesh):
     c = CoefficientField.constant(grid, mesh, a=-0.7, b=0.2)
     assert c.a.shape == (mesh.steps, grid.n_nodes)
@@ -152,7 +173,7 @@ def test_sampled_levels_apply_the_step_factors(grid):
         assert np.array_equal(paths[:, k + 1], step)
 
 
-def test_moment_propagator_matches_tree_exactly(grid):
+def test_moment_propagator_matches_tree_exactly(grid, sparse_operators):
     # the closed moment recursion must reproduce tree expectations of
     # arbitrary quadratic functionals to rounding, at any depth
     mesh = TimeMesh(horizon=0.4, steps=7)
@@ -172,25 +193,26 @@ def test_moment_propagator_matches_tree_exactly(grid):
         assert np.allclose(ens.levels[k].mean(axis=0), mom.means[k],
                            atol=1e-13)
     # whole nodal fields, including the localized gradient and the static
-    # cutoff source -Lap(phi) - 2 grad(phi).grad
+    # cutoff source -Lap(phi) - 2 grad(phi).grad as sparse matrices, and the
+    # package's stencils
     cutoff = build_cutoff(Ball((0.5,), 0.18), Ball((0.5,), 0.24), grid)
-    (grad,) = grid.gradient_ops()
+    (grad,) = sparse_operators(grid)[1]
     grad_phi = sp.csr_matrix(grad @ sp.diags(cutoff.values))
     source = sp.csr_matrix(-sp.diags(cutoff.lap)
                            - 2.0 * sp.diags(cutoff.grad[:, 0]) @ grad)
     for left, right in ((None, None), (grad_phi, grad_phi), (None, source),
-                        (source, source), (grad, source)):
+                        (source, source), (grad, source),
+                        (grid.laplacian(), grid.gradient_ops()[0])):
         a = ens.nodal_moment(left, right)
         b = mom.nodal_moment(left, right)
         assert a.shape == (mesh.steps + 1, grid.n_nodes)
         assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(a)), 1.0)
 
 
-def _dense_moments(y0, coeffs, mesh, grid):
+def _dense_moments(y0, coeffs, mesh, lap):
     # P_{k+1} = M^{-1} ((d d^T + dt b b^T) o P_k) M^{-1}, d = 1 + dt a_k,
     # with M = I - dt Lap inverted densely
-    m_inv = np.linalg.inv(np.eye(grid.n_nodes)
-                          - mesh.dt * grid.laplacian().toarray())
+    m_inv = np.linalg.inv(np.eye(lap.shape[0]) - mesh.dt * lap.toarray())
     p = [np.outer(y0, y0)]
     for k in range(mesh.steps):
         d, b = 1.0 + mesh.dt * coeffs.a[k], coeffs.b[k]
@@ -199,7 +221,7 @@ def _dense_moments(y0, coeffs, mesh, grid):
     return p
 
 
-def test_moment_factors_match_dense_recursion():
+def test_moment_factors_match_dense_recursion(sparse_operators):
     # E[y y^T] = Z^T Z against the dense n x n recursion, 1-D and 2-D, under
     # space-varying coefficients (factor rank above one)
     mesh = TimeMesh(horizon=0.5, steps=400)
@@ -210,8 +232,9 @@ def test_moment_factors_match_dense_recursion():
             + 0.3 * np.sin(3 * np.pi * grid.coords[:, 0])
         mom = solve_forward_moments(y0, coeffs, mesh, grid)
         assert max(mom.provenance["rank"]) > 1
-        for z, p in zip(mom.second_moments, _dense_moments(y0, coeffs, mesh,
-                                                           grid)):
+        lap, _ = sparse_operators(grid)
+        for z, p in zip(mom.second_moments,
+                        _dense_moments(y0, coeffs, mesh, lap)):
             assert z.shape[1] == grid.n_nodes
             assert np.max(np.abs(z.T @ z - p)) <= 1e-12 * np.max(np.abs(p))
 

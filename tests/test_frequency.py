@@ -5,7 +5,7 @@ import pytest
 
 from stochheat import (Ball, CoefficientField, HeatKernelWeight, TimeMesh,
                        boundary_sign_audit, build_cutoff, build_grid,
-                       compute_hdn, frequency_bound_check,
+                       build_tree, compute_hdn, frequency_bound_check,
                        hprime_identity_residual, localized_fields,
                        solve_forward, solve_forward_moments)
 from stochheat.errors import NumericalError
@@ -70,6 +70,43 @@ def test_hdn_brute_force_oracle(tree_ensemble, weight, grid, coeffs):
         assert np.isclose(tr.aux["b_sq"][k], direct(b ** 2 * big_phi ** 2),
                           rtol=1e-12)
         assert np.isclose(tr.aux["f_sq"][k], direct(src ** 2), rtol=1e-12)
+
+
+@pytest.mark.parametrize("extents, shape, center", [
+    ([(0.0, 1.0)], (31,), (0.5,)),
+    ([(0.0, 1.0), (0.0, 2.0)], (7, 11), (0.5, 1.0)),
+], ids=["1d", "2d"])
+def test_localized_fields_match_sparse_commutator(extents, shape, center,
+                                                  sparse_operators,
+                                                  assert_rel_close):
+    # the stencil-built localized gradients grad(phi *) and commutator
+    # S = -diag(Lap phi) - 2 sum diag(d phi) d against the same fields
+    # contracted through scipy.sparse matrices
+    import scipy.sparse as sp
+    grid = build_grid(extents, shape)
+    mesh = TimeMesh(horizon=0.3, steps=5)
+    coeffs = CoefficientField.random_bounded(grid, mesh, 4, 0.5, 0.5)
+    y0 = np.prod(np.sin(np.pi * grid.coords / grid.coords.max(axis=0)),
+                 axis=1)
+    ens = solve_forward(y0, coeffs, build_tree(mesh), mesh, grid)
+    cutoff = build_cutoff(Ball(center, 0.2), Ball(center, 0.4), grid)
+    fields = localized_fields(ens, cutoff, coeffs)
+    _, grads = sparse_operators(grid)
+    static = -sp.diags(cutoff.lap)
+    for ax, g in enumerate(grads):
+        static = static - 2.0 * sp.diags(cutoff.grad[:, ax]) @ g
+    static = sp.csr_matrix(static)
+    loc = [sp.csr_matrix(g @ sp.diags(cutoff.values)) for g in grads]
+    assert_rel_close(fields.d, sum(ens.nodal_moment(g, g) for g in loc))
+    steps = np.minimum(np.arange(mesh.steps + 1), mesh.steps - 1)
+    a_phi = coeffs.a[steps] * cutoff.values
+    y_sq = ens.nodal_moment()
+    y_src = ens.nodal_moment(None, static)
+    assert_rel_close(fields.sources["phi_f"],
+                     a_phi * cutoff.values * y_sq + cutoff.values * y_src)
+    assert_rel_close(fields.sources["f_sq"],
+                     a_phi ** 2 * y_sq + 2.0 * a_phi * y_src
+                     + ens.nodal_moment(static, static))
 
 
 def test_hdn_scale_invariance_of_n(y0, coeffs, tree, mesh, grid, weight):

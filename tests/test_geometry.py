@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from stochheat import (Ball, ConfigurationError, GeometryError,
                        HeatKernelWeight, ball_chain, build_cutoff, build_grid)
-from stochheat.geometry import kernel_caloric_residual
+from stochheat.geometry import Stencil, kernel_caloric_residual
 
 
 def test_laplacian_eigenpairs_1d():
@@ -29,6 +29,31 @@ def test_gradient_ops_exact_on_linear():
     interior = slice(1, -1)
     err = (gx @ x)[interior] - 1.0
     assert np.max(np.abs(err)) < 1e-12
+
+
+def test_stencils_match_sparse_operators(oracle_grid, sparse_operators,
+                                        assert_rel_close):
+    # the Laplacian, the gradients and their compositions with nodal
+    # scalings against scipy.sparse, on a field and on batches (one of them
+    # a transposed, non-contiguous view as `nodal_moment` passes it)
+    import scipy.sparse as sp
+    grid = oracle_grid
+    lap, grads = sparse_operators(grid)
+    n = grid.n_nodes
+    rng = np.random.Generator(np.random.Philox(key=[3, 17]))
+    left, right = rng.standard_normal((2, n))
+    for v in (rng.standard_normal(n), rng.standard_normal((n, 5)),
+              rng.standard_normal((4, n)).T):
+        assert_rel_close(grid.laplacian() @ v, lap @ v)
+        for g, ref in zip(grid.gradient_ops(), grads):
+            assert (g @ v).shape == v.shape
+            assert_rel_close(g @ v, ref @ v)
+            assert_rel_close(g.scaled(left=left, right=right) @ v,
+                             sp.diags(left) @ (ref @ (sp.diags(right) @ v)))
+        combined = Stencil.diagonal(grid.shape, left) + grid.laplacian() \
+            + grid.gradient_ops()[-1].scaled(right=right)
+        assert_rel_close(combined @ v, (sp.diags(left) + lap
+                                        + grads[-1] @ sp.diags(right)) @ v)
 
 
 def test_field_gradient_no_boundary_artifacts():

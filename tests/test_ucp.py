@@ -203,8 +203,8 @@ def test_default_tolerance_formula(unit_grid):
 
 def test_ucp_reads_each_trace_once(monkeypatch):
     # run_ucp reads the energy trace, the local trace and the terminal
-    # moments once each; alone it also builds the cutoff fields, whose
-    # E[y^2] is one more call without operators
+    # moments from one moment pass; alone it also builds the cutoff fields,
+    # whose E[y^2] is one more call without operators
     calls = []
     moment = forward.Ensemble.nodal_moment
 
@@ -217,7 +217,7 @@ def test_ucp_reads_each_trace_once(monkeypatch):
     cli.run_frequency(exp)
     monkeypatch.setattr(forward.Ensemble, "nodal_moment", counting)
     cli.run_ucp(exp)
-    assert calls == [()] * 3
+    assert calls == [()]
     calls.clear()
     cli.run_ucp(cli.Experiment(cfg))
-    assert sum(args == () for args in calls) == 4
+    assert sum(args == () for args in calls) == 2
