@@ -129,6 +129,11 @@ def _numbers(value) -> bool:
                for v in items)
 
 
+def _whole(value) -> bool:
+    """Whether a number is whole (6 and 6.0 are, 6.7 is not)."""
+    return isinstance(value, int) or float(value).is_integer()
+
+
 def validate_config(cfg: dict) -> None:
     # a numeric key takes a number, or numbers where its default is a tuple
     # (grid.nodes may give one count per axis)
@@ -139,6 +144,12 @@ def validate_config(cfg: dict) -> None:
             raise ConfigurationError(
                 f"{key} must be {'numeric' if many else 'a number'}, "
                 f"got {value!r}")
+    # counts are refused rather than truncated by int()
+    for key in ("tree.depth", "time.steps", "mc.paths", "control.nodes",
+                "control.depth", "seed"):
+        if not _whole(cfg[key]):
+            raise ConfigurationError(
+                f"{key} must be a whole number, got {cfg[key]!r}")
     radii = [cfg[f"geometry.r{i}"] for i in (1, 2, 3, 4)]
     if not all(r1 < r2 for r1, r2 in zip(radii, radii[1:])):
         raise ConfigurationError(
@@ -150,13 +161,16 @@ def validate_config(cfg: dict) -> None:
         raise ConfigurationError("tree.depth >= 1 required")
     nodes = cfg["grid.nodes"]
     for n in nodes if isinstance(nodes, tuple) else (nodes,):
-        if not float(n).is_integer() or n < 3:
+        if not _whole(n) or n < 3:
             raise ConfigurationError(
                 f"grid.nodes must be whole numbers >= 3, got {nodes}")
     if cfg["noise.mode"] not in ("tree", "mc"):
         raise ConfigurationError("noise.mode must be 'tree' or 'mc'")
     if cfg["coeff.kind"] not in ("constant", "random"):
         raise ConfigurationError("coeff.kind must be 'constant' or 'random'")
+    if cfg["constants.variant"] not in ("max", "derivation", "printed"):
+        raise ConfigurationError(
+            "constants.variant must be 'max', 'derivation' or 'printed'")
     for key in ("tol_scale", "control.accuracy"):
         if cfg[key] <= 0:
             raise ConfigurationError(f"{key} must be positive, got {cfg[key]}")

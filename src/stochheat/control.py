@@ -308,12 +308,9 @@ def gramian_matrix(coeffs: CoefficientField, ball: Ball,
     return q
 
 
-def gramian_spectrum(gram) -> tuple:
+def gramian_spectrum(gram: np.ndarray) -> tuple:
     """(G, eigenvalues, eigenvectors, rank cutoff) of a `gramian_matrix` G;
-    the cutoff n*eps*lambda_max is the default of `pinv` and `lstsq`.  A
-    spectrum is returned as it is."""
-    if isinstance(gram, tuple):
-        return gram
+    the cutoff n*eps*lambda_max is the default of `pinv` and `lstsq`."""
     lam, vec = np.linalg.eigh(gram)
     return gram, lam, vec, len(lam) * np.finfo(float).eps * max(lam[-1], 0.0)
 
@@ -365,12 +362,12 @@ def conjugate_gradient(matvec, rhs: np.ndarray, tol: float = 1e-10,
                "converged": bool(converged)}
 
 
-def synthesize_null_control(z_terminal: np.ndarray, gram,
+def synthesize_null_control(z_terminal: np.ndarray, spectrum: tuple,
                             coeffs: CoefficientField, ball: Ball,
                             time_set: MeasurableTimeSet, mesh: TimeMesh,
                             grid: SpatialGrid, tree: BernoulliTree):
-    """Drive z(0) to zero by inverting the Gramian `gram` (`gramian_matrix`
-    of the same actuator, or its `gramian_spectrum`).
+    """Drive z(0) to zero by inverting the Gramian, given as the
+    `gramian_spectrum` of the same actuator's `gramian_matrix`.
 
     The free backward solve gives z_free(0); superposition makes the
     controlled value z(0) = z_free(0) - Gramian(u), so the dual datum solves
@@ -382,7 +379,7 @@ def synthesize_null_control(z_terminal: np.ndarray, gram,
     """
     free = solve_backward_tree(z_terminal, coeffs, mesh, grid, tree)
     target = free.z0
-    gram, lam, vec, cutoff = gramian_spectrum(gram)
+    gram, lam, vec, cutoff = spectrum
     keep = lam > cutoff
     u_star = vec[:, keep] @ ((vec[:, keep].T @ target) / lam[keep])
     u_cg, cg_info = conjugate_gradient(lambda p: gram @ p, target, tol=1e-12)
@@ -403,15 +400,15 @@ def synthesize_null_control(z_terminal: np.ndarray, gram,
 
 
 def synthesize_approx_control(z_terminal: np.ndarray, z0_target: np.ndarray,
-                              gram, coeffs: CoefficientField,
+                              spectrum: tuple, coeffs: CoefficientField,
                               ball: Ball, time_set: MeasurableTimeSet,
                               mesh: TimeMesh, grid: SpatialGrid,
                               tree: BernoulliTree, accuracy: float):
     """Steer z(0) within `accuracy` of a deterministic target.
 
     Solves (Gramian + eps_reg I) u = z_free(0) - z0_target in closed form,
-    u = V (V^T rhs) / (lambda + eps_reg) on the eigenpairs of `gram` (a
-    `gramian_matrix` or its `gramian_spectrum`), over a descending sweep of
+    u = V (V^T rhs) / (lambda + eps_reg) on the eigenpairs of the
+    Gramian's `gramian_spectrum`, over a descending sweep of
     N_SWEEP log-spaced regularizations (1e0 down to the 1e-12 floor),
     verifying the achieved distance after each solve by one tree solve
     driven by the `dual_control` of u, and stopping once the target
@@ -425,7 +422,7 @@ def synthesize_approx_control(z_terminal: np.ndarray, z0_target: np.ndarray,
     w = grid.quad_weight
     target_norm = np.sqrt(w * float(z0_target @ z0_target))
     goal = accuracy * max(target_norm, 1e-300)
-    gram, lam, vec, _ = gramian_spectrum(gram)
+    gram, lam, vec, _ = spectrum
     coef = vec.T @ rhs
 
     curve = []

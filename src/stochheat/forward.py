@@ -55,8 +55,10 @@ DEGENERATE_STEP_TOL = 1e-12
 # singular values of a moment factor below this fraction of the largest are
 # dropped: eigenvalues of E[y y^T] below 1e-18 of the largest
 MOMENT_RANK_TOL = 1e-9
-# bytes of the row blocks on which nodal_moment applies its operators
-MOMENT_BLOCK_BYTES = 1 << 18
+# bytes of the row blocks on which nodal_moment evaluates its integrand; a
+# field build stacks four outputs per block, which at 256 KB blocks raised
+# the peak memory of a 1-D survey by about 2 MB
+MOMENT_BLOCK_BYTES = 1 << 17
 
 
 class ImplicitHeatSolver:
@@ -194,27 +196,28 @@ class Ensemble:
         """The histories indexed by path, shape (paths, steps+1, n_nodes)."""
         return LeafHistories(self.levels)
 
-    def nodal_moment(self, left=None, right=None) -> np.ndarray:
-        """E[(L y(t_k))_i (R y(t_k))_i], shape (steps+1, n), summed over the
-        weighted rows of each level.  L and R are operators applied as
-        `L @ v` to an (n, r) batch, a `geometry.Stencil` or a matrix, and
-        None is the identity.  They run on blocks of about
-        MOMENT_BLOCK_BYTES of rows: large levels are split and small
-        consecutive levels joined, so a block stays in cache and the
-        operator calls do not grow with the number of levels."""
+    def nodal_moment(self, integrand=np.square) -> np.ndarray:
+        """E[f(y(t_k))] per time node, summed over the weighted rows of each
+        level: `integrand` f maps an (r, n) block of rows to nodal values
+        (..., r, n), and the result has shape (..., steps+1, n).  f runs on
+        blocks of about MOMENT_BLOCK_BYTES of rows: large levels are split
+        and small consecutive levels joined, so a block stays in cache and
+        the calls of f do not grow with the number of levels."""
         rows = max(1, MOMENT_BLOCK_BYTES // (8 * self.grid.n_nodes))
-        out = np.zeros((len(self.levels), self.grid.n_nodes))
+        out = None
 
         def contract(parts):  # parts: (level, weights, rows) of one block
+            nonlocal out
             y = np.concatenate([p[2] for p in parts]) if len(parts) > 1 \
                 else parts[0][2]
-            ly = y if left is None else (left @ y.T).T
-            ry = ly if right is left else y if right is None else (right @ y.T).T
+            fy = integrand(y)
+            if out is None:
+                out = np.zeros(fy.shape[:-2] + (len(self.levels), y.shape[1]))
             start = 0
             for k, w, part in parts:
                 stop = start + len(part)
-                out[k] += np.einsum("p,pi,pi->i", w, ly[start:stop],
-                                    ry[start:stop])
+                out[..., k, :] += np.einsum("p,...pi->...i", w,
+                                            fy[..., start:stop, :])
                 start = stop
 
         parts, size = [], 0

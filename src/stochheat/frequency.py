@@ -6,14 +6,14 @@ field Phi = phi*y carries the quantities
     H(t) = E int Phi^2 K,   D(t) = E int |grad Phi|^2 K,   N(t) = 2 D / H,
 
 plus the commutator source F = a*Phi + S y with the static part
-S = -Lap(phi) - 2 grad(phi).grad.  Each functional is a contraction
-sum_i K(t, x_i) f_i(t) of the kernel against a nodal field f built from
-second moments E[(L y)_i (R y)_i] of the ensemble (`nodal_moment`), where
-the localized gradients grad(phi * .) and S are `geometry.Stencil`s
-composed with nodal scalings.  The fields do not depend on the kernel
-shift: `localized_fields` builds them once, and the derivative identity,
-the drift bound and the lambda sweep of `ucp` take them and contract them
-(`compute_hdn`); without a cutoff they
+S y = -Lap(phi) y - 2 grad(phi).grad y.  Each functional is a contraction
+sum_i K(t, x_i) f_i(t) of the kernel against a nodal field f of second
+moments of the ensemble: E[y^2], sum_ax E[(d_ax Phi)^2], E[y Sy] and
+E[(Sy)^2], which `localized_fields` reads in one `nodal_moment` pass, with
+S applied as nodal scalings around the plain gradient stencils of
+`geometry`.  The fields do not depend on the kernel shift: they are built
+once, and the derivative identity, the drift bound and the lambda sweep of
+`ucp` take them and contract them (`compute_hdn`); without a cutoff they
 are the global, convex-domain fields.  The same code runs on sampled
 paths, an exact Bernoulli tree, or the second-moment recursion, whose
 factors E[y y^T] = Z^T Z are contracted like unit-weight paths.
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .forward import CoefficientField
-from .geometry import CutoffFunction, HeatKernelWeight, SpatialGrid, Stencil
+from .geometry import CutoffFunction, HeatKernelWeight, SpatialGrid
 from .noise import TimeMesh
 
 __all__ = [
@@ -87,26 +87,22 @@ def localized_fields(ens, cutoff: CutoffFunction | None,
     """
     grid, mesh = ens.grid, ens.mesh
     grads = grid.gradient_ops()
-    if cutoff is None:
-        phi, static = np.ones(grid.n_nodes), None
-        loc_grads = grads
-    else:
-        phi = cutoff.values
-        static = Stencil.diagonal(grid.shape, -cutoff.lap)
-        for ax, g in enumerate(grads):
-            static = static + g.scaled(left=-2.0 * cutoff.grad[:, ax])
-        loc_grads = [g.scaled(right=phi) for g in grads]
-    y_sq = ens.nodal_moment()
+    phi = np.ones(grid.n_nodes) if cutoff is None else cutoff.values
+
+    def integrand(y):  # y^2, |grad Phi|^2 and, with a cutoff, y Sy, (Sy)^2
+        terms = [np.square(y), sum(np.square(g(phi * y)) for g in grads)]
+        if cutoff is not None:
+            sy = -cutoff.lap * y - 2.0 * sum(cutoff.grad[:, ax] * g(y)
+                                              for ax, g in enumerate(grads))
+            terms += [y * sy, np.square(sy)]
+        return np.stack(terms)
+
+    y_sq, d, *static = ens.nodal_moment(integrand)
     h = phi ** 2 * y_sq
-    d = sum(ens.nodal_moment(g, g) for g in loc_grads)
     steps = np.minimum(np.arange(mesh.steps + 1), mesh.steps - 1)
     a_phi = coeffs.a[steps] * phi
     b_phi_sq = (coeffs.b[steps] * phi) ** 2
-    if static is None:
-        y_src = src_sq = 0.0
-    else:
-        y_src = ens.nodal_moment(None, static)
-        src_sq = ens.nodal_moment(static, static)
+    y_src, src_sq = static or (0.0, 0.0)
     sources = {"phi_f": a_phi * phi * y_sq + phi * y_src,
                "b_sq": b_phi_sq * y_sq,
                "f_sq": a_phi ** 2 * y_sq + 2.0 * a_phi * y_src + src_sq}

@@ -4,9 +4,8 @@ The domain is an interval (0, L) or a rectangle (0, L1) x (0, L2) with
 homogeneous Dirichlet data.  Fields live on the interior nodes of a uniform
 tensor grid; the boundary value 0 is eliminated from all operators.  The
 Laplacian and the centred gradients are `Stencil`s: 3- or 5-point operators
-applied by slicing the (n1[, n2], r) view of a field or a batch, which
-compose with nodal scalings (the localized gradients and the commutator of
-`frequency`).
+with scalar weights, applied as `S(rows)` to a field or a batch of rows by
+slicing its (..., n1[, n2]) view.
 """
 
 from __future__ import annotations
@@ -56,33 +55,24 @@ def _overlap(disp: tuple, shape: tuple) -> tuple:
 
 class Stencil:
     """A banded operator on the interior nodes of a tensor grid with zero
-    Dirichlet ghosts: (S v)(x) = sum_e w_e(x) v(x + e) over displacements e
-    (tuples, one entry per axis), each weight w_e a scalar or a nodal field.
+    Dirichlet ghosts: (S v)(x) = sum_e w_e v(x + e) over displacements e
+    (tuples, one entry per axis) with scalar weights w_e.
 
-    `S @ v` takes a field (n,) or a batch (n, r), like a sparse matrix.  The
-    terms are summed in ascending displacement order, the column order of a
-    sorted row-major CSR matrix.
+    `S(rows)` takes a field (n,) or a batch of rows (..., n), like
+    `forward.ImplicitHeatSolver.solve`.  The terms are summed in ascending
+    displacement order, the column order of a sorted row-major CSR matrix.
     """
 
     def __init__(self, shape: tuple, weights: dict):
         self.shape = tuple(shape)
-        self.weights = dict(weights)
-        self._terms = []  # (destination, source) index of a row batch
-        for disp in sorted(self.weights):
+        self._terms = []  # (destination, source) index of a row batch, weight
+        for disp in sorted(weights):
             dst, src = _overlap(disp, self.shape)
-            w = self.weights[disp]
-            if np.ndim(w):
-                w = np.reshape(w, self.shape)[dst]
-            self._terms.append(((...,) + dst, (...,) + src, w))
+            self._terms.append(((...,) + dst, (...,) + src,
+                                float(weights[disp])))
 
-    @classmethod
-    def diagonal(cls, shape, values) -> "Stencil":
-        """The nodal multiplication diag(values)."""
-        return cls(shape, {(0,) * len(shape): np.asarray(values, dtype=float)})
-
-    def __matmul__(self, v):
-        # on the rows (r, n1[, n2]) of v.T, which a batch y.T holds contiguously
-        rows = np.asarray(v, dtype=float).T
+    def __call__(self, rows) -> np.ndarray:
+        rows = np.asarray(rows, dtype=float)
         field = rows.reshape(rows.shape[:-1] + self.shape)
         out = np.zeros(field.shape)
         for i, (dst, src, w) in enumerate(self._terms):
@@ -90,29 +80,7 @@ class Stencil:
                 np.multiply(w, field[src], out=out[dst])
             else:
                 out[dst] += w * field[src]
-        return out.reshape(rows.shape).T
-
-    def __add__(self, other: "Stencil") -> "Stencil":
-        weights = dict(self.weights)
-        for disp, w in other.weights.items():
-            weights[disp] = weights[disp] + w if disp in weights else w
-        return Stencil(self.shape, weights)
-
-    def scaled(self, left=None, right=None) -> "Stencil":
-        """diag(left) S diag(right) for nodal fields left and right."""
-        weights = {}
-        for disp, w in self.weights.items():
-            w = np.broadcast_to(w, self.shape)
-            if left is not None:
-                w = np.reshape(left, self.shape) * w
-            if right is not None:
-                # right(x + e) at x, zero where x + e is a ghost
-                shifted = np.zeros(self.shape)
-                dst, src = _overlap(disp, self.shape)
-                shifted[dst] = np.reshape(right, self.shape)[src]
-                w = w * shifted
-            weights[disp] = w
-        return Stencil(self.shape, weights)
+        return out.reshape(rows.shape)
 
 
 class SpatialGrid:
@@ -196,9 +164,7 @@ class SpatialGrid:
 
     def gradient(self, values: np.ndarray) -> np.ndarray:
         """Nodal gradient of a field; returns shape (..., n_nodes, dim)."""
-        values = np.asarray(values, dtype=float)
-        return np.stack([(op @ values.T).T for op in self.gradient_ops()],
-                        axis=-1)
+        return np.stack([op(values) for op in self.gradient_ops()], axis=-1)
 
     def field_gradient(self, values: np.ndarray) -> np.ndarray:
         """Gradient without boundary conditions (one-sided at the edges).
@@ -311,7 +277,7 @@ def kernel_caloric_residual(weight: HeatKernelWeight, grid: SpatialGrid, t: floa
     k_now = weight.values(t, grid.coords)
     t2 = min(t + dt_fd, weight.horizon)
     kt_fd = (weight.values(t2, grid.coords) - k_now) / (t2 - t)
-    lap_fd = grid.laplacian() @ k_now
+    lap_fd = grid.laplacian()(k_now)
     # The discrete Laplacian sees the Dirichlet zero ghost, wrong for K near
     # the boundary; restrict the FD audit to nodes one stencil away from it.
     interior = np.ones(grid.n_nodes, dtype=bool)

@@ -313,8 +313,9 @@ def test_criterion_10_null_controllability(control_lab):
     for seed in range(5):
         rng = np.random.Generator(np.random.Philox(key=[seed, 41]))
         z_t = rng.standard_normal((tree.n_leaves, grid.n_nodes))
-        _, rep = synthesize_null_control(z_t, gram, coeffs, ball, time_set,
-                                         mesh, grid, tree)
+        _, rep = synthesize_null_control(z_t, ctl.gramian_spectrum(gram),
+                                         coeffs, ball, time_set, mesh, grid,
+                                         tree)
         ok &= rep["relative_z0"] <= 1e-6
         ok &= rep["cg"]["iterations"] <= 15
     _line(10, "null controllability", ok)
@@ -332,8 +333,9 @@ def test_criterion_11_approximate_controllability(control_lab):
         # the high-frequency modes the dual flow damps below round-off
         target = 0.1 * sum(rng.standard_normal() * np.sin(k * np.pi * x)
                            for k in range(1, 4))
-        _, rep = synthesize_approx_control(z_t, target, gram, coeffs, ball,
-                                           time_set, mesh, grid, tree,
+        _, rep = synthesize_approx_control(z_t, target,
+                                           ctl.gramian_spectrum(gram), coeffs,
+                                           ball, time_set, mesh, grid, tree,
                                            accuracy=1e-2)
         ok &= rep["achieved"] and rep["relative_residual"] <= 1e-2
         res = [row["residual"] for row in rep["curve"]]

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,15 @@ def test_validate_config_errors():
     bad = cfgmod.merge_config({"ucp.epsilon": 0.3})
     with pytest.raises(ConfigurationError):
         cfgmod.validate_config(bad)
+    # int() would truncate a fractional count, and an unknown variant would
+    # pass simulate and fail only observe
+    for key, value in (("tree.depth", 6.7), ("time.steps", 2.5),
+                       ("mc.paths", 100.5), ("control.nodes", 15.5),
+                       ("control.depth", 6.7), ("seed", 1.5),
+                       ("constants.variant", "typo")):
+        bad = cfgmod.merge_config({key: value})
+        with pytest.raises(ConfigurationError, match=re.escape(key)):
+            cfgmod.validate_config(bad)
     cfgmod.validate_config(cfgmod.merge_config())  # defaults are valid
 
 

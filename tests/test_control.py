@@ -11,7 +11,7 @@ from stochheat import (CoefficientField, MeasurableTimeSet, TimeMesh,
 from stochheat import config as cfgmod
 from stochheat import control
 from stochheat.control import (conjugate_gradient, control_level_weights,
-                               duality_support_check)
+                               duality_support_check, gramian_spectrum)
 from stochheat.errors import ConfigurationError, NumericalError, ShapeError
 from stochheat.forward import ImplicitHeatSolver
 from stochheat.geometry import Ball
@@ -235,9 +235,9 @@ def test_cg_cross_check_agrees_with_closed_form(lab):
     z_t = rng.standard_normal((tree.n_leaves, grid.n_nodes))
     target = 0.1 * sum(rng.standard_normal() * np.sin(k * np.pi * x)
                        for k in range(1, 4))
-    _, rep = synthesize_approx_control(z_t, target, gram, coeffs, ball,
-                                       time_set, mesh, grid, tree,
-                                       accuracy=1e-6)
+    _, rep = synthesize_approx_control(z_t, target, gramian_spectrum(gram),
+                                       coeffs, ball, time_set, mesh, grid,
+                                       tree, accuracy=1e-6)
     converged = [row for row in rep["curve"] if row["cg_converged"]]
     assert converged
     for row in converged:
@@ -271,8 +271,8 @@ def test_null_control(lab):
     rng = _rng(5)
     z_t = rng.standard_normal((tree.n_leaves, grid.n_nodes))
     gram = gramian_matrix(coeffs, ball, time_set, mesh, grid)
-    ctrl, rep = synthesize_null_control(z_t, gram, coeffs, ball, time_set,
-                                        mesh, grid, tree)
+    ctrl, rep = synthesize_null_control(z_t, gramian_spectrum(gram), coeffs,
+                                        ball, time_set, mesh, grid, tree)
     # at this coarse tree depth the Gramian is worse conditioned than in the
     # verification configuration, so the accuracy demand is softer here
     assert rep["relative_z0"] < 1e-5
@@ -294,8 +294,9 @@ def test_null_control_needs_active_steps(lab):
     gram = gramian_matrix(coeffs, ball, time_set, mesh, grid)
     u = _rng(9).standard_normal(grid.n_nodes)
     for call in (lambda: synthesize_null_control(
-                     np.zeros((tree.n_leaves, grid.n_nodes)), gram, coeffs,
-                     ball, tiny, mesh, grid, tree),
+                     np.zeros((tree.n_leaves, grid.n_nodes)),
+                     gramian_spectrum(gram), coeffs, ball, tiny, mesh, grid,
+                     tree),
                  lambda: dual_control(u, coeffs, ball, tiny, mesh, grid, tree),
                  lambda: gramian_apply(u, coeffs, ball, tiny, mesh, grid, tree),
                  lambda: gramian_matrix(coeffs, ball, tiny, mesh, grid)):
@@ -313,9 +314,9 @@ def test_approx_control_smooth_target(lab):
     target = 0.1 * sum(rng.standard_normal() * np.sin(k * np.pi * x)
                        for k in range(1, 4))
     gram = gramian_matrix(coeffs, ball, time_set, mesh, grid)
-    ctrl, rep = synthesize_approx_control(z_t, target, gram, coeffs, ball,
-                                          time_set, mesh, grid, tree,
-                                          accuracy=1e-2)
+    ctrl, rep = synthesize_approx_control(z_t, target, gramian_spectrum(gram),
+                                          coeffs, ball, time_set, mesh, grid,
+                                          tree, accuracy=1e-2)
     assert rep["achieved"]
     assert rep["relative_residual"] <= 1e-2
     res = [row["residual"] for row in rep["curve"]]
@@ -333,9 +334,9 @@ def test_approx_control_curve_flags_cg_convergence(lab):
     target = 0.1 * sum(rng.standard_normal() * np.sin(k * np.pi * x)
                        for k in range(1, 4))
     gram = gramian_matrix(coeffs, ball, time_set, mesh, grid)
-    _, rep = synthesize_approx_control(z_t, target, gram, coeffs, ball,
-                                       time_set, mesh, grid, tree,
-                                       accuracy=1e-2)
+    _, rep = synthesize_approx_control(z_t, target, gramian_spectrum(gram),
+                                       coeffs, ball, time_set, mesh, grid,
+                                       tree, accuracy=1e-2)
     for row in rep["curve"]:
         assert isinstance(row["cg_converged"], bool)
         if row["cg_iterations"] < grid.n_nodes:
@@ -428,9 +429,9 @@ def test_approx_control_verifies_each_sweep_row_by_one_backward_solve(
     z_t = rng.standard_normal((tree.n_leaves, grid.n_nodes))
     target = 0.1 * sum(rng.standard_normal() * np.sin(k * np.pi * x)
                        for k in range(1, 4))
-    _, rep = synthesize_approx_control(z_t, target, gram, coeffs, ball,
-                                       time_set, mesh, grid, tree,
-                                       accuracy=1e-6)
+    _, rep = synthesize_approx_control(z_t, target, gramian_spectrum(gram),
+                                       coeffs, ball, time_set, mesh, grid,
+                                       tree, accuracy=1e-6)
     assert len(rep["curve"]) > 1
     assert len(calls) == 1 + len(rep["curve"])
     assert calls[0] is None and all(c is not None for c in calls[1:])

@@ -192,20 +192,24 @@ def test_moment_propagator_matches_tree_exactly(grid, sparse_operators):
         assert abs(a - b) <= 1e-12 * max(abs(a), 1.0)
         assert np.allclose(ens.levels[k].mean(axis=0), mom.means[k],
                            atol=1e-13)
-    # whole nodal fields, including the localized gradient and the static
-    # cutoff source -Lap(phi) - 2 grad(phi).grad as sparse matrices, and the
-    # package's stencils
+    # whole nodal fields of quadratic integrands, stacked in one call: the
+    # localized gradient and the static cutoff source -Lap(phi) -
+    # 2 grad(phi).grad as sparse matrices, and the package's stencils
     cutoff = build_cutoff(Ball((0.5,), 0.18), Ball((0.5,), 0.24), grid)
     (grad,) = sparse_operators(grid)[1]
     grad_phi = sp.csr_matrix(grad @ sp.diags(cutoff.values))
     source = sp.csr_matrix(-sp.diags(cutoff.lap)
                            - 2.0 * sp.diags(cutoff.grad[:, 0]) @ grad)
-    for left, right in ((None, None), (grad_phi, grad_phi), (None, source),
-                        (source, source), (grad, source),
-                        (grid.laplacian(), grid.gradient_ops()[0])):
-        a = ens.nodal_moment(left, right)
-        b = mom.nodal_moment(left, right)
-        assert a.shape == (mesh.steps + 1, grid.n_nodes)
+
+    def integrand(y):
+        gy, sy = (grad_phi @ y.T).T, (source @ y.T).T
+        return np.stack([np.square(y), np.square(gy), y * sy, np.square(sy),
+                         (grad @ y.T).T * sy,
+                         grid.laplacian()(y) * grid.gradient_ops()[0](y)])
+
+    fields = ens.nodal_moment(integrand)
+    assert fields.shape == (6, mesh.steps + 1, grid.n_nodes)
+    for a, b in zip(fields, mom.nodal_moment(integrand)):
         assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(a)), 1.0)
 
 

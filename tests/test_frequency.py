@@ -8,6 +8,7 @@ from stochheat import (Ball, CoefficientField, HeatKernelWeight, TimeMesh,
                        build_tree, compute_hdn, frequency_bound_check,
                        hprime_identity_residual, localized_fields,
                        solve_forward, solve_forward_moments)
+from stochheat import forward
 from stochheat.errors import NumericalError
 from stochheat.ucp import default_tolerance
 
@@ -72,17 +73,14 @@ def test_hdn_brute_force_oracle(tree_ensemble, weight, grid, coeffs):
         assert np.isclose(tr.aux["f_sq"][k], direct(src ** 2), rtol=1e-12)
 
 
-@pytest.mark.parametrize("extents, shape, center", [
+GRIDS = pytest.mark.parametrize("extents, shape, center", [
     ([(0.0, 1.0)], (31,), (0.5,)),
     ([(0.0, 1.0), (0.0, 2.0)], (7, 11), (0.5, 1.0)),
-], ids=["1d", "2d"])
-def test_localized_fields_match_sparse_commutator(extents, shape, center,
-                                                  sparse_operators,
-                                                  assert_rel_close):
-    # the stencil-built localized gradients grad(phi *) and commutator
-    # S = -diag(Lap phi) - 2 sum diag(d phi) d against the same fields
-    # contracted through scipy.sparse matrices
-    import scipy.sparse as sp
+    ([(0.0, 1.0), (0.0, 1.0)], (15, 15), (0.5, 0.5)),
+], ids=["1d", "2d", "2d-15x15"])
+
+
+def _tree_lab(extents, shape, center):
     grid = build_grid(extents, shape)
     mesh = TimeMesh(horizon=0.3, steps=5)
     coeffs = CoefficientField.random_bounded(grid, mesh, 4, 0.5, 0.5)
@@ -90,23 +88,61 @@ def test_localized_fields_match_sparse_commutator(extents, shape, center,
                  axis=1)
     ens = solve_forward(y0, coeffs, build_tree(mesh), mesh, grid)
     cutoff = build_cutoff(Ball(center, 0.2), Ball(center, 0.4), grid)
+    return ens, cutoff, coeffs
+
+
+@GRIDS
+def test_localized_fields_match_sparse_commutator(extents, shape, center,
+                                                  sparse_operators,
+                                                  assert_rel_close):
+    # the stencil-built localized gradients grad(phi *) and commutator
+    # S = -diag(Lap phi) - 2 sum diag(d phi) d against the same fields
+    # built from scipy.sparse matrices and summed level by level
+    import scipy.sparse as sp
+    ens, cutoff, coeffs = _tree_lab(extents, shape, center)
+    mesh = ens.mesh
     fields = localized_fields(ens, cutoff, coeffs)
-    _, grads = sparse_operators(grid)
+    _, grads = sparse_operators(ens.grid)
     static = -sp.diags(cutoff.lap)
     for ax, g in enumerate(grads):
         static = static - 2.0 * sp.diags(cutoff.grad[:, ax]) @ g
     static = sp.csr_matrix(static)
     loc = [sp.csr_matrix(g @ sp.diags(cutoff.values)) for g in grads]
-    assert_rel_close(fields.d, sum(ens.nodal_moment(g, g) for g in loc))
+
+    def expect(f):  # E f(y(t_k)) per time node
+        return np.stack([w @ f(y) for w, y in zip(ens.weights, ens.levels)])
+
+    assert_rel_close(fields.d, expect(
+        lambda y: sum(np.square((g @ y.T).T) for g in loc)))
     steps = np.minimum(np.arange(mesh.steps + 1), mesh.steps - 1)
     a_phi = coeffs.a[steps] * cutoff.values
-    y_sq = ens.nodal_moment()
-    y_src = ens.nodal_moment(None, static)
+    y_sq = expect(np.square)
+    y_src = expect(lambda y: y * (static @ y.T).T)
     assert_rel_close(fields.sources["phi_f"],
                      a_phi * cutoff.values * y_sq + cutoff.values * y_src)
     assert_rel_close(fields.sources["f_sq"],
                      a_phi ** 2 * y_sq + 2.0 * a_phi * y_src
-                     + ens.nodal_moment(static, static))
+                     + expect(lambda y: np.square((static @ y.T).T)))
+
+
+@GRIDS
+def test_localized_fields_read_the_ensemble_once(extents, shape, center,
+                                                 monkeypatch):
+    # every field of a build, with or without a cutoff, comes from one
+    # nodal_moment pass over the ensemble
+    ens, cutoff, coeffs = _tree_lab(extents, shape, center)
+    calls = []
+    moment = forward.Ensemble.nodal_moment
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return moment(self, *args, **kwargs)
+
+    monkeypatch.setattr(forward.Ensemble, "nodal_moment", counting)
+    for cut in (None, cutoff):
+        calls.clear()
+        localized_fields(ens, cut, coeffs)
+        assert len(calls) == 1
 
 
 def test_hdn_scale_invariance_of_n(y0, coeffs, tree, mesh, grid, weight):

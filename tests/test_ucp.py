@@ -204,7 +204,7 @@ def test_default_tolerance_formula(unit_grid):
 def test_ucp_reads_each_trace_once(monkeypatch):
     # run_ucp reads the energy trace, the local trace and the terminal
     # moments from one moment pass; alone it also builds the cutoff fields,
-    # whose E[y^2] is one more call without operators
+    # which read the ensemble in one more pass
     calls = []
     moment = forward.Ensemble.nodal_moment
 
@@ -220,4 +220,4 @@ def test_ucp_reads_each_trace_once(monkeypatch):
     assert calls == [()]
     calls.clear()
     cli.run_ucp(cli.Experiment(cfg))
-    assert sum(args == () for args in calls) == 2
+    assert len(calls) == 2 and calls[0] == ()
