@@ -21,6 +21,7 @@ from functools import cached_property
 import numpy as np
 from numpy.random import Generator, Philox
 
+from . import __version__
 from . import config as cfgmod
 from . import control as ctl
 from . import observability as obs
@@ -219,8 +220,7 @@ def run_frequency(exp: Experiment):
                                lhs=audit["max_flux"]))
     tr = bound["trace"]
     tables = {"hdn": {"header": ["t", "H", "D", "N"],
-                      "rows": [[tr.times[k], tr.h[k], tr.d[k], tr.n[k]]
-                               for k in range(len(tr.times))]}}
+                      "columns": [tr.times, tr.h, tr.d, tr.n]}}
     return checks, extras, tables
 
 
@@ -326,11 +326,11 @@ def run_observe(exp: Experiment):
         variant=str(exp.cfg["constants.variant"]))
     checks.append(check_record("energy_growth_estimate", growth["pass"],
                                lhs=growth["worst_relative_excess"], rhs=tol))
+    m = np.arange(1, len(ob_const.eps) + 1)
     tables = {"sequence": {
         "header": ["m", "t_m", "gap_measure", "eps_m", "alpha_m", "sigma_m"],
-        "rows": [[m + 1, seq.times[m], seq.gap_measures[m], ob_const.eps[m],
-                  ob_const.alpha[m], ob_const.sigma[m]]
-                 for m in range(len(ob_const.eps))]}}
+        "columns": [m, seq.times[:len(m)], seq.gap_measures[:len(m)],
+                    ob_const.eps, ob_const.alpha, ob_const.sigma]}}
     extras["constants"] = {"theta": ob_const.theta, "gamma": ob_const.gamma,
                            "c_abt": ob_const.c_abt,
                            "c_explicit": float(ob_const.c_explicit),
@@ -418,17 +418,17 @@ def run_control(exp: Experiment):
     checks.append(check_record("dual_support_mass_positive",
                                not support["ucp_red_flag"],
                                lhs=support["observed_mass"]))
-    rows = []
-    for k, level in enumerate(null_ctrl.levels):
-        if null_ctrl.weights[k] <= 0.0:
-            continue
-        for node in range(level.shape[0]):
-            for i in range(n):
-                if null_ctrl.mask[i]:
-                    rows.append([k, node] + list(grid.coords[i])
-                                + [level[node, i]])
+    # the null control on G0 at each actuated level, by level, node, index
+    idx = np.flatnonzero(null_ctrl.mask)
+    kept = [k for k, w in enumerate(null_ctrl.weights) if w > 0.0]
+    values = [null_ctrl.levels[k][:, idx] for k in kept]
+    nodes = np.concatenate([np.arange(len(v)) for v in values])
     header = ["level", "node"] + ["x", "y"][:grid.dim] + ["value"]
-    tables = {"control": {"header": header, "rows": rows}}
+    columns = [np.repeat(kept, [v.size for v in values]),
+               np.repeat(nodes, len(idx)),
+               *np.tile(grid.coords[idx], (len(nodes), 1)).T,
+               np.concatenate([v.ravel() for v in values])]
+    tables = {"control": {"header": header, "columns": columns}}
     return checks, extras, tables
 
 
@@ -446,14 +446,12 @@ def run_verify(exp: Experiment):
     tables = {}
     for name, runner in SUBCOMMANDS.items():
         sub_checks, sub_extras, sub_tables = runner(exp)
-        for rec in sub_checks:
-            rec = dict(rec)
-            rec["name"] = f"{name}.{rec['name']}"
-            checks.append(rec)
+        checks += [{**rec, "name": f"{name}.{rec['name']}"}
+                   for rec in sub_checks]
         if sub_extras:
             extras[name] = sub_extras
-        for tname, table in sub_tables.items():
-            tables[f"{name}_{tname}"] = table
+        tables.update({f"{name}_{tname}": table
+                       for tname, table in sub_tables.items()})
     return checks, extras, tables
 
 
@@ -500,7 +498,7 @@ def main(argv=None) -> int:
               "seed": cfg["seed"],
               "checks": checks,
               "details": extras,
-              "tool_version": "stochheat 0.1.0"}
+              "tool_version": f"stochheat {__version__}"}
     try:
         path = write_report(report, args.out, args.subcommand, tables=tables)
         write_timing_sidecar(args.out, args.subcommand,

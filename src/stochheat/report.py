@@ -1,19 +1,20 @@
 """Byte-stable structured result emission.
 
-Reports are JSON (sorted keys, schema-versioned) plus optional CSV tables.
-Anything nondeterministic — wall-clock timing in particular — goes to a
-sidecar file that is excluded from the byte-identity contract.
+Reports are JSON (sorted keys, schema-versioned) plus optional CSV tables:
+one header line and one "\n"-ended line per row, floats as their shortest
+round-trip `repr`, ints as digits.  Anything nondeterministic — wall-clock
+timing in particular — goes to a sidecar file that is excluded from the
+byte-identity contract.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 
 import numpy as np
 
-from .errors import ResourceError
+from .errors import ResourceError, ShapeError
 
 __all__ = ["SCHEMA_VERSION", "sanitize", "check_record", "all_pass",
            "write_report", "write_timing_sidecar"]
@@ -29,12 +30,8 @@ def sanitize(obj):
         return [sanitize(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [sanitize(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, np.generic):
+        return obj.item()
     return obj
 
 
@@ -56,11 +53,15 @@ def all_pass(checks) -> bool:
 
 def write_report(report: dict, out_dir: str, name: str,
                  tables: dict | None = None) -> str:
-    """Write `<name>.json` (and one CSV per table) under out_dir.
+    """Write `<name>.json` and one `<name>.<table>.csv` per table.
 
     Serialization is canonical: sorted keys, fixed separators, trailing
-    newline — identical configs and seeds produce identical bytes.
+    newline — identical configs and seeds produce identical bytes.  A table
+    is {"header": [names], "columns": [one 1-D array per name]}: one header
+    line, one line per row, floats as the shortest round-trip `repr`, ints
+    as digits.  A ragged table raises ShapeError before any file is written.
     """
+    texts = {t: _csv_text(t, table) for t, table in (tables or {}).items()}
     try:
         os.makedirs(out_dir, exist_ok=True)
         payload = dict(sanitize(report))
@@ -69,24 +70,24 @@ def write_report(report: dict, out_dir: str, name: str,
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)
             fh.write("\n")
-        for table_name, table in (tables or {}).items():
+        for table_name, text in texts.items():
             tpath = os.path.join(out_dir, f"{name}.{table_name}.csv")
             with open(tpath, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(table["header"])
-                for row in table["rows"]:
-                    writer.writerow([_csv_cell(v) for v in row])
+                fh.write(text)
     except OSError as exc:
         raise ResourceError(f"cannot write report under {out_dir}: {exc}") from exc
     return path
 
 
-def _csv_cell(value):
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    return value
+def _csv_text(table_name: str, table: dict) -> str:
+    """The CSV text of a table, each column turned into text in one pass."""
+    header, columns = table["header"], [np.asarray(c) for c in table["columns"]]
+    if len(columns) != len(header) or any(
+            col.ndim != 1 or len(col) != len(columns[0]) for col in columns):
+        raise ShapeError(f"table '{table_name}': header {header}, columns of "
+                         f"shapes {[col.shape for col in columns]}")
+    cells = [map(repr, col.tolist()) for col in columns]
+    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
 
 
 def write_timing_sidecar(out_dir: str, name: str, seconds: float) -> None:

@@ -1,18 +1,23 @@
 """Configuration parsing, report serialization, and the command line."""
 
+import csv
+import io
 import json
 import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochheat import cli, forward
 from stochheat import control as ctl
 from stochheat import config as cfgmod
 from stochheat import report as repmod
 from stochheat.cli import main
-from stochheat.errors import ConfigurationError
+from stochheat.errors import ConfigurationError, ShapeError
 
 
 def test_parse_value_types():
@@ -94,7 +99,8 @@ def test_sanitize_numpy_types():
 def test_write_report_byte_stable(tmp_path):
     report = {"experiment": "t", "checks": [repmod.check_record("c", True)],
               "value": np.float64(0.1)}
-    tables = {"tab": {"header": ["k", "v"], "rows": [[1, np.float64(0.25)]]}}
+    tables = {"tab": {"header": ["k", "v"],
+                      "columns": [np.array([1]), np.array([0.25])]}}
     p1 = repmod.write_report(report, str(tmp_path / "a"), "t", tables=tables)
     p2 = repmod.write_report(report, str(tmp_path / "b"), "t", tables=tables)
     assert open(p1, "rb").read() == open(p2, "rb").read()
@@ -104,10 +110,76 @@ def test_write_report_byte_stable(tmp_path):
     assert payload["schema_version"] == "1"
 
 
+@pytest.mark.parametrize("table", [
+    {"header": ["k", "v"], "columns": [np.arange(3), np.zeros(2)]},
+    {"header": ["k", "v"], "columns": [np.arange(3)]},
+    {"header": ["k"], "columns": [np.arange(3), np.zeros(3)]},
+    {"header": ["k", "v"], "columns": [np.arange(3), np.zeros((3, 1))]},
+], ids=["lengths", "fewer-columns", "more-columns", "2d-column"])
+def test_write_report_refuses_ragged_tables(tmp_path, table):
+    # zip would silently cut the rows to the shortest column
+    good = {"header": ["k"], "columns": [np.arange(3)]}
+    with pytest.raises(ShapeError):
+        repmod.write_report({"experiment": "t"}, str(tmp_path / "out"), "t",
+                            tables={"good": good, "bad": table})
+    assert not (tmp_path / "out").exists()
+
+
+def _oracle_csv(header, columns, kinds) -> str:
+    """The table as written cell by cell through csv.writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in zip(*columns):
+        writer.writerow([int(v) if kind == "int" else repr(float(v))
+                         for v, kind in zip(row, kinds)])
+    return buf.getvalue()
+
+
+# signed zeros, infinities, nan, subnormals and both sides of repr's switch
+# to exponent notation (below 1e-4 and from 1e16 on)
+_EDGE_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                2.2250738585072014e-308, 1e-5, 1e-4, np.nextafter(1e-4, 0.0),
+                1e16, -1e16, np.nextafter(1e16, 0.0), 1e300, 0.1]
+
+
+@st.composite
+def _tables(draw):
+    n_rows = draw(st.integers(0, 6))
+    kinds = draw(st.lists(st.sampled_from(["int", "float"]), min_size=1,
+                          max_size=4))
+    floats = st.sampled_from(_EDGE_FLOATS) | st.floats(width=64)
+    ints = st.integers(-2 ** 63, 2 ** 63 - 1)
+    columns = [np.array(draw(st.lists(ints if kind == "int" else floats,
+                                      min_size=n_rows, max_size=n_rows)),
+                        dtype=np.int64 if kind == "int" else np.float64)
+               for kind in kinds]
+    return [f"c{i}" for i in range(len(kinds))], columns, kinds
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tables())
+def test_write_report_matches_per_cell_oracle(table):
+    header, columns, kinds = table
+    with tempfile.TemporaryDirectory() as out:
+        repmod.write_report({}, out, "t", tables={
+            "tab": {"header": header, "columns": columns}})
+        with open(os.path.join(out, "t.tab.csv"), newline="") as fh:
+            text = fh.read()
+    assert text == _oracle_csv(header, columns, kinds)
+
+
 def _fast_text(extra=""):
     # a reduced configuration so CLI round-trips stay quick
     return ("grid.nodes = 31\ntree.depth = 6\ncontrol.depth = 6\n"
             "ucp.kernel_shift = 0.25\n" + extra)
+
+
+# the 2-D 7x7 grid with the actuator G0 around (0.5, 0.5)
+_CONTROL_2D = ("domain.extents = 0,1,0,1\ngrid.nodes = 7\n"
+               "control.nodes = 7\ntree.depth = 6\ncontrol.depth = 6\n"
+               "geometry.x0 = 0.5,0.5\ngeometry.g0_center = 0.5,0.5\n"
+               "control.g0_center = 0.5,0.5\n")
 
 
 def _fast_config(tmp_path, extra=""):
@@ -231,10 +303,7 @@ def test_cli_2d_verify_runs_control(tmp_path, capsys):
     # Gramian singular: the closed form is the minimum-norm least-squares
     # solution, and the free flow has damped the unreachable modes
     cfg = tmp_path / "2d.cfg"
-    cfg.write_text("domain.extents = 0,1,0,1\ngrid.nodes = 7\n"
-                   "control.nodes = 7\ntree.depth = 6\ncontrol.depth = 6\n"
-                   "geometry.x0 = 0.5,0.5\ngeometry.g0_center = 0.5,0.5\n"
-                   "control.g0_center = 0.5,0.5\n")
+    cfg.write_text(_CONTROL_2D)
     out = tmp_path / "out"
     code = main(["verify", "--config", str(cfg), "--out", str(out)])
     capsys.readouterr()
@@ -248,6 +317,42 @@ def test_cli_2d_verify_runs_control(tmp_path, capsys):
     lines = (out / "verify.control_control.csv").read_text().splitlines()
     assert lines[0] == "level,node,x,y,value" and len(lines) > 1
     assert {len(line.split(",")) for line in lines} == {5}
+
+
+@pytest.mark.parametrize("text", [_fast_text(), _CONTROL_2D],
+                         ids=["1d", "2d-7x7"])
+def test_control_csv_is_the_masked_null_control(tmp_path, monkeypatch, text):
+    # the rows are the entries of the null control on G0 at every level of
+    # positive weight, by level, then tree node, then grid node index
+    captured = []
+    synthesize = ctl.synthesize_null_control
+
+    def capturing(*args, **kwargs):
+        captured.append(synthesize(*args, **kwargs))
+        return captured[-1]
+
+    monkeypatch.setattr(ctl, "synthesize_null_control", capturing)
+    exp = cli.Experiment(cfgmod.merge_config(cfgmod.parse_config(text)))
+    _, _, tables = cli.run_control(exp)
+    repmod.write_report({}, str(tmp_path), "control", tables=tables)
+    lines = (tmp_path / "control.control.csv").read_text().splitlines()
+    (ctrl, _), = captured
+    grid = cli.build_grid(cli._pairs(exp.cfg["domain.extents"]),
+                          (int(exp.cfg["control.nodes"]),) * exp.grid.dim)
+    expected = []
+    for k, level in enumerate(ctrl.levels):
+        if ctrl.weights[k] <= 0.0:
+            continue
+        for node in range(level.shape[0]):
+            for i in range(grid.n_nodes):
+                if ctrl.mask[i]:
+                    expected.append(",".join(
+                        [str(k), str(node)]
+                        + [repr(float(x)) for x in grid.coords[i]]
+                        + [repr(float(level[node, i]))]))
+    assert lines[0] == ",".join(["level", "node"] + ["x", "y"][:grid.dim]
+                                + ["value"])
+    assert len(expected) > 0 and lines[1:] == expected
 
 
 def test_cli_2d_frequency_at_31x31(tmp_path, capsys):
