@@ -28,8 +28,8 @@ from . import observability as obs
 from . import ucp as ucpmod
 from .errors import (ConfigurationError, DomainError, GeometryError,
                      ResourceError, StochHeatError)
-from .forward import (CoefficientField, energy_trace, exp_transform_oracle,
-                      moment_trace, solve_forward, solve_forward_moments,
+from .forward import (CoefficientField, exp_transform_oracle, moment_trace,
+                      solve_forward, solve_forward_moments,
                       step_invertibility_report)
 from .frequency import (LocalizedFields, boundary_sign_audit,
                         frequency_bound_check, hprime_identity_residual,
@@ -121,6 +121,12 @@ class Experiment:
                              self.grid)
 
     @cached_property
+    def moment(self) -> np.ndarray:
+        """E[y^2] per time node and grid node (`nodal_moment()`), read by
+        simulate, ucp and observe for their traces and terminal moment."""
+        return self.ensemble.nodal_moment()
+
+    @cached_property
     def cutoff_fields(self) -> LocalizedFields:
         """The ensemble's fields under the cutoff of B_r3(x0) inside
         B_r4(x0), read by the drift bound and the lambda sweep."""
@@ -158,7 +164,7 @@ def run_simulate(exp: Experiment):
                                sign_loss_steps=inv["sign_loss_steps"]))
     extras["scheme"] = {key: inv[key]
                         for key in ("b_sqrt_dt", "a_dt", "noise_step_large")}
-    energy = energy_trace(ens)[-1]
+    energy = moment_trace(exp.moment, exp.grid)[-1]
     checks.append(check_record("terminal_energy_finite", np.isfinite(energy),
                                lhs=energy))
     if exp.cfg["coeff.kind"] == "constant":
@@ -228,7 +234,7 @@ def run_ucp(exp: Experiment):
     checks, extras = [], {}
     grid, mesh = exp.grid, exp.mesh
     # one moment pass: the energy and local traces and the terminal moment
-    moment = exp.ensemble.nodal_moment()
+    moment = exp.moment
     energy = moment_trace(moment, grid)
     e0, e_t = energy[0], energy[-1]
     try:
@@ -291,14 +297,14 @@ def run_observe(exp: Experiment):
     checks.append(check_record("density_sequence_condition",
                                seq.found and seq.condition_holds(),
                                best_margin=seq.best_margin, t0=seq.t0, t1=seq.t1))
-    moment = exp.ensemble.nodal_moment()
+    moment = exp.moment
     energy = moment_trace(moment, grid)
     e0, e_t = energy[0], energy[-1]
     constants = ucpmod.compute_constants(grid, exp.x0, exp.obs_ball.radius,
                                          mesh.horizon, exp.coeffs, e0, e_t)
-    ob_const = obs.build_constants(constants, exp.coeffs, mesh.horizon,
-                                   variant=str(exp.cfg["constants.variant"]))
-    ob_const = obs.epsilon_sequence(ob_const, seq.gap_measures)
+    ob_const = obs.epsilon_sequence(constants, exp.coeffs, mesh.horizon,
+                                    seq.gap_measures,
+                                    variant=str(exp.cfg["constants.variant"]))
     checks.append(check_record("epsilon_recursion_identities", True,
                                eps1=ob_const.eps1,
                                sigma_tail=float(ob_const.sigma[-1])))
@@ -390,8 +396,10 @@ def run_control(exp: Experiment):
                                matrix_gap <= MACHINE_TOL,
                                lhs=matrix_gap, rhs=MACHINE_TOL))
     spectrum = ctl.gramian_spectrum(gram)
+    # both syntheses start from the one uncontrolled backward solve
+    z0_free = ctl.solve_backward_tree(z_term, coeffs, mesh, grid, tree).z0
     null_ctrl, null_rep = ctl.synthesize_null_control(
-        z_term, spectrum, coeffs, g0, e1, mesh, grid, tree)
+        z_term, z0_free, spectrum, coeffs, g0, e1, mesh, grid, tree)
     checks.append(check_record("null_control_verified",
                                null_rep["relative_z0"] <= 1e-6,
                                lhs=null_rep["relative_z0"], rhs=1e-6,
@@ -404,8 +412,8 @@ def run_control(exp: Experiment):
     z0_target = 0.1 * sum(rng.standard_normal() * np.sin((k + 1) * np.pi * x)
                           for k in range(3))
     _, approx_rep = ctl.synthesize_approx_control(
-        z_term, z0_target, spectrum, coeffs, g0, e1, mesh, grid, tree,
-        accuracy=float(cfg["control.accuracy"]))
+        z_term, z0_free, z0_target, spectrum, coeffs, g0, e1, mesh, grid,
+        tree, accuracy=float(cfg["control.accuracy"]))
     residuals = [row["residual"] for row in approx_rep["curve"]]
     monotone = all(b <= a * (1.0 + 1e-9) for a, b in zip(residuals, residuals[1:]))
     checks.append(check_record("approximate_control", approx_rep["achieved"],

@@ -75,12 +75,8 @@ def control_level_weights(time_set: MeasurableTimeSet, mesh: TimeMesh) -> np.nda
     preserved by the quadrature.  A set that activates no step is refused,
     since every control and Gramian over it would vanish.
     """
-    weights = np.zeros(mesh.steps)
-    times = mesh.times
-    for k in range(mesh.steps):
-        overlap = time_set.measure_between(times[k], times[k + 1])
-        if overlap >= 0.5 * mesh.dt:
-            weights[k] = overlap
+    overlap = time_set.measure_between(mesh.times[:-1], mesh.times[1:])
+    weights = np.where(overlap >= 0.5 * mesh.dt, overlap, 0.0)
     if not weights.any():
         raise ConfigurationError("actuation time set activates no time step")
     return weights
@@ -362,27 +358,27 @@ def conjugate_gradient(matvec, rhs: np.ndarray, tol: float = 1e-10,
                "converged": bool(converged)}
 
 
-def synthesize_null_control(z_terminal: np.ndarray, spectrum: tuple,
-                            coeffs: CoefficientField, ball: Ball,
-                            time_set: MeasurableTimeSet, mesh: TimeMesh,
-                            grid: SpatialGrid, tree: BernoulliTree):
+def synthesize_null_control(z_terminal: np.ndarray, z0_free: np.ndarray,
+                            spectrum: tuple, coeffs: CoefficientField,
+                            ball: Ball, time_set: MeasurableTimeSet,
+                            mesh: TimeMesh, grid: SpatialGrid,
+                            tree: BernoulliTree):
     """Drive z(0) to zero by inverting the Gramian, given as the
     `gramian_spectrum` of the same actuator's `gramian_matrix`.
 
-    The free backward solve gives z_free(0); superposition makes the
-    controlled value z(0) = z_free(0) - Gramian(u), so the dual datum solves
+    `z0_free` is z_free(0), the uncontrolled backward solve from
+    `z_terminal` at the root; superposition makes the controlled value
+    z(0) = z_free(0) - Gramian(u), so the dual datum solves
     Gramian(u) = z_free(0).  u is the minimum-norm least-squares solution:
     eigenvalues at or below the spectrum's cutoff count as zero.  The
     control is the `dual_control` of u.  Returns (ControlField, report); the
     report holds the independently re-verified ||z(0)||, the spectrum and
     the CG cross-check (`cg`, with `gap` its relative distance from u).
     """
-    free = solve_backward_tree(z_terminal, coeffs, mesh, grid, tree)
-    target = free.z0
     gram, lam, vec, cutoff = spectrum
     keep = lam > cutoff
-    u_star = vec[:, keep] @ ((vec[:, keep].T @ target) / lam[keep])
-    u_cg, cg_info = conjugate_gradient(lambda p: gram @ p, target, tol=1e-12)
+    u_star = vec[:, keep] @ ((vec[:, keep].T @ z0_free) / lam[keep])
+    u_cg, cg_info = conjugate_gradient(lambda p: gram @ p, z0_free, tol=1e-12)
     cg_info["gap"] = _relative_gap(u_cg, u_star)
     ctrl = dual_control(u_star, coeffs, ball, time_set, mesh, grid, tree)
     verified = solve_backward_tree(z_terminal, coeffs, mesh, grid, tree,
@@ -399,12 +395,15 @@ def synthesize_null_control(z_terminal: np.ndarray, spectrum: tuple,
     return ctrl, report
 
 
-def synthesize_approx_control(z_terminal: np.ndarray, z0_target: np.ndarray,
-                              spectrum: tuple, coeffs: CoefficientField,
-                              ball: Ball, time_set: MeasurableTimeSet,
-                              mesh: TimeMesh, grid: SpatialGrid,
-                              tree: BernoulliTree, accuracy: float):
-    """Steer z(0) within `accuracy` of a deterministic target.
+def synthesize_approx_control(z_terminal: np.ndarray, z0_free: np.ndarray,
+                              z0_target: np.ndarray, spectrum: tuple,
+                              coeffs: CoefficientField, ball: Ball,
+                              time_set: MeasurableTimeSet, mesh: TimeMesh,
+                              grid: SpatialGrid, tree: BernoulliTree,
+                              accuracy: float):
+    """Steer z(0) within `accuracy` of a deterministic target, from the
+    terminal data `z_terminal` and its free value `z0_free` at the root (as
+    in `synthesize_null_control`).
 
     Solves (Gramian + eps_reg I) u = z_free(0) - z0_target in closed form,
     u = V (V^T rhs) / (lambda + eps_reg) on the eigenpairs of the
@@ -417,8 +416,7 @@ def synthesize_approx_control(z_terminal: np.ndarray, z0_target: np.ndarray,
     iterations, whether it converged within the iteration cap
     (`cg_converged`) and its relative distance from u (`cg_gap`).
     """
-    free = solve_backward_tree(z_terminal, coeffs, mesh, grid, tree)
-    rhs = free.z0 - np.asarray(z0_target, dtype=float)
+    rhs = z0_free - np.asarray(z0_target, dtype=float)
     w = grid.quad_weight
     target_norm = np.sqrt(w * float(z0_target @ z0_target))
     goal = accuracy * max(target_norm, 1e-300)

@@ -7,9 +7,13 @@ the final observability inequality
 
     E ||y(T)||^2  <=  C * E int_E int_{G0} y^2,
 
-with every constant explicit.  The checks read the energy trace and the
-local trace on the observation ball (`forward.energy_trace`), each computed
-once by the caller.
+with every constant explicit.  `epsilon_sequence` builds all the constants
+in one call, running the recursion on log eps so that large coefficients
+underflow eps_m to 0 rather than turn it into NaN.  One time-set measure,
+`MeasurableTimeSet.measure_between` on arrays of endpoints, serves the
+sequence gaps, the observation mass and the control's step weights.  The
+checks read the energy trace and the local trace on the observation ball
+(`forward.energy_trace`), each computed once by the caller.
 """
 
 from __future__ import annotations
@@ -68,10 +72,14 @@ class MeasurableTimeSet:
     def measure(self) -> float:
         return sum(b - a for a, b in self.intervals)
 
-    def measure_between(self, s: float, t: float) -> float:
-        """|E intersect (s, t)|."""
-        lo, hi = min(s, t), max(s, t)
-        return sum(max(0.0, min(b, hi) - max(a, lo)) for a, b in self.intervals)
+    def measure_between(self, s, t):
+        """|E intersect (s, t)|, elementwise on (arrays of) endpoints; the
+        intervals are summed in order, so a scalar call is the plain sum."""
+        lo, hi = np.minimum(s, t), np.maximum(s, t)
+        total = np.zeros(np.shape(lo))
+        for a, b in self.intervals:
+            total += np.maximum(0.0, np.minimum(b, hi) - np.maximum(a, lo))
+        return total[()]
 
     def longest_interval(self):
         return max(self.intervals, key=lambda iv: iv[1] - iv[0])
@@ -95,44 +103,31 @@ class DensitySequence:
         return bool(np.all(gaps <= 3.0 * self.gap_measures + 1e-15))
 
 
-def _sequence_times(t0: float, t1: float, z: float, depth: int) -> np.ndarray:
-    m = np.arange(depth + 1)
-    return t0 + z ** (-m.astype(float)) * (t1 - t0)
-
-
 def density_sequence(time_set: MeasurableTimeSet, z: float = DEFAULT_Z,
                      depth: int = DEFAULT_DEPTH) -> DensitySequence:
     """Construct the sequence from a density point of E.
 
     t0 is the midpoint of the longest maximal interval of E (a genuine
-    density point for interval unions); t1 is found by scanning a dyadic grid
-    in (t0, horizon), nearest candidates first, until every gap satisfies
-    t_m - t_{m+1} <= 3 |E cap (t_{m+1}, t_m)|.
+    density point for interval unions); t1 is the candidate of a dyadic grid
+    in (t0, horizon) nearest t0 at which every gap satisfies
+    t_m - t_{m+1} <= 3 |E cap (t_{m+1}, t_m)|, or else the candidate with
+    the smallest worst-gap margin.
     """
     if z <= 1.0:
         raise ConfigurationError("sequence ratio z must exceed 1")
     lo, hi = time_set.longest_interval()
     t0 = 0.5 * (lo + hi)
-    best = None
-    best_margin = np.inf
-    for i in range(1, SCAN_POINTS + 1):
-        t1 = t0 + (time_set.horizon - t0) * i / (SCAN_POINTS + 1)
-        times = _sequence_times(t0, t1, z, depth)
-        gaps = -np.diff(times)
-        measures = np.array([time_set.measure_between(times[m + 1], times[m])
-                             for m in range(depth)])
-        margin = float(np.max(gaps - 3.0 * measures))
-        if margin <= 1e-15:
-            return DensitySequence(t0=t0, t1=t1, z=z, depth=depth, times=times,
-                                   gap_measures=measures, found=True,
-                                   best_margin=margin)
-        if margin < best_margin:
-            best_margin = margin
-            best = (t1, times, measures)
-    t1, times, measures = best
-    return DensitySequence(t0=t0, t1=t1, z=z, depth=depth, times=times,
-                           gap_measures=measures, found=False,
-                           best_margin=best_margin)
+    t1 = t0 + (time_set.horizon - t0) * np.arange(1, SCAN_POINTS + 1) \
+        / (SCAN_POINTS + 1)
+    # one row t_1 .. t_{depth+1} per candidate t1
+    times = t0 + z ** -np.arange(depth + 1.0) * (t1[:, None] - t0)
+    measures = time_set.measure_between(times[:, 1:], times[:, :-1])
+    margins = np.max(-np.diff(times) - 3.0 * measures, axis=1)
+    found = margins <= 1e-15
+    i = int(np.argmax(found)) if found.any() else int(np.argmin(margins))
+    return DensitySequence(t0=t0, t1=float(t1[i]), z=z, depth=depth,
+                           times=times[i], gap_measures=measures[i],
+                           found=bool(found[i]), best_margin=float(margins[i]))
 
 
 def growth_rate(coeffs: CoefficientField, variant: str = "max") -> float:
@@ -150,7 +145,7 @@ def growth_rate(coeffs: CoefficientField, variant: str = "max") -> float:
     return rates[variant]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObservabilityConstants:
     """All constants of the measurable-time observability chain."""
 
@@ -159,64 +154,64 @@ class ObservabilityConstants:
     c_abt: float                  # C(a,b,T) = growth rate x horizon
     z: float
     eps1: float
-    eps: np.ndarray = field(default=None, repr=False)
-    alpha: np.ndarray = field(default=None, repr=False)
-    sigma: np.ndarray = field(default=None, repr=False)
-    c_explicit: float = None
-    log_c_explicit: float = None
-    rate_variants: dict = field(default_factory=dict)
+    eps: np.ndarray = field(repr=False)
+    alpha: np.ndarray = field(repr=False)
+    sigma: np.ndarray = field(repr=False)
+    c_explicit: float
+    log_c_explicit: float
+    rate_variants: dict
 
 
-def build_constants(ucp_constants: UcpConstants, coeffs: CoefficientField,
-                    horizon: float, z: float = DEFAULT_Z,
-                    variant: str = "max") -> ObservabilityConstants:
-    rate = growth_rate(coeffs, variant)
-    c_abt = rate * horizon
-    eps1 = 1.0 / (3.0 * z * np.exp(c_abt))
-    variants = {name: growth_rate(coeffs, name) * horizon
-                for name in ("derivation", "printed", "max")}
-    return ObservabilityConstants(theta=ucp_constants.theta,
-                                  gamma=ucp_constants.gamma, c_abt=c_abt,
-                                  z=z, eps1=eps1, rate_variants=variants)
+def epsilon_sequence(ucp_constants: UcpConstants, coeffs: CoefficientField,
+                     horizon: float, gap_measures: np.ndarray,
+                     z: float = DEFAULT_Z,
+                     variant: str = "max") -> ObservabilityConstants:
+    """The constants of the chain on the gaps of a density sequence, with
+    C = C(a,b,T) the `growth_rate` times the horizon.
 
-
-def epsilon_sequence(constants: ObservabilityConstants,
-                     gap_measures: np.ndarray) -> ObservabilityConstants:
-    """Run the epsilon_m recursion and fill in alpha_m, sigma_m, C.
-
-    eps_{m+1}^gamma = eps_m^{gamma+1} e^{C} gap_m / gap_{m+1};
-    alpha_m = eps_m^gamma gap_m; sigma_m = eps_m^{gamma+1} gap_m.  The
-    induction bound eps_m <= eps_1 and the matching condition
-    sigma_m = alpha_{m+1} e^{-C} are asserted along the way.
+    eps_1 = e^{-C} / (3z) and eps_{m+1}^gamma = eps_m^{gamma+1} e^{C}
+    gap_m / gap_{m+1}; alpha_m = eps_m^gamma gap_m and sigma_m =
+    eps_m^{gamma+1} gap_m.  The recursion runs on log eps, so a large C
+    underflows eps_m, alpha_m and sigma_m to 0 instead of making 0 * inf
+    = NaN, and C_explicit = 2 e^{2C + Theta} / alpha_1 keeps its log when it
+    overflows.  The induction bound eps_m <= eps_1 and the matching
+    condition sigma_m = alpha_{m+1} e^{-C} are asserted on the logs, to
+    the rounding of sums of their size.
     """
     gaps = np.asarray(gap_measures, dtype=float)
     if np.any(gaps <= 0.0):
         raise ConfigurationError("all gap measures must be positive")
-    g, c = constants.gamma, constants.c_abt
-    n = len(gaps)
-    eps = np.empty(n)
-    eps[0] = constants.eps1
-    for m in range(n - 1):
-        eps[m + 1] = (eps[m] ** (g + 1.0) * np.exp(c) * gaps[m] / gaps[m + 1]) \
-            ** (1.0 / g)
-        if eps[m + 1] > constants.eps1 * (1.0 + IDENTITY_RTOL):
-            raise NumericalError(
-                f"epsilon induction bound failed at m={m + 2}: "
-                f"{eps[m + 1]} > {constants.eps1}")
-    alpha = eps ** g * gaps
-    sigma = eps ** (g + 1.0) * gaps
-    mismatch = np.abs(sigma[:-1] - alpha[1:] * np.exp(-c))
-    scale = np.maximum(np.abs(sigma[:-1]), 1e-300)
-    if np.any(mismatch / scale > IDENTITY_RTOL * 10):
+    g, c = ucp_constants.gamma, growth_rate(coeffs, variant) * horizon
+    log_gaps = np.log(gaps)
+    log_eps = np.empty(len(gaps))
+    log_eps[0] = -c - np.log(3.0 * z)
+    for m in range(len(gaps) - 1):
+        log_eps[m + 1] = ((g + 1.0) * log_eps[m] + c + log_gaps[m]
+                          - log_gaps[m + 1]) / g
+    above = np.flatnonzero(
+        log_eps > log_eps[0] + IDENTITY_RTOL * np.maximum(1.0, np.abs(log_eps)))
+    if above.size:
+        raise NumericalError(
+            f"epsilon induction bound failed at m={above[0] + 1}: "
+            f"log eps {log_eps[above[0]]} > {log_eps[0]}")
+    log_alpha = g * log_eps + log_gaps
+    log_sigma = (g + 1.0) * log_eps + log_gaps
+    mismatch = np.abs(log_sigma[:-1] - (log_alpha[1:] - c))
+    if np.any(mismatch > IDENTITY_RTOL * 10
+              * np.maximum(1.0, np.abs(log_sigma[:-1]))):
         raise NumericalError("sigma/alpha matching condition violated")
-    constants.eps, constants.alpha, constants.sigma = eps, alpha, sigma
     # the explicit constant is doubly exponential in the coefficient norms
     # and routinely overflows; keep the log alongside the (possibly inf) value
-    log_c = np.log(2.0) - np.log(alpha[0]) + 2.0 * c + constants.theta
+    log_c = np.log(2.0) - log_alpha[0] + 2.0 * c + ucp_constants.theta
     with np.errstate(over="ignore"):
-        constants.c_explicit = float(np.exp(log_c))
-    constants.log_c_explicit = float(log_c)
-    return constants
+        c_explicit = float(np.exp(log_c))
+    eps = np.exp(log_eps)
+    return ObservabilityConstants(
+        theta=ucp_constants.theta, gamma=g, c_abt=c, z=z, eps1=float(eps[0]),
+        eps=eps, alpha=np.exp(log_alpha), sigma=np.exp(log_sigma),
+        c_explicit=c_explicit, log_c_explicit=float(log_c),
+        rate_variants={name: growth_rate(coeffs, name) * horizon
+                       for name in ("derivation", "printed", "max")})
 
 
 def interpolation_split(energy: np.ndarray, local_energy: np.ndarray,
@@ -244,19 +239,12 @@ def observation_mass(local: np.ndarray, mesh: TimeMesh,
     """E int_{E cap (s,t)} int_{B} y^2 dx dtau by trapezoid over time cells,
     from the trace `local` of E int_B y^2 per time node
     (`energy_trace(ens, mask)`)."""
-    lo = 0.0 if s is None else s
-    hi = mesh.horizon if t is None else t
-    total = 0.0
-    times = mesh.times
-    for k in range(mesh.steps):
-        lo_k = max(times[k], lo)
-        hi_k = min(times[k + 1], hi)
-        if hi_k <= lo_k:
-            continue
-        overlap = time_set.measure_between(lo_k, hi_k)
-        if overlap > 0.0:
-            total += overlap * 0.5 * (local[k] + local[k + 1])
-    return float(total)
+    lo = np.maximum(mesh.times[:-1], 0.0 if s is None else s)
+    hi = np.minimum(mesh.times[1:], mesh.horizon if t is None else t)
+    overlap = np.where(hi > lo, time_set.measure_between(lo, hi), 0.0)
+    # cells E does not meet stay out of the sum: 0 * inf is NaN
+    k = np.flatnonzero(overlap > 0.0)
+    return float(np.sum(overlap[k] * 0.5 * (local[k] + local[k + 1])))
 
 
 def _nearest_node(mesh: TimeMesh, t: float) -> int:
@@ -278,8 +266,6 @@ def telescoping_check(energy: np.ndarray, local: np.ndarray, mesh: TimeMesh,
     Final:      E||y(T)||^2 <= C_explicit * E int_E int_B y^2, and the empirical
     sharp constant C_emp = LHS / observation mass is reported alongside.
     """
-    if constants.alpha is None:
-        raise ConfigurationError("run epsilon_sequence before telescoping_check")
     c = constants.c_abt
     n = len(constants.alpha)
     gap_records = []

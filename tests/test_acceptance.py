@@ -26,7 +26,6 @@ from stochheat import control as ctl
 from stochheat.cli import main as cli_main
 from stochheat.forward import tree_moves
 from stochheat.frequency import hprime_identity_residual
-from stochheat.observability import build_constants
 from stochheat.ucp import amplitude_profile, default_tolerance
 
 N_SWEEP = 20
@@ -217,8 +216,7 @@ def test_criterion_07_density_sequence_and_recursion():
     energy = energy_trace(ens)
     ucp_c = compute_constants(grid, (0.5,), 0.08, mesh.horizon, coeffs,
                               energy[0], energy[-1])
-    oc = epsilon_sequence(build_constants(ucp_c, coeffs, mesh.horizon),
-                          seq.gap_measures)
+    oc = epsilon_sequence(ucp_c, coeffs, mesh.horizon, seq.gap_measures)
     ok &= bool(np.all(oc.eps <= oc.eps1 * (1.0 + 1e-12)))
     rel = np.abs(oc.sigma[:-1] - oc.alpha[1:] * np.exp(-oc.c_abt)) \
         / np.maximum(np.abs(oc.sigma[:-1]), 1e-300)
@@ -232,9 +230,8 @@ def test_criterion_08_observability_inequality(sweep):
     ok = True
     for cfg in sweep["configs"]:
         const = _endpoint_constants(sweep, cfg)
-        oc = epsilon_sequence(
-            build_constants(const, cfg["coeffs"], SWEEP_HORIZON),
-            seq.gap_measures)
+        oc = epsilon_sequence(const, cfg["coeffs"], SWEEP_HORIZON,
+                              seq.gap_measures)
         rep = telescoping_check(*_traces(cfg["ens"]), sweep["mesh"],
                                 time_set, seq, oc, tol=sweep["tol"])
         ok &= all(g["pass"] for g in rep["per_gap"])
@@ -313,9 +310,10 @@ def test_criterion_10_null_controllability(control_lab):
     for seed in range(5):
         rng = np.random.Generator(np.random.Philox(key=[seed, 41]))
         z_t = rng.standard_normal((tree.n_leaves, grid.n_nodes))
-        _, rep = synthesize_null_control(z_t, ctl.gramian_spectrum(gram),
-                                         coeffs, ball, time_set, mesh, grid,
-                                         tree)
+        z0_free = ctl.solve_backward_tree(z_t, coeffs, mesh, grid, tree).z0
+        _, rep = synthesize_null_control(z_t, z0_free,
+                                         ctl.gramian_spectrum(gram), coeffs,
+                                         ball, time_set, mesh, grid, tree)
         ok &= rep["relative_z0"] <= 1e-6
         ok &= rep["cg"]["iterations"] <= 15
     _line(10, "null controllability", ok)
@@ -333,7 +331,8 @@ def test_criterion_11_approximate_controllability(control_lab):
         # the high-frequency modes the dual flow damps below round-off
         target = 0.1 * sum(rng.standard_normal() * np.sin(k * np.pi * x)
                            for k in range(1, 4))
-        _, rep = synthesize_approx_control(z_t, target,
+        z0_free = ctl.solve_backward_tree(z_t, coeffs, mesh, grid, tree).z0
+        _, rep = synthesize_approx_control(z_t, z0_free, target,
                                            ctl.gramian_spectrum(gram), coeffs,
                                            ball, time_set, mesh, grid, tree,
                                            accuracy=1e-2)

@@ -208,6 +208,8 @@ def test_cli_bad_config_exit_2(tmp_path, capsys):
         ("frequency", _fast_text("geometry.r4 = 0.6\n"), "GeometryError"),
         ("ucp", _fast_text("geometry.r4 = 0.6\n"), "GeometryError"),
         ("simulate", "tree.depth = 20\n", "ResourceError"),
+        # the control tree is capped as the forward tree is
+        ("control", "control.depth = 17\n", "ResourceError"),
         # a point of the wrong dimension; control.* only where control runs
         ("simulate", "geometry.x0 = 0.5,0.5\n", "ConfigurationError"),
         ("simulate", "geometry.g0_center = 0.5,0.5\n", "ConfigurationError"),
@@ -250,6 +252,24 @@ def test_cli_bad_config_exit_2(tmp_path, capsys):
         assert "configuration error" in err
         assert error in err and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
+
+
+def test_one_default_moment_pass_per_experiment(monkeypatch):
+    # simulate, ucp and observe read the one cached `Experiment.moment`;
+    # the other passes are the four localized-field builds
+    calls = []
+    moment = forward.Ensemble.nodal_moment
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return moment(self, *args, **kwargs)
+
+    monkeypatch.setattr(forward.Ensemble, "nodal_moment", counting)
+    exp = cli.Experiment(cfgmod.merge_config({}))
+    for name in ("simulate", "frequency", "ucp", "observe"):
+        cli.SUBCOMMANDS[name](exp)
+    assert len(calls) == 5
+    assert calls.count(()) == 1
 
 
 def test_cli_scalar_points_run_like_tuples(tmp_path, capsys):

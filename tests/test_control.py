@@ -32,6 +32,12 @@ def _rng(seed):
     return np.random.Generator(np.random.Philox(key=[seed, 21]))
 
 
+def _free(z_t, lab):
+    """z_free(0): the uncontrolled backward solve from z_t, at the root."""
+    grid, mesh, tree, coeffs, _, _ = lab
+    return solve_backward_tree(z_t, coeffs, mesh, grid, tree).z0
+
+
 def test_control_level_weights(lab):
     _, mesh, _, _, _, time_set = lab
     w = control_level_weights(time_set, mesh)
@@ -235,9 +241,10 @@ def test_cg_cross_check_agrees_with_closed_form(lab):
     z_t = rng.standard_normal((tree.n_leaves, grid.n_nodes))
     target = 0.1 * sum(rng.standard_normal() * np.sin(k * np.pi * x)
                        for k in range(1, 4))
-    _, rep = synthesize_approx_control(z_t, target, gramian_spectrum(gram),
-                                       coeffs, ball, time_set, mesh, grid,
-                                       tree, accuracy=1e-6)
+    _, rep = synthesize_approx_control(z_t, _free(z_t, lab), target,
+                                       gramian_spectrum(gram), coeffs, ball,
+                                       time_set, mesh, grid, tree,
+                                       accuracy=1e-6)
     converged = [row for row in rep["curve"] if row["cg_converged"]]
     assert converged
     for row in converged:
@@ -271,8 +278,9 @@ def test_null_control(lab):
     rng = _rng(5)
     z_t = rng.standard_normal((tree.n_leaves, grid.n_nodes))
     gram = gramian_matrix(coeffs, ball, time_set, mesh, grid)
-    ctrl, rep = synthesize_null_control(z_t, gramian_spectrum(gram), coeffs,
-                                        ball, time_set, mesh, grid, tree)
+    ctrl, rep = synthesize_null_control(z_t, _free(z_t, lab),
+                                        gramian_spectrum(gram), coeffs, ball,
+                                        time_set, mesh, grid, tree)
     # at this coarse tree depth the Gramian is worse conditioned than in the
     # verification configuration, so the accuracy demand is softer here
     assert rep["relative_z0"] < 1e-5
@@ -295,8 +303,8 @@ def test_null_control_needs_active_steps(lab):
     u = _rng(9).standard_normal(grid.n_nodes)
     for call in (lambda: synthesize_null_control(
                      np.zeros((tree.n_leaves, grid.n_nodes)),
-                     gramian_spectrum(gram), coeffs, ball, tiny, mesh, grid,
-                     tree),
+                     np.zeros(grid.n_nodes), gramian_spectrum(gram), coeffs,
+                     ball, tiny, mesh, grid, tree),
                  lambda: dual_control(u, coeffs, ball, tiny, mesh, grid, tree),
                  lambda: gramian_apply(u, coeffs, ball, tiny, mesh, grid, tree),
                  lambda: gramian_matrix(coeffs, ball, tiny, mesh, grid)):
@@ -314,9 +322,10 @@ def test_approx_control_smooth_target(lab):
     target = 0.1 * sum(rng.standard_normal() * np.sin(k * np.pi * x)
                        for k in range(1, 4))
     gram = gramian_matrix(coeffs, ball, time_set, mesh, grid)
-    ctrl, rep = synthesize_approx_control(z_t, target, gramian_spectrum(gram),
-                                          coeffs, ball, time_set, mesh, grid,
-                                          tree, accuracy=1e-2)
+    ctrl, rep = synthesize_approx_control(z_t, _free(z_t, lab), target,
+                                          gramian_spectrum(gram), coeffs,
+                                          ball, time_set, mesh, grid, tree,
+                                          accuracy=1e-2)
     assert rep["achieved"]
     assert rep["relative_residual"] <= 1e-2
     res = [row["residual"] for row in rep["curve"]]
@@ -334,9 +343,10 @@ def test_approx_control_curve_flags_cg_convergence(lab):
     target = 0.1 * sum(rng.standard_normal() * np.sin(k * np.pi * x)
                        for k in range(1, 4))
     gram = gramian_matrix(coeffs, ball, time_set, mesh, grid)
-    _, rep = synthesize_approx_control(z_t, target, gramian_spectrum(gram),
-                                       coeffs, ball, time_set, mesh, grid,
-                                       tree, accuracy=1e-2)
+    _, rep = synthesize_approx_control(z_t, _free(z_t, lab), target,
+                                       gramian_spectrum(gram), coeffs, ball,
+                                       time_set, mesh, grid, tree,
+                                       accuracy=1e-2)
     for row in rep["curve"]:
         assert isinstance(row["cg_converged"], bool)
         if row["cg_iterations"] < grid.n_nodes:
@@ -396,6 +406,27 @@ def test_one_dual_flow_per_datum_in_run_control(monkeypatch):
         assert len({args[0].tobytes() for args in calls}) == len(calls)
 
 
+def test_one_free_backward_solve_per_run_control(monkeypatch):
+    # four solves for the duality and Gramian checks, one free solve that
+    # both syntheses share, the null control's verification and one per
+    # regularization sweep row; only the free solve has no control
+    backward = control.solve_backward_tree
+    for overrides, solves in ((SMALL_CONTROL, 19), ({"control.depth": 12}, 18)):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("control"))
+            return backward(*args, **kwargs)
+
+        monkeypatch.setattr(control, "solve_backward_tree", counting)
+        checks, _, _ = cli.run_control(
+            cli.Experiment(cfgmod.merge_config(overrides)))
+        rows = next(c for c in checks
+                    if c["name"] == "regularization_curve_monotone")["curve"]
+        assert len(calls) == 4 + 2 + len(rows) == solves, overrides
+        assert sum(c is None for c in calls) == 1
+
+
 def test_one_eigendecomposition_per_run_control(monkeypatch):
     # both syntheses read the spectrum of the run's one Gramian
     calls = []
@@ -412,10 +443,17 @@ def test_one_eigendecomposition_per_run_control(monkeypatch):
 
 def test_approx_control_verifies_each_sweep_row_by_one_backward_solve(
         lab, monkeypatch):
-    # one free solve, then one tree solve per curve row: the control of a
-    # dual datum is its dual flow, with no backward solve of its own
+    # one tree solve per curve row, each driven by its control: the free
+    # solve is the caller's, and the control of a dual datum is its dual
+    # flow, with no backward solve of its own
     grid, mesh, tree, coeffs, ball, time_set = lab
     gram = gramian_matrix(coeffs, ball, time_set, mesh, grid)
+    rng = _rng(6)
+    x = grid.coords[:, 0]
+    z_t = rng.standard_normal((tree.n_leaves, grid.n_nodes))
+    target = 0.1 * sum(rng.standard_normal() * np.sin(k * np.pi * x)
+                       for k in range(1, 4))
+    z0_free = _free(z_t, lab)
     calls = []
     backward = control.solve_backward_tree
 
@@ -424,17 +462,13 @@ def test_approx_control_verifies_each_sweep_row_by_one_backward_solve(
         return backward(*args, **kwargs)
 
     monkeypatch.setattr(control, "solve_backward_tree", counting)
-    rng = _rng(6)
-    x = grid.coords[:, 0]
-    z_t = rng.standard_normal((tree.n_leaves, grid.n_nodes))
-    target = 0.1 * sum(rng.standard_normal() * np.sin(k * np.pi * x)
-                       for k in range(1, 4))
-    _, rep = synthesize_approx_control(z_t, target, gramian_spectrum(gram),
-                                       coeffs, ball, time_set, mesh, grid,
-                                       tree, accuracy=1e-6)
+    _, rep = synthesize_approx_control(z_t, z0_free, target,
+                                       gramian_spectrum(gram), coeffs, ball,
+                                       time_set, mesh, grid, tree,
+                                       accuracy=1e-6)
     assert len(rep["curve"]) > 1
-    assert len(calls) == 1 + len(rep["curve"])
-    assert calls[0] is None and all(c is not None for c in calls[1:])
+    assert len(calls) == len(rep["curve"])
+    assert all(c is not None for c in calls)
 
 
 def test_run_control_uses_the_configured_coefficients():

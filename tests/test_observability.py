@@ -12,8 +12,8 @@ from stochheat import (Ball, CoefficientField, MeasurableTimeSet, TimeMesh,
 from stochheat import cli, forward
 from stochheat import config as cfgmod
 from stochheat.errors import ConfigurationError
-from stochheat.observability import (build_constants, growth_rate,
-                                     interpolation_split, observation_mass)
+from stochheat.observability import (growth_rate, interpolation_split,
+                                     observation_mass)
 from stochheat.ucp import default_tolerance
 
 E_DEFAULT = ((0.1, 0.2), (0.3, 0.45))
@@ -53,6 +53,42 @@ def test_time_set_measure_between_properties(time_set, s, t):
     assert m == time_set.measure_between(t, s)
 
 
+def _scalar_measure(time_set, s, t):
+    # |E cap (s, t)| one pair of endpoints at a time, as a generator sum
+    lo, hi = min(s, t), max(s, t)
+    return sum(max(0.0, min(b, hi) - max(a, lo)) for a, b in time_set.intervals)
+
+
+@st.composite
+def _sets_and_endpoints(draw):
+    # intervals between sorted cut points of [0, 1], consecutive ones
+    # possibly touching; endpoints in either order, outside (0, 1) or on a cut
+    cuts = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=7,
+                                unique=True)))
+    keep = draw(st.lists(st.booleans(), min_size=len(cuts) - 1,
+                         max_size=len(cuts) - 1).filter(any))
+    time_set = MeasurableTimeSet(
+        tuple((a, b) for a, b, k in zip(cuts, cuts[1:], keep) if k),
+        horizon=1.0)
+    point = st.one_of(st.floats(-0.5, 1.5), st.sampled_from(cuts))
+    pairs = draw(st.lists(st.tuples(point, point), min_size=1, max_size=12))
+    return time_set, pairs
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sets_and_endpoints())
+def test_time_set_measure_between_on_arrays(case):
+    # one call on arrays of endpoints equals the scalar sum per pair, bit
+    # for bit, and a scalar call returns that sum too
+    time_set, pairs = case
+    s, t = (np.array(side) for side in zip(*pairs))
+    expected = [_scalar_measure(time_set, a, b) for a, b in pairs]
+    assert time_set.measure_between(s, t).tolist() == expected
+    assert time_set.measure_between(s[:, None], t[:, None])[:, 0].tolist() \
+        == expected
+    assert time_set.measure_between(*pairs[0]) == expected[0]
+
+
 def test_time_set_validation():
     with pytest.raises(ConfigurationError):
         MeasurableTimeSet(((0.1, 0.3), (0.2, 0.4)), horizon=0.5)  # overlap
@@ -78,6 +114,35 @@ def test_density_sequence_default(time_set):
     assert np.all(gaps <= 3.0 * seq.gap_measures + 1e-15)
 
 
+@pytest.mark.parametrize("intervals, horizon", [
+    (E_DEFAULT, 0.5),
+    (((0.05, 0.06), (0.3, 0.31), (0.4, 0.48)), 0.5),
+    # too thin for any candidate: the best margin is reported, not found
+    (((0.1, 0.1001),), 1.0)], ids=["default", "three", "thin"])
+def test_density_sequence_matches_the_candidate_scan(intervals, horizon):
+    # the scan one candidate t1 at a time, nearest t0 first, stopping at
+    # the first that meets every gap condition, else keeping the best margin
+    time_set = MeasurableTimeSet(intervals, horizon=horizon)
+    seq = density_sequence(time_set)
+    scans = 2 ** 10
+    best = None
+    for i in range(1, scans + 1):
+        t1 = seq.t0 + (horizon - seq.t0) * i / (scans + 1)
+        times = seq.t0 + seq.z ** -np.arange(seq.depth + 1.0) * (t1 - seq.t0)
+        measures = np.array([_scalar_measure(time_set, times[m + 1], times[m])
+                             for m in range(seq.depth)])
+        margin = float(np.max(-np.diff(times) - 3.0 * measures))
+        if margin <= 1e-15 or best is None or margin < best[0]:
+            best = (margin, t1, times, measures)
+        if margin <= 1e-15:
+            break
+    margin, t1, times, measures = best
+    assert (seq.found, seq.best_margin, seq.t1) == (margin <= 1e-15, margin, t1)
+    assert seq.times.tolist() == times.tolist()
+    assert seq.gap_measures.tolist() == measures.tolist()
+    assert seq.found == (intervals != ((0.1, 0.1001),))
+
+
 def test_density_sequence_needs_ratio_above_one(time_set):
     with pytest.raises(ConfigurationError):
         density_sequence(time_set, z=1.0)
@@ -95,17 +160,17 @@ def test_growth_rate_variants(setup):
         growth_rate(coeffs, "bogus")
 
 
-def _obs_constants(setup, time_set):
+def _obs_constants(setup, gap_measures):
     grid, mesh, coeffs, ens = setup
     energy = energy_trace(ens)
     ucp_c = compute_constants(grid, (0.5,), 0.08, mesh.horizon, coeffs,
                               energy[0], energy[-1])
-    return build_constants(ucp_c, coeffs, mesh.horizon)
+    return epsilon_sequence(ucp_c, coeffs, mesh.horizon, gap_measures)
 
 
 def test_epsilon_recursion_identities(setup, time_set):
     seq = density_sequence(time_set)
-    oc = epsilon_sequence(_obs_constants(setup, time_set), seq.gap_measures)
+    oc = _obs_constants(setup, seq.gap_measures)
     g, c = oc.gamma, oc.c_abt
     # recursion identity, re-derived independently at each index
     for m in range(len(oc.eps) - 1):
@@ -124,12 +189,12 @@ def test_epsilon_recursion_identities(setup, time_set):
 
 def test_epsilon_recursion_rejects_zero_gaps(setup, time_set):
     with pytest.raises(ConfigurationError):
-        epsilon_sequence(_obs_constants(setup, time_set), np.array([0.1, 0.0]))
+        _obs_constants(setup, np.array([0.1, 0.0]))
 
 
 def test_interpolation_split(setup, time_set):
     grid, mesh, coeffs, ens = setup
-    oc = _obs_constants(setup, time_set)
+    oc = _obs_constants(setup, density_sequence(time_set).gap_measures)
     energy = energy_trace(ens)
     local = energy_trace(ens, grid.ball_mask(Ball((0.5,), 0.08)))
     rep = interpolation_split(energy, local, oc, eps=0.5, k=mesh.steps,
@@ -161,10 +226,25 @@ def test_observation_mass_manual_oracle(setup, time_set):
     assert 0.0 < part <= total + 1e-15
 
 
+def test_observation_mass_skips_cells_outside_the_time_set(setup):
+    # E meets none of the cells (0, 0.05), (0.05, 0.1), (0.2, 0.25) and
+    # (0.25, 0.3): an inf trace value at nodes only they share never enters
+    # the sum as 0 * inf
+    grid, mesh, _, ens = setup
+    time_set = MeasurableTimeSet(((0.12, 0.18), (0.32, 0.43)), horizon=0.5)
+    traced = energy_trace(ens, grid.ball_mask(Ball((0.5,), 0.08)))
+    blown = traced.copy()
+    blown[[0, 5]] = np.inf
+    for window in ({}, {"s": 0.05, "t": 0.45}):
+        mass = observation_mass(blown, mesh, time_set, **window)
+        assert np.isfinite(mass)
+        assert mass == observation_mass(traced, mesh, time_set, **window)
+
+
 def test_telescoping_chain(setup, time_set):
     grid, mesh, _, ens = setup
     seq = density_sequence(time_set)
-    oc = epsilon_sequence(_obs_constants(setup, time_set), seq.gap_measures)
+    oc = _obs_constants(setup, seq.gap_measures)
     local = energy_trace(ens, grid.ball_mask(Ball((0.5,), 0.08)))
     rep = telescoping_check(energy_trace(ens), local, mesh, time_set, seq, oc,
                             tol=default_tolerance(mesh, grid))
@@ -176,14 +256,31 @@ def test_telescoping_chain(setup, time_set):
     assert rep["sigma_small"]
 
 
-def test_telescoping_requires_epsilon_sequence(setup, time_set):
+def test_constants_with_an_overflowing_rate(setup, time_set):
+    # at a = -50, C(a,b,T) = 2500 and e^C overflows a float: eps_m, alpha_m
+    # and sigma_m underflow to 0 instead of 0 * inf = NaN, C_explicit is inf
+    # with a finite log, and the chain's inequalities hold on the decayed
+    # traces
     grid, mesh, _, ens = setup
+    strong = CoefficientField.constant(grid, mesh, -50.0, 0.4)
+    decayed = solve_forward(ens.levels[0][0], strong, build_tree(mesh), mesh,
+                            grid)
+    energy = energy_trace(decayed)
+    ucp_c = compute_constants(grid, (0.5,), 0.08, mesh.horizon, strong,
+                              energy[0], energy[-1])
     seq = density_sequence(time_set)
-    oc = _obs_constants(setup, time_set)  # recursion not run
-    local = energy_trace(ens, grid.ball_mask(Ball((0.5,), 0.08)))
-    with pytest.raises(ConfigurationError):
-        telescoping_check(energy_trace(ens), local, mesh, time_set, seq, oc,
-                          tol=default_tolerance(mesh, grid))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        oc = epsilon_sequence(ucp_c, strong, mesh.horizon, seq.gap_measures)
+    assert oc.c_abt > 2000.0
+    for values in (oc.eps, oc.alpha, oc.sigma):
+        assert np.all(values == 0.0)
+    assert oc.c_explicit == np.inf and np.isfinite(oc.log_c_explicit)
+    local = energy_trace(decayed, grid.ball_mask(Ball((0.5,), 0.08)))
+    rep = telescoping_check(energy, local, mesh, time_set, seq, oc,
+                            tol=default_tolerance(mesh, grid))
+    assert all(g["pass"] for g in rep["per_gap"])
+    assert rep["summed"]["pass"] and rep["final"]["pass"]
+    assert not np.isnan(rep["summed"]["lhs"])
 
 
 def test_energy_estimate(setup):
