@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -202,22 +203,31 @@ class Ensemble:
         (..., r, n), and the result has shape (..., steps+1, n).  f runs on
         blocks of about MOMENT_BLOCK_BYTES of rows: large levels are split
         and small consecutive levels joined, so a block stays in cache and
-        the calls of f do not grow with the number of levels."""
+        the calls of f do not grow with the number of levels.  A block
+        holds at most one part of a level, and each run of consecutive
+        parts of equal length is contracted in one step."""
         rows = max(1, MOMENT_BLOCK_BYTES // (8 * self.grid.n_nodes))
         out = None
 
         def contract(parts):  # parts: (level, weights, rows) of one block
             nonlocal out
-            y = np.concatenate([p[2] for p in parts]) if len(parts) > 1 \
-                else parts[0][2]
+            if len(parts) > 1:
+                y = np.concatenate([p[2] for p in parts])
+                w = np.concatenate([p[1] for p in parts])
+            else:
+                (_, w, y), = parts
             fy = integrand(y)
             if out is None:
                 out = np.zeros(fy.shape[:-2] + (len(self.levels), y.shape[1]))
             start = 0
-            for k, w, part in parts:
-                stop = start + len(part)
-                out[..., k, :] += np.einsum("p,...pi->...i", w,
-                                            fy[..., start:stop, :])
+            for r, run in groupby(parts, key=lambda p: len(p[2])):
+                ks = [p[0] for p in run]
+                stop = start + len(ks) * r
+                # (q, r) weights against the (..., q, r, n) view of the run
+                out[..., ks, :] += np.einsum(
+                    "qp,...qpi->...qi", w[start:stop].reshape(-1, r),
+                    fy[..., start:stop, :].reshape(
+                        fy.shape[:-2] + (len(ks), r, fy.shape[-1])))
                 start = stop
 
         parts, size = [], 0

@@ -13,10 +13,12 @@ E[(Sy)^2], which `localized_fields` reads in one `nodal_moment` pass, with
 S applied as nodal scalings around the plain gradient stencils of
 `geometry`.  The fields do not depend on the kernel shift: they are built
 once, and the derivative identity, the drift bound and the lambda sweep of
-`ucp` take them and contract them (`compute_hdn`); without a cutoff they
-are the global, convex-domain fields.  The same code runs on sampled
-paths, an exact Bernoulli tree, or the second-moment recursion, whose
-factors E[y y^T] = Z^T Z are contracted like unit-weight paths.
+`ucp` take them and contract them; without a cutoff they are the global,
+convex-domain fields.  `compute_hdn` evaluates the kernel once, as one
+(time, node) array, and contracts each field with one einsum.  The same
+code runs on sampled paths, an exact Bernoulli tree, or the second-moment
+recursion, whose factors E[y y^T] = Z^T Z are contracted like unit-weight
+paths.
 """
 
 from __future__ import annotations
@@ -118,8 +120,7 @@ def compute_hdn(fields: LocalizedFields,
     E int b^2 Phi^2 K and `f_sq` = E int F^2 K.
     """
     times = fields.mesh.times
-    kw = np.stack([weight.values(t, fields.grid.coords) for t in times]) \
-        * fields.grid.quad_weight
+    kw = weight.values(times, fields.grid.coords) * fields.grid.quad_weight
     h_arr, d_arr = (np.einsum("ki,ki->k", kw, f) for f in (fields.h, fields.d))
     if np.any(h_arr < 0):
         raise NumericalError("negative weighted energy; quadrature is broken")
@@ -217,9 +218,8 @@ def boundary_sign_audit(weight: HeatKernelWeight, grid: SpatialGrid,
     x0 = np.asarray(weight.center, dtype=float)
     geom = np.einsum("bi,bi->b", coords - x0, normals)
     min_geom = float(np.min(geom))
-    worst_flux = -np.inf
-    for t in np.atleast_1d(times):
-        flux = np.einsum("bi,bi->b", weight.gradient(float(t), coords), normals)
-        worst_flux = max(worst_flux, float(np.max(flux)))
+    flux = np.einsum("kbi,bi->kb", weight.gradient(np.atleast_1d(times),
+                                                   coords), normals)
+    worst_flux = float(np.max(flux, initial=-np.inf))
     return {"nonpositive": bool(worst_flux <= 1e-14 and min_geom >= -1e-14),
             "min_geometric_factor": min_geom, "max_flux": worst_flux}

@@ -220,7 +220,10 @@ def build_grid(extents, shape) -> SpatialGrid:
 class HeatKernelWeight:
     """Backward Gaussian weight K(x,t) = (T-t+lam)^(-n/2) exp(-|x-x0|^2 / (4(T-t+lam))).
 
-    Satisfies K_t + Delta K = 0 in closed form.
+    Satisfies K_t + Delta K = 0 in closed form.  Each method takes a time
+    or an array of times t: the values and the time and space derivatives
+    have shape t.shape + coords.shape[:-1], the gradient t.shape +
+    coords.shape.
     """
 
     horizon: float
@@ -235,31 +238,40 @@ class HeatKernelWeight:
             raise ConfigurationError("kernel horizon must be positive")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
-    def _s(self, t: float) -> float:
-        if t < 0.0 or t > self.horizon:
-            raise DomainError(f"t={t} outside [0, {self.horizon}]")
-        return self.horizon - t + self.shift
+    def _s(self, t, coords: np.ndarray) -> np.ndarray:
+        """T - t + lam at a time or an array of times, all in [0, T], shaped
+        t.shape + (1,) * (coords.ndim - 1) to broadcast against the nodes."""
+        t = np.asarray(t, dtype=float)
+        outside = (t < 0.0) | (t > self.horizon)
+        if np.any(outside):
+            raise DomainError(
+                f"t={t[outside].flat[0]} outside [0, {self.horizon}]")
+        s = self.horizon - t + self.shift
+        return s.reshape(s.shape + (1,) * (np.ndim(coords) - 1))
 
-    def values(self, t: float, coords: np.ndarray) -> np.ndarray:
-        s = self._s(t)
-        d2 = ((coords - np.asarray(self.center)) ** 2).sum(axis=-1)
-        return s ** (-self.dim / 2.0) * np.exp(-d2 / (4.0 * s))
+    def _dist_sq(self, coords: np.ndarray) -> np.ndarray:
+        return ((coords - np.asarray(self.center)) ** 2).sum(axis=-1)
 
-    def gradient(self, t: float, coords: np.ndarray) -> np.ndarray:
-        s = self._s(t)
+    def values(self, t, coords: np.ndarray) -> np.ndarray:
+        s = self._s(t, coords)
+        return s ** (-self.dim / 2.0) * np.exp(-self._dist_sq(coords) / (4.0 * s))
+
+    def gradient(self, t, coords: np.ndarray) -> np.ndarray:
+        s = self._s(t, coords)
         k = self.values(t, coords)
-        return -(coords - np.asarray(self.center)) * k[..., None] / (2.0 * s)
+        return -(coords - np.asarray(self.center)) * k[..., None] \
+            / (2.0 * s[..., None])
 
-    def time_derivative(self, t: float, coords: np.ndarray) -> np.ndarray:
-        s = self._s(t)
+    def time_derivative(self, t, coords: np.ndarray) -> np.ndarray:
+        s = self._s(t, coords)
         k = self.values(t, coords)
-        d2 = ((coords - np.asarray(self.center)) ** 2).sum(axis=-1)
+        d2 = self._dist_sq(coords)
         return (self.dim / (2.0 * s)) * k - (d2 / (4.0 * s**2)) * k
 
-    def laplacian_closed_form(self, t: float, coords: np.ndarray) -> np.ndarray:
-        s = self._s(t)
+    def laplacian_closed_form(self, t, coords: np.ndarray) -> np.ndarray:
+        s = self._s(t, coords)
         k = self.values(t, coords)
-        d2 = ((coords - np.asarray(self.center)) ** 2).sum(axis=-1)
+        d2 = self._dist_sq(coords)
         return -(self.dim / (2.0 * s)) * k + (d2 / (4.0 * s**2)) * k
 
 

@@ -160,6 +160,15 @@ class ObservabilityConstants:
     c_explicit: float
     log_c_explicit: float
     rate_variants: dict
+    # largest excess of the induction bound log eps_m <= log eps_1 and of
+    # the matching condition log sigma_m = log alpha_{m+1} - C over their
+    # rounding slack, as a ratio to it: <= 1 where they hold
+    induction_ratio: float
+    matching_ratio: float
+
+    @property
+    def identities_hold(self) -> bool:
+        return self.induction_ratio <= 1.0 and self.matching_ratio <= 1.0
 
 
 def epsilon_sequence(ucp_constants: UcpConstants, coeffs: CoefficientField,
@@ -175,8 +184,9 @@ def epsilon_sequence(ucp_constants: UcpConstants, coeffs: CoefficientField,
     underflows eps_m, alpha_m and sigma_m to 0 instead of making 0 * inf
     = NaN, and C_explicit = 2 e^{2C + Theta} / alpha_1 keeps its log when it
     overflows.  The induction bound eps_m <= eps_1 and the matching
-    condition sigma_m = alpha_{m+1} e^{-C} are asserted on the logs, to
-    the rounding of sums of their size.
+    condition sigma_m = alpha_{m+1} e^{-C} are measured on the logs against
+    the rounding of sums of their size (`induction_ratio`,
+    `matching_ratio`).
     """
     gaps = np.asarray(gap_measures, dtype=float)
     if np.any(gaps <= 0.0):
@@ -188,18 +198,14 @@ def epsilon_sequence(ucp_constants: UcpConstants, coeffs: CoefficientField,
     for m in range(len(gaps) - 1):
         log_eps[m + 1] = ((g + 1.0) * log_eps[m] + c + log_gaps[m]
                           - log_gaps[m + 1]) / g
-    above = np.flatnonzero(
-        log_eps > log_eps[0] + IDENTITY_RTOL * np.maximum(1.0, np.abs(log_eps)))
-    if above.size:
-        raise NumericalError(
-            f"epsilon induction bound failed at m={above[0] + 1}: "
-            f"log eps {log_eps[above[0]]} > {log_eps[0]}")
+    # each condition's largest excess over its rounding slack
+    slack = IDENTITY_RTOL * np.maximum(1.0, np.abs(log_eps[1:]))
+    induction = np.max((log_eps[1:] - log_eps[0]) / slack, initial=-np.inf)
     log_alpha = g * log_eps + log_gaps
     log_sigma = (g + 1.0) * log_eps + log_gaps
-    mismatch = np.abs(log_sigma[:-1] - (log_alpha[1:] - c))
-    if np.any(mismatch > IDENTITY_RTOL * 10
-              * np.maximum(1.0, np.abs(log_sigma[:-1]))):
-        raise NumericalError("sigma/alpha matching condition violated")
+    slack = IDENTITY_RTOL * 10 * np.maximum(1.0, np.abs(log_sigma[:-1]))
+    matching = np.max(np.abs(log_sigma[:-1] - (log_alpha[1:] - c)) / slack,
+                      initial=-np.inf)
     # the explicit constant is doubly exponential in the coefficient norms
     # and routinely overflows; keep the log alongside the (possibly inf) value
     log_c = np.log(2.0) - log_alpha[0] + 2.0 * c + ucp_constants.theta
@@ -211,7 +217,8 @@ def epsilon_sequence(ucp_constants: UcpConstants, coeffs: CoefficientField,
         eps=eps, alpha=np.exp(log_alpha), sigma=np.exp(log_sigma),
         c_explicit=c_explicit, log_c_explicit=float(log_c),
         rate_variants={name: growth_rate(coeffs, name) * horizon
-                       for name in ("derivation", "printed", "max")})
+                       for name in ("derivation", "printed", "max")},
+        induction_ratio=float(induction), matching_ratio=float(matching))
 
 
 def interpolation_split(energy: np.ndarray, local_energy: np.ndarray,

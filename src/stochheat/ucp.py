@@ -6,7 +6,8 @@ kernel shift lambda, and propagation of numerical vanishing along ball
 chains.  The checks read traces computed once by the caller: the energy and
 local-mass traces of `forward.energy_trace` and the terminal nodal second
 moment; the lambda sweep contracts one `frequency.LocalizedFields`, built
-with the experiment's cutoff, once per shift.
+with the experiment's cutoff, against one (shift, time, node) kernel array
+for all shifts at once.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, NumericalError
 from .forward import CoefficientField
-from .frequency import LocalizedFields, compute_hdn
+from .frequency import H_FLOOR, LocalizedFields
 from .geometry import Ball, HeatKernelWeight, SpatialGrid, ball_chain
 from .noise import TimeMesh
 
@@ -139,7 +140,8 @@ def amplitude_profile(fields: LocalizedFields, epsilon: float,
                 + eps + eps(1+2T)|b|^2 + (eps+1) * int_{T-2eps}^T (E int F^2 K)/H]
 
     with |b| the W^{1,inf} norm over the cutoff support and H the localized
-    weighted energy at shift lambda, centred at the cutoff's center.
+    weighted energy at shift lambda, centred at the cutoff's center.  H and
+    E int F^2 K come from one einsum each over all shifts.
     """
     mesh, grid = fields.mesh, fields.grid
     horizon = mesh.horizon
@@ -148,23 +150,29 @@ def amplitude_profile(fields: LocalizedFields, epsilon: float,
     if fields.cutoff is None:
         raise ConfigurationError("the amplitude profile needs a cutoff")
     center = fields.cutoff.inner.center
+    lams = np.atleast_1d(np.asarray(lambdas, dtype=float))
     k2 = int(round((horizon - 2.0 * epsilon) / mesh.dt))
     k1 = int(round((horizon - epsilon) / mesh.dt))
+    # A(lambda) reads H and E int F^2 K on [T - 2 eps, T] only: one
+    # (lambda, time, node) kernel array over that window for every shift
+    window = mesh.times[k2:]
+    kw = np.stack([HeatKernelWeight(horizon=horizon, shift=float(lam),
+                                    center=center, dim=grid.dim)
+                   .values(window, grid.coords) for lam in lams]) \
+        * grid.quad_weight
+    h_arr = np.einsum("lki,ki->lk", kw, fields.h[k2:])
+    if np.any(h_arr < 0):
+        raise NumericalError("negative weighted energy; quadrature is broken")
+    h_arr = np.maximum(h_arr, H_FLOOR)
+    f_sq = np.einsum("lki,ki->lk", kw, fields.sources["f_sq"][k2:])
+    log_term = np.maximum(np.log(h_arr[:, 0] / h_arr[:, k1 - k2]), 0.0)
+    integral = np.trapezoid(f_sq / h_arr, dx=mesh.dt, axis=1)
     b_norm = fields.b_norm
-    profile = []
-    for lam in np.atleast_1d(lambdas):
-        weight = HeatKernelWeight(horizon=horizon, shift=float(lam),
-                                  center=center, dim=grid.dim)
-        tr = compute_hdn(fields, weight)
-        h_arr = np.maximum(tr.h, 1e-300)
-        log_term = max(float(np.log(h_arr[k2] / h_arr[k1])), 0.0)
-        f_over_h = tr.aux["f_sq"] / h_arr
-        integral = float(np.trapezoid(f_over_h[k2:], dx=mesh.dt))
-        bracket = log_term + epsilon + epsilon * (1.0 + 2.0 * horizon) * b_norm ** 2 \
-            + (epsilon + 1.0) * integral
-        a_val = ((horizon + float(lam)) / epsilon) \
-            * np.exp(2.0 * horizon * b_norm ** 2) * bracket
-        profile.append((float(lam), float(a_val)))
+    bracket = log_term + epsilon + epsilon * (1.0 + 2.0 * horizon) * b_norm ** 2 \
+        + (epsilon + 1.0) * integral
+    a_val = ((horizon + lams) / epsilon) \
+        * np.exp(2.0 * horizon * b_norm ** 2) * bracket
+    profile = list(zip(lams.tolist(), a_val.tolist()))
     return {"profile": profile, "epsilon": float(epsilon)}
 
 

@@ -476,3 +476,43 @@ def test_one_cutoff_field_build_per_experiment(monkeypatch):
     built.clear()
     cli.run_ucp(cli.Experiment(cfg))
     assert built == [True]
+
+
+def test_observe_thin_time_set_excludes_the_chain(tmp_path, capsys):
+    # no density sequence in a time set of measure 1e-4: the condition
+    # fails (exit 1) and the checks of the epsilon chain are not run
+    code = main(["observe", "--config",
+                 _fast_config(tmp_path, "time_set.e = 0.1,0.1001\n"),
+                 "--out", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert code == 1
+    checks = {rec["name"]: rec for rec in json.load(
+        open(tmp_path / "out" / "observe.json"))["checks"]}
+    assert not checks["density_sequence_condition"]["pass"]
+    assert all(f"EXCL  {name}" in out.splitlines()
+               for name in cli.EPSILON_CHAIN_CHECKS)
+    assert all(checks[name]["excluded"] for name in cli.EPSILON_CHAIN_CHECKS)
+    assert checks["energy_growth_estimate"]["pass"]
+
+
+def test_observe_fails_a_broken_epsilon_induction(tmp_path, capsys,
+                                                  monkeypatch):
+    # a first gap measure 100 times too large still meets the density
+    # condition but lifts eps_2 above eps_1: the record fails, exit 1
+    density = cli.obs.density_sequence
+
+    def inflated(time_set):
+        seq = density(time_set)
+        seq.gap_measures[0] *= 100.0
+        return seq
+
+    monkeypatch.setattr(cli.obs, "density_sequence", inflated)
+    code = main(["observe", "--config", _fast_config(tmp_path),
+                 "--out", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "FAIL  epsilon_recursion_identities" in out
+    assert "PASS  density_sequence_condition" in out
+    rec = next(r for r in json.load(open(tmp_path / "out" / "observe.json"))
+               ["checks"] if r["name"] == "epsilon_recursion_identities")
+    assert rec["induction_ratio"] > 1.0

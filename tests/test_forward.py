@@ -10,8 +10,9 @@ from stochheat import (Ball, CoefficientField, ConfigurationError,
                        PathEnsemble, TimeMesh, build_cutoff, build_grid,
                        build_tree, energy_trace, exp_transform_oracle,
                        sample_ensemble, solve_forward, solve_forward_moments)
+from stochheat import forward
 from stochheat.errors import ShapeError
-from stochheat.forward import (ImplicitHeatSolver, step_factors,
+from stochheat.forward import (Ensemble, ImplicitHeatSolver, step_factors,
                                step_invertibility_report)
 
 
@@ -211,6 +212,44 @@ def test_moment_propagator_matches_tree_exactly(grid, sparse_operators):
     assert fields.shape == (6, mesh.steps + 1, grid.n_nodes)
     for a, b in zip(fields, mom.nodal_moment(integrand)):
         assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(a)), 1.0)
+
+
+def _per_level_moment(ens, integrand):
+    # one einsum per level: the contraction nodal_moment groups by runs
+    return np.stack([np.einsum("p,...pi->...i", w, integrand(y))
+                     for w, y in zip(ens.weights, ens.levels)], axis=-2)
+
+
+@pytest.mark.parametrize("block_rows", [None, 3])
+def test_grouped_nodal_moment_matches_per_level(tree_ensemble, grid,
+                                                block_rows, monkeypatch,
+                                                assert_rel_close):
+    # runs of equal-length levels are contracted together: a tree (lengths
+    # all distinct), a random-coefficient moment ensemble whose rank
+    # changes, the same with an empty level, and blocks of 3 rows, which
+    # split levels across blocks
+    if block_rows:
+        monkeypatch.setattr(forward, "MOMENT_BLOCK_BYTES",
+                            8 * grid.n_nodes * block_rows)
+    mesh = TimeMesh(horizon=0.5, steps=60)
+    coeffs = CoefficientField.random_bounded(grid, mesh, 5, 0.5, 0.5)
+    y0 = np.sin(np.pi * grid.coords[:, 0]) * (1.0 + grid.coords[:, 0])
+    mom = solve_forward_moments(y0, coeffs, mesh, grid)
+    ranks = mom.provenance["rank"]  # grows, then stays for many levels
+    assert ranks[0] < ranks[-1] and ranks.count(ranks[-1]) > 10
+    levels = list(mom.levels)
+    levels[30] = levels[30][:0]
+    holed = Ensemble(levels, [np.ones(len(z)) for z in levels],
+                     mom.increments, mesh, grid, mom.provenance)
+
+    def integrand(y):
+        return np.stack([np.square(y), y * grid.gradient_ops()[0](y)])
+
+    for ens in (tree_ensemble, mom, holed):
+        for f in (np.square, integrand):
+            assert_rel_close(ens.nodal_moment(f), _per_level_moment(ens, f),
+                             rtol=1e-14)
+    assert not holed.nodal_moment()[30].any()
 
 
 def _dense_moments(y0, coeffs, mesh, lap):

@@ -8,8 +8,9 @@ from stochheat import (Ball, CoefficientField, HeatKernelWeight, TimeMesh,
                        build_tree, compute_hdn, frequency_bound_check,
                        hprime_identity_residual, localized_fields,
                        solve_forward, solve_forward_moments)
-from stochheat import forward
+from stochheat import forward, frequency
 from stochheat.errors import NumericalError
+from stochheat.frequency import FrequencyTrace
 from stochheat.ucp import default_tolerance
 
 
@@ -145,6 +146,22 @@ def test_localized_fields_read_the_ensemble_once(extents, shape, center,
         assert len(calls) == 1
 
 
+def test_compute_hdn_evaluates_the_kernel_once(tree_ensemble, weight, coeffs,
+                                               monkeypatch):
+    # one (time, node) kernel array per call, not one evaluation per time
+    fields = localized_fields(tree_ensemble, None, coeffs)
+    calls = []
+    values = HeatKernelWeight.values
+
+    def counting(self, t, coords):
+        calls.append(np.shape(t))
+        return values(self, t, coords)
+
+    monkeypatch.setattr(HeatKernelWeight, "values", counting)
+    compute_hdn(fields, weight)
+    assert calls == [fields.mesh.times.shape]
+
+
 def test_hdn_scale_invariance_of_n(y0, coeffs, tree, mesh, grid, weight):
     base = solve_forward(y0, coeffs, tree, mesh, grid)
     scaled = solve_forward(3.0 * y0, coeffs, tree, mesh, grid)
@@ -234,3 +251,32 @@ def test_boundary_sign_audit(weight, grid, mesh):
     bad = HeatKernelWeight(horizon=0.5, shift=0.25, center=(1.5,), dim=1)
     rep_bad = boundary_sign_audit(bad, grid, [0.2])
     assert not rep_bad["nonpositive"]
+
+
+def test_frequency_bound_worst_pair_is_the_first_maximum(tree_ensemble,
+                                                        weight, grid, mesh,
+                                                        monkeypatch):
+    # with b = 0 and a source cancelling the drift integrand the excess is
+    # N(t_j) - N(t_i) exactly; N takes few values, so the worst value is
+    # tied between many pairs and the first in row-major order is reported
+    rng = np.random.Generator(np.random.Philox(key=[15, 3]))
+    cutoff = build_cutoff(Ball((0.5,), 0.18), Ball((0.5,), 0.24), grid)
+    fields = localized_fields(tree_ensemble, cutoff,
+                              CoefficientField.constant(grid, mesh, 0.3, 0.0))
+    assert fields.b_norm == 0.0
+    times = mesh.times
+    rate = 1.0 / (weight.horizon - times + weight.shift)
+    i, j = np.triu_indices(len(times), 1)  # the pairs in row-major order
+    ties = 0
+    for _ in range(20):
+        n = rng.integers(0, 4, len(times)) * 0.5
+        trace = FrequencyTrace(times=times, h=np.ones(len(times)), d=0.5 * n,
+                               n=n, aux={"f_sq": -rate * n})
+        monkeypatch.setattr(frequency, "compute_hdn", lambda f, w: trace)
+        rep = frequency_bound_check(fields, weight)
+        excess = n[j] - n[i]
+        first = int(np.argmax(excess))
+        assert rep["worst_violation"] == excess[first]
+        assert rep["worst_pair"] == (i[first], j[first])
+        ties += np.count_nonzero(excess == excess[first]) > 1
+    assert ties >= 10

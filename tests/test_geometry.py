@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochheat import (Ball, ConfigurationError, GeometryError,
+from stochheat import (Ball, ConfigurationError, DomainError, GeometryError,
                        HeatKernelWeight, ball_chain, build_cutoff, build_grid)
 from stochheat.geometry import kernel_caloric_residual
 
@@ -103,6 +103,26 @@ def test_kernel_gradient_matches_finite_difference():
     eps = 1e-6
     fd = (w.values(0.2, coords + eps) - w.values(0.2, coords - eps)) / (2 * eps)
     assert np.max(np.abs(w.gradient(0.2, coords)[:, 0] - fd)) < 1e-5
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kernel_values_over_an_array_of_times(dim):
+    # one row per time, equal to the evaluation at that time alone, for K
+    # and its derivatives; a time outside [0, T] anywhere in the array is
+    # refused
+    grid = build_grid([(0.0, 1.0)] * dim, (9,) * dim)
+    w = HeatKernelWeight(horizon=0.5, shift=0.1, center=(0.4,) * dim, dim=dim)
+    times = np.linspace(0.0, 0.5, 11)
+    assert w.values(times, grid.coords).shape == (len(times), grid.n_nodes)
+    # dim times probe a broadcast of the gradient against the axis
+    for ts in (times, times[:dim]):
+        for f in (w.values, w.gradient, w.time_derivative,
+                  w.laplacian_closed_form):
+            assert np.array_equal(f(ts, grid.coords),
+                                  np.stack([f(t, grid.coords) for t in ts]))
+    for bad in ([0.2, 0.5 + 1e-9], [-1e-9, 0.2], 0.6):
+        with pytest.raises(DomainError):
+            w.values(np.asarray(bad), grid.coords)
 
 
 def test_kernel_caloric_residual_report():

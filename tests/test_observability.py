@@ -178,13 +178,24 @@ def test_epsilon_recursion_identities(setup, time_set):
         rhs = oc.eps[m] ** (g + 1.0) * np.exp(c) \
             * seq.gap_measures[m] / seq.gap_measures[m + 1]
         assert np.isclose(lhs, rhs, rtol=1e-12)
-    # induction bound and the matching condition
+    # induction bound and the matching condition, and their measured
+    # excess over the rounding slack
     assert np.all(oc.eps <= oc.eps1 * (1.0 + 1e-12))
     assert np.allclose(oc.sigma[:-1], oc.alpha[1:] * np.exp(-c), rtol=1e-11)
+    assert oc.induction_ratio < 0.0 and 0.0 <= oc.matching_ratio <= 1.0
+    assert oc.identities_hold
     # final constant: log form always finite, exp form may saturate
     assert np.isfinite(oc.log_c_explicit)
     expected_log = np.log(2.0) - np.log(oc.alpha[0]) + 2.0 * c + oc.theta
     assert np.isclose(oc.log_c_explicit, expected_log, rtol=1e-12)
+
+
+def test_epsilon_induction_violation_is_measured(setup):
+    # a gap far larger than the next pushes eps_2 above eps_1: the excess
+    # is reported, not raised
+    oc = _obs_constants(setup, np.array([1.0, 1e-3, 5e-4]))
+    assert oc.eps[1] > oc.eps1
+    assert oc.induction_ratio > 1.0 and not oc.identities_hold
 
 
 def test_epsilon_recursion_rejects_zero_gaps(setup, time_set):

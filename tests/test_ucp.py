@@ -1,5 +1,7 @@
 """Interpolation constants, shift selection, three-ball and vanishing checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,9 @@ from stochheat import (Ball, CoefficientField, HeatKernelWeight, TimeMesh,
                        compute_hdn, energy_trace, localized_fields,
                        propagate_vanishing, quantitative_ucp_check,
                        select_lambda, solve_forward, three_ball_check)
-from stochheat import cli, forward
+from stochheat import cli, forward, frequency, ucp
 from stochheat import config as cfgmod
-from stochheat.errors import ConfigurationError, DomainError
+from stochheat.errors import ConfigurationError, DomainError, NumericalError
 from stochheat.ucp import (LAMBDA_GRID, amplitude_profile, default_tolerance)
 
 
@@ -133,13 +135,32 @@ def test_amplitude_profile_matches_compute_hdn(tree_ensemble, coeffs, grid,
         assert np.isclose(profile[float(lam)], expected, rtol=1e-12)
 
 
+def test_amplitude_profile_sweeps_without_compute_hdn(tree_ensemble, coeffs,
+                                                      grid, monkeypatch):
+    # all shifts are contracted at once, not by one compute_hdn per shift
+    cutoff = build_cutoff(Ball((0.5,), 0.18), Ball((0.5,), 0.24), grid)
+    fields = localized_fields(tree_ensemble, cutoff, coeffs)
+
+    def per_shift(*args):
+        raise AssertionError("compute_hdn called by the lambda sweep")
+
+    for module in (frequency, ucp):
+        monkeypatch.setattr(module, "compute_hdn", per_shift, raising=False)
+    profile = amplitude_profile(fields, 0.1)["profile"]
+    assert [lam for lam, _ in profile] == LAMBDA_GRID.tolist()
+
+
 def test_amplitude_profile_epsilon_validation(tree_ensemble, coeffs, grid):
     cutoff = build_cutoff(Ball((0.5,), 0.18), Ball((0.5,), 0.24), grid)
     fields = localized_fields(tree_ensemble, cutoff, coeffs)
     with pytest.raises(ConfigurationError):
         amplitude_profile(fields, 0.4)  # 2 eps > T
+    with pytest.raises(ConfigurationError):  # a shift outside (0, 1]
+        amplitude_profile(fields, 0.1, lambdas=[0.5, 2.0])
     with pytest.raises(ConfigurationError):  # no cutoff to centre the sweep
         amplitude_profile(localized_fields(tree_ensemble, None, coeffs), 0.1)
+    with pytest.raises(NumericalError):  # a negative weighted energy
+        amplitude_profile(dataclasses.replace(fields, h=-fields.h), 0.1)
 
 
 def test_three_ball_check_small_lambda(tree_ensemble, mesh, grid):
