@@ -35,12 +35,14 @@ from .frequency import (LocalizedFields, boundary_sign_audit,
                         frequency_bound_check, hprime_identity_residual,
                         localized_fields)
 from .geometry import (Ball, HeatKernelWeight, build_cutoff, build_grid,
-                       kernel_caloric_residual)
+                       caloric_defect)
 from .noise import TimeMesh, build_tree, sample_ensemble
 from .report import (all_pass, check_record, write_report,
                      write_timing_sidecar)
 
 MACHINE_TOL = 1e-10
+# bound on the measured caloric defect of the kernel (about 1e-7 when exact)
+CALORIC_RTOL = 1e-5
 
 
 def _pairs(flat):
@@ -99,6 +101,8 @@ class Experiment:
         self.grid = build_grid(extents, nodes)
         steps = int(cfg["time.steps"]) or int(cfg["tree.depth"])
         self.mesh = TimeMesh(horizon=float(cfg["time.horizon"]), steps=steps)
+        self.tol = ucpmod.default_tolerance(self.mesh, self.grid,
+                                            float(cfg["tol_scale"]))
         self.seed = int(cfg["seed"])
         if cfg["noise.mode"] == "tree":
             self.noise = build_tree(self.mesh)
@@ -123,7 +127,7 @@ class Experiment:
     @cached_property
     def moment(self) -> np.ndarray:
         """E[y^2] per time node and grid node (`nodal_moment()`), read by
-        simulate, ucp and observe for their traces and terminal moment."""
+        the two traces below and by ucp for its terminal moment."""
         return self.ensemble.nodal_moment()
 
     @cached_property
@@ -133,6 +137,28 @@ class Experiment:
         r3, r4 = (float(self.cfg[f"geometry.r{i}"]) for i in (3, 4))
         cutoff = build_cutoff(Ball(self.x0, r3), Ball(self.x0, r4), self.grid)
         return localized_fields(self.ensemble, cutoff, self.coeffs)
+
+    @cached_property
+    def energy(self) -> np.ndarray:
+        return moment_trace(self.moment, self.grid)
+
+    @cached_property
+    def local_energy(self) -> np.ndarray:
+        """E int_B y^2 per time node on the observation ball B."""
+        return moment_trace(self.moment, self.grid,
+                            self.grid.ball_mask(self.obs_ball))
+
+    @cached_property
+    def constants(self) -> tuple:
+        """(UcpConstants, None) from the energy endpoints, or (None, note) in
+        the backward-uniqueness branch, where the terminal energy vanishes;
+        read by ucp and observe."""
+        try:
+            return ucpmod.compute_constants(
+                self.grid, self.x0, self.obs_ball.radius, self.mesh.horizon,
+                self.coeffs, self.energy[0], self.energy[-1]), None
+        except DomainError as exc:
+            return None, str(exc)
 
 
 def initial_field(grid, kind: str, x0) -> np.ndarray:
@@ -149,12 +175,6 @@ def initial_field(grid, kind: str, x0) -> np.ndarray:
     raise ConfigurationError(f"unknown initial.kind '{kind}'")
 
 
-def _kernel_weight(exp: Experiment) -> HeatKernelWeight:
-    return HeatKernelWeight(horizon=exp.mesh.horizon,
-                            shift=float(exp.cfg["ucp.kernel_shift"]),
-                            center=exp.x0, dim=exp.grid.dim)
-
-
 def run_simulate(exp: Experiment):
     checks, extras = [], {}
     ens = exp.ensemble
@@ -164,7 +184,7 @@ def run_simulate(exp: Experiment):
                                sign_loss_steps=inv["sign_loss_steps"]))
     extras["scheme"] = {key: inv[key]
                         for key in ("b_sqrt_dt", "a_dt", "noise_step_large")}
-    energy = moment_trace(exp.moment, exp.grid)[-1]
+    energy = exp.energy[-1]
     checks.append(check_record("terminal_energy_finite", np.isfinite(energy),
                                lhs=energy))
     if exp.cfg["coeff.kind"] == "constant":
@@ -182,12 +202,13 @@ def run_simulate(exp: Experiment):
 
 def run_frequency(exp: Experiment):
     checks, extras = [], {}
-    weight = _kernel_weight(exp)
-    probe_t = 0.5 * exp.mesh.horizon
-    kernel = kernel_caloric_residual(weight, exp.grid, probe_t, dt_fd=1e-6)
+    weight = HeatKernelWeight(horizon=exp.mesh.horizon,
+                              shift=float(exp.cfg["ucp.kernel_shift"]),
+                              center=exp.x0, dim=exp.grid.dim)
+    defect = caloric_defect(weight, exp.grid.coords, 0.5 * exp.mesh.horizon)
     checks.append(check_record("kernel_caloric_identity",
-                               kernel["closed_form"] <= 1e-12,
-                               lhs=kernel["closed_form"], rhs=1e-12))
+                               defect <= CALORIC_RTOL, lhs=defect,
+                               rhs=CALORIC_RTOL))
     fields = exp.cutoff_fields
     tol_scale = float(exp.cfg["tol_scale"])
     # the derivative identity needs time resolution well below the kernel
@@ -212,14 +233,13 @@ def run_frequency(exp: Experiment):
         "integrated": ident_local["integrated_residual"],
         "rhs_scale": ident_local["rhs_scale"],
         "note": "diagnostic: cutoff annulus spans few cells at this h"}
-    budget = ucpmod.default_tolerance(exp.mesh, exp.grid, tol_scale)
-    bound = frequency_bound_check(fields, weight, slack=budget)
+    bound = frequency_bound_check(fields, weight, slack=exp.tol)
     checks.append(check_record("frequency_drift_bound", bound["holds"],
-                               lhs=bound["relative_violation"], rhs=budget))
+                               lhs=bound["relative_violation"], rhs=exp.tol))
     convex = frequency_bound_check(
-        localized_fields(exp.ensemble, None, exp.coeffs), weight, slack=budget)
+        localized_fields(exp.ensemble, None, exp.coeffs), weight, slack=exp.tol)
     checks.append(check_record("frequency_drift_bound_convex", convex["holds"],
-                               lhs=convex["relative_violation"], rhs=budget))
+                               lhs=convex["relative_violation"], rhs=exp.tol))
     audit = boundary_sign_audit(weight, exp.grid,
                                 np.linspace(0.0, exp.mesh.horizon, 9))
     checks.append(check_record("boundary_flux_sign", audit["nonpositive"],
@@ -232,16 +252,10 @@ def run_frequency(exp: Experiment):
 
 def run_ucp(exp: Experiment):
     checks, extras = [], {}
-    grid, mesh = exp.grid, exp.mesh
-    # one moment pass: the energy and local traces and the terminal moment
-    moment = exp.moment
-    energy = moment_trace(moment, grid)
-    e0, e_t = energy[0], energy[-1]
-    try:
-        constants = ucpmod.compute_constants(grid, exp.x0, exp.obs_ball.radius,
-                                             mesh.horizon, exp.coeffs, e0, e_t)
-    except DomainError as exc:
-        extras["branch_note"] = str(exc)
+    grid, tol = exp.grid, exp.tol
+    constants, branch = exp.constants
+    if constants is None:
+        extras["branch_note"] = branch
         checks.append(check_record("backward_uniqueness_branch", True))
         return checks, extras, {}
     ident = constants.identity_residuals()
@@ -253,9 +267,8 @@ def run_ucp(exp: Experiment):
                            "theta": constants.theta, "gamma": constants.gamma,
                            "big_d": constants.big_d, "big_j": constants.big_j,
                            "variants": constants.variants}
-    tol = ucpmod.default_tolerance(mesh, grid, float(exp.cfg["tol_scale"]))
-    local = moment_trace(moment, grid, grid.ball_mask(exp.obs_ball))
-    qc = ucpmod.quantitative_ucp_check(energy, local, constants, tol=tol)
+    qc = ucpmod.quantitative_ucp_check(exp.energy, exp.local_energy,
+                                       constants, tol=tol)
     checks.append(check_record("interpolation_inequality", qc["pass"],
                                lhs=qc["lhs"], rhs=qc["rhs"]))
     if qc["note"]:
@@ -265,7 +278,7 @@ def run_ucp(exp: Experiment):
     selection = ucpmod.select_lambda(profile["profile"],
                                      float(exp.cfg["geometry.r1"]), grid.dim)
     extras["lambda_selection"] = selection
-    terminal = moment[-1]
+    terminal = exp.moment[-1]
     if selection["qualifies"]:
         tb = ucpmod.three_ball_check(terminal, grid, exp.x0,
                                      float(exp.cfg["geometry.r1"]),
@@ -296,29 +309,28 @@ EPSILON_CHAIN_CHECKS = ("epsilon_recursion_identities", "per_gap_inequalities",
 
 def run_observe(exp: Experiment):
     checks, extras = [], {}
-    grid, mesh = exp.grid, exp.mesh
+    mesh = exp.mesh
     time_set = obs.MeasurableTimeSet(_pairs(exp.cfg["time_set.e"]),
                                      horizon=mesh.horizon)
     seq = obs.density_sequence(time_set)
-    checks.append(check_record("density_sequence_condition",
-                               seq.found and seq.condition_holds(),
+    checks.append(check_record("density_sequence_condition", seq.found,
                                best_margin=seq.best_margin, t0=seq.t0, t1=seq.t1))
-    moment = exp.moment
-    energy = moment_trace(moment, grid)
-    tol = ucpmod.default_tolerance(mesh, grid, float(exp.cfg["tol_scale"]))
+    energy, tol = exp.energy, exp.tol
     variant = str(exp.cfg["constants.variant"])
     growth = obs.energy_estimate_check(energy, mesh, exp.coeffs, tol,
                                        variant=variant)
     growth_check = check_record("energy_growth_estimate", growth["pass"],
                                 lhs=growth["worst_relative_excess"], rhs=tol)
-    if not seq.found:  # the epsilon chain has no sequence to run on
+    constants, branch = exp.constants
+    if constants is None:
+        extras["branch_note"] = branch
+        checks.append(check_record("backward_uniqueness_branch", True))
+    if constants is None or not seq.found:  # the epsilon chain cannot run
+        note = "terminal energy vanishes" if seq.found else "no density sequence"
         checks += [check_record(name, True, excluded=True,
-                                note="no density sequence; chain not run")
+                                note=f"{note}; chain not run")
                    for name in EPSILON_CHAIN_CHECKS]
         return checks + [growth_check], extras, {}
-    e0, e_t = energy[0], energy[-1]
-    constants = ucpmod.compute_constants(grid, exp.x0, exp.obs_ball.radius,
-                                         mesh.horizon, exp.coeffs, e0, e_t)
     ob_const = obs.epsilon_sequence(constants, exp.coeffs, mesh.horizon,
                                     seq.gap_measures, variant=variant)
     checks.append(check_record("epsilon_recursion_identities",
@@ -327,8 +339,7 @@ def run_observe(exp: Experiment):
                                sigma_tail=float(ob_const.sigma[-1]),
                                induction_ratio=ob_const.induction_ratio,
                                matching_ratio=ob_const.matching_ratio))
-    local = moment_trace(moment, grid, grid.ball_mask(exp.obs_ball))
-    tele = obs.telescoping_check(energy, local, mesh, time_set, seq,
+    tele = obs.telescoping_check(energy, exp.local_energy, mesh, time_set, seq,
                                  ob_const, tol=tol)
     checks.append(check_record("per_gap_inequalities",
                                all(g["pass"] for g in tele["per_gap"])))

@@ -376,13 +376,14 @@ def solve_forward_moments(y0: np.ndarray, coeffs: CoefficientField,
     for k in range(mesh.steps):
         drift = 1.0 + dt * coeffs.a[k]
         z = factors[-1]
+        # the mean row is solved with the factors and copied out of the block
         stacked = solver.solve(np.concatenate(
-            [drift * z, np.sqrt(dt) * coeffs.b[k] * z]))
-        _, s, vt = np.linalg.svd(stacked, full_matrices=False)
+            [drift * z, np.sqrt(dt) * coeffs.b[k] * z, drift * means[-1][None]]))
+        means.append(stacked[-1].copy())
+        _, s, vt = np.linalg.svd(stacked[:-1], full_matrices=False)
         keep = s > MOMENT_RANK_TOL * s[:1]  # s[:1] is empty for an empty factor
         factors.append(s[keep, None] * vt[keep])
         tails.append(float(np.sum(s[~keep] ** 2)))
-        means.append(solver.solve(drift * means[-1]))
     prov = {"scheme": "second-moment recursion", "dt": dt, "h": tuple(grid.h),
             "mode": "exact", "rank": [len(z) for z in factors],
             "discarded_tail": tails}

@@ -3,9 +3,10 @@
 The domain is an interval (0, L) or a rectangle (0, L1) x (0, L2) with
 homogeneous Dirichlet data.  Fields live on the interior nodes of a uniform
 tensor grid; the boundary value 0 is eliminated from all operators.  The
-Laplacian and the centred gradients are `Stencil`s: 3- or 5-point operators
-with scalar weights, applied as `S(rows)` to a field or a batch of rows by
-slicing its (..., n1[, n2]) view.
+centred gradients are `Stencil`s: banded operators with scalar weights,
+applied as `S(rows)` to a field or a batch of rows by slicing its
+(..., n1[, n2]) view.  The Laplacian is only ever inverted, in
+`forward.ImplicitHeatSolver`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ __all__ = [
     "CutoffFunction",
     "HeatKernelWeight",
     "build_grid",
-    "kernel_caloric_residual",
+    "caloric_defect",
     "build_cutoff",
     "ball_chain",
 ]
@@ -120,7 +121,6 @@ class SpatialGrid:
         self.coords = coords
         self.n_nodes = coords.shape[0]
         self.quad_weight = float(np.prod(self.h))
-        self._laplacian = None
         self._gradients = None
         self.boundary_coords, self.boundary_normals = self._boundary_nodes()
 
@@ -142,16 +142,6 @@ class SpatialGrid:
 
     def _unit(self, axis: int, step: int) -> tuple:
         return tuple(step if ax == axis else 0 for ax in range(self.dim))
-
-    def laplacian(self) -> Stencil:
-        """Second-order Dirichlet Laplacian (3-point / 5-point stencil)."""
-        if self._laplacian is None:
-            weights = {self._unit(0, 0): sum(-2.0 / h**2 for h in self.h)}
-            for axis, h in enumerate(self.h):
-                weights[self._unit(axis, -1)] = 1.0 / h**2
-                weights[self._unit(axis, 1)] = 1.0 / h**2
-            self._laplacian = Stencil(self.shape, weights)
-        return self._laplacian
 
     def gradient_ops(self) -> tuple[Stencil, ...]:
         """Centered-difference gradient per axis; zero Dirichlet ghosts."""
@@ -220,10 +210,9 @@ def build_grid(extents, shape) -> SpatialGrid:
 class HeatKernelWeight:
     """Backward Gaussian weight K(x,t) = (T-t+lam)^(-n/2) exp(-|x-x0|^2 / (4(T-t+lam))).
 
-    Satisfies K_t + Delta K = 0 in closed form.  Each method takes a time
-    or an array of times t: the values and the time and space derivatives
-    have shape t.shape + coords.shape[:-1], the gradient t.shape +
-    coords.shape.
+    Caloric: K_t + Delta K = 0 (`caloric_defect` measures it on `values`).
+    Each method takes a time or an array of times t: the values have shape
+    t.shape + coords.shape[:-1], the gradient t.shape + coords.shape.
     """
 
     horizon: float
@@ -262,48 +251,24 @@ class HeatKernelWeight:
         return -(coords - np.asarray(self.center)) * k[..., None] \
             / (2.0 * s[..., None])
 
-    def time_derivative(self, t, coords: np.ndarray) -> np.ndarray:
-        s = self._s(t, coords)
-        k = self.values(t, coords)
-        d2 = self._dist_sq(coords)
-        return (self.dim / (2.0 * s)) * k - (d2 / (4.0 * s**2)) * k
 
-    def laplacian_closed_form(self, t, coords: np.ndarray) -> np.ndarray:
-        s = self._s(t, coords)
-        k = self.values(t, coords)
-        d2 = self._dist_sq(coords)
-        return -(self.dim / (2.0 * s)) * k + (d2 / (4.0 * s**2)) * k
-
-
-def kernel_caloric_residual(weight: HeatKernelWeight, grid: SpatialGrid, t: float,
-                            dt_fd: float = 1e-4) -> dict:
-    """max |K_t + Delta K| over interior nodes, closed form and finite differences.
-
-    The closed-form residual vanishes analytically; the finite-difference
-    version (forward difference in t, discrete Laplacian in x) calibrates the
-    scheme's consistency error.
-    """
+def caloric_defect(weight: HeatKernelWeight, coords: np.ndarray,
+                   t: float) -> float:
+    """max |K_t + Delta K| / max |K_t| over the points `coords` at a time t
+    in (0, T), by central differences of `weight.values` with steps on the
+    scale s = T - t + lam of K: 3e-4 min(s, t, T - t) in time, 3e-4 sqrt(s)
+    in space.  K reads about 1e-7; a K 1% off in its exponent or power, 1e-2."""
     if not 0.0 < t < weight.horizon:
         raise DomainError(f"t={t} must lie in (0, {weight.horizon})")
-    closed = weight.time_derivative(t, grid.coords) + weight.laplacian_closed_form(t, grid.coords)
-    k_now = weight.values(t, grid.coords)
-    t2 = min(t + dt_fd, weight.horizon)
-    kt_fd = (weight.values(t2, grid.coords) - k_now) / (t2 - t)
-    lap_fd = grid.laplacian()(k_now)
-    # The discrete Laplacian sees the Dirichlet zero ghost, wrong for K near
-    # the boundary; restrict the FD audit to nodes one stencil away from it.
-    interior = np.ones(grid.n_nodes, dtype=bool)
-    if grid.dim == 1:
-        interior[[0, -1]] = False
-    else:
-        interior = np.zeros(grid.shape, dtype=bool)
-        interior[1:-1, 1:-1] = True
-        interior = interior.ravel()
-    return {
-        "closed_form": float(np.max(np.abs(closed))),
-        "finite_difference": float(np.max(np.abs((kt_fd + lap_fd)[interior]))) if interior.any() else 0.0,
-        "max_kernel": float(np.max(k_now)),
-    }
+    s = weight.horizon - t + weight.shift
+    dt = 3e-4 * min(s, t, weight.horizon - t)
+    before, now, after = weight.values(np.array([t - dt, t, t + dt]), coords)
+    k_t = (after - before) / (2.0 * dt)
+    h = 3e-4 * np.sqrt(s)
+    steps = h * np.eye(coords.shape[-1])[:, None, :]  # one row per axis
+    nbrs = weight.values(t, np.concatenate([coords + steps, coords - steps]))
+    lap = (nbrs.sum(axis=0) - 2 * len(steps) * now) / h ** 2
+    return float(np.max(np.abs(k_t + lap)) / np.max(np.abs(k_t)))
 
 
 def _bump(s: np.ndarray) -> np.ndarray:

@@ -95,12 +95,8 @@ class DensitySequence:
     depth: int
     times: np.ndarray            # t_1 .. t_{depth+1}, strictly decreasing to t0
     gap_measures: np.ndarray     # |E cap (t_{m+1}, t_m)| for m = 1..depth
-    found: bool
+    found: bool                  # every gap t_m - t_{m+1} <= 3 gap_measures
     best_margin: float
-
-    def condition_holds(self) -> bool:
-        gaps = -np.diff(self.times)
-        return bool(np.all(gaps <= 3.0 * self.gap_measures + 1e-15))
 
 
 def density_sequence(time_set: MeasurableTimeSet, z: float = DEFAULT_Z,

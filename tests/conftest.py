@@ -75,6 +75,20 @@ def oracle_grid(request):
 
 
 @pytest.fixture(scope="session")
+def kernel_off_by():
+    """(exponent, power) -> a `HeatKernelWeight.values` with the 4s of its
+    exponent and the n/2 of its power scaled by those factors: a kernel
+    that is not caloric unless both are 1."""
+    def make(exponent, power):
+        def values(self, t, coords):
+            s = self._s(t, coords)
+            return s ** (-power * self.dim / 2.0) \
+                * np.exp(-self._dist_sq(coords) / (4.0 * exponent * s))
+        return values
+    return make
+
+
+@pytest.fixture(scope="session")
 def assert_rel_close():
     """Check that max |value - reference| is within rtol of max |reference|."""
     def check(value, reference, rtol=1e-12):

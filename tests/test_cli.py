@@ -18,6 +18,7 @@ from stochheat import config as cfgmod
 from stochheat import report as repmod
 from stochheat.cli import main
 from stochheat.errors import ConfigurationError, ShapeError
+from stochheat.geometry import HeatKernelWeight
 
 
 def test_parse_value_types():
@@ -516,3 +517,62 @@ def test_observe_fails_a_broken_epsilon_induction(tmp_path, capsys,
     rec = next(r for r in json.load(open(tmp_path / "out" / "observe.json"))
                ["checks"] if r["name"] == "epsilon_recursion_identities")
     assert rec["induction_ratio"] > 1.0
+
+
+def test_cli_backward_uniqueness_branch(tmp_path, capsys):
+    # at depth 10, 1 + dt*a = 1 - 0.05*20 is exactly 0 and b = 0, so y
+    # vanishes after the first step: ucp and observe take the
+    # backward-uniqueness branch (exit 0, the epsilon chain excluded), while
+    # simulate flags the degenerate step (exit 1)
+    path = tmp_path / "branch.cfg"
+    path.write_text("coeff.a = -20\ncoeff.b = 0\ngrid.nodes = 31\n")
+    codes, outs, checks = {}, {}, {}
+    for sub in ("ucp", "observe", "simulate"):
+        codes[sub] = main([sub, "--config", str(path),
+                           "--out", str(tmp_path / "out")])
+        outs[sub] = capsys.readouterr().out.splitlines()
+        checks[sub] = {rec["name"]: rec for rec in json.load(
+            open(tmp_path / "out" / f"{sub}.json"))["checks"]}
+    assert codes == {"ucp": 0, "observe": 0, "simulate": 1}
+    for sub in ("ucp", "observe"):
+        assert checks[sub]["backward_uniqueness_branch"]["pass"]
+        assert "PASS  backward_uniqueness_branch" in outs[sub]
+    assert all(f"EXCL  {name}" in outs["observe"]
+               and checks["observe"][name]["excluded"]
+               for name in cli.EPSILON_CHAIN_CHECKS)
+    assert "FAIL  step_invertibility" in outs["simulate"]
+    assert checks["simulate"]["step_invertibility"]["min_factor"] == 0.0
+
+
+def test_one_constants_evaluation_per_experiment(monkeypatch):
+    # ucp and observe read the UCP constants, or the branch, from the one
+    # cached `Experiment.constants`
+    calls = []
+    compute = cli.ucpmod.compute_constants
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return compute(*args, **kwargs)
+
+    monkeypatch.setattr(cli.ucpmod, "compute_constants", counting)
+    for branch in ({}, {"coeff.a": -20.0, "coeff.b": 0.0}):
+        exp = cli.Experiment(cfgmod.merge_config({"grid.nodes": 31, **branch}))
+        for runner in (cli.run_ucp, cli.run_observe):
+            checks, _, _ = runner(exp)
+            assert ("backward_uniqueness_branch"
+                    in [rec["name"] for rec in checks]) == bool(branch)
+        assert len(calls) == 1
+        calls.clear()
+
+
+def test_frequency_fails_a_kernel_that_is_not_caloric(monkeypatch,
+                                                      kernel_off_by):
+    # K with 4.04 s for 4 s in its exponent no longer solves K_t + Lap K = 0
+    exp = cli.Experiment(cfgmod.merge_config(cfgmod.parse_config(_fast_text())))
+    rec = next(r for r in cli.run_frequency(exp)[0]
+               if r["name"] == "kernel_caloric_identity")
+    assert rec["pass"] and rec["lhs"] <= 1e-6
+    monkeypatch.setattr(HeatKernelWeight, "values", kernel_off_by(1.01, 1.0))
+    rec = next(r for r in cli.run_frequency(exp)[0]
+               if r["name"] == "kernel_caloric_identity")
+    assert not rec["pass"] and rec["lhs"] > 1e-3

@@ -7,19 +7,21 @@ from hypothesis import strategies as st
 
 from stochheat import (Ball, ConfigurationError, DomainError, GeometryError,
                        HeatKernelWeight, ball_chain, build_cutoff, build_grid)
-from stochheat.geometry import kernel_caloric_residual
+from stochheat.forward import ImplicitHeatSolver
+from stochheat.geometry import caloric_defect
 
 
 def test_laplacian_eigenpairs_1d():
-    # Dirichlet eigenvectors sin(j pi x) with eigenvalue -(2/h^2)(1-cos(j pi h))
+    # Dirichlet eigenvectors sin(j pi x) with eigenvalue -(2/h^2)(1-cos(j pi h)),
+    # as the implicit solve inverts I - dt Lap_h on them
     grid = build_grid([(0.0, 1.0)], (63,))
-    h = grid.h[0]
-    lap = grid.laplacian()
+    h, dt = grid.h[0], 0.01
+    solver = ImplicitHeatSolver(grid, dt)
     x = grid.coords[:, 0]
     for j in (1, 2, 5):
         v = np.sin(j * np.pi * x)
         lam = -(2.0 / h ** 2) * (1.0 - np.cos(j * np.pi * h))
-        assert np.max(np.abs(lap(v) - lam * v)) < 1e-10
+        assert np.max(np.abs(solver.solve(v) - v / (1.0 - dt * lam))) < 1e-12
 
 
 def test_gradient_ops_exact_on_linear():
@@ -33,13 +35,13 @@ def test_gradient_ops_exact_on_linear():
 
 def test_stencils_match_sparse_operators(oracle_grid, sparse_operators,
                                         assert_rel_close):
-    # the Laplacian and the gradients against scipy.sparse, on a field and
-    # on row batches (..., n), one of them a non-contiguous view
+    # the gradients against scipy.sparse, on a field and on row batches
+    # (..., n), one of them a non-contiguous view
     grid = oracle_grid
-    lap, grads = sparse_operators(grid)
+    _, grads = sparse_operators(grid)
     n = grid.n_nodes
-    stencils = (grid.laplacian(),) + grid.gradient_ops()
-    oracles = [lambda y, m=m: (m @ y.T).T for m in (lap,) + grads]
+    stencils = grid.gradient_ops()
+    oracles = [lambda y, m=m: (m @ y.T).T for m in grads]
     rng = np.random.Generator(np.random.Philox(key=[3, 17]))
     for v in (rng.standard_normal(n), rng.standard_normal((5, n)),
               rng.standard_normal((2, 3, n)), rng.standard_normal((n, 4)).T):
@@ -89,12 +91,10 @@ def test_grid_2d_shapes():
 @given(x=st.floats(0.01, 0.99), t=st.floats(0.01, 0.49),
        lam=st.floats(0.01, 1.0))
 def test_kernel_caloric_identity_pointwise(x, t, lam):
-    # K_t + Delta K = 0 in closed form, at arbitrary probes
+    # K_t + Delta K = 0 at an arbitrary probe x, by central differences of
+    # `values`, relative to max |K_t| over x and the centre (where K_t > 0)
     w = HeatKernelWeight(horizon=0.5, shift=lam, center=(0.3,), dim=1)
-    coords = np.array([[x]])
-    res = w.time_derivative(t, coords) + w.laplacian_closed_form(t, coords)
-    scale = max(float(w.values(t, coords)[0]), 1.0)
-    assert abs(float(res[0])) <= 1e-12 * scale
+    assert caloric_defect(w, np.array([[x], [0.3]]), t) <= 1e-6
 
 
 def test_kernel_gradient_matches_finite_difference():
@@ -108,7 +108,7 @@ def test_kernel_gradient_matches_finite_difference():
 @pytest.mark.parametrize("dim", [1, 2])
 def test_kernel_values_over_an_array_of_times(dim):
     # one row per time, equal to the evaluation at that time alone, for K
-    # and its derivatives; a time outside [0, T] anywhere in the array is
+    # and its gradient; a time outside [0, T] anywhere in the array is
     # refused
     grid = build_grid([(0.0, 1.0)] * dim, (9,) * dim)
     w = HeatKernelWeight(horizon=0.5, shift=0.1, center=(0.4,) * dim, dim=dim)
@@ -116,8 +116,7 @@ def test_kernel_values_over_an_array_of_times(dim):
     assert w.values(times, grid.coords).shape == (len(times), grid.n_nodes)
     # dim times probe a broadcast of the gradient against the axis
     for ts in (times, times[:dim]):
-        for f in (w.values, w.gradient, w.time_derivative,
-                  w.laplacian_closed_form):
+        for f in (w.values, w.gradient):
             assert np.array_equal(f(ts, grid.coords),
                                   np.stack([f(t, grid.coords) for t in ts]))
     for bad in ([0.2, 0.5 + 1e-9], [-1e-9, 0.2], 0.6):
@@ -125,14 +124,23 @@ def test_kernel_values_over_an_array_of_times(dim):
             w.values(np.asarray(bad), grid.coords)
 
 
-def test_kernel_caloric_residual_report():
-    grid = build_grid([(0.0, 1.0)], (63,))
-    w = HeatKernelWeight(horizon=0.5, shift=0.25, center=(0.5,), dim=1)
-    rep = kernel_caloric_residual(w, grid, 0.2)
-    assert rep["closed_form"] <= 1e-12 * max(rep["max_kernel"], 1.0)
-    # the finite-difference residual calibrates discretization error: small
-    # relative to the kernel scale but far above the closed form
-    assert rep["finite_difference"] < 0.05 * max(rep["max_kernel"], 1.0)
+def test_caloric_defect_fails_a_wrong_kernel(monkeypatch, kernel_off_by):
+    # K reads at most 1e-6 at the nodes of 1-D and 2-D grids, near both ends
+    # of (0, T) and at its middle; a K 1% off in its exponent or its power
+    # reads at least 1e-3; t must lie inside (0, T)
+    for dim in (1, 2):
+        grid = build_grid([(0.0, 1.0)] * dim, (31,) * dim)
+        w = HeatKernelWeight(horizon=0.5, shift=0.25, center=(0.4,) * dim,
+                             dim=dim)
+        for t in (0.005, 0.25, 0.495):
+            assert caloric_defect(w, grid.coords, t) <= 1e-6
+        for off in ((1.01, 1.0), (1.0, 1.01)):
+            with monkeypatch.context() as patch:
+                patch.setattr(HeatKernelWeight, "values", kernel_off_by(*off))
+                assert caloric_defect(w, grid.coords, 0.25) >= 1e-3
+        for bad in (0.0, 0.5, -0.1):
+            with pytest.raises(DomainError):
+                caloric_defect(w, grid.coords, bad)
 
 
 def test_cutoff_partition_properties():
