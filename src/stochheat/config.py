@@ -21,8 +21,7 @@ DEFAULTS = {
     "domain.extents": (0.0, 1.0),
     "grid.nodes": 63,
     "time.horizon": 0.5,
-    "time.steps": 0,               # 0 -> tree depth decides
-    "tree.depth": 10,
+    "tree.depth": 10,              # the survey step count
     "noise.mode": "tree",
     "mc.paths": 256,
     "coeff.kind": "constant",
@@ -74,7 +73,8 @@ def parse_value(text: str):
 
 
 def parse_config(text: str) -> dict:
-    cfg = {}
+    """The key = value lines of `text`; a key given twice is refused."""
+    cfg, first = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -84,6 +84,10 @@ def parse_config(text: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigurationError(f"line {lineno}: empty key")
+        if key in first:
+            raise ConfigurationError(
+                f"{key} is set twice, on lines {first[key]} and {lineno}")
+        first[key] = lineno
         cfg[key] = parse_value(value)
     return cfg
 
@@ -145,8 +149,8 @@ def validate_config(cfg: dict) -> None:
                 f"{key} must be {'numeric' if many else 'a number'}, "
                 f"got {value!r}")
     # counts are refused rather than truncated by int()
-    for key in ("tree.depth", "time.steps", "mc.paths", "control.nodes",
-                "control.depth", "seed"):
+    for key in ("tree.depth", "mc.paths", "control.nodes", "control.depth",
+                "seed"):
         if not _whole(cfg[key]):
             raise ConfigurationError(
                 f"{key} must be a whole number, got {cfg[key]!r}")

@@ -14,10 +14,11 @@ products per axis.  Each solve returns one `Ensemble`: weighted rows per
 time node, which are sampled paths, tree history levels, or the thin
 factors Z of E[y y^T] = Z^T Z from the exact second-moment recursion.
 That recursion reproduces tree expectations of quadratic functionals at any
-depth without enumerating paths.  `energy_trace` reads the energy, or the
-mass on a node mask, per time node from any of them (`moment_trace` from
-one `nodal_moment` pass); `Ensemble.values`, a leaf view of the levels, is
-kept for the benchmark.
+depth without enumerating paths, so tree-mode surveys run it and the forward
+tree solve is the tests' brute-force reference.  `energy_trace` reads the
+energy, or the mass on a node mask, per time node from any of them
+(`moment_trace` from one `nodal_moment` pass); `Ensemble.values`, a leaf
+view of the levels, is kept for the benchmark.
 """
 
 from __future__ import annotations
@@ -331,7 +332,9 @@ def tree_step_adjoint(z_next: np.ndarray, down: np.ndarray, up: np.ndarray,
 def solve_forward(y0: np.ndarray, coeffs: CoefficientField, noise,
                   mesh: TimeMesh, grid: SpatialGrid) -> Ensemble:
     """Iterate the scheme: a `BernoulliTree` gives its history levels
-    (`tree_levels`), sampled paths one row per path at every time node."""
+    (`tree_levels`), sampled paths one row per path at every time node.
+    The tree branch is the brute-force reference against which the tests
+    check `solve_forward_moments`, which tree-mode surveys run instead."""
     y0 = np.asarray(y0, dtype=float)
     tree = isinstance(noise, BernoulliTree)
     if not tree and not isinstance(noise, PathEnsemble):

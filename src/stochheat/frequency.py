@@ -18,7 +18,12 @@ convex-domain fields.  `compute_hdn` evaluates the kernel once, as one
 (time, node) array, and contracts each field with one einsum.  The same
 code runs on sampled paths, an exact Bernoulli tree, or the second-moment
 recursion, whose factors E[y y^T] = Z^T Z are contracted like unit-weight
-paths.
+paths; tree-mode surveys run the recursion, and the tree serves the tests.
+
+The convex-domain bound needs dK/dnu <= 0 on the boundary.  Since grad K =
+-(x - x0) K / (2 (T-t+lambda)), that is (x - x0).nu >= 0, which holds by
+construction: `geometry.build_cutoff` refuses a ball B_r4(x0) that is not
+strictly inside the box, so x0 lies inside the box in every run.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ __all__ = [
     "compute_hdn",
     "hprime_identity_residual",
     "frequency_bound_check",
-    "boundary_sign_audit",
 ]
 
 H_FLOOR = 1e-300
@@ -205,21 +209,3 @@ def frequency_bound_check(fields: LocalizedFields, weight: HeatKernelWeight,
             "worst_pair": worst_pair, "relative_violation": worst / scale,
             "b_norm": b_norm, "trace": tr}
 
-
-def boundary_sign_audit(weight: HeatKernelWeight, grid: SpatialGrid,
-                        times) -> dict:
-    """Verify grad(K) . nu <= 0 on the boundary of the box.
-
-    grad K = -(x - x0) K / (2 (T-t+lambda)), so the sign reduces to
-    (x - x0) . nu >= 0, which holds whenever the weight center lies in the
-    closed box.  Both the geometric factor and the full flux are reported.
-    """
-    coords, normals = grid.boundary_coords, grid.boundary_normals
-    x0 = np.asarray(weight.center, dtype=float)
-    geom = np.einsum("bi,bi->b", coords - x0, normals)
-    min_geom = float(np.min(geom))
-    flux = np.einsum("kbi,bi->kb", weight.gradient(np.atleast_1d(times),
-                                                   coords), normals)
-    worst_flux = float(np.max(flux, initial=-np.inf))
-    return {"nonpositive": bool(worst_flux <= 1e-14 and min_geom >= -1e-14),
-            "min_geometric_factor": min_geom, "max_flux": worst_flux}

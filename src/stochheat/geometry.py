@@ -111,7 +111,6 @@ class SpatialGrid:
         self.h = np.array([(b - a) / (n + 1) for (a, b), n in zip(extents, shape)])
         axes = [a + self.h[i] * np.arange(1, n + 1)
                 for i, ((a, _), n) in enumerate(zip(extents, shape))]
-        self.axes = tuple(axes)
         if self.dim == 1:
             coords = axes[0][:, None]
         else:
@@ -122,23 +121,6 @@ class SpatialGrid:
         self.n_nodes = coords.shape[0]
         self.quad_weight = float(np.prod(self.h))
         self._gradients = None
-        self.boundary_coords, self.boundary_normals = self._boundary_nodes()
-
-    def _boundary_nodes(self):
-        pts, normals = [], []
-        if self.dim == 1:
-            (a, b), = self.extents
-            pts = [[a], [b]]
-            normals = [[-1.0], [1.0]]
-        else:
-            (a1, b1), (a2, b2) = self.extents
-            for y in self.axes[1]:
-                pts.append([a1, y]); normals.append([-1.0, 0.0])
-                pts.append([b1, y]); normals.append([1.0, 0.0])
-            for x in self.axes[0]:
-                pts.append([x, a2]); normals.append([0.0, -1.0])
-                pts.append([x, b2]); normals.append([0.0, 1.0])
-        return np.array(pts, dtype=float), np.array(normals, dtype=float)
 
     def _unit(self, axis: int, step: int) -> tuple:
         return tuple(step if ax == axis else 0 for ax in range(self.dim))
@@ -211,8 +193,8 @@ class HeatKernelWeight:
     """Backward Gaussian weight K(x,t) = (T-t+lam)^(-n/2) exp(-|x-x0|^2 / (4(T-t+lam))).
 
     Caloric: K_t + Delta K = 0 (`caloric_defect` measures it on `values`).
-    Each method takes a time or an array of times t: the values have shape
-    t.shape + coords.shape[:-1], the gradient t.shape + coords.shape.
+    `values` takes a time or an array of times t and has shape
+    t.shape + coords.shape[:-1].
     """
 
     horizon: float
@@ -244,12 +226,6 @@ class HeatKernelWeight:
     def values(self, t, coords: np.ndarray) -> np.ndarray:
         s = self._s(t, coords)
         return s ** (-self.dim / 2.0) * np.exp(-self._dist_sq(coords) / (4.0 * s))
-
-    def gradient(self, t, coords: np.ndarray) -> np.ndarray:
-        s = self._s(t, coords)
-        k = self.values(t, coords)
-        return -(coords - np.asarray(self.center)) * k[..., None] \
-            / (2.0 * s[..., None])
 
 
 def caloric_defect(weight: HeatKernelWeight, coords: np.ndarray,

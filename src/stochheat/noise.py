@@ -4,8 +4,11 @@ Sampled mode draws Gaussian increments with a counter-based generator keyed by
 (seed, path), so any single path is recomputable without materializing the
 ensemble.  Tree mode replaces the Brownian filtration by the full binary tree
 of +-sqrt(dt) increments: the first two moments match and every expectation
-becomes an exact finite sum over the tree's history levels, which the solvers
-of `forward` and `control` build.
+becomes an exact finite sum over the tree's history levels.  The control
+solves of `control` build those levels, and so does `forward.solve_forward`,
+the tests' brute-force reference; tree-mode surveys build no tree, since
+`forward.solve_forward_moments` gives the same expectations at any depth.
+`build_tree` caps the depth, so the cap bounds control runs only.
 """
 
 from __future__ import annotations

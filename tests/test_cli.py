@@ -19,6 +19,7 @@ from stochheat import report as repmod
 from stochheat.cli import main
 from stochheat.errors import ConfigurationError, ShapeError
 from stochheat.geometry import HeatKernelWeight
+from stochheat.noise import build_tree
 
 
 def test_parse_value_types():
@@ -37,6 +38,10 @@ def test_parse_config_lines_and_comments():
         cfgmod.parse_config("not a key value line\n")
     with pytest.raises(ConfigurationError):
         cfgmod.parse_config("= 3\n")
+    # a repeated key names itself and both of its lines
+    with pytest.raises(ConfigurationError,
+                       match=r"tree\.depth .* lines 2 and 4"):
+        cfgmod.parse_config("# depth\ntree.depth = 6\nseed = 1\ntree.depth = 10\n")
 
 
 def test_merge_rejects_unknown_keys():
@@ -71,10 +76,9 @@ def test_validate_config_errors():
         cfgmod.validate_config(bad)
     # int() would truncate a fractional count, and an unknown variant would
     # pass simulate and fail only observe
-    for key, value in (("tree.depth", 6.7), ("time.steps", 2.5),
-                       ("mc.paths", 100.5), ("control.nodes", 15.5),
-                       ("control.depth", 6.7), ("seed", 1.5),
-                       ("constants.variant", "typo")):
+    for key, value in (("tree.depth", 6.7), ("mc.paths", 100.5),
+                       ("control.nodes", 15.5), ("control.depth", 6.7),
+                       ("seed", 1.5), ("constants.variant", "typo")):
         bad = cfgmod.merge_config({key: value})
         with pytest.raises(ConfigurationError, match=re.escape(key)):
             cfgmod.validate_config(bad)
@@ -208,9 +212,12 @@ def test_cli_bad_config_exit_2(tmp_path, capsys):
         ("simulate", "coeff.bogus = 1\n", "ConfigurationError"),
         ("frequency", _fast_text("geometry.r4 = 0.6\n"), "GeometryError"),
         ("ucp", _fast_text("geometry.r4 = 0.6\n"), "GeometryError"),
-        ("simulate", "tree.depth = 20\n", "ResourceError"),
-        # the control tree is capped as the forward tree is
+        # only the control tree is capped: surveys build no tree
         ("control", "control.depth = 17\n", "ResourceError"),
+        # tree.depth is the one survey step count; a key given twice
+        ("simulate", "time.steps = 10\n", "time.steps"),
+        ("simulate", "tree.depth = 6\ntree.depth = 10\n",
+         "tree.depth is set twice, on lines 1 and 2"),
         # a point of the wrong dimension; control.* only where control runs
         ("simulate", "geometry.x0 = 0.5,0.5\n", "ConfigurationError"),
         ("simulate", "geometry.g0_center = 0.5,0.5\n", "ConfigurationError"),
@@ -271,6 +278,86 @@ def test_one_default_moment_pass_per_experiment(monkeypatch):
         cli.SUBCOMMANDS[name](exp)
     assert len(calls) == 5
     assert calls.count(()) == 1
+
+
+def test_tree_survey_runs_past_the_control_depth_cap(tmp_path, capsys):
+    # the exact moments of a tree-mode survey need no tree, so a depth above
+    # the control cap of 16 runs, at rank one for constant coefficients
+    config = tmp_path / "deep.cfg"
+    config.write_text("grid.nodes = 31\ntree.depth = 20\n")
+    code = main(["simulate", "--config", str(config),
+                 "--out", str(tmp_path / "out")])
+    capsys.readouterr()
+    assert code != 2
+    exp = cli.Experiment(cfgmod.merge_config({"grid.nodes": 31,
+                                              "tree.depth": 20}))
+    assert isinstance(exp.ensemble, forward.SecondMomentEnsemble)
+    assert exp.ensemble.provenance["rank"] == [1] * 21
+
+
+def test_tree_survey_builds_no_tree(monkeypatch):
+    # a tree-mode survey pass runs the moment recursion twice (the
+    # experiment's ensemble and the fine one of frequency) and no tree solve
+    levels, moments = [], []
+    tree_levels = forward.tree_levels
+    recursion = cli.solve_forward_moments
+
+    def counting_levels(*args, **kwargs):
+        levels.append(args)
+        return tree_levels(*args, **kwargs)
+
+    def counting_moments(*args, **kwargs):
+        moments.append(args)
+        return recursion(*args, **kwargs)
+
+    monkeypatch.setattr(forward, "tree_levels", counting_levels)
+    monkeypatch.setattr(cli, "solve_forward_moments", counting_moments)
+    exp = cli.Experiment(cfgmod.merge_config(cfgmod.parse_config(_fast_text())))
+    for name in ("simulate", "frequency", "ucp", "observe"):
+        cli.SUBCOMMANDS[name](exp)
+    assert len(levels) == 0 and len(moments) == 2
+
+
+def _numbers_close(a, b, path=""):
+    """Paths of the leaves where two report trees differ: strings, bools
+    and keys exactly, numbers beyond rtol 1e-12 / atol 1e-14."""
+    if isinstance(a, dict):
+        if not isinstance(b, dict) or set(a) != set(b):
+            return [path]
+        return [p for k in a for p in _numbers_close(a[k], b[k], f"{path}.{k}")]
+    if isinstance(a, list):
+        if not isinstance(b, list) or len(a) != len(b):
+            return [path]
+        return [p for i, (x, y) in enumerate(zip(a, b))
+                for p in _numbers_close(x, y, f"{path}[{i}]")]
+    if isinstance(a, (int, float)) and not isinstance(a, bool) \
+            and isinstance(b, (int, float)) and not isinstance(b, bool):
+        return [] if np.isclose(a, b, rtol=1e-12, atol=1e-14) else [path]
+    return [] if a == b else [path]
+
+
+@pytest.mark.parametrize("kind", ["constant", "random"])
+def test_tree_survey_matches_the_brute_force_tree(tmp_path, capsys,
+                                                  monkeypatch, kind):
+    # verify on the exact moments and on the full Bernoulli tree of
+    # `solve_forward`: the same verdicts and the same numbers
+    config = _fast_config(tmp_path, f"coeff.kind = {kind}\n")
+    reports = []
+    for name in ("moments", "tree"):
+        if name == "tree":
+            monkeypatch.setattr(cli.Experiment, "ensemble", property(
+                lambda exp: forward.solve_forward(
+                    exp.y0, exp.coeffs, build_tree(exp.mesh), exp.mesh,
+                    exp.grid)))
+        code = main(["verify", "--config", config,
+                     "--out", str(tmp_path / name)])
+        reports.append((code, json.load(open(tmp_path / name / "verify.json"))))
+    capsys.readouterr()
+    (code_m, moments), (code_t, tree) = reports
+    assert code_m == code_t
+    assert [(r["name"], r["pass"]) for r in moments["checks"]] \
+        == [(r["name"], r["pass"]) for r in tree["checks"]]
+    assert _numbers_close(moments, tree) == []
 
 
 def test_cli_scalar_points_run_like_tuples(tmp_path, capsys):

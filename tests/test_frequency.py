@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from stochheat import (Ball, CoefficientField, HeatKernelWeight, TimeMesh,
-                       boundary_sign_audit, build_cutoff, build_grid,
-                       build_tree, compute_hdn, frequency_bound_check,
-                       hprime_identity_residual, localized_fields,
-                       solve_forward, solve_forward_moments)
+                       build_cutoff, build_grid, build_tree, compute_hdn,
+                       frequency_bound_check, hprime_identity_residual,
+                       localized_fields, solve_forward, solve_forward_moments)
 from stochheat import forward, frequency
 from stochheat.errors import NumericalError
 from stochheat.frequency import FrequencyTrace
@@ -241,16 +240,6 @@ def test_frequency_bound_localized_b_norm(tree_ensemble, weight, grid, mesh):
     rep = frequency_bound_check(localized_fields(tree_ensemble, None, coeffs),
                                 weight)
     assert rep["b_norm"] >= 5.0
-
-
-def test_boundary_sign_audit(weight, grid, mesh):
-    rep = boundary_sign_audit(weight, grid, mesh.times[1:-1])
-    assert rep["nonpositive"]
-    assert rep["max_flux"] <= 1e-14
-    # a center outside the box breaks the geometric factor
-    bad = HeatKernelWeight(horizon=0.5, shift=0.25, center=(1.5,), dim=1)
-    rep_bad = boundary_sign_audit(bad, grid, [0.2])
-    assert not rep_bad["nonpositive"]
 
 
 def test_frequency_bound_worst_pair_is_the_first_maximum(tree_ensemble,

