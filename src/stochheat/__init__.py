@@ -9,7 +9,7 @@ synthesis for the backward equation.
 from .errors import (ConfigurationError, DomainError, GeometryError,
                      NumericalError, ResourceError, ShapeError, StochHeatError)
 from .geometry import (Ball, CutoffFunction, HeatKernelWeight, SpatialGrid,
-                       ball_chain, build_cutoff, build_grid)
+                       build_cutoff, build_grid)
 from .noise import (BernoulliTree, PathEnsemble, TimeMesh, build_tree,
                     path_increments, sample_ensemble)
 from .forward import (CoefficientField, Ensemble, SecondMomentEnsemble,

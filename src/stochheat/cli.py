@@ -30,8 +30,8 @@ from . import config as cfgmod
 from . import control as ctl
 from . import observability as obs
 from . import ucp as ucpmod
-from .errors import (ConfigurationError, DomainError, GeometryError,
-                     ResourceError, StochHeatError)
+from .errors import (ConfigurationError, DomainError, ResourceError,
+                     StochHeatError)
 from .forward import (CoefficientField, exp_transform_oracle, moment_trace,
                       solve_forward, solve_forward_moments,
                       step_invertibility_report)
@@ -294,13 +294,8 @@ def run_ucp(exp: Experiment):
         checks.append(check_record("three_ball_inequality", True,
                                    excluded=True,
                                    note="no qualifying shift; profile reported"))
-    try:
-        prop = ucpmod.propagate_vanishing(terminal, grid, exp.g0, exp.g0)
-        extras["vanishing_propagation"] = {"verdict": prop["verdict"],
-                                           "target_mass": prop["target_mass"],
-                                           "global_mass": prop["global_mass"]}
-    except GeometryError as exc:
-        extras["vanishing_propagation"] = {"error": str(exc)}
+    extras["vanishing_propagation"] = ucpmod.propagate_vanishing(
+        terminal, grid, exp.g0)
     return checks, extras, {}
 
 

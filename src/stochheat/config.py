@@ -9,6 +9,7 @@ the config hash so reports are reproducible byte for byte.
 from __future__ import annotations
 
 import hashlib
+import math
 
 from .errors import ConfigurationError
 
@@ -127,10 +128,11 @@ def config_hash(cfg: dict) -> str:
 
 
 def _numbers(value) -> bool:
-    """Whether value is a number or a tuple of numbers (bools are neither)."""
+    """Whether value is a finite number or a tuple of them (bools are not
+    numbers; nan and +-inf are not finite)."""
     items = value if isinstance(value, tuple) else (value,)
     return all(isinstance(v, (int, float)) and not isinstance(v, bool)
-               for v in items)
+               and (isinstance(v, int) or math.isfinite(v)) for v in items)
 
 
 def _whole(value) -> bool:
@@ -139,15 +141,14 @@ def _whole(value) -> bool:
 
 
 def validate_config(cfg: dict) -> None:
-    # a numeric key takes a number, or numbers where its default is a tuple
-    # (grid.nodes may give one count per axis)
+    # a numeric key takes a finite number, or finite numbers where its
+    # default is a tuple (grid.nodes may give one count per axis)
     for key, default in DEFAULTS.items():
         many = isinstance(default, tuple) or key == "grid.nodes"
         value = cfg[key]
         if _numbers(default) and not _numbers(value if many else (value,)):
-            raise ConfigurationError(
-                f"{key} must be {'numeric' if many else 'a number'}, "
-                f"got {value!r}")
+            kind = "finite numbers" if many else "a finite number"
+            raise ConfigurationError(f"{key} must be {kind}, got {value!r}")
     # counts are refused rather than truncated by int()
     for key in ("tree.depth", "mc.paths", "control.nodes", "control.depth",
                 "seed"):

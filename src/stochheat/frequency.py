@@ -10,15 +10,16 @@ S y = -Lap(phi) y - 2 grad(phi).grad y.  Each functional is a contraction
 sum_i K(t, x_i) f_i(t) of the kernel against a nodal field f of second
 moments of the ensemble: E[y^2], sum_ax E[(d_ax Phi)^2], E[y Sy] and
 E[(Sy)^2], which `localized_fields` reads in one `nodal_moment` pass, with
-S applied as nodal scalings around the plain gradient stencils of
-`geometry`.  The fields do not depend on the kernel shift: they are built
-once, and the derivative identity, the drift bound and the lambda sweep of
-`ucp` take them and contract them; without a cutoff they are the global,
-convex-domain fields.  `compute_hdn` evaluates the kernel once, as one
-(time, node) array, and contracts each field with one einsum.  The same
-code runs on sampled paths, an exact Bernoulli tree, or the second-moment
-recursion, whose factors E[y y^T] = Z^T Z are contracted like unit-weight
-paths; tree-mode surveys run the recursion, and the tree serves the tests.
+S applied as nodal scalings around the centred differences of
+`SpatialGrid.gradient_ops`.  The fields do not depend on the kernel shift:
+they are built once, and the derivative identity, the drift bound and the
+lambda sweep of `ucp` take them and contract them; without a cutoff they
+are the global, convex-domain fields.  `compute_hdn` evaluates the kernel
+once, as one (time, node) array, and contracts each field with one einsum.
+The same code runs on sampled paths, an exact Bernoulli tree, or the
+second-moment recursion, whose factors E[y y^T] = Z^T Z are contracted like
+unit-weight paths; tree-mode surveys run the recursion, and the tree serves
+the tests.
 
 The convex-domain bound needs dK/dnu <= 0 on the boundary.  Since grad K =
 -(x - x0) K / (2 (T-t+lambda)), that is (x - x0).nu >= 0, which holds by

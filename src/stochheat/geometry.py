@@ -3,22 +3,21 @@
 The domain is an interval (0, L) or a rectangle (0, L1) x (0, L2) with
 homogeneous Dirichlet data.  Fields live on the interior nodes of a uniform
 tensor grid; the boundary value 0 is eliminated from all operators.  The
-centred gradients are `Stencil`s: banded operators with scalar weights,
-applied as `S(rows)` to a field or a batch of rows by slicing its
-(..., n1[, n2]) view.  The Laplacian is only ever inverted, in
-`forward.ImplicitHeatSolver`.
+gradient is a centred difference per axis, applied to a field or a batch of
+rows by slicing its (..., n1[, n2]) view.  The Laplacian is only ever
+inverted, in `forward.ImplicitHeatSolver`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, GeometryError
 
 __all__ = [
-    "Stencil",
     "SpatialGrid",
     "Ball",
     "CutoffFunction",
@@ -26,7 +25,6 @@ __all__ = [
     "build_grid",
     "caloric_defect",
     "build_cutoff",
-    "ball_chain",
 ]
 
 
@@ -47,41 +45,17 @@ class Ball:
         return np.asarray(self.center, dtype=float)
 
 
-def _overlap(disp: tuple, shape: tuple) -> tuple:
-    """Slices of the nodes x and x + disp that both lie inside the grid."""
-    dst = tuple(slice(max(0, -e), n - max(0, e)) for e, n in zip(disp, shape))
-    src = tuple(slice(max(0, e), n - max(0, -e)) for e, n in zip(disp, shape))
-    return dst, src
-
-
-class Stencil:
-    """A banded operator on the interior nodes of a tensor grid with zero
-    Dirichlet ghosts: (S v)(x) = sum_e w_e v(x + e) over displacements e
-    (tuples, one entry per axis) with scalar weights w_e.
-
-    `S(rows)` takes a field (n,) or a batch of rows (..., n), like
-    `forward.ImplicitHeatSolver.solve`.  The terms are summed in ascending
-    displacement order, the column order of a sorted row-major CSR matrix.
-    """
-
-    def __init__(self, shape: tuple, weights: dict):
-        self.shape = tuple(shape)
-        self._terms = []  # (destination, source) index of a row batch, weight
-        for disp in sorted(weights):
-            dst, src = _overlap(disp, self.shape)
-            self._terms.append(((...,) + dst, (...,) + src,
-                                float(weights[disp])))
-
-    def __call__(self, rows) -> np.ndarray:
-        rows = np.asarray(rows, dtype=float)
-        field = rows.reshape(rows.shape[:-1] + self.shape)
-        out = np.zeros(field.shape)
-        for i, (dst, src, w) in enumerate(self._terms):
-            if i == 0:  # 0 + w*v is w*v: the first term is written in place
-                np.multiply(w, field[src], out=out[dst])
-            else:
-                out[dst] += w * field[src]
-        return out.reshape(rows.shape)
+def _centred_difference(rows, shape: tuple, axis: int, h: float) -> np.ndarray:
+    """(v(x + h e) - v(x - h e)) / (2h) along one axis of a field (n,) or a
+    batch of rows (..., n) on a grid of `shape`, with zero Dirichlet ghosts."""
+    rows = np.asarray(rows, dtype=float)
+    field = rows.reshape(rows.shape[:-1] + shape)
+    out = np.zeros(field.shape)
+    v, dv = (np.moveaxis(a, axis - len(shape), -1) for a in (field, out))
+    c = 1.0 / (2.0 * h)
+    np.multiply(c, v[..., 1:], out=dv[..., :-1])
+    dv[..., 1:] -= c * v[..., :-1]
+    return out.reshape(rows.shape)
 
 
 class SpatialGrid:
@@ -122,15 +96,12 @@ class SpatialGrid:
         self.quad_weight = float(np.prod(self.h))
         self._gradients = None
 
-    def _unit(self, axis: int, step: int) -> tuple:
-        return tuple(step if ax == axis else 0 for ax in range(self.dim))
-
-    def gradient_ops(self) -> tuple[Stencil, ...]:
-        """Centered-difference gradient per axis; zero Dirichlet ghosts."""
+    def gradient_ops(self) -> tuple:
+        """Centred-difference gradient per axis, each applied as `op(rows)`
+        to a field (n,) or rows (..., n); zero Dirichlet ghosts."""
         if self._gradients is None:
             self._gradients = tuple(
-                Stencil(self.shape, {self._unit(axis, -1): -1.0 / (2.0 * h),
-                                     self._unit(axis, 1): 1.0 / (2.0 * h)})
+                partial(_centred_difference, shape=self.shape, axis=axis, h=h)
                 for axis, h in enumerate(self.h))
         return self._gradients
 
@@ -297,33 +268,3 @@ def build_cutoff(inner: Ball, outer: Ball, grid: SpatialGrid) -> CutoffFunction:
             curv = np.where(rho > 0.0, (grid.dim - 1) * dphi_dr / rho, 0.0)
         lap = lap + curv
     return CutoffFunction(inner=inner, outer=outer, values=phi, grad=grad, lap=lap)
-
-
-def ball_chain(start: Ball, target: Ball, grid: SpatialGrid):
-    """Chain of overlapping balls (S_i, S~_i) linking two balls inside G.
-
-    Consecutive centers are spaced by half the common radius so each bridge
-    ball S~_i = B_{rho/4}(c_{i+1}) is compactly inside S_i and S_{i+1}
-    (margin rho/4), S~_i concentric with S_{i+1}.  Returns a list of
-    (S_i, S~_i) pairs; the last pair carries S~ = None.
-    """
-    for ball in (start, target):
-        if not grid.contains_ball(ball):
-            raise GeometryError("chain endpoint ball touches or leaves the domain")
-    c0, c1 = start.center_array, target.center_array
-    dist = float(np.linalg.norm(c1 - c0))
-    rho = min(start.radius, target.radius)
-    if dist == 0.0:
-        return [(Ball(tuple(c0), start.radius), None)]
-    n_steps = int(np.ceil(dist / (rho / 2.0)))
-    centers = [c0 + (c1 - c0) * (j / n_steps) for j in range(n_steps + 1)]
-    chain = []
-    for j, c in enumerate(centers):
-        radius = start.radius if j == 0 else rho
-        ball = Ball(tuple(c), radius)
-        if not grid.contains_ball(ball):
-            raise GeometryError(
-                "no admissible chain at the requested radii; reduce the radii")
-        bridge = Ball(tuple(centers[j + 1]), rho / 4.0) if j < n_steps else None
-        chain.append((ball, bridge))
-    return chain

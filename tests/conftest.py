@@ -69,7 +69,7 @@ def sparse_operators():
     ([(0.0, 1.0), (0.0, 2.0)], (7, 11)),
 ], ids=["1d-63", "2d-15x15", "2d-7x11"])
 def oracle_grid(request):
-    """The grids on which the stencils and the implicit solve are checked
+    """The grids on which the gradients and the implicit solve are checked
     against scipy."""
     return build_grid(*request.param)
 

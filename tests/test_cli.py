@@ -248,6 +248,10 @@ def test_cli_bad_config_exit_2(tmp_path, capsys):
         ("verify", "tol_scale = 0\n", "tol_scale"),
         (("verify", "--tol-scale", "-1"), "", "tol_scale"),
         ("control", "control.accuracy = -0.5\n", "control.accuracy"),
+        # at dt = 0.05, T - 2 eps and T - eps share one time node, which
+        # would zero the log term of A(lambda)
+        ("ucp", "ucp.epsilon = 0.01\n", "ucp.epsilon = 0.01"),
+        ("ucp", "ucp.epsilon = 0.03\n", "ucp.epsilon = 0.03"),
     ]
     for i, (sub, text, error) in enumerate(cases):
         bad = tmp_path / f"bad{i}.cfg"
@@ -260,6 +264,42 @@ def test_cli_bad_config_exit_2(tmp_path, capsys):
         assert "configuration error" in err
         assert error in err and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_cli_non_finite_numbers_exit_2(tmp_path, capsys, bad):
+    # every numeric key, in a tuple at its first entry, and --tol-scale:
+    # refused before any solve, with one line naming the key
+    runs = [([f"--tol-scale={bad}"], "", "tol_scale")]
+    for key, default in cfgmod.DEFAULTS.items():
+        if isinstance(default, str):
+            continue
+        rest = [repr(float(v)) for v in default[1:]] \
+            if isinstance(default, tuple) else []
+        runs.append(([], f"{key} = {','.join([bad] + rest)}\n", key))
+    for i, (flags, text, key) in enumerate(runs):
+        cfg = tmp_path / f"bad{i}.cfg"
+        cfg.write_text(text)
+        code = main(["verify", "--config", str(cfg), *flags,
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, (flags, text)
+        assert f"ConfigurationError: {key} must be" in err, err
+        assert err.count("\n") == 1
+    assert len(runs) > 25 and not (tmp_path / "out").exists()
+
+
+def test_cli_ucp_g0_touching_the_boundary(tmp_path, capsys):
+    # a G0 ball that reaches past the boundary still gets its masses
+    code = main(["ucp", "--config",
+                 _fast_config(tmp_path, "geometry.g0_center = 0.05\n"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 0, capsys.readouterr().err
+    with open(tmp_path / "out" / "ucp.json") as fh:
+        leaf = json.load(fh)["details"]["vanishing_propagation"]
+    assert set(leaf) == {"verdict", "target_mass", "global_mass"}
+    assert leaf["verdict"] is False
+    assert 0.0 < leaf["target_mass"] < leaf["global_mass"]
 
 
 def test_one_default_moment_pass_per_experiment(monkeypatch):

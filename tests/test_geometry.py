@@ -1,4 +1,4 @@
-"""Grid operators, caloric kernel identities, cutoffs, and ball chains."""
+"""Grid operators, caloric kernel identities, balls and cutoffs."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochheat import (Ball, ConfigurationError, DomainError, GeometryError,
-                       HeatKernelWeight, ball_chain, build_cutoff, build_grid)
+                       HeatKernelWeight, build_cutoff, build_grid)
 from stochheat.forward import ImplicitHeatSolver
 from stochheat.geometry import caloric_defect
 
@@ -33,21 +33,50 @@ def test_gradient_ops_exact_on_linear():
     assert np.max(np.abs(err)) < 1e-12
 
 
-def test_stencils_match_sparse_operators(oracle_grid, sparse_operators,
-                                        assert_rel_close):
-    # the gradients against scipy.sparse, on a field and on row batches
-    # (..., n), one of them a non-contiguous view
+def _row_batches(n):
+    # a field and row batches (..., n), one of them a non-contiguous view
+    rng = np.random.Generator(np.random.Philox(key=[3, 17]))
+    return (rng.standard_normal(n), rng.standard_normal((5, n)),
+            rng.standard_normal((2, 3, n)), rng.standard_normal((n, 4)).T)
+
+
+def test_gradient_ops_match_sparse_operators(oracle_grid, sparse_operators,
+                                             assert_rel_close):
+    # the gradients against scipy.sparse matrices
     grid = oracle_grid
     _, grads = sparse_operators(grid)
     n = grid.n_nodes
-    stencils = grid.gradient_ops()
     oracles = [lambda y, m=m: (m @ y.T).T for m in grads]
-    rng = np.random.Generator(np.random.Philox(key=[3, 17]))
-    for v in (rng.standard_normal(n), rng.standard_normal((5, n)),
-              rng.standard_normal((2, 3, n)), rng.standard_normal((n, 4)).T):
-        for op, oracle in zip(stencils, oracles):
+    for v in _row_batches(n):
+        for op, oracle in zip(grid.gradient_ops(), oracles):
             assert op(v).shape == v.shape
             assert_rel_close(op(v).reshape(-1, n), oracle(v.reshape(-1, n)))
+
+
+def _padded_difference(v, shape, axis, h):
+    """(-c) v(x - h e) + c v(x + h e), c = 1/(2h), on a zero-padded copy."""
+    field = v.reshape(v.shape[:-1] + shape)
+    ax = field.ndim - len(shape) + axis
+    pad = [(0, 0)] * field.ndim
+    pad[ax] = (1, 1)
+    padded = np.pad(field, pad)
+    below, above = ([slice(None)] * field.ndim for _ in range(2))
+    below[ax], above[ax] = slice(0, -2), slice(2, None)
+    c = 1.0 / (2.0 * h)
+    out = (-c) * padded[tuple(below)] + c * padded[tuple(above)]
+    return out.reshape(v.shape)
+
+
+def test_gradient_ops_bit_for_bit(oracle_grid):
+    # each axis of 1-D and 2-D grids, on a field, row batches and a
+    # non-contiguous view: the same IEEE result as the padded reference
+    grid = oracle_grid
+    ops = grid.gradient_ops()
+    assert grid.gradient_ops() is ops and len(ops) == grid.dim
+    for v in _row_batches(grid.n_nodes):
+        for axis, (op, h) in enumerate(zip(ops, grid.h)):
+            assert np.array_equal(op(v),
+                                  _padded_difference(v, grid.shape, axis, h))
 
 
 def test_field_gradient_no_boundary_artifacts():
@@ -156,32 +185,6 @@ def test_cutoff_derivatives_match_finite_differences():
     fd_lap = np.gradient(fd_grad, h)
     scale = max(np.max(np.abs(cut.lap)), 1.0)
     assert np.max(np.abs(cut.lap[interior] - fd_lap[interior])) < 0.1 * scale
-
-
-def chain_containment_ok(chain) -> bool:
-    """Re-check the chain's containment predicates geometrically."""
-    for j, (ball, bridge) in enumerate(chain):
-        if bridge is None:
-            continue
-        nxt = chain[j + 1][0]
-        # bridge inside ball and inside the next ball, with positive margin
-        for outer in (ball, nxt):
-            gap = outer.radius - (np.linalg.norm(bridge.center_array - outer.center_array)
-                                  + bridge.radius)
-            if gap <= 0.0:
-                return False
-        if not np.allclose(bridge.center_array, nxt.center_array):
-            return False
-    return True
-
-
-def test_ball_chain_containment():
-    grid = build_grid([(0.0, 1.0)], (127,))
-    chain = ball_chain(Ball((0.3,), 0.05), Ball((0.7,), 0.05), grid)
-    assert chain_containment_ok(chain)
-    # the chain starts at the seed and its last ball covers the target center
-    first, _ = chain[0]
-    assert first.center == (0.3,)
 
 
 def test_ball_requires_positive_radius():

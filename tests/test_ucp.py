@@ -9,7 +9,8 @@ from stochheat import (Ball, CoefficientField, HeatKernelWeight, TimeMesh,
                        build_cutoff, build_grid, compute_constants,
                        compute_hdn, energy_trace, localized_fields,
                        propagate_vanishing, quantitative_ucp_check,
-                       select_lambda, solve_forward, three_ball_check)
+                       select_lambda, solve_forward, solve_forward_moments,
+                       three_ball_check)
 from stochheat import cli, forward, frequency, ucp
 from stochheat import config as cfgmod
 from stochheat.errors import ConfigurationError, DomainError, NumericalError
@@ -161,6 +162,11 @@ def test_amplitude_profile_epsilon_validation(tree_ensemble, coeffs, grid):
         amplitude_profile(localized_fields(tree_ensemble, None, coeffs), 0.1)
     with pytest.raises(NumericalError):  # a negative weighted energy
         amplitude_profile(dataclasses.replace(fields, h=-fields.h), 0.1)
+    # T - 2 eps and T - eps round to one node of the step 0.0625 (the log
+    # term would read ln(H/H) = 0), and to adjacent nodes
+    with pytest.raises(ConfigurationError, match="ucp.epsilon"):
+        amplitude_profile(fields, 0.01)
+    assert len(amplitude_profile(fields, 0.05)["profile"]) == len(LAMBDA_GRID)
 
 
 def test_three_ball_check_small_lambda(tree_ensemble, mesh, grid):
@@ -198,21 +204,34 @@ def test_quantitative_ucp_check_and_scale_invariance(unit_grid):
 
 
 def test_propagate_vanishing_zero_solution(unit_grid):
+    # a zero state vanishes on every ball, also one that touches the boundary
     mesh = TimeMesh(horizon=0.2, steps=4)
-    tree = __import__("stochheat").build_tree(mesh)
     coeffs = CoefficientField.constant(unit_grid, mesh, 0.1, 0.1)
-    x = unit_grid.coords[:, 0]
-    # data supported away from the seed ball but globally nonzero
-    y0 = np.sin(np.pi * x)
-    ens = solve_forward(y0, coeffs, tree, mesh, unit_grid)
-    rep = propagate_vanishing(ens.nodal_moment()[-1], unit_grid,
-                              Ball((0.3,), 0.05), Ball((0.7,), 0.05))
-    # heat spreads instantly: the seed ball does not vanish, so the walk stops
-    assert not rep["verdict"]
-    zero = solve_forward(np.zeros_like(y0), coeffs, tree, mesh, unit_grid)
-    rep0 = propagate_vanishing(zero.nodal_moment()[-1], unit_grid,
-                               Ball((0.3,), 0.05), Ball((0.7,), 0.05))
-    assert rep0["verdict"]
+    zero = solve_forward_moments(np.zeros(unit_grid.n_nodes), coeffs, mesh,
+                                 unit_grid)
+    for ball in (Ball((0.3,), 0.05), Ball((0.05,), 0.1)):
+        rep = propagate_vanishing(zero.nodal_moment()[-1], unit_grid, ball)
+        assert rep == {"verdict": True, "target_mass": 0.0,
+                       "global_mass": 0.0}
+
+
+def test_propagate_vanishing_bump_state():
+    # heat spreads instantly: the bump state vanishes on no ball, not even
+    # one far from its support or touching the boundary, and the masses are
+    # the quadrature sums over the ball and over G
+    exp = cli.Experiment(cfgmod.merge_config({}))
+    terminal = exp.moment[-1]
+    x = exp.grid.coords[:, 0]
+    for center, radius in ((0.5, 0.1), (0.1, 0.05), (0.05, 0.1)):
+        rep = propagate_vanishing(terminal, exp.grid,
+                                  Ball((center,), radius))
+        inside = terminal[np.abs(x - center) <= radius]
+        assert not rep["verdict"]
+        assert np.isclose(rep["target_mass"],
+                          exp.grid.quad_weight * inside.sum(), rtol=1e-14)
+        assert np.isclose(rep["global_mass"],
+                          exp.grid.quad_weight * terminal.sum(), rtol=1e-14)
+        assert 0.0 < rep["target_mass"] < rep["global_mass"]
 
 
 def test_default_tolerance_formula(unit_grid):
