@@ -2,7 +2,7 @@
 
 Subcommands: simulate, frequency, ucp, observe, control, verify.  The four
 surveys (simulate, frequency, ucp, observe) share one `Experiment`, whose
-ensemble is the exact second-moment recursion in tree mode and sampled paths
+ensemble is the exact second moments in tree mode and sampled paths
 in mc mode; `tree.depth` is their step count and is not capped.  Only
 control builds a Bernoulli tree, at `control.depth`.  Exit codes:
 
@@ -219,7 +219,7 @@ def run_frequency(exp: Experiment):
     fields = exp.cutoff_fields
     tol_scale = float(exp.cfg["tol_scale"])
     # the derivative identity needs time resolution well below the kernel
-    # shift; the exact second-moment recursion provides it at any depth
+    # shift; the exact second moments provide it at any depth
     fine_mesh = TimeMesh(horizon=exp.mesh.horizon,
                          steps=max(400, exp.mesh.steps))
     fine_coeffs = _coefficients(exp.cfg, exp.grid, fine_mesh, exp.seed)

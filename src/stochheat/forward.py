@@ -12,10 +12,13 @@ transpose `tree_step_adjoint`; all solves share one `ImplicitHeatSolver`
 per (grid, dt), the exact inverse of I - dt*Lap_h as dense sine-basis
 products per axis.  Each solve returns one `Ensemble`: weighted rows per
 time node, which are sampled paths, tree history levels, or the thin
-factors Z of E[y y^T] = Z^T Z from the exact second-moment recursion.
-That recursion reproduces tree expectations of quadratic functionals at any
-depth without enumerating paths, so tree-mode surveys run it and the forward
-tree solve is the tests' brute-force reference.  `energy_trace` reads the
+factors Z of E[y y^T] = Z^T Z from `solve_forward_moments`.  Those exact
+moments reproduce tree expectations of quadratic functionals at any depth
+without enumerating paths, so tree-mode surveys run them and the forward
+tree solve is the tests' brute-force reference.  Coefficients uniform over
+the nodes give them in closed form, one rank-one row per step from
+`ImplicitHeatSolver.solve_powers`; space-varying ones run the recursion
+with a thin SVD per step.  `energy_trace` reads the
 energy, or the mass on a node mask, per time node from any of them
 (`moment_trace` from one `nodal_moment` pass); `Ensemble.values`, a leaf
 view of the levels, is kept for the benchmark.
@@ -30,7 +33,7 @@ from itertools import groupby
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import ConfigurationError, ShapeError
+from .errors import ConfigurationError, NumericalError, ShapeError
 from .geometry import SpatialGrid
 from .noise import BernoulliTree, PathEnsemble, TimeMesh
 
@@ -57,6 +60,9 @@ DEGENERATE_STEP_TOL = 1e-12
 # singular values of a moment factor below this fraction of the largest are
 # dropped: eigenvalues of E[y y^T] below 1e-18 of the largest
 MOMENT_RANK_TOL = 1e-9
+# natural log of the largest float: a closed-form moment level whose log
+# magnitude exceeds it overflows
+LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 # bytes of the row blocks on which nodal_moment evaluates its integrand; a
 # field build stacks four outputs per block, which at 256 KB blocks raised
 # the peak memory of a 1-D survey by about 2 MB
@@ -100,6 +106,28 @@ class ImplicitHeatSolver:
         c = (c.transpose(0, 2, 1).reshape(-1, n1) @ s1).reshape(-1, n2, n1)
         c = ((c * inverse.T).reshape(-1, n1) @ s1).reshape(-1, n2, n1)
         return (c.transpose(0, 2, 1).reshape(-1, n2) @ s2).reshape(rhs.shape)
+
+    def solve_powers(self, rhs: np.ndarray, steps: int) -> np.ndarray:
+        """M^{-k} rhs for k = 0..steps, shape (steps+1, n), M = I - dt*Lap_h:
+        one forward sine transform of rhs, the powers of the inverse
+        diagonal, and one batched back-transform (in 2-D one product with
+        each axis' sine matrix).  Row 0 is rhs itself."""
+        rhs = np.asarray(rhs, dtype=float)
+        out = np.empty((steps + 1, rhs.size))
+        out[0] = rhs
+        # the spectral coefficients inverse^k * (S rhs) fill rows 1.. first
+        spectral = out[1:].reshape((steps,) + self.shape)
+        k = np.arange(1, steps + 1).reshape((-1,) + (1,) * len(self.shape))
+        np.power(self._inverse, k, out=spectral)
+        if len(self.shape) == 1:
+            (s,) = self._sines
+            spectral *= rhs @ s
+            out[1:] = spectral @ s
+        else:
+            s1, s2 = self._sines
+            spectral *= s1 @ rhs.reshape(self.shape) @ s2
+            np.matmul(s1, spectral @ s2, out=spectral)
+        return out
 
 
 # grid -> {dt: solver}; solvers hold no reference to their grid
@@ -362,38 +390,98 @@ def solve_forward_moments(y0: np.ndarray, coeffs: CoefficientField,
                           mesh: TimeMesh, grid: SpatialGrid) -> SecondMomentEnsemble:
     """Exact tree-expectation moments E[y] and E[y y^T] = Z^T Z.
 
-    With d = 1 + dt*a_k and M = I - dt*Lap_h, the recursion
-    P_{k+1} = M^{-1} ((d d^T + dt b_k b_k^T) o P_k) M^{-1} maps the factor
-    rows z of P_k = Z_k^T Z_k to the rows M^{-1}(d*z) and sqrt(dt) M^{-1}(b_k*z);
-    a thin SVD recompresses them to s*V^T, dropping singular values below
-    MOMENT_RANK_TOL of the largest.  Constant coefficients keep rank one.
-    provenance records the rank and the discarded sum of sigma^2 (a
-    trace-norm bound on the truncation) per time node.
+    With d = 1 + dt*a_k and M = I - dt*Lap_h, the second moments follow
+    P_{k+1} = M^{-1} ((d d^T + dt b_k b_k^T) o P_k) M^{-1} and the means
+    E[y_{k+1}] = M^{-1} (d * E[y_k]).  Two paths build them:
+
+    - closed form, when every a_k and b_k is uniform over the nodes
+      (constant coefficients, or values that vary in time only): P stays
+      rank one, Z_k = (c_0...c_{k-1}) M^{-k} y0 with the step scalars
+      c_j = sqrt(d_j^2 + dt b_j^2), and E[y_k] = (d_0...d_{k-1}) M^{-k} y0,
+      every M^{-k} y0 from one `ImplicitHeatSolver.solve_powers`;
+    - otherwise the recursion: the factor rows z of P_k map to the rows
+      M^{-1}(d*z) and sqrt(dt) M^{-1}(b_k*z), and a thin SVD recompresses
+      them to s*V^T, dropping singular values below MOMENT_RANK_TOL of the
+      largest.
+
+    A level whose factor vanishes is empty (rank 0) on both paths.
+    provenance records the path as `scheme`, the rank and the discarded sum
+    of sigma^2 (a trace-norm bound on the truncation; 0 in closed form) per
+    time node.  NumericalError names the first step whose factor or mean
+    is not finite; the closed form decides it on the log of the products,
+    so no overflow warning is raised.
     """
     solver = implicit_solver(grid, mesh.dt)
     y0 = np.asarray(y0, dtype=float)
-    dt = mesh.dt
-    means = [y0.copy()]
-    factors = [y0[None, :].copy()]
-    tails = [0.0]
-    for k in range(mesh.steps):
-        drift = 1.0 + dt * coeffs.a[k]
-        z = factors[-1]
-        # the mean row is solved with the factors and copied out of the block
-        stacked = solver.solve(np.concatenate(
-            [drift * z, np.sqrt(dt) * coeffs.b[k] * z, drift * means[-1][None]]))
-        means.append(stacked[-1].copy())
-        _, s, vt = np.linalg.svd(stacked[:-1], full_matrices=False)
-        keep = s > MOMENT_RANK_TOL * s[:1]  # s[:1] is empty for an empty factor
-        factors.append(s[keep, None] * vt[keep])
-        tails.append(float(np.sum(s[~keep] ** 2)))
-    prov = {"scheme": "second-moment recursion", "dt": dt, "h": tuple(grid.h),
+    a, b = coeffs.a, coeffs.b
+    if (a == a[:, :1]).all() and (b == b[:, :1]).all():
+        scheme = "closed-form moments"
+        factors, means, tails = _closed_form_moments(y0, a[:, 0], b[:, 0],
+                                                     mesh, solver)
+    else:
+        scheme = "second-moment recursion"
+        factors, means, tails = _recursive_moments(y0, coeffs, mesh, solver)
+    prov = {"scheme": scheme, "dt": mesh.dt, "h": tuple(grid.h),
             "mode": "exact", "rank": [len(z) for z in factors],
             "discarded_tail": tails}
     return SecondMomentEnsemble(
         levels=factors, weights=[np.ones(len(z)) for z in factors],
-        increments=np.repeat(tree_moves(dt)[:, None], mesh.steps, axis=1),
+        increments=np.repeat(tree_moves(mesh.dt)[:, None], mesh.steps, axis=1),
         mesh=mesh, grid=grid, provenance=prov, means=means)
+
+
+def _overflow(steps: int, k: int) -> NumericalError:
+    return NumericalError(
+        f"moment factor or mean not finite at step {k} of {steps}")
+
+
+def _closed_form_moments(y0, a, b, mesh, solver):
+    """Factor rows and means for coefficients a, b uniform over the nodes,
+    one value per step: one row (c_0...c_{k-1}) M^{-k} y0 per level."""
+    dt = mesh.dt
+    orbit = solver.solve_powers(y0, mesh.steps)
+    with np.errstate(all="ignore"):  # overflow is judged on the logs below
+        d = 1.0 + dt * a
+        c = np.hypot(d, np.sqrt(dt) * b)
+        log_c, log_d = (np.concatenate([[0.0], np.cumsum(np.log(np.abs(f)))])
+                        for f in (c, d))
+        log_row = np.log(np.max(np.abs(orbit), axis=1))
+        # level k overflows when a product, or the product times the largest
+        # entry of M^{-k} y0, exceeds the largest float (fmax skips inf - inf)
+        over = np.fmax.reduce([log_c, log_c + log_row,
+                               log_d, log_d + log_row]) > LOG_FLOAT_MAX
+    if over.any():
+        raise _overflow(mesh.steps, int(np.argmax(over)))
+    z = orbit * np.concatenate([[1.0], np.cumprod(c)])[:, None]
+    orbit *= np.concatenate([[1.0], np.cumprod(d)])[:, None]
+    nonzero = z.any(axis=1)
+    nonzero[0] = True  # level 0 is y0, as in the recursion
+    factors = [z[k:k + 1] if kept else z[k:k] for k, kept in enumerate(nonzero)]
+    return factors, list(orbit), [0.0] * len(z)
+
+
+def _recursive_moments(y0, coeffs, mesh, solver):
+    """Factors, means and discarded tails of the second-moment recursion."""
+    dt = mesh.dt
+    means = [y0.copy()]
+    factors = [y0[None, :].copy()]
+    tails = [0.0]
+    # overflow is raised as NumericalError below, and a tail may read inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(mesh.steps):
+            drift = 1.0 + dt * coeffs.a[k]
+            z = factors[-1]
+            # the mean row is solved with the factors and copied out of the block
+            stacked = solver.solve(np.concatenate(
+                [drift * z, np.sqrt(dt) * coeffs.b[k] * z, drift * means[-1][None]]))
+            if not np.isfinite(stacked).all():
+                raise _overflow(mesh.steps, k + 1)
+            means.append(stacked[-1].copy())
+            _, s, vt = np.linalg.svd(stacked[:-1], full_matrices=False)
+            keep = s > MOMENT_RANK_TOL * s[:1]  # s[:1] is empty for an empty factor
+            factors.append(s[keep, None] * vt[keep])
+            tails.append(float(np.sum(s[~keep] ** 2)))
+    return factors, means, tails
 
 
 def exp_transform_oracle(ensemble: Ensemble, b_const: float, a) -> dict:

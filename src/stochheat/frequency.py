@@ -16,9 +16,9 @@ they are built once, and the derivative identity, the drift bound and the
 lambda sweep of `ucp` take them and contract them; without a cutoff they
 are the global, convex-domain fields.  `compute_hdn` evaluates the kernel
 once, as one (time, node) array, and contracts each field with one einsum.
-The same code runs on sampled paths, an exact Bernoulli tree, or the
-second-moment recursion, whose factors E[y y^T] = Z^T Z are contracted like
-unit-weight paths; tree-mode surveys run the recursion, and the tree serves
+The same code runs on sampled paths, an exact Bernoulli tree, or the exact
+second moments, whose factors E[y y^T] = Z^T Z are contracted like
+unit-weight paths; tree-mode surveys run the moments, and the tree serves
 the tests.
 
 The convex-domain bound needs dK/dnu <= 0 on the boundary.  Since grad K =

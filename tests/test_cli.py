@@ -289,6 +289,32 @@ def test_cli_non_finite_numbers_exit_2(tmp_path, capsys, bad):
     assert len(runs) > 25 and not (tmp_path / "out").exists()
 
 
+def test_cli_overflowing_moments_exit_2(tmp_path, capsys):
+    # b = 1e100 overflows the moments at step 4 of 6: closed form and
+    # recursion alike exit 2 with one line and no traceback
+    for text in ("coeff.b = 1e100\n",
+                 "coeff.kind = random\ncoeff.b_bound = 1e100\n"):
+        for sub in ("simulate", "verify"):
+            code = main([sub, "--config", _fast_config(tmp_path, text),
+                         "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            assert code == 2, (text, sub)
+            assert "NumericalError" in err and "at step 4 of 6" in err, err
+            assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    # b = 1e10 stays finite over the survey steps: simulate runs, and only
+    # the transform oracle, whose paths overflow, fails
+    code = main(["simulate", "--config",
+                 _fast_config(tmp_path, "coeff.b = 1e10\n"),
+                 "--out", str(tmp_path / "out")])
+    capsys.readouterr()
+    assert code == 1
+    report = json.load(open(tmp_path / "out" / "simulate.json"))
+    assert [(r["name"], r["pass"]) for r in report["checks"]] == [
+        ("step_invertibility", True), ("terminal_energy_finite", True),
+        ("transform_oracle_gap_bounded", False)]
+
+
 def test_cli_ucp_g0_touching_the_boundary(tmp_path, capsys):
     # a G0 ball that reaches past the boundary still gets its masses
     code = main(["ucp", "--config",
@@ -336,11 +362,14 @@ def test_tree_survey_runs_past_the_control_depth_cap(tmp_path, capsys):
 
 
 def test_tree_survey_builds_no_tree(monkeypatch):
-    # a tree-mode survey pass runs the moment recursion twice (the
-    # experiment's ensemble and the fine one of frequency) and no tree solve
-    levels, moments = [], []
+    # a tree-mode survey pass builds the exact moments twice (the
+    # experiment's ensemble and the fine one of frequency) and runs no tree
+    # solve; with constant coefficients both are the closed form, which
+    # runs no SVD, and random ones take the SVD recursion
+    levels, moments, svds = [], [], []
     tree_levels = forward.tree_levels
     recursion = cli.solve_forward_moments
+    svd = np.linalg.svd
 
     def counting_levels(*args, **kwargs):
         levels.append(args)
@@ -350,12 +379,22 @@ def test_tree_survey_builds_no_tree(monkeypatch):
         moments.append(args)
         return recursion(*args, **kwargs)
 
+    def counting_svd(*args, **kwargs):
+        svds.append(args)
+        return svd(*args, **kwargs)
+
     monkeypatch.setattr(forward, "tree_levels", counting_levels)
     monkeypatch.setattr(cli, "solve_forward_moments", counting_moments)
-    exp = cli.Experiment(cfgmod.merge_config(cfgmod.parse_config(_fast_text())))
-    for name in ("simulate", "frequency", "ucp", "observe"):
-        cli.SUBCOMMANDS[name](exp)
-    assert len(levels) == 0 and len(moments) == 2
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for kind in ("constant", "random"):
+        exp = cli.Experiment(cfgmod.merge_config(
+            cfgmod.parse_config(_fast_text(f"coeff.kind = {kind}\n"))))
+        for name in ("simulate", "frequency", "ucp", "observe"):
+            cli.SUBCOMMANDS[name](exp)
+        assert len(levels) == 0 and len(moments) == 2
+        assert (len(svds) == 0) == (kind == "constant"), (kind, len(svds))
+        moments.clear()
+        svds.clear()
 
 
 def _numbers_close(a, b, path=""):

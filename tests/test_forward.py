@@ -1,5 +1,7 @@
 """Forward solvers: deterministic oracle, moment propagation, transforms."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,7 +13,7 @@ from stochheat import (Ball, CoefficientField, ConfigurationError,
                        build_tree, energy_trace, exp_transform_oracle,
                        sample_ensemble, solve_forward, solve_forward_moments)
 from stochheat import forward
-from stochheat.errors import ShapeError
+from stochheat.errors import NumericalError, ShapeError
 from stochheat.forward import (Ensemble, ImplicitHeatSolver, step_factors,
                                step_invertibility_report)
 
@@ -175,24 +177,15 @@ def test_sampled_levels_apply_the_step_factors(grid):
 
 
 def test_moment_propagator_matches_tree_exactly(grid, sparse_operators):
-    # the closed moment recursion must reproduce tree expectations of
-    # arbitrary quadratic functionals to rounding, at any depth
+    # the moment recursion (random coefficients) and the closed form
+    # (constant ones) must reproduce tree expectations of arbitrary
+    # quadratic functionals to rounding, at any depth
     mesh = TimeMesh(horizon=0.4, steps=7)
     tree = build_tree(mesh)
-    coeffs = CoefficientField.random_bounded(grid, mesh, 2, 0.5, 0.5)
     x = grid.coords[:, 0]
     y0 = np.sin(np.pi * x) + 0.3 * np.sin(3 * np.pi * x)
-    ens = solve_forward(y0, coeffs, tree, mesh, grid)
-    mom = solve_forward_moments(y0, coeffs, mesh, grid)
     rng = np.random.Generator(np.random.Philox(key=[1, 4]))
     d = rng.uniform(0.0, 1.0, grid.n_nodes)
-    y_sq_tree, y_sq_mom = ens.nodal_moment(), mom.nodal_moment()
-    for k in (0, 3, mesh.steps):
-        a = y_sq_tree[k] @ d
-        b = y_sq_mom[k] @ d
-        assert abs(a - b) <= 1e-12 * max(abs(a), 1.0)
-        assert np.allclose(ens.levels[k].mean(axis=0), mom.means[k],
-                           rtol=0.0, atol=1e-13)
     # whole nodal fields of quadratic integrands, stacked in one call: the
     # localized gradient and the static cutoff source -Lap(phi) -
     # 2 grad(phi).grad as sparse matrices, and the package's stencils
@@ -208,10 +201,25 @@ def test_moment_propagator_matches_tree_exactly(grid, sparse_operators):
                          (grad @ y.T).T * sy,
                          (lap @ y.T).T * grid.gradient_ops()[0](y)])
 
-    fields = ens.nodal_moment(integrand)
-    assert fields.shape == (6, mesh.steps + 1, grid.n_nodes)
-    for a, b in zip(fields, mom.nodal_moment(integrand)):
-        assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(a)), 1.0)
+    for coeffs, scheme in (
+            (CoefficientField.random_bounded(grid, mesh, 2, 0.5, 0.5),
+             "second-moment recursion"),
+            (CoefficientField.constant(grid, mesh, 0.3, 0.4),
+             "closed-form moments")):
+        ens = solve_forward(y0, coeffs, tree, mesh, grid)
+        mom = solve_forward_moments(y0, coeffs, mesh, grid)
+        assert mom.provenance["scheme"] == scheme
+        y_sq_tree, y_sq_mom = ens.nodal_moment(), mom.nodal_moment()
+        for k in (0, 3, mesh.steps):
+            a = y_sq_tree[k] @ d
+            b = y_sq_mom[k] @ d
+            assert abs(a - b) <= 1e-12 * max(abs(a), 1.0)
+            assert np.allclose(ens.levels[k].mean(axis=0), mom.means[k],
+                               rtol=0.0, atol=1e-13)
+        fields = ens.nodal_moment(integrand)
+        assert fields.shape == (6, mesh.steps + 1, grid.n_nodes)
+        for a, b in zip(fields, mom.nodal_moment(integrand)):
+            assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(a)), 1.0)
 
 
 def _per_level_moment(ens, integrand):
@@ -253,33 +261,56 @@ def test_grouped_nodal_moment_matches_per_level(tree_ensemble, grid,
 
 
 def _dense_moments(y0, coeffs, mesh, lap):
-    # P_{k+1} = M^{-1} ((d d^T + dt b b^T) o P_k) M^{-1}, d = 1 + dt a_k,
-    # with M = I - dt Lap inverted densely
+    # P_{k+1} = M^{-1} ((d d^T + dt b b^T) o P_k) M^{-1} and the means
+    # m_{k+1} = M^{-1} (d m_k), d = 1 + dt a_k, with M = I - dt Lap inverted
+    # densely
     m_inv = np.linalg.inv(np.eye(lap.shape[0]) - mesh.dt * lap.toarray())
-    p = [np.outer(y0, y0)]
+    p, means = [np.outer(y0, y0)], [y0]
     for k in range(mesh.steps):
         d, b = 1.0 + mesh.dt * coeffs.a[k], coeffs.b[k]
         p.append(m_inv @ ((np.outer(d, d) + mesh.dt * np.outer(b, b)) * p[-1])
                  @ m_inv)
-    return p
+        means.append(m_inv @ (d * means[-1]))
+    return p, means
 
 
 def test_moment_factors_match_dense_recursion(sparse_operators):
-    # E[y y^T] = Z^T Z against the dense n x n recursion, 1-D and 2-D, under
-    # space-varying coefficients (factor rank above one)
+    # E[y y^T] = Z^T Z and E[y] against the dense n x n recursion at 400
+    # steps: the recursion under space-varying coefficients (factor rank
+    # above one) in 1-D and 2-D, the closed form under constant ones and
+    # under ones uniform in space that vary in time, also on the non-square
+    # 7 x 11 grid, which tells a transposed sine axis apart (there the
+    # recursion's truncated tails add up to 1.0e-12 of max|P|)
     mesh = TimeMesh(horizon=0.5, steps=400)
+    ramp = np.linspace(-1.0, 1.0, mesh.steps)[:, None]
     for grid in (build_grid([(0.0, 1.0)], (31,)),
-                 build_grid([(0.0, 1.0), (0.0, 1.0)], (5, 5))):
-        coeffs = CoefficientField.random_bounded(grid, mesh, 5, 0.5, 0.5)
+                 build_grid([(0.0, 1.0), (0.0, 1.0)], (5, 5)),
+                 build_grid([(0.0, 1.0), (0.0, 2.0)], (7, 11))):
         y0 = np.prod(np.sin(np.pi * grid.coords), axis=1) \
             + 0.3 * np.sin(3 * np.pi * grid.coords[:, 0])
-        mom = solve_forward_moments(y0, coeffs, mesh, grid)
-        assert max(mom.provenance["rank"]) > 1
+        uniform = np.ones(grid.n_nodes)
+        cases = [(CoefficientField.constant(grid, mesh, 0.3, 0.4),
+                  "closed-form moments"),
+                 (CoefficientField(grid, mesh, a=2.0 * ramp * uniform,
+                                   b=(0.6 + 0.4 * ramp) * uniform),
+                  "closed-form moments")]
+        if grid.shape != (7, 11):
+            cases.append((CoefficientField.random_bounded(grid, mesh, 5,
+                                                          0.5, 0.5),
+                          "second-moment recursion"))
         lap, _ = sparse_operators(grid)
-        for z, p in zip(mom.second_moments,
-                        _dense_moments(y0, coeffs, mesh, lap)):
-            assert z.shape[1] == grid.n_nodes
-            assert np.max(np.abs(z.T @ z - p)) <= 1e-12 * np.max(np.abs(p))
+        for coeffs, scheme in cases:
+            mom = solve_forward_moments(y0, coeffs, mesh, grid)
+            assert mom.provenance["scheme"] == scheme
+            if scheme == "second-moment recursion":
+                assert max(mom.provenance["rank"]) > 1
+            dense_p, dense_means = _dense_moments(y0, coeffs, mesh, lap)
+            for z, p in zip(mom.second_moments, dense_p):
+                assert z.shape[1] == grid.n_nodes
+                assert np.max(np.abs(z.T @ z - p)) <= 1e-12 * np.max(np.abs(p))
+            for m, dense in zip(mom.means, dense_means):
+                assert np.max(np.abs(m - dense)) \
+                    <= 1e-12 * np.max(np.abs(dense))
 
 
 def test_constant_coefficients_keep_rank_one(grid):
@@ -293,6 +324,37 @@ def test_constant_coefficients_keep_rank_one(grid):
     traces = [float(np.sum(z ** 2)) for z in mom.second_moments]
     for tail, trace in zip(mom.provenance["discarded_tail"], traces):
         assert 0.0 <= tail <= 1e-18 * trace
+
+
+def test_moment_paths_agree_on_vanishing_data(grid):
+    # constant coefficients take the closed form, random ones the
+    # recursion; from y0 = 0 both keep level 0 and then empty factors
+    mesh = TimeMesh(horizon=0.5, steps=20)
+    zero = np.zeros(grid.n_nodes)
+    for coeffs, scheme in (
+            (CoefficientField.constant(grid, mesh, 0.3, 0.4),
+             "closed-form moments"),
+            (CoefficientField.random_bounded(grid, mesh, 5, 0.5, 0.5),
+             "second-moment recursion")):
+        mom = solve_forward_moments(zero, coeffs, mesh, grid)
+        assert mom.provenance["scheme"] == scheme
+        assert mom.provenance["rank"] == [1] + [0] * mesh.steps
+        assert [z.shape for z in mom.levels[1:]] \
+            == [(0, grid.n_nodes)] * mesh.steps
+        assert not np.any(mom.means) and not mom.nodal_moment().any()
+
+
+def test_moment_overflow_names_the_step(grid):
+    # b = 1e100 overflows the factor at step 4 of 10 on both paths, which
+    # raise NumericalError without an overflow warning
+    mesh = TimeMesh(horizon=0.5, steps=10)
+    y0 = np.sin(np.pi * grid.coords[:, 0])
+    for coeffs in (CoefficientField.constant(grid, mesh, 0.3, 1e100),
+                   CoefficientField.random_bounded(grid, mesh, 5, 0.5, 1e100)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="at step 4 of 10"):
+                solve_forward_moments(y0, coeffs, mesh, grid)
 
 
 @settings(max_examples=20, deadline=None)
