@@ -2,15 +2,17 @@
 
 Subcommands: simulate, frequency, ucp, observe, control, verify.  The four
 surveys (simulate, frequency, ucp, observe) share one `Experiment`, whose
-ensemble is the exact second moments in tree mode and sampled paths
-in mc mode; `tree.depth` is their step count and is not capped.  Only
-control builds a Bernoulli tree, at `control.depth`.  Exit codes:
+ensemble, one array of weighted rows per time node, is the exact second
+moments in tree mode and sampled paths in mc mode; `tree.depth` is their
+step count and is not capped.  Only control builds a Bernoulli tree, at
+`control.depth`.  Exit codes:
 
 0  all asserted checks pass;
 1  a check failed;
 2  the configuration cannot be run: an unreadable config file or any
    package error (StochHeatError) raised before the report is written,
-   reported in one line naming the error class;
+   such as a moment or expectation that overflows, reported in one line
+   naming the error class;
 3  the report or its timing sidecar could not be written.
 """
 

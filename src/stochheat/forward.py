@@ -6,34 +6,36 @@ Scheme: diffusion-implicit, reaction/noise-explicit Euler-Maruyama,
 
 which keeps the Ito evaluation point of the noise; a and b are deterministic
 arrays indexed by step, and `step_factors` gives the nodal factor of every
-solve.  Every tree solve (this one and the dual and adjoint solves of
-`control`) is `tree_step`, level k to level k+1 of the history tree, or its
-transpose `tree_step_adjoint`; all solves share one `ImplicitHeatSolver`
-per (grid, dt), the exact inverse of I - dt*Lap_h as dense sine-basis
-products per axis.  Each solve returns one `Ensemble`: weighted rows per
-time node, which are sampled paths, tree history levels, or the thin
-factors Z of E[y y^T] = Z^T Z from `solve_forward_moments`.  Those exact
-moments reproduce tree expectations of quadratic functionals at any depth
-without enumerating paths, so tree-mode surveys run them and the forward
-tree solve is the tests' brute-force reference.  Coefficients uniform over
-the nodes give them in closed form, one rank-one row per step from
+solve.  All solves share one `ImplicitHeatSolver` per (grid, dt), the exact
+inverse of I - dt*Lap_h as dense sine-basis products per axis.  Each
+forward solve returns one `Ensemble`: one array of weighted rows per time
+node, shape (steps+1, r, n).  The rows are sampled paths, the 2^d leaves
+of a Bernoulli tree (each of weight 2^-d, all iterated by the one path
+loop of `solve_forward`), or the thin factors Z of E[y y^T] = Z^T Z from
+`solve_forward_moments`.  Those exact moments reproduce tree expectations
+of quadratic functionals at any depth without enumerating paths, so
+tree-mode surveys run them and the forward tree solve is the tests'
+brute-force reference.  Coefficients uniform over the nodes give them in
+closed form, one rank-one row per step from
 `ImplicitHeatSolver.solve_powers`; space-varying ones run the recursion
-with a thin SVD per step.  `energy_trace` reads the
-energy, or the mass on a node mask, per time node from any of them
-(`moment_trace` from one `nodal_moment` pass); `Ensemble.values`, a leaf
-view of the levels, is kept for the benchmark.
+with a thin SVD per step, padded to its largest rank with zero rows.  The
+dual and adjoint solves of `control` run on history levels instead:
+`tree_step` takes level k to level k+1 of the history tree (`tree_levels`),
+and `tree_step_adjoint` is its transpose.  `energy_trace` reads the energy,
+or the mass on a node mask, per time node from any ensemble (`moment_trace`
+from one `nodal_moment` pass), and `Ensemble.values` is a writable view of
+the rows by path.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from itertools import groupby
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import ConfigurationError, NumericalError, ShapeError
+from .errors import ConfigurationError, NumericalError
 from .geometry import SpatialGrid
 from .noise import BernoulliTree, PathEnsemble, TimeMesh
 
@@ -207,112 +209,70 @@ class CoefficientField:
 
 @dataclass
 class Ensemble:
-    """Solution rows per time node: levels[k] has shape (r_k, n_nodes) and
-    weights[k] shape (r_k,), and an expectation is the weighted sum over the
-    rows of a level.  Sampled paths are the rows of every level, weighted by
-    the noise; a tree solve has its history levels, node h of level k having
-    the children 2h (down) and 2h+1 (up) and weight 2^-k.  increments[:, k]
-    are the increments of step k, one row per path or tree move."""
+    """Weighted solution rows per time node: rows has shape (steps+1, r,
+    n_nodes) and weights shape (steps+1, r), and an expectation at time
+    node k is the weighted sum over rows[k].  The rows are paths (sampled
+    ones, or the 2^d leaves of a Bernoulli tree) or the thin factors of
+    the second moments; increments[:, k] are the increments of step k, one
+    row per path or tree move."""
 
-    levels: list = field(repr=False)
-    weights: list = field(repr=False)
+    rows: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
     increments: np.ndarray = field(repr=False)
     mesh: TimeMesh
     grid: SpatialGrid
     provenance: dict
 
     @property
-    def values(self) -> "LeafHistories":
-        """The histories indexed by path, shape (paths, steps+1, n_nodes)."""
-        return LeafHistories(self.levels)
+    def values(self) -> np.ndarray:
+        """The rows by row (path) first, shape (r, steps+1, n_nodes): a
+        writable view of `rows`."""
+        return self.rows.swapaxes(0, 1)
 
     def nodal_moment(self, integrand=np.square) -> np.ndarray:
-        """E[f(y(t_k))] per time node, summed over the weighted rows of each
-        level: `integrand` f maps an (r, n) block of rows to nodal values
-        (..., r, n), and the result has shape (..., steps+1, n).  f runs on
-        blocks of about MOMENT_BLOCK_BYTES of rows: large levels are split
-        and small consecutive levels joined, so a block stays in cache and
-        the calls of f do not grow with the number of levels.  A block
-        holds at most one part of a level, and each run of consecutive
-        parts of equal length is contracted in one step."""
-        rows = max(1, MOMENT_BLOCK_BYTES // (8 * self.grid.n_nodes))
+        """E[f(y(t_k))] per time node, the weighted sum over rows[k]:
+        `integrand` f maps rows (..., n) to nodal values (..., n), with any
+        stacked outputs in front, and the result has shape (..., steps+1,
+        n).  f runs on (time, row) tiles of about MOMENT_BLOCK_BYTES, so a
+        tile stays in cache and the calls of f do not grow with the number
+        of time nodes.  NumericalError names the first time node whose
+        expectation is not finite."""
+        nodes, r, n = self.rows.shape
+        block = max(1, MOMENT_BLOCK_BYTES // (8 * n))
+        row_block = min(r, block)
+        time_block = max(1, block // row_block)
         out = None
-
-        def contract(parts):  # parts: (level, weights, rows) of one block
-            nonlocal out
-            if len(parts) > 1:
-                y = np.concatenate([p[2] for p in parts])
-                w = np.concatenate([p[1] for p in parts])
-            else:
-                (_, w, y), = parts
-            fy = integrand(y)
-            if out is None:
-                out = np.zeros(fy.shape[:-2] + (len(self.levels), y.shape[1]))
-            start = 0
-            for r, run in groupby(parts, key=lambda p: len(p[2])):
-                ks = [p[0] for p in run]
-                stop = start + len(ks) * r
-                # (q, r) weights against the (..., q, r, n) view of the run
-                out[..., ks, :] += np.einsum(
-                    "qp,...qpi->...qi", w[start:stop].reshape(-1, r),
-                    fy[..., start:stop, :].reshape(
-                        fy.shape[:-2] + (len(ks), r, fy.shape[-1])))
-                start = stop
-
-        parts, size = [], 0
-        for k, (w, y) in enumerate(zip(self.weights, self.levels)):
-            for lo in range(0, len(y), rows):
-                parts.append((k, w[lo:lo + rows], y[lo:lo + rows]))
-                size += len(parts[-1][2])
-                if size >= rows:
-                    contract(parts)
-                    parts, size = [], 0
-        if parts:
-            contract(parts)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(0, nodes, time_block):
+                for p in range(0, r, row_block):
+                    tile = np.s_[t:t + time_block, p:p + row_block]
+                    fy = integrand(self.rows[tile])
+                    if out is None:
+                        out = np.zeros(fy.shape[:-3] + (nodes, n))
+                    out[..., t:t + time_block, :] += np.einsum(
+                        "kr,...kri->...ki", self.weights[tile], fy)
+        finite = np.isfinite(out).reshape(-1, nodes, n).all(axis=(0, 2))
+        if not finite.all():
+            raise NumericalError(
+                f"expectation not finite at time node {int(np.argmin(finite))}"
+                f" of {nodes - 1}")
         return out
-
-
-class LeafHistories:
-    """Levels read by path, shape (n_paths, d+1, n), n_paths = r_d: path l at
-    time node k is row l // (n_paths // r_k) of level k (on a tree, node
-    l >> (d - k)).  Indexing builds the array; assigning writes it back into
-    the levels, so paths sharing a row must agree.  No solver reads it: it is
-    kept as the benchmark's reader and writer of ensembles."""
-
-    def __init__(self, levels: list):
-        self.levels = levels
-
-    def __array__(self, dtype=None, copy=None):
-        n_paths = len(self.levels[-1])
-        return np.stack([np.repeat(y, n_paths // len(y), axis=0)
-                         for y in self.levels], axis=1)
-
-    def __getitem__(self, key):
-        return np.asarray(self)[key]
-
-    def __setitem__(self, key, value):
-        paths = np.asarray(self)
-        paths[key] = value
-        rows = [paths[::len(paths) // len(y), k]
-                for k, y in enumerate(self.levels)]
-        if not np.array_equal(np.asarray(LeafHistories(rows)), paths):
-            raise ShapeError("paths that share a history node must agree")
-        for y, row in zip(self.levels, rows):
-            y[...] = row
 
 
 @dataclass
 class SecondMomentEnsemble(Ensemble):
-    """Exact expectation surrogate for deterministic coefficients: levels[k]
-    is a factor Z_k with E[y(t_k) y(t_k)^T] = Z_k^T Z_k and unit weights, and
-    means[k] = E[y(t_k)]; it reproduces Bernoulli-tree expectations of linear
-    and quadratic functionals at any depth.  Its rows are not paths."""
+    """Exact expectation surrogate for deterministic coefficients: rows[k]
+    is a factor Z_k with E[y(t_k) y(t_k)^T] = Z_k^T Z_k, padded with zero
+    rows to the largest rank, under unit weights, and means[k] = E[y(t_k)],
+    shape (steps+1, n_nodes); it reproduces Bernoulli-tree expectations of
+    linear and quadratic functionals at any depth.  Its rows are not
+    paths."""
 
-    means: list = field(repr=False)
+    means: np.ndarray = field(repr=False)
 
     @property
-    def second_moments(self) -> list:
-        return self.levels
+    def second_moments(self) -> np.ndarray:
+        return self.rows
 
 
 def tree_moves(dt: float) -> np.ndarray:
@@ -359,31 +319,27 @@ def tree_step_adjoint(z_next: np.ndarray, down: np.ndarray, up: np.ndarray,
 
 def solve_forward(y0: np.ndarray, coeffs: CoefficientField, noise,
                   mesh: TimeMesh, grid: SpatialGrid) -> Ensemble:
-    """Iterate the scheme: a `BernoulliTree` gives its history levels
-    (`tree_levels`), sampled paths one row per path at every time node.
-    The tree branch is the brute-force reference against which the tests
-    check `solve_forward_moments`, which tree-mode surveys run instead."""
-    y0 = np.asarray(y0, dtype=float)
-    tree = isinstance(noise, BernoulliTree)
-    if not tree and not isinstance(noise, PathEnsemble):
+    """Iterate the scheme on every path of the noise, one row per path at
+    every time node: the sampled paths of a `PathEnsemble`, or the 2^d
+    leaves of a `BernoulliTree`.  The tree is the brute-force reference
+    against which the tests check `solve_forward_moments`, which tree-mode
+    surveys run instead."""
+    if not isinstance(noise, (BernoulliTree, PathEnsemble)):
         raise ConfigurationError(f"unsupported noise source {type(noise).__name__}")
-    inc = np.repeat(tree_moves(mesh.dt)[:, None], noise.depth, axis=1) \
-        if tree else noise.increments
+    inc = noise.increments
     if inc.shape[1] != mesh.steps:
         raise ConfigurationError("noise source and time mesh disagree on step count")
-    if tree:
-        levels = tree_levels(y0, coeffs, mesh, grid)
-        weights = [np.full(2 ** k, 2.0 ** -k) for k in range(mesh.steps + 1)]
-    else:
-        solver = implicit_solver(grid, mesh.dt)
-        levels = [np.tile(y0, (len(inc), 1))]
-        for k in range(mesh.steps):
-            levels.append(solver.solve(
-                levels[-1] * step_factors(coeffs, k, mesh.dt, inc[:, k])))
-        weights = [noise.weights] * (mesh.steps + 1)
+    solver = implicit_solver(grid, mesh.dt)
+    rows = np.empty((mesh.steps + 1, len(inc), grid.n_nodes))
+    rows[0] = y0
+    for k in range(mesh.steps):
+        rows[k + 1] = solver.solve(
+            rows[k] * step_factors(coeffs, k, mesh.dt, inc[:, k]))
+    tree = isinstance(noise, BernoulliTree)
     prov = {"scheme": "implicit-diffusion euler-maruyama", "dt": mesh.dt,
             "h": tuple(grid.h), "mode": "tree" if tree else "sampled"}
-    return Ensemble(levels, weights, inc, mesh, grid, prov)
+    return Ensemble(rows, np.broadcast_to(noise.weights, rows.shape[:2]), inc,
+                    mesh, grid, prov)
 
 
 def solve_forward_moments(y0: np.ndarray, coeffs: CoefficientField,
@@ -404,10 +360,12 @@ def solve_forward_moments(y0: np.ndarray, coeffs: CoefficientField,
       them to s*V^T, dropping singular values below MOMENT_RANK_TOL of the
       largest.
 
-    A level whose factor vanishes is empty (rank 0) on both paths.
-    provenance records the path as `scheme`, the rank and the discarded sum
-    of sigma^2 (a trace-norm bound on the truncation; 0 in closed form) per
-    time node.  NumericalError names the first step whose factor or mean
+    The factors are the rows of the ensemble, one per time node in closed
+    form, padded with zero rows to the largest rank in the recursion; a
+    time node whose factor vanishes has rank 0 and only zero rows on both
+    paths.  provenance records the path as `scheme`, the rank and the
+    discarded sum of sigma^2 (a trace-norm bound on the truncation; 0 in
+    closed form) per time node.  NumericalError names the first step whose factor or mean
     is not finite; the closed form decides it on the log of the products,
     so no overflow warning is raised.
     """
@@ -416,16 +374,15 @@ def solve_forward_moments(y0: np.ndarray, coeffs: CoefficientField,
     a, b = coeffs.a, coeffs.b
     if (a == a[:, :1]).all() and (b == b[:, :1]).all():
         scheme = "closed-form moments"
-        factors, means, tails = _closed_form_moments(y0, a[:, 0], b[:, 0],
-                                                     mesh, solver)
+        rows, rank, means, tails = _closed_form_moments(
+            y0, a[:, 0], b[:, 0], mesh, solver)
     else:
         scheme = "second-moment recursion"
-        factors, means, tails = _recursive_moments(y0, coeffs, mesh, solver)
+        rows, rank, means, tails = _recursive_moments(y0, coeffs, mesh, solver)
     prov = {"scheme": scheme, "dt": mesh.dt, "h": tuple(grid.h),
-            "mode": "exact", "rank": [len(z) for z in factors],
-            "discarded_tail": tails}
+            "mode": "exact", "rank": rank, "discarded_tail": tails}
     return SecondMomentEnsemble(
-        levels=factors, weights=[np.ones(len(z)) for z in factors],
+        rows=rows, weights=np.ones(rows.shape[:2]),
         increments=np.repeat(tree_moves(mesh.dt)[:, None], mesh.steps, axis=1),
         mesh=mesh, grid=grid, provenance=prov, means=means)
 
@@ -436,8 +393,9 @@ def _overflow(steps: int, k: int) -> NumericalError:
 
 
 def _closed_form_moments(y0, a, b, mesh, solver):
-    """Factor rows and means for coefficients a, b uniform over the nodes,
-    one value per step: one row (c_0...c_{k-1}) M^{-k} y0 per level."""
+    """Factor rows, ranks and means for coefficients a, b uniform over the
+    nodes, one value per step: one row (c_0...c_{k-1}) M^{-k} y0 per time
+    node, a zero row where it vanishes."""
     dt = mesh.dt
     orbit = solver.solve_powers(y0, mesh.steps)
     with np.errstate(all="ignore"):  # overflow is judged on the logs below
@@ -454,14 +412,14 @@ def _closed_form_moments(y0, a, b, mesh, solver):
         raise _overflow(mesh.steps, int(np.argmax(over)))
     z = orbit * np.concatenate([[1.0], np.cumprod(c)])[:, None]
     orbit *= np.concatenate([[1.0], np.cumprod(d)])[:, None]
-    nonzero = z.any(axis=1)
-    nonzero[0] = True  # level 0 is y0, as in the recursion
-    factors = [z[k:k + 1] if kept else z[k:k] for k, kept in enumerate(nonzero)]
-    return factors, list(orbit), [0.0] * len(z)
+    rank = z.any(axis=1).astype(int)
+    rank[0] = 1  # level 0 is y0, as in the recursion
+    return z[:, None], rank.tolist(), orbit, [0.0] * len(z)
 
 
 def _recursive_moments(y0, coeffs, mesh, solver):
-    """Factors, means and discarded tails of the second-moment recursion."""
+    """Factor rows (padded with zero rows to the largest rank), ranks,
+    means and discarded tails of the second-moment recursion."""
     dt = mesh.dt
     means = [y0.copy()]
     factors = [y0[None, :].copy()]
@@ -481,7 +439,11 @@ def _recursive_moments(y0, coeffs, mesh, solver):
             keep = s > MOMENT_RANK_TOL * s[:1]  # s[:1] is empty for an empty factor
             factors.append(s[keep, None] * vt[keep])
             tails.append(float(np.sum(s[~keep] ** 2)))
-    return factors, means, tails
+    rank = [len(z) for z in factors]
+    rows = np.zeros((len(factors), max(rank), len(y0)))
+    for row, z in zip(rows, factors):
+        row[:len(z)] = z
+    return rows, rank, np.stack(means), tails
 
 
 def exp_transform_oracle(ensemble: Ensemble, b_const: float, a) -> dict:
@@ -498,7 +460,7 @@ def exp_transform_oracle(ensemble: Ensemble, b_const: float, a) -> dict:
     if ensemble.provenance["mode"] != "sampled":
         raise ConfigurationError("the transform oracle needs sampled paths")
     mesh, grid = ensemble.mesh, ensemble.grid
-    values = np.stack(ensemble.levels, axis=1)
+    values = ensemble.values
     solver = implicit_solver(grid, mesh.dt)
     z = values[0, 0, :].copy()
     z_path = [z.copy()]
@@ -509,8 +471,10 @@ def exp_transform_oracle(ensemble: Ensemble, b_const: float, a) -> dict:
     z_path = np.asarray(z_path)
     bm = np.concatenate([np.zeros((len(values), 1)),
                          np.cumsum(ensemble.increments, axis=1)], axis=1)
-    recon = np.exp(float(b_const) * bm)[:, :, None] * z_path[None, :, :]
-    diff = grid.l2_norm(recon - values)
+    # an overflowing exp(b B) reads inf, and the gap with it
+    with np.errstate(over="ignore", invalid="ignore"):
+        recon = np.exp(float(b_const) * bm)[:, :, None] * z_path[None, :, :]
+        diff = grid.l2_norm(recon - values)
     scale = np.maximum(grid.l2_norm(values), 1e-300)
     gaps = np.max(diff / scale, axis=1)
     return {"per_path_gap": gaps, "max_gap": float(np.max(gaps)),

@@ -4,9 +4,11 @@ Sampled mode draws Gaussian increments with a counter-based generator keyed by
 (seed, path), so any single path is recomputable without materializing the
 ensemble.  Tree mode replaces the Brownian filtration by the full binary tree
 of +-sqrt(dt) increments: the first two moments match and every expectation
-becomes an exact finite sum over the tree's history levels.  The control
-solves of `control` build those levels, and so does `forward.solve_forward`,
-the tests' brute-force reference; tree-mode surveys build no tree, since
+becomes an exact finite sum over the tree's 2^d leaf paths, each of weight
+2^-d.  A tree gives its paths as `increments` and `weights`, like a
+`PathEnsemble`, so `forward.solve_forward`, the tests' brute-force
+reference, iterates both alike; the control solves of `control` run on the
+tree's history levels instead.  Tree-mode surveys build no tree, since
 `forward.solve_forward_moments` gives the same expectations at any depth.
 `build_tree` caps the depth, so the cap bounds control runs only.
 """
@@ -90,9 +92,12 @@ def sample_ensemble(mesh: TimeMesh, n_paths: int, seed: int) -> PathEnsemble:
 class BernoulliTree:
     """Full binary tree of +-sqrt(dt) increments, one level per time step.
 
-    History level k holds 2^k nodes of weight 2^-k; node h has the children
-    2h (down move) and 2h+1 (up move) of `forward.tree_moves`.  Terminal
-    data of the control solves has one row per leaf, `n_leaves` = 2^depth.
+    Its 2^depth leaves are the paths of the tree, each of weight 2^-depth:
+    leaf l moves up (+sqrt(dt)) at step k when bit depth-1-k of l is set, so
+    history node h of level k (2^k nodes, weight 2^-k) is the shared prefix
+    of the leaves l with l >> (depth - k) = h, and has the children 2h (down
+    move) and 2h+1 (up move) of `forward.tree_moves`.  Terminal data of the
+    control solves has one row per leaf, `n_leaves` = 2^depth.
     """
 
     mesh: TimeMesh
@@ -104,6 +109,17 @@ class BernoulliTree:
     @property
     def n_leaves(self) -> int:
         return 2**self.depth
+
+    @property
+    def increments(self) -> np.ndarray:
+        """The increments of every leaf, shape (n_leaves, depth)."""
+        bits = np.arange(self.n_leaves)[:, None] \
+            >> np.arange(self.depth - 1, -1, -1) & 1
+        return np.sqrt(self.mesh.dt) * (2.0 * bits - 1.0)
+
+    @property
+    def weights(self) -> np.ndarray:
+        return np.full(self.n_leaves, 2.0 ** -self.depth)
 
 
 def build_tree(mesh: TimeMesh, cap: int = DEFAULT_TREE_CAP) -> BernoulliTree:

@@ -19,7 +19,7 @@ from stochheat import report as repmod
 from stochheat.cli import main
 from stochheat.errors import ConfigurationError, ShapeError
 from stochheat.geometry import HeatKernelWeight
-from stochheat.noise import build_tree
+from stochheat.noise import BernoulliTree, build_tree
 
 
 def test_parse_value_types():
@@ -301,13 +301,28 @@ def test_cli_overflowing_moments_exit_2(tmp_path, capsys):
             assert code == 2, (text, sub)
             assert "NumericalError" in err and "at step 4 of 6" in err, err
             assert err.count("\n") == 1 and "Traceback" not in err
+    # finite factors whose expectation E[y^2] = Z^T Z overflows: b = 1e20
+    # at the default depth 10, and b = 100 on the 400-step fine mesh of
+    # frequency; nodal_moment names the first time node that overflows
+    cfg = tmp_path / "overflow.cfg"
+    for text, sub, node in (
+            ("grid.nodes = 31\ncoeff.b = 1e20\n", "simulate", "9 of 10"),
+            (_fast_text("coeff.b = 100\n"), "verify", "275 of 400")):
+        cfg.write_text(text)
+        code = main([sub, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, (text, sub)
+        assert "NumericalError" in err \
+            and f"expectation not finite at time node {node}" in err, err
+        assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "out").exists()
     # b = 1e10 stays finite over the survey steps: simulate runs, and only
-    # the transform oracle, whose paths overflow, fails
+    # the transform oracle, whose paths overflow, fails, with no warning
     code = main(["simulate", "--config",
                  _fast_config(tmp_path, "coeff.b = 1e10\n"),
                  "--out", str(tmp_path / "out")])
-    capsys.readouterr()
+    assert capsys.readouterr().err == ""
     assert code == 1
     report = json.load(open(tmp_path / "out" / "simulate.json"))
     assert [(r["name"], r["pass"]) for r in report["checks"]] == [
@@ -326,6 +341,26 @@ def test_cli_ucp_g0_touching_the_boundary(tmp_path, capsys):
     assert set(leaf) == {"verdict", "target_mass", "global_mass"}
     assert leaf["verdict"] is False
     assert 0.0 < leaf["target_mass"] < leaf["global_mass"]
+
+
+@pytest.mark.parametrize("overrides", [
+    {"coeff.kind": "random", "grid.nodes": 15, "tree.depth": 6},
+    {"coeff.a": -20.0, "coeff.b": 0.0},
+], ids=["random-ranks", "vanishing-factor"])
+def test_experiment_values_is_a_writable_view(overrides):
+    # a moment rank that changes between time nodes, and a factor that
+    # vanishes from step 1 on (1 + dt a = 0): values reads the padded rows
+    # and a write through it moves nodal_moment
+    ens = cli.Experiment(cfgmod.merge_config(overrides)).ensemble
+    ranks = ens.provenance["rank"]
+    assert len(set(ranks)) > 1
+    assert ens.values.shape == (max(ranks),) + ens.rows.shape[::2]
+    assert np.shares_memory(ens.values, ens.rows)
+    assert not any(z[r:].any() for z, r in zip(ens.rows, ranks))
+    before = ens.nodal_moment()
+    ens.values[0, 0, :] *= 2.0
+    assert np.array_equal(ens.nodal_moment()[0], 4.0 * before[0])
+    assert np.array_equal(ens.nodal_moment()[1:], before[1:])
 
 
 def test_one_default_moment_pass_per_experiment(monkeypatch):
@@ -363,17 +398,18 @@ def test_tree_survey_runs_past_the_control_depth_cap(tmp_path, capsys):
 
 def test_tree_survey_builds_no_tree(monkeypatch):
     # a tree-mode survey pass builds the exact moments twice (the
-    # experiment's ensemble and the fine one of frequency) and runs no tree
-    # solve; with constant coefficients both are the closed form, which
-    # runs no SVD, and random ones take the SVD recursion
-    levels, moments, svds = [], [], []
-    tree_levels = forward.tree_levels
+    # experiment's ensemble and the fine one of frequency) and solves no
+    # Bernoulli tree; with constant coefficients both are the closed form,
+    # which runs no SVD, and random ones take the SVD recursion
+    trees, moments, svds = [], [], []
+    paths = cli.solve_forward
     recursion = cli.solve_forward_moments
     svd = np.linalg.svd
 
-    def counting_levels(*args, **kwargs):
-        levels.append(args)
-        return tree_levels(*args, **kwargs)
+    def counting_paths(y0, coeffs, noise, *args, **kwargs):
+        if isinstance(noise, BernoulliTree):
+            trees.append(noise)
+        return paths(y0, coeffs, noise, *args, **kwargs)
 
     def counting_moments(*args, **kwargs):
         moments.append(args)
@@ -383,7 +419,7 @@ def test_tree_survey_builds_no_tree(monkeypatch):
         svds.append(args)
         return svd(*args, **kwargs)
 
-    monkeypatch.setattr(forward, "tree_levels", counting_levels)
+    monkeypatch.setattr(cli, "solve_forward", counting_paths)
     monkeypatch.setattr(cli, "solve_forward_moments", counting_moments)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     for kind in ("constant", "random"):
@@ -391,7 +427,7 @@ def test_tree_survey_builds_no_tree(monkeypatch):
             cfgmod.parse_config(_fast_text(f"coeff.kind = {kind}\n"))))
         for name in ("simulate", "frequency", "ucp", "observe"):
             cli.SUBCOMMANDS[name](exp)
-        assert len(levels) == 0 and len(moments) == 2
+        assert len(trees) == 0 and len(moments) == 2
         assert (len(svds) == 0) == (kind == "constant"), (kind, len(svds))
         moments.clear()
         svds.clear()

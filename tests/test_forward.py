@@ -13,7 +13,7 @@ from stochheat import (Ball, CoefficientField, ConfigurationError,
                        build_tree, energy_trace, exp_transform_oracle,
                        sample_ensemble, solve_forward, solve_forward_moments)
 from stochheat import forward
-from stochheat.errors import NumericalError, ShapeError
+from stochheat.errors import NumericalError
 from stochheat.forward import (Ensemble, ImplicitHeatSolver, step_factors,
                                step_invertibility_report)
 
@@ -101,8 +101,8 @@ def test_coefficient_gradients_match_per_step_gradients():
 
 def test_tree_forward_per_leaf_brute_force(grid):
     # follow one leaf history explicitly through (I - dt Lap) y_{k+1} = y_k +
-    # dt a_k y_k + b_k y_k dB_k, with dB_k = -sqrt(dt) on an even (down) child
-    # and +sqrt(dt) on an odd (up) child, under time-varying coefficients
+    # dt a_k y_k + b_k y_k dB_k, with dB_k = +sqrt(dt) when bit d-1-k of the
+    # leaf is set and -sqrt(dt) otherwise, under time-varying coefficients
     mesh = TimeMesh(horizon=0.4, steps=6)
     rng = np.random.Generator(np.random.Philox(key=[3, 8]))
     shape = (mesh.steps, grid.n_nodes)
@@ -110,51 +110,59 @@ def test_tree_forward_per_leaf_brute_force(grid):
                               b=rng.uniform(-1.0, 1.0, shape))
     y0 = rng.standard_normal(grid.n_nodes)
     ens = solve_forward(y0, coeffs, build_tree(mesh), mesh, grid)
-    assert [level.shape for level in ens.levels] \
-        == [(2 ** k, grid.n_nodes) for k in range(mesh.steps + 1)]
+    assert ens.rows.shape == (mesh.steps + 1, 2 ** mesh.steps, grid.n_nodes)
+    assert np.array_equal(ens.weights,
+                          np.full(ens.rows.shape[:2], 2.0 ** -mesh.steps))
     solver = ImplicitHeatSolver(grid, mesh.dt)
     root = np.sqrt(mesh.dt)
     for leaf in (0, 5, 2 ** mesh.steps - 1):
-        y, node = y0.copy(), 0
+        y = y0.copy()
         for k in range(mesh.steps):
             bit = (leaf >> (mesh.steps - 1 - k)) & 1
             db = root if bit else -root
+            assert ens.increments[leaf, k] == db
             y = solver.solve(y + mesh.dt * coeffs.a[k] * y
                              + coeffs.b[k] * y * db)
-            node = 2 * node + bit
-            assert np.allclose(ens.levels[k + 1][node], y, rtol=1e-12,
+            assert np.allclose(ens.rows[k + 1][leaf], y, rtol=1e-12,
                                atol=1e-14)
 
 
-@pytest.mark.parametrize("mode", ["tree", "sampled"])
-def test_tree_leaf_view_reads_and_writes_levels(grid, mode):
-    # values[l, k] is node l >> (d - k) of tree level k and row l of a
-    # sampled level; a write that keeps the paths of each row equal lands in
-    # the levels, any other is refused, so a single-path write lands only on
-    # sampled noise
-    mesh = TimeMesh(horizon=0.4, steps=4)
+def _view_ensemble(mode, grid, mesh):
     y0 = np.sin(np.pi * grid.coords[:, 0])
-    noise = build_tree(mesh) if mode == "tree" \
-        else sample_ensemble(mesh, 2 ** mesh.steps, 7)
-    ens = solve_forward(y0, CoefficientField.constant(grid, mesh, 0.5, 0.8),
-                        noise, mesh, grid)
-    leaves = np.asarray(ens.values)
-    assert leaves.shape == (2 ** mesh.steps, mesh.steps + 1, grid.n_nodes)
-    for leaf in range(2 ** mesh.steps):
+    if mode in ("tree", "sampled"):
+        noise = build_tree(mesh) if mode == "tree" \
+            else sample_ensemble(mesh, 2 ** mesh.steps, 7)
+        return solve_forward(y0, CoefficientField.constant(grid, mesh, 0.5, 0.8),
+                             noise, mesh, grid)
+    coeffs = CoefficientField.constant(grid, mesh, 0.5, 0.8) \
+        if mode == "closed-form" \
+        else CoefficientField.random_bounded(grid, mesh, 5, 0.5, 0.5)
+    return solve_forward_moments(y0, coeffs, mesh, grid)
+
+
+@pytest.mark.parametrize("mode", ["tree", "sampled", "closed-form",
+                                  "recursion"])
+def test_tree_leaf_view_reads_and_writes_levels(grid, mode):
+    # values[l, k] is row l of time node k for every kind of ensemble (a
+    # tree leaf, a sampled path, a moment factor row) and a writable view:
+    # a write to one path lands in rows and moves nodal_moment
+    mesh = TimeMesh(horizon=0.4, steps=4)
+    ens = _view_ensemble(mode, grid, mesh)
+    r = max(ens.provenance["rank"]) if "rank" in ens.provenance \
+        else 2 ** mesh.steps
+    assert ens.values.shape == (r, mesh.steps + 1, grid.n_nodes)
+    assert np.shares_memory(ens.values, ens.rows)
+    for row in range(r):
         for k in range(mesh.steps + 1):
-            row = leaf >> (mesh.steps - k) if mode == "tree" else leaf
-            assert np.array_equal(leaves[leaf, k], ens.levels[k][row])
-    level2 = ens.levels[2].copy()
+            assert np.array_equal(ens.values[row, k], ens.rows[k, row])
+    before = ens.nodal_moment()
+    level2 = ens.rows[2].copy()
     ens.values[:, 2, :] *= 3.0
-    assert np.array_equal(ens.levels[2], 3.0 * level2)
-    if mode == "tree":
-        with pytest.raises(ShapeError):
-            ens.values[0, 2, :] = 0.0
-        assert np.array_equal(ens.levels[2], 3.0 * level2)
-    else:
-        ens.values[0, 2, :] = 0.0
-        assert not ens.levels[2][0].any()
-        assert np.array_equal(ens.levels[2][1:], 3.0 * level2[1:])
+    assert np.array_equal(ens.rows[2], 3.0 * level2)
+    assert np.allclose(ens.nodal_moment()[2], 9.0 * before[2], rtol=1e-14)
+    ens.values[0, 2, :] = 0.0
+    assert not ens.rows[2, 0].any()
+    assert np.array_equal(ens.rows[2, 1:], 3.0 * level2[1:])
 
 
 def test_sampled_levels_apply_the_step_factors(grid):
@@ -195,11 +203,14 @@ def test_moment_propagator_matches_tree_exactly(grid, sparse_operators):
     source = sp.csr_matrix(-sp.diags(cutoff.lap)
                            - 2.0 * sp.diags(cutoff.grad[:, 0]) @ grad)
 
+    def apply(matrix, y):  # a sparse matrix on rows (..., n)
+        return (matrix @ y.reshape(-1, y.shape[-1]).T).T.reshape(y.shape)
+
     def integrand(y):
-        gy, sy = (grad_phi @ y.T).T, (source @ y.T).T
+        gy, sy = apply(grad_phi, y), apply(source, y)
         return np.stack([np.square(y), np.square(gy), y * sy, np.square(sy),
-                         (grad @ y.T).T * sy,
-                         (lap @ y.T).T * grid.gradient_ops()[0](y)])
+                         apply(grad, y) * sy,
+                         apply(lap, y) * grid.gradient_ops()[0](y)])
 
     for coeffs, scheme in (
             (CoefficientField.random_bounded(grid, mesh, 2, 0.5, 0.5),
@@ -214,7 +225,7 @@ def test_moment_propagator_matches_tree_exactly(grid, sparse_operators):
             a = y_sq_tree[k] @ d
             b = y_sq_mom[k] @ d
             assert abs(a - b) <= 1e-12 * max(abs(a), 1.0)
-            assert np.allclose(ens.levels[k].mean(axis=0), mom.means[k],
+            assert np.allclose(ens.weights[k] @ ens.rows[k], mom.means[k],
                                rtol=0.0, atol=1e-13)
         fields = ens.nodal_moment(integrand)
         assert fields.shape == (6, mesh.steps + 1, grid.n_nodes)
@@ -223,19 +234,19 @@ def test_moment_propagator_matches_tree_exactly(grid, sparse_operators):
 
 
 def _per_level_moment(ens, integrand):
-    # one einsum per level: the contraction nodal_moment groups by runs
+    # weights[k] @ f(rows[k]), one time node at a time
     return np.stack([np.einsum("p,...pi->...i", w, integrand(y))
-                     for w, y in zip(ens.weights, ens.levels)], axis=-2)
+                     for w, y in zip(ens.weights, ens.rows)], axis=-2)
 
 
 @pytest.mark.parametrize("block_rows", [None, 3])
 def test_grouped_nodal_moment_matches_per_level(tree_ensemble, grid,
                                                 block_rows, monkeypatch,
                                                 assert_rel_close):
-    # runs of equal-length levels are contracted together: a tree (lengths
-    # all distinct), a random-coefficient moment ensemble whose rank
-    # changes, the same with an empty level, and blocks of 3 rows, which
-    # split levels across blocks
+    # the tiled contraction against one contraction per time node: a tree,
+    # a random-coefficient moment ensemble whose rank changes (padded with
+    # zero rows), the same with an empty time node, and tiles of 3 rows,
+    # which split the rows of a time node
     if block_rows:
         monkeypatch.setattr(forward, "MOMENT_BLOCK_BYTES",
                             8 * grid.n_nodes * block_rows)
@@ -245,10 +256,12 @@ def test_grouped_nodal_moment_matches_per_level(tree_ensemble, grid,
     mom = solve_forward_moments(y0, coeffs, mesh, grid)
     ranks = mom.provenance["rank"]  # grows, then stays for many levels
     assert ranks[0] < ranks[-1] and ranks.count(ranks[-1]) > 10
-    levels = list(mom.levels)
-    levels[30] = levels[30][:0]
-    holed = Ensemble(levels, [np.ones(len(z)) for z in levels],
-                     mom.increments, mesh, grid, mom.provenance)
+    assert mom.rows.shape[1] == max(ranks)
+    assert all(not z[rank:].any() for z, rank in zip(mom.rows, ranks))
+    rows = mom.rows.copy()
+    rows[30] = 0.0
+    holed = Ensemble(rows, mom.weights, mom.increments, mesh, grid,
+                     mom.provenance)
 
     def integrand(y):
         return np.stack([np.square(y), y * grid.gradient_ops()[0](y)])
@@ -328,7 +341,7 @@ def test_constant_coefficients_keep_rank_one(grid):
 
 def test_moment_paths_agree_on_vanishing_data(grid):
     # constant coefficients take the closed form, random ones the
-    # recursion; from y0 = 0 both keep level 0 and then empty factors
+    # recursion; from y0 = 0 both keep level 0 and then zero factor rows
     mesh = TimeMesh(horizon=0.5, steps=20)
     zero = np.zeros(grid.n_nodes)
     for coeffs, scheme in (
@@ -339,8 +352,7 @@ def test_moment_paths_agree_on_vanishing_data(grid):
         mom = solve_forward_moments(zero, coeffs, mesh, grid)
         assert mom.provenance["scheme"] == scheme
         assert mom.provenance["rank"] == [1] + [0] * mesh.steps
-        assert [z.shape for z in mom.levels[1:]] \
-            == [(0, grid.n_nodes)] * mesh.steps
+        assert not mom.rows[1:].any()
         assert not np.any(mom.means) and not mom.nodal_moment().any()
 
 

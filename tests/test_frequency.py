@@ -29,12 +29,12 @@ def test_hdn_positive_and_shapes(tree_ensemble, weight, coeffs):
 
 def test_hdn_brute_force_oracle(tree_ensemble, weight, grid, coeffs):
     # recompute H and D at one time node by direct quadrature over the
-    # history nodes of its level, each of probability 2^-k
-    k = 4
+    # 2^d leaf paths of the tree, each of probability 2^-d
+    k, d = 4, tree_ensemble.mesh.steps
     t = tree_ensemble.mesh.times[k]
     kv = weight.values(t, grid.coords)
-    y = tree_ensemble.levels[k]
-    w = np.full(2 ** k, 2.0 ** -k)
+    y = tree_ensemble.rows[k]
+    w = np.full(2 ** d, 2.0 ** -d)
     h_direct = float(w @ ((y ** 2 * kv) @ np.ones(grid.n_nodes))) \
         * grid.quad_weight
     gy = np.stack([grid.gradient(y[p]) for p in range(y.shape[0])])
@@ -52,8 +52,7 @@ def test_hdn_brute_force_oracle(tree_ensemble, weight, grid, coeffs):
     tr = compute_hdn(localized_fields(tree_ensemble, cutoff, rough), weight)
     for k in (4, mesh.steps):
         kv = weight.values(mesh.times[k], grid.coords)
-        y = tree_ensemble.levels[k]
-        w = np.full(2 ** k, 2.0 ** -k)
+        y = tree_ensemble.rows[k]
         a = rough.a[min(k, mesh.steps - 1)]
         b = rough.b[min(k, mesh.steps - 1)]
         big_phi = cutoff.values * y
@@ -97,7 +96,7 @@ def test_localized_fields_match_sparse_commutator(extents, shape, center,
                                                   assert_rel_close):
     # the stencil-built localized gradients grad(phi *) and commutator
     # S = -diag(Lap phi) - 2 sum diag(d phi) d against the same fields
-    # built from scipy.sparse matrices and summed level by level
+    # built from scipy.sparse matrices and summed time node by time node
     import scipy.sparse as sp
     ens, cutoff, coeffs = _tree_lab(extents, shape, center)
     mesh = ens.mesh
@@ -110,7 +109,7 @@ def test_localized_fields_match_sparse_commutator(extents, shape, center,
     loc = [sp.csr_matrix(g @ sp.diags(cutoff.values)) for g in grads]
 
     def expect(f):  # E f(y(t_k)) per time node
-        return np.stack([w @ f(y) for w, y in zip(ens.weights, ens.levels)])
+        return np.stack([w @ f(y) for w, y in zip(ens.weights, ens.rows)])
 
     assert_rel_close(fields.d, expect(
         lambda y: sum(np.square((g @ y.T).T) for g in loc)))

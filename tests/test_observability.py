@@ -222,11 +222,11 @@ def test_observation_mass_manual_oracle(setup, time_set):
     traced = energy_trace(ens, grid.ball_mask(ball))
     total = observation_mass(traced, mesh, time_set)
     # manual trapezoid over the same cells, of the explicit sums over the
-    # history nodes of each level, each of probability 2^-k
+    # 2^d leaf paths of the tree, each of probability 2^-d
     d = grid.ball_mask(ball).astype(float)
     w = grid.quad_weight
-    local = np.array([w * sum(2.0 ** -k * float(row ** 2 @ d)
-                              for row in ens.levels[k])
+    local = np.array([w * sum(2.0 ** -mesh.steps * float(row ** 2 @ d)
+                              for row in ens.rows[k])
                       for k in range(mesh.steps + 1)])
     manual = 0.0
     for k in range(mesh.steps):
@@ -275,7 +275,7 @@ def test_constants_with_an_overflowing_rate(setup, time_set):
     # traces
     grid, mesh, _, ens = setup
     strong = CoefficientField.constant(grid, mesh, -50.0, 0.4)
-    decayed = solve_forward(ens.levels[0][0], strong, build_tree(mesh), mesh,
+    decayed = solve_forward(ens.rows[0, 0], strong, build_tree(mesh), mesh,
                             grid)
     energy = energy_trace(decayed)
     ucp_c = compute_constants(grid, (0.5,), 0.08, mesh.horizon, strong,
@@ -309,7 +309,7 @@ def test_energy_estimate_with_an_overflowing_bound(setup):
     # energy meets it, so the excess is finite and the check passes
     grid, mesh, _, ens = setup
     strong = CoefficientField.constant(grid, mesh, -50.0, 0.4)
-    decayed = solve_forward(ens.levels[0][0], strong, build_tree(mesh), mesh,
+    decayed = solve_forward(ens.rows[0, 0], strong, build_tree(mesh), mesh,
                             grid)
     with np.errstate(over="ignore"):
         assert np.exp(growth_rate(strong) * mesh.horizon) == np.inf
