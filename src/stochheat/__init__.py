@@ -14,7 +14,7 @@ from .noise import (BernoulliTree, PathEnsemble, TimeMesh, build_tree,
                     path_increments, sample_ensemble)
 from .forward import (CoefficientField, Ensemble, SecondMomentEnsemble,
                       energy_trace, exp_transform_oracle, solve_forward,
-                      solve_forward_moments)
+                      solve_forward_moments, solve_sampled_moments)
 from .frequency import (FrequencyTrace, LocalizedFields, compute_hdn,
                         frequency_bound_check, hprime_identity_residual,
                         localized_fields)

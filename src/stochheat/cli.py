@@ -3,8 +3,10 @@
 Subcommands: simulate, frequency, ucp, observe, control, verify.  The four
 surveys (simulate, frequency, ucp, observe) share one `Experiment`, whose
 ensemble, one array of weighted rows per time node, is the exact second
-moments in tree mode and sampled paths in mc mode; `tree.depth` is their
-step count and is not capped.  Only control builds a Bernoulli tree, at
+moments in tree mode.  In mc mode it is the paths sampled at set-up: in
+closed form, one row per time node, when the coefficients are uniform over
+the nodes, and solved path by path otherwise.  `tree.depth` is their step
+count and is not capped.  Only control builds a Bernoulli tree, at
 `control.depth`.  Exit codes:
 
 0  all asserted checks pass;
@@ -36,7 +38,7 @@ from .errors import (ConfigurationError, DomainError, ResourceError,
                      StochHeatError)
 from .forward import (CoefficientField, exp_transform_oracle, moment_trace,
                       solve_forward, solve_forward_moments,
-                      step_invertibility_report)
+                      solve_sampled_moments, step_invertibility_report)
 from .frequency import (LocalizedFields, frequency_bound_check,
                         hprime_identity_residual, localized_fields)
 from .geometry import (Ball, HeatKernelWeight, build_cutoff, build_grid,
@@ -126,12 +128,16 @@ class Experiment:
     @cached_property
     def ensemble(self):
         """The exact tree expectations (`solve_forward_moments`) in tree
-        mode, the sampled paths in mc mode."""
+        mode; in mc mode the sampled paths, in closed form
+        (`solve_sampled_moments`, one row per time node) when the
+        coefficients are uniform over the nodes and solved path by path
+        otherwise."""
         if self.paths is None:
             return solve_forward_moments(self.y0, self.coeffs, self.mesh,
                                          self.grid)
-        return solve_forward(self.y0, self.coeffs, self.paths, self.mesh,
-                             self.grid)
+        solve = solve_sampled_moments if self.coeffs.node_uniform \
+            else solve_forward
+        return solve(self.y0, self.coeffs, self.paths, self.mesh, self.grid)
 
     @cached_property
     def moment(self) -> np.ndarray:

@@ -9,22 +9,27 @@ arrays indexed by step, and `step_factors` gives the nodal factor of every
 solve.  All solves share one `ImplicitHeatSolver` per (grid, dt), the exact
 inverse of I - dt*Lap_h as dense sine-basis products per axis.  Each
 forward solve returns one `Ensemble`: one array of weighted rows per time
-node, shape (steps+1, r, n).  The rows are sampled paths, the 2^d leaves
-of a Bernoulli tree (each of weight 2^-d, all iterated by the one path
-loop of `solve_forward`), or the thin factors Z of E[y y^T] = Z^T Z from
-`solve_forward_moments`.  Those exact moments reproduce tree expectations
-of quadratic functionals at any depth without enumerating paths, so
-tree-mode surveys run them and the forward tree solve is the tests'
-brute-force reference.  Coefficients uniform over the nodes give them in
-closed form, one rank-one row per step from
-`ImplicitHeatSolver.solve_powers`; space-varying ones run the recursion
-with a thin SVD per step, padded to its largest rank with zero rows.  The
-dual and adjoint solves of `control` run on history levels instead:
-`tree_step` takes level k to level k+1 of the history tree (`tree_levels`),
-and `tree_step_adjoint` is its transpose.  `energy_trace` reads the energy,
-or the mass on a node mask, per time node from any ensemble (`moment_trace`
-from one `nodal_moment` pass), and `Ensemble.values` is a writable view of
-the rows by path.
+node, shape (steps+1, r, n).  The rows are sampled paths or the 2^d
+leaves of a Bernoulli tree (each of weight 2^-d), both iterated by the one
+path loop of `solve_forward`, the tests' brute-force reference, or the
+thin factors Z of E[y y^T] = Z^T Z.  `solve_forward_moments` gives the
+exact tree expectations of quadratic functionals at any depth without
+enumerating paths, and tree-mode surveys run it.  Coefficients uniform
+over the nodes (`CoefficientField.node_uniform`) make every step factor
+one scalar per path, so every path is a path scalar times the orbit
+M^{-k} y0 of `ImplicitHeatSolver.solve_powers`, and the moments are one
+rank-one row per time node: exact ones from the step scalars, and
+`solve_sampled_moments`, the ensemble of mc-mode surveys, from the
+sampled path scalars, with the paths themselves rebuilt on access to
+`values`.  Space-varying coefficients run the moment recursion with a thin
+SVD per step, padded to its largest rank with zero rows, and mc mode then
+solves every path.  The dual and adjoint solves of `control` run on
+history levels instead: `tree_step` takes level k to level k+1 of the
+history tree (`tree_levels`), and `tree_step_adjoint` is its transpose.
+`energy_trace` reads the energy, or the mass on a node mask, per time node
+from any ensemble (`moment_trace` from one `nodal_moment` pass), and
+`Ensemble.values` is a writable view of the rows by path, except for the
+sampled closed form, whose `values` are its paths, read-only.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ __all__ = [
     "CoefficientField",
     "Ensemble",
     "SecondMomentEnsemble",
+    "SampledMomentEnsemble",
     "ImplicitHeatSolver",
     "implicit_solver",
     "step_factors",
@@ -52,6 +58,7 @@ __all__ = [
     "tree_step_adjoint",
     "solve_forward",
     "solve_forward_moments",
+    "solve_sampled_moments",
     "exp_transform_oracle",
     "energy_trace",
     "moment_trace",
@@ -200,6 +207,15 @@ class CoefficientField:
             return bound * f / peak if peak > 0 else f
         return cls(grid, mesh, a=smooth_field(a_bound), b=smooth_field(b_bound))
 
+    @property
+    def node_uniform(self) -> bool:
+        """Whether a_k and b_k are uniform over the nodes at every step
+        (constant coefficients, or values that vary in time only): each
+        step factor 1 + dt*a_k + b_k*dB is then one scalar per increment,
+        and the moments and the sampled paths have closed forms."""
+        return bool((self.a == self.a[:, :1]).all()
+                    and (self.b == self.b[:, :1]).all())
+
     def sup_b_over(self, mask: np.ndarray) -> float:
         """W^{1,inf} norm of b restricted to a node mask (e.g. supp phi)."""
         vals = float(np.max(np.abs(self.b[:, mask]))) if mask.any() else 0.0
@@ -275,6 +291,28 @@ class SecondMomentEnsemble(Ensemble):
         return self.rows
 
 
+@dataclass
+class SampledMomentEnsemble(SecondMomentEnsemble):
+    """Sampled paths in closed form, for coefficients uniform over the
+    nodes: path p is y_p(t_k) = scales[k, p] v_k with the orbit v_k =
+    M^{-k} y0 and the path scalars scales[k, p], the product of the step
+    factors 1 + dt a_j + b_j dB_pj over j < k.  For a quadratic f,
+    E_P[f(y_k)] = (sum_p w_p scales[k, p]^2) f(v_k), so rows[k] is the one
+    unit-weight row sqrt(sum_p w_p scales[k, p]^2) v_k, and means[k] =
+    (sum_p w_p scales[k, p]) v_k."""
+
+    scales: np.ndarray = field(repr=False)
+    orbit: np.ndarray = field(repr=False)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The sampled paths scales[k, p] v_k, shape (P, steps+1, n_nodes),
+        built on each access and read-only."""
+        paths = self.scales.T[:, :, None] * self.orbit
+        paths.flags.writeable = False
+        return paths
+
+
 def tree_moves(dt: float) -> np.ndarray:
     """The down and up increment -/+ sqrt(dt) of a tree step."""
     return np.sqrt(dt) * np.array([-1.0, 1.0])
@@ -321,9 +359,10 @@ def solve_forward(y0: np.ndarray, coeffs: CoefficientField, noise,
                   mesh: TimeMesh, grid: SpatialGrid) -> Ensemble:
     """Iterate the scheme on every path of the noise, one row per path at
     every time node: the sampled paths of a `PathEnsemble`, or the 2^d
-    leaves of a `BernoulliTree`.  The tree is the brute-force reference
-    against which the tests check `solve_forward_moments`, which tree-mode
-    surveys run instead."""
+    leaves of a `BernoulliTree`.  It is the brute-force reference against
+    which the tests check `solve_forward_moments`, which tree-mode surveys
+    run instead, and `solve_sampled_moments`, which mc-mode surveys run
+    when the coefficients are uniform over the nodes."""
     if not isinstance(noise, (BernoulliTree, PathEnsemble)):
         raise ConfigurationError(f"unsupported noise source {type(noise).__name__}")
     inc = noise.increments
@@ -371,11 +410,11 @@ def solve_forward_moments(y0: np.ndarray, coeffs: CoefficientField,
     """
     solver = implicit_solver(grid, mesh.dt)
     y0 = np.asarray(y0, dtype=float)
-    a, b = coeffs.a, coeffs.b
-    if (a == a[:, :1]).all() and (b == b[:, :1]).all():
+    if coeffs.node_uniform:
         scheme = "closed-form moments"
         rows, rank, means, tails = _closed_form_moments(
-            y0, a[:, 0], b[:, 0], mesh, solver)
+            solver.solve_powers(y0, mesh.steps),
+            *_exact_scalars(coeffs, mesh.dt), mesh.steps)
     else:
         scheme = "second-moment recursion"
         rows, rank, means, tails = _recursive_moments(y0, coeffs, mesh, solver)
@@ -387,31 +426,92 @@ def solve_forward_moments(y0: np.ndarray, coeffs: CoefficientField,
         mesh=mesh, grid=grid, provenance=prov, means=means)
 
 
+def solve_sampled_moments(y0: np.ndarray, coeffs: CoefficientField,
+                          paths: PathEnsemble, mesh: TimeMesh,
+                          grid: SpatialGrid) -> SampledMomentEnsemble:
+    """The sampled paths of `solve_forward` in closed form, for coefficients
+    uniform over the nodes (`CoefficientField.node_uniform`): one
+    `ImplicitHeatSolver.solve_powers` orbit and the path scalars, one
+    cumulative product over the increments.  Its rows are one per time
+    node, so every quadratic functional is evaluated once per time node,
+    not once per path.  It shares the rank-one moments of the closed form
+    of `solve_forward_moments`, whose step scalars are exact tree
+    expectations where these are means over the sampled paths.
+    NumericalError names the first step whose path scalars or rows
+    overflow, judged on the logs without an overflow warning."""
+    if not coeffs.node_uniform:
+        raise ConfigurationError(
+            "the sampled closed form needs coefficients uniform over the nodes")
+    inc = paths.increments
+    if inc.shape[1] != mesh.steps:
+        raise ConfigurationError("noise source and time mesh disagree on step count")
+    orbit = implicit_solver(grid, mesh.dt).solve_powers(y0, mesh.steps)
+    scalars, products, logs = _sampled_scalars(coeffs, mesh.dt, inc,
+                                               paths.weights)
+    rows, rank, means, tails = _closed_form_moments(
+        orbit.copy(), products, logs, mesh.steps)
+    prov = {"scheme": "sampled closed form", "dt": mesh.dt, "h": tuple(grid.h),
+            "mode": "sampled", "rank": rank, "discarded_tail": tails}
+    return SampledMomentEnsemble(
+        rows=rows, weights=np.ones(rows.shape[:2]), increments=inc, mesh=mesh,
+        grid=grid, provenance=prov, means=means, scales=scalars, orbit=orbit)
+
+
 def _overflow(steps: int, k: int) -> NumericalError:
     return NumericalError(
         f"moment factor or mean not finite at step {k} of {steps}")
 
 
-def _closed_form_moments(y0, a, b, mesh, solver):
-    """Factor rows, ranks and means for coefficients a, b uniform over the
-    nodes, one value per step: one row (c_0...c_{k-1}) M^{-k} y0 per time
-    node, a zero row where it vanishes."""
-    dt = mesh.dt
-    orbit = solver.solve_powers(y0, mesh.steps)
-    with np.errstate(all="ignore"):  # overflow is judged on the logs below
+def _exact_scalars(coeffs, dt):
+    """The closed-form scalars of the tree expectations, per time node: the
+    factor scale c_0...c_{k-1} with c_j = sqrt(d_j^2 + dt b_j^2), the mean
+    scale d_0...d_{k-1} with d_j = 1 + dt a_j, and the logs of both."""
+    a, b = coeffs.a[:, 0], coeffs.b[:, 0]
+    with np.errstate(all="ignore"):  # overflow is judged on the logs
         d = 1.0 + dt * a
         c = np.hypot(d, np.sqrt(dt) * b)
-        log_c, log_d = (np.concatenate([[0.0], np.cumsum(np.log(np.abs(f)))])
-                        for f in (c, d))
+        products = [np.concatenate([[1.0], np.cumprod(f)]) for f in (c, d)]
+        logs = [np.concatenate([[0.0], np.cumsum(np.log(np.abs(f)))])
+                for f in (c, d)]
+    return products, logs
+
+
+def _sampled_scalars(coeffs, dt, increments, weights):
+    """The path scalars s, shape (steps+1, P), s_kp the product of the step
+    factors 1 + dt a_j + b_j dB_pj over j < k; per time node the factor
+    scale sqrt(sum_p w_p s_kp^2) and the mean scale sum_p w_p s_kp, and for
+    both the log of max_p |s_kp|, which bounds their magnitudes."""
+    factors = 1.0 + dt * coeffs.a[:, :1] + coeffs.b[:, :1] * increments.T
+    with np.errstate(all="ignore"):  # overflow is judged on the logs
+        s = np.concatenate([np.ones((1, len(weights))),
+                            np.cumprod(factors, axis=0)])
+        peak = np.max(np.abs(s), axis=1)
+        # scaled by the peak, so that the squares do not overflow
+        unit = np.where(peak > 0.0, peak, 1.0)[:, None]
+        products = [unit[:, 0] * np.sqrt(np.square(s / unit) @ weights),
+                    s @ weights]
+        log_peak = np.log(peak)
+    return s, products, [log_peak, log_peak]
+
+
+def _closed_form_moments(orbit, products, logs, steps):
+    """Factor rows, ranks, means and tails of a rank-one moment ensemble
+    from the orbit M^{-k} y0, shape (steps+1, n), scaled in place into the
+    means, and `products`, the factor and the mean scale per time node:
+    one factor row per time node, a zero row where it vanishes.  A time
+    node overflows when the log of a scale (`logs`), or of a scale times
+    the largest entry of M^{-k} y0, exceeds that of the largest float;
+    NumericalError names the first, and no overflow warning is raised."""
+    with np.errstate(all="ignore"):
         log_row = np.log(np.max(np.abs(orbit), axis=1))
-        # level k overflows when a product, or the product times the largest
-        # entry of M^{-k} y0, exceeds the largest float (fmax skips inf - inf)
-        over = np.fmax.reduce([log_c, log_c + log_row,
-                               log_d, log_d + log_row]) > LOG_FLOAT_MAX
+        # fmax skips inf - inf; a level that is nan counts as overflowing
+        level = np.fmax.reduce([logs[0], logs[0] + log_row,
+                                logs[1], logs[1] + log_row])
+    over = ~(level <= LOG_FLOAT_MAX)
     if over.any():
-        raise _overflow(mesh.steps, int(np.argmax(over)))
-    z = orbit * np.concatenate([[1.0], np.cumprod(c)])[:, None]
-    orbit *= np.concatenate([[1.0], np.cumprod(d)])[:, None]
+        raise _overflow(steps, int(np.argmax(over)))
+    z = orbit * products[0][:, None]
+    orbit *= products[1][:, None]
     rank = z.any(axis=1).astype(int)
     rank[0] = 1  # level 0 is y0, as in the recursion
     return z[:, None], rank.tolist(), orbit, [0.0] * len(z)

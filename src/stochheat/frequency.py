@@ -18,9 +18,12 @@ are the global, convex-domain fields.  `compute_hdn` evaluates the kernel
 once, as one (time, node) array, and contracts each field with one einsum.
 The same code runs on every `forward.Ensemble`, one array of weighted rows
 per time node: sampled paths, the 2^d leaf paths of an exact Bernoulli
-tree, or the exact second moments, whose factors E[y y^T] = Z^T Z are
-contracted like unit-weight paths; tree-mode surveys run the moments, and
-the tree serves the tests.
+tree, or second moments, whose factors E[y y^T] = Z^T Z are contracted
+like unit-weight paths.  The surveys run moments: the exact ones in tree
+mode, and in mc mode, with coefficients uniform over the nodes, the
+sampled closed form, whose one row per time node stands for all paths.
+Sampled paths are contracted one by one only for space-varying
+coefficients in mc mode; the tree serves the tests.
 
 The convex-domain bound needs dK/dnu <= 0 on the boundary.  Since grad K =
 -(x - x0) K / (2 (T-t+lambda)), that is (x - x0).nu >= 0, which holds by

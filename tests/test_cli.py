@@ -328,6 +328,18 @@ def test_cli_overflowing_moments_exit_2(tmp_path, capsys):
     assert [(r["name"], r["pass"]) for r in report["checks"]] == [
         ("step_invertibility", True), ("terminal_energy_finite", True),
         ("transform_oracle_gap_bounded", False)]
+    # mc mode at the defaults: the sampled closed form judges its path
+    # scalars on the logs, so b = 1e100 and b = 1e20 exit 2 with one line
+    # and no warning, and b = 1e10 and b = 100 run and fail the oracle
+    cfg = tmp_path / "mc.cfg"
+    for b, exit_code, lines in (("1e100", 2, 1), ("1e20", 2, 1),
+                                ("1e10", 1, 0), ("100", 1, 0)):
+        cfg.write_text(f"coeff.b = {b}\n")
+        code = main(["simulate", "--config", str(cfg), "--mode", "mc",
+                     "--out", str(tmp_path / "mc")])
+        err = capsys.readouterr().err
+        assert (code, err.count("\n")) == (exit_code, lines), (b, err)
+        assert "NumericalError" in err if lines else err == ""
 
 
 def test_cli_ucp_g0_touching_the_boundary(tmp_path, capsys):
@@ -433,9 +445,43 @@ def test_tree_survey_builds_no_tree(monkeypatch):
         svds.clear()
 
 
+def test_mc_survey_solves_no_path(monkeypatch):
+    # with constant coefficients an mc survey pass runs `solve_forward`
+    # only for the 32 paths of the transform oracle, and every integrand
+    # of `nodal_moment` sees one row per time node; random coefficients
+    # solve and contract every sampled path
+    solved, rows_seen = [], []
+    paths = cli.solve_forward
+    moment = forward.Ensemble.nodal_moment
+
+    def counting_paths(y0, coeffs, noise, *args, **kwargs):
+        solved.append(len(noise.increments))
+        return paths(y0, coeffs, noise, *args, **kwargs)
+
+    def counting_moment(self, integrand=np.square):
+        def watched(rows):
+            rows_seen.append(rows.shape[1])
+            return integrand(rows)
+        return moment(self, watched)
+
+    monkeypatch.setattr(cli, "solve_forward", counting_paths)
+    monkeypatch.setattr(forward.Ensemble, "nodal_moment", counting_moment)
+    for kind, n_paths, rows in (("constant", [32], 1), ("random", [256], 256)):
+        exp = cli.Experiment(cfgmod.merge_config(cfgmod.parse_config(
+            _fast_text(f"coeff.kind = {kind}\nnoise.mode = mc\n"
+                       "mc.paths = 256\n"))))
+        for name in ("simulate", "frequency", "ucp", "observe"):
+            cli.SUBCOMMANDS[name](exp)
+        assert solved == n_paths, kind
+        assert max(rows_seen) == rows and len(rows_seen) >= 5, kind
+        solved.clear()
+        rows_seen.clear()
+
+
 def _numbers_close(a, b, path=""):
-    """Paths of the leaves where two report trees differ: strings, bools
-    and keys exactly, numbers beyond rtol 1e-12 / atol 1e-14."""
+    """Paths of the leaves where two report trees differ: keys, strings,
+    bools and ints exactly, floats beyond rtol 1e-12, with an absolute
+    1e-14 only where one of the two reads 0."""
     if isinstance(a, dict):
         if not isinstance(b, dict) or set(a) != set(b):
             return [path]
@@ -445,10 +491,12 @@ def _numbers_close(a, b, path=""):
             return [path]
         return [p for i, (x, y) in enumerate(zip(a, b))
                 for p in _numbers_close(x, y, f"{path}[{i}]")]
-    if isinstance(a, (int, float)) and not isinstance(a, bool) \
-            and isinstance(b, (int, float)) and not isinstance(b, bool):
-        return [] if np.isclose(a, b, rtol=1e-12, atol=1e-14) else [path]
-    return [] if a == b else [path]
+    if isinstance(a, float) and isinstance(b, float):
+        floor = 1e-14 if a == 0.0 or b == 0.0 else 0.0
+        close = a == b or abs(a - b) <= max(
+            1e-12 * max(abs(a), abs(b)), floor)
+        return [] if close else [path]
+    return [] if type(a) is type(b) and a == b else [path]
 
 
 @pytest.mark.parametrize("kind", ["constant", "random"])
@@ -473,6 +521,36 @@ def test_tree_survey_matches_the_brute_force_tree(tmp_path, capsys,
     assert [(r["name"], r["pass"]) for r in moments["checks"]] \
         == [(r["name"], r["pass"]) for r in tree["checks"]]
     assert _numbers_close(moments, tree) == []
+
+
+@pytest.mark.parametrize("text", ["", _CONTROL_2D], ids=["1d", "2d-7x7"])
+def test_mc_survey_matches_the_path_solve(tmp_path, capsys, monkeypatch,
+                                          text):
+    # the surveys on the sampled closed form and on the same 256 paths
+    # solved one by one by `solve_forward`: the same exit codes, verdicts,
+    # exclusions and counts, and the same numbers to rounding
+    config = tmp_path / "mc.cfg"
+    config.write_text(text + "noise.mode = mc\nmc.paths = 256\n")
+    reports = {}
+    for name in ("closed", "paths"):
+        if name == "paths":
+            monkeypatch.setattr(cli.Experiment, "ensemble", property(
+                lambda exp: forward.solve_forward(
+                    exp.y0, exp.coeffs, exp.paths, exp.mesh, exp.grid)))
+        for sub in ("simulate", "frequency", "ucp", "observe"):
+            code = main([sub, "--config", str(config),
+                         "--out", str(tmp_path / name)])
+            assert capsys.readouterr().err == ""
+            reports[name, sub] = (code, json.load(
+                open(tmp_path / name / f"{sub}.json")))
+    for sub in ("simulate", "frequency", "ucp", "observe"):
+        (code_c, closed), (code_p, paths) = (reports[name, sub]
+                                             for name in ("closed", "paths"))
+        assert code_c == code_p, sub
+        assert [(r["name"], r["pass"], r.get("excluded")) for r in
+                closed["checks"]] == [(r["name"], r["pass"], r.get("excluded"))
+                                      for r in paths["checks"]]
+        assert _numbers_close(closed, paths) == [], sub
 
 
 def test_cli_scalar_points_run_like_tuples(tmp_path, capsys):

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from stochheat import (Ball, CoefficientField, ConfigurationError,
                        PathEnsemble, TimeMesh, build_cutoff, build_grid,
                        build_tree, energy_trace, exp_transform_oracle,
-                       sample_ensemble, solve_forward, solve_forward_moments)
+                       sample_ensemble, solve_forward, solve_forward_moments,
+                       solve_sampled_moments)
 from stochheat import forward
 from stochheat.errors import NumericalError
 from stochheat.forward import (Ensemble, ImplicitHeatSolver, step_factors,
@@ -184,6 +185,30 @@ def test_sampled_levels_apply_the_step_factors(grid):
         assert np.array_equal(paths[:, k + 1], step)
 
 
+def _quadratic_integrand(grid, sparse_operators):
+    """Whole nodal fields of quadratic integrands, stacked in one call: the
+    localized gradient along the first axis and the static cutoff source
+    -Lap(phi) - 2 grad(phi).grad as sparse matrices, and the package's
+    centred differences."""
+    center = (0.5,) * grid.dim
+    cutoff = build_cutoff(Ball(center, 0.18), Ball(center, 0.24), grid)
+    lap, grads = sparse_operators(grid)
+    grad_phi = sp.csr_matrix(grads[0] @ sp.diags(cutoff.values))
+    source = sp.csr_matrix(-sp.diags(cutoff.lap) - 2.0 * sum(
+        sp.diags(cutoff.grad[:, ax]) @ g for ax, g in enumerate(grads)))
+
+    def apply(matrix, y):  # a sparse matrix on rows (..., n)
+        return (matrix @ y.reshape(-1, y.shape[-1]).T).T.reshape(y.shape)
+
+    def integrand(y):
+        gy, sy = apply(grad_phi, y), apply(source, y)
+        return np.stack([np.square(y), np.square(gy), y * sy, np.square(sy),
+                         apply(grads[0], y) * sy,
+                         apply(lap, y) * grid.gradient_ops()[0](y)])
+
+    return integrand
+
+
 def test_moment_propagator_matches_tree_exactly(grid, sparse_operators):
     # the moment recursion (random coefficients) and the closed form
     # (constant ones) must reproduce tree expectations of arbitrary
@@ -194,24 +219,7 @@ def test_moment_propagator_matches_tree_exactly(grid, sparse_operators):
     y0 = np.sin(np.pi * x) + 0.3 * np.sin(3 * np.pi * x)
     rng = np.random.Generator(np.random.Philox(key=[1, 4]))
     d = rng.uniform(0.0, 1.0, grid.n_nodes)
-    # whole nodal fields of quadratic integrands, stacked in one call: the
-    # localized gradient and the static cutoff source -Lap(phi) -
-    # 2 grad(phi).grad as sparse matrices, and the package's stencils
-    cutoff = build_cutoff(Ball((0.5,), 0.18), Ball((0.5,), 0.24), grid)
-    lap, (grad,) = sparse_operators(grid)
-    grad_phi = sp.csr_matrix(grad @ sp.diags(cutoff.values))
-    source = sp.csr_matrix(-sp.diags(cutoff.lap)
-                           - 2.0 * sp.diags(cutoff.grad[:, 0]) @ grad)
-
-    def apply(matrix, y):  # a sparse matrix on rows (..., n)
-        return (matrix @ y.reshape(-1, y.shape[-1]).T).T.reshape(y.shape)
-
-    def integrand(y):
-        gy, sy = apply(grad_phi, y), apply(source, y)
-        return np.stack([np.square(y), np.square(gy), y * sy, np.square(sy),
-                         apply(grad, y) * sy,
-                         apply(lap, y) * grid.gradient_ops()[0](y)])
-
+    integrand = _quadratic_integrand(grid, sparse_operators)
     for coeffs, scheme in (
             (CoefficientField.random_bounded(grid, mesh, 2, 0.5, 0.5),
              "second-moment recursion"),
@@ -231,6 +239,58 @@ def test_moment_propagator_matches_tree_exactly(grid, sparse_operators):
         assert fields.shape == (6, mesh.steps + 1, grid.n_nodes)
         for a, b in zip(fields, mom.nodal_moment(integrand)):
             assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(a)), 1.0)
+
+
+@pytest.mark.parametrize("kind", ["constant", "time-varying"])
+@pytest.mark.parametrize("shape", [(31,), (9, 9)], ids=["1d", "2d"])
+def test_sampled_closed_form_matches_the_path_solve(shape, kind,
+                                                    sparse_operators):
+    # the closed form of mc surveys against the brute-force path loop of
+    # `solve_forward` on the same sampled paths: the paths, their means
+    # and quadratic functionals agree to rounding, and the increments are
+    # the sampled ones
+    grid = build_grid([(0.0, 1.0)] * len(shape), shape)
+    mesh = TimeMesh(horizon=0.4, steps=7)
+    if kind == "constant":
+        coeffs = CoefficientField.constant(grid, mesh, 0.3, 0.8)
+    else:
+        rng = np.random.Generator(np.random.Philox(key=[6, 2]))
+        a, b = (np.repeat(rng.uniform(-1.0, 1.0, (mesh.steps, 1)),
+                          grid.n_nodes, axis=1) for _ in range(2))
+        coeffs = CoefficientField(grid, mesh, a=a, b=b)
+    assert coeffs.node_uniform
+    y0 = np.prod(np.sin(np.pi * grid.coords), axis=1) \
+        * (1.0 + grid.coords[:, 0])
+    paths = sample_ensemble(mesh, 64, 11)
+    brute = solve_forward(y0, coeffs, paths, mesh, grid)
+    closed = solve_sampled_moments(y0, coeffs, paths, mesh, grid)
+    assert closed.provenance["scheme"] == "sampled closed form"
+    assert closed.provenance["mode"] == "sampled"
+    assert closed.rows.shape == (mesh.steps + 1, 1, grid.n_nodes)
+    values = closed.values
+    assert values.shape == brute.values.shape
+    # per path and time node, relative to that row
+    gap = np.max(np.abs(values - brute.values), axis=2)
+    assert np.all(gap <= 1e-13 * np.max(np.abs(brute.values), axis=2))
+    means = np.einsum("kp,kpi->ki", brute.weights, brute.rows)
+    assert np.max(np.abs(closed.means - means)) <= 1e-13 * np.max(np.abs(means))
+    integrand = _quadratic_integrand(grid, sparse_operators)
+    for a, b in zip(brute.nodal_moment(integrand),
+                    closed.nodal_moment(integrand)):
+        assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(a)), 1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        values[0, 1, 0] = 0.0
+    assert closed.increments is paths.increments
+    assert step_invertibility_report(coeffs, closed) \
+        == step_invertibility_report(coeffs, brute)
+
+
+def test_sampled_closed_form_needs_node_uniform_coefficients(grid, mesh):
+    coeffs = CoefficientField.random_bounded(grid, mesh, 5, 0.5, 0.5)
+    assert not coeffs.node_uniform
+    with pytest.raises(ConfigurationError, match="uniform over the nodes"):
+        solve_sampled_moments(np.sin(np.pi * grid.coords[:, 0]), coeffs,
+                              sample_ensemble(mesh, 4, 1), mesh, grid)
 
 
 def _per_level_moment(ens, integrand):
