@@ -609,10 +609,14 @@ def step_invertibility_report(coeffs: CoefficientField, ensemble) -> dict:
     Review 2001).
     """
     dt = ensemble.mesh.dt
+    a, b = coeffs.a, coeffs.b
+    if coeffs.node_uniform:  # every node's column of factors is the same
+        a, b = a[:, :1], b[:, :1]
     min_factor = np.inf
     flagged, sign_loss = [], []
     for k in range(ensemble.mesh.steps):
-        factors = step_factors(coeffs, k, dt, ensemble.increments[:, k])
+        # the `step_factors` of step k, on the columns kept
+        factors = 1.0 + dt * a[k] + b[k] * ensemble.increments[:, k, None]
         lowest = float(np.min(factors))
         min_factor = min(min_factor, lowest)
         if lowest <= 0.0:

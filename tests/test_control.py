@@ -38,6 +38,19 @@ def _free(z_t, lab):
     return solve_backward_tree(z_t, coeffs, mesh, grid, tree).z0
 
 
+def _approx_inputs(lab):
+    """Terminal data, its free value at the root and a smooth target: the
+    attainable set at finite resolution excludes the high-frequency modes
+    the dual flow damps below round-off."""
+    grid, _, tree, _, _, _ = lab
+    rng = _rng(6)
+    x = grid.coords[:, 0]
+    z_t = rng.standard_normal((tree.n_leaves, grid.n_nodes))
+    target = 0.1 * sum(rng.standard_normal() * np.sin(k * np.pi * x)
+                       for k in range(1, 4))
+    return z_t, _free(z_t, lab), target
+
+
 def test_control_level_weights(lab):
     _, mesh, _, _, _, time_set = lab
     w = control_level_weights(time_set, mesh)
@@ -314,15 +327,9 @@ def test_null_control_needs_active_steps(lab):
 
 def test_approx_control_smooth_target(lab):
     grid, mesh, tree, coeffs, ball, time_set = lab
-    rng = _rng(6)
-    x = grid.coords[:, 0]
-    z_t = rng.standard_normal((tree.n_leaves, grid.n_nodes))
-    # smooth target: the attainable set at finite resolution excludes the
-    # high-frequency modes the dual flow damps below round-off
-    target = 0.1 * sum(rng.standard_normal() * np.sin(k * np.pi * x)
-                       for k in range(1, 4))
+    z_t, z0_free, target = _approx_inputs(lab)
     gram = gramian_matrix(coeffs, ball, time_set, mesh, grid)
-    ctrl, rep = synthesize_approx_control(z_t, _free(z_t, lab), target,
+    ctrl, rep = synthesize_approx_control(z_t, z0_free, target,
                                           gramian_spectrum(gram), coeffs,
                                           ball, time_set, mesh, grid, tree,
                                           accuracy=1e-2)
@@ -337,13 +344,9 @@ def test_approx_control_curve_flags_cg_convergence(lab):
     # that stops short of the iteration cap (len(rhs)) has converged, and an
     # unconverged one ran to the cap
     grid, mesh, tree, coeffs, ball, time_set = lab
-    rng = _rng(6)
-    x = grid.coords[:, 0]
-    z_t = rng.standard_normal((tree.n_leaves, grid.n_nodes))
-    target = 0.1 * sum(rng.standard_normal() * np.sin(k * np.pi * x)
-                       for k in range(1, 4))
+    z_t, z0_free, target = _approx_inputs(lab)
     gram = gramian_matrix(coeffs, ball, time_set, mesh, grid)
-    _, rep = synthesize_approx_control(z_t, _free(z_t, lab), target,
+    _, rep = synthesize_approx_control(z_t, z0_free, target,
                                        gramian_spectrum(gram), coeffs, ball,
                                        time_set, mesh, grid, tree,
                                        accuracy=1e-2)
@@ -387,10 +390,11 @@ def test_one_gramian_per_run_control(monkeypatch):
 def test_one_dual_flow_per_datum_in_run_control(monkeypatch):
     # one dual flow each for u (its control and its Gramian apply), the
     # duality datum v (its duality check and its Gramian apply) and the null
-    # control's verification, and one per regularization sweep row; no
-    # datum is solved twice
+    # control's verification, and one for the approximate control's
+    # verification, whatever the length of its sweep; no datum is solved
+    # twice
     dual = control.solve_dual_forward
-    for overrides, solves in ((SMALL_CONTROL, 16), ({"control.depth": 12}, 15)):
+    for overrides in (SMALL_CONTROL, {"control.depth": 12}):
         calls = []
 
         def counting(*args, **kwargs):
@@ -402,16 +406,17 @@ def test_one_dual_flow_per_datum_in_run_control(monkeypatch):
             cli.Experiment(cfgmod.merge_config(overrides)))
         rows = next(c for c in checks
                     if c["name"] == "regularization_curve_monotone")["curve"]
-        assert len(calls) == 3 + len(rows) == solves, overrides
+        assert len(rows) > 1
+        assert len(calls) == 3 + 1 == 4, overrides
         assert len({args[0].tobytes() for args in calls}) == len(calls)
 
 
 def test_one_free_backward_solve_per_run_control(monkeypatch):
     # four solves for the duality and Gramian checks, one free solve that
-    # both syntheses share, the null control's verification and one per
-    # regularization sweep row; only the free solve has no control
+    # both syntheses share, and one verification per synthesis; only the
+    # free solve has no control
     backward = control.solve_backward_tree
-    for overrides, solves in ((SMALL_CONTROL, 19), ({"control.depth": 12}, 18)):
+    for overrides in (SMALL_CONTROL, {"control.depth": 12}):
         calls = []
 
         def counting(*args, **kwargs):
@@ -419,11 +424,8 @@ def test_one_free_backward_solve_per_run_control(monkeypatch):
             return backward(*args, **kwargs)
 
         monkeypatch.setattr(control, "solve_backward_tree", counting)
-        checks, _, _ = cli.run_control(
-            cli.Experiment(cfgmod.merge_config(overrides)))
-        rows = next(c for c in checks
-                    if c["name"] == "regularization_curve_monotone")["curve"]
-        assert len(calls) == 4 + 2 + len(rows) == solves, overrides
+        cli.run_control(cli.Experiment(cfgmod.merge_config(overrides)))
+        assert len(calls) == 4 + 2 + 1 == 7, overrides
         assert sum(c is None for c in calls) == 1
 
 
@@ -441,34 +443,121 @@ def test_one_eigendecomposition_per_run_control(monkeypatch):
     assert len(calls) == 1
 
 
-def test_approx_control_verifies_each_sweep_row_by_one_backward_solve(
+def test_approx_control_verifies_its_control_by_one_backward_solve(
         lab, monkeypatch):
-    # one tree solve per curve row, each driven by its control: the free
-    # solve is the caller's, and the control of a dual datum is its dual
+    # one tree solve per synthesis, driven by the control it returns,
+    # whatever the curve length: the free solve is the caller's, the curve
+    # comes from the Gramian, and the control of a dual datum is its dual
     # flow, with no backward solve of its own
     grid, mesh, tree, coeffs, ball, time_set = lab
-    gram = gramian_matrix(coeffs, ball, time_set, mesh, grid)
-    rng = _rng(6)
-    x = grid.coords[:, 0]
-    z_t = rng.standard_normal((tree.n_leaves, grid.n_nodes))
-    target = 0.1 * sum(rng.standard_normal() * np.sin(k * np.pi * x)
-                       for k in range(1, 4))
-    z0_free = _free(z_t, lab)
-    calls = []
+    spectrum = gramian_spectrum(gramian_matrix(coeffs, ball, time_set, mesh,
+                                               grid))
+    z_t, z0_free, target = _approx_inputs(lab)
     backward = control.solve_backward_tree
+    lengths = set()
+    for accuracy in (1e-1, 1e-6):
+        calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs.get("control"))
-        return backward(*args, **kwargs)
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("control"))
+            return backward(*args, **kwargs)
 
-    monkeypatch.setattr(control, "solve_backward_tree", counting)
-    _, rep = synthesize_approx_control(z_t, z0_free, target,
-                                       gramian_spectrum(gram), coeffs, ball,
-                                       time_set, mesh, grid, tree,
-                                       accuracy=1e-6)
+        monkeypatch.setattr(control, "solve_backward_tree", counting)
+        ctrl, rep = synthesize_approx_control(z_t, z0_free, target, spectrum,
+                                              coeffs, ball, time_set, mesh,
+                                              grid, tree, accuracy=accuracy)
+        lengths.add(len(rep["curve"]))
+        assert calls == [ctrl]
+    assert len(lengths) == 2 and max(lengths) > 1
+
+
+def _assert_curve_matches_tree(args, rep):
+    """Verify every row of a sweep on the tree: a `dual_control` of the
+    row's closed-form u and one backward tree solve.  The Gramian's
+    prediction agrees within kappa * u * ||rhs||, kappa the condition
+    number of G + eps I; the selected row's tree residual is the achieved
+    one, and its relative gap from the prediction is `gramian_gap`."""
+    (z_t, z0_free, target, (_, lam, vec, _), coeffs, ball, time_set, mesh,
+     grid, tree) = args
+    w = grid.quad_weight
+    rhs = z0_free - target
+    coef = vec.T @ rhs
+    rhs_norm = np.sqrt(w * float(rhs @ rhs))
+    measured = []
+    for row in rep["curve"]:
+        eps = row["eps_reg"]
+        u = vec @ (coef / (lam + eps))
+        ctrl = dual_control(u, coeffs, ball, time_set, mesh, grid, tree)
+        z0 = solve_backward_tree(z_t, coeffs, mesh, grid, tree,
+                                 control=ctrl).z0
+        tree_residual = np.sqrt(w * float((z0 - target) @ (z0 - target)))
+        kappa = (lam[-1] + eps) / (max(lam[0], 0.0) + eps)
+        assert abs(tree_residual - row["residual"]) \
+            <= 10.0 * kappa * np.finfo(float).eps * rhs_norm, row
+        measured.append(tree_residual)
+    predicted = [row["residual"] for row in rep["curve"]]
+    # the last row of the smallest prediction, as the sweep selects it
+    chosen = len(predicted) - 1 - int(np.argmin(predicted[::-1]))
+    assert rep["achieved_residual"] == measured[chosen]
+    assert rep["gramian_gap"] == abs(measured[chosen] - predicted[chosen]) \
+        / measured[chosen]
+
+
+def test_approx_control_curve_agrees_with_tree_verification(lab, monkeypatch):
+    # the predicted curve against per-row tree verification, on the lab and
+    # on the sweep of a depth-12 run_control
+    grid, mesh, tree, coeffs, ball, time_set = lab
+    spectrum = gramian_spectrum(gramian_matrix(coeffs, ball, time_set, mesh,
+                                               grid))
+    z_t, z0_free, target = _approx_inputs(lab)
+    args = (z_t, z0_free, target, spectrum, coeffs, ball, time_set, mesh,
+            grid, tree)
+    _, rep = synthesize_approx_control(*args, accuracy=1e-6)
     assert len(rep["curve"]) > 1
-    assert len(calls) == len(rep["curve"])
-    assert all(c is not None for c in calls)
+    _assert_curve_matches_tree(args, rep)
+
+    runs = []
+    synthesize = control.synthesize_approx_control
+
+    def recording(*args, **kwargs):
+        result = synthesize(*args, **kwargs)
+        runs.append((args, result[1]))
+        return result
+
+    monkeypatch.setattr(control, "synthesize_approx_control", recording)
+    cli.run_control(cli.Experiment(cfgmod.merge_config({"control.depth": 12})))
+    (args, rep), = runs
+    assert len(rep["curve"]) > 1
+    _assert_curve_matches_tree(args, rep)
+
+
+def test_approx_control_verdict_is_tree_measured(lab, monkeypatch):
+    # a spectrum of twice the Gramian predicts the goal met while the tree,
+    # driven by the true actuator, leaves z(0) about halfway: the verdict
+    # follows the tree, the gap shows the disagreement, and the run reports
+    # the failure without raising
+    grid, mesh, tree, coeffs, ball, time_set = lab
+    gram = gramian_matrix(coeffs, ball, time_set, mesh, grid)
+    z_t, z0_free, target = _approx_inputs(lab)
+    _, rep = synthesize_approx_control(z_t, z0_free, target,
+                                       gramian_spectrum(2.0 * gram), coeffs,
+                                       ball, time_set, mesh, grid, tree,
+                                       accuracy=1e-2)
+    goal = 1e-2 * rep["target_norm"]
+    assert min(row["residual"] for row in rep["curve"]) <= goal
+    assert not rep["achieved"]
+    assert rep["achieved_residual"] > goal
+    assert rep["gramian_gap"] > 0.5
+
+    spectrum = control.gramian_spectrum
+    monkeypatch.setattr(control, "gramian_spectrum",
+                        lambda g: spectrum(2.0 * g))
+    checks, _, _ = cli.run_control(cli.Experiment(cfgmod.merge_config({})))
+    approx = next(c for c in checks if c["name"] == "approximate_control")
+    curve = next(c for c in checks
+                 if c["name"] == "regularization_curve_monotone")["curve"]
+    assert not approx["pass"]
+    assert curve[-1]["residual"] <= approx["rhs"] < approx["lhs"]
 
 
 def test_run_control_uses_the_configured_coefficients():

@@ -502,6 +502,29 @@ def test_step_invertibility_keeps_the_sign(grid):
     assert rep["invertible"] and rep["degenerate_steps"] == []
 
 
+@pytest.mark.parametrize("mode", ["tree", "mc"])
+def test_step_invertibility_one_column_when_node_uniform(grid, mode,
+                                                          monkeypatch):
+    # node-uniform coefficients are audited on one column of factors; the
+    # audit of every node gives the same report bit for bit, with sign loss
+    # at the later steps where b grows
+    mesh = TimeMesh(horizon=0.5, steps=6)
+    ramp = np.linspace(0.0, 1.0, mesh.steps)[:, None] * np.ones(grid.n_nodes)
+    coeffs = CoefficientField(grid, mesh, a=0.3 - ramp, b=0.5 + 3.0 * ramp)
+    assert coeffs.node_uniform
+    y0 = np.sin(np.pi * grid.coords[:, 0])
+    ens = solve_forward_moments(y0, coeffs, mesh, grid) if mode == "tree" \
+        else solve_sampled_moments(y0, coeffs, sample_ensemble(mesh, 64, 5),
+                                   mesh, grid)
+    one_column = step_invertibility_report(coeffs, ens)
+    monkeypatch.setattr(CoefficientField, "node_uniform",
+                        property(lambda self: False))
+    every_node = step_invertibility_report(coeffs, ens)
+    assert one_column == every_node
+    assert one_column["min_factor"] < 0.0
+    assert 0 < len(one_column["sign_loss_steps"]) < mesh.steps
+
+
 def test_local_mass_bounded_by_energy(tree_ensemble, grid):
     mask = grid.ball_mask(__import__("stochheat").Ball((0.5,), 0.2))
     local = energy_trace(tree_ensemble, mask)
