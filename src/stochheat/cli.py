@@ -7,7 +7,9 @@ moments in tree mode.  In mc mode it is the paths sampled at set-up: in
 closed form, one row per time node, when the coefficients are uniform over
 the nodes, and solved path by path otherwise.  `tree.depth` is their step
 count and is not capped.  Only control builds a Bernoulli tree, at
-`control.depth`.  Exit codes:
+`control.depth`; its `control` table is the null control's dual datum, one
+row per control-grid node, since the control is that datum's dual flow.
+Exit codes:
 
 0  all asserted checks pass;
 1  a check failed;
@@ -450,23 +452,18 @@ def run_control(exp: Experiment):
     checks.append(check_record("approximate_control", approx_rep["achieved"],
                                lhs=approx_rep["achieved_residual"],
                                rhs=float(cfg["control.accuracy"])
-                               * approx_rep["target_norm"]))
+                               * approx_rep["target_norm"],
+                               gramian_gap=approx_rep["gramian_gap"]))
     checks.append(check_record("regularization_curve_monotone", monotone,
                                curve=approx_rep["curve"]))
     support = ctl.duality_support_check(ctrl_u, grid)
     checks.append(check_record("dual_support_mass_positive",
                                not support["ucp_red_flag"],
                                lhs=support["observed_mass"]))
-    # the null control on G0 at each actuated level, by level, node, index
-    idx = np.flatnonzero(null_ctrl.mask)
-    kept = [k for k, w in enumerate(null_ctrl.weights) if w > 0.0]
-    values = [null_ctrl.levels[k][:, idx] for k in kept]
-    nodes = np.concatenate([np.arange(len(v)) for v in values])
-    header = ["level", "node"] + ["x", "y"][:grid.dim] + ["value"]
-    columns = [np.repeat(kept, [v.size for v in values]),
-               np.repeat(nodes, len(idx)),
-               *np.tile(grid.coords[idx], (len(nodes), 1)).T,
-               np.concatenate([v.ravel() for v in values])]
+    # the null control is the `dual_control` of one datum: the table is
+    # that datum, one row per control-grid node
+    header = ["node"] + ["x", "y"][:grid.dim] + ["value"]
+    columns = [np.arange(n), *grid.coords.T, null_ctrl.levels[0][0]]
     tables = {"control": {"header": header, "columns": columns}}
     return checks, extras, tables
 

@@ -373,9 +373,11 @@ def synthesize_null_control(z_terminal: np.ndarray, z0_free: np.ndarray,
     z(0) = z_free(0) - Gramian(u), so the dual datum solves
     Gramian(u) = z_free(0).  u is the minimum-norm least-squares solution:
     eigenvalues at or below the spectrum's cutoff count as zero.  The
-    control is the `dual_control` of u.  Returns (ControlField, report); the
-    report holds the independently re-verified ||z(0)||, the spectrum and
-    the CG cross-check (`cg`, with `gap` its relative distance from u).
+    control is the `dual_control` of u, so u (its level 0) determines it.
+    Returns (ControlField, report); the report holds the independently
+    re-verified ||z(0)||, the spectrum and the CG cross-check (`cg`, with
+    `gap` its relative distance from u).  `cg.gap` is returned, not
+    written: a `control` report records only the CG iteration count.
     """
     gram, lam, vec, cutoff = spectrum
     keep = lam > cutoff

@@ -446,10 +446,10 @@ def solve_sampled_moments(y0: np.ndarray, coeffs: CoefficientField,
     if inc.shape[1] != mesh.steps:
         raise ConfigurationError("noise source and time mesh disagree on step count")
     orbit = implicit_solver(grid, mesh.dt).solve_powers(y0, mesh.steps)
-    scalars, products, logs = _sampled_scalars(coeffs, mesh.dt, inc,
-                                               paths.weights)
+    scalars, products, log = _sampled_scalars(coeffs, mesh.dt, inc,
+                                              paths.weights)
     rows, rank, means, tails = _closed_form_moments(
-        orbit.copy(), products, logs, mesh.steps)
+        orbit.copy(), products, log, mesh.steps)
     prov = {"scheme": "sampled closed form", "dt": mesh.dt, "h": tuple(grid.h),
             "mode": "sampled", "rank": rank, "discarded_tail": tails}
     return SampledMomentEnsemble(
@@ -465,22 +465,22 @@ def _overflow(steps: int, k: int) -> NumericalError:
 def _exact_scalars(coeffs, dt):
     """The closed-form scalars of the tree expectations, per time node: the
     factor scale c_0...c_{k-1} with c_j = sqrt(d_j^2 + dt b_j^2), the mean
-    scale d_0...d_{k-1} with d_j = 1 + dt a_j, and the logs of both."""
+    scale d_0...d_{k-1} with d_j = 1 + dt a_j, and the log of the factor
+    scale, which bounds both since |d_j| <= c_j."""
     a, b = coeffs.a[:, 0], coeffs.b[:, 0]
     with np.errstate(all="ignore"):  # overflow is judged on the logs
         d = 1.0 + dt * a
         c = np.hypot(d, np.sqrt(dt) * b)
         products = [np.concatenate([[1.0], np.cumprod(f)]) for f in (c, d)]
-        logs = [np.concatenate([[0.0], np.cumsum(np.log(np.abs(f)))])
-                for f in (c, d)]
-    return products, logs
+        log = np.concatenate([[0.0], np.cumsum(np.log(c))])
+    return products, log
 
 
 def _sampled_scalars(coeffs, dt, increments, weights):
     """The path scalars s, shape (steps+1, P), s_kp the product of the step
     factors 1 + dt a_j + b_j dB_pj over j < k; per time node the factor
-    scale sqrt(sum_p w_p s_kp^2) and the mean scale sum_p w_p s_kp, and for
-    both the log of max_p |s_kp|, which bounds their magnitudes."""
+    scale sqrt(sum_p w_p s_kp^2) and the mean scale sum_p w_p s_kp, and the
+    log of max_p |s_kp|, which bounds both magnitudes."""
     factors = 1.0 + dt * coeffs.a[:, :1] + coeffs.b[:, :1] * increments.T
     with np.errstate(all="ignore"):  # overflow is judged on the logs
         s = np.concatenate([np.ones((1, len(weights))),
@@ -490,23 +490,22 @@ def _sampled_scalars(coeffs, dt, increments, weights):
         unit = np.where(peak > 0.0, peak, 1.0)[:, None]
         products = [unit[:, 0] * np.sqrt(np.square(s / unit) @ weights),
                     s @ weights]
-        log_peak = np.log(peak)
-    return s, products, [log_peak, log_peak]
+    return s, products, np.log(peak)
 
 
-def _closed_form_moments(orbit, products, logs, steps):
+def _closed_form_moments(orbit, products, log, steps):
     """Factor rows, ranks, means and tails of a rank-one moment ensemble
     from the orbit M^{-k} y0, shape (steps+1, n), scaled in place into the
     means, and `products`, the factor and the mean scale per time node:
     one factor row per time node, a zero row where it vanishes.  A time
-    node overflows when the log of a scale (`logs`), or of a scale times
-    the largest entry of M^{-k} y0, exceeds that of the largest float;
-    NumericalError names the first, and no overflow warning is raised."""
+    node overflows when `log`, the log of a bound on both scales, or its
+    sum with the log of the largest entry of M^{-k} y0, exceeds the log of
+    the largest float; NumericalError names the first, and no overflow
+    warning is raised."""
     with np.errstate(all="ignore"):
         log_row = np.log(np.max(np.abs(orbit), axis=1))
         # fmax skips inf - inf; a level that is nan counts as overflowing
-        level = np.fmax.reduce([logs[0], logs[0] + log_row,
-                                logs[1], logs[1] + log_row])
+        level = np.fmax(log, log + log_row)
     over = ~(level <= LOG_FLOAT_MAX)
     if over.any():
         raise _overflow(steps, int(np.argmax(over)))

@@ -616,44 +616,55 @@ def test_cli_2d_verify_runs_control(tmp_path, capsys):
     assert "control.duality_identity_adjoint" in \
         {rec["name"] for rec in report["checks"]}
     lines = (out / "verify.control_control.csv").read_text().splitlines()
-    assert lines[0] == "level,node,x,y,value" and len(lines) > 1
-    assert {len(line.split(",")) for line in lines} == {5}
+    assert lines[0] == "node,x,y,value" and len(lines) == 1 + 49
+    assert {len(line.split(",")) for line in lines} == {4}
 
 
 @pytest.mark.parametrize("text", [_fast_text(), _CONTROL_2D],
                          ids=["1d", "2d-7x7"])
 def test_control_csv_is_the_masked_null_control(tmp_path, monkeypatch, text):
-    # the rows are the entries of the null control on G0 at every level of
-    # positive weight, by level, then tree node, then grid node index
+    # the table is the null control's dual datum, one row per control-grid
+    # node; the `dual_control` of the datum read back from it gives the
+    # null control on G0 at every level of positive weight (by level, tree
+    # node, grid node index) bit for bit
     captured = []
     synthesize = ctl.synthesize_null_control
 
     def capturing(*args, **kwargs):
-        captured.append(synthesize(*args, **kwargs))
-        return captured[-1]
+        captured.append((args, synthesize(*args, **kwargs)))
+        return captured[-1][1]
 
     monkeypatch.setattr(ctl, "synthesize_null_control", capturing)
     exp = cli.Experiment(cfgmod.merge_config(cfgmod.parse_config(text)))
     _, _, tables = cli.run_control(exp)
     repmod.write_report({}, str(tmp_path), "control", tables=tables)
     lines = (tmp_path / "control.control.csv").read_text().splitlines()
-    (ctrl, _), = captured
-    grid = cli.build_grid(cli._pairs(exp.cfg["domain.extents"]),
-                          (int(exp.cfg["control.nodes"]),) * exp.grid.dim)
-    expected = []
-    for k, level in enumerate(ctrl.levels):
-        if ctrl.weights[k] <= 0.0:
-            continue
-        for node in range(level.shape[0]):
-            for i in range(grid.n_nodes):
-                if ctrl.mask[i]:
-                    expected.append(",".join(
-                        [str(k), str(node)]
-                        + [repr(float(x)) for x in grid.coords[i]]
-                        + [repr(float(level[node, i]))]))
-    assert lines[0] == ",".join(["level", "node"] + ["x", "y"][:grid.dim]
-                                + ["value"])
-    assert len(expected) > 0 and lines[1:] == expected
+    (args, (ctrl, _)), = captured
+    coeffs, ball, time_set, mesh, grid, tree = args[3:]
+    assert lines[0] == ",".join(["node"] + ["x", "y"][:grid.dim] + ["value"])
+    cells = [line.split(",") for line in lines[1:]]
+    assert [int(c[0]) for c in cells] == list(range(grid.n_nodes))
+    assert [[float(x) for x in c[1:-1]] for c in cells] == grid.coords.tolist()
+    datum = np.array([float(c[-1]) for c in cells])
+    regenerated = ctl.dual_control(datum, coeffs, ball, time_set, mesh, grid,
+                                   tree)
+
+    def rows(field):
+        expected = []
+        for k, level in enumerate(field.levels):
+            if field.weights[k] <= 0.0:
+                continue
+            for node in range(level.shape[0]):
+                for i in range(grid.n_nodes):
+                    if field.mask[i]:
+                        expected.append(",".join(
+                            [str(k), str(node)]
+                            + [repr(float(x)) for x in grid.coords[i]]
+                            + [repr(float(level[node, i]))]))
+        return expected
+
+    expected = rows(ctrl)
+    assert len(expected) > 0 and rows(regenerated) == expected
 
 
 def test_cli_2d_frequency_at_31x31(tmp_path, capsys):

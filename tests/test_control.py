@@ -549,15 +549,24 @@ def test_approx_control_verdict_is_tree_measured(lab, monkeypatch):
     assert rep["achieved_residual"] > goal
     assert rep["gramian_gap"] > 0.5
 
+    # the run's record carries the gap: far from 0 under the doubled
+    # spectrum, conditioning-limited on the true one
+    def run_records():
+        checks, _, _ = cli.run_control(cli.Experiment(cfgmod.merge_config({})))
+        return {c["name"]: c for c in checks}
+
+    records = run_records()
+    assert records["approximate_control"]["pass"]
+    assert records["approximate_control"]["gramian_gap"] < 1e-6
     spectrum = control.gramian_spectrum
     monkeypatch.setattr(control, "gramian_spectrum",
                         lambda g: spectrum(2.0 * g))
-    checks, _, _ = cli.run_control(cli.Experiment(cfgmod.merge_config({})))
-    approx = next(c for c in checks if c["name"] == "approximate_control")
-    curve = next(c for c in checks
-                 if c["name"] == "regularization_curve_monotone")["curve"]
+    records = run_records()
+    approx = records["approximate_control"]
+    curve = records["regularization_curve_monotone"]["curve"]
     assert not approx["pass"]
     assert curve[-1]["residual"] <= approx["rhs"] < approx["lhs"]
+    assert approx["gramian_gap"] > 0.5
 
 
 def test_run_control_uses_the_configured_coefficients():

@@ -429,6 +429,27 @@ def test_moment_overflow_names_the_step(grid):
                 solve_forward_moments(y0, coeffs, mesh, grid)
 
 
+@settings(max_examples=30, deadline=None)
+@given(a=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=8),
+       b=st.floats(-10.0, 10.0), seed=st.integers(0, 2 ** 16))
+def test_closed_form_means_below_factor_rows(a, b, seed):
+    # |E y| <= sqrt(E y^2) node by node: in the exact closed form since
+    # |1 + dt a_j| <= hypot(1 + dt a_j, sqrt(dt) b_j), over sampled paths by
+    # Cauchy-Schwarz (to round-off); so the factor scale alone decides
+    # overflow
+    grid = build_grid([(0.0, 1.0)], (15,))
+    mesh = TimeMesh(horizon=0.4, steps=len(a))
+    coeffs = CoefficientField(grid, mesh, np.outer(a, np.ones(grid.n_nodes)),
+                              b)
+    y0 = np.sin(np.pi * grid.coords[:, 0]) * (1.0 + grid.coords[:, 0])
+    exact = solve_forward_moments(y0, coeffs, mesh, grid)
+    sampled = solve_sampled_moments(y0, coeffs,
+                                    sample_ensemble(mesh, 16, seed), mesh, grid)
+    assert np.all(np.abs(exact.means) <= np.abs(exact.rows[:, 0]))
+    assert np.all(np.abs(sampled.means)
+                  <= np.abs(sampled.rows[:, 0]) * (1.0 + 1e-12))
+
+
 @settings(max_examples=20, deadline=None)
 @given(scale=st.floats(0.1, 10.0))
 def test_quadratic_functionals_scale_quadratically(scale):
