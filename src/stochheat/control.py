@@ -16,6 +16,12 @@ backward modes are available:
   makes the duality pairing hold to machine precision and yields a clean
   symmetric positive semidefinite control Gramian.
 
+Coefficients uniform over the nodes make every step factor and the
+potential scalars, which commute with M^-1 = S diag(1/(1 - dt*lam)) S, so
+the dual flow is one orbit times path scalars and both backward modes run
+elementwise on sine coefficients (`ImplicitHeatSolver.sine`), with no
+implicit solve per tree level; nodal coefficients step in physical space.
+
 The control of a dual datum is `dual_control`, its dual flow observed on
 G0 x E1; the Gramian apply (-z(0) of the adjoint solve it drives from zero
 terminal data), both syntheses and the observed-mass check read it.
@@ -86,13 +92,11 @@ def control_level_weights(time_set: MeasurableTimeSet, mesh: TimeMesh) -> np.nda
 
 @dataclass
 class BackwardPair:
-    """z on tree history nodes per level (arrays of shape (2^k, n_nodes));
-    z_martingale holds the representation integrand Z per step level, and
-    `solves` the implicit solves per step of independent mode (None in
+    """z on tree history nodes per level (arrays of shape (2^k, n_nodes)),
+    and `solves`, the implicit solves per step of independent mode (None in
     adjoint mode)."""
 
     z_levels: list = field(repr=False)
-    z_martingale: list = field(repr=False)
     mesh: TimeMesh
     grid: SpatialGrid
     solves: list | None = None
@@ -100,6 +104,21 @@ class BackwardPair:
     @property
     def z0(self) -> np.ndarray:
         return self.z_levels[0][0]
+
+    @property
+    def z_martingale(self) -> list:
+        """The representation integrand Z per step level, shape (2^k, n),
+        computed from `z_levels` on each access: the difference of the up
+        and the down child over 2 sqrt(dt), of M^-1 z_{k+1} in adjoint mode
+        and of z_{k+1} itself in independent mode."""
+        solver = implicit_solver(self.grid, self.mesh.dt)
+        scale = 2.0 * tree_moves(self.mesh.dt)[1]
+        out = []
+        for z_next in self.z_levels[1:]:
+            if self.solves is None:
+                z_next = solver.solve(z_next)
+            out.append((z_next[1::2] - z_next[0::2]) / scale)
+        return out
 
 
 @dataclass
@@ -111,17 +130,24 @@ class ControlField:
     weights: np.ndarray = field(repr=False)  # per-step actuation measure
 
 
-def _level_source(src, k: int, n: int):
-    """Normalize a source term to a (2^k, n) array (or None)."""
+def _level_rows(src, k: int, n: int):
+    """A source term at level k as given: one row (n,) for every node, a
+    (2^k, n) array, or None."""
     if src is None:
         return None
     arr = np.asarray(src[k] if isinstance(src, (list, tuple)) else src, dtype=float)
-    if arr.ndim == 1:
-        return np.broadcast_to(arr, (2 ** k, n))
-    if arr.shape != (2 ** k, n):
+    if arr.shape not in ((n,), (2 ** k, n)):
         raise ShapeError(f"source at level {k} has shape {arr.shape}, "
-                         f"expected ({2 ** k}, {n})")
+                         f"expected ({n},) or ({2 ** k}, {n})")
     return arr
+
+
+def _level_source(src, k: int, n: int):
+    """Normalize a source term to a (2^k, n) array (or None)."""
+    arr = _level_rows(src, k, n)
+    if arr is None or arr.ndim == 2:
+        return arr
+    return np.broadcast_to(arr, (2 ** k, n))
 
 
 def solve_dual_forward(y0_hat: np.ndarray, coeffs: CoefficientField,
@@ -160,6 +186,13 @@ def solve_backward_tree(z_terminal: np.ndarray, coeffs: CoefficientField,
     step, so the duality pairing telescopes exactly; independent mode
     performs the martingale-representation induction with an implicit solve
     of I - dt*Lap_h + dt*diag(a_k) (`_potential_solve`).
+
+    Coefficients uniform over the nodes make the step factors and the
+    potential scalars, which commute with the sine transform S of
+    `ImplicitHeatSolver.sine`, so the recursion runs on sine coefficients
+    (`_sine_backward`): one transform of the terminal rows and of each
+    level's source rows, elementwise steps, and one transform back per
+    level.  The level `steps` of `z_levels` is `z_terminal` itself.
     """
     if mode not in ("adjoint", "independent"):
         raise ConfigurationError(f"unknown backward mode '{mode}'")
@@ -170,23 +203,28 @@ def solve_backward_tree(z_terminal: np.ndarray, coeffs: CoefficientField,
     if z.shape != (tree.n_leaves, n):
         raise ShapeError(f"terminal data shape {z.shape}, "
                          f"expected ({tree.n_leaves}, {n})")
-    solver = implicit_solver(grid, mesh.dt)
-    dt = mesh.dt
+    solve = _sine_backward if coeffs.node_uniform else _nodal_backward
+    z_levels, solves = solve(z, coeffs, mesh, implicit_solver(grid, mesh.dt),
+                             h, control, mode)
+    return BackwardPair(z_levels=z_levels, mesh=mesh, grid=grid, solves=solves)
+
+
+def _nodal_backward(z, coeffs, mesh, solver, h, control, mode):
+    """z_levels and solves of `solve_backward_tree` for nodal coefficients:
+    every step solves on the tree rows in physical space."""
+    dt, n = mesh.dt, z.shape[1]
     moves = tree_moves(dt)
-    z_levels = [None] * (mesh.steps + 1)
-    z_mart = [None] * mesh.steps
+    z_levels = [None] * mesh.steps + [z]
     solves = [0] * mesh.steps if mode == "independent" else None
-    z_levels[mesh.steps] = z.copy()
     for k in range(mesh.steps - 1, -1, -1):
         z_next = z_levels[k + 1]
         if mode == "adjoint":
-            zk, sz = tree_step_adjoint(
+            zk, _ = tree_step_adjoint(
                 z_next, *step_factors(coeffs, k, dt, moves, sign=-1.0), solver)
-            z_mart[k] = (sz[1::2] - sz[0::2]) / (2.0 * moves[1])
         else:
-            z_mart[k] = (z_next[1::2] - z_next[0::2]) / (2.0 * moves[1])
+            z_mart = (z_next[1::2] - z_next[0::2]) / (2.0 * moves[1])
             zk = 0.5 * (z_next[0::2] + z_next[1::2]) \
-                - dt * (coeffs.b[k] * z_mart[k])
+                - dt * (coeffs.b[k] * z_mart)
         h_k = _level_source(h, k, n)
         if h_k is not None:
             zk = zk - dt * h_k
@@ -195,8 +233,46 @@ def solve_backward_tree(z_terminal: np.ndarray, coeffs: CoefficientField,
         if mode == "independent":
             zk, solves[k] = _potential_solve(solver, zk, dt * coeffs.a[k])
         z_levels[k] = zk
-    return BackwardPair(z_levels=z_levels, z_martingale=z_mart, mesh=mesh,
-                        grid=grid, solves=solves)
+    return z_levels, solves
+
+
+def _sine_backward(z, coeffs, mesh, solver, h, control, mode):
+    """z_levels and solves of `solve_backward_tree` for coefficients
+    uniform over the nodes, on sine coefficients z_hat = S z.  M^-1 is
+    diag(1 / `diagonal`) there, so an adjoint step is
+    z_hat_k = M^-1 (down z_hat[0::2] + up z_hat[1::2]) / 2 - S(sources), and
+    the independent mode's solve with the constant potential dt*a_k is a
+    division by `diagonal` + dt*a_k, one solve per step."""
+    dt, n = mesh.dt, z.shape[1]
+    moves = tree_moves(dt)
+    z_levels = [None] * mesh.steps + [z]
+    solves = [1] * mesh.steps if mode == "independent" else None
+    diagonal = solver.diagonal
+    inverse = 1.0 / diagonal
+    # zero terminal data is zero on sine coefficients too
+    z_hat = solver.sine(z) if z.any() else z
+    for k in range(mesh.steps - 1, -1, -1):
+        if mode == "adjoint":
+            down, up = step_factors(coeffs, k, dt, moves, sign=-1.0)[:, 0]
+            weights = 0.5 * down * inverse, 0.5 * up * inverse
+        else:
+            # the conditional mean minus dt*b_k*Z, Z the difference of the up
+            # and the down child over 2 sqrt(dt)
+            lift = 0.5 * moves[1] * coeffs.b[k, 0]
+            weights = 0.5 + lift, 0.5 - lift
+        z_hat = weights[0] * z_hat[0::2] + weights[1] * z_hat[1::2]
+        source = _level_rows(h, k, n)
+        if source is not None:
+            source = dt * source
+        if control is not None and control.weights[k] > 0.0:
+            f_k = control.levels[k] * (control.weights[k] * control.mask)
+            source = f_k if source is None else source + f_k
+        if source is not None:
+            z_hat -= solver.sine(source)
+        if mode == "independent":
+            z_hat /= diagonal + dt * coeffs.a[k, 0]
+        z_levels[k] = solver.sine(z_hat)
+    return z_levels, solves
 
 
 def _potential_solve(solver, rhs: np.ndarray, potential: np.ndarray):

@@ -25,7 +25,10 @@ sampled path scalars, with the paths themselves rebuilt on access to
 SVD per step, padded to its largest rank with zero rows, and mc mode then
 solves every path.  The dual and adjoint solves of `control` run on
 history levels instead: `tree_step` takes level k to level k+1 of the
-history tree (`tree_levels`), and `tree_step_adjoint` is its transpose.
+history tree (`tree_levels`, in closed form from one orbit when the
+coefficients are uniform over the nodes), and `tree_step_adjoint` is its
+transpose; `ImplicitHeatSolver.sine` and `diagonal` let the backward
+solves of `control` step on sine coefficients.
 `energy_trace` reads the energy, or the mass on a node mask, per time node
 from any ensemble (`moment_trace` from one `nodal_moment` pass), and
 `Ensemble.values` is a writable view of the rows by path, except for the
@@ -115,6 +118,27 @@ class ImplicitHeatSolver:
         c = (c.transpose(0, 2, 1).reshape(-1, n1) @ s1).reshape(-1, n2, n1)
         c = ((c * inverse.T).reshape(-1, n1) @ s1).reshape(-1, n2, n1)
         return (c.transpose(0, 2, 1).reshape(-1, n2) @ s2).reshape(rhs.shape)
+
+    @property
+    def diagonal(self) -> np.ndarray:
+        """The eigenvalues 1 - dt*lam of I - dt*Lap_h, shape (n,), in the
+        order of the coefficients of `sine`."""
+        return self._diag.reshape(-1)
+
+    def sine(self, rows: np.ndarray) -> np.ndarray:
+        """The sine transform of one field (n,) or a batch (..., n): S rows
+        in 1-D, (S1 x S2) rows in 2-D.  S is symmetric and orthogonal, so
+        the same map takes fields to sine coefficients and back, and
+        I - dt*Lap_h acts on the coefficients as `diagonal`."""
+        rows = np.asarray(rows, dtype=float)
+        flat = rows.reshape(-1, rows.shape[-1])
+        if len(self.shape) == 1:
+            (s,) = self._sines
+            return (flat @ s).reshape(rows.shape)
+        (n1, n2), (s1, s2) = self.shape, self._sines
+        c = (flat.reshape(-1, n2) @ s2).reshape(-1, n1, n2)
+        c = (c.transpose(0, 2, 1).reshape(-1, n1) @ s1).reshape(-1, n2, n1)
+        return c.transpose(0, 2, 1).reshape(rows.shape)
 
     def solve_powers(self, rhs: np.ndarray, steps: int) -> np.ndarray:
         """M^{-k} rhs for k = 0..steps, shape (steps+1, n), M = I - dt*Lap_h:
@@ -337,13 +361,28 @@ def tree_step(level: np.ndarray, down: np.ndarray, up: np.ndarray,
 def tree_levels(y0: np.ndarray, coeffs: CoefficientField, mesh: TimeMesh,
                 grid: SpatialGrid, sign: float = 1.0) -> list:
     """History levels 0..steps of the tree solve from y0: `tree_step` with
-    the `step_factors` (of `sign`) of the down and up move."""
+    the `step_factors` (of `sign`) of the down and up move.
+
+    Coefficients uniform over the nodes make both factors of a step
+    scalars, which commute with M^-1, so level k is in closed form: the
+    outer product of its 2^k path scalars (node h's children 2h and 2h+1
+    times the down and the up factor) with the orbit M^{-k} y0 of one
+    `ImplicitHeatSolver.solve_powers`."""
     solver = implicit_solver(grid, mesh.dt)
     moves = tree_moves(mesh.dt)
-    levels = [np.asarray(y0, dtype=float)[None, :].copy()]
+    y0 = np.asarray(y0, dtype=float)
+    levels = [y0[None, :].copy()]
+    closed_form = coeffs.node_uniform
+    if closed_form:
+        orbit = solver.solve_powers(y0, mesh.steps)
+        scalars = np.ones(1)
     for k in range(mesh.steps):
-        levels.append(tree_step(
-            levels[-1], *step_factors(coeffs, k, mesh.dt, moves, sign), solver))
+        factors = step_factors(coeffs, k, mesh.dt, moves, sign)
+        if closed_form:
+            scalars = np.multiply.outer(scalars, factors[:, 0]).reshape(-1)
+            levels.append(np.multiply.outer(scalars, orbit[k + 1]))
+        else:
+            levels.append(tree_step(levels[-1], *factors, solver))
     return levels
 
 

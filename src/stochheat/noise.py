@@ -2,13 +2,14 @@
 
 Sampled mode draws Gaussian increments with a counter-based generator keyed by
 (seed, path), so any single path is recomputable without materializing the
-ensemble.  Tree mode replaces the Brownian filtration by the full binary tree
-of +-sqrt(dt) increments: the first two moments match and every expectation
-becomes an exact finite sum over the tree's 2^d leaf paths, each of weight
-2^-d.  A tree gives its paths as `increments` and `weights`, like a
-`PathEnsemble`, so `forward.solve_forward`, the tests' brute-force
-reference, iterates both alike; the control solves of `control` run on the
-tree's history levels instead.  Tree-mode surveys build no tree, since
+ensemble; one generator, reset to each path's key, draws them all.  Tree
+mode replaces the Brownian filtration by the full binary tree of +-sqrt(dt)
+increments: the first two moments match and every expectation becomes an
+exact finite sum over the tree's 2^d leaf paths, each of weight 2^-d.  A
+tree gives its paths as `increments` and `weights`, like a `PathEnsemble`,
+so `forward.solve_forward`, the tests' brute-force reference, iterates both
+alike; the control solves of `control` run on the tree's history levels
+instead.  Tree-mode surveys build no tree, since
 `forward.solve_forward_moments` gives the same expectations at any depth.
 `build_tree` caps the depth, so the cap bounds control runs only.
 """
@@ -58,8 +59,28 @@ class TimeMesh:
 
 def path_increments(seed: int, omega: int, mesh: TimeMesh) -> np.ndarray:
     """Increments of path `omega`, reproducible independently of the ensemble."""
-    rng = Generator(Philox(key=[int(seed), int(omega)]))
-    return np.sqrt(mesh.dt) * rng.standard_normal(mesh.steps)
+    return _philox_increments(seed, [omega], mesh)[0]
+
+
+def _philox_increments(seed: int, omegas, mesh: TimeMesh) -> np.ndarray:
+    """One row of N(0, dt) increments per path omega of `omegas`, each the
+    stream of Generator(Philox(key=[seed, omega])).  One generator serves
+    every path: its state is reset to the key (seed, omega), counter 0 and
+    an empty buffer, which is the state such a generator is built in, so no
+    generator (and no entropy draw of its unused seed sequence) is made
+    per path."""
+    bits = Philox(key=[int(seed), 0])
+    rng = Generator(bits)
+    state = bits.state
+    inc = np.empty((len(omegas), mesh.steps))
+    for omega, row in zip(omegas, inc):
+        state["state"]["key"][1] = int(omega)
+        state["state"]["counter"][:] = 0
+        state.update(buffer_pos=4, has_uint32=0, uinteger=0)
+        bits.state = state
+        rng.standard_normal(out=row)
+    inc *= np.sqrt(mesh.dt)
+    return inc
 
 
 @dataclass(frozen=True)
@@ -83,7 +104,7 @@ def sample_ensemble(mesh: TimeMesh, n_paths: int, seed: int) -> PathEnsemble:
     """Draw `n_paths` Gaussian N(0, dt) increment paths."""
     if n_paths < 1:
         raise ConfigurationError("need at least one path")
-    inc = np.stack([path_increments(seed, omega, mesh) for omega in range(n_paths)])
+    inc = _philox_increments(seed, range(n_paths), mesh)
     inc.flags.writeable = False
     return PathEnsemble(mesh=mesh, seed=seed, increments=inc)
 

@@ -6,6 +6,7 @@ import pytest
 from stochheat import cli
 from stochheat import config as cfgmod
 from stochheat import control as ctl
+from stochheat.forward import ImplicitHeatSolver
 
 
 def _reversed_curve(monkeypatch):
@@ -19,9 +20,30 @@ def _reversed_curve(monkeypatch):
     monkeypatch.setattr(ctl, "synthesize_approx_control", reversing)
 
 
+def _swapped_backward_factors(monkeypatch):
+    # the backward tree's step weighs the down child with the up factor and
+    # the up child with the down one (the Gramian recursion is symmetric in
+    # the two and does not change)
+    factors = ctl.step_factors
+    monkeypatch.setattr(ctl, "step_factors",
+                        lambda *args, **kwargs: factors(*args, **kwargs)[::-1])
+
+
+def _backward_inverse_at_double_dt(monkeypatch):
+    # the backward tree's step on sine coefficients inverts I - 2 dt Lap_h;
+    # the dual flow and the Gramian recursion solve with I - dt Lap_h
+    diagonal = ImplicitHeatSolver.diagonal.fget
+    monkeypatch.setattr(ImplicitHeatSolver, "diagonal",
+                        property(lambda self: 2.0 * diagonal(self) - 1.0))
+
+
 # check name as `verify` reports it -> the mutant that fails it
 MUTANTS = {
     "control.regularization_curve_monotone": _reversed_curve,
+    "control.duality_identity_adjoint": _swapped_backward_factors,
+    "control.gramian_matrix_matches_tree": _backward_inverse_at_double_dt,
+    "control.gramian_symmetry": _backward_inverse_at_double_dt,
+    "control.null_control_verified": _swapped_backward_factors,
 }
 
 

@@ -187,6 +187,14 @@ def test_backward_shape_validation(lab):
     with pytest.raises(ConfigurationError):
         solve_backward_tree(np.zeros((tree.n_leaves, grid.n_nodes)), coeffs,
                             mesh, grid, tree, mode="bogus")
+    # a source is one row for every node or one row per history node, on
+    # sine coefficients and in physical space alike
+    rough = CoefficientField.random_bounded(grid, mesh, 11, 0.5, 0.5)
+    for c in (coeffs, rough):
+        for h in (np.zeros(3), [np.zeros((3, grid.n_nodes))] * mesh.steps):
+            with pytest.raises(ShapeError, match="source at level"):
+                solve_backward_tree(np.zeros((tree.n_leaves, grid.n_nodes)),
+                                    c, mesh, grid, tree, h=h)
 
 
 def test_gramian_symmetric_positive(lab):
@@ -225,6 +233,144 @@ def test_gramian_matrix_matches_tree_columns(lab):
                          for e in np.eye(g.n_nodes)], axis=1)
         assert gram.shape == (g.n_nodes, g.n_nodes)
         assert np.max(np.abs(gram - cols)) <= 1e-12 * np.max(np.abs(cols))
+
+
+@pytest.fixture(scope="module", params=[
+    ([(0.0, 1.0)], (15,), (0.5,), 6),
+    ([(0.0, 1.0), (0.0, 1.0)], (5, 5), (0.5, 0.5), 5),
+], ids=["1d", "2d-5x5"])
+def ramped(request):
+    """Coefficients uniform over the nodes that ramp by step (a_k from 0 to
+    3, b_k from 0.2 to 0.8): the step factors are scalars, so the control
+    solves run on sine coefficients, and they change at every level."""
+    extents, shape, center, steps = request.param
+    grid = build_grid(extents, shape)
+    mesh = TimeMesh(horizon=0.5, steps=steps)
+    ones = np.ones(grid.n_nodes)
+    coeffs = CoefficientField(
+        grid, mesh, a=np.linspace(0.0, 3.0, steps)[:, None] * ones,
+        b=np.linspace(0.2, 0.8, steps)[:, None] * ones)
+    assert coeffs.node_uniform
+    time_set = MeasurableTimeSet(((0.05, 0.45),), horizon=0.5)
+    return grid, mesh, build_tree(mesh), coeffs, Ball(center, 0.3), time_set
+
+
+def test_ramped_dual_forward_per_leaf_brute_force(ramped):
+    # the closed-form levels against every leaf history solved step by step
+    grid, mesh, tree, coeffs, _, _ = ramped
+    y0 = _rng(10).standard_normal(grid.n_nodes)
+    levels = solve_dual_forward(y0, coeffs, mesh, grid, tree)
+    solver = ImplicitHeatSolver(grid, mesh.dt)
+    root = np.sqrt(mesh.dt)
+    for leaf in range(tree.n_leaves):
+        y = y0.copy()
+        for k in range(mesh.steps):
+            bit = (leaf >> (mesh.steps - 1 - k)) & 1
+            fac = 1.0 - mesh.dt * coeffs.a[k] \
+                + (2 * bit - 1) * root * coeffs.b[k]
+            y = solver.solve(fac * y)
+            node = leaf >> (mesh.steps - 1 - k)
+            assert np.allclose(levels[k + 1][node], y, rtol=1e-12, atol=1e-14)
+
+
+def _splu_solver(grid, dt, potential, sparse_operators):
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+    lap, _ = sparse_operators(grid)
+    lu = splu(sp.csc_matrix(sp.eye(grid.n_nodes) - dt * lap
+                            + sp.diags(potential)))
+    return lambda rows: lu.solve(np.ascontiguousarray(rows.T)).T
+
+
+def test_ramped_independent_matches_splu(ramped, sparse_operators,
+                                         assert_rel_close):
+    # the division on sine coefficients against SuperLU of
+    # I - dt Lap + dt diag(a_k), and Z from the children, at every level
+    grid, mesh, tree, coeffs, ball, time_set = ramped
+    rng = _rng(11)
+    z_t = rng.standard_normal((tree.n_leaves, grid.n_nodes))
+    h = rng.standard_normal(grid.n_nodes)
+    ctrl = dual_control(rng.standard_normal(grid.n_nodes), coeffs, ball,
+                        time_set, mesh, grid, tree)
+    pair = solve_backward_tree(z_t, coeffs, mesh, grid, tree, h=h,
+                               control=ctrl, mode="independent")
+    assert pair.solves == [1] * mesh.steps
+    martingale = pair.z_martingale
+    dt, rootdt = mesh.dt, np.sqrt(mesh.dt)
+    z = z_t
+    for k in range(mesh.steps - 1, -1, -1):
+        solve = _splu_solver(grid, dt, dt * coeffs.a[k], sparse_operators)
+        big_z = (z[1::2] - z[0::2]) / (2.0 * rootdt)
+        rhs = 0.5 * (z[0::2] + z[1::2]) - dt * coeffs.b[k] * big_z - dt * h
+        if ctrl.weights[k] > 0.0:
+            rhs = rhs - ctrl.weights[k] * ctrl.levels[k] * ctrl.mask
+        z = solve(rhs)
+        assert_rel_close(pair.z_levels[k], z)
+        assert_rel_close(martingale[k], big_z)
+
+
+def test_ramped_adjoint_duality_and_martingale(ramped, sparse_operators,
+                                               assert_rel_close):
+    # duality to machine precision with a per-level h and a control, and
+    # Z of the solved children against SuperLU
+    grid, mesh, tree, coeffs, ball, time_set = ramped
+    rng = _rng(12)
+    y0 = rng.standard_normal(grid.n_nodes)
+    z_t = rng.standard_normal((tree.n_leaves, grid.n_nodes))
+    h = [rng.standard_normal((2 ** k, grid.n_nodes))
+         for k in range(mesh.steps)]
+    ctrl = dual_control(rng.standard_normal(grid.n_nodes), coeffs, ball,
+                        time_set, mesh, grid, tree)
+    dual = solve_dual_forward(y0, coeffs, mesh, grid, tree)
+    pair = solve_backward_tree(z_t, coeffs, mesh, grid, tree, h=h,
+                               control=ctrl)
+    assert pair.z_levels[-1] is z_t and pair.solves is None
+    assert duality_check(dual, pair, h=h, control=ctrl)[
+        "relative_residual"] < 1e-12
+    solve = _splu_solver(grid, mesh.dt, np.zeros(grid.n_nodes),
+                         sparse_operators)
+    for k, big_z in enumerate(pair.z_martingale):
+        solved = solve(pair.z_levels[k + 1])
+        assert_rel_close(big_z, (solved[1::2] - solved[0::2])
+                         / (2.0 * np.sqrt(mesh.dt)))
+
+
+def test_ramped_gramian_apply_matches_matrix(ramped):
+    # tree columns on sine coefficients against the second-moment recursion,
+    # which solves in physical space
+    grid, mesh, tree, coeffs, ball, time_set = ramped
+    gram = gramian_matrix(coeffs, ball, time_set, mesh, grid)
+    cols = np.stack([gramian_apply(e, coeffs, ball, time_set, mesh, grid, tree)
+                     for e in np.eye(grid.n_nodes)], axis=1)
+    assert np.max(np.abs(gram - cols)) <= 1e-12 * np.max(np.abs(cols))
+
+
+def test_tree_recursions_solve_only_for_nodal_coefficients(lab, monkeypatch):
+    # node-uniform coefficients: the dual flow is one orbit and the backward
+    # steps are elementwise, so no implicit solve runs per tree level;
+    # space-varying ones solve at every level
+    grid, mesh, tree, coeffs, ball, time_set = lab
+    calls = []
+    solve = ImplicitHeatSolver.solve
+
+    def counting(self, rhs, shift=0.0):
+        calls.append(np.shape(rhs))
+        return solve(self, rhs, shift)
+
+    monkeypatch.setattr(ImplicitHeatSolver, "solve", counting)
+    rough = CoefficientField.random_bounded(grid, mesh, 11, 0.5, 0.5)
+    z_t = _rng(13).standard_normal((tree.n_leaves, grid.n_nodes))
+    counts = []
+    for c in (coeffs, rough):
+        calls.clear()
+        ctrl = dual_control(z_t[0], c, ball, time_set, mesh, grid, tree)
+        for mode in ("adjoint", "independent"):
+            solve_backward_tree(z_t, c, mesh, grid, tree, control=ctrl,
+                                mode=mode)
+        counts.append(len(calls))
+    # the nodal dual flow and adjoint solve once per step, and the
+    # independent mode at least once
+    assert counts == [0, counts[1]] and counts[1] >= 3 * mesh.steps
 
 
 def test_closed_form_control_on_seeds_that_hit_the_cg_cap():

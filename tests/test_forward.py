@@ -68,6 +68,25 @@ def test_implicit_solver_matches_superlu(oracle_grid, sparse_operators,
             assert_rel_close(out, ref)
 
 
+def test_sine_transform_diagonalizes_the_implicit_matrix(
+        oracle_grid, sparse_operators, assert_rel_close):
+    # the transform is its own inverse, and I - dt Lap acts on the sine
+    # coefficients as `diagonal`, for a field, a batch and a stacked batch
+    grid, dt = oracle_grid, 0.01
+    lap, _ = sparse_operators(grid)
+    n = grid.n_nodes
+    solver = ImplicitHeatSolver(grid, dt)
+    rng = np.random.Generator(np.random.Philox(key=[8, 6]))
+    for rows in (rng.standard_normal(n), rng.standard_normal((9, n)),
+                 rng.standard_normal((2, 3, n))):
+        coef = solver.sine(rows)
+        assert coef.shape == rows.shape
+        assert_rel_close(solver.sine(coef), rows)
+        flat = rows.reshape(-1, n)
+        applied = (flat - dt * (lap @ flat.T).T).reshape(rows.shape)
+        assert_rel_close(solver.sine(solver.diagonal * coef), applied)
+
+
 def test_coefficient_field_shapes_and_sups(grid, mesh):
     c = CoefficientField.constant(grid, mesh, a=-0.7, b=0.2)
     assert c.a.shape == (mesh.steps, grid.n_nodes)

@@ -51,6 +51,20 @@ def test_path_increments_reproducible_and_independent_of_ensemble():
     assert np.array_equal(again.increments[5], one)
 
 
+def test_sampled_increments_are_the_keyed_philox_streams():
+    # path omega of seed s is sqrt(dt) times the standard normals of a
+    # generator built fresh on the key (s, omega), written out longhand
+    from numpy.random import Generator, Philox
+    mesh = TimeMesh(horizon=0.5, steps=7)
+    for seed in (0, 3, 1234, 2**40 + 5):
+        ens = sample_ensemble(mesh, 12, seed=seed)
+        for omega in (0, 1, 5, 11):
+            ref = np.sqrt(mesh.dt) \
+                * Generator(Philox(key=[seed, omega])).standard_normal(7)
+            assert np.array_equal(ens.increments[omega], ref)
+            assert np.array_equal(path_increments(seed, omega, mesh), ref)
+
+
 def test_sample_ensemble_statistics():
     mesh = TimeMesh(horizon=1.0, steps=50)
     ens = sample_ensemble(mesh, 400, seed=0)
