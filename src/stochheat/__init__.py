@@ -17,7 +17,7 @@ from .forward import (CoefficientField, Ensemble, SecondMomentEnsemble,
                       solve_forward_moments, solve_sampled_moments)
 from .frequency import (FrequencyTrace, LocalizedFields, compute_hdn,
                         frequency_bound_check, hprime_identity_residual,
-                        localized_fields)
+                        identity_traces, localized_fields)
 from .ucp import (UcpConstants, amplitude_profile, compute_constants,
                   propagate_vanishing, quantitative_ucp_check, select_lambda,
                   three_ball_check)

@@ -20,7 +20,8 @@ Coefficients uniform over the nodes make every step factor and the
 potential scalars, which commute with M^-1 = S diag(1/(1 - dt*lam)) S, so
 the dual flow is one orbit times path scalars and both backward modes run
 elementwise on sine coefficients (`ImplicitHeatSolver.sine`), with no
-implicit solve per tree level; nodal coefficients step in physical space.
+implicit solve per tree level, and a level goes back to physical space only
+when it is read; nodal coefficients step in physical space.
 
 The control of a dual datum is `dual_control`, its dual flow observed on
 G0 x E1; the Gramian apply (-z(0) of the adjoint solve it drives from zero
@@ -39,6 +40,7 @@ for the heat equation (Muench & Zuazua, Inverse Problems 2010).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,11 +92,34 @@ def control_level_weights(time_set: MeasurableTimeSet, mesh: TimeMesh) -> np.nda
     return weights
 
 
+class _SineLevels(Sequence):
+    """The `z_levels` of `_sine_backward`: levels 0..steps-1 are kept on
+    sine coefficients and transformed back on each access, and the level
+    `steps` is the physical terminal data itself."""
+
+    def __init__(self, coefficients: list, terminal: np.ndarray, solver):
+        self._coefficients = coefficients
+        self._terminal = terminal
+        self._solver = solver
+
+    def __len__(self) -> int:
+        return len(self._coefficients) + 1
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        k = range(len(self))[k]  # negative indices; IndexError past the end
+        if k == len(self._coefficients):
+            return self._terminal
+        return self._solver.sine(self._coefficients[k])
+
+
 @dataclass
 class BackwardPair:
     """z on tree history nodes per level (arrays of shape (2^k, n_nodes)),
     and `solves`, the implicit solves per step of independent mode (None in
-    adjoint mode)."""
+    adjoint mode).  After a solve on sine coefficients the levels below the
+    terminal one are transformed back to physical space when read."""
 
     z_levels: list = field(repr=False)
     mesh: TimeMesh
@@ -191,8 +216,9 @@ def solve_backward_tree(z_terminal: np.ndarray, coeffs: CoefficientField,
     potential scalars, which commute with the sine transform S of
     `ImplicitHeatSolver.sine`, so the recursion runs on sine coefficients
     (`_sine_backward`): one transform of the terminal rows and of each
-    level's source rows, elementwise steps, and one transform back per
-    level.  The level `steps` of `z_levels` is `z_terminal` itself.
+    level's source rows, and elementwise steps; a level is transformed
+    back only when `z_levels` is read there.  The level `steps` of
+    `z_levels` is `z_terminal` itself.
     """
     if mode not in ("adjoint", "independent"):
         raise ConfigurationError(f"unknown backward mode '{mode}'")
@@ -237,15 +263,15 @@ def _nodal_backward(z, coeffs, mesh, solver, h, control, mode):
 
 
 def _sine_backward(z, coeffs, mesh, solver, h, control, mode):
-    """z_levels and solves of `solve_backward_tree` for coefficients
-    uniform over the nodes, on sine coefficients z_hat = S z.  M^-1 is
-    diag(1 / `diagonal`) there, so an adjoint step is
+    """z_levels (a `_SineLevels`) and solves of `solve_backward_tree` for
+    coefficients uniform over the nodes, on sine coefficients z_hat = S z.
+    M^-1 is diag(1 / `diagonal`) there, so an adjoint step is
     z_hat_k = M^-1 (down z_hat[0::2] + up z_hat[1::2]) / 2 - S(sources), and
     the independent mode's solve with the constant potential dt*a_k is a
     division by `diagonal` + dt*a_k, one solve per step."""
     dt, n = mesh.dt, z.shape[1]
     moves = tree_moves(dt)
-    z_levels = [None] * mesh.steps + [z]
+    z_hats = [None] * mesh.steps
     solves = [1] * mesh.steps if mode == "independent" else None
     diagonal = solver.diagonal
     inverse = 1.0 / diagonal
@@ -271,8 +297,8 @@ def _sine_backward(z, coeffs, mesh, solver, h, control, mode):
             z_hat -= solver.sine(source)
         if mode == "independent":
             z_hat /= diagonal + dt * coeffs.a[k, 0]
-        z_levels[k] = solver.sine(z_hat)
-    return z_levels, solves
+        z_hats[k] = z_hat
+    return _SineLevels(z_hats, z, solver), solves
 
 
 def _potential_solve(solver, rhs: np.ndarray, potential: np.ndarray):

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -178,8 +179,9 @@ def implicit_solver(grid: SpatialGrid, dt: float) -> ImplicitHeatSolver:
 class CoefficientField:
     """Coefficients a (potential) and b (noise intensity) on the grid.
 
-    Deterministic arrays of shape (steps, n_nodes), indexed by step; sup
-    norms and the W^{1,inf} norm of b are cached.
+    Deterministic arrays of shape (steps, n_nodes), indexed by step; the
+    gradient of b and its W^{1,inf} norm are computed on first read, since
+    only the bounds read them.
     """
 
     def __init__(self, grid: SpatialGrid, mesh: TimeMesh, a, b):
@@ -187,10 +189,16 @@ class CoefficientField:
         self.mesh = mesh
         self.a = self._materialize(a)
         self.b = self._materialize(b)
-        self.b_grad = grid.field_gradient(self.b)
         self.sup_a = float(np.max(np.abs(self.a)))
+
+    @cached_property
+    def b_grad(self) -> np.ndarray:
+        return self.grid.field_gradient(self.b)
+
+    @cached_property
+    def sup_b_w1inf(self) -> float:
         grad_sup = float(np.max(np.abs(self.b_grad))) if self.b_grad.size else 0.0
-        self.sup_b_w1inf = max(float(np.max(np.abs(self.b))), grad_sup)
+        return max(float(np.max(np.abs(self.b))), grad_sup)
 
     def _materialize(self, values) -> np.ndarray:
         arr = np.asarray(values, dtype=float)
@@ -269,14 +277,21 @@ class Ensemble:
         writable view of `rows`."""
         return self.rows.swapaxes(0, 1)
 
-    def nodal_moment(self, integrand=np.square) -> np.ndarray:
+    def nodal_moment(self, integrand=np.square, node_weight=None) -> np.ndarray:
         """E[f(y(t_k))] per time node, the weighted sum over rows[k]:
         `integrand` f maps rows (..., n) to nodal values (..., n), with any
         stacked outputs in front, and the result has shape (..., steps+1,
         n).  f runs on (time, row) tiles of about MOMENT_BLOCK_BYTES, so a
         tile stays in cache and the calls of f do not grow with the number
-        of time nodes.  NumericalError names the first time node whose
-        expectation is not finite."""
+        of time nodes.
+
+        With `node_weight`, a function of a slice of time nodes that gives
+        their node weights w, shape (..., k, n), each tile is contracted
+        with them: the result is sum_i w[j, k, i] E[f(y_k)][..., i] for
+        every stacked weight j and stacked output, shape (w's stacked
+        shape, f's stacked shape, steps+1), and no (steps+1, n) array is
+        held.  NumericalError names the first time node whose expectation
+        (or its contraction) is not finite."""
         nodes, r, n = self.rows.shape
         block = max(1, MOMENT_BLOCK_BYTES // (8 * n))
         row_block = min(r, block)
@@ -284,19 +299,33 @@ class Ensemble:
         out = None
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(0, nodes, time_block):
+                span = slice(t, t + time_block)
+                moment = None
                 for p in range(0, r, row_block):
-                    tile = np.s_[t:t + time_block, p:p + row_block]
-                    fy = integrand(self.rows[tile])
-                    if out is None:
-                        out = np.zeros(fy.shape[:-3] + (nodes, n))
-                    out[..., t:t + time_block, :] += np.einsum(
-                        "kr,...kri->...ki", self.weights[tile], fy)
-        finite = np.isfinite(out).reshape(-1, nodes, n).all(axis=(0, 2))
+                    tile = np.s_[span, p:p + row_block]
+                    part = np.einsum("kr,...kri->...ki", self.weights[tile],
+                                     integrand(self.rows[tile]))
+                    moment = part if moment is None else moment + part
+                if node_weight is not None:  # a unit node axis, dropped below
+                    moment = _contract(node_weight(span), moment)[..., None]
+                if out is None:
+                    out = np.empty(moment.shape[:-2] + (nodes,) + moment.shape[-1:])
+                out[..., span, :] = moment
+        finite = np.isfinite(out).reshape(-1, nodes, out.shape[-1]).all(axis=(0, 2))
         if not finite.all():
             raise NumericalError(
                 f"expectation not finite at time node {int(np.argmin(finite))}"
                 f" of {nodes - 1}")
-        return out
+        return out if node_weight is None else out[..., 0]
+
+
+def _contract(weights: np.ndarray, moment: np.ndarray) -> np.ndarray:
+    """sum_i weights[j, k, i] moment[t, k, i] for every stacked weight j and
+    stacked output t, shape (j..., t..., k)."""
+    k, n = moment.shape[-2:]
+    return np.einsum("jki,tki->jtk", weights.reshape(-1, k, n),
+                     moment.reshape(-1, k, n)).reshape(
+        weights.shape[:-2] + moment.shape[:-2] + (k,))
 
 
 @dataclass

@@ -12,10 +12,16 @@ moments of the ensemble: E[y^2], sum_ax E[(d_ax Phi)^2], E[y Sy] and
 E[(Sy)^2], which `localized_fields` reads in one `nodal_moment` pass, with
 S applied as nodal scalings around the centred differences of
 `SpatialGrid.gradient_ops`.  The fields do not depend on the kernel shift:
-they are built once, and the derivative identity, the drift bound and the
-lambda sweep of `ucp` take them and contract them; without a cutoff they
-are the global, convex-domain fields.  `compute_hdn` evaluates the kernel
-once, as one (time, node) array, and contracts each field with one einsum.
+they are built once, and the drift bound and the lambda sweep of `ucp`
+take them and contract them; without a cutoff they are the global,
+convex-domain fields.  `compute_hdn` evaluates the kernel once, as one
+(time, node) array, and contracts each field with one einsum.  The
+derivative identity runs on a fine 400-step ensemble and builds no field:
+`identity_traces` takes the global and the localized traces from one
+`nodal_moment` pass with the same integrand, whose node weights are the
+kernel K and a K and b^2 K, evaluated per tile of time nodes, so it holds
+one tile where the fields held five (steps+1, n) arrays, and
+`hprime_identity_residual` reduces the traces.
 The same code runs on every `forward.Ensemble`, one array of weighted rows
 per time node: sampled paths, the 2^d leaf paths of an exact Bernoulli
 tree, or second moments, whose factors E[y y^T] = Z^T Z are contracted
@@ -47,6 +53,7 @@ __all__ = [
     "FrequencyTrace",
     "localized_fields",
     "compute_hdn",
+    "identity_traces",
     "hprime_identity_residual",
     "frequency_bound_check",
 ]
@@ -89,6 +96,39 @@ class LocalizedFields:
         return self.coeffs.sup_b_over(self.cutoff.values > 0.0)
 
 
+def _integrand(grid: SpatialGrid, cutoff: CutoffFunction | None,
+               names: tuple):
+    """The `Ensemble.nodal_moment` integrand that stacks, in the order of
+    `names`, nodal terms of a row block y: `y_sq` y^2, `phi_y_sq` Phi^2,
+    `grad_y_sq` |grad y|^2, `grad_phi_y_sq` |grad Phi|^2, `y_sy` y Sy,
+    `phi_y_sy` Phi Sy and `sy_sq` (Sy)^2, with Phi = phi*y and the
+    commutator S y = -Lap(phi) y - 2 grad(phi).grad y of `cutoff`."""
+    grads = grid.gradient_ops()
+
+    def integrand(y):
+        grad_y = [g(y) for g in grads]
+        sy = None if cutoff is None else -cutoff.lap * y - 2.0 * sum(
+            cutoff.grad[:, ax] * gy for ax, gy in enumerate(grad_y))
+        terms = {
+            "y_sq": lambda: np.square(y),
+            "phi_y_sq": lambda: cutoff.values ** 2 * np.square(y),
+            "grad_y_sq": lambda: sum(np.square(gy) for gy in grad_y),
+            "grad_phi_y_sq": lambda: sum(np.square(g(cutoff.values * y))
+                                         for g in grads),
+            "y_sy": lambda: y * sy,
+            "phi_y_sy": lambda: cutoff.values * (y * sy),
+            "sy_sq": lambda: np.square(sy)}
+        return np.stack([terms[name]() for name in names])
+
+    return integrand
+
+
+def _coefficient_steps(mesh: TimeMesh) -> np.ndarray:
+    """The step min(k, steps-1) whose coefficients hold at time node k,
+    since coefficients live on steps."""
+    return np.minimum(np.arange(mesh.steps + 1), mesh.steps - 1)
+
+
 def localized_fields(ens, cutoff: CutoffFunction | None,
                      coeffs: CoefficientField) -> LocalizedFields:
     """Nodal second moments of Phi = phi*y, grad Phi and the source F.
@@ -97,20 +137,12 @@ def localized_fields(ens, cutoff: CutoffFunction | None,
     k are those of step min(k, steps-1), since coefficients live on steps.
     """
     grid, mesh = ens.grid, ens.mesh
-    grads = grid.gradient_ops()
     phi = np.ones(grid.n_nodes) if cutoff is None else cutoff.values
-
-    def integrand(y):  # y^2, |grad Phi|^2 and, with a cutoff, y Sy, (Sy)^2
-        terms = [np.square(y), sum(np.square(g(phi * y)) for g in grads)]
-        if cutoff is not None:
-            sy = -cutoff.lap * y - 2.0 * sum(cutoff.grad[:, ax] * g(y)
-                                              for ax, g in enumerate(grads))
-            terms += [y * sy, np.square(sy)]
-        return np.stack(terms)
-
-    y_sq, d, *static = ens.nodal_moment(integrand)
+    names = ("y_sq", "grad_y_sq") if cutoff is None else \
+        ("y_sq", "grad_phi_y_sq", "y_sy", "sy_sq")
+    y_sq, d, *static = ens.nodal_moment(_integrand(grid, cutoff, names))
     h = phi ** 2 * y_sq
-    steps = np.minimum(np.arange(mesh.steps + 1), mesh.steps - 1)
+    steps = _coefficient_steps(mesh)
     a_phi = coeffs.a[steps] * phi
     b_phi_sq = (coeffs.b[steps] * phi) ** 2
     y_src, src_sq = static or (0.0, 0.0)
@@ -119,6 +151,15 @@ def localized_fields(ens, cutoff: CutoffFunction | None,
                "f_sq": a_phi ** 2 * y_sq + 2.0 * a_phi * y_src + src_sq}
     return LocalizedFields(grid=grid, mesh=mesh, cutoff=cutoff, coeffs=coeffs,
                            h=h, d=d, sources=sources)
+
+
+def _trace(times: np.ndarray, h: np.ndarray, d: np.ndarray,
+           aux: dict) -> FrequencyTrace:
+    """The FrequencyTrace of H and D, with N = 2D/H."""
+    if np.any(h < 0):
+        raise NumericalError("negative weighted energy; quadrature is broken")
+    return FrequencyTrace(times=times, h=h, d=d,
+                          n=2.0 * d / np.maximum(h, H_FLOOR), aux=aux)
 
 
 def compute_hdn(fields: LocalizedFields,
@@ -131,21 +172,48 @@ def compute_hdn(fields: LocalizedFields,
     times = fields.mesh.times
     kw = weight.values(times, fields.grid.coords) * fields.grid.quad_weight
     h_arr, d_arr = (np.einsum("ki,ki->k", kw, f) for f in (fields.h, fields.d))
-    if np.any(h_arr < 0):
-        raise NumericalError("negative weighted energy; quadrature is broken")
     aux = {name: np.einsum("ki,ki->k", kw, f)
            for name, f in fields.sources.items()}
-    n_arr = 2.0 * d_arr / np.maximum(h_arr, H_FLOOR)
-    return FrequencyTrace(times=times, h=h_arr, d=d_arr, n=n_arr, aux=aux)
+    return _trace(times, h_arr, d_arr, aux)
 
 
-def hprime_identity_residual(fields: LocalizedFields,
-                             weight: HeatKernelWeight,
+def identity_traces(ens, cutoff: CutoffFunction, coeffs: CoefficientField,
+                    weight: HeatKernelWeight) -> tuple:
+    """The traces of the energy-derivative identity, global (phi = 1) and
+    under `cutoff`: the H, D, `phi_f` and `b_sq` of `compute_hdn` on the
+    two `localized_fields` of `ens`, from one `nodal_moment` pass that
+    holds no (steps+1, n) field.  Each tile of time nodes evaluates the
+    kernel K*quad_weight at its own times only, and its y^2, Phi^2,
+    |grad y|^2, |grad Phi|^2 and Phi Sy are contracted against the kernel
+    and against its products with the nodal a_k and b_k^2 at once.
+    Returns the (global, localized) FrequencyTrace pair."""
+    grid, mesh = ens.grid, ens.mesh
+    steps = _coefficient_steps(mesh)
+
+    def node_weight(nodes):
+        kw = weight.values(mesh.times[nodes], grid.coords) * grid.quad_weight
+        k = steps[nodes]
+        return np.stack([kw, coeffs.a[k] * kw, np.square(coeffs.b[k]) * kw])
+
+    names = ("y_sq", "phi_y_sq", "grad_y_sq", "grad_phi_y_sq", "phi_y_sy")
+    # per term: its contraction with K, a K and b^2 K per time node
+    term = dict(zip(names, ens.nodal_moment(
+        _integrand(grid, cutoff, names), node_weight).swapaxes(0, 1)))
+    y_sq, phi_y_sq = term["y_sq"], term["phi_y_sq"]
+    return (_trace(mesh.times, y_sq[0], term["grad_y_sq"][0],
+                   {"phi_f": y_sq[1], "b_sq": y_sq[2]}),
+            _trace(mesh.times, phi_y_sq[0], term["grad_phi_y_sq"][0],
+                   {"phi_f": phi_y_sq[1] + term["phi_y_sy"][0],
+                    "b_sq": phi_y_sq[2]}))
+
+
+def hprime_identity_residual(trace: FrequencyTrace, dt: float,
                              rhs_eval: str = "midpoint") -> dict:
     """Residual of the energy-derivative identity
 
         H'(t) = -2 D(t) + 2 E int Phi F K + E int b^2 Phi^2 K
 
+    on a trace of `compute_hdn` or `identity_traces` at time step dt,
     measured per step as (H_{k+1}-H_k)/dt against the right-hand side,
     normalized by max H.  `rhs_eval` picks the evaluation point: "midpoint"
     (second-order in time, so the spatial floor dominates) or "left"
@@ -153,19 +221,17 @@ def hprime_identity_residual(fields: LocalizedFields,
     """
     if rhs_eval not in ("midpoint", "left"):
         raise NumericalError(f"unknown rhs_eval '{rhs_eval}'")
-    tr = compute_hdn(fields, weight)
-    dt = fields.mesh.dt
-    rhs = -2.0 * tr.d + 2.0 * tr.aux["phi_f"] + tr.aux["b_sq"]
-    lhs = np.diff(tr.h) / dt
+    rhs = -2.0 * trace.d + 2.0 * trace.aux["phi_f"] + trace.aux["b_sq"]
+    lhs = np.diff(trace.h) / dt
     rhs_mid = 0.5 * (rhs[:-1] + rhs[1:]) if rhs_eval == "midpoint" else rhs[:-1]
-    scale = max(float(np.max(tr.h)), H_FLOOR)
+    scale = max(float(np.max(trace.h)), H_FLOOR)
     res = (lhs - rhs_mid) / scale
     integrated = float(np.sum(np.abs(res)) * dt)
     # magnitude of the cancelling derivative terms, for tolerance budgets
     rhs_scale = float(np.max(np.abs(rhs))) / scale
     return {"residuals": res, "max_residual": float(np.max(np.abs(res))),
             "integrated_residual": integrated, "rhs_scale": rhs_scale,
-            "trace": tr}
+            "trace": trace}
 
 
 def frequency_bound_check(fields: LocalizedFields, weight: HeatKernelWeight,

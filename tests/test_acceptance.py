@@ -25,7 +25,7 @@ from stochheat import (Ball, CoefficientField, HeatKernelWeight,
 from stochheat import control as ctl
 from stochheat.cli import main as cli_main
 from stochheat.forward import tree_moves
-from stochheat.frequency import hprime_identity_residual
+from stochheat.frequency import compute_hdn, hprime_identity_residual
 from stochheat.geometry import caloric_defect
 from stochheat.ucp import amplitude_profile, default_tolerance
 
@@ -131,8 +131,8 @@ def test_criterion_03_energy_derivative_identity():
         mesh = TimeMesh(horizon=horizon, steps=10)
         coeffs = CoefficientField.random_bounded(grid, mesh, seed, 0.5, 0.5)
         ens = solve_forward(y0, coeffs, build_tree(mesh), mesh, grid)
-        rep = hprime_identity_residual(localized_fields(ens, None, coeffs),
-                                       weight)
+        rep = hprime_identity_residual(
+            compute_hdn(localized_fields(ens, None, coeffs), weight), mesh.dt)
         ok &= rep["integrated_residual"] <= 0.05
         # dt-halving: the left-endpoint residual is first order, so
         # successive Richardson differences (the spatial floor cancels)
@@ -143,7 +143,7 @@ def test_criterion_03_energy_derivative_identity():
             c2 = CoefficientField.random_bounded(grid, m2, seed, 0.5, 0.5)
             mom = solve_forward_moments(y0, c2, m2, grid)
             res[steps] = hprime_identity_residual(
-                localized_fields(mom, None, c2), weight,
+                compute_hdn(localized_fields(mom, None, c2), weight), m2.dt,
                 rhs_eval="left")["integrated_residual"]
         ratio = (res[10] - res[20]) / (res[20] - res[40])
         ok &= 1.4 <= ratio <= 2.6

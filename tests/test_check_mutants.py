@@ -1,6 +1,8 @@
 """Checks that can fail: each check record listed here reads PASS on the
 default configuration and FAIL under a mutant of the program."""
 
+import dataclasses
+
 import pytest
 
 from stochheat import cli
@@ -37,6 +39,18 @@ def _backward_inverse_at_double_dt(monkeypatch):
                         property(lambda self: 2.0 * diagonal(self) - 1.0))
 
 
+def _scaled_dissipation(monkeypatch):
+    # the identity pass of frequency returns D scaled by 1.5 (on the
+    # defaults the check then reads 0.498 against its budget of 0.315)
+    traces = cli.identity_traces
+
+    def scaled(*args, **kwargs):
+        return tuple(dataclasses.replace(tr, d=1.5 * tr.d)
+                     for tr in traces(*args, **kwargs))
+
+    monkeypatch.setattr(cli, "identity_traces", scaled)
+
+
 # check name as `verify` reports it -> the mutant that fails it
 MUTANTS = {
     "control.regularization_curve_monotone": _reversed_curve,
@@ -44,6 +58,7 @@ MUTANTS = {
     "control.gramian_matrix_matches_tree": _backward_inverse_at_double_dt,
     "control.gramian_symmetry": _backward_inverse_at_double_dt,
     "control.null_control_verified": _swapped_backward_factors,
+    "frequency.energy_derivative_identity": _scaled_dissipation,
 }
 
 

@@ -303,11 +303,13 @@ def test_cli_overflowing_moments_exit_2(tmp_path, capsys):
             assert err.count("\n") == 1 and "Traceback" not in err
     # finite factors whose expectation E[y^2] = Z^T Z overflows: b = 1e20
     # at the default depth 10, and b = 100 on the 400-step fine mesh of
-    # frequency; nodal_moment names the first time node that overflows
+    # frequency, where E[y^2] overflows at node 275 and its contraction
+    # with b^2 K at node 270; nodal_moment names the first time node that
+    # overflows
     cfg = tmp_path / "overflow.cfg"
     for text, sub, node in (
             ("grid.nodes = 31\ncoeff.b = 1e20\n", "simulate", "9 of 10"),
-            (_fast_text("coeff.b = 100\n"), "verify", "275 of 400")):
+            (_fast_text("coeff.b = 100\n"), "verify", "270 of 400")):
         cfg.write_text(text)
         code = main([sub, "--config", str(cfg),
                      "--out", str(tmp_path / "out")])
@@ -377,7 +379,8 @@ def test_experiment_values_is_a_writable_view(overrides):
 
 def test_one_default_moment_pass_per_experiment(monkeypatch):
     # simulate, ucp and observe read the one cached `Experiment.moment`;
-    # the other passes are the four localized-field builds
+    # the other passes are the two localized-field builds and the one
+    # identity pass of frequency
     calls = []
     moment = forward.Ensemble.nodal_moment
 
@@ -389,7 +392,7 @@ def test_one_default_moment_pass_per_experiment(monkeypatch):
     exp = cli.Experiment(cfgmod.merge_config({}))
     for name in ("simulate", "frequency", "ucp", "observe"):
         cli.SUBCOMMANDS[name](exp)
-    assert len(calls) == 5
+    assert len(calls) == 4
     assert calls.count(()) == 1
 
 
@@ -458,11 +461,11 @@ def test_mc_survey_solves_no_path(monkeypatch):
         solved.append(len(noise.increments))
         return paths(y0, coeffs, noise, *args, **kwargs)
 
-    def counting_moment(self, integrand=np.square):
+    def counting_moment(self, integrand=np.square, node_weight=None):
         def watched(rows):
             rows_seen.append(rows.shape[1])
             return integrand(rows)
-        return moment(self, watched)
+        return moment(self, watched, node_weight)
 
     monkeypatch.setattr(cli, "solve_forward", counting_paths)
     monkeypatch.setattr(forward.Ensemble, "nodal_moment", counting_moment)
@@ -473,7 +476,9 @@ def test_mc_survey_solves_no_path(monkeypatch):
         for name in ("simulate", "frequency", "ucp", "observe"):
             cli.SUBCOMMANDS[name](exp)
         assert solved == n_paths, kind
-        assert max(rows_seen) == rows and len(rows_seen) >= 5, kind
+        # at least one integrand call per pass: the moment, two field
+        # builds and the fine identity pass
+        assert max(rows_seen) == rows and len(rows_seen) >= 4, kind
         solved.clear()
         rows_seen.clear()
 
@@ -746,10 +751,9 @@ def test_simulate_reports_the_scheme_step_sizes(tmp_path, capsys):
 
 
 def test_one_cutoff_field_build_per_experiment(monkeypatch):
-    # a simulate/frequency/ucp/observe pass builds localized fields 4 times:
-    # for the global and the localized identity on the fine moment
-    # ensemble, for the convex drift bound, and once under the cutoff for
-    # both the drift bound and the lambda sweep; ucp alone builds only those
+    # a simulate/frequency/ucp/observe pass builds localized fields twice:
+    # for the convex drift bound, and once under the cutoff for both the
+    # drift bound and the lambda sweep; ucp alone builds only those
     built = []
     build = cli.localized_fields
 
@@ -764,10 +768,39 @@ def test_one_cutoff_field_build_per_experiment(monkeypatch):
     for runner in (cli.run_simulate, cli.run_frequency, cli.run_ucp,
                    cli.run_observe):
         runner(exp)
-    assert len(built) == 4 and sum(built) == 2
+    assert len(built) == 2 and sum(built) == 1
     built.clear()
     cli.run_ucp(cli.Experiment(cfg))
     assert built == [True]
+
+
+@pytest.mark.parametrize("kind", ["constant", "random"])
+def test_frequency_reads_the_fine_ensemble_in_one_pass(kind, monkeypatch):
+    # run_frequency builds localized fields on the experiment's ensemble
+    # only (the cutoff and the convex fields), and the fine 400-step
+    # ensemble of the derivative identities gets exactly one nodal_moment
+    # pass, with the kernel as its node weight
+    built, passes = [], []
+    build = cli.localized_fields
+    moment = forward.Ensemble.nodal_moment
+
+    def counting(ens, cutoff, coeffs):
+        built.append(ens)
+        return build(ens, cutoff, coeffs)
+
+    def counting_moment(self, integrand=np.square, node_weight=None):
+        passes.append((self, node_weight))
+        return moment(self, integrand, node_weight)
+
+    monkeypatch.setattr(cli, "localized_fields", counting)
+    monkeypatch.setattr(forward.Ensemble, "nodal_moment", counting_moment)
+    exp = cli.Experiment(cfgmod.merge_config(cfgmod.parse_config(
+        _fast_text(f"coeff.kind = {kind}\n"))))
+    cli.run_frequency(exp)
+    assert len(built) == 2 and all(ens is exp.ensemble for ens in built)
+    fine = [(ens, w) for ens, w in passes if ens is not exp.ensemble]
+    assert len(fine) == 1 and fine[0][0].mesh.steps == 400
+    assert fine[0][1] is not None
 
 
 def test_observe_thin_time_set_excludes_the_chain(tmp_path, capsys):

@@ -335,6 +335,36 @@ def test_ramped_adjoint_duality_and_martingale(ramped, sparse_operators,
                          / (2.0 * np.sqrt(mesh.dt)))
 
 
+def test_ramped_backward_transforms_back_only_the_levels_read(
+        ramped, monkeypatch, assert_rel_close):
+    # on sine coefficients a solve transforms the terminal rows and the
+    # sources forward and no level back; reading a level transforms it back
+    # on each access, and the terminal level is the data itself
+    grid, mesh, tree, coeffs, _, _ = ramped
+    rng = _rng(13)
+    z_t = rng.standard_normal((tree.n_leaves, grid.n_nodes))
+    h = rng.standard_normal(grid.n_nodes)
+    full = solve_backward_tree(z_t, coeffs, mesh, grid, tree, h=h)
+    expected = [full.z_levels[k] for k in range(mesh.steps + 1)]
+    calls = []
+    sine = ImplicitHeatSolver.sine
+
+    def counting(self, rows):
+        calls.append(np.shape(rows))
+        return sine(self, rows)
+
+    monkeypatch.setattr(ImplicitHeatSolver, "sine", counting)
+    pair = solve_backward_tree(z_t, coeffs, mesh, grid, tree, h=h)
+    assert len(calls) == 1 + mesh.steps  # the terminal rows and each h
+    calls.clear()
+    assert_rel_close(pair.z0, expected[0][0])
+    assert pair.z_levels[-1] is z_t and len(calls) == 1
+    assert len(pair.z_levels) == mesh.steps + 1
+    for k, level in enumerate(pair.z_levels[1:-1], start=1):
+        assert np.array_equal(level, expected[k])
+    assert len(calls) == mesh.steps
+
+
 def test_ramped_gramian_apply_matches_matrix(ramped):
     # tree columns on sine coefficients against the second-moment recursion,
     # which solves in physical space

@@ -6,7 +6,9 @@ import pytest
 from stochheat import (Ball, CoefficientField, HeatKernelWeight, TimeMesh,
                        build_cutoff, build_grid, build_tree, compute_hdn,
                        frequency_bound_check, hprime_identity_residual,
-                       localized_fields, solve_forward, solve_forward_moments)
+                       identity_traces, localized_fields, sample_ensemble,
+                       solve_forward, solve_forward_moments,
+                       solve_sampled_moments)
 from stochheat import forward, frequency
 from stochheat.errors import NumericalError
 from stochheat.frequency import FrequencyTrace
@@ -186,8 +188,9 @@ def _integrated_residual(steps, mode):
     coeffs = CoefficientField.constant(fine_grid, mesh, 0.3, 0.4)
     mom = solve_forward_moments(y0, coeffs, mesh, fine_grid)
     w = HeatKernelWeight(horizon=0.1, shift=0.25, center=(0.5,), dim=1)
-    return hprime_identity_residual(localized_fields(mom, None, coeffs), w,
-                                    rhs_eval=mode)["integrated_residual"]
+    return hprime_identity_residual(
+        compute_hdn(localized_fields(mom, None, coeffs), w), mesh.dt,
+        rhs_eval=mode)["integrated_residual"]
 
 
 def test_hprime_identity_residual_refines():
@@ -209,8 +212,9 @@ def test_hprime_left_mode_is_first_order():
 
 def test_hprime_rejects_unknown_mode(tree_ensemble, weight, coeffs):
     with pytest.raises(NumericalError):
-        hprime_identity_residual(localized_fields(tree_ensemble, None, coeffs),
-                                 weight, rhs_eval="right")
+        hprime_identity_residual(
+            compute_hdn(localized_fields(tree_ensemble, None, coeffs), weight),
+            tree_ensemble.mesh.dt, rhs_eval="right")
 
 
 def test_frequency_bound_holds(tree_ensemble, weight, coeffs, grid, mesh):
@@ -268,3 +272,90 @@ def test_frequency_bound_worst_pair_is_the_first_maximum(tree_ensemble,
         assert rep["worst_pair"] == (i[first], j[first])
         ties += np.count_nonzero(excess == excess[first]) > 1
     assert ties >= 10
+
+
+def _identity_lab(extents, shape, center, kind, source, steps=6):
+    """An ensemble with its cutoff, coefficients and kernel weight: `kind`
+    is constant, random (constant in time) or varying (in time and over
+    the nodes) coefficients, `source` the Bernoulli tree's paths, the exact
+    moments or the sampled closed form."""
+    grid = build_grid(extents, shape)
+    mesh = TimeMesh(horizon=0.3, steps=steps)
+    lo = np.array([e[0] for e in extents])
+    width = np.array([e[1] - e[0] for e in extents])
+    unit = (grid.coords - lo) / width
+    if kind == "constant":
+        coeffs = CoefficientField.constant(grid, mesh, 0.3, 0.4)
+    elif kind == "random":
+        coeffs = CoefficientField.random_bounded(grid, mesh, 4, 0.5, 0.5)
+    else:
+        ramp = np.linspace(0.5, 1.5, steps)[:, None]
+        coeffs = CoefficientField(grid, mesh, a=ramp * (0.3 + unit[:, 0]),
+                                  b=ramp[::-1] * (0.4 - 0.2 * unit[:, -1]))
+    y0 = np.prod(np.sin(np.pi * unit), axis=1) * (1.0 + 0.5 * unit[:, 0])
+    if source == "tree":
+        ens = solve_forward(y0, coeffs, build_tree(mesh), mesh, grid)
+    elif source == "moments":
+        ens = solve_forward_moments(y0, coeffs, mesh, grid)
+    else:
+        ens = solve_sampled_moments(y0, coeffs, sample_ensemble(mesh, 64, 3),
+                                    mesh, grid)
+    cutoff = build_cutoff(Ball(center, 0.2), Ball(center, 0.4), grid)
+    weight = HeatKernelWeight(horizon=0.3, shift=0.25, center=center,
+                              dim=grid.dim)
+    return ens, cutoff, coeffs, weight
+
+
+_1D = ([(0.0, 1.0)], (31,), (0.5,))
+_2D = ([(0.0, 1.0), (0.0, 2.0)], (7, 11), (0.5, 1.0))
+
+
+@pytest.mark.parametrize("block", ["default", "uneven"])
+@pytest.mark.parametrize("lab, kind, source", [
+    (_1D, "constant", "tree"), (_1D, "constant", "moments"),
+    (_1D, "constant", "sampled"), (_1D, "random", "tree"),
+    (_1D, "random", "moments"), (_1D, "varying", "moments"),
+    (_2D, "constant", "tree"), (_2D, "constant", "moments"),
+    (_2D, "constant", "sampled"), (_2D, "random", "moments"),
+    (_2D, "varying", "tree"),
+], ids=lambda v: v if isinstance(v, str) else f"{len(v[0])}d")
+def test_identity_traces_match_the_field_route(lab, kind, source, block,
+                                               monkeypatch, assert_rel_close):
+    # the one tiled pass gives the H, D, phi_f and b_sq traces of
+    # compute_hdn on the global and the cutoff fields, on every ensemble
+    # kind; "uneven" tiles split the time nodes (and the tree's rows) into
+    # blocks that do not divide them
+    ens, cutoff, coeffs, weight = _identity_lab(*lab, kind, source)
+    refs = [compute_hdn(localized_fields(ens, cut, coeffs), weight)
+            for cut in (None, cutoff)]
+    if block == "uneven":
+        # blocks of 5 rows: 5 time nodes per tile for one row per time
+        # node, else 1 time node and 5 rows
+        monkeypatch.setattr(forward, "MOMENT_BLOCK_BYTES",
+                            5 * 8 * ens.grid.n_nodes)
+        assert len(ens.rows) % 5 and len(ens.rows[0]) % 5
+    traces = identity_traces(ens, cutoff, coeffs, weight)
+    for tr, ref in zip(traces, refs):
+        for name in ("h", "d"):
+            assert_rel_close(getattr(tr, name), getattr(ref, name))
+        for name in ("phi_f", "b_sq"):
+            assert_rel_close(tr.aux[name], ref.aux[name])
+        assert np.array_equal(tr.times, ref.times)
+        assert np.allclose(tr.n, ref.n, rtol=1e-12)
+
+
+def test_identity_pass_memory_is_one_tile():
+    # at 2-D 31x31 on the 400-step mesh of frequency, the pass holds about
+    # one tile of MOMENT_BLOCK_BYTES per term and weight, not the (401, n)
+    # fields of the field route
+    import tracemalloc
+    ens, cutoff, coeffs, weight = _identity_lab(
+        [(0.0, 1.0), (0.0, 1.0)], (31, 31), (0.5, 0.5), "constant",
+        "moments", steps=400)
+    tracemalloc.start()
+    try:
+        identity_traces(ens, cutoff, coeffs, weight)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20, peak
