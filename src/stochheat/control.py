@@ -18,10 +18,11 @@ backward modes are available:
 
 Coefficients uniform over the nodes make every step factor and the
 potential scalars, which commute with M^-1 = S diag(1/(1 - dt*lam)) S, so
-the dual flow is one orbit times path scalars and both backward modes run
-elementwise on sine coefficients (`ImplicitHeatSolver.sine`), with no
-implicit solve per tree level, and a level goes back to physical space only
-when it is read; nodal coefficients step in physical space.
+the dual flow stays factored (path scalars and one orbit), both backward
+modes are linear and elementwise on sine coefficients, z(0) is one
+contraction of the leaves plus one scalar recursion per factored source,
+and the duality checks read the factors: a run forms no 2^k-row level.
+Nodal coefficients step in physical space.
 
 The control of a dual datum is `dual_control`, its dual flow observed on
 G0 x E1; the Gramian apply (-z(0) of the adjoint solve it drives from zero
@@ -46,8 +47,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError, ShapeError
-from .forward import (CoefficientField, implicit_solver, step_factors,
-                      tree_levels, tree_moves, tree_step_adjoint)
+from .forward import (CoefficientField, FactoredLevels, implicit_solver,
+                      step_factors, tree_levels, tree_moves, tree_step_adjoint,
+                      uniform_factors)
 from .geometry import Ball, SpatialGrid
 from .noise import BernoulliTree, TimeMesh
 from .observability import MeasurableTimeSet
@@ -92,36 +94,14 @@ def control_level_weights(time_set: MeasurableTimeSet, mesh: TimeMesh) -> np.nda
     return weights
 
 
-class _SineLevels(Sequence):
-    """The `z_levels` of `_sine_backward`: levels 0..steps-1 are kept on
-    sine coefficients and transformed back on each access, and the level
-    `steps` is the physical terminal data itself."""
-
-    def __init__(self, coefficients: list, terminal: np.ndarray, solver):
-        self._coefficients = coefficients
-        self._terminal = terminal
-        self._solver = solver
-
-    def __len__(self) -> int:
-        return len(self._coefficients) + 1
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(len(self)))]
-        k = range(len(self))[k]  # negative indices; IndexError past the end
-        if k == len(self._coefficients):
-            return self._terminal
-        return self._solver.sine(self._coefficients[k])
-
-
 @dataclass
 class BackwardPair:
     """z on tree history nodes per level (arrays of shape (2^k, n_nodes)),
     and `solves`, the implicit solves per step of independent mode (None in
-    adjoint mode).  After a solve on sine coefficients the levels below the
-    terminal one are transformed back to physical space when read."""
+    adjoint mode).  Coefficients uniform over the nodes form a level between
+    the root and the terminal one only when it is read."""
 
-    z_levels: list = field(repr=False)
+    z_levels: Sequence = field(repr=False)
     mesh: TimeMesh
     grid: SpatialGrid
     solves: list | None = None
@@ -130,27 +110,12 @@ class BackwardPair:
     def z0(self) -> np.ndarray:
         return self.z_levels[0][0]
 
-    @property
-    def z_martingale(self) -> list:
-        """The representation integrand Z per step level, shape (2^k, n),
-        computed from `z_levels` on each access: the difference of the up
-        and the down child over 2 sqrt(dt), of M^-1 z_{k+1} in adjoint mode
-        and of z_{k+1} itself in independent mode."""
-        solver = implicit_solver(self.grid, self.mesh.dt)
-        scale = 2.0 * tree_moves(self.mesh.dt)[1]
-        out = []
-        for z_next in self.z_levels[1:]:
-            if self.solves is None:
-                z_next = solver.solve(z_next)
-            out.append((z_next[1::2] - z_next[0::2]) / scale)
-        return out
-
 
 @dataclass
 class ControlField:
     """Adapted control source supported on G0 x E1."""
 
-    levels: list = field(repr=False)       # per step k: (2^k, n_nodes)
+    levels: Sequence = field(repr=False)   # per step k: (2^k, n_nodes)
     mask: np.ndarray = field(repr=False)   # spatial indicator of G0
     weights: np.ndarray = field(repr=False)  # per-step actuation measure
 
@@ -213,12 +178,9 @@ def solve_backward_tree(z_terminal: np.ndarray, coeffs: CoefficientField,
     of I - dt*Lap_h + dt*diag(a_k) (`_potential_solve`).
 
     Coefficients uniform over the nodes make the step factors and the
-    potential scalars, which commute with the sine transform S of
-    `ImplicitHeatSolver.sine`, so the recursion runs on sine coefficients
-    (`_sine_backward`): one transform of the terminal rows and of each
-    level's source rows, and elementwise steps; a level is transformed
-    back only when `z_levels` is read there.  The level `steps` of
-    `z_levels` is `z_terminal` itself.
+    potential scalars, so the recursion is elementwise on sine coefficients
+    and z(0) comes by linearity (`_FactoredBackward`).  The level `steps`
+    of `z_levels` is `z_terminal` itself.
     """
     if mode not in ("adjoint", "independent"):
         raise ConfigurationError(f"unknown backward mode '{mode}'")
@@ -229,9 +191,12 @@ def solve_backward_tree(z_terminal: np.ndarray, coeffs: CoefficientField,
     if z.shape != (tree.n_leaves, n):
         raise ShapeError(f"terminal data shape {z.shape}, "
                          f"expected ({tree.n_leaves}, {n})")
-    solve = _sine_backward if coeffs.node_uniform else _nodal_backward
-    z_levels, solves = solve(z, coeffs, mesh, implicit_solver(grid, mesh.dt),
-                             h, control, mode)
+    args = (z, coeffs, mesh, implicit_solver(grid, mesh.dt), h, control, mode)
+    if coeffs.node_uniform:
+        z_levels = _FactoredBackward(*args)
+        solves = z_levels.solves
+    else:
+        z_levels, solves = _nodal_backward(*args)
     return BackwardPair(z_levels=z_levels, mesh=mesh, grid=grid, solves=solves)
 
 
@@ -262,43 +227,93 @@ def _nodal_backward(z, coeffs, mesh, solver, h, control, mode):
     return z_levels, solves
 
 
-def _sine_backward(z, coeffs, mesh, solver, h, control, mode):
-    """z_levels (a `_SineLevels`) and solves of `solve_backward_tree` for
-    coefficients uniform over the nodes, on sine coefficients z_hat = S z.
-    M^-1 is diag(1 / `diagonal`) there, so an adjoint step is
-    z_hat_k = M^-1 (down z_hat[0::2] + up z_hat[1::2]) / 2 - S(sources), and
-    the independent mode's solve with the constant potential dt*a_k is a
-    division by `diagonal` + dt*a_k, one solve per step."""
-    dt, n = mesh.dt, z.shape[1]
-    moves = tree_moves(dt)
-    z_hats = [None] * mesh.steps
-    solves = [1] * mesh.steps if mode == "independent" else None
-    diagonal = solver.diagonal
-    inverse = 1.0 / diagonal
-    # zero terminal data is zero on sine coefficients too
-    z_hat = solver.sine(z) if z.any() else z
-    for k in range(mesh.steps - 1, -1, -1):
+class _FactoredBackward(Sequence):
+    """`z_levels` of `solve_backward_tree` for coefficients uniform over the
+    nodes.  On sine coefficients a step is elementwise and linear,
+    z_hat_k = alpha_k (p_k z_hat_{k+1}[0::2] + q_k z_hat_{k+1}[1::2])
+    - beta_k S(source_k): (p, q) is half the dual factors, alpha = 1 /
+    `diagonal` and beta = 1 in adjoint mode; (p, q) = 1/2 +/- sqrt(dt)*b_k/2
+    (dt*b_k*Z taken off the conditional mean) and alpha = beta =
+    1 / (`diagonal` + dt*a_k) in independent mode, one solve per step.  A
+    source of rows s_k x v_k (a row h for every node, or a `FactoredLevels`
+    control with step factors f) adds s_k x B_k to level k, B_steps = 0 and
+    B_k = alpha_k c_k B_{k+1} - beta_k S(v_k), c_k = p_k f_k^down
+    + q_k f_k^up.  The terminal rows and sources given per level enter
+    level j through the leaf weights, the products of (p, q) along the path
+    below each of its nodes.  The root is solved with the pair; a level
+    between it and the terminal data is formed when read."""
+
+    def __init__(self, z, coeffs, mesh, solver, h, control, mode):
+        dt, steps, n = mesh.dt, mesh.steps, z.shape[1]
+        self._terminal, self._solver = z, solver
         if mode == "adjoint":
-            down, up = step_factors(coeffs, k, dt, moves, sign=-1.0)[:, 0]
-            weights = 0.5 * down * inverse, 0.5 * up * inverse
+            self._weights = 0.5 * uniform_factors(coeffs, dt, sign=-1.0)
+            self._alpha = np.broadcast_to(1.0 / solver.diagonal, (steps, n))
+            self._beta, self.solves = np.ones((steps, 1)), None
         else:
             # the conditional mean minus dt*b_k*Z, Z the difference of the up
             # and the down child over 2 sqrt(dt)
-            lift = 0.5 * moves[1] * coeffs.b[k, 0]
-            weights = 0.5 + lift, 0.5 - lift
-        z_hat = weights[0] * z_hat[0::2] + weights[1] * z_hat[1::2]
-        source = _level_rows(h, k, n)
-        if source is not None:
-            source = dt * source
-        if control is not None and control.weights[k] > 0.0:
-            f_k = control.levels[k] * (control.weights[k] * control.mask)
-            source = f_k if source is None else source + f_k
-        if source is not None:
-            z_hat -= solver.sine(source)
-        if mode == "independent":
-            z_hat /= diagonal + dt * coeffs.a[k, 0]
-        z_hats[k] = z_hat
-    return _SineLevels(z_hats, z, solver), solves
+            lift = 0.5 * tree_moves(dt)[1] * coeffs.b[:, :1]
+            self._weights = 0.5 + lift * np.array([1.0, -1.0])
+            self._alpha = 1.0 / (solver.diagonal + dt * coeffs.a[:, :1])
+            self._beta, self.solves = self._alpha, [1] * steps
+        per_level = isinstance(h, (list, tuple))
+        rows = [dt * _level_source(h, k, n) if per_level else None
+                for k in range(steps)]
+        parts = [] if h is None or per_level else [  # path scalars all 1
+            ([np.ones(2 ** k) for k in range(steps + 1)], np.ones((steps, 2)),
+             np.array([dt * _level_rows(h, k, n) for k in range(steps)]))]
+        if control is not None:
+            levels = control.levels
+            active = control.weights[:, None] * control.mask
+            if isinstance(levels, FactoredLevels):
+                parts.append((levels.scalars, levels.factors,
+                              active * levels.orbit[:steps]))
+            else:
+                for k in np.flatnonzero(control.weights > 0.0):
+                    f_k = levels[k] * active[k]
+                    rows[k] = f_k if rows[k] is None else rows[k] + f_k
+        # per factored source: its path scalars and B_0..B_steps
+        self._rows, self._parts = rows, []
+        for scalars, factors, v in parts:
+            c, v_hat = np.sum(self._weights * factors, axis=1), solver.sine(v)
+            part = np.zeros((steps + 1, n))
+            for k in range(steps - 1, -1, -1):
+                part[k] = self._alpha[k] * (c[k] * part[k + 1]) \
+                    - self._beta[k] * v_hat[k]
+            self._parts.append((scalars, part))
+        self._root = self.level(0)
+
+    def __len__(self) -> int:
+        return len(self._weights) + 1
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return [self[i] for i in range(*j.indices(len(self)))]
+        j = range(len(self))[j]  # negative indices; IndexError past the end
+        if j == len(self) - 1:
+            return self._terminal
+        return self._root if j == 0 else self.level(j)
+
+    def level(self, j: int) -> np.ndarray:
+        """Level j in physical space, shape (2^j, n)."""
+        steps, n = len(self._weights), self._terminal.shape[1]
+        sine = self._solver.sine
+        omegas = [np.ones(1)]  # leaf weights from level j to j, j+1, ...
+        for pair in self._weights[j:]:
+            omegas.append(np.multiply.outer(omegas[-1], pair).reshape(-1))
+
+        def below(rows, k):  # level k's rows contracted below each j node
+            return sine(omegas[k - j] @ rows.reshape(2 ** j, -1, n))
+
+        z_hat = below(self._terminal, steps)
+        for k in range(steps - 1, j - 1, -1):
+            z_hat = self._alpha[k] * z_hat
+            if self._rows[k] is not None:
+                z_hat -= self._beta[k] * below(self._rows[k], k)
+        for scalars, part in self._parts:
+            z_hat += np.multiply.outer(scalars[j], part[j])
+        return sine(z_hat)
 
 
 def _potential_solve(solver, rhs: np.ndarray, potential: np.ndarray):
@@ -333,33 +348,64 @@ def _potential_solve(solver, rhs: np.ndarray, potential: np.ndarray):
         f"shift {shift:.3g}")
 
 
-def duality_check(dual_levels: list, pair: BackwardPair, h=None,
+def _node_view(levels: Sequence, k: int, mask=None):
+    """Level k of a flow, times `mask` if one is given: the pair (path
+    scalars, row) of its rows s x row when the levels are `FactoredLevels`,
+    else an array."""
+    if isinstance(levels, FactoredLevels):
+        row = levels.orbit[k]
+        return levels.scalars[k], row if mask is None else row * mask
+    return levels[k] if mask is None else levels[k] * mask
+
+
+def _datum(levels: Sequence) -> np.ndarray:
+    """The one row of level 0 (s_0 = 1), without forming a factored level."""
+    if isinstance(levels, FactoredLevels):
+        return levels.orbit[0]
+    return levels[0][0]
+
+
+def _node_mean(x, y) -> float:
+    """The mean over the nodes of one level of <x, y>: each side is a
+    `_node_view` pair, a (2^k, n) array, or one row for every node."""
+    if isinstance(y, tuple):
+        x, y = y, x
+    if not isinstance(x, tuple):
+        return float(np.mean(np.einsum("ij,ij->i", x,
+                                       np.broadcast_to(y, x.shape))))
+    scalars, row = x
+    if isinstance(y, tuple):
+        return float(np.mean(scalars * y[0])) * float(row @ y[1])
+    return float(np.mean(scalars * (y @ row)))
+
+
+def duality_check(dual_levels: Sequence, pair: BackwardPair, h=None,
                   control: ControlField | None = None) -> dict:
     """Residual of the duality identity
 
         E<y(T), z(T)> - <y(0), z(0)>
           = sum_k dt E<y_k, h_k> + sum_k w_k E<y_k, chi f_k>,
 
-    with tree-exact expectations (level means)."""
+    with tree-exact expectations (level means).  Factored levels are read
+    as their factors: E<s_k x phi_k, h> = mean(s_k) <phi_k, h>, and no
+    level is formed."""
     mesh, grid = pair.mesh, pair.grid
     n = grid.n_nodes
     if len(dual_levels) != mesh.steps + 1:
         raise ShapeError("dual forward levels and backward pair disagree")
     w = grid.quad_weight
-    terminal = float(np.mean(np.einsum("ij,ij->i", dual_levels[-1],
-                                       pair.z_levels[-1]))) * w
-    initial = float(dual_levels[0][0] @ pair.z_levels[0][0]) * w
+    terminal = _node_mean(_node_view(dual_levels, -1), pair.z_levels[-1]) * w
+    initial = float(_datum(dual_levels) @ pair.z0) * w
     lhs = terminal - initial
     rhs = 0.0
     for k in range(mesh.steps):
-        y_k = dual_levels[k]
-        h_k = _level_source(h, k, n)
+        y_k = _node_view(dual_levels, k)
+        h_k = _level_rows(h, k, n)
         if h_k is not None:
-            rhs += mesh.dt * float(np.mean(np.einsum("ij,ij->i", y_k, h_k))) * w
+            rhs += mesh.dt * _node_mean(y_k, h_k) * w
         if control is not None and control.weights[k] > 0.0:
-            f_k = control.levels[k] * control.mask
-            rhs += control.weights[k] \
-                * float(np.mean(np.einsum("ij,ij->i", y_k, f_k))) * w
+            rhs += control.weights[k] * _node_mean(
+                y_k, _node_view(control.levels, k, control.mask)) * w
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs),
             "relative_residual": abs(lhs - rhs) / scale}
@@ -566,7 +612,8 @@ def synthesize_approx_control(z_terminal: np.ndarray, z0_free: np.ndarray,
 
 def duality_support_check(control: ControlField, grid: SpatialGrid) -> dict:
     """Observed mass of a control's dual flow on G0 x E1, against its datum
-    (the flow at level 0).
+    (the flow at level 0); factored levels give the mass
+    sum_k w_k mean(s_k^2) ||chi phi_k||^2 without forming a level.
 
     Near-zero mass with a nonzero dual datum would witness a discrete
     unique-continuation failure and is flagged rather than asserted.
@@ -575,9 +622,9 @@ def duality_support_check(control: ControlField, grid: SpatialGrid) -> dict:
     mass = 0.0
     for k, w_k in enumerate(control.weights):
         if w_k > 0.0:
-            obs = control.levels[k] * control.mask
-            mass += w_k * float(np.mean(np.einsum("ij,ij->i", obs, obs))) * w
-    datum = control.levels[0][0]
+            obs = _node_view(control.levels, k, control.mask)
+            mass += w_k * _node_mean(obs, obs) * w
+    datum = _datum(control.levels)
     datum_norm_sq = w * float(datum @ datum)
     flag = mass <= 1e-14 * max(datum_norm_sq, 1e-300) and datum_norm_sq > 0.0
     return {"observed_mass": float(mass), "datum_norm_sq": float(datum_norm_sq),

@@ -25,10 +25,10 @@ sampled path scalars, with the paths themselves rebuilt on access to
 SVD per step, padded to its largest rank with zero rows, and mc mode then
 solves every path.  The dual and adjoint solves of `control` run on
 history levels instead: `tree_step` takes level k to level k+1 of the
-history tree (`tree_levels`, in closed form from one orbit when the
-coefficients are uniform over the nodes), and `tree_step_adjoint` is its
-transpose; `ImplicitHeatSolver.sine` and `diagonal` let the backward
-solves of `control` step on sine coefficients.
+history tree (`tree_levels`, kept factored as `FactoredLevels`, path
+scalars and one orbit, when the coefficients are uniform over the nodes),
+and `tree_step_adjoint` is its transpose; `ImplicitHeatSolver.sine` and
+`diagonal` let the backward solves of `control` run on sine coefficients.
 `energy_trace` reads the energy, or the mass on a node mask, per time node
 from any ensemble (`moment_trace` from one `nodal_moment` pass), and
 `Ensemble.values` is a writable view of the rows by path, except for the
@@ -38,6 +38,7 @@ sampled closed form, whose `values` are its paths, read-only.
 from __future__ import annotations
 
 import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -56,6 +57,8 @@ __all__ = [
     "ImplicitHeatSolver",
     "implicit_solver",
     "step_factors",
+    "uniform_factors",
+    "FactoredLevels",
     "tree_moves",
     "tree_step",
     "tree_levels",
@@ -387,31 +390,63 @@ def tree_step(level: np.ndarray, down: np.ndarray, up: np.ndarray,
     return solver.solve(children.reshape(-1, level.shape[1]))
 
 
+def uniform_factors(coeffs: CoefficientField, dt: float,
+                    sign: float = 1.0) -> np.ndarray:
+    """The (steps, 2) table of the down and up factors of every tree step,
+    `step_factors` of node 0: all of them when the coefficients are uniform
+    over the nodes."""
+    return 1.0 + sign * dt * coeffs.a[:, :1] + coeffs.b[:, :1] * tree_moves(dt)
+
+
+class FactoredLevels(Sequence):
+    """History levels of a tree solve whose step factors are scalars: level
+    k is the outer product of its 2^k path scalars `scalars[k]` (node h's
+    children 2h and 2h+1 times the down and the up entry of `factors[k]`)
+    with the row `orbit[k]`, and is formed only when indexed.  A slice from
+    level 0 stays factored."""
+
+    def __init__(self, factors: np.ndarray, orbit: np.ndarray, scalars=None):
+        self.factors, self.orbit = factors, orbit
+        if scalars is None:
+            scalars = [np.ones(1)]
+            for pair in factors[:len(orbit) - 1]:
+                scalars.append(np.multiply.outer(scalars[-1], pair).reshape(-1))
+        self.scalars = scalars
+
+    def __len__(self) -> int:
+        return len(self.orbit)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            start, stop, step = k.indices(len(self))
+            if start == 0 and step == 1:
+                return FactoredLevels(self.factors, self.orbit[:stop],
+                                      self.scalars[:stop])
+            return [self[i] for i in range(start, stop, step)]
+        k = range(len(self))[k]  # negative indices; IndexError past the end
+        return np.multiply.outer(self.scalars[k], self.orbit[k])
+
+
 def tree_levels(y0: np.ndarray, coeffs: CoefficientField, mesh: TimeMesh,
-                grid: SpatialGrid, sign: float = 1.0) -> list:
+                grid: SpatialGrid, sign: float = 1.0):
     """History levels 0..steps of the tree solve from y0: `tree_step` with
     the `step_factors` (of `sign`) of the down and up move.
 
     Coefficients uniform over the nodes make both factors of a step
-    scalars, which commute with M^-1, so level k is in closed form: the
-    outer product of its 2^k path scalars (node h's children 2h and 2h+1
-    times the down and the up factor) with the orbit M^{-k} y0 of one
-    `ImplicitHeatSolver.solve_powers`."""
+    scalars, which commute with M^-1, so the levels are `FactoredLevels`:
+    the `uniform_factors` table and the orbit M^{-k} y0 of one
+    `ImplicitHeatSolver.solve_powers`, read-only."""
     solver = implicit_solver(grid, mesh.dt)
-    moves = tree_moves(mesh.dt)
     y0 = np.asarray(y0, dtype=float)
-    levels = [y0[None, :].copy()]
-    closed_form = coeffs.node_uniform
-    if closed_form:
+    if coeffs.node_uniform:
         orbit = solver.solve_powers(y0, mesh.steps)
-        scalars = np.ones(1)
+        orbit.flags.writeable = False
+        return FactoredLevels(uniform_factors(coeffs, mesh.dt, sign), orbit)
+    moves = tree_moves(mesh.dt)
+    levels = [y0[None, :].copy()]
     for k in range(mesh.steps):
         factors = step_factors(coeffs, k, mesh.dt, moves, sign)
-        if closed_form:
-            scalars = np.multiply.outer(scalars, factors[:, 0]).reshape(-1)
-            levels.append(np.multiply.outer(scalars, orbit[k + 1]))
-        else:
-            levels.append(tree_step(levels[-1], *factors, solver))
+        levels.append(tree_step(levels[-1], *factors, solver))
     return levels
 
 

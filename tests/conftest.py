@@ -7,6 +7,7 @@ import scipy.sparse as sp
 
 from stochheat import (CoefficientField, TimeMesh, build_grid, build_tree,
                        solve_forward)
+from stochheat.forward import implicit_solver, tree_moves
 
 
 @pytest.fixture(scope="session")
@@ -96,3 +97,21 @@ def assert_rel_close():
         gap = np.max(np.abs(np.asarray(value) - reference))
         assert gap <= rtol * np.max(np.abs(reference)), gap
     return check
+
+
+@pytest.fixture(scope="session")
+def z_martingale():
+    """BackwardPair -> the representation integrand Z per step level, shape
+    (2^k, n), from its `z_levels`: the difference of the up and the down
+    child over 2 sqrt(dt), of M^-1 z_{k+1} in adjoint mode and of z_{k+1}
+    itself in independent mode."""
+    def integrand(pair):
+        solver = implicit_solver(pair.grid, pair.mesh.dt)
+        scale = 2.0 * tree_moves(pair.mesh.dt)[1]
+        out = []
+        for z_next in pair.z_levels[1:]:
+            if pair.solves is None:
+                z_next = solver.solve(z_next)
+            out.append((z_next[1::2] - z_next[0::2]) / scale)
+        return out
+    return integrand

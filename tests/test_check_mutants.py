@@ -24,11 +24,14 @@ def _reversed_curve(monkeypatch):
 
 def _swapped_backward_factors(monkeypatch):
     # the backward tree's step weighs the down child with the up factor and
-    # the up child with the down one (the Gramian recursion is symmetric in
-    # the two and does not change)
-    factors = ctl.step_factors
+    # the up child with the down one, for nodal coefficients and in the
+    # table of node-uniform ones (the Gramian recursion is symmetric in the
+    # two and does not change)
+    factors, table = ctl.step_factors, ctl.uniform_factors
     monkeypatch.setattr(ctl, "step_factors",
                         lambda *args, **kwargs: factors(*args, **kwargs)[::-1])
+    monkeypatch.setattr(ctl, "uniform_factors", lambda *args, **kwargs:
+                        table(*args, **kwargs)[:, ::-1])
 
 
 def _backward_inverse_at_double_dt(monkeypatch):
@@ -72,4 +75,21 @@ def _record(name: str) -> dict:
 def test_check_fails_under_its_mutant(name, monkeypatch):
     assert _record(name)["pass"]
     MUTANTS[name](monkeypatch)
+    assert not _record(name)["pass"]
+
+
+def test_gramian_matrix_check_fails_under_a_dropped_up_product(monkeypatch):
+    # the factored source recursion of the backward closed form reads the
+    # control's up factors as 0, so that it carries c_k = d_k^2 / 2 instead
+    # of (d_k^2 + u_k^2) / 2; the control's levels themselves are unchanged
+    name = "control.gramian_matrix_matches_tree"
+    assert _record(name)["pass"]
+    dual = ctl.dual_control
+
+    def dropped(*args, **kwargs):
+        ctrl = dual(*args, **kwargs)
+        ctrl.levels.factors = ctrl.levels.factors * [1.0, 0.0]
+        return ctrl
+
+    monkeypatch.setattr(ctl, "dual_control", dropped)
     assert not _record(name)["pass"]

@@ -13,7 +13,9 @@ from stochheat import control
 from stochheat.control import (conjugate_gradient, control_level_weights,
                                duality_support_check, gramian_spectrum)
 from stochheat.errors import ConfigurationError, NumericalError, ShapeError
-from stochheat.forward import ImplicitHeatSolver
+from stochheat.forward import (FactoredLevels, ImplicitHeatSolver,
+                               implicit_solver, step_factors, tree_moves,
+                               tree_step)
 from stochheat.geometry import Ball
 
 
@@ -85,7 +87,8 @@ def test_dual_forward_per_leaf_brute_force(lab):
             assert np.allclose(levels[k + 1][node], y, rtol=1e-12, atol=1e-14)
 
 
-def test_backward_independent_brute_force(lab, sparse_operators):
+def test_backward_independent_brute_force(lab, sparse_operators,
+                                          z_martingale):
     # martingale-representation induction recomputed longhand per level, for
     # constant coefficients and for a potential ramping from 0 to 3, whose
     # implicit matrix I - dt Lap + dt diag(a_k) changes at every step
@@ -101,6 +104,7 @@ def test_backward_independent_brute_force(lab, sparse_operators):
     for c in (coeffs, ramp):
         pair = solve_backward_tree(z_t, c, mesh, grid, tree,
                                    mode="independent")
+        martingale = z_martingale(pair)
         z = z_t.copy()
         for k in range(mesh.steps - 1, -1, -1):
             lu = splu(sp.csc_matrix(sp.eye(grid.n_nodes) - dt * lap
@@ -109,7 +113,7 @@ def test_backward_independent_brute_force(lab, sparse_operators):
             big_z = (z[1::2] - z[0::2]) / (2.0 * rootdt)
             z = lu.solve((cond - dt * c.b[k] * big_z).T).T
             assert np.allclose(pair.z_levels[k], z, rtol=1e-12, atol=1e-14)
-            assert np.allclose(pair.z_martingale[k], big_z, rtol=1e-12,
+            assert np.allclose(martingale[k], big_z, rtol=1e-12,
                                atol=1e-14)
 
 
@@ -283,7 +287,7 @@ def _splu_solver(grid, dt, potential, sparse_operators):
 
 
 def test_ramped_independent_matches_splu(ramped, sparse_operators,
-                                         assert_rel_close):
+                                         assert_rel_close, z_martingale):
     # the division on sine coefficients against SuperLU of
     # I - dt Lap + dt diag(a_k), and Z from the children, at every level
     grid, mesh, tree, coeffs, ball, time_set = ramped
@@ -295,7 +299,7 @@ def test_ramped_independent_matches_splu(ramped, sparse_operators,
     pair = solve_backward_tree(z_t, coeffs, mesh, grid, tree, h=h,
                                control=ctrl, mode="independent")
     assert pair.solves == [1] * mesh.steps
-    martingale = pair.z_martingale
+    martingale = z_martingale(pair)
     dt, rootdt = mesh.dt, np.sqrt(mesh.dt)
     z = z_t
     for k in range(mesh.steps - 1, -1, -1):
@@ -310,7 +314,7 @@ def test_ramped_independent_matches_splu(ramped, sparse_operators,
 
 
 def test_ramped_adjoint_duality_and_martingale(ramped, sparse_operators,
-                                               assert_rel_close):
+                                               assert_rel_close, z_martingale):
     # duality to machine precision with a per-level h and a control, and
     # Z of the solved children against SuperLU
     grid, mesh, tree, coeffs, ball, time_set = ramped
@@ -329,7 +333,7 @@ def test_ramped_adjoint_duality_and_martingale(ramped, sparse_operators,
         "relative_residual"] < 1e-12
     solve = _splu_solver(grid, mesh.dt, np.zeros(grid.n_nodes),
                          sparse_operators)
-    for k, big_z in enumerate(pair.z_martingale):
+    for k, big_z in enumerate(z_martingale(pair)):
         solved = solve(pair.z_levels[k + 1])
         assert_rel_close(big_z, (solved[1::2] - solved[0::2])
                          / (2.0 * np.sqrt(mesh.dt)))
@@ -337,9 +341,11 @@ def test_ramped_adjoint_duality_and_martingale(ramped, sparse_operators,
 
 def test_ramped_backward_transforms_back_only_the_levels_read(
         ramped, monkeypatch, assert_rel_close):
-    # on sine coefficients a solve transforms the terminal rows and the
-    # sources forward and no level back; reading a level transforms it back
-    # on each access, and the terminal level is the data itself
+    # a solve transforms the h rows of all steps (one batch), the terminal
+    # rows contracted with their leaf weights and the root back: three
+    # transforms of at most `steps` rows; reading a level between the root
+    # and the leaves forms it with two transforms of its 2^k rows on each
+    # access, and the terminal level is the data itself
     grid, mesh, tree, coeffs, _, _ = ramped
     rng = _rng(13)
     z_t = rng.standard_normal((tree.n_leaves, grid.n_nodes))
@@ -355,14 +361,154 @@ def test_ramped_backward_transforms_back_only_the_levels_read(
 
     monkeypatch.setattr(ImplicitHeatSolver, "sine", counting)
     pair = solve_backward_tree(z_t, coeffs, mesh, grid, tree, h=h)
-    assert len(calls) == 1 + mesh.steps  # the terminal rows and each h
+    assert sorted(calls) == [(1, grid.n_nodes)] * 2 \
+        + [(mesh.steps, grid.n_nodes)]
     calls.clear()
     assert_rel_close(pair.z0, expected[0][0])
-    assert pair.z_levels[-1] is z_t and len(calls) == 1
+    assert pair.z_levels[-1] is z_t and not calls
     assert len(pair.z_levels) == mesh.steps + 1
     for k, level in enumerate(pair.z_levels[1:-1], start=1):
         assert np.array_equal(level, expected[k])
-    assert len(calls) == mesh.steps
+    assert calls == [(2 ** k, grid.n_nodes) for k in range(1, mesh.steps)
+                     for _ in range(2)]
+
+
+@pytest.mark.parametrize("kind", ["constant", "ramped"])
+@pytest.mark.parametrize("extents, shape, center", [
+    ([(0.0, 1.0)], (15,), (0.5,)),
+    ([(0.0, 1.0), (0.0, 1.0)], (5, 5), (0.5, 0.5)),
+], ids=["1d", "2d-5x5"])
+def test_closed_form_backward_matches_the_nodal_steps(
+        kind, extents, shape, center, assert_rel_close):
+    # node-uniform inputs: the factored dual flow against `tree_step` level
+    # by level, and the closed-form root and every lazily formed level
+    # against `_nodal_backward`, which steps the same inputs in physical
+    # space, in both modes, with h as one row and per level, with and
+    # without a control
+    grid = build_grid(extents, shape)
+    mesh = TimeMesh(horizon=0.5, steps=5)
+    tree, n, steps = build_tree(mesh), grid.n_nodes, mesh.steps
+    if kind == "constant":
+        coeffs = CoefficientField.constant(grid, mesh, 0.3, 0.4)
+    else:
+        coeffs = CoefficientField(
+            grid, mesh, a=np.linspace(0.0, 3.0, steps)[:, None] * np.ones(n),
+            b=np.linspace(0.2, 0.8, steps)[:, None] * np.ones(n))
+    time_set = MeasurableTimeSet(((0.05, 0.45),), horizon=0.5)
+    solver = implicit_solver(grid, mesh.dt)
+    rng = _rng(14)
+    ctrl = dual_control(rng.standard_normal(n), coeffs, Ball(center, 0.3),
+                        time_set, mesh, grid, tree)
+    assert isinstance(ctrl.levels, FactoredLevels)
+    flow = [ctrl.levels[0]]
+    for k in range(steps - 1):
+        flow.append(tree_step(flow[-1], *step_factors(
+            coeffs, k, mesh.dt, tree_moves(mesh.dt), sign=-1.0), solver))
+        assert_rel_close(ctrl.levels[k + 1], flow[-1])
+    z_t = rng.standard_normal((tree.n_leaves, n))
+    sources = (None, rng.standard_normal(n),
+               [rng.standard_normal((2 ** k, n)) for k in range(steps)])
+    for mode in ("adjoint", "independent"):
+        for h in sources:
+            for c in (None, ctrl):
+                pair = solve_backward_tree(z_t, coeffs, mesh, grid, tree,
+                                           h=h, control=c, mode=mode)
+                levels, solves = control._nodal_backward(
+                    z_t, coeffs, mesh, solver, h, c, mode)
+                assert pair.solves == solves
+                for k in range(steps + 1):
+                    assert_rel_close(pair.z_levels[k], levels[k])
+
+
+def _report_leaves(record, path=""):
+    if isinstance(record, dict):
+        for key, value in record.items():
+            yield from _report_leaves(value, f"{path}.{key}")
+    elif isinstance(record, list):
+        for i, value in enumerate(record):
+            yield from _report_leaves(value, f"{path}[{i}]")
+    else:
+        yield path, record
+
+
+def test_run_control_closed_form_matches_the_nodal_path(monkeypatch):
+    # the defaults on the closed form, and with `node_uniform` patched to
+    # False on the physical-space steps: the same verdicts; round-off
+    # measurements (records against MACHINE_TOL, the null control's z(0),
+    # the Gramian and CG gaps) are compared by verdict only, each curve
+    # row's residual within its kappa * u, u* within kappa(G) * u over the
+    # kept eigenvalues, and every other leaf within 1e-10 relative
+    spectra = []
+    spectrum = control.gramian_spectrum
+
+    def recording(gram):
+        spectra.append(spectrum(gram))
+        return spectra[-1]
+
+    monkeypatch.setattr(control, "gramian_spectrum", recording)
+
+    def run():
+        checks, extras, tables = cli.run_control(
+            cli.Experiment(cfgmod.merge_config({})))
+        return checks, extras, tables["control"]["columns"][-1]
+
+    fast = run()
+    monkeypatch.setattr(CoefficientField, "node_uniform",
+                        property(lambda self: False))
+    nodal = run()
+    assert [(c["name"], c["pass"]) for c in fast[0]] \
+        == [(c["name"], c["pass"]) for c in nodal[0]]
+    _, lam, _, cutoff = spectra[-1]
+    eps = np.finfo(float).eps
+    round_off = {"duality_identity_adjoint", "gramian_symmetry",
+                 "gramian_matrix_matches_tree", "null_control_verified"}
+    for rec, ref in zip(fast[0] + [fast[1]], nodal[0] + [nodal[1]]):
+        for (path, value), (_, expected) in zip(_report_leaves(rec),
+                                                _report_leaves(ref)):
+            if not isinstance(value, float):
+                assert value == expected, path
+            if not isinstance(value, float) or path.endswith(
+                    ("gramian_gap", "cg_gap")) or rec.get("name") \
+                    in round_off and path in (".lhs", ".margin"):
+                continue
+            rtol = 1e-10
+            if path.endswith("].residual"):
+                row = int(path.split("[")[1].split("]")[0])
+                eps_reg = rec["curve"][row]["eps_reg"]
+                rtol = max(rtol, 10.0 * (lam[-1] + eps_reg)
+                           / (max(lam[0], 0.0) + eps_reg) * eps)
+            assert abs(value - expected) <= rtol * abs(expected), path
+    kappa = lam[-1] / np.min(lam[lam > cutoff])
+    assert np.linalg.norm(fast[2] - nodal[2]) \
+        <= kappa * eps * np.linalg.norm(nodal[2])
+
+
+def test_run_control_forms_no_factored_level_but_the_null_table(
+        monkeypatch):
+    # a default run reads every dual flow through its factors: the only
+    # level it forms is level 0 of the null control, the row of its table
+    indexed = []
+    getitem = FactoredLevels.__getitem__
+
+    def recording(self, k):
+        if not isinstance(k, slice):
+            indexed.append((self, k))
+        return getitem(self, k)
+
+    monkeypatch.setattr(FactoredLevels, "__getitem__", recording)
+    captured = []
+    synthesize = control.synthesize_null_control
+
+    def capturing(*args, **kwargs):
+        result = synthesize(*args, **kwargs)
+        captured.append(result[0])
+        return result
+
+    monkeypatch.setattr(control, "synthesize_null_control", capturing)
+    cli.run_control(cli.Experiment(cfgmod.merge_config({})))
+    (null_ctrl,) = captured
+    assert len(indexed) == 1
+    assert indexed[0][0] is null_ctrl.levels and indexed[0][1] == 0
 
 
 def test_ramped_gramian_apply_matches_matrix(ramped):
