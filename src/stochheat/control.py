@@ -5,8 +5,9 @@ The backward pair (z, Z) solves, toward t = 0,
     dz + Lap z dt = a1 z dt + b1 Z dt + h dt + chi_{E1} chi_{G0} f dt + Z dB,
 
 discretized on the exact binary tree.  The dual forward solve is
-`forward.tree_levels` with the dual factors 1 - dt*a1 -/+ sqrt(dt)*b1.  Two
-backward modes are available:
+`forward.tree_levels` with the dual factors 1 - dt*a1 -/+ sqrt(dt)*b1, the
+`forward.step_factors` table of sign -1 that the backward steps and the
+Gramian recursion index too.  Two backward modes are available:
 
 * ``independent`` -- martingale-representation induction (conditional
   expectation + implicit solve), consistent with the equation to O(dt); its
@@ -16,13 +17,13 @@ backward modes are available:
   makes the duality pairing hold to machine precision and yields a clean
   symmetric positive semidefinite control Gramian.
 
-Coefficients uniform over the nodes make every step factor and the
-potential scalars, which commute with M^-1 = S diag(1/(1 - dt*lam)) S, so
+Coefficients uniform over the nodes make the table one column and the
+potential a scalar, which commute with M^-1 = S diag(1/(1 - dt*lam)) S, so
 the dual flow stays factored (path scalars and one orbit), both backward
-modes are linear and elementwise on sine coefficients, z(0) is one
-contraction of the leaves plus one scalar recursion per factored source,
-and the duality checks read the factors: a run forms no 2^k-row level.
-Nodal coefficients step in physical space.
+modes are elementwise on sine coefficients, z(0) is one contraction of the
+leaves plus one scalar recursion per factored source, and the duality
+checks read the factors: a run forms no 2^k-row level.  Nodal coefficients
+step in physical space.
 
 The control of a dual datum is `dual_control`, its dual flow observed on
 G0 x E1; the Gramian apply (-z(0) of the adjoint solve it drives from zero
@@ -48,8 +49,8 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalError, ShapeError
 from .forward import (CoefficientField, FactoredLevels, implicit_solver,
-                      step_factors, tree_levels, tree_moves, tree_step_adjoint,
-                      uniform_factors)
+                      step_factors, tree_levels, tree_moves, tree_products,
+                      tree_step_adjoint)
 from .geometry import Ball, SpatialGrid
 from .noise import BernoulliTree, TimeMesh
 from .observability import MeasurableTimeSet
@@ -205,13 +206,13 @@ def _nodal_backward(z, coeffs, mesh, solver, h, control, mode):
     every step solves on the tree rows in physical space."""
     dt, n = mesh.dt, z.shape[1]
     moves = tree_moves(dt)
+    factors = step_factors(coeffs, dt, moves, sign=-1.0)
     z_levels = [None] * mesh.steps + [z]
     solves = [0] * mesh.steps if mode == "independent" else None
     for k in range(mesh.steps - 1, -1, -1):
         z_next = z_levels[k + 1]
         if mode == "adjoint":
-            zk, _ = tree_step_adjoint(
-                z_next, *step_factors(coeffs, k, dt, moves, sign=-1.0), solver)
+            zk, _ = tree_step_adjoint(z_next, *factors[k], solver)
         else:
             z_mart = (z_next[1::2] - z_next[0::2]) / (2.0 * moves[1])
             zk = 0.5 * (z_next[0::2] + z_next[1::2]) \
@@ -239,15 +240,16 @@ class _FactoredBackward(Sequence):
     control with step factors f) adds s_k x B_k to level k, B_steps = 0 and
     B_k = alpha_k c_k B_{k+1} - beta_k S(v_k), c_k = p_k f_k^down
     + q_k f_k^up.  The terminal rows and sources given per level enter
-    level j through the leaf weights, the products of (p, q) along the path
-    below each of its nodes.  The root is solved with the pair; a level
+    level j through the leaf weights, the `tree_products` of (p, q) below
+    each of its nodes.  The root is solved with the pair; a level
     between it and the terminal data is formed when read."""
 
     def __init__(self, z, coeffs, mesh, solver, h, control, mode):
         dt, steps, n = mesh.dt, mesh.steps, z.shape[1]
         self._terminal, self._solver = z, solver
         if mode == "adjoint":
-            self._weights = 0.5 * uniform_factors(coeffs, dt, sign=-1.0)
+            self._weights = 0.5 * step_factors(coeffs, dt, tree_moves(dt),
+                                               sign=-1.0)[..., 0]
             self._alpha = np.broadcast_to(1.0 / solver.diagonal, (steps, n))
             self._beta, self.solves = np.ones((steps, 1)), None
         else:
@@ -299,9 +301,7 @@ class _FactoredBackward(Sequence):
         """Level j in physical space, shape (2^j, n)."""
         steps, n = len(self._weights), self._terminal.shape[1]
         sine = self._solver.sine
-        omegas = [np.ones(1)]  # leaf weights from level j to j, j+1, ...
-        for pair in self._weights[j:]:
-            omegas.append(np.multiply.outer(omegas[-1], pair).reshape(-1))
+        omegas = tree_products(self._weights[j:])  # leaf weights from level j
 
         def below(rows, k):  # level k's rows contracted below each j node
             return sine(omegas[k - j] @ rows.reshape(2 ** j, -1, n))
@@ -442,14 +442,15 @@ def gramian_matrix(coeffs: CoefficientField, ball: Ball,
     weights = control_level_weights(time_set, mesh)
     mask = grid.ball_mask(ball).astype(float)
     solver = implicit_solver(grid, mesh.dt)
-    moves = tree_moves(mesh.dt)
+    # C order, whatever the layout of a and b, fixes how the products round
+    table = np.ascontiguousarray(
+        step_factors(coeffs, mesh.dt, tree_moves(mesh.dt), sign=-1.0))
     diagonal = np.diag_indices(grid.n_nodes)
     q = np.zeros((grid.n_nodes, grid.n_nodes))
     for k in range(mesh.steps - 1, -1, -1):
         # the solve acts on rows, and Q and M are symmetric
         q = solver.solve(solver.solve(q).T)
-        factors = step_factors(coeffs, k, mesh.dt, moves, sign=-1.0)
-        q *= 0.5 * (factors.T @ factors)
+        q *= 0.5 * (table[k].T @ table[k])
         q[diagonal] += weights[k] * mask
     return q
 

@@ -5,34 +5,31 @@ Scheme: diffusion-implicit, reaction/noise-explicit Euler-Maruyama,
     (I - dt*Lap_h) y_{k+1} = (1 + dt*a_k + b_k dB_k) y_k,
 
 which keeps the Ito evaluation point of the noise; a and b are deterministic
-arrays indexed by step, and `step_factors` gives the nodal factor of every
-solve.  All solves share one `ImplicitHeatSolver` per (grid, dt), the exact
-inverse of I - dt*Lap_h as dense sine-basis products per axis.  Each
-forward solve returns one `Ensemble`: one array of weighted rows per time
-node, shape (steps+1, r, n).  The rows are sampled paths or the 2^d
-leaves of a Bernoulli tree (each of weight 2^-d), both iterated by the one
-path loop of `solve_forward`, the tests' brute-force reference, or the
-thin factors Z of E[y y^T] = Z^T Z.  `solve_forward_moments` gives the
-exact tree expectations of quadratic functionals at any depth without
-enumerating paths, and tree-mode surveys run it.  Coefficients uniform
-over the nodes (`CoefficientField.node_uniform`) make every step factor
-one scalar per path, so every path is a path scalar times the orbit
-M^{-k} y0 of `ImplicitHeatSolver.solve_powers`, and the moments are one
-rank-one row per time node: exact ones from the step scalars, and
-`solve_sampled_moments`, the ensemble of mc-mode surveys, from the
-sampled path scalars, with the paths themselves rebuilt on access to
-`values`.  Space-varying coefficients run the moment recursion with a thin
-SVD per step, padded to its largest rank with zero rows, and mc mode then
-solves every path.  The dual and adjoint solves of `control` run on
-history levels instead: `tree_step` takes level k to level k+1 of the
-history tree (`tree_levels`, kept factored as `FactoredLevels`, path
-scalars and one orbit, when the coefficients are uniform over the nodes),
-and `tree_step_adjoint` is its transpose; `ImplicitHeatSolver.sine` and
-`diagonal` let the backward solves of `control` run on sine coefficients.
-`energy_trace` reads the energy, or the mass on a node mask, per time node
-from any ensemble (`moment_trace` from one `nodal_moment` pass), and
-`Ensemble.values` is a writable view of the rows by path, except for the
-sampled closed form, whose `values` are its paths, read-only.
+arrays indexed by step.  `step_factors` is the one table of the factors
+1 + sign*dt*a_k + b_k*dB per step, increment and node, with one column when
+the coefficients are uniform over the nodes (`node_uniform`); every solve,
+path scalar and audit reads it.  All solves share one `ImplicitHeatSolver`
+per (grid, dt), the exact inverse of I - dt*Lap_h as dense sine-basis
+products per axis.  A forward solve returns an `Ensemble`, weighted rows
+per time node, shape (steps+1, r, n): sampled paths or the 2^d leaves of a
+Bernoulli tree (weight 2^-d each) from the path loop of `solve_forward`,
+the tests' brute-force reference, or the thin factors Z of E[y y^T] = Z^T Z
+of `solve_forward_moments`, the exact tree expectations that tree-mode
+surveys run.  Node-uniform coefficients make every path a path scalar times
+the orbit M^{-k} y0 of `ImplicitHeatSolver.solve_powers`, so the moments
+are one rank-one row per time node, from the exact step scalars or, in
+`solve_sampled_moments` (the mc-mode ensemble), from the sampled path
+scalars, which also give `exp_transform_oracle` its paths; otherwise the
+moment recursion takes a thin SVD per step, padded with zero rows, and mc
+mode solves every path.  The dual and adjoint solves of `control` run on
+history levels: `tree_step` takes level k to k+1 (`tree_levels`, factored
+as `FactoredLevels` for node-uniform coefficients), `tree_step_adjoint` is
+its transpose, and `ImplicitHeatSolver.sine` and `diagonal` put the
+backward solves on sine coefficients.  `energy_trace` reads the energy, or
+the mass on a node mask, per time node from any ensemble (`moment_trace`
+from one `nodal_moment` pass); `Ensemble.values` is a writable view of the
+rows by path, except for the sampled closed form, whose `values` are its
+paths, read-only.
 """
 
 from __future__ import annotations
@@ -57,7 +54,7 @@ __all__ = [
     "ImplicitHeatSolver",
     "implicit_solver",
     "step_factors",
-    "uniform_factors",
+    "tree_products",
     "FactoredLevels",
     "tree_moves",
     "tree_step",
@@ -182,9 +179,10 @@ def implicit_solver(grid: SpatialGrid, dt: float) -> ImplicitHeatSolver:
 class CoefficientField:
     """Coefficients a (potential) and b (noise intensity) on the grid.
 
-    Deterministic arrays of shape (steps, n_nodes), indexed by step; the
-    gradient of b and its W^{1,inf} norm are computed on first read, since
-    only the bounds read them.
+    Deterministic arrays of shape (steps, n_nodes), indexed by step, not
+    changed after construction: the gradient of b and its W^{1,inf} norm
+    (read only by the bounds) and `node_uniform` (read by every
+    `step_factors` call) are computed once, on first read.
     """
 
     def __init__(self, grid: SpatialGrid, mesh: TimeMesh, a, b):
@@ -242,7 +240,7 @@ class CoefficientField:
             return bound * f / peak if peak > 0 else f
         return cls(grid, mesh, a=smooth_field(a_bound), b=smooth_field(b_bound))
 
-    @property
+    @cached_property
     def node_uniform(self) -> bool:
         """Whether a_k and b_k are uniform over the nodes at every step
         (constant coefficients, or values that vary in time only): each
@@ -374,11 +372,28 @@ def tree_moves(dt: float) -> np.ndarray:
     return np.sqrt(dt) * np.array([-1.0, 1.0])
 
 
-def step_factors(coeffs: CoefficientField, k: int, dt: float, db,
-                 sign: float = 1.0) -> np.ndarray:
-    """Nodal factors 1 + sign*dt*a_k + b_k*dB of step k, one row per
-    increment dB of `db`; sign = -1 gives the dual scheme of `control`."""
-    return 1.0 + sign * dt * coeffs.a[k] + coeffs.b[k] * np.asarray(db)[:, None]
+def step_factors(coeffs: CoefficientField, dt: float, db, sign: float = 1.0,
+                 steps=slice(None)) -> np.ndarray:
+    """The step factors 1 + sign*dt*a_k + b_k*dB, shape (steps, r, m), for
+    increments `db` per path, shape (r, steps), or shared by every step,
+    shape (r,), as the tree moves are; m = 1 when `coeffs.node_uniform`,
+    else one column per node.  `steps` indexes the table (an int k gives
+    step k's rows alone), and sign = -1 gives the dual scheme of `control`."""
+    nodes = slice(None, 1) if coeffs.node_uniform else slice(None)
+    a, b = (c[steps, nodes][..., None, :] for c in (coeffs.a, coeffs.b))
+    db = np.asarray(db, dtype=float)
+    if db.ndim == 2:
+        db = db.T[steps]
+    return 1.0 + sign * dt * a + b * db[..., None]
+
+
+def tree_products(pairs) -> list:
+    """Products of (down, up) pairs along a tree's paths: entry k holds 2^k,
+    node h's children 2h and 2h+1 taking the down and up entry of pairs[k]."""
+    products = [np.ones(1)]
+    for pair in pairs:
+        products.append(np.multiply.outer(products[-1], pair).reshape(-1))
+    return products
 
 
 def tree_step(level: np.ndarray, down: np.ndarray, up: np.ndarray,
@@ -390,28 +405,16 @@ def tree_step(level: np.ndarray, down: np.ndarray, up: np.ndarray,
     return solver.solve(children.reshape(-1, level.shape[1]))
 
 
-def uniform_factors(coeffs: CoefficientField, dt: float,
-                    sign: float = 1.0) -> np.ndarray:
-    """The (steps, 2) table of the down and up factors of every tree step,
-    `step_factors` of node 0: all of them when the coefficients are uniform
-    over the nodes."""
-    return 1.0 + sign * dt * coeffs.a[:, :1] + coeffs.b[:, :1] * tree_moves(dt)
-
-
 class FactoredLevels(Sequence):
     """History levels of a tree solve whose step factors are scalars: level
-    k is the outer product of its 2^k path scalars `scalars[k]` (node h's
-    children 2h and 2h+1 times the down and the up entry of `factors[k]`)
-    with the row `orbit[k]`, and is formed only when indexed.  A slice from
-    level 0 stays factored."""
+    k is the outer product of its 2^k path scalars `scalars[k]`, the
+    `tree_products` of the (down, up) rows of `factors`, with the row
+    `orbit[k]`, and is formed only when indexed.  A slice from level 0
+    stays factored."""
 
-    def __init__(self, factors: np.ndarray, orbit: np.ndarray, scalars=None):
+    def __init__(self, factors: np.ndarray, orbit: np.ndarray):
         self.factors, self.orbit = factors, orbit
-        if scalars is None:
-            scalars = [np.ones(1)]
-            for pair in factors[:len(orbit) - 1]:
-                scalars.append(np.multiply.outer(scalars[-1], pair).reshape(-1))
-        self.scalars = scalars
+        self.scalars = tree_products(factors[:len(orbit) - 1])
 
     def __len__(self) -> int:
         return len(self.orbit)
@@ -420,8 +423,7 @@ class FactoredLevels(Sequence):
         if isinstance(k, slice):
             start, stop, step = k.indices(len(self))
             if start == 0 and step == 1:
-                return FactoredLevels(self.factors, self.orbit[:stop],
-                                      self.scalars[:stop])
+                return FactoredLevels(self.factors, self.orbit[:stop])
             return [self[i] for i in range(start, stop, step)]
         k = range(len(self))[k]  # negative indices; IndexError past the end
         return np.multiply.outer(self.scalars[k], self.orbit[k])
@@ -430,22 +432,19 @@ class FactoredLevels(Sequence):
 def tree_levels(y0: np.ndarray, coeffs: CoefficientField, mesh: TimeMesh,
                 grid: SpatialGrid, sign: float = 1.0):
     """History levels 0..steps of the tree solve from y0: `tree_step` with
-    the `step_factors` (of `sign`) of the down and up move.
-
-    Coefficients uniform over the nodes make both factors of a step
-    scalars, which commute with M^-1, so the levels are `FactoredLevels`:
-    the `uniform_factors` table and the orbit M^{-k} y0 of one
+    the `step_factors` (of `sign`) of the down and up move.  A one-column
+    table makes the factors scalars, which commute with M^-1, so the levels
+    are `FactoredLevels`: the table and the orbit M^{-k} y0 of one
     `ImplicitHeatSolver.solve_powers`, read-only."""
     solver = implicit_solver(grid, mesh.dt)
     y0 = np.asarray(y0, dtype=float)
+    table = step_factors(coeffs, mesh.dt, tree_moves(mesh.dt), sign)
     if coeffs.node_uniform:
         orbit = solver.solve_powers(y0, mesh.steps)
         orbit.flags.writeable = False
-        return FactoredLevels(uniform_factors(coeffs, mesh.dt, sign), orbit)
-    moves = tree_moves(mesh.dt)
+        return FactoredLevels(table[..., 0], orbit)
     levels = [y0[None, :].copy()]
-    for k in range(mesh.steps):
-        factors = step_factors(coeffs, k, mesh.dt, moves, sign)
+    for factors in table:
         levels.append(tree_step(levels[-1], *factors, solver))
     return levels
 
@@ -476,7 +475,7 @@ def solve_forward(y0: np.ndarray, coeffs: CoefficientField, noise,
     rows[0] = y0
     for k in range(mesh.steps):
         rows[k + 1] = solver.solve(
-            rows[k] * step_factors(coeffs, k, mesh.dt, inc[:, k]))
+            rows[k] * step_factors(coeffs, mesh.dt, inc, steps=k))
     tree = isinstance(noise, BernoulliTree)
     prov = {"scheme": "implicit-diffusion euler-maruyama", "dt": mesh.dt,
             "h": tuple(grid.h), "mode": "tree" if tree else "sampled"}
@@ -580,11 +579,11 @@ def _exact_scalars(coeffs, dt):
 
 
 def _sampled_scalars(coeffs, dt, increments, weights):
-    """The path scalars s, shape (steps+1, P), s_kp the product of the step
-    factors 1 + dt a_j + b_j dB_pj over j < k; per time node the factor
+    """The path scalars s, shape (steps+1, P), s_kp the product of the
+    `step_factors` of path p over the steps j < k; per time node the factor
     scale sqrt(sum_p w_p s_kp^2) and the mean scale sum_p w_p s_kp, and the
     log of max_p |s_kp|, which bounds both magnitudes."""
-    factors = 1.0 + dt * coeffs.a[:, :1] + coeffs.b[:, :1] * increments.T
+    factors = step_factors(coeffs, dt, increments)[..., 0]
     with np.errstate(all="ignore"):  # overflow is judged on the logs
         s = np.concatenate([np.ones((1, len(weights))),
                             np.cumprod(factors, axis=0)])
@@ -593,7 +592,7 @@ def _sampled_scalars(coeffs, dt, increments, weights):
         unit = np.where(peak > 0.0, peak, 1.0)[:, None]
         products = [unit[:, 0] * np.sqrt(np.square(s / unit) @ weights),
                     s @ weights]
-    return s, products, np.log(peak)
+        return s, products, np.log(peak)  # -inf where every path vanished
 
 
 def _closed_form_moments(orbit, products, log, steps):
@@ -648,37 +647,29 @@ def _recursive_moments(y0, coeffs, mesh, solver):
     return rows, rank, np.stack(means), tails
 
 
-def exp_transform_oracle(ensemble: Ensemble, b_const: float, a) -> dict:
-    """Cross-check pathwise SPDE solutions against the exponential transform.
-
-    For constant noise intensity b, z(t) = exp(-b B(t)) y(t) solves the
-    deterministic equation z_t - Lap z = (a - b^2/2) z pathwise (Ito
-    correction of the exponential), so y is recovered as exp(b B(t)) z with z
-    independent of the path.  Returns the max-over-time relative L2 gap per
-    path of a sampled ensemble.
-    """
-    if np.ndim(b_const) != 0:
-        raise ConfigurationError("the transform oracle needs constant b")
-    if ensemble.provenance["mode"] != "sampled":
+def exp_transform_oracle(coeffs: CoefficientField, paths: PathEnsemble,
+                         mesh: TimeMesh) -> dict:
+    """Cross-check the scheme against the exponential transform on sampled
+    paths.  For constant a and b, z = exp(-b B) y solves z_t - Lap z =
+    (a - b^2/2) z pathwise (the Ito correction), and both sides are scalars
+    times M^{-k} y0: the path scalars s_kp of `_sampled_scalars`, and e_kp =
+    exp(b B_kp) (1 + dt (a - b^2/2))^k.  The spatial factor cancels, so the
+    gap of path p is max_k |e_kp - s_kp| / |s_kp|, the strong error of the
+    time scheme (Higham, SIAM Review 2001), and no path is solved.  Returns
+    the gap per path, its max and its mean; where exp(b B) overflows the
+    gap reads inf, without a warning."""
+    if not isinstance(paths, PathEnsemble):
         raise ConfigurationError("the transform oracle needs sampled paths")
-    mesh, grid = ensemble.mesh, ensemble.grid
-    values = ensemble.values
-    solver = implicit_solver(grid, mesh.dt)
-    z = values[0, 0, :].copy()
-    z_path = [z.copy()]
-    pot = np.asarray(a, dtype=float) - 0.5 * float(b_const) ** 2
-    for _ in range(mesh.steps):
-        z = solver.solve(z + mesh.dt * pot * z)
-        z_path.append(z.copy())
-    z_path = np.asarray(z_path)
-    bm = np.concatenate([np.zeros((len(values), 1)),
-                         np.cumsum(ensemble.increments, axis=1)], axis=1)
-    # an overflowing exp(b B) reads inf, and the gap with it
-    with np.errstate(over="ignore", invalid="ignore"):
-        recon = np.exp(float(b_const) * bm)[:, :, None] * z_path[None, :, :]
-        diff = grid.l2_norm(recon - values)
-    scale = np.maximum(grid.l2_norm(values), 1e-300)
-    gaps = np.max(diff / scale, axis=1)
+    a, b = coeffs.a[0, 0], coeffs.b[0, 0]
+    if (coeffs.a != a).any() or (coeffs.b != b).any():
+        raise ConfigurationError("the transform oracle needs constant a and b")
+    inc = paths.increments
+    s = _sampled_scalars(coeffs, mesh.dt, inc, paths.weights)[0]
+    bm = np.concatenate([np.zeros((1, len(inc))), np.cumsum(inc.T, axis=0)])
+    powers = np.arange(mesh.steps + 1)[:, None]
+    with np.errstate(all="ignore"):
+        e = np.exp(b * bm) * (1.0 + mesh.dt * (a - 0.5 * b ** 2)) ** powers
+        gaps = np.max(np.abs(e - s) / np.maximum(np.abs(s), 1e-300), axis=0)
     return {"per_path_gap": gaps, "max_gap": float(np.max(gaps)),
             "mean_gap": float(np.mean(gaps))}
 
@@ -698,7 +689,7 @@ def moment_trace(moment: np.ndarray, grid: SpatialGrid,
 
 
 def step_invertibility_report(coeffs: CoefficientField, ensemble) -> dict:
-    """Audit the nodal step factors 1 + dt*a + b*dB for degeneracy.
+    """Audit the `step_factors` of the ensemble's increments for degeneracy.
 
     Each step is the composition of an invertible implicit solve and a nodal
     multiplication; a factor below tolerance breaks the backward-uniqueness
@@ -711,14 +702,10 @@ def step_invertibility_report(coeffs: CoefficientField, ensemble) -> dict:
     Review 2001).
     """
     dt = ensemble.mesh.dt
-    a, b = coeffs.a, coeffs.b
-    if coeffs.node_uniform:  # every node's column of factors is the same
-        a, b = a[:, :1], b[:, :1]
     min_factor = np.inf
     flagged, sign_loss = [], []
     for k in range(ensemble.mesh.steps):
-        # the `step_factors` of step k, on the columns kept
-        factors = 1.0 + dt * a[k] + b[k] * ensemble.increments[:, k, None]
+        factors = step_factors(coeffs, dt, ensemble.increments, steps=k)
         lowest = float(np.min(factors))
         min_factor = min(min_factor, lowest)
         if lowest <= 0.0:

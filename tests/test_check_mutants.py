@@ -3,11 +3,13 @@ default configuration and FAIL under a mutant of the program."""
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from stochheat import cli
 from stochheat import config as cfgmod
 from stochheat import control as ctl
+from stochheat import forward
 from stochheat.forward import ImplicitHeatSolver
 
 
@@ -24,14 +26,20 @@ def _reversed_curve(monkeypatch):
 
 def _swapped_backward_factors(monkeypatch):
     # the backward tree's step weighs the down child with the up factor and
-    # the up child with the down one, for nodal coefficients and in the
-    # table of node-uniform ones (the Gramian recursion is symmetric in the
-    # two and does not change)
-    factors, table = ctl.step_factors, ctl.uniform_factors
-    monkeypatch.setattr(ctl, "step_factors",
-                        lambda *args, **kwargs: factors(*args, **kwargs)[::-1])
-    monkeypatch.setattr(ctl, "uniform_factors", lambda *args, **kwargs:
+    # the up child with the down one; the dual flow reads the table through
+    # `forward`, and the Gramian recursion is symmetric in the two factors
+    table = ctl.step_factors
+    monkeypatch.setattr(ctl, "step_factors", lambda *args, **kwargs:
                         table(*args, **kwargs)[:, ::-1])
+
+
+def _negated_noise_increment(monkeypatch):
+    # the scheme steps with -b dB while the transform's Brownian path is +B
+    # (on the defaults the check then reads 3.79 against its bound of 1.0)
+    table = forward.step_factors
+    monkeypatch.setattr(forward, "step_factors", lambda coeffs, dt, db, *args,
+                        **kwargs: table(coeffs, dt, -np.asarray(db), *args,
+                                        **kwargs))
 
 
 def _backward_inverse_at_double_dt(monkeypatch):
@@ -62,6 +70,7 @@ MUTANTS = {
     "control.gramian_symmetry": _backward_inverse_at_double_dt,
     "control.null_control_verified": _swapped_backward_factors,
     "frequency.energy_derivative_identity": _scaled_dissipation,
+    "simulate.transform_oracle_gap_bounded": _negated_noise_increment,
 }
 
 

@@ -449,10 +449,10 @@ def test_tree_survey_builds_no_tree(monkeypatch):
 
 
 def test_mc_survey_solves_no_path(monkeypatch):
-    # with constant coefficients an mc survey pass runs `solve_forward`
-    # only for the 32 paths of the transform oracle, and every integrand
-    # of `nodal_moment` sees one row per time node; random coefficients
-    # solve and contract every sampled path
+    # with constant coefficients an mc survey pass runs no `solve_forward`,
+    # not even for the transform oracle, and every integrand of
+    # `nodal_moment` sees one row per time node; random coefficients solve
+    # and contract every sampled path
     solved, rows_seen = [], []
     paths = cli.solve_forward
     moment = forward.Ensemble.nodal_moment
@@ -469,7 +469,7 @@ def test_mc_survey_solves_no_path(monkeypatch):
 
     monkeypatch.setattr(cli, "solve_forward", counting_paths)
     monkeypatch.setattr(forward.Ensemble, "nodal_moment", counting_moment)
-    for kind, n_paths, rows in (("constant", [32], 1), ("random", [256], 256)):
+    for kind, n_paths, rows in (("constant", [], 1), ("random", [256], 256)):
         exp = cli.Experiment(cfgmod.merge_config(cfgmod.parse_config(
             _fast_text(f"coeff.kind = {kind}\nnoise.mode = mc\n"
                        "mc.paths = 256\n"))))

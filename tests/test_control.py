@@ -403,7 +403,7 @@ def test_closed_form_backward_matches_the_nodal_steps(
     flow = [ctrl.levels[0]]
     for k in range(steps - 1):
         flow.append(tree_step(flow[-1], *step_factors(
-            coeffs, k, mesh.dt, tree_moves(mesh.dt), sign=-1.0), solver))
+            coeffs, mesh.dt, tree_moves(mesh.dt), sign=-1.0, steps=k), solver))
         assert_rel_close(ctrl.levels[k + 1], flow[-1])
     z_t = rng.standard_normal((tree.n_leaves, n))
     sources = (None, rng.standard_normal(n),

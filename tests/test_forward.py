@@ -13,6 +13,8 @@ from stochheat import (Ball, CoefficientField, ConfigurationError,
                        build_tree, energy_trace, exp_transform_oracle,
                        sample_ensemble, solve_forward, solve_forward_moments,
                        solve_sampled_moments)
+from stochheat import cli
+from stochheat import config as cfgmod
 from stochheat import forward
 from stochheat.errors import NumericalError
 from stochheat.forward import (Ensemble, ImplicitHeatSolver, step_factors,
@@ -186,22 +188,40 @@ def test_tree_leaf_view_reads_and_writes_levels(grid, mode):
 
 
 def test_sampled_levels_apply_the_step_factors(grid):
-    # the sampled solve is the scheme of `step_factors`, bit for bit: the
+    # the table of `step_factors` is the per-step formula 1 + sign dt a_k
+    # + b_k dB bit for bit, for the shared tree moves and for sampled
+    # increments, with one column exactly when the coefficients are uniform
+    # over the nodes; and the sampled solve applies it bit for bit, so the
     # factors the invertibility audit reads are the ones it applies
     mesh = TimeMesh(horizon=0.4, steps=6)
-    rng = np.random.Generator(np.random.Philox(key=[5, 9]))
-    shape = (mesh.steps, grid.n_nodes)
-    coeffs = CoefficientField(grid, mesh, a=rng.uniform(-1.0, 1.0, shape),
-                              b=rng.uniform(-1.0, 1.0, shape))
+    n = grid.n_nodes
+    ramp = np.linspace(0.0, 1.0, mesh.steps)[:, None] * np.ones(n)
     noise = sample_ensemble(mesh, 8, 3)
-    ens = solve_forward(rng.standard_normal(grid.n_nodes), coeffs, noise,
-                        mesh, grid)
     solver = ImplicitHeatSolver(grid, mesh.dt)
-    paths = np.asarray(ens.values)
-    for k in range(mesh.steps):
-        step = solver.solve(paths[:, k] * step_factors(
-            coeffs, k, mesh.dt, noise.increments[:, k]))
-        assert np.array_equal(paths[:, k + 1], step)
+    rng = np.random.Generator(np.random.Philox(key=[5, 9]))
+    for coeffs, columns in (
+            (CoefficientField.constant(grid, mesh, 0.3, 0.8), 1),
+            (CoefficientField(grid, mesh, a=0.3 - ramp, b=0.5 + 3.0 * ramp), 1),
+            (CoefficientField.random_bounded(grid, mesh, 4, 0.5, 0.5), n)):
+        assert coeffs.node_uniform == (columns == 1)
+        for db in (forward.tree_moves(mesh.dt), noise.increments):
+            for sign in (1.0, -1.0):
+                table = step_factors(coeffs, mesh.dt, db, sign)
+                assert table.shape == (mesh.steps, len(db), columns)
+                for k in range(mesh.steps):
+                    inc = db if db.ndim == 1 else db[:, k]
+                    formula = 1.0 + sign * mesh.dt * coeffs.a[k] \
+                        + coeffs.b[k] * inc[:, None]
+                    assert np.array_equal(
+                        np.broadcast_to(table[k], formula.shape), formula)
+                    assert np.array_equal(step_factors(
+                        coeffs, mesh.dt, db, sign, steps=k), table[k])
+        paths = np.asarray(solve_forward(rng.standard_normal(n), coeffs, noise,
+                                         mesh, grid).values)
+        table = step_factors(coeffs, mesh.dt, noise.increments)
+        for k in range(mesh.steps):
+            step = solver.solve(paths[:, k] * table[k])
+            assert np.array_equal(paths[:, k + 1], step)
 
 
 def _quadratic_integrand(grid, sparse_operators):
@@ -487,10 +507,7 @@ def test_quadratic_functionals_scale_quadratically(scale):
 def test_exp_transform_exact_when_b_zero(grid):
     mesh = TimeMesh(horizon=0.3, steps=30)
     coeffs = CoefficientField.constant(grid, mesh, 0.25, 0.0)
-    x = grid.coords[:, 0]
-    ens = solve_forward(np.sin(np.pi * x), coeffs, _silent_noise(mesh, 3),
-                        mesh, grid)
-    gap = exp_transform_oracle(ens, 0.0, 0.25)
+    gap = exp_transform_oracle(coeffs, _silent_noise(mesh, 3), mesh)
     assert gap["max_gap"] < 1e-12
 
 
@@ -499,25 +516,71 @@ def test_exp_transform_refuses_tree_and_moment_ensembles(grid, kind):
     mesh = TimeMesh(horizon=0.4, steps=4)
     coeffs = CoefficientField.constant(grid, mesh, 0.2, 0.5)
     y0 = np.sin(np.pi * grid.coords[:, 0])
-    ens = solve_forward(y0, coeffs, build_tree(mesh), mesh, grid) \
-        if kind == "tree" else solve_forward_moments(y0, coeffs, mesh, grid)
+    noise = build_tree(mesh) if kind == "tree" \
+        else solve_forward_moments(y0, coeffs, mesh, grid)
     with pytest.raises(ConfigurationError, match="sampled paths"):
-        exp_transform_oracle(ens, 0.5, 0.2)
+        exp_transform_oracle(coeffs, noise, mesh)
+
+
+@pytest.mark.parametrize("varies", ["space", "time"])
+def test_exp_transform_refuses_varying_coefficients(grid, varies):
+    mesh = TimeMesh(horizon=0.4, steps=4)
+    ramp = np.linspace(0.0, 1.0, mesh.steps)[:, None] * np.ones(grid.n_nodes)
+    coeffs = CoefficientField.random_bounded(grid, mesh, 3, 0.5, 0.5) \
+        if varies == "space" else CoefficientField(grid, mesh, a=0.2,
+                                                   b=0.5 + ramp)
+    with pytest.raises(ConfigurationError, match="constant a and b"):
+        exp_transform_oracle(coeffs, sample_ensemble(mesh, 4, 1), mesh)
+
+
+def _physical_transform_gaps(exp, noise):
+    """The transform oracle in physical space: the paths of `solve_forward`
+    against exp(b B) z, with z the implicit solve of z_t - Lap z =
+    (a - b^2/2) z from y0; per path the max over time of the relative L2
+    gap."""
+    mesh, grid = exp.mesh, exp.grid
+    values = solve_forward(exp.y0, exp.coeffs, noise, mesh, grid).values
+    a, b = float(exp.cfg["coeff.a"]), float(exp.cfg["coeff.b"])
+    solver = ImplicitHeatSolver(grid, mesh.dt)
+    z_path = [values[0, 0].copy()]
+    for _ in range(mesh.steps):
+        z = z_path[-1]
+        z_path.append(solver.solve(z + mesh.dt * (a - 0.5 * b ** 2) * z))
+    bm = np.concatenate([np.zeros((len(values), 1)),
+                         np.cumsum(noise.increments, axis=1)], axis=1)
+    recon = np.exp(b * bm)[:, :, None] * np.asarray(z_path)[None, :, :]
+    scale = np.maximum(grid.l2_norm(values), 1e-300)
+    return np.max(grid.l2_norm(recon - values) / scale, axis=1)
+
+
+@pytest.mark.parametrize("text", [
+    "", "domain.extents = 0,1,0,1\ngrid.nodes = 7\ngeometry.x0 = 0.5,0.5\n"
+    "geometry.g0_center = 0.5,0.5\ncontrol.g0_center = 0.5,0.5\n",
+    "coeff.b = 2\n"], ids=["1d", "2d-7x7", "b2"])
+def test_exp_transform_matches_the_physical_transform(text):
+    # the scalar oracle against the transform solved in physical space, on
+    # the 32 paths that `simulate` samples for it
+    exp = cli.Experiment(cfgmod.merge_config(cfgmod.parse_config(text)))
+    noise = sample_ensemble(exp.mesh, 32, exp.seed + 1)
+    gap = exp_transform_oracle(exp.coeffs, noise, exp.mesh)
+    physical = _physical_transform_gaps(exp, noise)
+    assert np.allclose(gap["per_path_gap"], physical, rtol=1e-12, atol=0.0)
+    assert np.isclose(gap["max_gap"], np.max(physical), rtol=1e-12, atol=0.0)
+    assert np.isclose(gap["mean_gap"], np.mean(physical), rtol=1e-12,
+                      atol=0.0)
 
 
 def test_exp_transform_gap_shrinks_with_dt():
     grid = build_grid([(0.0, 1.0)], (31,))
-    x = grid.coords[:, 0]
     gaps = []
     for steps in (8, 32):
         mesh = TimeMesh(horizon=0.25, steps=steps)
         coeffs = CoefficientField.constant(grid, mesh, 0.2, 0.5)
         rng = np.random.Generator(np.random.Philox(key=[42, 0]))
         inc = np.sqrt(mesh.dt) * rng.standard_normal((16, steps))
-        ens = solve_forward(np.sin(np.pi * x), coeffs,
-                            PathEnsemble(mesh=mesh, seed=42, increments=inc),
-                            mesh, grid)
-        gaps.append(exp_transform_oracle(ens, 0.5, 0.2)["max_gap"])
+        gaps.append(exp_transform_oracle(
+            coeffs, PathEnsemble(mesh=mesh, seed=42, increments=inc),
+            mesh)["max_gap"])
     assert gaps[1] < gaps[0]
 
 
