@@ -15,9 +15,8 @@ from .noise import (BernoulliTree, PathEnsemble, TimeMesh, build_tree,
 from .forward import (CoefficientField, Ensemble, SecondMomentEnsemble,
                       energy_trace, exp_transform_oracle, solve_forward,
                       solve_forward_moments, solve_sampled_moments)
-from .frequency import (FrequencyTrace, LocalizedFields, compute_hdn,
-                        frequency_bound_check, hprime_identity_residual,
-                        identity_traces, localized_fields)
+from .frequency import (FrequencyTrace, b_norm, frequency_bound_check,
+                        hprime_identity_residual, heat_kernel, kernel_traces)
 from .ucp import (UcpConstants, amplitude_profile, compute_constants,
                   propagate_vanishing, quantitative_ucp_check, select_lambda,
                   three_ball_check)

@@ -41,9 +41,8 @@ from .errors import (ConfigurationError, DomainError, ResourceError,
 from .forward import (CoefficientField, exp_transform_oracle, moment_trace,
                       solve_forward, solve_forward_moments,
                       solve_sampled_moments, step_invertibility_report)
-from .frequency import (LocalizedFields, frequency_bound_check,
-                        hprime_identity_residual, identity_traces,
-                        localized_fields)
+from .frequency import (frequency_bound_check, hprime_identity_residual,
+                        heat_kernel, kernel_traces)
 from .geometry import (Ball, HeatKernelWeight, build_cutoff, build_grid,
                        caloric_defect)
 from .noise import TimeMesh, build_tree, sample_ensemble
@@ -98,7 +97,10 @@ def _coefficients(cfg: dict, grid, mesh, seed: int) -> CoefficientField:
 
 
 class Experiment:
-    """Shared state derived from a configuration."""
+    """Shared state derived from a configuration: the ensemble and its
+    E[y^2] pass, read once, and the cutoff.  The derivative identity, the
+    drift bounds and the lambda sweep each read the ensemble in one
+    `kernel_traces` pass of their own."""
 
     def __init__(self, cfg: dict):
         cfgmod.validate_config(cfg)
@@ -149,12 +151,11 @@ class Experiment:
         return self.ensemble.nodal_moment()
 
     @cached_property
-    def cutoff_fields(self) -> LocalizedFields:
-        """The ensemble's fields under the cutoff of B_r3(x0) inside
-        B_r4(x0), read by the drift bound and the lambda sweep."""
+    def cutoff(self):
+        """The cutoff of B_r3(x0) inside B_r4(x0), read by the derivative
+        identity, the drift bound and the lambda sweep."""
         r3, r4 = (float(self.cfg[f"geometry.r{i}"]) for i in (3, 4))
-        cutoff = build_cutoff(Ball(self.x0, r3), Ball(self.x0, r4), self.grid)
-        return localized_fields(self.ensemble, cutoff, self.coeffs)
+        return build_cutoff(Ball(self.x0, r3), Ball(self.x0, r4), self.grid)
 
     @cached_property
     def energy(self) -> np.ndarray:
@@ -223,7 +224,7 @@ def run_frequency(exp: Experiment):
     checks.append(check_record("kernel_caloric_identity",
                                defect <= CALORIC_RTOL, lhs=defect,
                                rhs=CALORIC_RTOL))
-    fields = exp.cutoff_fields
+    kernel = heat_kernel(weight, exp.grid)
     tol_scale = float(exp.cfg["tol_scale"])
     # the derivative identity needs time resolution well below the kernel
     # shift; the exact second moments provide it at any depth
@@ -231,10 +232,11 @@ def run_frequency(exp: Experiment):
                          steps=max(400, exp.mesh.steps))
     fine_coeffs = _coefficients(exp.cfg, exp.grid, fine_mesh, exp.seed)
     fine_ens = solve_forward_moments(exp.y0, fine_coeffs, fine_mesh, exp.grid)
-    # both identities from one pass that contracts the kernel per tile
+    # both identities from one pass over the fine ensemble
+    terms = ("h", "d", "phi_f", "b_sq")
     ident_global, ident_local = (
         hprime_identity_residual(trace, fine_mesh.dt) for trace in
-        identity_traces(fine_ens, fields.cutoff, fine_coeffs, weight))
+        kernel_traces(fine_ens, exp.cutoff, fine_coeffs, kernel, terms, terms))
     budget = ucpmod.default_tolerance(
         fine_mesh, exp.grid, tol_scale * max(1.0, ident_global["rhs_scale"]))
     checks.append(check_record("energy_derivative_identity",
@@ -247,11 +249,16 @@ def run_frequency(exp: Experiment):
         "integrated": ident_local["integrated_residual"],
         "rhs_scale": ident_local["rhs_scale"],
         "note": "diagnostic: cutoff annulus spans few cells at this h"}
-    bound = frequency_bound_check(fields, weight, slack=exp.tol)
+    # both drift bounds from one pass: the convex form reads the global trace
+    convex_trace, local_trace = kernel_traces(
+        exp.ensemble, exp.cutoff, exp.coeffs, kernel, ("h", "d"),
+        ("h", "d", "f_sq"))
+    bound = frequency_bound_check(local_trace, weight, exp.coeffs, exp.cutoff,
+                                  slack=exp.tol)
     checks.append(check_record("frequency_drift_bound", bound["holds"],
                                lhs=bound["relative_violation"], rhs=exp.tol))
-    convex = frequency_bound_check(
-        localized_fields(exp.ensemble, None, exp.coeffs), weight, slack=exp.tol)
+    convex = frequency_bound_check(convex_trace, weight, exp.coeffs,
+                                   slack=exp.tol)
     checks.append(check_record("frequency_drift_bound_convex", convex["holds"],
                                lhs=convex["relative_violation"], rhs=exp.tol))
     tr = bound["trace"]
@@ -283,7 +290,7 @@ def run_ucp(exp: Experiment):
                                lhs=qc["lhs"], rhs=qc["rhs"]))
     if qc["note"]:
         extras["branch_note"] = qc["note"]
-    profile = ucpmod.amplitude_profile(exp.cutoff_fields,
+    profile = ucpmod.amplitude_profile(exp.ensemble, exp.cutoff, exp.coeffs,
                                        float(exp.cfg["ucp.epsilon"]))
     selection = ucpmod.select_lambda(profile["profile"],
                                      float(exp.cfg["geometry.r1"]), grid.dim)

@@ -442,9 +442,7 @@ def gramian_matrix(coeffs: CoefficientField, ball: Ball,
     weights = control_level_weights(time_set, mesh)
     mask = grid.ball_mask(ball).astype(float)
     solver = implicit_solver(grid, mesh.dt)
-    # C order, whatever the layout of a and b, fixes how the products round
-    table = np.ascontiguousarray(
-        step_factors(coeffs, mesh.dt, tree_moves(mesh.dt), sign=-1.0))
+    table = step_factors(coeffs, mesh.dt, tree_moves(mesh.dt), sign=-1.0)
     diagonal = np.diag_indices(grid.n_nodes)
     q = np.zeros((grid.n_nodes, grid.n_nodes))
     for k in range(mesh.steps - 1, -1, -1):

@@ -77,7 +77,7 @@ MOMENT_RANK_TOL = 1e-9
 # magnitude exceeds it overflows
 LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 # bytes of the row blocks on which nodal_moment evaluates its integrand; a
-# field build stacks four outputs per block, which at 256 KB blocks raised
+# pass stacks up to five outputs per block, and four at 256 KB blocks raised
 # the peak memory of a 1-D survey by about 2 MB
 MOMENT_BLOCK_BYTES = 1 << 17
 
@@ -209,7 +209,7 @@ class CoefficientField:
         if arr.shape != target:
             raise ConfigurationError(
                 f"coefficient shape {arr.shape} incompatible with {target}")
-        return np.array(arr, dtype=float)
+        return np.array(arr, dtype=float, order="C")
 
     @classmethod
     def constant(cls, grid, mesh, a: float, b: float) -> "CoefficientField":
@@ -278,55 +278,50 @@ class Ensemble:
         writable view of `rows`."""
         return self.rows.swapaxes(0, 1)
 
-    def nodal_moment(self, integrand=np.square, node_weight=None) -> np.ndarray:
+    def nodal_moment(self, integrand=np.square, contract=None,
+                     nodes=slice(None)) -> np.ndarray:
         """E[f(y(t_k))] per time node, the weighted sum over rows[k]:
         `integrand` f maps rows (..., n) to nodal values (..., n), with any
         stacked outputs in front, and the result has shape (..., steps+1,
         n).  f runs on (time, row) tiles of about MOMENT_BLOCK_BYTES, so a
         tile stays in cache and the calls of f do not grow with the number
-        of time nodes.
+        of time nodes.  `nodes`, a slice of step 1, restricts the pass to
+        those time nodes.
 
-        With `node_weight`, a function of a slice of time nodes that gives
-        their node weights w, shape (..., k, n), each tile is contracted
-        with them: the result is sum_i w[j, k, i] E[f(y_k)][..., i] for
-        every stacked weight j and stacked output, shape (w's stacked
-        shape, f's stacked shape, steps+1), and no (steps+1, n) array is
-        held.  NumericalError names the first time node whose expectation
-        (or its contraction) is not finite."""
-        nodes, r, n = self.rows.shape
+        With `contract`, a function of a tile's slice of time nodes and of
+        their expectations, shape (f's stacked shape, k, n), that reduces
+        them to values per time node, shape (..., k), each tile is reduced
+        as it is summed: the result has shape (..., time nodes), and no
+        (steps+1, n) array is held.  NumericalError names the first time
+        node whose expectation (or its reduction) is not finite."""
+        total, r, n = self.rows.shape
+        start, stop, _ = nodes.indices(total)
         block = max(1, MOMENT_BLOCK_BYTES // (8 * n))
         row_block = min(r, block)
         time_block = max(1, block // row_block)
         out = None
         with np.errstate(over="ignore", invalid="ignore"):
-            for t in range(0, nodes, time_block):
-                span = slice(t, t + time_block)
+            for t in range(start, stop, time_block):
+                span = slice(t, min(t + time_block, stop))
                 moment = None
                 for p in range(0, r, row_block):
                     tile = np.s_[span, p:p + row_block]
                     part = np.einsum("kr,...kri->...ki", self.weights[tile],
                                      integrand(self.rows[tile]))
                     moment = part if moment is None else moment + part
-                if node_weight is not None:  # a unit node axis, dropped below
-                    moment = _contract(node_weight(span), moment)[..., None]
+                if contract is not None:  # a unit node axis, dropped below
+                    moment = contract(span, moment)[..., None]
                 if out is None:
-                    out = np.empty(moment.shape[:-2] + (nodes,) + moment.shape[-1:])
-                out[..., span, :] = moment
-        finite = np.isfinite(out).reshape(-1, nodes, out.shape[-1]).all(axis=(0, 2))
+                    out = np.empty(moment.shape[:-2] + (stop - start,)
+                                   + moment.shape[-1:])
+                out[..., t - start:span.stop - start, :] = moment
+        finite = np.isfinite(out).reshape(
+            -1, stop - start, out.shape[-1]).all(axis=(0, 2))
         if not finite.all():
             raise NumericalError(
-                f"expectation not finite at time node {int(np.argmin(finite))}"
-                f" of {nodes - 1}")
-        return out if node_weight is None else out[..., 0]
-
-
-def _contract(weights: np.ndarray, moment: np.ndarray) -> np.ndarray:
-    """sum_i weights[j, k, i] moment[t, k, i] for every stacked weight j and
-    stacked output t, shape (j..., t..., k)."""
-    k, n = moment.shape[-2:]
-    return np.einsum("jki,tki->jtk", weights.reshape(-1, k, n),
-                     moment.reshape(-1, k, n)).reshape(
-        weights.shape[:-2] + moment.shape[:-2] + (k,))
+                f"expectation not finite at time node "
+                f"{start + int(np.argmin(finite))} of {total - 1}")
+        return out if contract is None else out[..., 0]
 
 
 @dataclass

@@ -165,16 +165,18 @@ class HeatKernelWeight:
 
     Caloric: K_t + Delta K = 0 (`caloric_defect` measures it on `values`).
     `values` takes a time or an array of times t and has shape
-    t.shape + coords.shape[:-1].
+    t.shape + coords.shape[:-1]; a tuple of J shifts lam stacks the J
+    kernels in front.
     """
 
     horizon: float
-    shift: float
+    shift: float | tuple[float, ...]
     center: tuple[float, ...]
     dim: int
 
     def __post_init__(self):
-        if not 0.0 < self.shift <= 1.0:
+        shift = np.asarray(self.shift, dtype=float)
+        if not np.all((0.0 < shift) & (shift <= 1.0)):
             raise ConfigurationError(f"kernel shift must lie in (0, 1], got {self.shift}")
         if self.horizon <= 0.0:
             raise ConfigurationError("kernel horizon must be positive")
@@ -182,13 +184,15 @@ class HeatKernelWeight:
 
     def _s(self, t, coords: np.ndarray) -> np.ndarray:
         """T - t + lam at a time or an array of times, all in [0, T], shaped
-        t.shape + (1,) * (coords.ndim - 1) to broadcast against the nodes."""
+        lam.shape + t.shape + (1,) * (coords.ndim - 1) to broadcast against
+        the nodes."""
         t = np.asarray(t, dtype=float)
         outside = (t < 0.0) | (t > self.horizon)
         if np.any(outside):
             raise DomainError(
                 f"t={t[outside].flat[0]} outside [0, {self.horizon}]")
-        s = self.horizon - t + self.shift
+        s = self.horizon - t + np.reshape(
+            self.shift, np.shape(self.shift) + (1,) * t.ndim)
         return s.reshape(s.shape + (1,) * (np.ndim(coords) - 1))
 
     def _dist_sq(self, coords: np.ndarray) -> np.ndarray:

@@ -6,9 +6,8 @@ kernel shift lambda, and numerical vanishing of the terminal state on one
 ball, the hypothesis of qualitative unique continuation.  The checks read
 traces computed once by the caller: the energy and local-mass traces of
 `forward.energy_trace` and the terminal nodal second moment; the lambda
-sweep contracts one `frequency.LocalizedFields`, built with the
-experiment's cutoff, against one (shift, time, node) kernel array for all
-shifts at once.
+sweep takes the localized H and E int F^2 K under all its shifts from one
+`frequency.kernel_traces` pass over its time window.
 """
 
 from __future__ import annotations
@@ -17,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, NumericalError
+from .errors import ConfigurationError, DomainError
 from .forward import CoefficientField
-from .frequency import H_FLOOR, LocalizedFields
-from .geometry import Ball, HeatKernelWeight, SpatialGrid
+from .frequency import H_FLOOR, b_norm, heat_kernel, kernel_traces
+from .geometry import Ball, CutoffFunction, HeatKernelWeight, SpatialGrid
 from .noise import TimeMesh
 
 __all__ = [
@@ -133,24 +132,24 @@ def compute_constants(grid: SpatialGrid, x0, r: float, horizon: float,
                         gamma=float(gamma), variants=variants)
 
 
-def amplitude_profile(fields: LocalizedFields, epsilon: float,
-                      lambdas=LAMBDA_GRID) -> dict:
+def amplitude_profile(ens, cutoff: CutoffFunction, coeffs: CoefficientField,
+                      epsilon: float, lambdas=LAMBDA_GRID) -> dict:
     """Localized-energy amplitude A(lambda) over a shift grid.
 
     A(lambda) = ((T+lambda)/eps) * exp(2T|b|^2) * [ln(H(T-2eps)/H(T-eps))
                 + eps + eps(1+2T)|b|^2 + (eps+1) * int_{T-2eps}^T (E int F^2 K)/H]
 
     with |b| the W^{1,inf} norm over the cutoff support and H the localized
-    weighted energy at shift lambda, centred at the cutoff's center.  H and
-    E int F^2 K come from one einsum each over all shifts.
+    weighted energy of `ens` at shift lambda, centred at the cutoff's
+    center.  H and E int F^2 K come from one `kernel_traces` pass over
+    [T - 2 eps, T], under one kernel with all shifts stacked.
     """
-    mesh, grid = fields.mesh, fields.grid
+    mesh, grid = ens.mesh, ens.grid
     horizon = mesh.horizon
     if not 0.0 < 2.0 * epsilon < horizon:
         raise ConfigurationError("need 0 < 2*epsilon < horizon")
-    if fields.cutoff is None:
+    if cutoff is None:
         raise ConfigurationError("the amplitude profile needs a cutoff")
-    center = fields.cutoff.inner.center
     lams = np.atleast_1d(np.asarray(lambdas, dtype=float))
     k2 = int(round((horizon - 2.0 * epsilon) / mesh.dt))
     k1 = int(round((horizon - epsilon) / mesh.dt))
@@ -158,25 +157,19 @@ def amplitude_profile(fields: LocalizedFields, epsilon: float,
         raise ConfigurationError(
             f"ucp.epsilon = {epsilon} rounds T - 2 eps and T - eps to one node "
             f"of the time step {mesh.dt}")
-    # A(lambda) reads H and E int F^2 K on [T - 2 eps, T] only: one
-    # (lambda, time, node) kernel array over that window for every shift
-    window = mesh.times[k2:]
-    kw = np.stack([HeatKernelWeight(horizon=horizon, shift=float(lam),
-                                    center=center, dim=grid.dim)
-                   .values(window, grid.coords) for lam in lams]) \
-        * grid.quad_weight
-    h_arr = np.einsum("lki,ki->lk", kw, fields.h[k2:])
-    if np.any(h_arr < 0):
-        raise NumericalError("negative weighted energy; quadrature is broken")
-    h_arr = np.maximum(h_arr, H_FLOOR)
-    f_sq = np.einsum("lki,ki->lk", kw, fields.sources["f_sq"][k2:])
+    weight = HeatKernelWeight(horizon=horizon, shift=tuple(lams.tolist()),
+                              center=cutoff.inner.center, dim=grid.dim)
+    # A(lambda) reads H and E int F^2 K on [T - 2 eps, T] only
+    _, trace = kernel_traces(ens, cutoff, coeffs, heat_kernel(weight, grid),
+                             local_terms=("h", "f_sq"), nodes=slice(k2, None))
+    h_arr = np.maximum(trace.h, H_FLOOR)
     log_term = np.maximum(np.log(h_arr[:, 0] / h_arr[:, k1 - k2]), 0.0)
-    integral = np.trapezoid(f_sq / h_arr, dx=mesh.dt, axis=1)
-    b_norm = fields.b_norm
-    bracket = log_term + epsilon + epsilon * (1.0 + 2.0 * horizon) * b_norm ** 2 \
+    integral = np.trapezoid(trace.aux["f_sq"] / h_arr, dx=mesh.dt, axis=1)
+    norm = b_norm(coeffs, cutoff)
+    bracket = log_term + epsilon + epsilon * (1.0 + 2.0 * horizon) * norm ** 2 \
         + (epsilon + 1.0) * integral
     a_val = ((horizon + lams) / epsilon) \
-        * np.exp(2.0 * horizon * b_norm ** 2) * bracket
+        * np.exp(2.0 * horizon * norm ** 2) * bracket
     profile = list(zip(lams.tolist(), a_val.tolist()))
     return {"profile": profile, "epsilon": float(epsilon)}
 

@@ -17,7 +17,7 @@ from stochheat import (Ball, CoefficientField, HeatKernelWeight,
                        build_grid, build_tree, compute_constants,
                        density_sequence, energy_trace, epsilon_sequence,
                        exp_transform_oracle, frequency_bound_check,
-                       gramian_matrix, localized_fields,
+                       gramian_matrix, heat_kernel, kernel_traces,
                        quantitative_ucp_check, select_lambda,
                        solve_forward, solve_forward_moments,
                        synthesize_approx_control, synthesize_null_control,
@@ -25,7 +25,7 @@ from stochheat import (Ball, CoefficientField, HeatKernelWeight,
 from stochheat import control as ctl
 from stochheat.cli import main as cli_main
 from stochheat.forward import tree_moves
-from stochheat.frequency import compute_hdn, hprime_identity_residual
+from stochheat.frequency import hprime_identity_residual
 from stochheat.geometry import caloric_defect
 from stochheat.ucp import amplitude_profile, default_tolerance
 
@@ -47,8 +47,9 @@ def sweep():
     """Twenty randomized configurations: random bounded coefficients and a
     randomly placed bump initial state on the shared tree/grid.  Each keeps
     what the criteria read of its tree ensemble, not the ensemble: the
-    energy and local traces, the terminal moment E[y(T)^2], and the
-    localized fields under the shared cutoff and without one (convex)."""
+    energy and local traces, the terminal moment E[y(T)^2], the drift
+    bounds' traces (global, for the convex form, and under the shared
+    cutoff) and the lambda profile of criterion 6."""
     grid = build_grid([(0.0, 1.0)], (SWEEP_NODES,))
     mesh = TimeMesh(horizon=SWEEP_HORIZON, steps=SWEEP_DEPTH)
     tree = build_tree(mesh)
@@ -65,11 +66,14 @@ def sweep():
         wd = rng.uniform(0.08, 0.2)
         y0 = np.sin(np.pi * x) * (1.0 + np.exp(-(x - c0) ** 2 / (2 * wd ** 2)))
         ens = solve_forward(y0, coeffs, tree, mesh, grid)
+        convex, local = kernel_traces(ens, cutoff, coeffs,
+                                      heat_kernel(weight, grid), ("h", "d"),
+                                      ("h", "d", "f_sq"))
         configs.append({"seed": seed, "coeffs": coeffs, "y0": y0,
                         "traces": _traces(ens),
                         "terminal": ens.nodal_moment()[-1],
-                        "fields": localized_fields(ens, cutoff, coeffs),
-                        "convex": localized_fields(ens, None, coeffs)})
+                        "local": local, "convex": convex,
+                        "profile": amplitude_profile(ens, cutoff, coeffs, 0.1)})
     return {"grid": grid, "mesh": mesh, "tree": tree, "cutoff": cutoff,
             "weight": weight, "tol": tol, "configs": configs}
 
@@ -77,6 +81,12 @@ def sweep():
 def _traces(ens):
     """The energy trace and the local trace on OBS_BALL."""
     return energy_trace(ens), energy_trace(ens, ens.grid.ball_mask(OBS_BALL))
+
+
+def _identity_trace(ens, coeffs, weight):
+    """The global trace of the energy-derivative identity."""
+    return kernel_traces(ens, None, coeffs, heat_kernel(weight, ens.grid),
+                         ("h", "d", "phi_f", "b_sq"))[0]
 
 
 def _endpoint_constants(sw, cfg, r=0.08):
@@ -131,8 +141,8 @@ def test_criterion_03_energy_derivative_identity():
         mesh = TimeMesh(horizon=horizon, steps=10)
         coeffs = CoefficientField.random_bounded(grid, mesh, seed, 0.5, 0.5)
         ens = solve_forward(y0, coeffs, build_tree(mesh), mesh, grid)
-        rep = hprime_identity_residual(
-            compute_hdn(localized_fields(ens, None, coeffs), weight), mesh.dt)
+        rep = hprime_identity_residual(_identity_trace(ens, coeffs, weight),
+                                       mesh.dt)
         ok &= rep["integrated_residual"] <= 0.05
         # dt-halving: the left-endpoint residual is first order, so
         # successive Richardson differences (the spatial floor cancels)
@@ -143,7 +153,7 @@ def test_criterion_03_energy_derivative_identity():
             c2 = CoefficientField.random_bounded(grid, m2, seed, 0.5, 0.5)
             mom = solve_forward_moments(y0, c2, m2, grid)
             res[steps] = hprime_identity_residual(
-                compute_hdn(localized_fields(mom, None, c2), weight), m2.dt,
+                _identity_trace(mom, c2, weight), m2.dt,
                 rhs_eval="left")["integrated_residual"]
         ratio = (res[10] - res[20]) / (res[20] - res[40])
         ok &= 1.4 <= ratio <= 2.6
@@ -153,10 +163,11 @@ def test_criterion_03_energy_derivative_identity():
 def test_criterion_04_frequency_drift_bound(sweep):
     ok = True
     for cfg in sweep["configs"]:
-        fb = frequency_bound_check(cfg["fields"], sweep["weight"],
+        fb = frequency_bound_check(cfg["local"], sweep["weight"],
+                                   cfg["coeffs"], sweep["cutoff"],
                                    slack=sweep["tol"])
         fbc = frequency_bound_check(cfg["convex"], sweep["weight"],
-                                    slack=sweep["tol"])
+                                    cfg["coeffs"], slack=sweep["tol"])
         ok &= fb["holds"] and fbc["holds"]
     _line(4, "frequency drift bound (20 sweeps)", ok)
 
@@ -188,7 +199,7 @@ def test_criterion_05_interpolation_inequality(sweep):
 def test_criterion_06_three_ball_inequality(sweep):
     qualified, passed, excluded = 0, 0, []
     for cfg in sweep["configs"]:
-        prof = amplitude_profile(cfg["fields"], 0.1)
+        prof = cfg["profile"]
         sel = select_lambda(prof["profile"], 0.08, 1)
         if not sel["qualifies"]:
             excluded.append({"seed": cfg["seed"], "profile": sel["profile"]})

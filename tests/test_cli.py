@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochheat import cli, forward
+from stochheat import cli, forward, frequency
 from stochheat import control as ctl
 from stochheat import config as cfgmod
 from stochheat import report as repmod
+from stochheat import ucp as ucpmod
 from stochheat.cli import main
 from stochheat.errors import ConfigurationError, ShapeError
 from stochheat.geometry import HeatKernelWeight
@@ -303,13 +304,13 @@ def test_cli_overflowing_moments_exit_2(tmp_path, capsys):
             assert err.count("\n") == 1 and "Traceback" not in err
     # finite factors whose expectation E[y^2] = Z^T Z overflows: b = 1e20
     # at the default depth 10, and b = 100 on the 400-step fine mesh of
-    # frequency, where E[y^2] overflows at node 275 and its contraction
-    # with b^2 K at node 270; nodal_moment names the first time node that
-    # overflows
+    # frequency, where E[y^2] overflows at node 275 and the field b^2 E[y^2]
+    # of the identity's E int b^2 y^2 K at node 272; nodal_moment names the
+    # first time node that overflows
     cfg = tmp_path / "overflow.cfg"
     for text, sub, node in (
             ("grid.nodes = 31\ncoeff.b = 1e20\n", "simulate", "9 of 10"),
-            (_fast_text("coeff.b = 100\n"), "verify", "270 of 400")):
+            (_fast_text("coeff.b = 100\n"), "verify", "272 of 400")):
         cfg.write_text(text)
         code = main([sub, "--config", str(cfg),
                      "--out", str(tmp_path / "out")])
@@ -461,11 +462,11 @@ def test_mc_survey_solves_no_path(monkeypatch):
         solved.append(len(noise.increments))
         return paths(y0, coeffs, noise, *args, **kwargs)
 
-    def counting_moment(self, integrand=np.square, node_weight=None):
+    def counting_moment(self, integrand=np.square, *args):
         def watched(rows):
             rows_seen.append(rows.shape[1])
             return integrand(rows)
-        return moment(self, watched, node_weight)
+        return moment(self, watched, *args)
 
     monkeypatch.setattr(cli, "solve_forward", counting_paths)
     monkeypatch.setattr(forward.Ensemble, "nodal_moment", counting_moment)
@@ -476,8 +477,8 @@ def test_mc_survey_solves_no_path(monkeypatch):
         for name in ("simulate", "frequency", "ucp", "observe"):
             cli.SUBCOMMANDS[name](exp)
         assert solved == n_paths, kind
-        # at least one integrand call per pass: the moment, two field
-        # builds and the fine identity pass
+        # at least one integrand call per pass: the moment, the drift
+        # bounds, the lambda sweep and the fine identity pass
         assert max(rows_seen) == rows and len(rows_seen) >= 4, kind
         solved.clear()
         rows_seen.clear()
@@ -750,57 +751,72 @@ def test_simulate_reports_the_scheme_step_sizes(tmp_path, capsys):
         assert scheme["noise_step_large"] is large
 
 
-def test_one_cutoff_field_build_per_experiment(monkeypatch):
-    # a simulate/frequency/ucp/observe pass builds localized fields twice:
-    # for the convex drift bound, and once under the cutoff for both the
-    # drift bound and the lambda sweep; ucp alone builds only those
-    built = []
-    build = cli.localized_fields
+def _count_trace_passes(monkeypatch):
+    """Patch `kernel_traces` (as cli and ucp call it) and
+    `Ensemble.nodal_moment` to record, per call, the ensemble and the
+    passes it makes; returns the (calls, passes) lists."""
+    calls, passes = [], []
+    traces = frequency.kernel_traces
+    moment = forward.Ensemble.nodal_moment
 
-    def counting(ens, cutoff, coeffs):
-        built.append(cutoff is not None)
-        return build(ens, cutoff, coeffs)
+    def counting(ens, *args, **kwargs):
+        calls.append((ens, len(passes)))
+        return traces(ens, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "localized_fields", counting)
+    def counting_moment(self, integrand=np.square, contract=None,
+                        nodes=slice(None)):
+        passes.append((self, contract, nodes))
+        return moment(self, integrand, contract, nodes)
+
+    monkeypatch.setattr(cli, "kernel_traces", counting)
+    monkeypatch.setattr(ucpmod, "kernel_traces", counting)
+    monkeypatch.setattr(forward.Ensemble, "nodal_moment", counting_moment)
+    return calls, passes
+
+
+def test_one_coarse_pass_for_both_drift_bounds(monkeypatch):
+    # a simulate/frequency/ucp/observe pass reads the experiment's ensemble
+    # in three passes: the default moment, one for both drift bounds and
+    # one for the lambda sweep's window; the fine 400-step ensemble of the
+    # identities is read once.  Each kernel_traces call makes one pass,
+    # reduced tile by tile; ucp alone makes the moment and the sweep pass
+    calls, passes = _count_trace_passes(monkeypatch)
     cfg = cfgmod.merge_config(cfgmod.parse_config(_fast_text()))
     exp = cli.Experiment(cfg)
-    assert built == []  # nothing is built at set-up
+    assert passes == []  # nothing is read at set-up
     for runner in (cli.run_simulate, cli.run_frequency, cli.run_ucp,
                    cli.run_observe):
         runner(exp)
-    assert len(built) == 2 and sum(built) == 1
-    built.clear()
+    coarse = [(c, nodes) for ens, c, nodes in passes if ens is exp.ensemble]
+    fine = [ens for ens, c, _ in passes if ens is not exp.ensemble]
+    assert [(c is None, nodes.start) for c, nodes in coarse] == \
+        [(True, None), (False, None), (False, 4)]  # T - 2 eps at node 4
+    assert len(fine) == 1 and fine[0].mesh.steps == 400
+    # the three kernel_traces calls and the moment make the four passes
+    assert len(calls) == 3 and len(passes) == 4
+    assert all(passes[before][0] is ens and passes[before][1] is not None
+               for ens, before in calls)
+    passes.clear()
     cli.run_ucp(cli.Experiment(cfg))
-    assert built == [True]
+    assert [(c is None, nodes.start) for _, c, nodes in passes] == \
+        [(True, None), (False, 4)]
 
 
 @pytest.mark.parametrize("kind", ["constant", "random"])
 def test_frequency_reads_the_fine_ensemble_in_one_pass(kind, monkeypatch):
-    # run_frequency builds localized fields on the experiment's ensemble
-    # only (the cutoff and the convex fields), and the fine 400-step
-    # ensemble of the derivative identities gets exactly one nodal_moment
-    # pass, with the kernel as its node weight
-    built, passes = [], []
-    build = cli.localized_fields
-    moment = forward.Ensemble.nodal_moment
-
-    def counting(ens, cutoff, coeffs):
-        built.append(ens)
-        return build(ens, cutoff, coeffs)
-
-    def counting_moment(self, integrand=np.square, node_weight=None):
-        passes.append((self, node_weight))
-        return moment(self, integrand, node_weight)
-
-    monkeypatch.setattr(cli, "localized_fields", counting)
-    monkeypatch.setattr(forward.Ensemble, "nodal_moment", counting_moment)
+    # run_frequency reads the experiment's ensemble in one pass, for both
+    # drift bounds, and the fine 400-step ensemble of the derivative
+    # identities in exactly one pass; both reduce each tile with the kernel
+    calls, passes = _count_trace_passes(monkeypatch)
     exp = cli.Experiment(cfgmod.merge_config(cfgmod.parse_config(
         _fast_text(f"coeff.kind = {kind}\n"))))
     cli.run_frequency(exp)
-    assert len(built) == 2 and all(ens is exp.ensemble for ens in built)
-    fine = [(ens, w) for ens, w in passes if ens is not exp.ensemble]
-    assert len(fine) == 1 and fine[0][0].mesh.steps == 400
-    assert fine[0][1] is not None
+    assert len(calls) == len(passes) == 2
+    assert [ens for ens, _ in calls] == [ens for ens, _, _ in passes]
+    fine, coarse = passes
+    assert coarse[0] is exp.ensemble and fine[0].mesh.steps == 400
+    assert all(c is not None and nodes == slice(None)
+               for _, c, nodes in passes)
 
 
 def test_observe_thin_time_set_excludes_the_chain(tmp_path, capsys):

@@ -187,6 +187,21 @@ def test_tree_leaf_view_reads_and_writes_levels(grid, mode):
     assert np.array_equal(ens.rows[2, 1:], 3.0 * level2[1:])
 
 
+def test_coefficients_are_stored_in_c_order(grid, mesh):
+    # every layout of input (scalars, one row of nodes, a Fortran-ordered
+    # (steps, n) array, random_bounded's row) is stored C-ordered, a copy
+    # of the input, and so is the tree's step-factor table built from it
+    row = np.linspace(0.1, 0.3, grid.n_nodes)
+    table = np.asfortranarray(np.outer(np.ones(mesh.steps), row))
+    for coeffs in (CoefficientField.constant(grid, mesh, 0.3, 0.4),
+                   CoefficientField(grid, mesh, a=row, b=table),
+                   CoefficientField.random_bounded(grid, mesh, 4, 0.5, 0.5)):
+        for c in (coeffs.a, coeffs.b):
+            assert c.flags.c_contiguous and not np.shares_memory(c, table)
+        factors = step_factors(coeffs, mesh.dt, forward.tree_moves(mesh.dt))
+        assert factors.flags.c_contiguous
+
+
 def test_sampled_levels_apply_the_step_factors(grid):
     # the table of `step_factors` is the per-step formula 1 + sign dt a_k
     # + b_k dB bit for bit, for the shared tree moves and for sampled

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from stochheat import (Ball, CoefficientField, HeatKernelWeight, TimeMesh,
-                       build_cutoff, build_grid, build_tree, compute_hdn,
+                       b_norm, build_cutoff, build_grid, build_tree,
                        frequency_bound_check, hprime_identity_residual,
-                       identity_traces, localized_fields, sample_ensemble,
+                       heat_kernel, kernel_traces, sample_ensemble,
                        solve_forward, solve_forward_moments,
                        solve_sampled_moments)
 from stochheat import forward, frequency
@@ -14,19 +14,44 @@ from stochheat.errors import NumericalError
 from stochheat.frequency import FrequencyTrace
 from stochheat.ucp import default_tolerance
 
+QUANTITIES = ("h", "d", "phi_f", "b_sq", "f_sq")
+IDENTITY = ("h", "d", "phi_f", "b_sq")
+
 
 @pytest.fixture(scope="module")
 def weight():
     return HeatKernelWeight(horizon=0.5, shift=0.25, center=(0.5,), dim=1)
 
 
-def test_hdn_positive_and_shapes(tree_ensemble, weight, coeffs):
-    tr = compute_hdn(localized_fields(tree_ensemble, None, coeffs), weight)
+def _global(ens, coeffs, weight, terms=("h", "d")):
+    """The global trace of `ens` under one kernel weight."""
+    return kernel_traces(ens, None, coeffs, heat_kernel(weight, ens.grid),
+                         terms)[0]
+
+
+def _local(ens, cutoff, coeffs, weight, terms=QUANTITIES):
+    """The localized trace of `ens` under one kernel weight."""
+    return kernel_traces(ens, cutoff, coeffs, heat_kernel(weight, ens.grid),
+                         local_terms=terms)[1]
+
+
+def test_hdn_positive_and_shapes(tree_ensemble, weight, coeffs, grid):
+    tr = _global(tree_ensemble, coeffs, weight)
     steps = tree_ensemble.mesh.steps
     assert tr.h.shape == (steps + 1,)
     assert np.all(tr.h > 0.0)
     assert np.all(tr.d >= 0.0)
     assert np.allclose(tr.n, 2.0 * tr.d / tr.h)
+    # a weight with a tuple of shifts gives one row per shift; a trace
+    # nobody asks for is None
+    shifts = HeatKernelWeight(horizon=0.5, shift=(0.25, 0.05),
+                              center=(0.5,), dim=1)
+    other = HeatKernelWeight(horizon=0.5, shift=0.05, center=(0.5,), dim=1)
+    stacked, none = kernel_traces(tree_ensemble, None, coeffs,
+                                  heat_kernel(shifts, grid), ("h", "d"))
+    assert none is None and stacked.h.shape == (2, steps + 1)
+    assert np.array_equal(stacked.h[0], tr.h)
+    assert np.array_equal(stacked.d[1], _global(tree_ensemble, coeffs, other).d)
 
 
 def test_hdn_brute_force_oracle(tree_ensemble, weight, grid, coeffs):
@@ -42,7 +67,7 @@ def test_hdn_brute_force_oracle(tree_ensemble, weight, grid, coeffs):
     gy = np.stack([grid.gradient(y[p]) for p in range(y.shape[0])])
     d_direct = float(w @ ((gy[:, :, 0] ** 2 * kv).sum(axis=1))) \
         * grid.quad_weight
-    tr = compute_hdn(localized_fields(tree_ensemble, None, coeffs), weight)
+    tr = _global(tree_ensemble, coeffs, weight)
     assert np.isclose(tr.h[k], h_direct, rtol=1e-12)
     assert np.isclose(tr.d[k], d_direct, rtol=1e-12)
     # localized field Phi = phi*y under random bounded coefficients, with the
@@ -51,7 +76,7 @@ def test_hdn_brute_force_oracle(tree_ensemble, weight, grid, coeffs):
     cutoff = build_cutoff(Ball((0.5,), 0.18), Ball((0.5,), 0.24), grid)
     mesh = tree_ensemble.mesh
     rough = CoefficientField.random_bounded(grid, mesh, 5, 0.5, 0.5)
-    tr = compute_hdn(localized_fields(tree_ensemble, cutoff, rough), weight)
+    tr = _local(tree_ensemble, cutoff, rough, weight)
     for k in (4, mesh.steps):
         kv = weight.values(mesh.times[k], grid.coords)
         y = tree_ensemble.rows[k]
@@ -81,92 +106,193 @@ GRIDS = pytest.mark.parametrize("extents, shape, center", [
 ], ids=["1d", "2d", "2d-15x15"])
 
 
-def _tree_lab(extents, shape, center):
+def _lab(extents, shape, center, kind, source, steps=6):
+    """An ensemble with its cutoff, coefficients and kernel weight: `kind`
+    is constant, random (constant in time) or varying (in time and over
+    the nodes) coefficients, or uniform ones that vary in time only,
+    `source` the Bernoulli tree's paths, the exact moments or the sampled
+    closed form (which needs coefficients uniform over the nodes)."""
     grid = build_grid(extents, shape)
-    mesh = TimeMesh(horizon=0.3, steps=5)
-    coeffs = CoefficientField.random_bounded(grid, mesh, 4, 0.5, 0.5)
-    y0 = np.prod(np.sin(np.pi * grid.coords / grid.coords.max(axis=0)),
-                 axis=1)
-    ens = solve_forward(y0, coeffs, build_tree(mesh), mesh, grid)
+    mesh = TimeMesh(horizon=0.3, steps=steps)
+    lo = np.array([e[0] for e in extents])
+    width = np.array([e[1] - e[0] for e in extents])
+    unit = (grid.coords - lo) / width
+    ramp = np.linspace(0.5, 1.5, steps)[:, None]
+    if kind == "constant":
+        coeffs = CoefficientField.constant(grid, mesh, 0.3, 0.4)
+    elif kind == "random":
+        coeffs = CoefficientField.random_bounded(grid, mesh, 4, 0.5, 0.5)
+    elif kind == "uniform":
+        ones = np.ones(grid.n_nodes)
+        coeffs = CoefficientField(grid, mesh, a=0.3 * ramp * ones,
+                                  b=0.4 * ramp[::-1] * ones)
+    else:
+        coeffs = CoefficientField(grid, mesh, a=ramp * (0.3 + unit[:, 0]),
+                                  b=ramp[::-1] * (0.4 - 0.2 * unit[:, -1]))
+    y0 = np.prod(np.sin(np.pi * unit), axis=1) * (1.0 + 0.5 * unit[:, 0])
+    if source == "tree":
+        ens = solve_forward(y0, coeffs, build_tree(mesh), mesh, grid)
+    elif source == "moments":
+        ens = solve_forward_moments(y0, coeffs, mesh, grid)
+    else:
+        ens = solve_sampled_moments(y0, coeffs, sample_ensemble(mesh, 64, 3),
+                                    mesh, grid)
     cutoff = build_cutoff(Ball(center, 0.2), Ball(center, 0.4), grid)
-    return ens, cutoff, coeffs
+    weight = HeatKernelWeight(horizon=0.3, shift=0.25, center=center,
+                              dim=grid.dim)
+    return ens, cutoff, coeffs, weight
+
+
+def _stack(weights, grid):
+    """A `kernel_traces` kernel stacking the kernels of several weights."""
+    return lambda t: np.stack([w.values(t, grid.coords)
+                               for w in weights]) * grid.quad_weight
+
+
+def _five_row_blocks(monkeypatch, ens):
+    """Tiles of 5 rows: 5 time nodes per tile for one row per time node,
+    else 1 time node and 5 rows; 5 does not divide the time nodes."""
+    monkeypatch.setattr(forward, "MOMENT_BLOCK_BYTES",
+                        5 * 8 * ens.grid.n_nodes)
+    assert len(ens.rows) % 5
+
+
+# (source, coefficient kind) pairs of the sparse reference
+SOURCES = [("tree", "constant"), ("tree", "varying"), ("tree", "random"),
+           ("moments", "constant"), ("moments", "varying"),
+           ("moments", "random"), ("sampled", "constant"),
+           ("sampled", "uniform")]
 
 
 @GRIDS
 def test_localized_fields_match_sparse_commutator(extents, shape, center,
                                                   sparse_operators,
-                                                  assert_rel_close):
-    # the stencil-built localized gradients grad(phi *) and commutator
-    # S = -diag(Lap phi) - 2 sum diag(d phi) d against the same fields
-    # built from scipy.sparse matrices and summed time node by time node
+                                                  assert_rel_close,
+                                                  monkeypatch):
+    # every quantity of kernel_traces, global and under the cutoff, for a
+    # stack of two kernels, against Phi = phi*y, grad Phi and F = a Phi + S y
+    # built row by row from scipy.sparse matrices (S = -diag(Lap phi)
+    # - 2 sum diag(d phi) d), summed time node by time node and contracted
+    # node by node; on tree paths, exact moments and the sampled closed
+    # form, at the default tile size and at tiles of 5 rows, and over a
+    # window of time nodes
     import scipy.sparse as sp
-    ens, cutoff, coeffs = _tree_lab(extents, shape, center)
-    mesh = ens.mesh
-    fields = localized_fields(ens, cutoff, coeffs)
-    _, grads = sparse_operators(ens.grid)
-    static = -sp.diags(cutoff.lap)
-    for ax, g in enumerate(grads):
-        static = static - 2.0 * sp.diags(cutoff.grad[:, ax]) @ g
-    static = sp.csr_matrix(static)
-    loc = [sp.csr_matrix(g @ sp.diags(cutoff.values)) for g in grads]
+    for source, kind in SOURCES:
+        ens, cutoff, coeffs, weight = _lab(extents, shape, center, kind,
+                                           source)
+        grid, mesh = ens.grid, ens.mesh
+        other = HeatKernelWeight(horizon=0.3, shift=0.05,
+                                 center=grid.coords[1], dim=grid.dim)
+        _, grads = sparse_operators(grid)
+        static = -sp.diags(cutoff.lap)
+        for ax, g in enumerate(grads):
+            static = static - 2.0 * sp.diags(cutoff.grad[:, ax]) @ g
+        static = sp.csr_matrix(static)
+        ref = {False: {q: [] for q in QUANTITIES},
+               True: {q: [] for q in QUANTITIES}}
+        for k, (w, y) in enumerate(zip(ens.weights, ens.rows)):
+            step = min(k, mesh.steps - 1)
+            a, b = coeffs.a[step], coeffs.b[step]
+            kw = np.stack([wt.values(mesh.times[k], grid.coords)
+                           for wt in (weight, other)]) * grid.quad_weight
+            for local in (False, True):
+                phi = cutoff.values if local else np.ones(grid.n_nodes)
+                big_phi = phi * y
+                src = a * big_phi + ((static @ y.T).T if local else 0.0)
+                grad_sq = sum(np.square((g @ big_phi.T).T) for g in grads)
+                for q, f in (("h", big_phi ** 2), ("d", grad_sq),
+                             ("phi_f", big_phi * src),
+                             ("b_sq", (b * big_phi) ** 2),
+                             ("f_sq", src ** 2)):
+                    ref[local][q].append(kw @ (w @ f))
+        for block in ("default", "five"):
+            if block == "five":
+                _five_row_blocks(monkeypatch, ens)
+            traces = kernel_traces(ens, cutoff, coeffs,
+                                   _stack([weight, other], grid),
+                                   QUANTITIES, QUANTITIES)
+            for tr, local in zip(traces, (False, True)):
+                assert np.array_equal(tr.times, mesh.times)
+                for q in QUANTITIES:
+                    value = tr.h if q == "h" else tr.d if q == "d" \
+                        else tr.aux[q]
+                    expected = np.array(ref[local][q]).T
+                    for j in range(2):
+                        assert_rel_close(value[j], expected[j])
+            monkeypatch.undo()
+        # the last four time nodes alone, as the lambda sweep asks
+        _, window = kernel_traces(ens, cutoff, coeffs,
+                                  _stack([weight, other], grid),
+                                  local_terms=("h", "f_sq"),
+                                  nodes=slice(mesh.steps - 3, None))
+        assert np.array_equal(window.times, mesh.times[-4:])
+        assert window.d is None and set(window.aux) == {"f_sq"}
+        for j in range(2):
+            assert_rel_close(window.h[j], np.array(ref[True]["h"]).T[j, -4:])
+            assert_rel_close(window.aux["f_sq"][j],
+                             np.array(ref[True]["f_sq"]).T[j, -4:])
 
-    def expect(f):  # E f(y(t_k)) per time node
-        return np.stack([w @ f(y) for w, y in zip(ens.weights, ens.rows)])
 
-    assert_rel_close(fields.d, expect(
-        lambda y: sum(np.square((g @ y.T).T) for g in loc)))
-    steps = np.minimum(np.arange(mesh.steps + 1), mesh.steps - 1)
-    a_phi = coeffs.a[steps] * cutoff.values
-    y_sq = expect(np.square)
-    y_src = expect(lambda y: y * (static @ y.T).T)
-    assert_rel_close(fields.sources["phi_f"],
-                     a_phi * cutoff.values * y_sq + cutoff.values * y_src)
-    assert_rel_close(fields.sources["f_sq"],
-                     a_phi ** 2 * y_sq + 2.0 * a_phi * y_src
-                     + expect(lambda y: np.square((static @ y.T).T)))
+def _count_passes(monkeypatch):
+    """Patch `Ensemble.nodal_moment` to record each pass's reduction."""
+    passes = []
+    moment = forward.Ensemble.nodal_moment
+
+    def counting(self, *args, **kwargs):
+        passes.append(args[1] if len(args) > 1 else kwargs.get("contract"))
+        return moment(self, *args, **kwargs)
+
+    monkeypatch.setattr(forward.Ensemble, "nodal_moment", counting)
+    return passes
 
 
 @GRIDS
 def test_localized_fields_read_the_ensemble_once(extents, shape, center,
                                                  monkeypatch):
-    # every field of a build, with or without a cutoff, comes from one
-    # nodal_moment pass over the ensemble
-    ens, cutoff, coeffs = _tree_lab(extents, shape, center)
-    calls = []
-    moment = forward.Ensemble.nodal_moment
+    # every kernel_traces call, for the global trace, the localized one,
+    # both, or a window of time nodes, makes one nodal_moment pass over the
+    # ensemble, reduced tile by tile
+    ens, cutoff, coeffs, weight = _lab(extents, shape, center, "random",
+                                       "tree", steps=5)
+    kernel = heat_kernel(weight, ens.grid)
+    passes = _count_passes(monkeypatch)
+    for asks in [dict(global_terms=QUANTITIES),
+                 dict(local_terms=QUANTITIES),
+                 dict(global_terms=("h", "d"), local_terms=("h", "f_sq")),
+                 dict(local_terms=("h", "f_sq"), nodes=slice(2, None))]:
+        passes.clear()
+        kernel_traces(ens, cutoff, coeffs, kernel, **asks)
+        assert len(passes) == 1 and passes[0] is not None, asks
 
-    def counting(self, *args, **kwargs):
-        calls.append(args)
-        return moment(self, *args, **kwargs)
 
-    monkeypatch.setattr(forward.Ensemble, "nodal_moment", counting)
-    for cut in (None, cutoff):
-        calls.clear()
-        localized_fields(ens, cut, coeffs)
-        assert len(calls) == 1
-
-
-def test_compute_hdn_evaluates_the_kernel_once(tree_ensemble, weight, coeffs,
-                                               monkeypatch):
-    # one (time, node) kernel array per call, not one evaluation per time
-    fields = localized_fields(tree_ensemble, None, coeffs)
+def test_kernel_traces_evaluate_the_kernel_per_tile(monkeypatch):
+    # kernel(times) runs once per tile of time nodes, at that tile's times
+    # only: in tiles of 5 over all 7 time nodes (one row per time node),
+    # and over a window of 4
+    ens, cutoff, coeffs, weight = _lab(*_1D, "constant", "moments")
+    _five_row_blocks(monkeypatch, ens)
     calls = []
     values = HeatKernelWeight.values
 
     def counting(self, t, coords):
-        calls.append(np.shape(t))
+        calls.append(np.array(t))
         return values(self, t, coords)
 
     monkeypatch.setattr(HeatKernelWeight, "values", counting)
-    compute_hdn(fields, weight)
-    assert calls == [fields.mesh.times.shape]
+    times = ens.mesh.times
+    for nodes, sizes in ((slice(None), [5, 2]), (slice(3, None), [4])):
+        calls.clear()
+        kernel_traces(ens, cutoff, coeffs, heat_kernel(weight, ens.grid),
+                      QUANTITIES, QUANTITIES, nodes=nodes)
+        assert [len(t) for t in calls] == sizes
+        assert np.array_equal(np.concatenate(calls), times[nodes])
 
 
 def test_hdn_scale_invariance_of_n(y0, coeffs, tree, mesh, grid, weight):
     base = solve_forward(y0, coeffs, tree, mesh, grid)
     scaled = solve_forward(3.0 * y0, coeffs, tree, mesh, grid)
-    n1 = compute_hdn(localized_fields(base, None, coeffs), weight).n
-    n2 = compute_hdn(localized_fields(scaled, None, coeffs), weight).n
+    n1 = _global(base, coeffs, weight).n
+    n2 = _global(scaled, coeffs, weight).n
     assert np.allclose(n1, n2, rtol=1e-12)
 
 
@@ -174,8 +300,8 @@ def test_hdn_agrees_between_tree_and_moments(y0, coeffs, tree, mesh, grid,
                                              weight):
     ens = solve_forward(y0, coeffs, tree, mesh, grid)
     mom = solve_forward_moments(y0, coeffs, mesh, grid)
-    t1 = compute_hdn(localized_fields(ens, None, coeffs), weight)
-    t2 = compute_hdn(localized_fields(mom, None, coeffs), weight)
+    t1 = _global(ens, coeffs, weight)
+    t2 = _global(mom, coeffs, weight)
     assert np.allclose(t1.h, t2.h, rtol=1e-10)
     assert np.allclose(t1.d, t2.d, rtol=1e-10)
 
@@ -189,7 +315,7 @@ def _integrated_residual(steps, mode):
     mom = solve_forward_moments(y0, coeffs, mesh, fine_grid)
     w = HeatKernelWeight(horizon=0.1, shift=0.25, center=(0.5,), dim=1)
     return hprime_identity_residual(
-        compute_hdn(localized_fields(mom, None, coeffs), w), mesh.dt,
+        _global(mom, coeffs, w, IDENTITY), mesh.dt,
         rhs_eval=mode)["integrated_residual"]
 
 
@@ -213,20 +339,21 @@ def test_hprime_left_mode_is_first_order():
 def test_hprime_rejects_unknown_mode(tree_ensemble, weight, coeffs):
     with pytest.raises(NumericalError):
         hprime_identity_residual(
-            compute_hdn(localized_fields(tree_ensemble, None, coeffs), weight),
+            _global(tree_ensemble, coeffs, weight, IDENTITY),
             tree_ensemble.mesh.dt, rhs_eval="right")
 
 
 def test_frequency_bound_holds(tree_ensemble, weight, coeffs, grid, mesh):
-    # the general form on fields built with a cutoff, the convex variant on
-    # fields built without one
+    # the general form on the localized trace, the convex variant on the
+    # global one, both from one pass
     tol = default_tolerance(mesh, grid)
     cutoff = build_cutoff(Ball((0.5,), 0.18), Ball((0.5,), 0.24), grid)
-    rep = frequency_bound_check(localized_fields(tree_ensemble, cutoff, coeffs),
-                                weight, slack=tol)
+    convex, local = kernel_traces(tree_ensemble, cutoff, coeffs,
+                                  heat_kernel(weight, grid), ("h", "d"),
+                                  ("h", "d", "f_sq"))
+    rep = frequency_bound_check(local, weight, coeffs, cutoff, slack=tol)
     assert rep["holds"]
-    rep_convex = frequency_bound_check(
-        localized_fields(tree_ensemble, None, coeffs), weight, slack=tol)
+    rep_convex = frequency_bound_check(convex, weight, coeffs, slack=tol)
     assert rep_convex["holds"]
 
 
@@ -236,26 +363,23 @@ def test_frequency_bound_localized_b_norm(tree_ensemble, weight, grid, mesh):
     b = np.where(np.abs(grid.coords[:, 0] - 0.5) < 0.3, 0.1, 5.0)
     coeffs = CoefficientField(grid, mesh, a=0.0, b=b)
     cutoff = build_cutoff(Ball((0.5,), 0.1), Ball((0.5,), 0.15), grid)
-    rep = frequency_bound_check(localized_fields(tree_ensemble, cutoff, coeffs),
-                                weight)
-    assert rep["b_norm"] < 5.0
+    rep = frequency_bound_check(_local(tree_ensemble, cutoff, coeffs, weight),
+                                weight, coeffs, cutoff)
+    assert rep["b_norm"] == b_norm(coeffs, cutoff) < 5.0
     # without a cutoff the norm is the global one
-    rep = frequency_bound_check(localized_fields(tree_ensemble, None, coeffs),
-                                weight)
-    assert rep["b_norm"] >= 5.0
+    rep = frequency_bound_check(_global(tree_ensemble, coeffs, weight),
+                                weight, coeffs)
+    assert rep["b_norm"] == b_norm(coeffs, None) >= 5.0
 
 
-def test_frequency_bound_worst_pair_is_the_first_maximum(tree_ensemble,
-                                                        weight, grid, mesh,
-                                                        monkeypatch):
+def test_frequency_bound_worst_pair_is_the_first_maximum(weight, grid, mesh):
     # with b = 0 and a source cancelling the drift integrand the excess is
     # N(t_j) - N(t_i) exactly; N takes few values, so the worst value is
     # tied between many pairs and the first in row-major order is reported
     rng = np.random.Generator(np.random.Philox(key=[15, 3]))
     cutoff = build_cutoff(Ball((0.5,), 0.18), Ball((0.5,), 0.24), grid)
-    fields = localized_fields(tree_ensemble, cutoff,
-                              CoefficientField.constant(grid, mesh, 0.3, 0.0))
-    assert fields.b_norm == 0.0
+    coeffs = CoefficientField.constant(grid, mesh, 0.3, 0.0)
+    assert b_norm(coeffs, cutoff) == 0.0
     times = mesh.times
     rate = 1.0 / (weight.horizon - times + weight.shift)
     i, j = np.triu_indices(len(times), 1)  # the pairs in row-major order
@@ -263,9 +387,8 @@ def test_frequency_bound_worst_pair_is_the_first_maximum(tree_ensemble,
     for _ in range(20):
         n = rng.integers(0, 4, len(times)) * 0.5
         trace = FrequencyTrace(times=times, h=np.ones(len(times)), d=0.5 * n,
-                               n=n, aux={"f_sq": -rate * n})
-        monkeypatch.setattr(frequency, "compute_hdn", lambda f, w: trace)
-        rep = frequency_bound_check(fields, weight)
+                               aux={"f_sq": -rate * n})
+        rep = frequency_bound_check(trace, weight, coeffs, cutoff)
         excess = n[j] - n[i]
         first = int(np.argmax(excess))
         assert rep["worst_violation"] == excess[first]
@@ -274,36 +397,34 @@ def test_frequency_bound_worst_pair_is_the_first_maximum(tree_ensemble,
     assert ties >= 10
 
 
-def _identity_lab(extents, shape, center, kind, source, steps=6):
-    """An ensemble with its cutoff, coefficients and kernel weight: `kind`
-    is constant, random (constant in time) or varying (in time and over
-    the nodes) coefficients, `source` the Bernoulli tree's paths, the exact
-    moments or the sampled closed form."""
-    grid = build_grid(extents, shape)
-    mesh = TimeMesh(horizon=0.3, steps=steps)
-    lo = np.array([e[0] for e in extents])
-    width = np.array([e[1] - e[0] for e in extents])
-    unit = (grid.coords - lo) / width
-    if kind == "constant":
-        coeffs = CoefficientField.constant(grid, mesh, 0.3, 0.4)
-    elif kind == "random":
-        coeffs = CoefficientField.random_bounded(grid, mesh, 4, 0.5, 0.5)
-    else:
-        ramp = np.linspace(0.5, 1.5, steps)[:, None]
-        coeffs = CoefficientField(grid, mesh, a=ramp * (0.3 + unit[:, 0]),
-                                  b=ramp[::-1] * (0.4 - 0.2 * unit[:, -1]))
-    y0 = np.prod(np.sin(np.pi * unit), axis=1) * (1.0 + 0.5 * unit[:, 0])
-    if source == "tree":
-        ens = solve_forward(y0, coeffs, build_tree(mesh), mesh, grid)
-    elif source == "moments":
-        ens = solve_forward_moments(y0, coeffs, mesh, grid)
-    else:
-        ens = solve_sampled_moments(y0, coeffs, sample_ensemble(mesh, 64, 3),
-                                    mesh, grid)
-    cutoff = build_cutoff(Ball(center, 0.2), Ball(center, 0.4), grid)
-    weight = HeatKernelWeight(horizon=0.3, shift=0.25, center=center,
-                              dim=grid.dim)
-    return ens, cutoff, coeffs, weight
+def test_frequency_bound_matches_all_pairs(tree_ensemble, weight, grid,
+                                           mesh):
+    # the worst excess and its pair against the excess of every pair s < t
+    # evaluated one by one, for the general and the convex form, under
+    # random bounded coefficients
+    cutoff = build_cutoff(Ball((0.5,), 0.18), Ball((0.5,), 0.24), grid)
+    coeffs = CoefficientField.random_bounded(grid, mesh, 7, 0.5, 0.5)
+    convex, local = kernel_traces(tree_ensemble, cutoff, coeffs,
+                                  heat_kernel(weight, grid), ("h", "d"),
+                                  ("h", "d", "f_sq"))
+    t = mesh.times
+    rate = 1.0 / (weight.horizon - t + weight.shift)
+    for tr, cut in ((local, cutoff), (convex, None)):
+        rep = frequency_bound_check(tr, weight, coeffs, cut)
+        norm, n = b_norm(coeffs, cut), 2.0 * tr.d / tr.h
+        if cut is None:
+            drift = (rate + norm ** 2) * n
+            const = coeffs.sup_a ** 2 + 2.0 * norm ** 2
+        else:
+            drift = (rate + 2.0 * norm ** 2) * n + tr.aux["f_sq"] / tr.h
+            const = 2.0 * norm ** 2
+        cum = np.cumsum(np.r_[0.0, np.diff(t) * (drift[1:] + drift[:-1]) / 2])
+        excess = {(i, j): n[j] - n[i] - (cum[j] - cum[i]) - const * (t[j] - t[i])
+                  for i in range(len(t)) for j in range(i + 1, len(t))}
+        pair = max(excess, key=excess.get)  # the first maximum
+        assert rep["worst_pair"] == pair
+        assert rep["worst_violation"] == pytest.approx(
+            excess[pair], rel=1e-12, abs=1e-12 * np.max(np.abs(n)))
 
 
 _1D = ([(0.0, 1.0)], (31,), (0.5,))
@@ -321,40 +442,51 @@ _2D = ([(0.0, 1.0), (0.0, 2.0)], (7, 11), (0.5, 1.0))
 ], ids=lambda v: v if isinstance(v, str) else f"{len(v[0])}d")
 def test_identity_traces_match_the_field_route(lab, kind, source, block,
                                                monkeypatch, assert_rel_close):
-    # the one tiled pass gives the H, D, phi_f and b_sq traces of
-    # compute_hdn on the global and the cutoff fields, on every ensemble
-    # kind; "uneven" tiles split the time nodes (and the tree's rows) into
-    # blocks that do not divide them
-    ens, cutoff, coeffs, weight = _identity_lab(*lab, kind, source)
-    refs = [compute_hdn(localized_fields(ens, cut, coeffs), weight)
-            for cut in (None, cutoff)]
+    # the identity's traces (h, d, phi_f, b_sq, global and localized) of
+    # the tiled pass against the field route: the (steps+1, n) nodal fields
+    # of one unreduced nodal_moment pass, contracted with the kernel over
+    # all time nodes afterwards; "uneven" tiles of 5 rows split the time
+    # nodes (and the tree's rows) into blocks that do not divide them
+    ens, cutoff, coeffs, weight = _lab(*lab, kind, source)
+    grid, mesh = ens.grid, ens.mesh
+    names = ("y_sq", "grad_y_sq", "grad_phi_y_sq", "y_sy")
+    y_sq, grad_y_sq, grad_phi_sq, y_sy = ens.nodal_moment(
+        frequency._integrand(grid, cutoff, names))
+    steps = np.minimum(np.arange(mesh.steps + 1), mesh.steps - 1)
+    a, b, phi = coeffs.a[steps], coeffs.b[steps], cutoff.values
+    kw = weight.values(mesh.times, grid.coords) * grid.quad_weight
+    fields = ({"h": y_sq, "d": grad_y_sq, "phi_f": a * y_sq,
+               "b_sq": b ** 2 * y_sq},
+              {"h": phi ** 2 * y_sq, "d": grad_phi_sq,
+               "phi_f": a * phi ** 2 * y_sq + phi * y_sy,
+               "b_sq": (b * phi) ** 2 * y_sq})
     if block == "uneven":
-        # blocks of 5 rows: 5 time nodes per tile for one row per time
-        # node, else 1 time node and 5 rows
-        monkeypatch.setattr(forward, "MOMENT_BLOCK_BYTES",
-                            5 * 8 * ens.grid.n_nodes)
-        assert len(ens.rows) % 5 and len(ens.rows[0]) % 5
-    traces = identity_traces(ens, cutoff, coeffs, weight)
-    for tr, ref in zip(traces, refs):
-        for name in ("h", "d"):
-            assert_rel_close(getattr(tr, name), getattr(ref, name))
-        for name in ("phi_f", "b_sq"):
-            assert_rel_close(tr.aux[name], ref.aux[name])
-        assert np.array_equal(tr.times, ref.times)
-        assert np.allclose(tr.n, ref.n, rtol=1e-12)
+        _five_row_blocks(monkeypatch, ens)
+        assert len(ens.rows[0]) % 5
+    traces = kernel_traces(ens, cutoff, coeffs, heat_kernel(weight, grid),
+                           IDENTITY, IDENTITY)
+    for tr, ref in zip(traces, fields):
+        ref = {q: np.einsum("ki,ki->k", kw, f) for q, f in ref.items()}
+        assert_rel_close(tr.h, ref["h"])
+        assert_rel_close(tr.d, ref["d"])
+        for q in ("phi_f", "b_sq"):
+            assert_rel_close(tr.aux[q], ref[q])
+        assert np.array_equal(tr.times, mesh.times)
+        assert np.allclose(tr.n, 2.0 * ref["d"] / ref["h"], rtol=1e-12)
 
 
 def test_identity_pass_memory_is_one_tile():
-    # at 2-D 31x31 on the 400-step mesh of frequency, the pass holds about
-    # one tile of MOMENT_BLOCK_BYTES per term and weight, not the (401, n)
-    # fields of the field route
+    # at 2-D 31x31 on the 400-step mesh of frequency, the identity's pass
+    # holds about one tile of MOMENT_BLOCK_BYTES per term and field, not
+    # (401, n) fields
     import tracemalloc
-    ens, cutoff, coeffs, weight = _identity_lab(
+    ens, cutoff, coeffs, weight = _lab(
         [(0.0, 1.0), (0.0, 1.0)], (31, 31), (0.5, 0.5), "constant",
         "moments", steps=400)
     tracemalloc.start()
     try:
-        identity_traces(ens, cutoff, coeffs, weight)
+        kernel_traces(ens, cutoff, coeffs, heat_kernel(weight, ens.grid),
+                      IDENTITY, IDENTITY)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

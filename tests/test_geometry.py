@@ -142,6 +142,29 @@ def test_kernel_values_over_an_array_of_times(dim):
             w.values(np.asarray(bad), grid.coords)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kernel_values_over_an_array_of_shifts(dim):
+    # one kernel per shift, stacked in front and equal bit for bit to the
+    # kernel of that shift alone, at a time and over an array of times; a
+    # shift outside (0, 1] anywhere in the tuple is refused
+    grid = build_grid([(0.0, 1.0)] * dim, (9,) * dim)
+    shifts = 0.5 ** np.arange(5)
+    stacked = HeatKernelWeight(horizon=0.5, shift=tuple(shifts),
+                               center=(0.4,) * dim, dim=dim)
+    times = np.linspace(0.0, 0.5, 11)
+    for t in (times, 0.2):
+        values = stacked.values(t, grid.coords)
+        assert values.shape == (len(shifts),) + np.shape(t) + (grid.n_nodes,)
+        assert np.array_equal(values, np.stack([
+            HeatKernelWeight(horizon=0.5, shift=float(lam),
+                             center=(0.4,) * dim, dim=dim).values(t, grid.coords)
+            for lam in shifts]))
+    for bad in ((0.5, 2.0), (0.0, 0.5)):
+        with pytest.raises(ConfigurationError):
+            HeatKernelWeight(horizon=0.5, shift=bad,
+                             center=(0.4,) * dim, dim=dim)
+
+
 def test_caloric_defect_fails_a_wrong_kernel(monkeypatch, kernel_off_by):
     # K reads at most 1e-6 at the nodes of 1-D and 2-D grids, near both ends
     # of (0, T) and at its middle; a K 1% off in its exponent or its power

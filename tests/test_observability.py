@@ -319,6 +319,20 @@ def test_energy_estimate_with_an_overflowing_bound(setup):
     assert rep["pass"]
 
 
+def test_energy_estimate_excess_skips_the_initial_time(setup):
+    # on a decaying trace every E(t_k) e^{-C t_k}, k >= 1, lies below E(0);
+    # the t = 0 term, 0 by construction, is not part of the maximum
+    grid, mesh, coeffs, _ = setup
+    energy = np.exp(-np.linspace(0.0, 2.0, mesh.steps + 1))
+    rep = energy_estimate_check(energy, mesh, coeffs,
+                                default_tolerance(mesh, grid))
+    rate = growth_rate(coeffs)
+    expected = np.max(energy[1:] * np.exp(-rate * mesh.times[1:]) - 1.0)
+    assert rep["worst_relative_excess"] < 0.0
+    assert rep["worst_relative_excess"] == pytest.approx(expected, rel=1e-12)
+    assert rep["pass"]
+
+
 def test_observe_reads_each_trace_once(monkeypatch):
     # run_observe reads the energy trace and the local trace from one moment
     # pass and passes them to the telescoping check and the growth estimate

@@ -7,11 +7,11 @@ import pytest
 
 from stochheat import (Ball, CoefficientField, HeatKernelWeight, TimeMesh,
                        build_cutoff, build_grid, compute_constants,
-                       compute_hdn, energy_trace, localized_fields,
+                       energy_trace, heat_kernel, kernel_traces,
                        propagate_vanishing, quantitative_ucp_check,
                        select_lambda, solve_forward, solve_forward_moments,
                        three_ball_check)
-from stochheat import cli, forward, frequency, ucp
+from stochheat import cli, forward
 from stochheat import config as cfgmod
 from stochheat.errors import ConfigurationError, DomainError, NumericalError
 from stochheat.ucp import (LAMBDA_GRID, amplitude_profile, default_tolerance)
@@ -106,27 +106,32 @@ def test_select_lambda_huge_amplitude_fails():
 
 def test_amplitude_profile_and_selection(tree_ensemble, coeffs, grid):
     cutoff = build_cutoff(Ball((0.5,), 0.18), Ball((0.5,), 0.24), grid)
-    prof = amplitude_profile(localized_fields(tree_ensemble, cutoff, coeffs),
-                             0.1, lambdas=LAMBDA_GRID[20:40])
+    prof = amplitude_profile(tree_ensemble, cutoff, coeffs, 0.1,
+                             lambdas=LAMBDA_GRID[20:40])
     assert all(a >= 0.0 for _, a in prof["profile"])
     sel = select_lambda(prof["profile"], 0.08, 1)
     assert sel["qualifies"]
 
 
-def test_amplitude_profile_matches_compute_hdn(tree_ensemble, coeffs, grid,
-                                               mesh):
-    # the profile contracts shared fields; rebuild A(lambda) from its
-    # defining formula on compute_hdn at separately built kernel weights
+def test_amplitude_profile_matches_single_kernel_traces(tree_ensemble, grid,
+                                                        mesh):
+    # the profile takes all shifts from one stacked pass over its window;
+    # rebuild A(lambda) from its defining formula on the single-kernel
+    # localized trace of each shift over every time node, under random
+    # bounded coefficients
     cutoff = build_cutoff(Ball((0.5,), 0.18), Ball((0.5,), 0.24), grid)
+    coeffs = CoefficientField.random_bounded(grid, mesh, 5, 0.5, 0.5)
     eps, horizon = 0.1, mesh.horizon
-    fields = localized_fields(tree_ensemble, cutoff, coeffs)
-    profile = dict(amplitude_profile(fields, eps)["profile"])
+    profile = dict(amplitude_profile(tree_ensemble, cutoff, coeffs,
+                                     eps)["profile"])
     k2 = int(round((horizon - 2.0 * eps) / mesh.dt))
     k1 = int(round((horizon - eps) / mesh.dt))
     for lam in (LAMBDA_GRID[0], LAMBDA_GRID[7], LAMBDA_GRID[30]):
         weight = HeatKernelWeight(horizon=horizon, shift=float(lam),
                                   center=(0.5,), dim=1)
-        tr = compute_hdn(fields, weight)
+        _, tr = kernel_traces(tree_ensemble, cutoff, coeffs,
+                              heat_kernel(weight, grid),
+                              local_terms=("h", "f_sq"))
         b = coeffs.sup_b_over(cutoff.values > 0.0)
         log_term = max(float(np.log(tr.h[k2] / tr.h[k1])), 0.0)
         integral = np.trapezoid(tr.aux["f_sq"][k2:] / tr.h[k2:], dx=mesh.dt)
@@ -138,35 +143,55 @@ def test_amplitude_profile_matches_compute_hdn(tree_ensemble, coeffs, grid,
 
 def test_amplitude_profile_sweeps_without_compute_hdn(tree_ensemble, coeffs,
                                                       grid, monkeypatch):
-    # all shifts are contracted at once, not by one compute_hdn per shift
+    # all shifts come from one nodal_moment pass over [T - 2 eps, T], with
+    # one kernel evaluation per tile for all shifts at once, not from a
+    # trace per shift
     cutoff = build_cutoff(Ball((0.5,), 0.18), Ball((0.5,), 0.24), grid)
-    fields = localized_fields(tree_ensemble, cutoff, coeffs)
+    passes, kernels = [], []
+    moment = forward.Ensemble.nodal_moment
+    values = HeatKernelWeight.values
 
-    def per_shift(*args):
-        raise AssertionError("compute_hdn called by the lambda sweep")
+    def counting(self, integrand, contract, nodes):
+        passes.append(nodes)
+        return moment(self, integrand, contract, nodes)
 
-    for module in (frequency, ucp):
-        monkeypatch.setattr(module, "compute_hdn", per_shift, raising=False)
-    profile = amplitude_profile(fields, 0.1)["profile"]
+    def counting_values(self, t, coords):
+        kernels.append((np.atleast_1d(self.shift).tolist(),
+                        tuple(np.atleast_1d(t))))
+        return values(self, t, coords)
+
+    monkeypatch.setattr(forward.Ensemble, "nodal_moment", counting)
+    monkeypatch.setattr(HeatKernelWeight, "values", counting_values)
+    mesh = tree_ensemble.mesh
+    profile = amplitude_profile(tree_ensemble, cutoff, coeffs, 0.1)["profile"]
     assert [lam for lam, _ in profile] == LAMBDA_GRID.tolist()
+    k2 = int(round((mesh.horizon - 0.2) / mesh.dt))
+    assert passes == [slice(k2, None)]
+    # the tiles cover the window once
+    assert all(shifts == LAMBDA_GRID.tolist() for shifts, _ in kernels)
+    assert sum((t for _, t in kernels), ()) == tuple(mesh.times[k2:])
 
 
 def test_amplitude_profile_epsilon_validation(tree_ensemble, coeffs, grid):
     cutoff = build_cutoff(Ball((0.5,), 0.18), Ball((0.5,), 0.24), grid)
-    fields = localized_fields(tree_ensemble, cutoff, coeffs)
+
+    def profile(eps, ens=tree_ensemble, cut=cutoff, **kwargs):
+        return amplitude_profile(ens, cut, coeffs, eps, **kwargs)
+
     with pytest.raises(ConfigurationError):
-        amplitude_profile(fields, 0.4)  # 2 eps > T
+        profile(0.4)  # 2 eps > T
     with pytest.raises(ConfigurationError):  # a shift outside (0, 1]
-        amplitude_profile(fields, 0.1, lambdas=[0.5, 2.0])
+        profile(0.1, lambdas=[0.5, 2.0])
     with pytest.raises(ConfigurationError):  # no cutoff to centre the sweep
-        amplitude_profile(localized_fields(tree_ensemble, None, coeffs), 0.1)
+        profile(0.1, cut=None)
     with pytest.raises(NumericalError):  # a negative weighted energy
-        amplitude_profile(dataclasses.replace(fields, h=-fields.h), 0.1)
+        profile(0.1, ens=dataclasses.replace(
+            tree_ensemble, weights=-tree_ensemble.weights))
     # T - 2 eps and T - eps round to one node of the step 0.0625 (the log
     # term would read ln(H/H) = 0), and to adjacent nodes
     with pytest.raises(ConfigurationError, match="ucp.epsilon"):
-        amplitude_profile(fields, 0.01)
-    assert len(amplitude_profile(fields, 0.05)["profile"]) == len(LAMBDA_GRID)
+        profile(0.01)
+    assert len(profile(0.05)["profile"]) == len(LAMBDA_GRID)
 
 
 def test_three_ball_check_small_lambda(tree_ensemble, mesh, grid):
@@ -243,8 +268,8 @@ def test_default_tolerance_formula(unit_grid):
 
 def test_ucp_reads_each_trace_once(monkeypatch):
     # run_ucp reads the energy trace, the local trace and the terminal
-    # moments from one moment pass; alone it also builds the cutoff fields,
-    # which read the ensemble in one more pass
+    # moments from one moment pass, and its lambda sweep reads the ensemble
+    # in one more pass over the sweep's window, after frequency or alone
     calls = []
     moment = forward.Ensemble.nodal_moment
 
@@ -256,8 +281,8 @@ def test_ucp_reads_each_trace_once(monkeypatch):
     exp = cli.Experiment(cfg)
     cli.run_frequency(exp)
     monkeypatch.setattr(forward.Ensemble, "nodal_moment", counting)
-    cli.run_ucp(exp)
-    assert calls == [()]
-    calls.clear()
-    cli.run_ucp(cli.Experiment(cfg))
-    assert len(calls) == 2 and calls[0] == ()
+    for exp in (exp, cli.Experiment(cfg)):
+        calls.clear()
+        cli.run_ucp(exp)
+        assert len(calls) == 2 and calls[0] == ()
+        assert calls[1][2] == slice(6, None)  # T - 2 eps = 0.3 at node 6
