@@ -149,17 +149,28 @@ class ImplicitHeatSolver:
         rhs = np.asarray(rhs, dtype=float)
         out = np.empty((steps + 1, rhs.size))
         out[0] = rhs
-        # the spectral coefficients inverse^k * (S rhs) fill rows 1.. first
+        # the spectral coefficients inverse^k * c, c = S rhs, fill rows 1..
+        # first; those below the smallest normal float (k > last) are set to
+        # 0, not taken: subnormal arithmetic is slow and adds nothing
         spectral = out[1:].reshape((steps,) + self.shape)
         k = np.arange(1, steps + 1).reshape((-1,) + (1,) * len(self.shape))
-        np.power(self._inverse, k, out=spectral)
         if len(self.shape) == 1:
             (s,) = self._sines
-            spectral *= rhs @ s
-            out[1:] = spectral @ s
+            c = rhs @ s
         else:
             s1, s2 = self._sines
-            spectral *= s1 @ rhs.reshape(self.shape) @ s2
+            c = s1 @ rhs.reshape(self.shape) @ s2
+        log_c = np.log(np.abs(c), out=np.full(c.shape, np.inf), where=c != 0.0)
+        last = (np.log(np.finfo(float).tiny) - log_c) / np.log(self._inverse)
+        low = int(min(steps, max(0.0, last.min())))  # rows that keep all
+        np.power(self._inverse, k[:low], out=spectral[:low])
+        spectral[low:] = 0.0
+        np.power(self._inverse, k[low:], out=spectral[low:],
+                 where=k[low:] <= last)
+        spectral *= c
+        if len(self.shape) == 1:
+            out[1:] = spectral @ s
+        else:
             np.matmul(s1, spectral @ s2, out=spectral)
         return out
 
@@ -288,17 +299,20 @@ class Ensemble:
         of time nodes.  `nodes`, a slice of step 1, restricts the pass to
         those time nodes.
 
-        With `contract`, a function of a tile's slice of time nodes and of
-        their expectations, shape (f's stacked shape, k, n), that reduces
-        them to values per time node, shape (..., k), each tile is reduced
-        as it is summed: the result has shape (..., time nodes), and no
-        (steps+1, n) array is held.  NumericalError names the first time
-        node whose expectation (or its reduction) is not finite."""
+        With `contract`, f returns a list of such arrays (on different node
+        sets, say), and `contract(span, moments)` reduces a tile's time
+        nodes and the list of their expectations to values per time node,
+        shape (..., k), as the tile is summed: the result has shape (...,
+        time nodes), and no (steps+1, n) array is held.  NumericalError
+        names the first time node whose expectation (or its reduction) is
+        not finite."""
         total, r, n = self.rows.shape
         start, stop, _ = nodes.indices(total)
         block = max(1, MOMENT_BLOCK_BYTES // (8 * n))
         row_block = min(r, block)
         time_block = max(1, block // row_block)
+        blocks = integrand if contract is not None \
+            else lambda rows: [integrand(rows)]
         out = None
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(start, stop, time_block):
@@ -306,11 +320,12 @@ class Ensemble:
                 moment = None
                 for p in range(0, r, row_block):
                     tile = np.s_[span, p:p + row_block]
-                    part = np.einsum("kr,...kri->...ki", self.weights[tile],
-                                     integrand(self.rows[tile]))
-                    moment = part if moment is None else moment + part
-                if contract is not None:  # a unit node axis, dropped below
-                    moment = contract(span, moment)[..., None]
+                    part = [np.einsum("kr,...kri->...ki", self.weights[tile],
+                                      f) for f in blocks(self.rows[tile])]
+                    moment = part if moment is None else \
+                        [m + q for m, q in zip(moment, part)]
+                moment = moment[0] if contract is None else contract(
+                    span, moment)[..., None]  # a unit node axis, dropped below
                 if out is None:
                     out = np.empty(moment.shape[:-2] + (stop - start,)
                                    + moment.shape[-1:])

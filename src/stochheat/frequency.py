@@ -8,19 +8,19 @@ field Phi = phi*y carries the quantities
 plus the commutator source F = a*Phi + S y with the static part
 S y = -Lap(phi) y - 2 grad(phi).grad y.  Each functional is a contraction
 sum_i K(t, x_i) f_i(t) of the kernel against a nodal field f of second
-moments of the ensemble: E[y^2], sum_ax E[(d_ax Phi)^2], E[y Sy] and
-E[(Sy)^2], with S applied as nodal scalings around the centred
-differences of `SpatialGrid.gradient_ops`; without a cutoff (phi = 1,
-S = 0) they are the global, convex-domain functionals.  `kernel_traces`
-is the one route to them: one `nodal_moment` pass per call, whose tiles
-of time nodes form the fields of the quantities the caller asks for and
-contract them at once with a stack of kernels evaluated at the tile's
-times, so no (steps+1, n) field is held.  The derivative identity asks
+moments: E[Phi^2], E[|grad Phi|^2], E[Phi Sy] and E[(Sy)^2], by centred
+differences (`SpatialGrid.gradient_ops`), formed exactly on the cutoff's
+support box (`geometry.build_cutoff`), outside which they vanish; without
+a cutoff (phi = 1, S = 0) they are the global, convex-domain functionals
+on the grid.  `kernel_traces` is the one route to them: one `nodal_moment`
+pass per call, whose tiles of time nodes form each term once and contract
+it with the kernels at the tile's times (on the box alone without a
+global quantity): no (steps+1, n) field.  The derivative identity asks
 for H, D, E int Phi F K and E int b^2 Phi^2 K on a fine 400-step
-ensemble (`hprime_identity_residual` reduces them), the two drift bounds
-for H, D and E int F^2 K from one pass on the experiment's ensemble, and
-the lambda sweep of `ucp` for the localized H and E int F^2 K under all
-its shifts on its time window.
+ensemble (`hprime_identity_residual` reduces them), the drift bounds for
+H, D and E int F^2 K from one pass on the experiment's ensemble, and the
+lambda sweep of `ucp` for the localized H and E int F^2 K under all its
+shifts on its time window.
 The same code runs on every `forward.Ensemble`, one array of weighted rows
 per time node: sampled paths, the 2^d leaf paths of an exact Bernoulli
 tree, or second moments, whose factors E[y y^T] = Z^T Z are contracted
@@ -81,59 +81,58 @@ def b_norm(coeffs: CoefficientField, cutoff: CutoffFunction | None) -> float:
     return coeffs.sup_b_over(cutoff.values > 0.0)
 
 
-def _integrand(grid: SpatialGrid, cutoff: CutoffFunction | None,
-               names: tuple):
-    """The `Ensemble.nodal_moment` integrand that stacks, in the order of
-    `names`, nodal terms of a row block y: `y_sq` y^2, `grad_y_sq`
-    |grad y|^2, `grad_phi_y_sq` |grad Phi|^2, `y_sy` y Sy and `sy_sq`
-    (Sy)^2, with Phi = phi*y and the commutator S y = -Lap(phi) y
-    - 2 grad(phi).grad y of `cutoff`."""
-    grads = grid.gradient_ops()
+def _block(grid: SpatialGrid, cutoff: CutoffFunction | None, asks):
+    """(terms, nodes, integrand) of the trace of the quantities `asks`
+    under `cutoff`, or global (phi = 1, S = 0: no term of S y).  The nodes
+    are the cutoff's support box (an index array) or the grid (a slice),
+    and the `Ensemble.nodal_moment` integrand lists the terms of a row
+    block y there, each formed once: `sq` Phi^2, `grad_sq` |grad Phi|^2
+    (centred differences of Phi), `cross` Phi Sy and `s_sq` (Sy)^2, with
+    Phi = phi*y and S y = -Lap(phi) y - 2 grad(phi).grad y, exact on the
+    box's fields with zero ghosts (see `geometry.build_cutoff`)."""
+    names = list(dict.fromkeys(t for q in asks for t in _FIELDS[q][0]
+                               if cutoff or t in ("sq", "grad_sq")))
+    box = cutoff.box if cutoff else (slice(None),) * grid.dim
+    nodes = np.arange(grid.n_nodes).reshape(grid.shape)[box]
+    grads = grid.gradient_ops(nodes.shape)
+    nodes = nodes.ravel() if cutoff else slice(None)
+    phi, lap, grad_phi = (cutoff.values[nodes], cutoff.lap[nodes],
+                          cutoff.grad[nodes]) if cutoff else (None,) * 3
 
     def integrand(y):
-        grad_y = [g(y) for g in grads]
-        sy = None if cutoff is None else -cutoff.lap * y - 2.0 * sum(
-            cutoff.grad[:, ax] * gy for ax, gy in enumerate(grad_y))
-        terms = {
-            "y_sq": lambda: np.square(y),
-            "grad_y_sq": lambda: sum(np.square(gy) for gy in grad_y),
-            "grad_phi_y_sq": lambda: sum(np.square(g(cutoff.values * y))
-                                         for g in grads),
-            "y_sy": lambda: y * sy,
-            "sy_sq": lambda: np.square(sy)}
-        return np.stack([terms[name]() for name in names])
+        lead = y.shape[:-1]
+        y = y.reshape(lead + grid.shape)[(...,) + box].reshape(lead + (-1,))
+        big, sy = (y, None) if not cutoff else (phi * y, -lap * y - 2.0 * sum(
+            grad_phi[:, ax] * g(y) for ax, g in enumerate(grads)))
+        made = {"sq": lambda: np.square(big),
+                "grad_sq": lambda: sum(np.square(g(big)) for g in grads),
+                "cross": lambda: big * sy,
+                "s_sq": lambda: np.square(sy)}
+        return [made[name]() for name in names]
 
-    return integrand
+    return names, nodes, integrand
 
 
-# quantity -> (the `_integrand` terms it reads, its nodal field from their
-# moments m, the coefficients a, b at the time nodes and the cutoff phi):
-# h = Phi^2, d = |grad Phi|^2, phi_f = Phi F, b_sq = b^2 Phi^2 and f_sq =
-# F^2 with F = a Phi + S y, so that each is the node weight K, a K, b^2 K
-# or a^2 K against a term; the global fields read phi = 1 and S = 0
-_LOCAL = {
-    "h": (("y_sq",), lambda m, a, b, phi: phi ** 2 * m["y_sq"]),
-    "d": (("grad_phi_y_sq",), lambda m, a, b, phi: m["grad_phi_y_sq"]),
-    "phi_f": (("y_sq", "y_sy"), lambda m, a, b, phi:
-              a * phi * phi * m["y_sq"] + phi * m["y_sy"]),
-    "b_sq": (("y_sq",), lambda m, a, b, phi: (b * phi) ** 2 * m["y_sq"]),
-    "f_sq": (("y_sq", "y_sy", "sy_sq"), lambda m, a, b, phi:
-             (a * phi) ** 2 * m["y_sq"] + 2.0 * (a * phi) * m["y_sy"]
-             + m["sy_sq"]),
-}
-_GLOBAL = {
-    "h": (("y_sq",), lambda m, a, b, phi: m["y_sq"]),
-    "d": (("grad_y_sq",), lambda m, a, b, phi: m["grad_y_sq"]),
-    "phi_f": (("y_sq",), lambda m, a, b, phi: a * m["y_sq"]),
-    "b_sq": (("y_sq",), lambda m, a, b, phi: b ** 2 * m["y_sq"]),
-    "f_sq": (("y_sq",), lambda m, a, b, phi: a ** 2 * m["y_sq"]),
+# quantity -> (the `_block` terms it reads, its nodal field from their
+# moments m and the coefficients a, b at the time nodes): h = Phi^2, d =
+# |grad Phi|^2, phi_f = Phi F, b_sq = b^2 Phi^2 and f_sq = F^2 with F =
+# a Phi + S y; the global fields (phi = 1, S = 0) read no term of S y
+_FIELDS = {
+    "h": (("sq",), lambda m, a, b: m["sq"]),
+    "d": (("grad_sq",), lambda m, a, b: m["grad_sq"]),
+    "phi_f": (("sq", "cross"), lambda m, a, b:
+              a * m["sq"] + m.get("cross", 0.0)),
+    "b_sq": (("sq",), lambda m, a, b: b ** 2 * m["sq"]),
+    "f_sq": (("sq", "cross", "s_sq"), lambda m, a, b:
+             a ** 2 * m["sq"] + 2.0 * a * m.get("cross", 0.0)
+             + m.get("s_sq", 0.0)),
 }
 
 
 def heat_kernel(weight: HeatKernelWeight, grid: SpatialGrid):
-    """The `kernel` of `kernel_traces` for `weight`: times -> K*quad_weight
-    at the nodes, shape (J, k, n) for a tuple of J shifts, else (k, n)."""
-    return lambda t: weight.values(t, grid.coords) * grid.quad_weight
+    """The `kernel` of `kernel_traces` for `weight`: (times, coords) ->
+    K*quad_weight there: (J, k, m) for a tuple of J shifts, else (k, m)."""
+    return lambda t, coords: weight.values(t, coords) * grid.quad_weight
 
 
 def kernel_traces(ens, cutoff: CutoffFunction | None,
@@ -142,38 +141,44 @@ def kernel_traces(ens, cutoff: CutoffFunction | None,
     """The kernel-weighted traces of `ens`, global (phi = 1) and under
     `cutoff`, from one `nodal_moment` pass over the time nodes `nodes`.
 
-    `kernel(times)` gives K*quad_weight at those times, shape (J..., k, n);
-    `global_terms` and `local_terms` name the quantities each trace holds
-    (with "h"): `h` = E int Phi^2 K, `d` = E int |grad Phi|^2 K, `phi_f` =
-    E int Phi F K, `b_sq` = E int b^2 Phi^2 K and `f_sq` = E int F^2 K.
-    Each tile of time nodes forms the nodal fields of those quantities from
-    the moments of the terms they read, with the coefficients of step
-    min(k, steps-1) at time node k (coefficients live on steps), and
-    contracts them with the kernel at its own times only.  Returns the
-    (global, localized) FrequencyTrace pair, each None when no quantity is
-    asked of it, with arrays of shape (J..., time nodes); a negative H
-    raises NumericalError."""
+    `kernel(times, coords)` gives K*quad_weight at those times and points,
+    shape (J..., k, len(coords)); `global_terms` and `local_terms` name the
+    quantities each trace holds (with "h"): `h` = E int Phi^2 K, `d` =
+    E int |grad Phi|^2 K, `phi_f` = E int Phi F K, `b_sq` = E int b^2
+    Phi^2 K and `f_sq` = E int F^2 K.  Each tile of time nodes forms the
+    nodal fields of those quantities from the moments of the terms they
+    read, with the coefficients of step min(k, steps-1) at time node k
+    (coefficients live on steps), and contracts them with the kernel,
+    evaluated once per tile at its own times: on the grid, or on the
+    cutoff's support box (outside which the localized fields vanish) when
+    no global quantity is asked.  Returns the (global, localized)
+    FrequencyTrace pair, each None when no quantity is asked of it, with
+    arrays of shape (J..., time nodes); a negative H raises NumericalError."""
     grid, mesh = ens.grid, ens.mesh
     steps = np.minimum(np.arange(mesh.steps + 1), mesh.steps - 1)
-    phi = None if cutoff is None else cutoff.values
-    asks = [(q, table) for table, terms in ((_GLOBAL, global_terms),
-                                            (_LOCAL, local_terms))
-            for q in terms]
-    names = list(dict.fromkeys(t for q, table in asks for t in table[q][0]))
+    blocks = [(local, asks, *_block(grid, cut, asks)) for local, (cut, asks)
+              in enumerate(((None, global_terms), (cutoff, local_terms)))
+              if asks]
+    k_nodes = blocks[0][3]  # the kernel's nodes: the grid's if asked
 
-    def contract(span, moment):
-        m = dict(zip(names, moment))
+    def contract(span, moments):
         a, b = coeffs.a[steps[span]], coeffs.b[steps[span]]
-        k_w = kernel(mesh.times[span])
-        return np.stack([np.einsum("...ki,ki->...k", k_w,
-                                   table[q][1](m, a, b, phi))
-                         for q, table in asks], axis=-2)
+        k_w = kernel(mesh.times[span], grid.coords[k_nodes])
+        moments, out = iter(moments), []
+        for _, asks, names, at, _ in blocks:
+            m, ab = dict(zip(names, moments)), (a[:, at], b[:, at])
+            k_at = k_w if at is k_nodes else k_w[..., at]
+            out += [np.einsum("...ki,ki->...k", k_at, _FIELDS[q][1](m, *ab))
+                    for q in asks]
+        return np.stack(out, axis=-2)
 
-    out = ens.nodal_moment(_integrand(grid, cutoff, names), contract, nodes)
+    out = ens.nodal_moment(lambda y: [t for *_, terms in blocks
+                                      for t in terms(y)], contract, nodes)
+    asks = [(q, local) for local, terms, *_ in blocks for q in terms]
     if np.any(out[..., [q == "h" for q, _ in asks], :] < 0):
         raise NumericalError("negative weighted energy; quadrature is broken")
-    traces = [{q: out[..., i, :] for i, (q, t) in enumerate(asks)
-               if t is table} for table in (_GLOBAL, _LOCAL)]
+    traces = [{q: out[..., i, :] for i, (q, loc) in enumerate(asks)
+               if loc == local} for local in (0, 1)]
     return tuple(FrequencyTrace(mesh.times[nodes], tr.pop("h"),
                                 tr.pop("d", None), tr) if tr else None
                  for tr in traces)

@@ -10,6 +10,7 @@ inverted, in `forward.ImplicitHeatSolver`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -47,14 +48,19 @@ class Ball:
 
 def _centred_difference(rows, shape: tuple, axis: int, h: float) -> np.ndarray:
     """(v(x + h e) - v(x - h e)) / (2h) along one axis of a field (n,) or a
-    batch of rows (..., n) on a grid of `shape`, with zero Dirichlet ghosts."""
+    batch of rows (..., n) on a grid of `shape`, with zero Dirichlet ghosts:
+    a contiguous shift of the flat rows by the axis' stride, with the two
+    ends of the axis, where it reads a neighbouring field, set after."""
     rows = np.asarray(rows, dtype=float)
-    field = rows.reshape(rows.shape[:-1] + shape)
-    out = np.zeros(field.shape)
-    v, dv = (np.moveaxis(a, axis - len(shape), -1) for a in (field, out))
+    flat, out = rows.reshape(-1), np.zeros(rows.size)
+    stride = math.prod(shape[axis + 1:])
     c = 1.0 / (2.0 * h)
-    np.multiply(c, v[..., 1:], out=dv[..., :-1])
-    dv[..., 1:] -= c * v[..., :-1]
+    np.multiply(c, flat[stride:], out=out[:-stride])
+    out[stride:] -= c * flat[:-stride]
+    field, dv = (a.reshape(rows.shape[:-1] + shape) for a in (rows, out))
+    rest = (slice(None),) * (len(shape) - 1 - axis)
+    np.multiply(c, field[(..., 1) + rest], out=dv[(..., 0) + rest])
+    np.multiply(-c, field[(..., -2) + rest], out=dv[(..., -1) + rest])
     return out.reshape(rows.shape)
 
 
@@ -96,14 +102,16 @@ class SpatialGrid:
         self.quad_weight = float(np.prod(self.h))
         self._gradients = None
 
-    def gradient_ops(self) -> tuple:
+    def gradient_ops(self, shape: tuple | None = None) -> tuple:
         """Centred-difference gradient per axis, each applied as `op(rows)`
-        to a field (n,) or rows (..., n); zero Dirichlet ghosts."""
-        if self._gradients is None:
-            self._gradients = tuple(
-                partial(_centred_difference, shape=self.shape, axis=axis, h=h)
-                for axis, h in enumerate(self.h))
-        return self._gradients
+        to a field (n,) or rows (..., n); zero Dirichlet ghosts.  With
+        `shape`, the node counts of a box of the grid, the ops act on the
+        box's fields, with zero ghosts around the box."""
+        if shape is None:
+            self._gradients = self._gradients or self.gradient_ops(self.shape)
+            return self._gradients
+        return tuple(partial(_centred_difference, shape=shape, axis=axis, h=h)
+                     for axis, h in enumerate(self.h))
 
     def gradient(self, values: np.ndarray) -> np.ndarray:
         """Nodal gradient of a field; returns shape (..., n_nodes, dim)."""
@@ -237,17 +245,23 @@ def _bump_d2(s: np.ndarray) -> np.ndarray:
 
 @dataclass
 class CutoffFunction:
-    """Radial C^2 cutoff: 1 on the inner ball, 0 outside the outer ball."""
+    """Radial C^2 cutoff: 1 on the inner ball, 0 outside the outer ball.
+    `box` is its support box, one slice of node indices per axis."""
 
     inner: Ball
     outer: Ball
     values: np.ndarray = field(repr=False)
     grad: np.ndarray = field(repr=False)
     lap: np.ndarray = field(repr=False)
+    box: tuple = ()
 
 
 def build_cutoff(inner: Ball, outer: Ball, grid: SpatialGrid) -> CutoffFunction:
-    """Assemble the cutoff and its analytic first/second radial derivatives."""
+    """Assemble the cutoff, its analytic first/second radial derivatives and
+    its support box: per axis, the nodes where phi (and so grad phi and Lap
+    phi) is nonzero, grown by one node, the reach of the centred difference,
+    and clipped to the grid: phi*y vanishes on the margin, so the box's
+    fields with zero ghosts give phi*y and S y exactly."""
     if inner.center != outer.center:
         raise GeometryError("cutoff balls must be concentric")
     if inner.radius >= outer.radius:
@@ -271,4 +285,10 @@ def build_cutoff(inner: Ball, outer: Ball, grid: SpatialGrid) -> CutoffFunction:
         with np.errstate(invalid="ignore", divide="ignore"):
             curv = np.where(rho > 0.0, (grid.dim - 1) * dphi_dr / rho, 0.0)
         lap = lap + curv
-    return CutoffFunction(inner=inner, outer=outer, values=phi, grad=grad, lap=lap)
+    support = np.nonzero(phi.reshape(grid.shape))
+    if not support[0].size:
+        raise GeometryError("the outer cutoff ball holds no grid node")
+    box = tuple(slice(max(int(i.min()) - 1, 0), min(int(i.max()) + 2, n))
+                for i, n in zip(support, grid.shape))
+    return CutoffFunction(inner=inner, outer=outer, values=phi, grad=grad,
+                          lap=lap, box=box)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochheat import cli, forward, frequency
+from stochheat import cli, forward, frequency, geometry
 from stochheat import control as ctl
 from stochheat import config as cfgmod
 from stochheat import report as repmod
@@ -380,8 +380,8 @@ def test_experiment_values_is_a_writable_view(overrides):
 
 def test_one_default_moment_pass_per_experiment(monkeypatch):
     # simulate, ucp and observe read the one cached `Experiment.moment`;
-    # the other passes are the two localized-field builds and the one
-    # identity pass of frequency
+    # the other three are `kernel_traces` passes: the fine identity and
+    # both drift bounds in frequency, and the lambda sweep in ucp
     calls = []
     moment = forward.Ensemble.nodal_moment
 
@@ -800,6 +800,40 @@ def test_one_coarse_pass_for_both_drift_bounds(monkeypatch):
     cli.run_ucp(cli.Experiment(cfg))
     assert [(c is None, nodes.start) for _, c, nodes in passes] == \
         [(True, None), (False, 4)]
+
+
+def test_localized_terms_are_formed_on_the_support_box(monkeypatch):
+    # at 2-D 15x15 with the default cutoff (r3 = 0.18, r4 = 0.24) the
+    # support box is 9x9 = 81 of the 225 nodes: frequency takes the
+    # centred differences of its global terms on the grid and those of its
+    # localized terms on the box only, and the lambda sweep of ucp, which
+    # asks for localized quantities only, evaluates its kernel and its
+    # differences at the 81 box nodes only
+    exp = cli.Experiment(cfgmod.merge_config(cfgmod.parse_config(
+        "domain.extents = 0,1,0,1\ngrid.nodes = 15\n"
+        "geometry.x0 = 0.5,0.5\ngeometry.g0_center = 0.5,0.5\n")))
+    assert exp.cutoff.box == (slice(3, 12), slice(3, 12))
+    diffs, kernels = [], []
+    difference = geometry._centred_difference
+    values = HeatKernelWeight.values
+
+    def recording(rows, shape, axis, h):
+        diffs.append((np.shape(rows)[-1], shape))
+        return difference(rows, shape, axis, h)
+
+    def recording_values(self, t, coords):
+        kernels.append(np.shape(coords))
+        return values(self, t, coords)
+
+    monkeypatch.setattr(geometry, "_centred_difference", recording)
+    monkeypatch.setattr(HeatKernelWeight, "values", recording_values)
+    cli.run_frequency(exp)
+    assert set(diffs) == {(225, (15, 15)), (81, (9, 9))}
+    diffs.clear()
+    kernels.clear()
+    cli.run_ucp(exp)
+    assert diffs and set(diffs) == {(81, (9, 9))}
+    assert kernels and set(kernels) == {(81, 2)}
 
 
 @pytest.mark.parametrize("kind", ["constant", "random"])

@@ -99,11 +99,17 @@ def test_hdn_brute_force_oracle(tree_ensemble, weight, grid, coeffs):
         assert np.isclose(tr.aux["f_sq"][k], direct(src ** 2), rtol=1e-12)
 
 
+# the "edge" cutoffs (radii 0.2, 0.4) reach the first interior node, so the
+# support box's one-node margin is clipped at the grid edge: in 1-D on the
+# left, in 2-D on both ends of axis 0 (the box spans it) and the start of
+# axis 1
 GRIDS = pytest.mark.parametrize("extents, shape, center", [
     ([(0.0, 1.0)], (31,), (0.5,)),
     ([(0.0, 1.0), (0.0, 2.0)], (7, 11), (0.5, 1.0)),
     ([(0.0, 1.0), (0.0, 1.0)], (15, 15), (0.5, 0.5)),
-], ids=["1d", "2d", "2d-15x15"])
+    ([(0.0, 1.0)], (31,), (0.41,)),
+    ([(0.0, 1.0), (0.0, 2.0)], (7, 11), (0.5, 0.45)),
+], ids=["1d", "2d", "2d-15x15", "1d-edge", "2d-edge"])
 
 
 def _lab(extents, shape, center, kind, source, steps=6):
@@ -145,8 +151,8 @@ def _lab(extents, shape, center, kind, source, steps=6):
 
 def _stack(weights, grid):
     """A `kernel_traces` kernel stacking the kernels of several weights."""
-    return lambda t: np.stack([w.values(t, grid.coords)
-                               for w in weights]) * grid.quad_weight
+    return lambda t, coords: np.stack([w.values(t, coords)
+                                       for w in weights]) * grid.quad_weight
 
 
 def _five_row_blocks(monkeypatch, ens):
@@ -177,10 +183,13 @@ def test_localized_fields_match_sparse_commutator(extents, shape, center,
     # form, at the default tile size and at tiles of 5 rows, and over a
     # window of time nodes
     import scipy.sparse as sp
+    edge = {(0.41,): (slice(0, 26),), (0.5, 0.45): (slice(0, 7), slice(0, 6))}
     for source, kind in SOURCES:
         ens, cutoff, coeffs, weight = _lab(extents, shape, center, kind,
                                            source)
         grid, mesh = ens.grid, ens.mesh
+        if center in edge:  # the boxes clipped at the grid edge
+            assert cutoff.box == edge[center]
         other = HeatKernelWeight(horizon=0.3, shift=0.05,
                                  center=grid.coords[1], dim=grid.dim)
         _, grads = sparse_operators(grid)
@@ -247,8 +256,8 @@ def _count_passes(monkeypatch):
 
 
 @GRIDS
-def test_localized_fields_read_the_ensemble_once(extents, shape, center,
-                                                 monkeypatch):
+def test_kernel_traces_read_the_ensemble_once(extents, shape, center,
+                                              monkeypatch):
     # every kernel_traces call, for the global trace, the localized one,
     # both, or a window of time nodes, makes one nodal_moment pass over the
     # ensemble, reduced tile by tile
@@ -441,17 +450,31 @@ _2D = ([(0.0, 1.0), (0.0, 2.0)], (7, 11), (0.5, 1.0))
     (_2D, "varying", "tree"),
 ], ids=lambda v: v if isinstance(v, str) else f"{len(v[0])}d")
 def test_identity_traces_match_the_field_route(lab, kind, source, block,
-                                               monkeypatch, assert_rel_close):
+                                               sparse_operators, monkeypatch,
+                                               assert_rel_close):
     # the identity's traces (h, d, phi_f, b_sq, global and localized) of
     # the tiled pass against the field route: the (steps+1, n) nodal fields
-    # of one unreduced nodal_moment pass, contracted with the kernel over
-    # all time nodes afterwards; "uneven" tiles of 5 rows split the time
-    # nodes (and the tree's rows) into blocks that do not divide them
+    # y^2, |grad y|^2, |grad(phi y)|^2 and y Sy, formed on the whole grid
+    # with scipy sparse operators in one unreduced nodal_moment pass and
+    # contracted with the kernel over all time nodes afterwards; "uneven"
+    # tiles of 5 rows split the time nodes (and the tree's rows) into
+    # blocks that do not divide them
+    import scipy.sparse as sp
     ens, cutoff, coeffs, weight = _lab(*lab, kind, source)
     grid, mesh = ens.grid, ens.mesh
-    names = ("y_sq", "grad_y_sq", "grad_phi_y_sq", "y_sy")
-    y_sq, grad_y_sq, grad_phi_sq, y_sy = ens.nodal_moment(
-        frequency._integrand(grid, cutoff, names))
+    _, grads = sparse_operators(grid)
+    static = -sp.diags(cutoff.lap)
+    for ax, g in enumerate(grads):
+        static = static - 2.0 * sp.diags(cutoff.grad[:, ax]) @ g
+
+    def fields_of(y):
+        flat = y.reshape(-1, grid.n_nodes).T
+        grad_sq = [sum(np.square(g @ v) for g in grads).T.reshape(y.shape)
+                   for v in (flat, cutoff.values[:, None] * flat)]
+        return np.stack([np.square(y), *grad_sq,
+                         y * (static @ flat).T.reshape(y.shape)])
+
+    y_sq, grad_y_sq, grad_phi_sq, y_sy = ens.nodal_moment(fields_of)
     steps = np.minimum(np.arange(mesh.steps + 1), mesh.steps - 1)
     a, b, phi = coeffs.a[steps], coeffs.b[steps], cutoff.values
     kw = weight.values(mesh.times, grid.coords) * grid.quad_weight

@@ -195,6 +195,18 @@ def test_cutoff_partition_properties():
     # gradient vanishes wherever the cutoff is flat
     assert np.max(np.abs(cut.grad[d <= 0.17])) < 1e-10
     assert np.max(np.abs(cut.grad[d >= 0.25])) < 1e-10
+    # the support box: the nodes where phi, grad phi and Lap phi can be
+    # nonzero, one more on each side, and nothing nonzero outside it
+    (box,) = cut.box
+    assert box == slice(int(np.argmax(d < 0.24)) - 1,
+                        len(d) - int(np.argmax(d[::-1] < 0.24)) + 1)
+    outside = np.ones(len(d), bool)
+    outside[box.start + 1:box.stop - 1] = False
+    assert not (cut.values[outside].any() or cut.grad[outside].any()
+                or cut.lap[outside].any())
+    # an outer ball that holds no node has no box
+    with pytest.raises(GeometryError, match="no grid node"):
+        build_cutoff(Ball((0.504,), 0.001), Ball((0.504,), 0.003), grid)
 
 
 def test_cutoff_derivatives_match_finite_differences():

@@ -141,8 +141,9 @@ def test_amplitude_profile_matches_single_kernel_traces(tree_ensemble, grid,
         assert np.isclose(profile[float(lam)], expected, rtol=1e-12)
 
 
-def test_amplitude_profile_sweeps_without_compute_hdn(tree_ensemble, coeffs,
-                                                      grid, monkeypatch):
+def test_amplitude_profile_sweeps_in_one_kernel_traces_pass(tree_ensemble,
+                                                            coeffs, grid,
+                                                            monkeypatch):
     # all shifts come from one nodal_moment pass over [T - 2 eps, T], with
     # one kernel evaluation per tile for all shifts at once, not from a
     # trace per shift
