@@ -21,9 +21,10 @@ Coefficients uniform over the nodes make the table one column and the
 potential a scalar, which commute with M^-1 = S diag(1/(1 - dt*lam)) S, so
 the dual flow stays factored (path scalars and one orbit), both backward
 modes are elementwise on sine coefficients, z(0) is one contraction of the
-leaves plus one scalar recursion per factored source, and the duality
-checks read the factors: a run forms no 2^k-row level.  Nodal coefficients
-step in physical space.
+leaves plus one scalar recursion per source (h one row for every node, a
+factored control), and the duality checks read the factors: a run forms
+no 2^k-row level.  Nodal coefficients, h per level and controls on formed
+levels step in physical space.
 
 The control of a dual datum is `dual_control`, its dual flow observed on
 G0 x E1; the Gramian apply (-z(0) of the adjoint solve it drives from zero
@@ -49,8 +50,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalError, ShapeError
 from .forward import (CoefficientField, FactoredLevels, implicit_solver,
-                      step_factors, tree_levels, tree_moves, tree_products,
-                      tree_step_adjoint)
+                      step_factors, tree_levels, tree_moves, tree_products)
 from .geometry import Ball, SpatialGrid
 from .noise import BernoulliTree, TimeMesh
 from .observability import MeasurableTimeSet
@@ -122,8 +122,8 @@ class ControlField:
 
 
 def _level_rows(src, k: int, n: int):
-    """A source term at level k as given: one row (n,) for every node, a
-    (2^k, n) array, or None."""
+    """A source term at level k as given, one row (n,) for every node or a
+    (2^k, n) array, or None: `src` is one of them or a list per level."""
     if src is None:
         return None
     arr = np.asarray(src[k] if isinstance(src, (list, tuple)) else src, dtype=float)
@@ -131,14 +131,6 @@ def _level_rows(src, k: int, n: int):
         raise ShapeError(f"source at level {k} has shape {arr.shape}, "
                          f"expected ({n},) or ({2 ** k}, {n})")
     return arr
-
-
-def _level_source(src, k: int, n: int):
-    """Normalize a source term to a (2^k, n) array (or None)."""
-    arr = _level_rows(src, k, n)
-    if arr is None or arr.ndim == 2:
-        return arr
-    return np.broadcast_to(arr, (2 ** k, n))
 
 
 def solve_dual_forward(y0_hat: np.ndarray, coeffs: CoefficientField,
@@ -172,16 +164,20 @@ def solve_backward_tree(z_terminal: np.ndarray, coeffs: CoefficientField,
     """Solve the backward pair from leaf terminal data down to the root.
 
     `h` is an optional free source (per level or deterministic); `control`
-    carries the localized actuation.  In adjoint mode each step is
-    `forward.tree_step_adjoint`, the exact transpose of the dual forward
-    step, so the duality pairing telescopes exactly; independent mode
-    performs the martingale-representation induction with an implicit solve
-    of I - dt*Lap_h + dt*diag(a_k) (`_potential_solve`).
+    carries the localized actuation.  In adjoint mode each step is the
+    exact transpose of the dual forward step `forward.tree_step`, so the
+    duality pairing telescopes exactly; independent mode performs the
+    martingale-representation induction with an implicit solve of
+    I - dt*Lap_h + dt*diag(a_k) (`_potential_solve`).
 
     Coefficients uniform over the nodes make the step factors and the
-    potential scalars, so the recursion is elementwise on sine coefficients
-    and z(0) comes by linearity (`_FactoredBackward`).  The level `steps`
-    of `z_levels` is `z_terminal` itself.
+    potential scalars, so with the sources a run builds (no h or one row h
+    for every node, and no control or one on `FactoredLevels`) the
+    recursion is elementwise on sine coefficients and z(0) comes by
+    linearity (`_FactoredBackward`); other inputs, h per level or a control
+    on formed levels, step in physical space (`_nodal_backward`, exact for
+    any coefficients).  The level `steps` of `z_levels` is `z_terminal`
+    itself.
     """
     if mode not in ("adjoint", "independent"):
         raise ConfigurationError(f"unknown backward mode '{mode}'")
@@ -193,7 +189,8 @@ def solve_backward_tree(z_terminal: np.ndarray, coeffs: CoefficientField,
         raise ShapeError(f"terminal data shape {z.shape}, "
                          f"expected ({tree.n_leaves}, {n})")
     args = (z, coeffs, mesh, implicit_solver(grid, mesh.dt), h, control, mode)
-    if coeffs.node_uniform:
+    if coeffs.node_uniform and not isinstance(h, (list, tuple)) and (
+            control is None or isinstance(control.levels, FactoredLevels)):
         z_levels = _FactoredBackward(*args)
         solves = z_levels.solves
     else:
@@ -202,8 +199,10 @@ def solve_backward_tree(z_terminal: np.ndarray, coeffs: CoefficientField,
 
 
 def _nodal_backward(z, coeffs, mesh, solver, h, control, mode):
-    """z_levels and solves of `solve_backward_tree` for nodal coefficients:
-    every step solves on the tree rows in physical space."""
+    """z_levels and solves of `solve_backward_tree` in physical space: every
+    step solves on the tree rows.  An adjoint step is the transpose of
+    `forward.tree_step` under the level-mean pairing: the mean of the
+    children M^-1 z_{k+1} (M is symmetric) weighed by their step factors."""
     dt, n = mesh.dt, z.shape[1]
     moves = tree_moves(dt)
     factors = step_factors(coeffs, dt, moves, sign=-1.0)
@@ -212,12 +211,14 @@ def _nodal_backward(z, coeffs, mesh, solver, h, control, mode):
     for k in range(mesh.steps - 1, -1, -1):
         z_next = z_levels[k + 1]
         if mode == "adjoint":
-            zk, _ = tree_step_adjoint(z_next, *factors[k], solver)
+            down, up = factors[k]
+            solved = solver.solve(z_next)
+            zk = 0.5 * (down * solved[0::2] + up * solved[1::2])
         else:
             z_mart = (z_next[1::2] - z_next[0::2]) / (2.0 * moves[1])
             zk = 0.5 * (z_next[0::2] + z_next[1::2]) \
                 - dt * (coeffs.b[k] * z_mart)
-        h_k = _level_source(h, k, n)
+        h_k = _level_rows(h, k, n)
         if h_k is not None:
             zk = zk - dt * h_k
         if control is not None and control.weights[k] > 0.0:
@@ -230,19 +231,21 @@ def _nodal_backward(z, coeffs, mesh, solver, h, control, mode):
 
 class _FactoredBackward(Sequence):
     """`z_levels` of `solve_backward_tree` for coefficients uniform over the
-    nodes.  On sine coefficients a step is elementwise and linear,
-    z_hat_k = alpha_k (p_k z_hat_{k+1}[0::2] + q_k z_hat_{k+1}[1::2])
-    - beta_k S(source_k): (p, q) is half the dual factors, alpha = 1 /
-    `diagonal` and beta = 1 in adjoint mode; (p, q) = 1/2 +/- sqrt(dt)*b_k/2
-    (dt*b_k*Z taken off the conditional mean) and alpha = beta =
-    1 / (`diagonal` + dt*a_k) in independent mode, one solve per step.  A
-    source of rows s_k x v_k (a row h for every node, or a `FactoredLevels`
-    control with step factors f) adds s_k x B_k to level k, B_steps = 0 and
-    B_k = alpha_k c_k B_{k+1} - beta_k S(v_k), c_k = p_k f_k^down
-    + q_k f_k^up.  The terminal rows and sources given per level enter
-    level j through the leaf weights, the `tree_products` of (p, q) below
-    each of its nodes.  The root is solved with the pair; a level
-    between it and the terminal data is formed when read."""
+    nodes, with no h or one row h for every node and no control or one on
+    `FactoredLevels`.  On sine coefficients a step is elementwise and
+    linear, z_hat_k = alpha_k (p_k z_hat_{k+1}[0::2] + q_k
+    z_hat_{k+1}[1::2]) - beta_k S(source_k): (p, q) is half the dual
+    factors, alpha = 1 / `diagonal` and beta = 1 in adjoint mode; (p, q) =
+    1/2 +/- sqrt(dt)*b_k/2 (dt*b_k*Z taken off the conditional mean) and
+    alpha = beta = 1 / (`diagonal` + dt*a_k) in independent mode, one solve
+    per step.  Each source has rows s_k x v_k (path scalars s_k all 1 for
+    h, with step factors f = 1; the control's with its own step factors f)
+    and adds s_k x B_k to level k, B_steps = 0 and B_k = alpha_k c_k
+    B_{k+1} - beta_k S(v_k), c_k = p_k f_k^down + q_k f_k^up.  The
+    terminal rows enter level j through the leaf weights, the
+    `tree_products` of (p, q) below each of its nodes.  The root is solved
+    with the pair; a level between it and the terminal data is formed when
+    read."""
 
     def __init__(self, z, coeffs, mesh, solver, h, control, mode):
         dt, steps, n = mesh.dt, mesh.steps, z.shape[1]
@@ -251,38 +254,30 @@ class _FactoredBackward(Sequence):
             self._weights = 0.5 * step_factors(coeffs, dt, tree_moves(dt),
                                                sign=-1.0)[..., 0]
             self._alpha = np.broadcast_to(1.0 / solver.diagonal, (steps, n))
-            self._beta, self.solves = np.ones((steps, 1)), None
+            beta, self.solves = np.ones((steps, 1)), None
         else:
             # the conditional mean minus dt*b_k*Z, Z the difference of the up
             # and the down child over 2 sqrt(dt)
             lift = 0.5 * tree_moves(dt)[1] * coeffs.b[:, :1]
             self._weights = 0.5 + lift * np.array([1.0, -1.0])
             self._alpha = 1.0 / (solver.diagonal + dt * coeffs.a[:, :1])
-            self._beta, self.solves = self._alpha, [1] * steps
-        per_level = isinstance(h, (list, tuple))
-        rows = [dt * _level_source(h, k, n) if per_level else None
-                for k in range(steps)]
-        parts = [] if h is None or per_level else [  # path scalars all 1
+            beta, self.solves = self._alpha, [1] * steps
+        parts = [] if h is None else [  # path scalars all 1
             ([np.ones(2 ** k) for k in range(steps + 1)], np.ones((steps, 2)),
              np.array([dt * _level_rows(h, k, n) for k in range(steps)]))]
         if control is not None:
             levels = control.levels
             active = control.weights[:, None] * control.mask
-            if isinstance(levels, FactoredLevels):
-                parts.append((levels.scalars, levels.factors,
-                              active * levels.orbit[:steps]))
-            else:
-                for k in np.flatnonzero(control.weights > 0.0):
-                    f_k = levels[k] * active[k]
-                    rows[k] = f_k if rows[k] is None else rows[k] + f_k
-        # per factored source: its path scalars and B_0..B_steps
-        self._rows, self._parts = rows, []
+            parts.append((levels.scalars, levels.factors,
+                          active * levels.orbit[:steps]))
+        # per source: its path scalars and B_0..B_steps
+        self._parts = []
         for scalars, factors, v in parts:
             c, v_hat = np.sum(self._weights * factors, axis=1), solver.sine(v)
             part = np.zeros((steps + 1, n))
             for k in range(steps - 1, -1, -1):
                 part[k] = self._alpha[k] * (c[k] * part[k + 1]) \
-                    - self._beta[k] * v_hat[k]
+                    - beta[k] * v_hat[k]
             self._parts.append((scalars, part))
         self._root = self.level(0)
 
@@ -300,20 +295,16 @@ class _FactoredBackward(Sequence):
     def level(self, j: int) -> np.ndarray:
         """Level j in physical space, shape (2^j, n)."""
         steps, n = len(self._weights), self._terminal.shape[1]
-        sine = self._solver.sine
-        omegas = tree_products(self._weights[j:])  # leaf weights from level j
-
-        def below(rows, k):  # level k's rows contracted below each j node
-            return sine(omegas[k - j] @ rows.reshape(2 ** j, -1, n))
-
-        z_hat = below(self._terminal, steps)
+        # the terminal rows contracted with their leaf weights below each
+        # node of level j
+        omega = tree_products(self._weights[j:])[-1]
+        z_hat = self._solver.sine(
+            omega @ self._terminal.reshape(2 ** j, -1, n))
         for k in range(steps - 1, j - 1, -1):
             z_hat = self._alpha[k] * z_hat
-            if self._rows[k] is not None:
-                z_hat -= self._beta[k] * below(self._rows[k], k)
         for scalars, part in self._parts:
             z_hat += np.multiply.outer(scalars[j], part[j])
-        return sine(z_hat)
+        return self._solver.sine(z_hat)
 
 
 def _potential_solve(solver, rhs: np.ndarray, potential: np.ndarray):

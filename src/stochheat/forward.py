@@ -9,27 +9,27 @@ arrays indexed by step.  `step_factors` is the one table of the factors
 1 + sign*dt*a_k + b_k*dB per step, increment and node, with one column when
 the coefficients are uniform over the nodes (`node_uniform`); every solve,
 path scalar and audit reads it.  All solves share one `ImplicitHeatSolver`
-per (grid, dt), the exact inverse of I - dt*Lap_h as dense sine-basis
-products per axis.  A forward solve returns an `Ensemble`, weighted rows
-per time node, shape (steps+1, r, n): sampled paths or the 2^d leaves of a
-Bernoulli tree (weight 2^-d each) from the path loop of `solve_forward`,
-the tests' brute-force reference, or the thin factors Z of E[y y^T] = Z^T Z
-of `solve_forward_moments`, the exact tree expectations that tree-mode
-surveys run.  Node-uniform coefficients make every path a path scalar times
-the orbit M^{-k} y0 of `ImplicitHeatSolver.solve_powers`, so the moments
-are one rank-one row per time node, from the exact step scalars or, in
+per (grid, dt), the exact inverse of I - dt*Lap_h as a diagonal between
+two sine transforms (`ImplicitHeatSolver.sine`).  A forward solve returns
+an `Ensemble`, weighted rows per time node, shape (steps+1, r, n):
+sampled paths or the 2^d leaves of a Bernoulli tree (weight 2^-d each)
+from the path loop of `solve_forward`, the tests' brute-force reference,
+or the thin factors Z of E[y y^T] = Z^T Z of `solve_forward_moments`, the
+exact tree expectations that tree-mode surveys run.  Node-uniform
+coefficients make every path a path scalar times the orbit M^{-k} y0 of
+`ImplicitHeatSolver.solve_powers`, so the moments are one rank-one row per
+time node, from the exact step scalars or, in
 `solve_sampled_moments` (the mc-mode ensemble), from the sampled path
 scalars, which also give `exp_transform_oracle` its paths; otherwise the
 moment recursion takes a thin SVD per step, padded with zero rows, and mc
 mode solves every path.  The dual and adjoint solves of `control` run on
 history levels: `tree_step` takes level k to k+1 (`tree_levels`, factored
-as `FactoredLevels` for node-uniform coefficients), `tree_step_adjoint` is
-its transpose, and `ImplicitHeatSolver.sine` and `diagonal` put the
-backward solves on sine coefficients.  `energy_trace` reads the energy, or
-the mass on a node mask, per time node from any ensemble (`moment_trace`
-from one `nodal_moment` pass); `Ensemble.values` is a writable view of the
-rows by path, except for the sampled closed form, whose `values` are its
-paths, read-only.
+as `FactoredLevels` for node-uniform coefficients), and
+`ImplicitHeatSolver.sine` and `diagonal` put the backward solves on sine
+coefficients.  `energy_trace` reads the energy, or the mass on a node mask,
+per time node from any ensemble (`moment_trace` from one `nodal_moment`
+pass); `Ensemble.values` is a writable view of the rows by path, except for
+the sampled closed form, whose `values` are its paths, read-only.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ __all__ = [
     "tree_moves",
     "tree_step",
     "tree_levels",
-    "tree_step_adjoint",
     "solve_forward",
     "solve_forward_moments",
     "solve_sampled_moments",
@@ -76,9 +75,10 @@ MOMENT_RANK_TOL = 1e-9
 # natural log of the largest float: a closed-form moment level whose log
 # magnitude exceeds it overflows
 LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
-# bytes of the row blocks on which nodal_moment evaluates its integrand; a
+# bytes of the row blocks on which nodal_moment evaluates its integrand (a
 # pass stacks up to five outputs per block, and four at 256 KB blocks raised
-# the peak memory of a 1-D survey by about 2 MB
+# the peak memory of a 1-D survey by about 2 MB) and solve_powers transforms
+# its orbit back
 MOMENT_BLOCK_BYTES = 1 << 17
 
 
@@ -89,7 +89,9 @@ class ImplicitHeatSolver:
     orthogonal, symmetric sine matrix S_ij = sqrt(2/(n+1)) sin(pi ij/(n+1))
     and lam_j = -(4/h^2) sin^2(pi j/(2(n+1))), so the inverse is a product
     of dense S per axis around a diagonal (the matrix-decomposition solver
-    of Buzbee, Golub & Nielson, SINUM 1970).  Memory is O(n1^2 + n2^2).
+    of Buzbee, Golub & Nielson, SINUM 1970).  `sine` is the one code that
+    applies S; `solve` and `solve_powers` are a diagonal between two of its
+    transforms.  Memory is O(n1^2 + n2^2).
     """
 
     def __init__(self, grid: SpatialGrid, dt: float):
@@ -101,65 +103,46 @@ class ImplicitHeatSolver:
                                * np.sin(np.pi * np.outer(j, j) / (n + 1)))
             lams.append(-(4.0 / h**2) * np.sin(np.pi * j / (2 * (n + 1))) ** 2)
         lam = lams[0] if grid.dim == 1 else lams[0][:, None] + lams[1][None, :]
-        self._diag = 1.0 - dt * lam
+        self._diag = (1.0 - dt * lam).reshape(-1)
         self._inverse = 1.0 / self._diag
 
     def solve(self, rhs: np.ndarray, shift: float = 0.0) -> np.ndarray:
         """Solve for one field (n,) or a batch (..., n); `shift` is a scalar
         added to the diagonal of I - dt*Lap_h."""
-        rhs = np.asarray(rhs, dtype=float)
         inverse = self._inverse if shift == 0.0 else 1.0 / (self._diag + shift)
-        flat = rhs.reshape(-1, rhs.shape[-1])
-        if len(self.shape) == 1:
-            (s,) = self._sines
-            return (((flat @ s) * inverse) @ s).reshape(rhs.shape)
-        (n1, n2), (s1, s2) = self.shape, self._sines
-        # axis 2, then axis 1 on the transposed (r, n2, n1) view, and back
-        c = (flat.reshape(-1, n2) @ s2).reshape(-1, n1, n2)
-        c = (c.transpose(0, 2, 1).reshape(-1, n1) @ s1).reshape(-1, n2, n1)
-        c = ((c * inverse.T).reshape(-1, n1) @ s1).reshape(-1, n2, n1)
-        return (c.transpose(0, 2, 1).reshape(-1, n2) @ s2).reshape(rhs.shape)
+        return self.sine(self.sine(rhs) * inverse)
 
     @property
     def diagonal(self) -> np.ndarray:
         """The eigenvalues 1 - dt*lam of I - dt*Lap_h, shape (n,), in the
         order of the coefficients of `sine`."""
-        return self._diag.reshape(-1)
+        return self._diag
 
     def sine(self, rows: np.ndarray) -> np.ndarray:
-        """The sine transform of one field (n,) or a batch (..., n): S rows
-        in 1-D, (S1 x S2) rows in 2-D.  S is symmetric and orthogonal, so
-        the same map takes fields to sine coefficients and back, and
-        I - dt*Lap_h acts on the coefficients as `diagonal`."""
+        """The sine transform of one field (n,) or a batch (..., n): rows S
+        in 1-D, S1 X S2 on each (n1, n2) row X in 2-D.  S is symmetric and
+        orthogonal, so the same map takes fields to sine coefficients and
+        back, and I - dt*Lap_h acts on the coefficients as `diagonal`."""
         rows = np.asarray(rows, dtype=float)
-        flat = rows.reshape(-1, rows.shape[-1])
         if len(self.shape) == 1:
-            (s,) = self._sines
-            return (flat @ s).reshape(rows.shape)
-        (n1, n2), (s1, s2) = self.shape, self._sines
-        c = (flat.reshape(-1, n2) @ s2).reshape(-1, n1, n2)
-        c = (c.transpose(0, 2, 1).reshape(-1, n1) @ s1).reshape(-1, n2, n1)
-        return c.transpose(0, 2, 1).reshape(rows.shape)
+            return rows @ self._sines[0]
+        s1, s2 = self._sines
+        return (s1 @ rows.reshape((-1,) + self.shape) @ s2).reshape(rows.shape)
 
     def solve_powers(self, rhs: np.ndarray, steps: int) -> np.ndarray:
         """M^{-k} rhs for k = 0..steps, shape (steps+1, n), M = I - dt*Lap_h:
         one forward sine transform of rhs, the powers of the inverse
-        diagonal, and one batched back-transform (in 2-D one product with
-        each axis' sine matrix).  Row 0 is rhs itself."""
+        diagonal, and the back-transform in row blocks.  Row 0 is rhs
+        itself."""
         rhs = np.asarray(rhs, dtype=float)
         out = np.empty((steps + 1, rhs.size))
         out[0] = rhs
         # the spectral coefficients inverse^k * c, c = S rhs, fill rows 1..
         # first; those below the smallest normal float (k > last) are set to
         # 0, not taken: subnormal arithmetic is slow and adds nothing
-        spectral = out[1:].reshape((steps,) + self.shape)
-        k = np.arange(1, steps + 1).reshape((-1,) + (1,) * len(self.shape))
-        if len(self.shape) == 1:
-            (s,) = self._sines
-            c = rhs @ s
-        else:
-            s1, s2 = self._sines
-            c = s1 @ rhs.reshape(self.shape) @ s2
+        spectral = out[1:]
+        k = np.arange(1, steps + 1)[:, None]
+        c = self.sine(rhs)
         log_c = np.log(np.abs(c), out=np.full(c.shape, np.inf), where=c != 0.0)
         last = (np.log(np.finfo(float).tiny) - log_c) / np.log(self._inverse)
         low = int(min(steps, max(0.0, last.min())))  # rows that keep all
@@ -168,10 +151,11 @@ class ImplicitHeatSolver:
         np.power(self._inverse, k[low:], out=spectral[low:],
                  where=k[low:] <= last)
         spectral *= c
-        if len(self.shape) == 1:
-            out[1:] = spectral @ s
-        else:
-            np.matmul(s1, spectral @ s2, out=spectral)
+        # in row blocks: the transform's temporaries stay small, where two
+        # fresh (steps, n) arrays cost more in page faults than the products
+        block = max(1, MOMENT_BLOCK_BYTES // (8 * rhs.size))
+        for b in range(1, steps + 1, block):
+            out[b:b + block] = self.sine(out[b:b + block])
         return out
 
 
@@ -457,14 +441,6 @@ def tree_levels(y0: np.ndarray, coeffs: CoefficientField, mesh: TimeMesh,
     for factors in table:
         levels.append(tree_step(levels[-1], *factors, solver))
     return levels
-
-
-def tree_step_adjoint(z_next: np.ndarray, down: np.ndarray, up: np.ndarray,
-                      solver: ImplicitHeatSolver):
-    """Exact transpose of `tree_step` under the level-mean pairing; returns
-    z at level k and the solved children M^{-1} z_{k+1} (M is symmetric)."""
-    solved = solver.solve(z_next)
-    return 0.5 * (down * solved[0::2] + up * solved[1::2]), solved
 
 
 def solve_forward(y0: np.ndarray, coeffs: CoefficientField, noise,

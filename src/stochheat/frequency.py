@@ -184,24 +184,20 @@ def kernel_traces(ens, cutoff: CutoffFunction | None,
                  for tr in traces)
 
 
-def hprime_identity_residual(trace: FrequencyTrace, dt: float,
-                             rhs_eval: str = "midpoint") -> dict:
+def hprime_identity_residual(trace: FrequencyTrace, dt: float) -> dict:
     """Residual of the energy-derivative identity
 
         H'(t) = -2 D(t) + 2 E int Phi F K + E int b^2 Phi^2 K
 
     on a trace of `kernel_traces` (one kernel, every time node, with `d`,
-    `phi_f` and `b_sq`) at time step dt,
-    measured per step as (H_{k+1}-H_k)/dt against the right-hand side,
-    normalized by max H.  `rhs_eval` picks the evaluation point: "midpoint"
-    (second-order in time, so the spatial floor dominates) or "left"
-    (first-order, exposing the O(dt) term for refinement studies).
+    `phi_f` and `b_sq`) at time step dt, measured per step as
+    (H_{k+1}-H_k)/dt against the right-hand side at the step's midpoint
+    (second order in time, so the spatial floor dominates), normalized by
+    max H.
     """
-    if rhs_eval not in ("midpoint", "left"):
-        raise NumericalError(f"unknown rhs_eval '{rhs_eval}'")
     rhs = -2.0 * trace.d + 2.0 * trace.aux["phi_f"] + trace.aux["b_sq"]
     lhs = np.diff(trace.h) / dt
-    rhs_mid = 0.5 * (rhs[:-1] + rhs[1:]) if rhs_eval == "midpoint" else rhs[:-1]
+    rhs_mid = 0.5 * (rhs[:-1] + rhs[1:])
     scale = max(float(np.max(trace.h)), H_FLOOR)
     res = (lhs - rhs_mid) / scale
     integrated = float(np.sum(np.abs(res)) * dt)

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from stochheat import (CoefficientField, TimeMesh, build_grid, build_tree,
                        solve_forward)
 from stochheat.forward import implicit_solver, tree_moves
+from stochheat.frequency import H_FLOOR
 
 
 @pytest.fixture(scope="session")
@@ -63,6 +64,27 @@ def sparse_operators():
     return _sparse_operators
 
 
+@pytest.fixture(scope="session")
+def superlu_solves(sparse_operators):
+    """(solver, grid, dt) -> (rhs, solver.solve(rhs, shift), SuperLU's solve
+    of (1 + shift) I - dt Lap) for shifts 0, 0.3 and -0.2, each on a field,
+    a batch and a stacked batch."""
+    from scipy.sparse.linalg import splu
+
+    def solves(solver, grid, dt):
+        lap, _ = sparse_operators(grid)
+        n = grid.n_nodes
+        rng = np.random.Generator(np.random.Philox(key=[8, 5]))
+        for shift in (0.0, 0.3, -0.2):
+            lu = splu(sp.csc_matrix((1.0 + shift) * sp.eye(n) - dt * lap))
+            for rhs in (rng.standard_normal(n), rng.standard_normal((9, n)),
+                        rng.standard_normal((2, 3, n))):
+                flat = rhs.reshape(-1, n)
+                ref = lu.solve(flat.T).T.reshape(rhs.shape)
+                yield rhs, solver.solve(rhs, shift), ref
+    return solves
+
+
 @pytest.fixture(scope="session", params=[
     ([(0.0, 1.0)], (63,)),
     ([(0.0, 1.0), (0.0, 1.0)], (15, 15)),
@@ -97,6 +119,21 @@ def assert_rel_close():
         gap = np.max(np.abs(np.asarray(value) - reference))
         assert gap <= rtol * np.max(np.abs(reference)), gap
     return check
+
+
+@pytest.fixture(scope="session")
+def left_endpoint_residual():
+    """(identity report, dt) -> the integrated residual of the
+    energy-derivative identity with its right-hand side at each step's left
+    end, not its midpoint: first order in dt, so the O(dt) term shows in a
+    refinement study.  It reads the report's `trace`."""
+    def integrated(report, dt):
+        trace = report["trace"]
+        rhs = -2.0 * trace.d + 2.0 * trace.aux["phi_f"] + trace.aux["b_sq"]
+        res = (np.diff(trace.h) / dt - rhs[:-1]) \
+            / max(float(np.max(trace.h)), H_FLOOR)
+        return float(np.sum(np.abs(res)) * dt)
+    return integrated
 
 
 @pytest.fixture(scope="session")

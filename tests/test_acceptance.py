@@ -125,7 +125,7 @@ def test_criterion_02_kernel_caloric_identity():
     _line(2, "kernel caloric identity", worst <= 1e-6)
 
 
-def test_criterion_03_energy_derivative_identity():
+def test_criterion_03_energy_derivative_identity(left_endpoint_residual):
     # tree ensembles at depth 10 under random bounded coefficients, plus the
     # first-order refinement signature on the exact moment recursion
     grid = build_grid([(0.0, 1.0)], (63,))
@@ -152,9 +152,8 @@ def test_criterion_03_energy_derivative_identity():
             m2 = TimeMesh(horizon=horizon, steps=steps)
             c2 = CoefficientField.random_bounded(grid, m2, seed, 0.5, 0.5)
             mom = solve_forward_moments(y0, c2, m2, grid)
-            res[steps] = hprime_identity_residual(
-                _identity_trace(mom, c2, weight), m2.dt,
-                rhs_eval="left")["integrated_residual"]
+            res[steps] = left_endpoint_residual(hprime_identity_residual(
+                _identity_trace(mom, c2, weight), m2.dt), m2.dt)
         ratio = (res[10] - res[20]) / (res[20] - res[40])
         ok &= 1.4 <= ratio <= 2.6
     _line(3, "energy-derivative identity", ok)

@@ -10,6 +10,7 @@ from stochheat import cli
 from stochheat import config as cfgmod
 from stochheat import control as ctl
 from stochheat import forward
+from stochheat import ucp as ucpmod
 from stochheat.forward import ImplicitHeatSolver
 
 
@@ -50,6 +51,32 @@ def _backward_inverse_at_double_dt(monkeypatch):
                         property(lambda self: 2.0 * diagonal(self) - 1.0))
 
 
+def _solve_inverse_at_double_dt(monkeypatch):
+    # the implicit solve and its powers invert I - 2 dt Lap_h; `diagonal`
+    # and the shifted solves keep I - dt Lap_h
+    init = ImplicitHeatSolver.__init__
+
+    def doubled(self, grid, dt):
+        init(self, grid, dt)
+        self._inverse = 1.0 / (2.0 * self._diag - 1.0)
+
+    monkeypatch.setattr(ImplicitHeatSolver, "__init__", doubled)
+
+
+def _lambda_tilde_over_j(monkeypatch):
+    # the constants carry lambda_tilde = r^2 / (16 J), the log-free J in
+    # place of D (on the defaults the identity residual then reads 0.065
+    # against its bound of 1e-10: D = 54.9, J = 4.93)
+    compute = ucpmod.compute_constants
+
+    def swapped(*args, **kwargs):
+        constants = compute(*args, **kwargs)
+        return dataclasses.replace(constants, lambda_tilde=constants.r ** 2
+                                   / (16.0 * constants.big_j))
+
+    monkeypatch.setattr(ucpmod, "compute_constants", swapped)
+
+
 def _scaled_dissipation(monkeypatch):
     # the fine identity's kernel_traces call (the one that asks for phi_f)
     # returns D scaled by 1.5 (on the defaults the check then reads 0.498
@@ -74,6 +101,7 @@ MUTANTS = {
     "control.null_control_verified": _swapped_backward_factors,
     "frequency.energy_derivative_identity": _scaled_dissipation,
     "simulate.transform_oracle_gap_bounded": _negated_noise_increment,
+    "ucp.constants_identities": _lambda_tilde_over_j,
 }
 
 
@@ -105,3 +133,18 @@ def test_gramian_matrix_check_fails_under_a_dropped_up_product(monkeypatch):
 
     monkeypatch.setattr(ctl, "dual_control", dropped)
     assert not _record(name)["pass"]
+
+
+def test_transform_oracle_misses_a_solve_fault_that_superlu_rejects(
+        oracle_grid, superlu_solves, monkeypatch):
+    # the transform oracle's check compares path scalars, from which the
+    # spatial factor M^{-k} y0 cancels, so it passes under a wrong implicit
+    # solve; the SuperLU comparison of the solver tests rejects that solve
+    # on every oracle grid (its unshifted solves miss by 0.26 to 0.47)
+    name = "simulate.transform_oracle_gap_bounded"
+    _solve_inverse_at_double_dt(monkeypatch)
+    assert _record(name)["pass"]
+    grid, dt = oracle_grid, 0.01
+    gaps = [np.max(np.abs(out - ref)) / np.max(np.abs(ref)) for _, out, ref
+            in superlu_solves(ImplicitHeatSolver(grid, dt), grid, dt)]
+    assert max(gaps) > 1e-12, gaps

@@ -383,8 +383,8 @@ def test_closed_form_backward_matches_the_nodal_steps(
     # node-uniform inputs: the factored dual flow against `tree_step` level
     # by level, and the closed-form root and every lazily formed level
     # against `_nodal_backward`, which steps the same inputs in physical
-    # space, in both modes, with h as one row and per level, with and
-    # without a control
+    # space, in both modes, with h as one row and per level (which steps
+    # in physical space on both sides), with and without a control
     grid = build_grid(extents, shape)
     mesh = TimeMesh(horizon=0.5, steps=5)
     tree, n, steps = build_tree(mesh), grid.n_nodes, mesh.steps

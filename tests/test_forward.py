@@ -49,25 +49,15 @@ def test_implicit_solver_batched_and_single_agree():
         assert np.allclose(out[i], solver.solve(batch[i]), rtol=1e-13)
 
 
-def test_implicit_solver_matches_superlu(oracle_grid, sparse_operators,
+def test_implicit_solver_matches_superlu(oracle_grid, superlu_solves,
                                         assert_rel_close):
     # the sine-basis solve against SuperLU on I - dt Lap (+ shift), for a
     # field, a batch and a stacked batch
-    from scipy.sparse.linalg import splu
     grid, dt = oracle_grid, 0.01
-    lap, _ = sparse_operators(grid)
-    n = grid.n_nodes
     solver = ImplicitHeatSolver(grid, dt)
-    rng = np.random.Generator(np.random.Philox(key=[8, 5]))
-    for shift in (0.0, 0.3, -0.2):
-        lu = splu(sp.csc_matrix((1.0 + shift) * sp.eye(n) - dt * lap))
-        for rhs in (rng.standard_normal(n), rng.standard_normal((9, n)),
-                    rng.standard_normal((2, 3, n))):
-            flat = rhs.reshape(-1, n)
-            ref = lu.solve(flat.T).T.reshape(rhs.shape)
-            out = solver.solve(rhs, shift)
-            assert out.shape == rhs.shape
-            assert_rel_close(out, ref)
+    for rhs, out, ref in superlu_solves(solver, grid, dt):
+        assert out.shape == rhs.shape
+        assert_rel_close(out, ref)
 
 
 def test_sine_transform_diagonalizes_the_implicit_matrix(

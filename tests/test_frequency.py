@@ -10,7 +10,6 @@ from stochheat import (Ball, CoefficientField, HeatKernelWeight, TimeMesh,
                        solve_forward, solve_forward_moments,
                        solve_sampled_moments)
 from stochheat import forward, frequency
-from stochheat.errors import NumericalError
 from stochheat.frequency import FrequencyTrace
 from stochheat.ucp import default_tolerance
 
@@ -315,7 +314,7 @@ def test_hdn_agrees_between_tree_and_moments(y0, coeffs, tree, mesh, grid,
     assert np.allclose(t1.d, t2.d, rtol=1e-10)
 
 
-def _integrated_residual(steps, mode):
+def _identity_report(steps):
     fine_grid = build_grid([(0.0, 1.0)], (63,))
     x = fine_grid.coords[:, 0]
     y0 = np.sin(np.pi * x)
@@ -323,33 +322,26 @@ def _integrated_residual(steps, mode):
     coeffs = CoefficientField.constant(fine_grid, mesh, 0.3, 0.4)
     mom = solve_forward_moments(y0, coeffs, mesh, fine_grid)
     w = HeatKernelWeight(horizon=0.1, shift=0.25, center=(0.5,), dim=1)
-    return hprime_identity_residual(
-        _global(mom, coeffs, w, IDENTITY), mesh.dt,
-        rhs_eval=mode)["integrated_residual"]
+    return hprime_identity_residual(_global(mom, coeffs, w, IDENTITY),
+                                    mesh.dt), mesh.dt
 
 
 def test_hprime_identity_residual_refines():
     # the energy-derivative identity residual shrinks under dt refinement
     # (moment recursion keeps expectations exact at every depth)
-    coarse = _integrated_residual(10, "midpoint")
-    fine = _integrated_residual(40, "midpoint")
+    coarse = _identity_report(10)[0]["integrated_residual"]
+    fine = _identity_report(40)[0]["integrated_residual"]
     assert fine < coarse
     assert fine < 0.05
 
 
-def test_hprime_left_mode_is_first_order():
+def test_hprime_left_mode_is_first_order(left_endpoint_residual):
     # left-endpoint evaluation exposes the O(dt) term: successive Richardson
     # differences halve (the spatial floor cancels in the differences)
-    res = {s: _integrated_residual(s, "left") for s in (10, 20, 40)}
+    res = {s: left_endpoint_residual(*_identity_report(s))
+           for s in (10, 20, 40)}
     ratio = (res[10] - res[20]) / (res[20] - res[40])
     assert 1.4 < ratio < 2.6
-
-
-def test_hprime_rejects_unknown_mode(tree_ensemble, weight, coeffs):
-    with pytest.raises(NumericalError):
-        hprime_identity_residual(
-            _global(tree_ensemble, coeffs, weight, IDENTITY),
-            tree_ensemble.mesh.dt, rhs_eval="right")
 
 
 def test_frequency_bound_holds(tree_ensemble, weight, coeffs, grid, mesh):
