@@ -106,8 +106,7 @@ class Experiment:
         cfgmod.validate_config(cfg)
         self.cfg = cfg
         extents = _pairs(cfg["domain.extents"])
-        nodes = _as_tuple(cfg["grid.nodes"])
-        nodes = tuple(int(n) for n in nodes)
+        nodes = tuple(int(n) for n in _as_tuple(cfg["grid.nodes"]))
         if len(nodes) == 1 and len(extents) == 2:
             nodes = nodes * 2
         self.grid = build_grid(extents, nodes)
@@ -230,7 +229,8 @@ def run_frequency(exp: Experiment):
     # shift; the exact second moments provide it at any depth
     fine_mesh = TimeMesh(horizon=exp.mesh.horizon,
                          steps=max(400, exp.mesh.steps))
-    fine_coeffs = _coefficients(exp.cfg, exp.grid, fine_mesh, exp.seed)
+    fine_coeffs = CoefficientField(exp.grid, fine_mesh, exp.coeffs.a_stored,
+                                   exp.coeffs.b_stored)
     fine_ens = solve_forward_moments(exp.y0, fine_coeffs, fine_mesh, exp.grid)
     # both identities from one pass over the fine ensemble
     terms = ("h", "d", "phi_f", "b_sq")

@@ -260,7 +260,8 @@ class _FactoredBackward(Sequence):
             # and the down child over 2 sqrt(dt)
             lift = 0.5 * tree_moves(dt)[1] * coeffs.b[:, :1]
             self._weights = 0.5 + lift * np.array([1.0, -1.0])
-            self._alpha = 1.0 / (solver.diagonal + dt * coeffs.a[:, :1])
+            self._alpha = np.broadcast_to(
+                1.0 / (solver.diagonal + dt * coeffs.a_stored), (steps, n))
             beta, self.solves = self._alpha, [1] * steps
         parts = [] if h is None else [  # path scalars all 1
             ([np.ones(2 ** k) for k in range(steps + 1)], np.ones((steps, 2)),

@@ -4,32 +4,28 @@ Scheme: diffusion-implicit, reaction/noise-explicit Euler-Maruyama,
 
     (I - dt*Lap_h) y_{k+1} = (1 + dt*a_k + b_k dB_k) y_k,
 
-which keeps the Ito evaluation point of the noise; a and b are deterministic
-arrays indexed by step.  `step_factors` is the one table of the factors
-1 + sign*dt*a_k + b_k*dB per step, increment and node, with one column when
-the coefficients are uniform over the nodes (`node_uniform`); every solve,
-path scalar and audit reads it.  All solves share one `ImplicitHeatSolver`
-per (grid, dt), the exact inverse of I - dt*Lap_h as a diagonal between
-two sine transforms (`ImplicitHeatSolver.sine`).  A forward solve returns
-an `Ensemble`, weighted rows per time node, shape (steps+1, r, n):
-sampled paths or the 2^d leaves of a Bernoulli tree (weight 2^-d each)
-from the path loop of `solve_forward`, the tests' brute-force reference,
-or the thin factors Z of E[y y^T] = Z^T Z of `solve_forward_moments`, the
-exact tree expectations that tree-mode surveys run.  Node-uniform
+which keeps the Ito evaluation point of the noise.  A `CoefficientField`
+stores a and b in their own shapes, one row when constant in time and one
+column when uniform over the nodes (`node_uniform`), and `step_factors`
+broadcasts them into the one table of the factors 1 + sign*dt*a_k + b_k*dB
+per step, increment and node column, which every solve, path scalar and
+audit reads.  All solves share one `ImplicitHeatSolver` per (grid, dt), the
+exact inverse of I - dt*Lap_h as a diagonal between two sine transforms.
+A forward solve returns an `Ensemble`, weighted rows per time node, shape
+(steps+1, r, n): sampled paths or the 2^d tree leaves of `solve_forward`,
+the tests' brute-force reference, or the thin factors Z of E[y y^T] = Z^T Z
+of `solve_forward_moments`, the exact tree expectations.  Node-uniform
 coefficients make every path a path scalar times the orbit M^{-k} y0 of
-`ImplicitHeatSolver.solve_powers`, so the moments are one rank-one row per
-time node, from the exact step scalars or, in
-`solve_sampled_moments` (the mc-mode ensemble), from the sampled path
-scalars, which also give `exp_transform_oracle` its paths; otherwise the
-moment recursion takes a thin SVD per step, padded with zero rows, and mc
+`ImplicitHeatSolver.solve_powers`: the moments are one rank-one row per
+time node, from the exact step scalars or from the sampled path scalars
+(`solve_sampled_moments`, which also give `exp_transform_oracle` its
+paths); otherwise the moment recursion takes a thin SVD per step and mc
 mode solves every path.  The dual and adjoint solves of `control` run on
-history levels: `tree_step` takes level k to k+1 (`tree_levels`, factored
-as `FactoredLevels` for node-uniform coefficients), and
-`ImplicitHeatSolver.sine` and `diagonal` put the backward solves on sine
-coefficients.  `energy_trace` reads the energy, or the mass on a node mask,
-per time node from any ensemble (`moment_trace` from one `nodal_moment`
-pass); `Ensemble.values` is a writable view of the rows by path, except for
-the sampled closed form, whose `values` are its paths, read-only.
+history levels (`tree_step`, `tree_levels`, factored as `FactoredLevels`
+for node-uniform coefficients) and on sine coefficients.  `energy_trace`
+reads the energy, or the mass on a node mask, per time node (`moment_trace`
+from one `nodal_moment` pass); `Ensemble.values` is a writable view of the
+rows by path, except the sampled closed form's, its paths, read-only.
 """
 
 from __future__ import annotations
@@ -174,37 +170,38 @@ def implicit_solver(grid: SpatialGrid, dt: float) -> ImplicitHeatSolver:
 class CoefficientField:
     """Coefficients a (potential) and b (noise intensity) on the grid.
 
-    Deterministic arrays of shape (steps, n_nodes), indexed by step, not
-    changed after construction: the gradient of b and its W^{1,inf} norm
-    (read only by the bounds) and `node_uniform` (read by every
-    `step_factors` call) are computed once, on first read.
-    """
+    Each is stored once, C-ordered, in its own shape (1 or steps, 1 or
+    n_nodes) as `a_stored` and `b_stored`: one row when every step is the
+    same, one column when every step is uniform over the nodes
+    (`node_uniform`), and readers broadcast; `a` and `b` are read-only
+    (steps, n_nodes) views of them, indexed by step.  Nothing changes after
+    construction; the gradient of b and its W^{1,inf} norm are computed on
+    first read."""
 
     def __init__(self, grid: SpatialGrid, mesh: TimeMesh, a, b):
-        self.grid = grid
-        self.mesh = mesh
-        self.a = self._materialize(a)
-        self.b = self._materialize(b)
-        self.sup_a = float(np.max(np.abs(self.a)))
+        self.grid, self.mesh = grid, mesh
+        shape = (mesh.steps, grid.n_nodes)
+        self.a_stored, self.b_stored = (_reduce(c, shape) for c in (a, b))
+        self.a, self.b = (np.broadcast_to(c, shape)
+                          for c in (self.a_stored, self.b_stored))
+        self.sup_a = float(np.max(np.abs(self.a_stored)))
 
     @cached_property
     def b_grad(self) -> np.ndarray:
-        return self.grid.field_gradient(self.b)
+        """The gradient of b per stored row, shape (rows, n_nodes, dim)."""
+        return self.grid.field_gradient(self.b[:len(self.b_stored)])
 
     @cached_property
     def sup_b_w1inf(self) -> float:
-        grad_sup = float(np.max(np.abs(self.b_grad))) if self.b_grad.size else 0.0
-        return max(float(np.max(np.abs(self.b))), grad_sup)
+        return self.sup_b_over(slice(None))
 
-    def _materialize(self, values) -> np.ndarray:
-        arr = np.asarray(values, dtype=float)
-        target = (self.mesh.steps, self.grid.n_nodes)
-        if arr.shape in ((), (1,), (target[1],)):
-            arr = np.broadcast_to(arr, target)
-        if arr.shape != target:
-            raise ConfigurationError(
-                f"coefficient shape {arr.shape} incompatible with {target}")
-        return np.array(arr, dtype=float, order="C")
+    @property
+    def node_uniform(self) -> bool:
+        """Whether a_k and b_k are uniform over the nodes at every step
+        (constant coefficients, or values that vary in time only): each
+        step factor 1 + dt*a_k + b_k*dB is then one scalar per increment,
+        and the moments and the sampled paths have closed forms."""
+        return self.a_stored.shape[1] == 1 and self.b_stored.shape[1] == 1
 
     @classmethod
     def constant(cls, grid, mesh, a: float, b: float) -> "CoefficientField":
@@ -235,20 +232,25 @@ class CoefficientField:
             return bound * f / peak if peak > 0 else f
         return cls(grid, mesh, a=smooth_field(a_bound), b=smooth_field(b_bound))
 
-    @cached_property
-    def node_uniform(self) -> bool:
-        """Whether a_k and b_k are uniform over the nodes at every step
-        (constant coefficients, or values that vary in time only): each
-        step factor 1 + dt*a_k + b_k*dB is then one scalar per increment,
-        and the moments and the sampled paths have closed forms."""
-        return bool((self.a == self.a[:, :1]).all()
-                    and (self.b == self.b[:, :1]).all())
-
-    def sup_b_over(self, mask: np.ndarray) -> float:
+    def sup_b_over(self, mask) -> float:
         """W^{1,inf} norm of b restricted to a node mask (e.g. supp phi)."""
-        vals = float(np.max(np.abs(self.b[:, mask]))) if mask.any() else 0.0
-        grads = float(np.max(np.abs(self.b_grad[:, mask, :]))) if mask.any() else 0.0
-        return max(vals, grads)
+        b = self.b[:len(self.b_stored), mask]
+        return max(float(np.max(np.abs(b))), float(np.max(
+            np.abs(self.b_grad[:, mask])))) if b.size else 0.0
+
+
+def _reduce(values, shape: tuple) -> np.ndarray:
+    """A C-ordered copy of the coefficient `values`, of any shape that
+    broadcasts to (steps, n_nodes), in its own shape: one row when every
+    step is the same, one column when each is uniform over the nodes."""
+    arr = np.asarray(values, dtype=float)
+    arr = arr.reshape(1, -1) if arr.ndim < 2 else arr
+    if arr.ndim > 2 or any(m not in (1, s) for m, s in zip(arr.shape, shape)):
+        raise ConfigurationError(
+            f"coefficient shape {np.shape(values)} incompatible with {shape}")
+    arr = arr[:1] if (arr == arr[:1]).all() else arr
+    return np.array(arr[:, :1] if (arr == arr[:, :1]).all() else arr,
+                    order="C")
 
 
 @dataclass
@@ -492,9 +494,9 @@ def solve_forward_moments(y0: np.ndarray, coeffs: CoefficientField,
     time node whose factor vanishes has rank 0 and only zero rows on both
     paths.  provenance records the path as `scheme`, the rank and the
     discarded sum of sigma^2 (a trace-norm bound on the truncation; 0 in
-    closed form) per time node.  NumericalError names the first step whose factor or mean
-    is not finite; the closed form decides it on the log of the products,
-    so no overflow warning is raised.
+    closed form) per time node.  NumericalError names the first step whose
+    factor or mean is not finite; the closed form decides it on the log of
+    the products, so no overflow warning is raised.
     """
     solver = implicit_solver(grid, mesh.dt)
     y0 = np.asarray(y0, dtype=float)
@@ -646,9 +648,9 @@ def exp_transform_oracle(coeffs: CoefficientField, paths: PathEnsemble,
     gap reads inf, without a warning."""
     if not isinstance(paths, PathEnsemble):
         raise ConfigurationError("the transform oracle needs sampled paths")
-    a, b = coeffs.a[0, 0], coeffs.b[0, 0]
-    if (coeffs.a != a).any() or (coeffs.b != b).any():
+    if coeffs.a_stored.size > 1 or coeffs.b_stored.size > 1:
         raise ConfigurationError("the transform oracle needs constant a and b")
+    a, b = coeffs.a_stored[0, 0], coeffs.b_stored[0, 0]
     inc = paths.increments
     s = _sampled_scalars(coeffs, mesh.dt, inc, paths.weights)[0]
     bm = np.concatenate([np.zeros((1, len(inc))), np.cumsum(inc.T, axis=0)])
@@ -688,18 +690,14 @@ def step_invertibility_report(coeffs: CoefficientField, ensemble) -> dict:
     Review 2001).
     """
     dt = ensemble.mesh.dt
-    min_factor = np.inf
-    flagged, sign_loss = [], []
-    for k in range(ensemble.mesh.steps):
-        factors = step_factors(coeffs, dt, ensemble.increments, steps=k)
-        lowest = float(np.min(factors))
-        min_factor = min(min_factor, lowest)
-        if lowest <= 0.0:
-            sign_loss.append(k)
-        if np.min(np.abs(factors)) < DEGENERATE_STEP_TOL:
-            flagged.append(k)
-    b_sqrt_dt = float(np.max(np.abs(coeffs.b)) * np.sqrt(dt))
-    return {"min_factor": min_factor, "sign_loss_steps": sign_loss,
+    # per step, the lowest factor and the lowest magnitude of a factor
+    lows = np.array([(np.min(f), np.min(np.abs(f))) for f in (
+        step_factors(coeffs, dt, ensemble.increments, steps=k)
+        for k in range(ensemble.mesh.steps))])
+    flagged = np.flatnonzero(lows[:, 1] < DEGENERATE_STEP_TOL).tolist()
+    b_sqrt_dt = float(np.max(np.abs(coeffs.b_stored)) * np.sqrt(dt))
+    return {"min_factor": float(np.min(lows[:, 0])),
+            "sign_loss_steps": np.flatnonzero(lows[:, 0] <= 0.0).tolist(),
             "degenerate_steps": flagged, "invertible": not flagged,
             "b_sqrt_dt": b_sqrt_dt, "a_dt": coeffs.sup_a * dt,
             "noise_step_large": b_sqrt_dt >= 1.0}

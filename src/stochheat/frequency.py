@@ -12,23 +12,17 @@ moments: E[Phi^2], E[|grad Phi|^2], E[Phi Sy] and E[(Sy)^2], by centred
 differences (`SpatialGrid.gradient_ops`), formed exactly on the cutoff's
 support box (`geometry.build_cutoff`), outside which they vanish; without
 a cutoff (phi = 1, S = 0) they are the global, convex-domain functionals
-on the grid.  `kernel_traces` is the one route to them: one `nodal_moment`
-pass per call, whose tiles of time nodes form each term once and contract
-it with the kernels at the tile's times (on the box alone without a
-global quantity): no (steps+1, n) field.  The derivative identity asks
-for H, D, E int Phi F K and E int b^2 Phi^2 K on a fine 400-step
-ensemble (`hprime_identity_residual` reduces them), the drift bounds for
-H, D and E int F^2 K from one pass on the experiment's ensemble, and the
-lambda sweep of `ucp` for the localized H and E int F^2 K under all its
-shifts on its time window.
-The same code runs on every `forward.Ensemble`, one array of weighted rows
-per time node: sampled paths, the 2^d leaf paths of an exact Bernoulli
-tree, or second moments, whose factors E[y y^T] = Z^T Z are contracted
-like unit-weight paths.  The surveys run moments: the exact ones in tree
-mode, and in mc mode, with coefficients uniform over the nodes, the
-sampled closed form, whose one row per time node stands for all paths.
-Sampled paths are contracted one by one only for space-varying
-coefficients in mc mode; the tree serves the tests.
+on the grid.  `kernel_traces` is the one route to them, one `nodal_moment`
+pass per call with no (steps+1, n) field: the derivative identity asks for
+H, D, E int Phi F K and E int b^2 Phi^2 K on a fine 400-step ensemble
+(`hprime_identity_residual` reduces them), the drift bounds for H, D and
+E int F^2 K from one pass on the experiment's ensemble, and the lambda
+sweep of `ucp` for the localized H and E int F^2 K under all its shifts.
+The same code runs on every `forward.Ensemble`: sampled paths, the 2^d
+leaf paths of a Bernoulli tree, or second moments, whose factors E[y y^T]
+= Z^T Z are contracted like unit-weight paths (the surveys run the exact
+moments in tree mode and, for node-uniform coefficients, the sampled
+closed form in mc mode, one row per time node for all paths).
 
 The convex-domain bound needs dK/dnu <= 0 on the boundary.  Since grad K =
 -(x - x0) K / (2 (T-t+lambda)), that is (x - x0).nu >= 0, which holds by
@@ -148,12 +142,13 @@ def kernel_traces(ens, cutoff: CutoffFunction | None,
     Phi^2 K and `f_sq` = E int F^2 K.  Each tile of time nodes forms the
     nodal fields of those quantities from the moments of the terms they
     read, with the coefficients of step min(k, steps-1) at time node k
-    (coefficients live on steps), and contracts them with the kernel,
-    evaluated once per tile at its own times: on the grid, or on the
-    cutoff's support box (outside which the localized fields vanish) when
-    no global quantity is asked.  Returns the (global, localized)
-    FrequencyTrace pair, each None when no quantity is asked of it, with
-    arrays of shape (J..., time nodes); a negative H raises NumericalError."""
+    (coefficients live on steps, and broadcast from their stored shapes),
+    and contracts them with the kernel, evaluated once per tile at its own
+    times: on the grid, or on the cutoff's support box (outside which the
+    localized fields vanish) when no global quantity is asked.  Returns
+    the (global, localized) FrequencyTrace pair, each None when no
+    quantity is asked of it, with arrays of shape (J..., time nodes); a
+    negative H raises NumericalError."""
     grid, mesh = ens.grid, ens.mesh
     steps = np.minimum(np.arange(mesh.steps + 1), mesh.steps - 1)
     blocks = [(local, asks, *_block(grid, cut, asks)) for local, (cut, asks)
@@ -162,11 +157,13 @@ def kernel_traces(ens, cutoff: CutoffFunction | None,
     k_nodes = blocks[0][3]  # the kernel's nodes: the grid's if asked
 
     def contract(span, moments):
-        a, b = coeffs.a[steps[span]], coeffs.b[steps[span]]
+        a, b = (c[steps[span]] if len(c) > 1 else c
+                for c in (coeffs.a_stored, coeffs.b_stored))
         k_w = kernel(mesh.times[span], grid.coords[k_nodes])
         moments, out = iter(moments), []
         for _, asks, names, at, _ in blocks:
-            m, ab = dict(zip(names, moments)), (a[:, at], b[:, at])
+            m = dict(zip(names, moments))
+            ab = [c[:, at] if c.shape[1] > 1 else c for c in (a, b)]
             k_at = k_w if at is k_nodes else k_w[..., at]
             out += [np.einsum("...ki,ki->...k", k_at, _FIELDS[q][1](m, *ab))
                     for q in asks]

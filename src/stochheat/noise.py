@@ -17,6 +17,7 @@ instead.  Tree-mode surveys build no tree, since
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -52,9 +53,12 @@ class TimeMesh:
     def dt(self) -> float:
         return self.horizon / self.steps
 
-    @property
+    @cached_property
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.steps + 1)
+        """The steps+1 time nodes, computed once per mesh, read-only."""
+        times = np.linspace(0.0, self.horizon, self.steps + 1)
+        times.flags.writeable = False
+        return times
 
 
 def path_increments(seed: int, omega: int, mesh: TimeMesh) -> np.ndarray:

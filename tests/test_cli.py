@@ -6,6 +6,7 @@ import json
 import os
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -851,6 +852,82 @@ def test_frequency_reads_the_fine_ensemble_in_one_pass(kind, monkeypatch):
     assert coarse[0] is exp.ensemble and fine[0].mesh.steps == 400
     assert all(c is not None and nodes == slice(None)
                for _, c, nodes in passes)
+
+
+def test_frequency_reuses_the_experiment_coefficients(monkeypatch):
+    # the fine 400-step ensemble runs under the experiment's coefficient
+    # values: random ones are drawn once, by the experiment, and the fine
+    # field is built from what it stores; stored coefficients that vary in
+    # time have no value on the fine mesh and are refused
+    drawn, fine = [], []
+    draw = forward.CoefficientField.random_bounded.__func__
+    moments = cli.solve_forward_moments
+    monkeypatch.setattr(forward.CoefficientField, "random_bounded",
+                        classmethod(lambda cls, *args: drawn.append(args)
+                                    or draw(cls, *args)))
+    monkeypatch.setattr(cli, "solve_forward_moments",
+                        lambda y0, coeffs, *args: fine.append(coeffs)
+                        or moments(y0, coeffs, *args))
+    exp = cli.Experiment(cfgmod.merge_config(cfgmod.parse_config(
+        _fast_text("coeff.kind = random\n"))))
+    cli.run_frequency(exp)
+    assert len(drawn) == 1
+    # the fine ensemble is solved first, then the experiment's
+    assert [c.mesh.steps for c in fine] == [400, exp.mesh.steps]
+    assert fine[1] is exp.coeffs
+    assert np.array_equal(fine[0].a_stored, exp.coeffs.a_stored)
+    assert np.array_equal(fine[0].b_stored, exp.coeffs.b_stored)
+    ramp = np.linspace(0.0, 1.0, exp.mesh.steps)[:, None]
+    ramped = forward.CoefficientField(exp.grid, exp.mesh, a=0.3 + ramp, b=0.4)
+    with pytest.raises(ConfigurationError):
+        forward.CoefficientField(exp.grid, fine[0].mesh, ramped.a_stored,
+                                 ramped.b_stored)
+
+
+def test_time_constant_coefficients_in_any_layout_give_one_report():
+    # time-constant a and b given as scalars, as one row of nodes or as a
+    # (steps, n) table are stored alike, so simulate and frequency give
+    # byte-identical outputs on the 1-D defaults; constant coefficients
+    # store O(1) bytes, and a table ramped in time with equal columns is
+    # uniform over the nodes, stored as one column
+    cfg = cfgmod.merge_config({})
+    layouts = (lambda v, shape: v, lambda v, shape: np.full(shape[1], v),
+               lambda v, shape: np.full(shape, v))
+    outputs = []
+    for layout in layouts:
+        exp = cli.Experiment(cfg)
+        shape = (exp.mesh.steps, exp.grid.n_nodes)
+        exp.coeffs = forward.CoefficientField(
+            exp.grid, exp.mesh, a=layout(cfg["coeff.a"], shape),
+            b=layout(cfg["coeff.b"], shape))
+        assert exp.coeffs.a_stored.nbytes + exp.coeffs.b_stored.nbytes == 16
+        outputs.append([json.dumps(repmod.sanitize(cli.SUBCOMMANDS[name](exp)))
+                        for name in ("simulate", "frequency")])
+    assert outputs[0] == outputs[1] == outputs[2]
+    constant = forward.CoefficientField.constant(exp.grid, exp.mesh, 0.3, 0.4)
+    assert constant.a_stored.nbytes + constant.b_stored.nbytes == 16
+    ramp = np.linspace(0.0, 1.0, shape[0])[:, None] * np.ones(shape[1])
+    ramped = forward.CoefficientField(exp.grid, exp.mesh, a=0.3 - ramp,
+                                      b=0.5 + ramp)
+    assert ramped.node_uniform
+    assert ramped.a_stored.shape == ramped.b_stored.shape == (shape[0], 1)
+
+
+def test_frequency_memory_at_31x31():
+    # the tracemalloc peak of a whole 2-D 31x31 frequency run stays below
+    # three (401, n) fine orbits: the fine moments hold two such arrays,
+    # the factor rows and the means, and the coefficients of the fine mesh
+    # add no (400, n) array
+    exp = cli.Experiment(cfgmod.merge_config(cfgmod.parse_config(
+        "domain.extents = 0,1,0,1\ngrid.nodes = 31\n"
+        "geometry.x0 = 0.5,0.5\ngeometry.g0_center = 0.5,0.5\n")))
+    tracemalloc.start()
+    try:
+        cli.run_frequency(exp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 401 * exp.grid.n_nodes * 8
 
 
 def test_observe_thin_time_set_excludes_the_chain(tmp_path, capsys):

@@ -202,15 +202,28 @@ def test_tree_leaf_view_reads_and_writes_levels(grid, mode):
 
 def test_coefficients_are_stored_in_c_order(grid, mesh):
     # every layout of input (scalars, one row of nodes, a Fortran-ordered
-    # (steps, n) array, random_bounded's row) is stored C-ordered, a copy
-    # of the input, and so is the tree's step-factor table built from it
-    row = np.linspace(0.1, 0.3, grid.n_nodes)
-    table = np.asfortranarray(np.outer(np.ones(mesh.steps), row))
-    for coeffs in (CoefficientField.constant(grid, mesh, 0.3, 0.4),
-                   CoefficientField(grid, mesh, a=row, b=table),
-                   CoefficientField.random_bounded(grid, mesh, 4, 0.5, 0.5)):
-        for c in (coeffs.a, coeffs.b):
-            assert c.flags.c_contiguous and not np.shares_memory(c, table)
+    # (steps, n) table, random_bounded's row) is stored once in its own
+    # shape, C-ordered and sharing no memory with the input; a and b are
+    # read-only (steps, n) broadcast views of what is stored, and the
+    # tree's step-factor table built from it is C-ordered
+    n = grid.n_nodes
+    row = np.linspace(0.1, 0.3, n)
+    table = np.asfortranarray(np.outer(np.linspace(1.0, 2.0, mesh.steps), row))
+    assert not table.flags.c_contiguous
+    for coeffs, shapes in (
+            (CoefficientField.constant(grid, mesh, 0.3, 0.4), [(1, 1)] * 2),
+            (CoefficientField(grid, mesh, a=table, b=row),
+             [(mesh.steps, n), (1, n)]),
+            (CoefficientField.random_bounded(grid, mesh, 4, 0.5, 0.5),
+             [(1, n)] * 2)):
+        pairs = ((coeffs.a_stored, coeffs.a), (coeffs.b_stored, coeffs.b))
+        for (stored, view), shape in zip(pairs, shapes):
+            assert stored.shape == shape and stored.flags.c_contiguous
+            assert not any(np.shares_memory(stored, given)
+                           for given in (table, row))
+            assert view.shape == (mesh.steps, n)
+            assert np.shares_memory(view, stored) and not view.flags.writeable
+            assert np.array_equal(view, np.broadcast_to(stored, view.shape))
         factors = step_factors(coeffs, mesh.dt, forward.tree_moves(mesh.dt))
         assert factors.flags.c_contiguous
 
