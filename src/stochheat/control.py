@@ -4,10 +4,12 @@ The backward pair (z, Z) solves, toward t = 0,
 
     dz + Lap z dt = a1 z dt + b1 Z dt + h dt + chi_{E1} chi_{G0} f dt + Z dB,
 
-discretized on the exact binary tree.  The dual forward solve is
-`forward.tree_levels` with the dual factors 1 - dt*a1 -/+ sqrt(dt)*b1, the
-`forward.step_factors` table of sign -1 that the backward steps and the
-Gramian recursion index too.  Two backward modes are available:
+discretized on the exact binary tree.  The dual forward solve
+`solve_dual_forward` steps `forward.tree_step` with the dual factors
+1 - dt*a1 -/+ sqrt(dt)*b1, the `forward.step_factors` table of sign -1 that
+the Gramian recursion reads too.  Each backward mode weighs the two
+children of a node by one table, `_child_weights`, which both backward
+engines read.  Two backward modes are available:
 
 * ``independent`` -- martingale-representation induction (conditional
   expectation + implicit solve), consistent with the equation to O(dt); its
@@ -22,9 +24,10 @@ potential a scalar, which commute with M^-1 = S diag(1/(1 - dt*lam)) S, so
 the dual flow stays factored (path scalars and one orbit), both backward
 modes are elementwise on sine coefficients, z(0) is one contraction of the
 leaves plus one scalar recursion per source (h one row for every node, a
-factored control), and the duality checks read the factors: a run forms
-no 2^k-row level.  Nodal coefficients, h per level and controls on formed
-levels step in physical space.
+factored control), and the duality checks read every level, factored or
+formed, as one (path scalars, rows) pair: a run forms no 2^k-row level.
+Nodal coefficients, h per level and controls on formed levels step in
+physical space.
 
 The control of a dual datum is `dual_control`, its dual flow observed on
 G0 x E1; the Gramian apply (-z(0) of the adjoint solve it drives from zero
@@ -50,7 +53,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalError, ShapeError
 from .forward import (CoefficientField, FactoredLevels, implicit_solver,
-                      step_factors, tree_levels, tree_moves, tree_products)
+                      step_factors, tree_moves, tree_products, tree_step)
 from .geometry import Ball, SpatialGrid
 from .noise import BernoulliTree, TimeMesh
 from .observability import MeasurableTimeSet
@@ -135,15 +138,29 @@ def _level_rows(src, k: int, n: int):
 
 def solve_dual_forward(y0_hat: np.ndarray, coeffs: CoefficientField,
                        mesh: TimeMesh, grid: SpatialGrid,
-                       tree: BernoulliTree) -> list:
+                       tree: BernoulliTree) -> Sequence:
     """Dual forward equation dy - Lap y dt = -a1 y dt - b1 y dB on the tree.
 
-    Returns the solution per history level: level k is a (2^k, n) array; the
-    two children of node h at the next level are 2h (down move) and 2h+1.
+    Returns the solution per history level, levels 0..steps: level k holds
+    2^k rows, and the two children of node h at the next level are 2h
+    (down move) and 2h+1, from `forward.tree_step` with the dual factors
+    (`step_factors` of sign -1).  A one-column table makes the factors
+    scalars, which commute with M^-1, so the levels are `FactoredLevels`:
+    the table and the orbit M^{-k} y0_hat of one `solve_powers`, read-only.
     """
     if tree.depth != mesh.steps:
         raise ShapeError("tree depth and time mesh disagree")
-    return tree_levels(y0_hat, coeffs, mesh, grid, sign=-1.0)
+    solver = implicit_solver(grid, mesh.dt)
+    y0 = np.asarray(y0_hat, dtype=float)
+    table = step_factors(coeffs, mesh.dt, tree_moves(mesh.dt), sign=-1.0)
+    if coeffs.node_uniform:
+        orbit = solver.solve_powers(y0, mesh.steps)
+        orbit.flags.writeable = False
+        return FactoredLevels(table[..., 0], orbit)
+    levels = [y0[None, :].copy()]
+    for factors in table:
+        levels.append(tree_step(levels[-1], *factors, solver))
+    return levels
 
 
 def dual_control(y0_hat: np.ndarray, coeffs: CoefficientField, ball: Ball,
@@ -168,7 +185,8 @@ def solve_backward_tree(z_terminal: np.ndarray, coeffs: CoefficientField,
     exact transpose of the dual forward step `forward.tree_step`, so the
     duality pairing telescopes exactly; independent mode performs the
     martingale-representation induction with an implicit solve of
-    I - dt*Lap_h + dt*diag(a_k) (`_potential_solve`).
+    I - dt*Lap_h + dt*diag(a_k) (`_potential_solve`).  Both engines below
+    weigh the two children of a node by the mode's `_child_weights`.
 
     Coefficients uniform over the nodes make the step factors and the
     potential scalars, so with the sources a run builds (no h or one row h
@@ -198,26 +216,35 @@ def solve_backward_tree(z_terminal: np.ndarray, coeffs: CoefficientField,
     return BackwardPair(z_levels=z_levels, mesh=mesh, grid=grid, solves=solves)
 
 
+def _child_weights(coeffs: CoefficientField, dt: float, mode: str):
+    """The weights (p_k, q_k) of the down and the up child in a backward
+    step, shape (steps, 2, m), m = 1 when `coeffs.node_uniform`.  Adjoint
+    mode: half the dual factors (the transpose of `forward.tree_step` under
+    the level-mean pairing), applied to the children after M^-1.
+    Independent mode: 1/2 +/- sqrt(dt)*b_k/2, the conditional mean minus
+    dt*b_k*Z with Z the difference of the up and the down child over
+    2 sqrt(dt), applied before the potential solve."""
+    if mode == "adjoint":
+        return 0.5 * step_factors(coeffs, dt, tree_moves(dt), sign=-1.0)
+    b = coeffs.b[:, :1] if coeffs.node_uniform else coeffs.b
+    lift = 0.5 * tree_moves(dt)[1] * b[:, None, :]
+    return 0.5 + lift * np.array([[1.0], [-1.0]])
+
+
 def _nodal_backward(z, coeffs, mesh, solver, h, control, mode):
     """z_levels and solves of `solve_backward_tree` in physical space: every
-    step solves on the tree rows.  An adjoint step is the transpose of
-    `forward.tree_step` under the level-mean pairing: the mean of the
-    children M^-1 z_{k+1} (M is symmetric) weighed by their step factors."""
+    step solves on the tree rows, a level being the children weighed by
+    `_child_weights` (solved by M^-1 first in adjoint mode)."""
     dt, n = mesh.dt, z.shape[1]
-    moves = tree_moves(dt)
-    factors = step_factors(coeffs, dt, moves, sign=-1.0)
+    weights = _child_weights(coeffs, dt, mode)
     z_levels = [None] * mesh.steps + [z]
     solves = [0] * mesh.steps if mode == "independent" else None
     for k in range(mesh.steps - 1, -1, -1):
         z_next = z_levels[k + 1]
         if mode == "adjoint":
-            down, up = factors[k]
-            solved = solver.solve(z_next)
-            zk = 0.5 * (down * solved[0::2] + up * solved[1::2])
-        else:
-            z_mart = (z_next[1::2] - z_next[0::2]) / (2.0 * moves[1])
-            zk = 0.5 * (z_next[0::2] + z_next[1::2]) \
-                - dt * (coeffs.b[k] * z_mart)
+            z_next = solver.solve(z_next)
+        p, q = weights[k]
+        zk = p * z_next[0::2] + q * z_next[1::2]
         h_k = _level_rows(h, k, n)
         if h_k is not None:
             zk = zk - dt * h_k
@@ -234,9 +261,8 @@ class _FactoredBackward(Sequence):
     nodes, with no h or one row h for every node and no control or one on
     `FactoredLevels`.  On sine coefficients a step is elementwise and
     linear, z_hat_k = alpha_k (p_k z_hat_{k+1}[0::2] + q_k
-    z_hat_{k+1}[1::2]) - beta_k S(source_k): (p, q) is half the dual
-    factors, alpha = 1 / `diagonal` and beta = 1 in adjoint mode; (p, q) =
-    1/2 +/- sqrt(dt)*b_k/2 (dt*b_k*Z taken off the conditional mean) and
+    z_hat_{k+1}[1::2]) - beta_k S(source_k), with (p, q) the mode's
+    `_child_weights`: alpha = 1 / `diagonal` and beta = 1 in adjoint mode,
     alpha = beta = 1 / (`diagonal` + dt*a_k) in independent mode, one solve
     per step.  Each source has rows s_k x v_k (path scalars s_k all 1 for
     h, with step factors f = 1; the control's with its own step factors f)
@@ -250,21 +276,16 @@ class _FactoredBackward(Sequence):
     def __init__(self, z, coeffs, mesh, solver, h, control, mode):
         dt, steps, n = mesh.dt, mesh.steps, z.shape[1]
         self._terminal, self._solver = z, solver
+        self._weights = _child_weights(coeffs, dt, mode)[..., 0]
         if mode == "adjoint":
-            self._weights = 0.5 * step_factors(coeffs, dt, tree_moves(dt),
-                                               sign=-1.0)[..., 0]
             self._alpha = np.broadcast_to(1.0 / solver.diagonal, (steps, n))
             beta, self.solves = np.ones((steps, 1)), None
         else:
-            # the conditional mean minus dt*b_k*Z, Z the difference of the up
-            # and the down child over 2 sqrt(dt)
-            lift = 0.5 * tree_moves(dt)[1] * coeffs.b[:, :1]
-            self._weights = 0.5 + lift * np.array([1.0, -1.0])
             self._alpha = np.broadcast_to(
                 1.0 / (solver.diagonal + dt * coeffs.a_stored), (steps, n))
             beta, self.solves = self._alpha, [1] * steps
-        parts = [] if h is None else [  # path scalars all 1
-            ([np.ones(2 ** k) for k in range(steps + 1)], np.ones((steps, 2)),
+        parts = [] if h is None else [  # path scalars all 1, one per level
+            (np.broadcast_to(np.ones(1), (steps + 1, 1)), np.ones((steps, 2)),
              np.array([dt * _level_rows(h, k, n) for k in range(steps)]))]
         if control is not None:
             levels = control.levels
@@ -340,35 +361,28 @@ def _potential_solve(solver, rhs: np.ndarray, potential: np.ndarray):
         f"shift {shift:.3g}")
 
 
-def _node_view(levels: Sequence, k: int, mask=None):
-    """Level k of a flow, times `mask` if one is given: the pair (path
-    scalars, row) of its rows s x row when the levels are `FactoredLevels`,
-    else an array."""
+def _level(levels: Sequence, k: int, mask=None) -> tuple:
+    """Level k of a flow as the pair (path scalars s, rows x) of its rows
+    s_i x_i, times `mask` if one is given: the 2^k scalars and the orbit
+    row of `FactoredLevels` (no level is formed), else (1.0, level k)."""
     if isinstance(levels, FactoredLevels):
-        row = levels.orbit[k]
-        return levels.scalars[k], row if mask is None else row * mask
-    return levels[k] if mask is None else levels[k] * mask
+        s, rows = levels.scalars[k], levels.orbit[k]
+    else:
+        s, rows = 1.0, levels[k]
+    return s, rows if mask is None else rows * mask
 
 
-def _datum(levels: Sequence) -> np.ndarray:
-    """The one row of level 0 (s_0 = 1), without forming a factored level."""
-    if isinstance(levels, FactoredLevels):
-        return levels.orbit[0]
-    return levels[0][0]
-
-
-def _node_mean(x, y) -> float:
-    """The mean over the nodes of one level of <x, y>: each side is a
-    `_node_view` pair, a (2^k, n) array, or one row for every node."""
-    if isinstance(y, tuple):
-        x, y = y, x
-    if not isinstance(x, tuple):
-        return float(np.mean(np.einsum("ij,ij->i", x,
-                                       np.broadcast_to(y, x.shape))))
-    scalars, row = x
-    if isinstance(y, tuple):
-        return float(np.mean(scalars * y[0])) * float(row @ y[1])
-    return float(np.mean(scalars * (y @ row)))
+def _level_mean(x: tuple, y: tuple) -> float:
+    """The mean over the nodes of one level of <x, y>, each side a pair
+    (path scalars, rows) as `_level` gives it: scalars of shape (2^k,) or
+    1.0, rows of shape (2^k, n) or one row (n,) for every node."""
+    (s, a), (t, b) = x, y
+    s, t, a, b = np.atleast_1d(s, t) + np.atleast_2d(a, b)
+    nodes = max(len(s), len(t), len(a), len(b))
+    # the rows first, which forms no (2^k, n) product; one einsum of all
+    # four loops over that broadcast, 40 times slower on factored levels
+    rows = np.einsum("ij,ij->i", a, b)
+    return float(np.einsum("i,i,i->", s, t, rows)) / nodes
 
 
 def duality_check(dual_levels: Sequence, pair: BackwardPair, h=None,
@@ -386,18 +400,17 @@ def duality_check(dual_levels: Sequence, pair: BackwardPair, h=None,
     if len(dual_levels) != mesh.steps + 1:
         raise ShapeError("dual forward levels and backward pair disagree")
     w = grid.quad_weight
-    terminal = _node_mean(_node_view(dual_levels, -1), pair.z_levels[-1]) * w
-    initial = float(_datum(dual_levels) @ pair.z0) * w
-    lhs = terminal - initial
+    terminal = _level_mean(_level(dual_levels, -1), (1.0, pair.z_levels[-1]))
+    lhs = (terminal - _level_mean(_level(dual_levels, 0), (1.0, pair.z0))) * w
     rhs = 0.0
     for k in range(mesh.steps):
-        y_k = _node_view(dual_levels, k)
+        y_k = _level(dual_levels, k)
         h_k = _level_rows(h, k, n)
         if h_k is not None:
-            rhs += mesh.dt * _node_mean(y_k, h_k) * w
+            rhs += mesh.dt * _level_mean(y_k, (1.0, h_k)) * w
         if control is not None and control.weights[k] > 0.0:
-            rhs += control.weights[k] * _node_mean(
-                y_k, _node_view(control.levels, k, control.mask)) * w
+            rhs += control.weights[k] * _level_mean(
+                y_k, _level(control.levels, k, control.mask)) * w
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs),
             "relative_residual": abs(lhs - rhs) / scale}
@@ -613,10 +626,10 @@ def duality_support_check(control: ControlField, grid: SpatialGrid) -> dict:
     mass = 0.0
     for k, w_k in enumerate(control.weights):
         if w_k > 0.0:
-            obs = _node_view(control.levels, k, control.mask)
-            mass += w_k * _node_mean(obs, obs) * w
-    datum = _datum(control.levels)
-    datum_norm_sq = w * float(datum @ datum)
+            obs = _level(control.levels, k, control.mask)
+            mass += w_k * _level_mean(obs, obs) * w
+    datum = _level(control.levels, 0)
+    datum_norm_sq = w * _level_mean(datum, datum)
     flag = mass <= 1e-14 * max(datum_norm_sq, 1e-300) and datum_norm_sq > 0.0
     return {"observed_mass": float(mass), "datum_norm_sq": float(datum_norm_sq),
             "ratio": float(mass / max(datum_norm_sq, 1e-300)),

@@ -17,15 +17,16 @@ the tests' brute-force reference, or the thin factors Z of E[y y^T] = Z^T Z
 of `solve_forward_moments`, the exact tree expectations.  Node-uniform
 coefficients make every path a path scalar times the orbit M^{-k} y0 of
 `ImplicitHeatSolver.solve_powers`: the moments are one rank-one row per
-time node, from the exact step scalars or from the sampled path scalars
-(`solve_sampled_moments`, which also give `exp_transform_oracle` its
-paths); otherwise the moment recursion takes a thin SVD per step and mc
-mode solves every path.  The dual and adjoint solves of `control` run on
-history levels (`tree_step`, `tree_levels`, factored as `FactoredLevels`
-for node-uniform coefficients) and on sine coefficients.  `energy_trace`
-reads the energy, or the mass on a node mask, per time node (`moment_trace`
-from one `nodal_moment` pass); `Ensemble.values` is a writable view of the
-rows by path, except the sampled closed form's, its paths, read-only.
+time node, from the tree means of the table's (down, up) scalars or from
+the sampled path scalars (`solve_sampled_moments`, which also give
+`exp_transform_oracle` its paths); otherwise the moment recursion is a
+`tree_step` and a thin SVD per step, and mc mode solves every path.  The
+dual and adjoint solves of `control` run on history levels (`tree_step`,
+factored as `FactoredLevels` for node-uniform coefficients) and on sine
+coefficients.  `energy_trace` reads the energy, or the mass on a node
+mask, per time node (`moment_trace` from one `nodal_moment` pass);
+`Ensemble.values` is a writable view of the rows by path, except the
+sampled closed form's, its paths, read-only.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ __all__ = [
     "FactoredLevels",
     "tree_moves",
     "tree_step",
-    "tree_levels",
     "solve_forward",
     "solve_forward_moments",
     "solve_sampled_moments",
@@ -402,11 +402,11 @@ def tree_step(level: np.ndarray, down: np.ndarray, up: np.ndarray,
 
 
 class FactoredLevels(Sequence):
-    """History levels of a tree solve whose step factors are scalars: level
-    k is the outer product of its 2^k path scalars `scalars[k]`, the
-    `tree_products` of the (down, up) rows of `factors`, with the row
-    `orbit[k]`, and is formed only when indexed.  A slice from level 0
-    stays factored."""
+    """History levels of a tree solve whose step factors are scalars, as
+    `control.solve_dual_forward` builds them: level k is the outer product
+    of its 2^k path scalars `scalars[k]`, the `tree_products` of the
+    (down, up) rows of `factors`, with the row `orbit[k]`, and is formed
+    only when indexed.  A slice from level 0 stays factored."""
 
     def __init__(self, factors: np.ndarray, orbit: np.ndarray):
         self.factors, self.orbit = factors, orbit
@@ -423,26 +423,6 @@ class FactoredLevels(Sequence):
             return [self[i] for i in range(start, stop, step)]
         k = range(len(self))[k]  # negative indices; IndexError past the end
         return np.multiply.outer(self.scalars[k], self.orbit[k])
-
-
-def tree_levels(y0: np.ndarray, coeffs: CoefficientField, mesh: TimeMesh,
-                grid: SpatialGrid, sign: float = 1.0):
-    """History levels 0..steps of the tree solve from y0: `tree_step` with
-    the `step_factors` (of `sign`) of the down and up move.  A one-column
-    table makes the factors scalars, which commute with M^-1, so the levels
-    are `FactoredLevels`: the table and the orbit M^{-k} y0 of one
-    `ImplicitHeatSolver.solve_powers`, read-only."""
-    solver = implicit_solver(grid, mesh.dt)
-    y0 = np.asarray(y0, dtype=float)
-    table = step_factors(coeffs, mesh.dt, tree_moves(mesh.dt), sign)
-    if coeffs.node_uniform:
-        orbit = solver.solve_powers(y0, mesh.steps)
-        orbit.flags.writeable = False
-        return FactoredLevels(table[..., 0], orbit)
-    levels = [y0[None, :].copy()]
-    for factors in table:
-        levels.append(tree_step(levels[-1], *factors, solver))
-    return levels
 
 
 def solve_forward(y0: np.ndarray, coeffs: CoefficientField, noise,
@@ -475,19 +455,20 @@ def solve_forward_moments(y0: np.ndarray, coeffs: CoefficientField,
                           mesh: TimeMesh, grid: SpatialGrid) -> SecondMomentEnsemble:
     """Exact tree-expectation moments E[y] and E[y y^T] = Z^T Z.
 
-    With d = 1 + dt*a_k and M = I - dt*Lap_h, the second moments follow
-    P_{k+1} = M^{-1} ((d d^T + dt b_k b_k^T) o P_k) M^{-1} and the means
-    E[y_{k+1}] = M^{-1} (d * E[y_k]).  Two paths build them:
+    With the (down, up) rows D_k, U_k of the tree's `step_factors` and
+    M = I - dt*Lap_h, a step is the mean over the two moves:
+    P_{k+1} = M^{-1} ((D D^T + U U^T)/2 o P_k) M^{-1} and E[y_{k+1}] =
+    M^{-1} ((D + U)/2 * E[y_k]).  Two paths build them:
 
     - closed form, when every a_k and b_k is uniform over the nodes
       (constant coefficients, or values that vary in time only): P stays
-      rank one, Z_k = (c_0...c_{k-1}) M^{-k} y0 with the step scalars
-      c_j = sqrt(d_j^2 + dt b_j^2), and E[y_k] = (d_0...d_{k-1}) M^{-k} y0,
+      rank one, Z_k = (c_0...c_{k-1}) M^{-k} y0 and E[y_k] =
+      (d_0...d_{k-1}) M^{-k} y0 with the step scalars of `_exact_scalars`,
       every M^{-k} y0 from one `ImplicitHeatSolver.solve_powers`;
-    - otherwise the recursion: the factor rows z of P_k map to the rows
-      M^{-1}(d*z) and sqrt(dt) M^{-1}(b_k*z), and a thin SVD recompresses
-      them to s*V^T, dropping singular values below MOMENT_RANK_TOL of the
-      largest.
+    - otherwise the recursion: `tree_step` maps the factor rows z of P_k
+      to the rows M^{-1}(D*z)/sqrt(2) and M^{-1}(U*z)/sqrt(2), and a thin
+      SVD recompresses them to s*V^T, dropping singular values below
+      MOMENT_RANK_TOL of the largest.
 
     The factors are the rows of the ensemble, one per time node in closed
     form, padded with zero rows to the largest rank in the recursion; a
@@ -553,15 +534,17 @@ def _overflow(steps: int, k: int) -> NumericalError:
 
 
 def _exact_scalars(coeffs, dt):
-    """The closed-form scalars of the tree expectations, per time node: the
-    factor scale c_0...c_{k-1} with c_j = sqrt(d_j^2 + dt b_j^2), the mean
-    scale d_0...d_{k-1} with d_j = 1 + dt a_j, and the log of the factor
-    scale, which bounds both since |d_j| <= c_j."""
-    a, b = coeffs.a[:, 0], coeffs.b[:, 0]
+    """The closed-form scalars of the tree expectations, per time node, from
+    the (down, up) `step_factors` of the tree moves: the factor scale
+    c_0...c_{k-1} with c_j = hypot(down_j, up_j) / sqrt(2), the root mean
+    square of the pair (so c_j^2 = d_j^2 + dt b_j^2, the Ito correction),
+    the mean scale d_0...d_{k-1} with d_j = (down_j + up_j) / 2, and the
+    log of the factor scale, which bounds both since |d_j| <= c_j."""
     with np.errstate(all="ignore"):  # overflow is judged on the logs
-        d = 1.0 + dt * a
-        c = np.hypot(d, np.sqrt(dt) * b)
-        products = [np.concatenate([[1.0], np.cumprod(f)]) for f in (c, d)]
+        down, up = step_factors(coeffs, dt, tree_moves(dt))[..., 0].T
+        c = np.hypot(down, up) * np.sqrt(0.5)
+        products = [np.concatenate([[1.0], np.cumprod(f)])
+                    for f in (c, 0.5 * (down + up))]
         log = np.concatenate([[0.0], np.cumsum(np.log(c))])
     return products, log
 
@@ -608,23 +591,26 @@ def _closed_form_moments(orbit, products, log, steps):
 
 def _recursive_moments(y0, coeffs, mesh, solver):
     """Factor rows (padded with zero rows to the largest rank), ranks,
-    means and discarded tails of the second-moment recursion."""
-    dt = mesh.dt
+    means and discarded tails of the second-moment recursion: a step is
+    `tree_step` on the factor rows and the mean row, with the `step_factors`
+    of the tree moves, and the children at weight 1/2."""
     means = [y0.copy()]
     factors = [y0[None, :].copy()]
     tails = [0.0]
+    moves = tree_moves(mesh.dt)
     # overflow is raised as NumericalError below, and a tail may read inf
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(mesh.steps):
-            drift = 1.0 + dt * coeffs.a[k]
-            z = factors[-1]
-            # the mean row is solved with the factors and copied out of the block
-            stacked = solver.solve(np.concatenate(
-                [drift * z, np.sqrt(dt) * coeffs.b[k] * z, drift * means[-1][None]]))
-            if not np.isfinite(stacked).all():
+            # the mean row steps with the factor rows; its two children are
+            # the last two rows
+            children = tree_step(
+                np.concatenate([factors[-1], means[-1][None]]),
+                *step_factors(coeffs, mesh.dt, moves, steps=k), solver)
+            if not np.isfinite(children).all():
                 raise _overflow(mesh.steps, k + 1)
-            means.append(stacked[-1].copy())
-            _, s, vt = np.linalg.svd(stacked[:-1], full_matrices=False)
+            means.append(0.5 * (children[-2] + children[-1]))
+            _, s, vt = np.linalg.svd(np.sqrt(0.5) * children[:-2],
+                                     full_matrices=False)
             keep = s > MOMENT_RANK_TOL * s[:1]  # s[:1] is empty for an empty factor
             factors.append(s[keep, None] * vt[keep])
             tails.append(float(np.sum(s[~keep] ** 2)))

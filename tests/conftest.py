@@ -152,3 +152,20 @@ def z_martingale():
             out.append((z_next[1::2] - z_next[0::2]) / scale)
         return out
     return integrand
+
+
+@pytest.fixture(scope="session")
+def report_leaves():
+    """record -> its leaves as (path, value) pairs, depth first: a check
+    record or a report's details, walked through dicts and lists, with
+    paths such as `.curve[2].residual`."""
+    def leaves(record, path=""):
+        if isinstance(record, dict):
+            for key, value in record.items():
+                yield from leaves(value, f"{path}.{key}")
+        elif isinstance(record, list):
+            for i, value in enumerate(record):
+                yield from leaves(value, f"{path}[{i}]")
+        else:
+            yield path, record
+    return leaves

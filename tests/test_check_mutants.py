@@ -26,12 +26,12 @@ def _reversed_curve(monkeypatch):
 
 
 def _swapped_backward_factors(monkeypatch):
-    # the backward tree's step weighs the down child with the up factor and
-    # the up child with the down one; the dual flow reads the table through
-    # `forward`, and the Gramian recursion is symmetric in the two factors
-    table = ctl.step_factors
-    monkeypatch.setattr(ctl, "step_factors", lambda *args, **kwargs:
-                        table(*args, **kwargs)[:, ::-1])
+    # the backward tree's step weighs the down child with the up weight and
+    # the up child with the down one; the dual flow and the Gramian
+    # recursion read `step_factors`, not the child weights
+    weights = ctl._child_weights
+    monkeypatch.setattr(ctl, "_child_weights", lambda *args, **kwargs:
+                        weights(*args, **kwargs)[:, ::-1])
 
 
 def _negated_noise_increment(monkeypatch):

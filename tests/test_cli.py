@@ -1027,3 +1027,78 @@ def test_frequency_fails_a_kernel_that_is_not_caloric(monkeypatch,
     rec = next(r for r in cli.run_frequency(exp)[0]
                if r["name"] == "kernel_caloric_identity")
     assert not rec["pass"] and rec["lhs"] > 1e-3
+
+
+SURVEY_CONFIGS = {
+    "1d": "",
+    "mc-4096": "noise.mode = mc\nmc.paths = 4096\n",
+    "2d-15x15": "domain.extents = 0,1,0,1\ngrid.nodes = 15\n"
+                "geometry.x0 = 0.5,0.5\ngeometry.g0_center = 0.5,0.5\n",
+}
+
+
+def _survey_engine_gap(text, monkeypatch, report_leaves):
+    """Run simulate, frequency, ucp and observe on the closed forms and
+    again with `node_uniform` patched to False, on the nodal recursion,
+    physical paths and nodal moments: whether the verdicts and every
+    non-float leaf agree, and the largest relative gap of a float leaf of
+    the records, the details and the table columns."""
+    cfg = cfgmod.merge_config(cfgmod.parse_config(text))
+
+    def run():
+        exp = cli.Experiment(cfg)
+        schemes.append(exp.ensemble.provenance["scheme"])
+        return [cli.SUBCOMMANDS[name](exp)
+                for name in ("simulate", "frequency", "ucp", "observe")]
+
+    schemes = []
+    fast = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(forward.CoefficientField, "node_uniform",
+                      property(lambda self: False))
+        nodal = run()
+    assert schemes[0] != schemes[1], schemes
+    same, worst = True, 0.0
+    for (checks, extras, tables), (ref, ref_extras, ref_tables) in zip(
+            fast, nodal):
+        same &= [c["pass"] for c in checks] == [c["pass"] for c in ref]
+        for (_, value), (_, expected) in zip(report_leaves(checks + [extras]),
+                                             report_leaves(ref + [ref_extras])):
+            if not isinstance(value, float):
+                same &= value == expected
+            elif value != expected:
+                worst = max(worst, abs(value - expected)
+                            / max(abs(expected), 1e-300))
+        for name, table in tables.items():
+            for col, ref_col in zip(table["columns"],
+                                    ref_tables[name]["columns"]):
+                gap = np.abs(np.asarray(col) - ref_col)
+                worst = max(worst, float(np.max(
+                    gap / np.maximum(np.abs(ref_col), 1e-300))))
+    return same, worst
+
+
+@pytest.mark.parametrize("name", sorted(SURVEY_CONFIGS))
+def test_survey_closed_forms_match_the_nodal_engines(name, monkeypatch,
+                                                     report_leaves):
+    # the closed forms (exact and sampled step scalars, the factored
+    # moments) against the nodal engines that are exact for any
+    # coefficients: the same verdicts, every float within 1e-10 relative
+    same, worst = _survey_engine_gap(SURVEY_CONFIGS[name], monkeypatch,
+                                     report_leaves)
+    assert same and worst <= 1e-10, worst
+
+
+@pytest.mark.parametrize("name", ["1d", "2d-15x15"])
+def test_survey_engine_test_fails_a_halved_ito_term(name, monkeypatch,
+                                                    report_leaves):
+    # the closed-form moments with the Ito term at half size, c_j^2 =
+    # d_j^2 + dt b_j^2 / 2 (b / sqrt(2) in the factor scale; the mean scale
+    # does not read b), which `verify` passes
+    exact = forward._exact_scalars
+    monkeypatch.setattr(forward, "_exact_scalars", lambda coeffs, dt: exact(
+        forward.CoefficientField(coeffs.grid, coeffs.mesh, coeffs.a_stored,
+                                 coeffs.b_stored / np.sqrt(2.0)), dt))
+    same, worst = _survey_engine_gap(SURVEY_CONFIGS[name], monkeypatch,
+                                     report_leaves)
+    assert not same or worst > 1e-10, worst

@@ -371,6 +371,13 @@ def test_ramped_backward_transforms_back_only_the_levels_read(
         assert np.array_equal(level, expected[k])
     assert calls == [(2 ** k, grid.n_nodes) for k in range(1, mesh.steps)
                      for _ in range(2)]
+    # the h rows carry one unit path scalar, broadcast to every level, and
+    # give the root bit for bit what 2^k ones per level give
+    scalars, part = pair.z_levels._parts[0]
+    assert scalars.shape == (mesh.steps + 1, 1) and scalars.strides[0] == 0
+    pair.z_levels._parts[0] = (
+        [np.ones(2 ** k) for k in range(mesh.steps + 1)], part)
+    assert np.array_equal(pair.z_levels.level(0)[0], pair.z0)
 
 
 @pytest.mark.parametrize("kind", ["constant", "ramped"])
@@ -420,18 +427,8 @@ def test_closed_form_backward_matches_the_nodal_steps(
                     assert_rel_close(pair.z_levels[k], levels[k])
 
 
-def _report_leaves(record, path=""):
-    if isinstance(record, dict):
-        for key, value in record.items():
-            yield from _report_leaves(value, f"{path}.{key}")
-    elif isinstance(record, list):
-        for i, value in enumerate(record):
-            yield from _report_leaves(value, f"{path}[{i}]")
-    else:
-        yield path, record
-
-
-def test_run_control_closed_form_matches_the_nodal_path(monkeypatch):
+def test_run_control_closed_form_matches_the_nodal_path(monkeypatch,
+                                                        report_leaves):
     # the defaults on the closed form, and with `node_uniform` patched to
     # False on the physical-space steps: the same verdicts; round-off
     # measurements (records against MACHINE_TOL, the null control's z(0),
@@ -463,8 +460,8 @@ def test_run_control_closed_form_matches_the_nodal_path(monkeypatch):
     round_off = {"duality_identity_adjoint", "gramian_symmetry",
                  "gramian_matrix_matches_tree", "null_control_verified"}
     for rec, ref in zip(fast[0] + [fast[1]], nodal[0] + [nodal[1]]):
-        for (path, value), (_, expected) in zip(_report_leaves(rec),
-                                                _report_leaves(ref)):
+        for (path, value), (_, expected) in zip(report_leaves(rec),
+                                                report_leaves(ref)):
             if not isinstance(value, float):
                 assert value == expected, path
             if not isinstance(value, float) or path.endswith(
