@@ -13,10 +13,11 @@ Exit codes:
 
 0  all asserted checks pass;
 1  a check failed;
-2  the configuration cannot be run: an unreadable config file or any
-   package error (StochHeatError) raised before the report is written,
-   such as a moment or expectation that overflows, reported in one line
-   naming the error class;
+2  the configuration cannot be run: an unreadable config file, any
+   package error (StochHeatError), such as a moment or expectation that
+   overflows, or an array too large to allocate (MemoryError), raised
+   before the report is written and reported in one line naming the
+   error class;
 3  the report or its timing sidecar could not be written.
 """
 
@@ -412,13 +413,6 @@ def run_control(exp: Experiment):
     checks.append(check_record("duality_identity_adjoint",
                                dc["relative_residual"] <= MACHINE_TOL,
                                lhs=dc["relative_residual"], rhs=MACHINE_TOL))
-    pair_ind = ctl.solve_backward_tree(z_term, coeffs, mesh, grid, tree,
-                                       h=h_src, control=ctrl_u,
-                                       mode="independent")
-    dc_ind = ctl.duality_check(dual_v, pair_ind, h=h_src, control=ctrl_u)
-    extras["duality_independent_residual"] = dc_ind["relative_residual"]
-    # implicit solves per step of the independent mode (1: constant a_k)
-    extras["independent_solves"] = pair_ind.solves
     lam_v = gramian_of(replace(ctrl_u, levels=dual_v[:-1]))
     sym_gap = abs(float(v @ lam_u) - float(u @ lam_v)) \
         / max(abs(float(v @ lam_u)), 1e-300)
@@ -529,9 +523,11 @@ def main(argv=None) -> int:
         runner = run_verify if args.subcommand == "verify" else \
             SUBCOMMANDS[args.subcommand]
         checks, extras, tables = runner(exp)
-    except (StochHeatError, OSError) as exc:
-        print(f"configuration error: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
+    except (StochHeatError, OSError, MemoryError) as exc:
+        # numpy raises a MemoryError subclass of a private name
+        kind = "MemoryError" if isinstance(exc, MemoryError) \
+            else type(exc).__name__
+        print(f"configuration error: {kind}: {exc}", file=sys.stderr)
         return 2
     report = {"experiment": args.subcommand,
               "config_hash": cfgmod.config_hash(cfg),

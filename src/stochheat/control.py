@@ -14,7 +14,9 @@ engines read.  Two backward modes are available:
 * ``independent`` -- martingale-representation induction (conditional
   expectation + implicit solve), consistent with the equation to O(dt); its
   solve with the potential a_k is the shared sine-basis solver shifted by a
-  constant, iterated on the remainder (exact in one solve for constant a);
+  constant, iterated on the remainder (exact in one solve for constant a).
+  `stochheat control` runs only the adjoint mode, so this one is an API
+  capability;
 * ``adjoint`` -- the exact discrete adjoint of the dual forward scheme, which
   makes the duality pairing hold to machine precision and yields a clean
   symmetric positive semidefinite control Gramian.
@@ -36,12 +38,13 @@ terminal data), both syntheses and the observed-mass check read it.
 recursion (exact for the tree, without its 2^k levels); a run assembles it
 and eigendecomposes it (`gramian_spectrum`) once for both syntheses, giving
 null control as the minimum-norm least-squares solution and the approximate
-control's regularization sweep in closed form, with conjugate gradients on
-the matrix as a cross-check.  Adjoint mode makes z(0) = z_free(0) - G u
-exact, so the sweep reads its residual curve from G, and each synthesis
-verifies the one control it returns by one backward tree solve.  The
-spectrum decays exponentially: this is the ill-posedness of null control
-for the heat equation (Muench & Zuazua, Inverse Problems 2010).
+control's regularization sweep in closed form.  Conjugate gradients on the
+matrix run beside both: the null control reports their iterations, each
+sweep row their distance from the closed form.  Adjoint mode makes
+z(0) = z_free(0) - G u exact, so the sweep reads its residual curve from G,
+and each synthesis verifies the one control it returns by one backward tree
+solve.  The spectrum decays exponentially: this is the ill-posedness of null
+control for the heat equation (Muench & Zuazua, Inverse Problems 2010).
 """
 
 from __future__ import annotations
@@ -527,15 +530,14 @@ def synthesize_null_control(z_terminal: np.ndarray, z0_free: np.ndarray,
     eigenvalues at or below the spectrum's cutoff count as zero.  The
     control is the `dual_control` of u, so u (its level 0) determines it.
     Returns (ControlField, report); the report holds the independently
-    re-verified ||z(0)||, the spectrum and the CG cross-check (`cg`, with
-    `gap` its relative distance from u).  `cg.gap` is returned, not
-    written: a `control` report records only the CG iteration count.
+    re-verified ||z(0)||, the spectrum and `cg`, the record of conjugate
+    gradients on the same system, of which a `control` report writes the
+    iteration count.
     """
     gram, lam, vec, cutoff = spectrum
     keep = lam > cutoff
     u_star = vec[:, keep] @ ((vec[:, keep].T @ z0_free) / lam[keep])
-    u_cg, cg_info = conjugate_gradient(lambda p: gram @ p, z0_free, tol=1e-12)
-    cg_info["gap"] = _relative_gap(u_cg, u_star)
+    _, cg_info = conjugate_gradient(lambda p: gram @ p, z0_free, tol=1e-12)
     ctrl = dual_control(u_star, coeffs, ball, time_set, mesh, grid, tree)
     verified = solve_backward_tree(z_terminal, coeffs, mesh, grid, tree,
                                    control=ctrl)

@@ -63,18 +63,40 @@ def _solve_inverse_at_double_dt(monkeypatch):
     monkeypatch.setattr(ImplicitHeatSolver, "__init__", doubled)
 
 
+def _replaced_constants(monkeypatch, **fields):
+    # `compute_constants` returns its constants with `fields`, each a
+    # function of the correct constants, in place of the derived values
+    compute = ucpmod.compute_constants
+
+    def replaced(*args, **kwargs):
+        c = compute(*args, **kwargs)
+        return dataclasses.replace(c, **{key: f(c) for key, f in
+                                         fields.items()})
+
+    monkeypatch.setattr(ucpmod, "compute_constants", replaced)
+
+
 def _lambda_tilde_over_j(monkeypatch):
     # the constants carry lambda_tilde = r^2 / (16 J), the log-free J in
     # place of D (on the defaults the identity residual then reads 0.065
     # against its bound of 1e-10: D = 54.9, J = 4.93)
-    compute = ucpmod.compute_constants
+    _replaced_constants(monkeypatch, lambda_tilde=lambda c: c.r ** 2
+                        / (16.0 * c.big_j))
 
-    def swapped(*args, **kwargs):
-        constants = compute(*args, **kwargs)
-        return dataclasses.replace(constants, lambda_tilde=constants.r ** 2
-                                   / (16.0 * constants.big_j))
 
-    monkeypatch.setattr(ucpmod, "compute_constants", swapped)
+def _delta_bracket_at_t(monkeypatch):
+    # delta's bracket 8 m (T + 1) exp(T sup_b^2) carries T in place of
+    # T + 1 (on the defaults the identity residual then reads 1.96e-3)
+    _replaced_constants(monkeypatch, delta=lambda c: c.r ** 2 * c.horizon
+                        / (c.r ** 2 * c.horizon + 8.0 * c.m * c.horizon
+                           * np.exp(c.horizon * c.sup_b ** 2)))
+
+
+def _beta_over_d(monkeypatch):
+    # beta = 4 m T D / denominator, the D with the endpoint-ratio log in
+    # place of J (on the defaults the identity residual then reads 7.69)
+    _replaced_constants(monkeypatch, beta=lambda c: c.beta * c.big_d
+                        / c.big_j)
 
 
 def _scaled_dissipation(monkeypatch):
@@ -92,16 +114,17 @@ def _scaled_dissipation(monkeypatch):
     monkeypatch.setattr(cli, "kernel_traces", scaled)
 
 
-# check name as `verify` reports it -> the mutant that fails it
+# check name as `verify` reports it -> the mutants, each of which fails it
 MUTANTS = {
-    "control.regularization_curve_monotone": _reversed_curve,
-    "control.duality_identity_adjoint": _swapped_backward_factors,
-    "control.gramian_matrix_matches_tree": _backward_inverse_at_double_dt,
-    "control.gramian_symmetry": _backward_inverse_at_double_dt,
-    "control.null_control_verified": _swapped_backward_factors,
-    "frequency.energy_derivative_identity": _scaled_dissipation,
-    "simulate.transform_oracle_gap_bounded": _negated_noise_increment,
-    "ucp.constants_identities": _lambda_tilde_over_j,
+    "control.regularization_curve_monotone": (_reversed_curve,),
+    "control.duality_identity_adjoint": (_swapped_backward_factors,),
+    "control.gramian_matrix_matches_tree": (_backward_inverse_at_double_dt,),
+    "control.gramian_symmetry": (_backward_inverse_at_double_dt,),
+    "control.null_control_verified": (_swapped_backward_factors,),
+    "frequency.energy_derivative_identity": (_scaled_dissipation,),
+    "simulate.transform_oracle_gap_bounded": (_negated_noise_increment,),
+    "ucp.constants_identities": (_lambda_tilde_over_j, _delta_bracket_at_t,
+                                 _beta_over_d),
 }
 
 
@@ -114,8 +137,10 @@ def _record(name: str) -> dict:
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_check_fails_under_its_mutant(name, monkeypatch):
     assert _record(name)["pass"]
-    MUTANTS[name](monkeypatch)
-    assert not _record(name)["pass"]
+    for mutant in MUTANTS[name]:
+        with monkeypatch.context() as patch:
+            mutant(patch)
+            assert not _record(name)["pass"], mutant.__name__
 
 
 def test_gramian_matrix_check_fails_under_a_dropped_up_product(monkeypatch):

@@ -690,10 +690,11 @@ def test_cli_2d_frequency_at_31x31(tmp_path, capsys):
 
 
 def test_one_factorization_per_run(monkeypatch):
-    # every tree, dual, adjoint, independent and sampled solve of a run
-    # shares the one solver of I - dt Lap for its (grid, dt); the
-    # independent mode's potential, constant or not, is a shift of it
-    built, modes = [], []
+    # every tree, dual, adjoint and sampled solve of a run shares the one
+    # solver of I - dt Lap for its (grid, dt); the independent mode's
+    # potential, constant or not, is a shift of it, so its solve on the
+    # run's grid and tree builds none
+    built, calls = [], []
     init = forward.ImplicitHeatSolver.__init__
     backward = ctl.solve_backward_tree
 
@@ -702,7 +703,7 @@ def test_one_factorization_per_run(monkeypatch):
         init(self, grid, dt)
 
     def recording_backward(*args, **kwargs):
-        modes.append(kwargs.get("mode", "adjoint"))
+        calls.append(args)
         return backward(*args, **kwargs)
 
     monkeypatch.setattr(forward.ImplicitHeatSolver, "__init__", counting_init)
@@ -710,31 +711,34 @@ def test_one_factorization_per_run(monkeypatch):
     for kind in ("constant", "random"):
         exp = cli.Experiment(cfgmod.merge_config(
             cfgmod.parse_config(_fast_text(f"coeff.kind = {kind}\n"))))
-        _, extras, _ = cli.run_control(exp)
-        assert len(built) == 1 and "independent" in modes
-        solves = extras["independent_solves"]  # per step, depth 6
+        cli.run_control(exp)
+        assert len(built) == 1
+        z_term, coeffs, mesh, grid, tree = calls[-1][:5]
+        solves = backward(z_term, coeffs, mesh, grid, tree,
+                          mode="independent").solves  # per step, depth 6
+        assert len(built) == 1
         if kind == "constant":
             assert solves == [1] * 6
         else:
             assert min(solves) > 1
         built.clear()
-        modes.clear()
+        calls.clear()
     cli.run_simulate(exp)
     assert len(built) == 1
 
 
-def test_cli_independent_solve_without_convergence_exit_2(tmp_path, capsys):
-    # a random potential whose spread dt*|a - c| dwarfs the implicit step:
-    # the independent mode's iteration hits its cap, a configuration the
-    # lab cannot run, reported in one line
-    code = main(["control", "--config", _fast_config(
-        tmp_path, "coeff.kind = random\ncoeff.a_bound = 1000\n"),
-        "--out", str(tmp_path / "out")])
+def test_cli_memory_error_exit_2(tmp_path, capsys):
+    # 10^15 paths of 10 increments are 8e16 bytes, beyond a 47-bit address
+    # space: the allocation fails at once, reported in one line
+    path = tmp_path / "huge.cfg"
+    path.write_text("noise.mode = mc\nmc.paths = 1000000000000000\n")
+    code = main(["simulate", "--config", str(path),
+                 "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 2
-    assert "NumericalError" in err and "no convergence" in err
+    assert err.count("\n") == 1 and "MemoryError" in err
     assert "Traceback" not in err
-    assert not (tmp_path / "out" / "control.json").exists()
+    assert not (tmp_path / "out" / "simulate.json").exists()
 
 
 def test_simulate_reports_the_scheme_step_sizes(tmp_path, capsys):
@@ -1099,6 +1103,22 @@ def test_survey_engine_test_fails_a_halved_ito_term(name, monkeypatch,
     monkeypatch.setattr(forward, "_exact_scalars", lambda coeffs, dt: exact(
         forward.CoefficientField(coeffs.grid, coeffs.mesh, coeffs.a_stored,
                                  coeffs.b_stored / np.sqrt(2.0)), dt))
+    same, worst = _survey_engine_gap(SURVEY_CONFIGS[name], monkeypatch,
+                                     report_leaves)
+    assert not same or worst > 1e-10, worst
+
+
+@pytest.mark.parametrize("name", ["mc-4096"])
+def test_survey_engine_test_fails_unweighted_path_scalars(name, monkeypatch,
+                                                          report_leaves):
+    # the sampled closed form sums its path scalars at unit weight, not at
+    # weight 1/P, so its second moments are P times too large (the engine
+    # gap reads P - 1 = 4095), a fault under which `verify` keeps its
+    # verdicts
+    sampled = forward._sampled_scalars
+    monkeypatch.setattr(forward, "_sampled_scalars",
+                        lambda coeffs, dt, increments, weights: sampled(
+                            coeffs, dt, increments, np.ones_like(weights)))
     same, worst = _survey_engine_gap(SURVEY_CONFIGS[name], monkeypatch,
                                      report_leaves)
     assert not same or worst > 1e-10, worst

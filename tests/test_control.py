@@ -152,6 +152,21 @@ def test_backward_independent_random_potential_matches_splu(
     assert solve_backward_tree(z_t, const, mesh, grid, tree).solves is None
 
 
+def test_backward_independent_solve_without_convergence_raises():
+    # a random potential whose spread dt*|a - c| dwarfs the implicit step,
+    # on the default control grid and tree at depth 6: the independent
+    # mode's iteration hits its cap and raises, with no numpy warning
+    cfg = cfgmod.merge_config({})
+    grid = build_grid([(0.0, 1.0)], (cfg["control.nodes"],))
+    mesh = TimeMesh(horizon=cfg["control.horizon"], steps=6)
+    tree = build_tree(mesh)
+    coeffs = CoefficientField.random_bounded(grid, mesh, cfg["seed"], 1000.0,
+                                             cfg["coeff.b_bound"])
+    z_t = _rng(5).standard_normal((tree.n_leaves, grid.n_nodes))
+    with pytest.raises(NumericalError, match="no convergence"):
+        solve_backward_tree(z_t, coeffs, mesh, grid, tree, mode="independent")
+
+
 def test_backward_modes_agree_to_first_order(lab):
     grid, _, _, coeffs_coarse, _, _ = lab
     gaps = []
@@ -731,7 +746,7 @@ def test_one_dual_flow_per_datum_in_run_control(monkeypatch):
 
 
 def test_one_free_backward_solve_per_run_control(monkeypatch):
-    # four solves for the duality and Gramian checks, one free solve that
+    # three solves for the duality and Gramian checks, one free solve that
     # both syntheses share, and one verification per synthesis; only the
     # free solve has no control
     backward = control.solve_backward_tree
@@ -744,7 +759,7 @@ def test_one_free_backward_solve_per_run_control(monkeypatch):
 
         monkeypatch.setattr(control, "solve_backward_tree", counting)
         cli.run_control(cli.Experiment(cfgmod.merge_config(overrides)))
-        assert len(calls) == 4 + 2 + 1 == 7, overrides
+        assert len(calls) == 3 + 2 + 1 == 6, overrides
         assert sum(c is None for c in calls) == 1
 
 
