@@ -408,7 +408,7 @@ def run_control(exp: Experiment):
 
     lam_u = gramian_of(ctrl_u)
     pair = ctl.solve_backward_tree(z_term, coeffs, mesh, grid, tree, h=h_src,
-                                   control=ctrl_u, mode="adjoint")
+                                   control=ctrl_u)
     dc = ctl.duality_check(dual_v, pair, h=h_src, control=ctrl_u)
     checks.append(check_record("duality_identity_adjoint",
                                dc["relative_residual"] <= MACHINE_TOL,

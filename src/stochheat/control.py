@@ -21,15 +21,14 @@ engines read.  Two backward modes are available:
   makes the duality pairing hold to machine precision and yields a clean
   symmetric positive semidefinite control Gramian.
 
-Coefficients uniform over the nodes make the table one column and the
-potential a scalar, which commute with M^-1 = S diag(1/(1 - dt*lam)) S, so
-the dual flow stays factored (path scalars and one orbit), both backward
-modes are elementwise on sine coefficients, z(0) is one contraction of the
-leaves plus one scalar recursion per source (h one row for every node, a
-factored control), and the duality checks read every level, factored or
-formed, as one (path scalars, rows) pair: a run forms no 2^k-row level.
-Nodal coefficients, h per level and controls on formed levels step in
-physical space.
+Coefficients uniform over the nodes make the table one column, which
+commutes with M^-1 = S diag(1/(1 - dt*lam)) S: the dual flow stays factored
+(path scalars and one orbit), the adjoint backward step is elementwise on
+sine coefficients, z(0) is one contraction of the leaves plus one scalar
+recursion per source (h one row for every node, a factored control), and
+the duality checks read every level as one (path scalars, rows) pair: a
+run forms no 2^k-row level.  Independent mode, nodal coefficients, h per
+level and controls on formed levels step in physical space.
 
 The control of a dual datum is `dual_control`, its dual flow observed on
 G0 x E1; the Gramian apply (-z(0) of the adjoint solve it drives from zero
@@ -105,8 +104,8 @@ def control_level_weights(time_set: MeasurableTimeSet, mesh: TimeMesh) -> np.nda
 class BackwardPair:
     """z on tree history nodes per level (arrays of shape (2^k, n_nodes)),
     and `solves`, the implicit solves per step of independent mode (None in
-    adjoint mode).  Coefficients uniform over the nodes form a level between
-    the root and the terminal one only when it is read."""
+    adjoint mode).  Adjoint mode on node-uniform coefficients forms a level
+    between the root and the terminal one only when it is read."""
 
     z_levels: Sequence = field(repr=False)
     mesh: TimeMesh
@@ -191,14 +190,14 @@ def solve_backward_tree(z_terminal: np.ndarray, coeffs: CoefficientField,
     I - dt*Lap_h + dt*diag(a_k) (`_potential_solve`).  Both engines below
     weigh the two children of a node by the mode's `_child_weights`.
 
-    Coefficients uniform over the nodes make the step factors and the
-    potential scalars, so with the sources a run builds (no h or one row h
+    In adjoint mode, coefficients uniform over the nodes make the step
+    factors scalars, so with the sources a run builds (no h or one row h
     for every node, and no control or one on `FactoredLevels`) the
     recursion is elementwise on sine coefficients and z(0) comes by
-    linearity (`_FactoredBackward`); other inputs, h per level or a control
-    on formed levels, step in physical space (`_nodal_backward`, exact for
-    any coefficients).  The level `steps` of `z_levels` is `z_terminal`
-    itself.
+    linearity (`_FactoredBackward`); independent mode and other inputs,
+    h per level or a control on formed levels, step in physical space
+    (`_nodal_backward`, exact for any coefficients).  The level `steps` of
+    `z_levels` is `z_terminal` itself.
     """
     if mode not in ("adjoint", "independent"):
         raise ConfigurationError(f"unknown backward mode '{mode}'")
@@ -209,13 +208,12 @@ def solve_backward_tree(z_terminal: np.ndarray, coeffs: CoefficientField,
     if z.shape != (tree.n_leaves, n):
         raise ShapeError(f"terminal data shape {z.shape}, "
                          f"expected ({tree.n_leaves}, {n})")
-    args = (z, coeffs, mesh, implicit_solver(grid, mesh.dt), h, control, mode)
-    if coeffs.node_uniform and not isinstance(h, (list, tuple)) and (
-            control is None or isinstance(control.levels, FactoredLevels)):
-        z_levels = _FactoredBackward(*args)
-        solves = z_levels.solves
-    else:
-        z_levels, solves = _nodal_backward(*args)
+    args = (z, coeffs, mesh, implicit_solver(grid, mesh.dt), h, control)
+    if mode == "adjoint" and coeffs.node_uniform \
+            and not isinstance(h, (list, tuple)) and (
+                control is None or isinstance(control.levels, FactoredLevels)):
+        return BackwardPair(_FactoredBackward(*args), mesh, grid)
+    z_levels, solves = _nodal_backward(*args, mode)
     return BackwardPair(z_levels=z_levels, mesh=mesh, grid=grid, solves=solves)
 
 
@@ -260,33 +258,24 @@ def _nodal_backward(z, coeffs, mesh, solver, h, control, mode):
 
 
 class _FactoredBackward(Sequence):
-    """`z_levels` of `solve_backward_tree` for coefficients uniform over the
-    nodes, with no h or one row h for every node and no control or one on
-    `FactoredLevels`.  On sine coefficients a step is elementwise and
-    linear, z_hat_k = alpha_k (p_k z_hat_{k+1}[0::2] + q_k
-    z_hat_{k+1}[1::2]) - beta_k S(source_k), with (p, q) the mode's
-    `_child_weights`: alpha = 1 / `diagonal` and beta = 1 in adjoint mode,
-    alpha = beta = 1 / (`diagonal` + dt*a_k) in independent mode, one solve
-    per step.  Each source has rows s_k x v_k (path scalars s_k all 1 for
-    h, with step factors f = 1; the control's with its own step factors f)
-    and adds s_k x B_k to level k, B_steps = 0 and B_k = alpha_k c_k
-    B_{k+1} - beta_k S(v_k), c_k = p_k f_k^down + q_k f_k^up.  The
-    terminal rows enter level j through the leaf weights, the
-    `tree_products` of (p, q) below each of its nodes.  The root is solved
-    with the pair; a level between it and the terminal data is formed when
-    read."""
+    """`z_levels` of the adjoint `solve_backward_tree` for coefficients
+    uniform over the nodes, with no h or one row h for every node and no
+    control or one on `FactoredLevels`.  On sine coefficients a step is
+    elementwise and linear, z_hat_k = iota (p_k z_hat_{k+1}[0::2] + q_k
+    z_hat_{k+1}[1::2]) - S(source_k), iota = 1 / `diagonal` and (p, q) the
+    adjoint `_child_weights`.  A source of rows s_k x v_k (path scalars s_k
+    all 1 for h, with step factors f = 1; the control's with its own f)
+    adds s_k x B_k to level k, B_steps = 0 and B_k = iota c_k B_{k+1} -
+    S(v_k), c_k = p_k f_k^down + q_k f_k^up.  The terminal rows enter level
+    j through the leaf weights, the `tree_products` of (p, q) below each of
+    its nodes, times iota once per step.  The root is solved with the pair,
+    the levels between it and the terminal data when read."""
 
-    def __init__(self, z, coeffs, mesh, solver, h, control, mode):
+    def __init__(self, z, coeffs, mesh, solver, h, control):
         dt, steps, n = mesh.dt, mesh.steps, z.shape[1]
         self._terminal, self._solver = z, solver
-        self._weights = _child_weights(coeffs, dt, mode)[..., 0]
-        if mode == "adjoint":
-            self._alpha = np.broadcast_to(1.0 / solver.diagonal, (steps, n))
-            beta, self.solves = np.ones((steps, 1)), None
-        else:
-            self._alpha = np.broadcast_to(
-                1.0 / (solver.diagonal + dt * coeffs.a_stored), (steps, n))
-            beta, self.solves = self._alpha, [1] * steps
+        self._weights = _child_weights(coeffs, dt, "adjoint")[..., 0]
+        self._iota = 1.0 / solver.diagonal
         parts = [] if h is None else [  # path scalars all 1, one per level
             (np.broadcast_to(np.ones(1), (steps + 1, 1)), np.ones((steps, 2)),
              np.array([dt * _level_rows(h, k, n) for k in range(steps)]))]
@@ -301,8 +290,7 @@ class _FactoredBackward(Sequence):
             c, v_hat = np.sum(self._weights * factors, axis=1), solver.sine(v)
             part = np.zeros((steps + 1, n))
             for k in range(steps - 1, -1, -1):
-                part[k] = self._alpha[k] * (c[k] * part[k + 1]) \
-                    - beta[k] * v_hat[k]
+                part[k] = self._iota * (c[k] * part[k + 1]) - v_hat[k]
             self._parts.append((scalars, part))
         self._root = self.level(0)
 
@@ -325,8 +313,8 @@ class _FactoredBackward(Sequence):
         omega = tree_products(self._weights[j:])[-1]
         z_hat = self._solver.sine(
             omega @ self._terminal.reshape(2 ** j, -1, n))
-        for k in range(steps - 1, j - 1, -1):
-            z_hat = self._alpha[k] * z_hat
+        for _ in range(steps - j):  # not iota ** (steps - j): z(0) would move
+            z_hat = self._iota * z_hat
         for scalars, part in self._parts:
             z_hat += np.multiply.outer(scalars[j], part[j])
         return self._solver.sine(z_hat)
@@ -479,7 +467,10 @@ def conjugate_gradient(matvec, rhs: np.ndarray, tol: float = 1e-10,
 
     Tracks the CG energy functional phi(x) = x.(A x)/2 - rhs.x, which is
     strictly nonincreasing along iterations (unlike the 2-norm residual); its
-    values are recorded in `energies`, not asserted.
+    values are recorded in `energies`, not asserted.  A direction p with
+    p.Ap <= 0 within n*eps*q*||p||^2 of zero, q the Rayleigh quotient of
+    rhs, is a null direction of a semidefinite operator: CG stops there,
+    unconverged.  A more negative curvature raises NumericalError.
     """
     x = np.zeros_like(rhs)
     r = rhs.copy()
@@ -496,7 +487,11 @@ def conjugate_gradient(matvec, rhs: np.ndarray, tol: float = 1e-10,
     while not converged and it < len(rhs):
         ap = matvec(p) + eps_reg * p
         denom = float(p @ ap)
+        if it == 0:  # p = rhs
+            quotient = denom / rs
         if denom <= 0.0:
+            if -denom <= len(rhs) * np.finfo(float).eps * quotient * (p @ p):
+                break  # a null direction of a semidefinite operator
             raise NumericalError(
                 "conjugate gradients met a nonpositive curvature direction; "
                 "the Gramian is not positive at this resolution")

@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 DEFAULT_TREE_CAP = 16
+INCREMENT_BYTES_CAP = 2**30  # of a sampled ensemble's (paths, steps) table
 
 
 @dataclass(frozen=True)
@@ -105,9 +106,12 @@ class PathEnsemble:
 
 
 def sample_ensemble(mesh: TimeMesh, n_paths: int, seed: int) -> PathEnsemble:
-    """Draw `n_paths` Gaussian N(0, dt) increment paths."""
+    """Draw `n_paths` N(0, dt) increment paths, refused above the byte cap."""
     if n_paths < 1:
         raise ConfigurationError("need at least one path")
+    if n_paths * mesh.steps * 8 > INCREMENT_BYTES_CAP:
+        raise ResourceError(f"mc.paths = {n_paths} of {mesh.steps} steps "
+                            f"exceeds {INCREMENT_BYTES_CAP} increment bytes")
     inc = _philox_increments(seed, range(n_paths), mesh)
     inc.flags.writeable = False
     return PathEnsemble(mesh=mesh, seed=seed, increments=inc)

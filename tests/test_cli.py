@@ -728,17 +728,40 @@ def test_one_factorization_per_run(monkeypatch):
 
 
 def test_cli_memory_error_exit_2(tmp_path, capsys):
-    # 10^15 paths of 10 increments are 8e16 bytes, beyond a 47-bit address
-    # space: the allocation fails at once, reported in one line
-    path = tmp_path / "huge.cfg"
-    path.write_text("noise.mode = mc\nmc.paths = 1000000000000000\n")
-    code = main(["simulate", "--config", str(path),
+    # 10^15 paths of 10 increments are 8e16 bytes: the increment cap
+    # refuses them before any allocation.  A 10^15-node 1-D grid is beyond
+    # a 47-bit address space: its allocation fails at once.  Each is
+    # reported in one line
+    cases = [("noise.mode = mc\nmc.paths = 1000000000000000\n",
+              "ResourceError: mc.paths"),
+             ("grid.nodes = 1000000000000000\n", "MemoryError")]
+    for text, kind in cases:
+        path = tmp_path / "huge.cfg"
+        path.write_text(text)
+        code = main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and kind in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "simulate.json").exists()
+
+
+def test_cli_control_on_a_semidefinite_gramian_exit_1(tmp_path, capsys):
+    # at 3 control nodes the Gramian is positive semidefinite up to
+    # round-off (lambda_min -2.4e-19 against lambda_max 2.2e-2): the null
+    # control's CG meets a null direction and stops, the closed form still
+    # drives z(0) below 1e-6, and the run reports, exiting 1
+    path = tmp_path / "small.cfg"
+    path.write_text("control.nodes = 3\n")
+    code = main(["control", "--config", str(path),
                  "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.count("\n") == 1 and "MemoryError" in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "out" / "simulate.json").exists()
+    assert capsys.readouterr().err == ""
+    assert code == 1
+    report = json.load(open(tmp_path / "out" / "control.json"))
+    null = next(rec for rec in report["checks"]
+                if rec["name"] == "null_control_verified")
+    assert null["pass"]
 
 
 def test_simulate_reports_the_scheme_step_sizes(tmp_path, capsys):
@@ -1039,6 +1062,28 @@ SURVEY_CONFIGS = {
     "2d-15x15": "domain.extents = 0,1,0,1\ngrid.nodes = 15\n"
                 "geometry.x0 = 0.5,0.5\ngeometry.g0_center = 0.5,0.5\n",
 }
+
+
+@pytest.mark.parametrize("text, values, ref", [
+    (SURVEY_CONFIGS["1d"], (0.0, 0.8), 1.5),
+    (SURVEY_CONFIGS["2d-15x15"], (0.4,), 0.8),
+    (SURVEY_CONFIGS["2d-15x15"] + "noise.mode = mc\nmc.paths = 256\n",
+     (0.4,), 1.2),
+], ids=["1d", "2d-15x15", "2d-mc-256"])
+def test_frequency_function_does_not_depend_on_b(text, values, ref):
+    # node-uniform coefficients: y is a path scalar times one deterministic
+    # flow, so E[s^2] cancels from N = D/H while H moves with b
+    def h_and_n(b):
+        text_b = f"{text}coeff.b = {b}\n"
+        exp = cli.Experiment(cfgmod.merge_config(cfgmod.parse_config(text_b)))
+        _, h, _, n = cli.run_frequency(exp)[2]["hdn"]["columns"]
+        return np.asarray(h), np.asarray(n)
+
+    h_ref, n_ref = h_and_n(ref)
+    for b in values:
+        h, n = h_and_n(b)
+        assert np.max(np.abs(n - n_ref) / np.abs(n_ref)) <= 1e-13, b
+        assert np.max(np.abs(h - h_ref) / np.abs(h_ref)) > 1e-3, b
 
 
 def _survey_engine_gap(text, monkeypatch, report_leaves):

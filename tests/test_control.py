@@ -405,8 +405,10 @@ def test_closed_form_backward_matches_the_nodal_steps(
     # node-uniform inputs: the factored dual flow against `tree_step` level
     # by level, and the closed-form root and every lazily formed level
     # against `_nodal_backward`, which steps the same inputs in physical
-    # space, in both modes, with h as one row and per level (which steps
-    # in physical space on both sides), with and without a control
+    # space, in adjoint mode, with h as one row and per level (which steps
+    # in physical space on both sides), with and without a control;
+    # independent mode steps in physical space, its constant potential in
+    # one solve per step
     grid = build_grid(extents, shape)
     mesh = TimeMesh(horizon=0.5, steps=5)
     tree, n, steps = build_tree(mesh), grid.n_nodes, mesh.steps
@@ -430,16 +432,20 @@ def test_closed_form_backward_matches_the_nodal_steps(
     z_t = rng.standard_normal((tree.n_leaves, n))
     sources = (None, rng.standard_normal(n),
                [rng.standard_normal((2 ** k, n)) for k in range(steps)])
-    for mode in ("adjoint", "independent"):
-        for h in sources:
-            for c in (None, ctrl):
-                pair = solve_backward_tree(z_t, coeffs, mesh, grid, tree,
-                                           h=h, control=c, mode=mode)
-                levels, solves = control._nodal_backward(
-                    z_t, coeffs, mesh, solver, h, c, mode)
-                assert pair.solves == solves
-                for k in range(steps + 1):
-                    assert_rel_close(pair.z_levels[k], levels[k])
+    for h in sources:
+        for c in (None, ctrl):
+            pair = solve_backward_tree(z_t, coeffs, mesh, grid, tree, h=h,
+                                       control=c)
+            levels, solves = control._nodal_backward(z_t, coeffs, mesh,
+                                                     solver, h, c, "adjoint")
+            assert pair.solves is None and solves is None
+            for k in range(steps + 1):
+                assert_rel_close(pair.z_levels[k], levels[k])
+            independent = solve_backward_tree(z_t, coeffs, mesh, grid, tree,
+                                              h=h, control=c,
+                                              mode="independent")
+            assert isinstance(independent.z_levels, list)
+            assert independent.solves == [1] * steps
 
 
 def test_run_control_closed_form_matches_the_nodal_path(monkeypatch,
@@ -534,9 +540,10 @@ def test_ramped_gramian_apply_matches_matrix(ramped):
 
 
 def test_tree_recursions_solve_only_for_nodal_coefficients(lab, monkeypatch):
-    # node-uniform coefficients: the dual flow is one orbit and the backward
-    # steps are elementwise, so no implicit solve runs per tree level;
-    # space-varying ones solve at every level
+    # node-uniform coefficients: the dual flow is one orbit and the adjoint
+    # steps are elementwise, so no implicit solve runs per tree level, and
+    # independent mode solves its constant potential in one shifted solve
+    # per step; space-varying ones solve at every level
     grid, mesh, tree, coeffs, ball, time_set = lab
     calls = []
     solve = ImplicitHeatSolver.solve
@@ -558,7 +565,7 @@ def test_tree_recursions_solve_only_for_nodal_coefficients(lab, monkeypatch):
         counts.append(len(calls))
     # the nodal dual flow and adjoint solve once per step, and the
     # independent mode at least once
-    assert counts == [0, counts[1]] and counts[1] >= 3 * mesh.steps
+    assert counts == [mesh.steps, counts[1]] and counts[1] >= 3 * mesh.steps
 
 
 def test_closed_form_control_on_seeds_that_hit_the_cg_cap():
@@ -618,6 +625,15 @@ def test_conjugate_gradient_flags_indefinite():
     a = np.diag([1.0, -1.0])
     with pytest.raises(NumericalError):
         conjugate_gradient(lambda v: a @ v, np.array([0.3, 1.0]), tol=1e-14)
+
+
+def test_conjugate_gradient_stops_on_a_null_direction():
+    # a semidefinite operator: the second direction p = (0, 2) has p.Ap = 0,
+    # a null direction, so CG stops there unconverged instead of raising
+    a = np.diag([1.0, 0.0])
+    _, info = conjugate_gradient(lambda v: a @ v, np.array([1.0, 1.0]),
+                                 tol=1e-12)
+    assert info["iterations"] == 1 and not info["converged"]
 
 
 def test_null_control(lab):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stochheat import (ConfigurationError, ResourceError, TimeMesh,
-                       build_tree, path_increments, sample_ensemble)
+                       build_tree, noise, path_increments, sample_ensemble)
 from stochheat.forward import tree_moves
 
 
@@ -74,3 +74,20 @@ def test_sample_ensemble_statistics():
     assert not ens.increments.flags.writeable
     with pytest.raises(ConfigurationError):
         sample_ensemble(mesh, 0, seed=1)
+
+
+def test_sample_ensemble_refuses_an_increment_table_above_the_cap(
+        monkeypatch):
+    # 1000 paths of 10 steps are 80000 bytes: above a 1 KiB cap the request
+    # is refused, naming the key, before a generator or a row is made; 12
+    # paths (960 bytes) stay within it
+    mesh = TimeMesh(horizon=1.0, steps=10)
+    monkeypatch.setattr(noise, "INCREMENT_BYTES_CAP", 1024)
+    assert sample_ensemble(mesh, 12, seed=1).increments.shape == (12, 10)
+
+    def refused(*args):
+        raise AssertionError("increments drawn above the cap")
+
+    monkeypatch.setattr(noise, "_philox_increments", refused)
+    with pytest.raises(ResourceError, match="mc.paths = 1000"):
+        sample_ensemble(mesh, 1000, seed=1)
