@@ -156,9 +156,8 @@ def solve_dual_forward(y0_hat: np.ndarray, coeffs: CoefficientField,
     y0 = np.asarray(y0_hat, dtype=float)
     table = step_factors(coeffs, mesh.dt, tree_moves(mesh.dt), sign=-1.0)
     if coeffs.node_uniform:
-        orbit = solver.solve_powers(y0, mesh.steps)
-        orbit.flags.writeable = False
-        return FactoredLevels(table[..., 0], orbit)
+        return FactoredLevels(table[..., 0],
+                              solver.solve_powers(y0, mesh.steps))
     levels = [y0[None, :].copy()]
     for factors in table:
         levels.append(tree_step(levels[-1], *factors, solver))
@@ -564,15 +563,17 @@ def synthesize_approx_control(z_terminal: np.ndarray, z0_free: np.ndarray,
     N_SWEEP log-spaced regularizations (1e0 down to the 1e-12 floor),
     stopping once the target accuracy is met.  Adjoint mode makes
     z(0) = z_free(0) - Gramian(u) exact, so each row's residual is the
-    Gramian's prediction ||z_free(0) - z0_target - Gramian u||, one matvec;
-    the residual curve is monotone nonincreasing.  Only the row of the
-    smallest predicted residual is verified: one backward tree solve driven
-    by the `dual_control` of its u measures `achieved_residual`, and
-    `gramian_gap` is its relative distance from the prediction, so a goal
-    met by the prediction alone is no success.  Each curve row records the
-    CG cross-check on the same system: its iterations, whether it converged
-    within the iteration cap (`cg_converged`) and its relative distance
-    from u (`cg_gap`).
+    Gramian's prediction ||rhs - Gramian u|| = ||coef * eps_reg /
+    (lambda + eps_reg)||, coef = V^T rhs, read in the eigenbasis with the
+    round-off negative eigenvalues at 0: each term, and so the residual
+    curve, is nonincreasing as eps_reg falls.  Only the last row, of the
+    smallest predicted residual, is verified: one backward tree solve
+    driven by the `dual_control` of its u measures `achieved_residual`, and
+    `gramian_gap` is its relative distance from ||rhs - Gramian u||, one
+    matvec, so a goal met by the prediction alone is no success.  Each
+    curve row records the CG cross-check on the same system: its
+    iterations, whether it converged within the iteration cap
+    (`cg_converged`) and its relative distance from u (`cg_gap`).
     """
     rhs = z0_free - np.asarray(z0_target, dtype=float)
     w = grid.quad_weight
@@ -582,22 +583,20 @@ def synthesize_approx_control(z_terminal: np.ndarray, z0_free: np.ndarray,
     coef = vec.T @ rhs
 
     curve = []
-    best = None
     for eps_reg in np.logspace(0.0, np.log10(EPS_REG_FLOOR), N_SWEEP):
         u = vec @ (coef / (lam + eps_reg))
         u_cg, cg_info = conjugate_gradient(lambda p: gram @ p, rhs, tol=1e-13,
                                            eps_reg=float(eps_reg))
-        miss = rhs - gram @ u
+        miss = coef * eps_reg / (np.maximum(lam, 0.0) + eps_reg)
         predicted = np.sqrt(w * float(miss @ miss))
         curve.append({"eps_reg": float(eps_reg), "residual": float(predicted),
                       "cg_iterations": cg_info["iterations"],
                       "cg_converged": cg_info["converged"],
                       "cg_gap": _relative_gap(u_cg, u)})
-        if best is None or predicted <= best[0]:
-            best = (predicted, u)
         if predicted <= goal:
             break
-    predicted, u = best
+    miss = rhs - gram @ u
+    predicted = np.sqrt(w * float(miss @ miss))
     ctrl = dual_control(u, coeffs, ball, time_set, mesh, grid, tree)
     z0 = solve_backward_tree(z_terminal, coeffs, mesh, grid, tree,
                              control=ctrl).z0

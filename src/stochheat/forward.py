@@ -15,22 +15,28 @@ A forward solve returns an `Ensemble`, weighted rows per time node, shape
 (steps+1, r, n): sampled paths or the 2^d tree leaves of `solve_forward`,
 the tests' brute-force reference, or the thin factors Z of E[y y^T] = Z^T Z
 of `solve_forward_moments`, the exact tree expectations.  Node-uniform
-coefficients make every path a path scalar times the orbit M^{-k} y0 of
-`ImplicitHeatSolver.solve_powers`: the moments are one rank-one row per
-time node, from the tree means of the table's (down, up) scalars or from
-the sampled path scalars (`solve_sampled_moments`, which also give
-`exp_transform_oracle` its paths); otherwise the moment recursion is a
-`tree_step` and a thin SVD per step, and mc mode solves every path.  The
-dual and adjoint solves of `control` run on history levels (`tree_step`,
-factored as `FactoredLevels` for node-uniform coefficients) and on sine
-coefficients.  `energy_trace` reads the energy, or the mass on a node
-mask, per time node (`moment_trace` from one `nodal_moment` pass);
-`Ensemble.values` is a writable view of the rows by path, except the
-sampled closed form's, its paths, read-only.
+coefficients make every path a path scalar times the orbit M^{-k} y0: the
+moments are one rank-one row per time node, from the tree means of the
+table's (down, up) scalars or from the sampled path scalars
+(`solve_sampled_moments`, which also give `exp_transform_oracle` its
+paths), and `OrbitRows` hold them in spectral form, y0, its sine
+coefficients and a scale per time node, forming the rows of a span of time
+nodes when indexed (`ImplicitHeatSolver.solve_powers` forms every one), so
+a `nodal_moment` pass holds one tile of rows at a time; otherwise the
+moment recursion is a `tree_step` and a thin SVD per step, and mc mode
+solves every path.  The dual and adjoint solves of `control` run on
+history levels (`tree_step`, factored as `FactoredLevels` for node-uniform
+coefficients) and on sine coefficients.  `energy_trace` reads the energy,
+or the mass on a node mask, per time node (`moment_trace` from one
+`nodal_moment` pass); `Ensemble.values` is a writable view of the rows by
+path (`OrbitRows` are formed on its first read and kept), except the
+sampled closed form's, its paths, formed on each read and read-only, as
+are the closed forms' `means`.
 """
 
 from __future__ import annotations
 
+import copy
 import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -49,6 +55,7 @@ __all__ = [
     "SecondMomentEnsemble",
     "SampledMomentEnsemble",
     "ImplicitHeatSolver",
+    "OrbitRows",
     "implicit_solver",
     "step_factors",
     "tree_products",
@@ -73,8 +80,8 @@ MOMENT_RANK_TOL = 1e-9
 LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 # bytes of the row blocks on which nodal_moment evaluates its integrand (a
 # pass stacks up to five outputs per block, and four at 256 KB blocks raised
-# the peak memory of a 1-D survey by about 2 MB) and solve_powers transforms
-# its orbit back
+# the peak memory of a 1-D survey by about 2 MB) and OrbitRows transform
+# their rows back: a closed-form pass forms one such block of rows at a time
 MOMENT_BLOCK_BYTES = 1 << 17
 
 
@@ -127,32 +134,107 @@ class ImplicitHeatSolver:
 
     def solve_powers(self, rhs: np.ndarray, steps: int) -> np.ndarray:
         """M^{-k} rhs for k = 0..steps, shape (steps+1, n), M = I - dt*Lap_h:
-        one forward sine transform of rhs, the powers of the inverse
-        diagonal, and the back-transform in row blocks.  Row 0 is rhs
-        itself."""
-        rhs = np.asarray(rhs, dtype=float)
-        out = np.empty((steps + 1, rhs.size))
-        out[0] = rhs
-        # the spectral coefficients inverse^k * c, c = S rhs, fill rows 1..
-        # first; those below the smallest normal float (k > last) are set to
-        # 0, not taken: subnormal arithmetic is slow and adds nothing
-        spectral = out[1:]
-        k = np.arange(1, steps + 1)[:, None]
-        c = self.sine(rhs)
-        log_c = np.log(np.abs(c), out=np.full(c.shape, np.inf), where=c != 0.0)
-        last = (np.log(np.finfo(float).tiny) - log_c) / np.log(self._inverse)
-        low = int(min(steps, max(0.0, last.min())))  # rows that keep all
-        np.power(self._inverse, k[:low], out=spectral[:low])
-        spectral[low:] = 0.0
-        np.power(self._inverse, k[low:], out=spectral[low:],
-                 where=k[low:] <= last)
-        spectral *= c
+        the unscaled `OrbitRows` of rhs formed in one span, read-only.  Row
+        0 is rhs itself."""
+        return OrbitRows(self, rhs, steps)[:, 0]
+
+
+class OrbitRows:
+    """The rows scale[k] * M^{-k} y0 of the time nodes k = 0..steps, M =
+    I - dt*Lap_h, an array-like of shape (steps+1, 1, n) held in spectral
+    form: y0, its sine coefficients c = S y0 and the scale per time node
+    (None for the bare orbit).  Indexing forms the rows of the indexed time
+    nodes as a read-only array: row 0 is y0 itself and row k the
+    back-transform of inverse^k * c, in row blocks of MOMENT_BLOCK_BYTES,
+    times scale[k]; iteration forms them a block at a time.  A coefficient
+    that would fall below the smallest normal float (k > last) is set to 0
+    without taking the power: subnormal arithmetic is slow and adds
+    nothing.  With `log`, the log of a bound on the scale per time node, a
+    formed time node overflows when log, or its sum with the log of
+    max|M^{-k} y0|, exceeds the log of the largest float; NumericalError
+    names the first of the span, and no overflow warning is raised."""
+
+    def __init__(self, solver: ImplicitHeatSolver, y0: np.ndarray, steps: int,
+                 scale: np.ndarray | None = None, log: np.ndarray | None = None):
+        self.solver, self.y0 = solver, np.asarray(y0, dtype=float)
+        self.scale, self.log = scale, log
+        self.shape = (steps + 1, 1, self.y0.size)
+        self.coef = solver.sine(self.y0)
+        log_c = np.log(np.abs(self.coef), out=np.full(self.coef.shape, np.inf),
+                       where=self.coef != 0.0)
+        self.last = (np.log(np.finfo(float).tiny) - log_c) \
+            / np.log(solver._inverse)
+        # M^{-1} is a contraction in the 2-norm, so |M^{-k} y0| <= ||y0|| <=
+        # sqrt(n) max|y0|: the time nodes before `checked` cannot overflow,
+        # and only the others are checked as they are formed
+        self.checked = self.shape[0]
+        if log is not None:
+            with np.errstate(all="ignore"):
+                over = ~(log + np.log(np.max(np.abs(self.y0)))
+                         + 0.5 * np.log(self.y0.size) <= LOG_FLOAT_MAX)
+            if over.any():
+                self.checked = int(np.argmax(over))
+
+    def rescaled(self, scale: np.ndarray | None) -> "OrbitRows":
+        """The same orbit under the scale `scale` per time node (None for
+        the bare orbit)."""
+        out = copy.copy(self)
+        out.scale = scale
+        return out
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __iter__(self):
+        block = _block_rows(self.shape[2])
+        for t in range(0, len(self), block):
+            yield from self[t:t + block]
+
+    def __getitem__(self, key):
+        key = key if isinstance(key, tuple) else (key,)
+        nodes = range(len(self))[key[0]]  # IndexError past the end
+        if isinstance(nodes, int):
+            return self._form(nodes, nodes + 1)[key[1:]]
+        # a slice: the span from its lowest to its highest time node, read
+        # with the slice's step
+        lo, hi = (min(nodes[0], nodes[-1]), max(nodes[0], nodes[-1]) + 1) \
+            if nodes else (0, 0)
+        rows = self._form(lo, hi)[nodes.start - lo::nodes.step, None]
+        return rows[(slice(None),) + key[1:]]
+
+    def _form(self, start: int, stop: int) -> np.ndarray:
+        """The rows of time nodes start..stop-1, shape (stop-start, n)."""
+        solver = self.solver
+        k = np.arange(start, stop)[:, None]
+        rows = np.zeros((len(k), self.shape[2]))
+        np.power(solver._inverse, k, out=rows, where=k <= self.last)
+        rows *= self.coef
         # in row blocks: the transform's temporaries stay small, where two
         # fresh (steps, n) arrays cost more in page faults than the products
-        block = max(1, MOMENT_BLOCK_BYTES // (8 * rhs.size))
-        for b in range(1, steps + 1, block):
-            out[b:b + block] = self.sine(out[b:b + block])
-        return out
+        block = _block_rows(self.shape[2])
+        for b in range(0, len(rows), block):
+            rows[b:b + block] = solver.sine(rows[b:b + block])
+        if start == 0 < stop:
+            rows[0] = self.y0
+        if stop > self.checked:
+            with np.errstate(all="ignore"):
+                log = self.log[start:stop]
+                # fmax skips inf - inf; a level that is nan counts as
+                # overflowing
+                level = np.fmax(log, log + np.log(np.max(np.abs(rows),
+                                                         axis=1)))
+            over = ~(level <= LOG_FLOAT_MAX)
+            if over.any():
+                raise _overflow(len(self) - 1, start + int(np.argmax(over)))
+        if self.scale is not None:
+            rows *= self.scale[start:stop, None]
+        rows.flags.writeable = False
+        return rows
+
+
+def _block_rows(n: int) -> int:
+    """Rows of n nodes in MOMENT_BLOCK_BYTES."""
+    return max(1, MOMENT_BLOCK_BYTES // (8 * n))
 
 
 # grid -> {dt: solver}; solvers hold no reference to their grid
@@ -260,9 +342,10 @@ class Ensemble:
     node k is the weighted sum over rows[k].  The rows are paths (sampled
     ones, or the 2^d leaves of a Bernoulli tree) or the thin factors of
     the second moments; increments[:, k] are the increments of step k, one
-    row per path or tree move."""
+    row per path or tree move.  The closed forms hold their rows as
+    `OrbitRows`, formed on indexing."""
 
-    rows: np.ndarray = field(repr=False)
+    rows: np.ndarray | OrbitRows = field(repr=False)
     weights: np.ndarray = field(repr=False)
     increments: np.ndarray = field(repr=False)
     mesh: TimeMesh
@@ -272,7 +355,11 @@ class Ensemble:
     @property
     def values(self) -> np.ndarray:
         """The rows by row (path) first, shape (r, steps+1, n_nodes): a
-        writable view of `rows`."""
+        writable view of `rows`.  `OrbitRows` are formed here, once, and
+        kept as the array `rows`, so that a write through the view reaches
+        `nodal_moment` as on every other ensemble."""
+        if not isinstance(self.rows, np.ndarray):
+            self.rows = np.array(self.rows[:])
         return self.rows.swapaxes(0, 1)
 
     def nodal_moment(self, integrand=np.square, contract=None,
@@ -282,8 +369,8 @@ class Ensemble:
         stacked outputs in front, and the result has shape (..., steps+1,
         n).  f runs on (time, row) tiles of about MOMENT_BLOCK_BYTES, so a
         tile stays in cache and the calls of f do not grow with the number
-        of time nodes.  `nodes`, a slice of step 1, restricts the pass to
-        those time nodes.
+        of time nodes; `OrbitRows` form each tile as it is read.  `nodes`,
+        a slice of step 1, restricts the pass to those time nodes.
 
         With `contract`, f returns a list of such arrays (on different node
         sets, say), and `contract(span, moments)` reduces a tile's time
@@ -294,7 +381,7 @@ class Ensemble:
         not finite."""
         total, r, n = self.rows.shape
         start, stop, _ = nodes.indices(total)
-        block = max(1, MOMENT_BLOCK_BYTES // (8 * n))
+        block = _block_rows(n)
         row_block = min(r, block)
         time_block = max(1, block // row_block)
         blocks = integrand if contract is not None \
@@ -329,15 +416,22 @@ class Ensemble:
 class SecondMomentEnsemble(Ensemble):
     """Exact expectation surrogate for deterministic coefficients: rows[k]
     is a factor Z_k with E[y(t_k) y(t_k)^T] = Z_k^T Z_k, padded with zero
-    rows to the largest rank, under unit weights, and means[k] = E[y(t_k)],
-    shape (steps+1, n_nodes); it reproduces Bernoulli-tree expectations of
-    linear and quadratic functionals at any depth.  Its rows are not
-    paths."""
+    rows to the largest rank, under unit weights, and mean_rows[k] the one
+    row E[y(t_k)], both of shape (steps+1, r, n_nodes) and `OrbitRows` in
+    closed form; it reproduces Bernoulli-tree expectations of linear and
+    quadratic functionals at any depth.  Its rows are not paths."""
 
-    means: np.ndarray = field(repr=False)
+    mean_rows: np.ndarray | OrbitRows = field(repr=False)
 
     @property
-    def second_moments(self) -> np.ndarray:
+    def means(self) -> np.ndarray:
+        """E[y(t_k)] per time node, shape (steps+1, n_nodes): a view of
+        `mean_rows`, or in closed form formed on each access and
+        read-only."""
+        return self.mean_rows[:, 0]
+
+    @property
+    def second_moments(self) -> np.ndarray | OrbitRows:
         return self.rows
 
 
@@ -348,17 +442,16 @@ class SampledMomentEnsemble(SecondMomentEnsemble):
     M^{-k} y0 and the path scalars scales[k, p], the product of the step
     factors 1 + dt a_j + b_j dB_pj over j < k.  For a quadratic f,
     E_P[f(y_k)] = (sum_p w_p scales[k, p]^2) f(v_k), so rows[k] is the one
-    unit-weight row sqrt(sum_p w_p scales[k, p]^2) v_k, and means[k] =
-    (sum_p w_p scales[k, p]) v_k."""
+    unit-weight row sqrt(sum_p w_p scales[k, p]^2) v_k, and mean_rows[k]
+    is (sum_p w_p scales[k, p]) v_k, both `OrbitRows`."""
 
     scales: np.ndarray = field(repr=False)
-    orbit: np.ndarray = field(repr=False)
 
     @property
     def values(self) -> np.ndarray:
         """The sampled paths scales[k, p] v_k, shape (P, steps+1, n_nodes),
         built on each access and read-only."""
-        paths = self.scales.T[:, :, None] * self.orbit
+        paths = self.scales.T[:, :, None] * self.rows.rescaled(None)[:, 0]
         paths.flags.writeable = False
         return paths
 
@@ -484,8 +577,7 @@ def solve_forward_moments(y0: np.ndarray, coeffs: CoefficientField,
     if coeffs.node_uniform:
         scheme = "closed-form moments"
         rows, rank, means, tails = _closed_form_moments(
-            solver.solve_powers(y0, mesh.steps),
-            *_exact_scalars(coeffs, mesh.dt), mesh.steps)
+            solver, y0, mesh.steps, *_exact_scalars(coeffs, mesh.dt))
     else:
         scheme = "second-moment recursion"
         rows, rank, means, tails = _recursive_moments(y0, coeffs, mesh, solver)
@@ -494,7 +586,7 @@ def solve_forward_moments(y0: np.ndarray, coeffs: CoefficientField,
     return SecondMomentEnsemble(
         rows=rows, weights=np.ones(rows.shape[:2]),
         increments=np.repeat(tree_moves(mesh.dt)[:, None], mesh.steps, axis=1),
-        mesh=mesh, grid=grid, provenance=prov, means=means)
+        mesh=mesh, grid=grid, provenance=prov, mean_rows=means)
 
 
 def solve_sampled_moments(y0: np.ndarray, coeffs: CoefficientField,
@@ -516,16 +608,15 @@ def solve_sampled_moments(y0: np.ndarray, coeffs: CoefficientField,
     inc = paths.increments
     if inc.shape[1] != mesh.steps:
         raise ConfigurationError("noise source and time mesh disagree on step count")
-    orbit = implicit_solver(grid, mesh.dt).solve_powers(y0, mesh.steps)
     scalars, products, log = _sampled_scalars(coeffs, mesh.dt, inc,
                                               paths.weights)
     rows, rank, means, tails = _closed_form_moments(
-        orbit.copy(), products, log, mesh.steps)
+        implicit_solver(grid, mesh.dt), y0, mesh.steps, products, log)
     prov = {"scheme": "sampled closed form", "dt": mesh.dt, "h": tuple(grid.h),
             "mode": "sampled", "rank": rank, "discarded_tail": tails}
     return SampledMomentEnsemble(
         rows=rows, weights=np.ones(rows.shape[:2]), increments=inc, mesh=mesh,
-        grid=grid, provenance=prov, means=means, scales=scalars, orbit=orbit)
+        grid=grid, provenance=prov, mean_rows=means, scales=scalars)
 
 
 def _overflow(steps: int, k: int) -> NumericalError:
@@ -566,27 +657,24 @@ def _sampled_scalars(coeffs, dt, increments, weights):
         return s, products, np.log(peak)  # -inf where every path vanished
 
 
-def _closed_form_moments(orbit, products, log, steps):
-    """Factor rows, ranks, means and tails of a rank-one moment ensemble
-    from the orbit M^{-k} y0, shape (steps+1, n), scaled in place into the
-    means, and `products`, the factor and the mean scale per time node:
-    one factor row per time node, a zero row where it vanishes.  A time
-    node overflows when `log`, the log of a bound on both scales, or its
-    sum with the log of the largest entry of M^{-k} y0, exceeds the log of
-    the largest float; NumericalError names the first, and no overflow
-    warning is raised."""
-    with np.errstate(all="ignore"):
-        log_row = np.log(np.max(np.abs(orbit), axis=1))
-        # fmax skips inf - inf; a level that is nan counts as overflowing
-        level = np.fmax(log, log + log_row)
-    over = ~(level <= LOG_FLOAT_MAX)
+def _closed_form_moments(solver, y0, steps, products, log):
+    """Factor rows, ranks, mean rows and tails of a rank-one moment
+    ensemble: the `OrbitRows` of y0 under `products`, the factor and the
+    mean scale per time node, with `log`, the log of a bound on both.  A
+    time node whose scales overflow raises NumericalError here, naming the
+    first; one whose orbit term overflows raises it when its rows are
+    formed.  The rank is 1 where the factor scale and a kept coefficient
+    of the orbit are nonzero, and at time node 0."""
+    over = ~(log <= LOG_FLOAT_MAX)  # a nan scale counts as overflowing
     if over.any():
         raise _overflow(steps, int(np.argmax(over)))
-    z = orbit * products[0][:, None]
-    orbit *= products[1][:, None]
-    rank = z.any(axis=1).astype(int)
+    rows = OrbitRows(solver, y0, steps, products[0], log)
+    # the last power at which a nonzero coefficient is kept
+    reach = np.max(rows.last, where=rows.coef != 0.0, initial=-np.inf)
+    rank = ((products[0] != 0.0)
+            & (np.arange(steps + 1) <= reach)).astype(int)
     rank[0] = 1  # level 0 is y0, as in the recursion
-    return z[:, None], rank.tolist(), orbit, [0.0] * len(z)
+    return rows, rank.tolist(), rows.rescaled(products[1]), [0.0] * (steps + 1)
 
 
 def _recursive_moments(y0, coeffs, mesh, solver):
@@ -618,7 +706,7 @@ def _recursive_moments(y0, coeffs, mesh, solver):
     rows = np.zeros((len(factors), max(rank), len(y0)))
     for row, z in zip(rows, factors):
         row[:len(z)] = z
-    return rows, rank, np.stack(means), tails
+    return rows, rank, np.stack(means)[:, None], tails
 
 
 def exp_transform_oracle(coeffs: CoefficientField, paths: PathEnsemble,

@@ -941,20 +941,22 @@ def test_time_constant_coefficients_in_any_layout_give_one_report():
 
 
 def test_frequency_memory_at_31x31():
-    # the tracemalloc peak of a whole 2-D 31x31 frequency run stays below
-    # three (401, n) fine orbits: the fine moments hold two such arrays,
-    # the factor rows and the means, and the coefficients of the fine mesh
-    # add no (400, n) array
-    exp = cli.Experiment(cfgmod.merge_config(cfgmod.parse_config(
-        "domain.extents = 0,1,0,1\ngrid.nodes = 31\n"
-        "geometry.x0 = 0.5,0.5\ngeometry.g0_center = 0.5,0.5\n")))
-    tracemalloc.start()
-    try:
-        cli.run_frequency(exp)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * 401 * exp.grid.n_nodes * 8
+    # the tracemalloc peak of a whole 2-D frequency run stays below 16 row
+    # blocks (2 MiB) at 31x31 and at 63x63, where one (401, n) fine orbit
+    # alone is 12.7 MB: the closed-form moments form each tile's rows as
+    # the pass reads them, and the coefficients of the fine mesh add no
+    # (400, n) array
+    for nodes in (31, 63):
+        exp = cli.Experiment(cfgmod.merge_config(cfgmod.parse_config(
+            f"domain.extents = 0,1,0,1\ngrid.nodes = {nodes}\n"
+            "geometry.x0 = 0.5,0.5\ngeometry.g0_center = 0.5,0.5\n")))
+        tracemalloc.start()
+        try:
+            cli.run_frequency(exp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * forward.MOMENT_BLOCK_BYTES, (nodes, peak)
 
 
 def test_observe_thin_time_set_excludes_the_chain(tmp_path, capsys):

@@ -825,15 +825,15 @@ def _assert_curve_matches_tree(args, rep):
     """Verify every row of a sweep on the tree: a `dual_control` of the
     row's closed-form u and one backward tree solve.  The Gramian's
     prediction agrees within kappa * u * ||rhs||, kappa the condition
-    number of G + eps I; the selected row's tree residual is the achieved
-    one, and its relative gap from the prediction is `gramian_gap`."""
-    (z_t, z0_free, target, (_, lam, vec, _), coeffs, ball, time_set, mesh,
+    number of G + eps I; the last row, of the smallest prediction, is the
+    selected one, its tree residual is the achieved one, and its relative
+    gap from ||rhs - G u|| is `gramian_gap`."""
+    (z_t, z0_free, target, (gram, lam, vec, _), coeffs, ball, time_set, mesh,
      grid, tree) = args
     w = grid.quad_weight
     rhs = z0_free - target
     coef = vec.T @ rhs
     rhs_norm = np.sqrt(w * float(rhs @ rhs))
-    measured = []
     for row in rep["curve"]:
         eps = row["eps_reg"]
         u = vec @ (coef / (lam + eps))
@@ -844,13 +844,12 @@ def _assert_curve_matches_tree(args, rep):
         kappa = (lam[-1] + eps) / (max(lam[0], 0.0) + eps)
         assert abs(tree_residual - row["residual"]) \
             <= 10.0 * kappa * np.finfo(float).eps * rhs_norm, row
-        measured.append(tree_residual)
     predicted = [row["residual"] for row in rep["curve"]]
-    # the last row of the smallest prediction, as the sweep selects it
-    chosen = len(predicted) - 1 - int(np.argmin(predicted[::-1]))
-    assert rep["achieved_residual"] == measured[chosen]
-    assert rep["gramian_gap"] == abs(measured[chosen] - predicted[chosen]) \
-        / measured[chosen]
+    assert predicted[-1] == min(predicted)
+    miss = rhs - gram @ u  # tree_residual and u are the last row's
+    assert rep["achieved_residual"] == tree_residual
+    assert rep["gramian_gap"] == abs(
+        tree_residual - np.sqrt(w * float(miss @ miss))) / tree_residual
 
 
 def test_approx_control_curve_agrees_with_tree_verification(lab, monkeypatch):
@@ -879,6 +878,19 @@ def test_approx_control_curve_agrees_with_tree_verification(lab, monkeypatch):
     (args, rep), = runs
     assert len(rep["curve"]) > 1
     _assert_curve_matches_tree(args, rep)
+
+
+@pytest.mark.parametrize("depth", [10, 14])
+def test_regularization_curve_is_monotone_on_a_near_null_gramian(depth):
+    # at control.nodes = 3 the Gramian has a near-null eigenvalue, so u
+    # reaches ||rhs|| / eps at the sweep's end; the residual read in the
+    # eigenbasis stays monotone, where ||rhs - G u|| rose by 3e-2 relative
+    # over the last rows
+    checks, _, _ = cli.run_control(cli.Experiment(cfgmod.merge_config(
+        {"control.nodes": 3, "control.depth": depth})))
+    curve = next(c for c in checks
+                 if c["name"] == "regularization_curve_monotone")
+    assert curve["pass"], [row["residual"] for row in curve["curve"]]
 
 
 def test_approx_control_verdict_is_tree_measured(lab, monkeypatch):

@@ -17,7 +17,8 @@ from stochheat import cli
 from stochheat import config as cfgmod
 from stochheat import forward
 from stochheat.errors import NumericalError
-from stochheat.forward import (Ensemble, ImplicitHeatSolver, step_factors,
+from stochheat.forward import (Ensemble, ImplicitHeatSolver, OrbitRows,
+                               implicit_solver, step_factors,
                                step_invertibility_report)
 
 
@@ -507,6 +508,68 @@ def test_moment_overflow_names_the_step(grid):
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="at step 4 of 10"):
                 solve_forward_moments(y0, coeffs, mesh, grid)
+
+
+@pytest.mark.parametrize("shape", [(31,), (7, 11)])
+def test_closed_form_rows_are_formed_from_the_spectral_orbit(
+        shape, monkeypatch, assert_rel_close):
+    # the closed form holds y0's orbit in spectral form: its factor rows and
+    # means, whole or a block at a time, are the solve_powers orbit times
+    # the scales c_k and d_k bit for bit, formed read-only; nodal moments on
+    # tiles of 3 rows agree with those on the default tiles
+    grid = build_grid([(0.0, 1.0), (0.0, 2.0)][:len(shape)], shape)
+    mesh = TimeMesh(horizon=0.5, steps=400)
+    coeffs = CoefficientField.constant(grid, mesh, 0.3, 0.4)
+    y0 = np.prod(np.sin(np.pi * grid.coords), axis=1) \
+        * (1.0 + grid.coords[:, 0])
+    mom = solve_forward_moments(y0, coeffs, mesh, grid)
+    assert isinstance(mom.rows, OrbitRows)
+    assert isinstance(mom.mean_rows, OrbitRows)
+    assert mom.rows.shape == (mesh.steps + 1, 1, grid.n_nodes)
+    (c, d), _ = forward._exact_scalars(coeffs, mesh.dt)
+    orbit = implicit_solver(grid, mesh.dt).solve_powers(y0, mesh.steps)
+    assert np.array_equal(orbit[0], y0)
+    for rows in (mom.rows[:], np.stack(list(mom.rows))):
+        assert np.array_equal(rows[:, 0], orbit * c[:, None])
+    assert np.array_equal(mom.means, orbit * d[:, None])
+    with pytest.raises(TypeError):
+        mom.rows[2] = 0.0
+    for formed in (mom.rows[2], mom.rows[1:5, 0], mom.rows[::-7], mom.means,
+                   orbit):
+        with pytest.raises(ValueError, match="read-only"):
+            formed[0] = 0.0
+    assert np.array_equal(mom.rows[::-7][:, 0], mom.rows[:][::-7, 0])
+    with pytest.raises(IndexError):
+        mom.rows[mesh.steps + 1]
+    default = mom.nodal_moment()
+    monkeypatch.setattr(forward, "MOMENT_BLOCK_BYTES", 8 * grid.n_nodes * 3)
+    assert_rel_close(mom.nodal_moment(), default, rtol=1e-15)
+
+
+def test_orbit_overflow_names_the_step_where_rows_are_formed(grid):
+    # y0 near 1e300 with a = 1000: the scales c_k stay finite, and the
+    # ensembles are built, but c_k max|M^{-k} y0| overflows at step 6 of 10;
+    # forming a span of rows that holds it raises NumericalError naming the
+    # first overflowing step of the span, without an overflow warning, and
+    # step 5, past the bound c_k ||y0|| but not overflowing, is formed
+    mesh = TimeMesh(horizon=0.5, steps=10)
+    y0 = 1e300 * np.sin(np.pi * grid.coords[:, 0])
+    coeffs = CoefficientField.constant(grid, mesh, 1000.0, 0.4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exact = solve_forward_moments(y0, coeffs, mesh, grid)
+        sampled = solve_sampled_moments(y0, coeffs,
+                                        sample_ensemble(mesh, 16, 3),
+                                        mesh, grid)
+        assert np.isfinite(exact.rows[:6]).all()
+        for form in (lambda: exact.rows[:], lambda: list(exact.rows),
+                     lambda: exact.means, lambda: exact.nodal_moment(np.abs),
+                     lambda: sampled.values,
+                     lambda: sampled.nodal_moment(np.abs)):
+            with pytest.raises(NumericalError, match="at step 6 of 10"):
+                form()
+        with pytest.raises(NumericalError, match="at step 8 of 10"):
+            exact.rows[8]
 
 
 @settings(max_examples=30, deadline=None)
