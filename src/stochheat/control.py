@@ -1,34 +1,26 @@
 """Backward stochastic heat equation on the Bernoulli tree and control synthesis.
 
-The backward pair (z, Z) solves, toward t = 0,
+The backward pair (z, Z) satisfies, toward t = 0,
 
     dz + Lap z dt = a1 z dt + b1 Z dt + h dt + chi_{E1} chi_{G0} f dt + Z dB,
 
 discretized on the exact binary tree.  The dual forward solve
 `solve_dual_forward` steps `forward.tree_step` with the dual factors
 1 - dt*a1 -/+ sqrt(dt)*b1, the `forward.step_factors` table of sign -1 that
-the Gramian recursion reads too.  Each backward mode weighs the two
-children of a node by one table, `_child_weights`, which both backward
-engines read.  Two backward modes are available:
-
-* ``independent`` -- martingale-representation induction (conditional
-  expectation + implicit solve), consistent with the equation to O(dt); its
-  solve with the potential a_k is the shared sine-basis solver shifted by a
-  constant, iterated on the remainder (exact in one solve for constant a).
-  `stochheat control` runs only the adjoint mode, so this one is an API
-  capability;
-* ``adjoint`` -- the exact discrete adjoint of the dual forward scheme, which
-  makes the duality pairing hold to machine precision and yields a clean
-  symmetric positive semidefinite control Gramian.
+the Gramian recursion reads too.  The backward step is its exact discrete
+adjoint: it weighs the two children of a node by one table,
+`_child_weights` (half the dual factors), which both backward engines read,
+so the duality pairing holds to machine precision and the control Gramian
+is symmetric positive semidefinite.
 
 Coefficients uniform over the nodes make the table one column, which
 commutes with M^-1 = S diag(1/(1 - dt*lam)) S: the dual flow stays factored
-(path scalars and one orbit), the adjoint backward step is elementwise on
-sine coefficients, z(0) is one contraction of the leaves plus one scalar
+(path scalars and one orbit), the backward step is elementwise on sine
+coefficients, z(0) is one contraction of the leaves plus one scalar
 recursion per source (h one row for every node, a factored control), and
 the duality checks read every level as one (path scalars, rows) pair: a
-run forms no 2^k-row level.  Independent mode, nodal coefficients, h per
-level and controls on formed levels step in physical space.
+run forms no 2^k-row level.  Nodal coefficients, h per level and controls
+on formed levels step in physical space.
 
 The control of a dual datum is `dual_control`, its dual flow observed on
 G0 x E1; the Gramian apply (-z(0) of the adjoint solve it drives from zero
@@ -39,7 +31,7 @@ and eigendecomposes it (`gramian_spectrum`) once for both syntheses, giving
 null control as the minimum-norm least-squares solution and the approximate
 control's regularization sweep in closed form.  Conjugate gradients on the
 matrix run beside both: the null control reports their iterations, each
-sweep row their distance from the closed form.  Adjoint mode makes
+sweep row their distance from the closed form.  The adjoint step makes
 z(0) = z_free(0) - G u exact, so the sweep reads its residual curve from G,
 and each synthesis verifies the one control it returns by one backward tree
 solve.  The spectrum decays exponentially: this is the ill-posedness of null
@@ -78,10 +70,6 @@ __all__ = [
 ]
 
 EPS_REG_FLOOR = 1e-12
-# the independent mode's shifted-solve iteration: relative update per row
-# at which it stops, and the cap at which it gives up
-SHIFT_ITERATION_TOL = 1e-14
-MAX_SHIFT_ITERATIONS = 100
 N_SWEEP = 13  # regularizations of the approximate-control sweep
 
 
@@ -102,15 +90,13 @@ def control_level_weights(time_set: MeasurableTimeSet, mesh: TimeMesh) -> np.nda
 
 @dataclass
 class BackwardPair:
-    """z on tree history nodes per level (arrays of shape (2^k, n_nodes)),
-    and `solves`, the implicit solves per step of independent mode (None in
-    adjoint mode).  Adjoint mode on node-uniform coefficients forms a level
-    between the root and the terminal one only when it is read."""
+    """z on tree history nodes per level (arrays of shape (2^k, n_nodes));
+    on node-uniform coefficients a level between the root and the terminal
+    one is formed only when it is read."""
 
     z_levels: Sequence = field(repr=False)
     mesh: TimeMesh
     grid: SpatialGrid
-    solves: list | None = None
 
     @property
     def z0(self) -> np.ndarray:
@@ -177,29 +163,24 @@ def dual_control(y0_hat: np.ndarray, coeffs: CoefficientField, ball: Ball,
 
 def solve_backward_tree(z_terminal: np.ndarray, coeffs: CoefficientField,
                         mesh: TimeMesh, grid: SpatialGrid, tree: BernoulliTree,
-                        h=None, control: ControlField | None = None,
-                        mode: str = "adjoint") -> BackwardPair:
+                        h=None, control: ControlField | None = None
+                        ) -> BackwardPair:
     """Solve the backward pair from leaf terminal data down to the root.
 
     `h` is an optional free source (per level or deterministic); `control`
-    carries the localized actuation.  In adjoint mode each step is the
-    exact transpose of the dual forward step `forward.tree_step`, so the
-    duality pairing telescopes exactly; independent mode performs the
-    martingale-representation induction with an implicit solve of
-    I - dt*Lap_h + dt*diag(a_k) (`_potential_solve`).  Both engines below
-    weigh the two children of a node by the mode's `_child_weights`.
+    carries the localized actuation.  Each step is the exact transpose of
+    the dual forward step `forward.tree_step`, so the duality pairing
+    telescopes exactly; both engines below weigh the two children of a
+    node by `_child_weights`.
 
-    In adjoint mode, coefficients uniform over the nodes make the step
-    factors scalars, so with the sources a run builds (no h or one row h
-    for every node, and no control or one on `FactoredLevels`) the
-    recursion is elementwise on sine coefficients and z(0) comes by
-    linearity (`_FactoredBackward`); independent mode and other inputs,
-    h per level or a control on formed levels, step in physical space
-    (`_nodal_backward`, exact for any coefficients).  The level `steps` of
-    `z_levels` is `z_terminal` itself.
+    Coefficients uniform over the nodes make the step factors scalars, so
+    with the sources a run builds (no h or one row h for every node, and no
+    control or one on `FactoredLevels`) the recursion is elementwise on sine
+    coefficients and z(0) comes by linearity (`_FactoredBackward`); other
+    inputs, h per level or a control on formed levels, step in physical
+    space (`_nodal_backward`, exact for any coefficients).  The level
+    `steps` of `z_levels` is `z_terminal` itself.
     """
-    if mode not in ("adjoint", "independent"):
-        raise ConfigurationError(f"unknown backward mode '{mode}'")
     if tree.depth != mesh.steps:
         raise ShapeError("tree depth and time mesh disagree")
     n = grid.n_nodes
@@ -208,41 +189,29 @@ def solve_backward_tree(z_terminal: np.ndarray, coeffs: CoefficientField,
         raise ShapeError(f"terminal data shape {z.shape}, "
                          f"expected ({tree.n_leaves}, {n})")
     args = (z, coeffs, mesh, implicit_solver(grid, mesh.dt), h, control)
-    if mode == "adjoint" and coeffs.node_uniform \
-            and not isinstance(h, (list, tuple)) and (
-                control is None or isinstance(control.levels, FactoredLevels)):
+    if coeffs.node_uniform and not isinstance(h, (list, tuple)) and (
+            control is None or isinstance(control.levels, FactoredLevels)):
         return BackwardPair(_FactoredBackward(*args), mesh, grid)
-    z_levels, solves = _nodal_backward(*args, mode)
-    return BackwardPair(z_levels=z_levels, mesh=mesh, grid=grid, solves=solves)
+    return BackwardPair(_nodal_backward(*args), mesh, grid)
 
 
-def _child_weights(coeffs: CoefficientField, dt: float, mode: str):
+def _child_weights(coeffs: CoefficientField, dt: float):
     """The weights (p_k, q_k) of the down and the up child in a backward
-    step, shape (steps, 2, m), m = 1 when `coeffs.node_uniform`.  Adjoint
-    mode: half the dual factors (the transpose of `forward.tree_step` under
-    the level-mean pairing), applied to the children after M^-1.
-    Independent mode: 1/2 +/- sqrt(dt)*b_k/2, the conditional mean minus
-    dt*b_k*Z with Z the difference of the up and the down child over
-    2 sqrt(dt), applied before the potential solve."""
-    if mode == "adjoint":
-        return 0.5 * step_factors(coeffs, dt, tree_moves(dt), sign=-1.0)
-    b = coeffs.b[:, :1] if coeffs.node_uniform else coeffs.b
-    lift = 0.5 * tree_moves(dt)[1] * b[:, None, :]
-    return 0.5 + lift * np.array([[1.0], [-1.0]])
+    step, shape (steps, 2, m), m = 1 when `coeffs.node_uniform`: half the
+    dual factors (the transpose of `forward.tree_step` under the level-mean
+    pairing), applied to the children after M^-1."""
+    return 0.5 * step_factors(coeffs, dt, tree_moves(dt), sign=-1.0)
 
 
-def _nodal_backward(z, coeffs, mesh, solver, h, control, mode):
-    """z_levels and solves of `solve_backward_tree` in physical space: every
-    step solves on the tree rows, a level being the children weighed by
-    `_child_weights` (solved by M^-1 first in adjoint mode)."""
+def _nodal_backward(z, coeffs, mesh, solver, h, control):
+    """z_levels of `solve_backward_tree` in physical space: a level is the
+    children of the next, solved by M^-1 on the tree rows and weighed by
+    `_child_weights`."""
     dt, n = mesh.dt, z.shape[1]
-    weights = _child_weights(coeffs, dt, mode)
+    weights = _child_weights(coeffs, dt)
     z_levels = [None] * mesh.steps + [z]
-    solves = [0] * mesh.steps if mode == "independent" else None
     for k in range(mesh.steps - 1, -1, -1):
-        z_next = z_levels[k + 1]
-        if mode == "adjoint":
-            z_next = solver.solve(z_next)
+        z_next = solver.solve(z_levels[k + 1])
         p, q = weights[k]
         zk = p * z_next[0::2] + q * z_next[1::2]
         h_k = _level_rows(h, k, n)
@@ -250,19 +219,17 @@ def _nodal_backward(z, coeffs, mesh, solver, h, control, mode):
             zk = zk - dt * h_k
         if control is not None and control.weights[k] > 0.0:
             zk = zk - control.weights[k] * (control.levels[k] * control.mask)
-        if mode == "independent":
-            zk, solves[k] = _potential_solve(solver, zk, dt * coeffs.a[k])
         z_levels[k] = zk
-    return z_levels, solves
+    return z_levels
 
 
 class _FactoredBackward(Sequence):
-    """`z_levels` of the adjoint `solve_backward_tree` for coefficients
-    uniform over the nodes, with no h or one row h for every node and no
+    """`z_levels` of `solve_backward_tree` for coefficients uniform over
+    the nodes, with no h or one row h for every node and no
     control or one on `FactoredLevels`.  On sine coefficients a step is
     elementwise and linear, z_hat_k = iota (p_k z_hat_{k+1}[0::2] + q_k
     z_hat_{k+1}[1::2]) - S(source_k), iota = 1 / `diagonal` and (p, q) the
-    adjoint `_child_weights`.  A source of rows s_k x v_k (path scalars s_k
+    `_child_weights`.  A source of rows s_k x v_k (path scalars s_k
     all 1 for h, with step factors f = 1; the control's with its own f)
     adds s_k x B_k to level k, B_steps = 0 and B_k = iota c_k B_{k+1} -
     S(v_k), c_k = p_k f_k^down + q_k f_k^up.  The terminal rows enter level
@@ -273,7 +240,7 @@ class _FactoredBackward(Sequence):
     def __init__(self, z, coeffs, mesh, solver, h, control):
         dt, steps, n = mesh.dt, mesh.steps, z.shape[1]
         self._terminal, self._solver = z, solver
-        self._weights = _child_weights(coeffs, dt, "adjoint")[..., 0]
+        self._weights = _child_weights(coeffs, dt)[..., 0]
         self._iota = 1.0 / solver.diagonal
         parts = [] if h is None else [  # path scalars all 1, one per level
             (np.broadcast_to(np.ones(1), (steps + 1, 1)), np.ones((steps, 2)),
@@ -317,38 +284,6 @@ class _FactoredBackward(Sequence):
         for scalars, part in self._parts:
             z_hat += np.multiply.outer(scalars[j], part[j])
         return self._solver.sine(z_hat)
-
-
-def _potential_solve(solver, rhs: np.ndarray, potential: np.ndarray):
-    """Solve (I - dt*Lap_h + diag(potential)) z = rhs; returns z and the
-    number of implicit solves.
-
-    The solver shifted by the midpoint c of the potential's range is the
-    preconditioner of the fixed-point iteration
-    z <- (M + c)^-1 (rhs - diag(potential - c) z), which contracts by at most
-    max|potential - c| / min(M + c).  The midpoint minimises that bound and,
-    unlike the mean, equals a constant potential exactly, which is then
-    solved in one solve; the iteration stops when no row moves by more than
-    SHIFT_ITERATION_TOL of its norm, and raises NumericalError at
-    MAX_SHIFT_ITERATIONS solves or on a non-finite iterate.
-    """
-    shift = 0.5 * (float(np.max(potential)) + float(np.min(potential)))
-    rest = potential - shift
-    z = solver.solve(rhs, shift)
-    if not rest.any():
-        return z, 1
-    for count in range(2, MAX_SHIFT_ITERATIONS + 1):
-        z_next = solver.solve(rhs - rest * z, shift)
-        moved = np.linalg.norm(z_next - z, axis=-1)
-        z = z_next
-        if not np.all(np.isfinite(moved)):
-            break
-        if np.all(moved <= SHIFT_ITERATION_TOL * np.linalg.norm(z, axis=-1)):
-            return z, count
-    raise NumericalError(
-        f"independent backward solve: no convergence after {count} shifted "
-        f"solves; dt*a_k spans {float(np.ptp(potential)):.3g} around the "
-        f"shift {shift:.3g}")
 
 
 def _level(levels: Sequence, k: int, mask=None) -> tuple:
@@ -412,7 +347,7 @@ def gramian_apply(y0_hat: np.ndarray, coeffs: CoefficientField,
     """Apply the control Gramian: -z(0) of the adjoint backward solve from
     zero terminal data, driven by the `dual_control` of the datum.
 
-    Symmetric positive semidefinite by the exact duality of adjoint mode:
+    Symmetric positive semidefinite by the exact duality of the adjoint step:
     <Gramian u, u> equals the observed quadratic mass of the dual flow.
     """
     ctrl = dual_control(y0_hat, coeffs, ball, time_set, mesh, grid, tree)
@@ -428,8 +363,8 @@ def gramian_matrix(coeffs: CoefficientField, ball: Ball,
     `gramian_apply(e_j)`.
 
     With Phi_k the dual flow to level k, G = sum_k w_k E[Phi_k^T chi Phi_k].
-    The factors of step k are deterministic and independent of Phi_k, so the
-    backward recursion Q_steps = 0,
+    The factors of step k are deterministic, and Phi_k does not depend on the
+    coin of step k, so the backward recursion Q_steps = 0,
     Q_k = w_k diag(chi) + E[D_k M^-1 Q_{k+1} M^-1 D_k] with the two dual
     factor rows D_k of `step_factors` and M = I - dt*Lap_h ends in G = Q_0,
     exactly for the tree and without its 2^k levels.
@@ -519,12 +454,12 @@ def synthesize_null_control(z_terminal: np.ndarray, z0_free: np.ndarray,
 
     `z0_free` is z_free(0), the uncontrolled backward solve from
     `z_terminal` at the root; superposition makes the controlled value
-    z(0) = z_free(0) - Gramian(u), so the dual datum solves
+    z(0) = z_free(0) - Gramian(u), so the dual datum u satisfies
     Gramian(u) = z_free(0).  u is the minimum-norm least-squares solution:
     eigenvalues at or below the spectrum's cutoff count as zero.  The
     control is the `dual_control` of u, so u (its level 0) determines it.
-    Returns (ControlField, report); the report holds the independently
-    re-verified ||z(0)||, the spectrum and `cg`, the record of conjugate
+    Returns (ControlField, report); the report holds ||z(0)|| as
+    re-verified by a backward tree solve, the spectrum and `cg`, the record of conjugate
     gradients on the same system, of which a `control` report writes the
     iteration count.
     """
@@ -561,7 +496,7 @@ def synthesize_approx_control(z_terminal: np.ndarray, z0_free: np.ndarray,
     u = V (V^T rhs) / (lambda + eps_reg) on the eigenpairs of the
     Gramian's `gramian_spectrum`, over a descending sweep of
     N_SWEEP log-spaced regularizations (1e0 down to the 1e-12 floor),
-    stopping once the target accuracy is met.  Adjoint mode makes
+    stopping once the target accuracy is met.  The adjoint step makes
     z(0) = z_free(0) - Gramian(u) exact, so each row's residual is the
     Gramian's prediction ||rhs - Gramian u|| = ||coef * eps_reg /
     (lambda + eps_reg)||, coef = V^T rhs, read in the eigenbasis with the

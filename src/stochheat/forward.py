@@ -13,7 +13,8 @@ audit reads.  All solves share one `ImplicitHeatSolver` per (grid, dt), the
 exact inverse of I - dt*Lap_h as a diagonal between two sine transforms.
 A forward solve returns an `Ensemble`, weighted rows per time node, shape
 (steps+1, r, n): sampled paths or the 2^d tree leaves of `solve_forward`,
-the tests' brute-force reference, or the thin factors Z of E[y y^T] = Z^T Z
+which mc mode runs on nodal coefficients and which is the brute-force
+reference of the closed forms, or the thin factors Z of E[y y^T] = Z^T Z
 of `solve_forward_moments`, the exact tree expectations.  Node-uniform
 coefficients make every path a path scalar times the orbit M^{-k} y0: the
 moments are one rank-one row per time node, from the tree means of the
@@ -86,7 +87,7 @@ MOMENT_BLOCK_BYTES = 1 << 17
 
 
 class ImplicitHeatSolver:
-    """Exact solve of (I - dt*Lap_h + shift) u = rhs in the sine eigenbasis.
+    """Exact solve of (I - dt*Lap_h) u = rhs in the sine eigenbasis.
 
     Per axis, the Dirichlet 3-point Laplacian is S diag(lam) S with the
     orthogonal, symmetric sine matrix S_ij = sqrt(2/(n+1)) sin(pi ij/(n+1))
@@ -109,11 +110,9 @@ class ImplicitHeatSolver:
         self._diag = (1.0 - dt * lam).reshape(-1)
         self._inverse = 1.0 / self._diag
 
-    def solve(self, rhs: np.ndarray, shift: float = 0.0) -> np.ndarray:
-        """Solve for one field (n,) or a batch (..., n); `shift` is a scalar
-        added to the diagonal of I - dt*Lap_h."""
-        inverse = self._inverse if shift == 0.0 else 1.0 / (self._diag + shift)
-        return self.sine(self.sine(rhs) * inverse)
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve for one field (n,) or a batch (..., n)."""
+        return self.sine(self.sine(rhs) * self._inverse)
 
     @property
     def diagonal(self) -> np.ndarray:
@@ -522,10 +521,11 @@ def solve_forward(y0: np.ndarray, coeffs: CoefficientField, noise,
                   mesh: TimeMesh, grid: SpatialGrid) -> Ensemble:
     """Iterate the scheme on every path of the noise, one row per path at
     every time node: the sampled paths of a `PathEnsemble`, or the 2^d
-    leaves of a `BernoulliTree`.  It is the brute-force reference against
-    which the tests check `solve_forward_moments`, which tree-mode surveys
-    run instead, and `solve_sampled_moments`, which mc-mode surveys run
-    when the coefficients are uniform over the nodes."""
+    leaves of a `BernoulliTree`.  mc-mode surveys run it when the
+    coefficients vary over the nodes (`coeff.kind = random`).  It is also
+    the brute-force reference of the closed forms the other surveys run:
+    `solve_forward_moments` in tree mode, and `solve_sampled_moments` in
+    mc mode when the coefficients are uniform over the nodes."""
     if not isinstance(noise, (BernoulliTree, PathEnsemble)):
         raise ConfigurationError(f"unsupported noise source {type(noise).__name__}")
     inc = noise.increments

@@ -7,9 +7,11 @@ mode replaces the Brownian filtration by the full binary tree of +-sqrt(dt)
 increments: the first two moments match and every expectation becomes an
 exact finite sum over the tree's 2^d leaf paths, each of weight 2^-d.  A
 tree gives its paths as `increments` and `weights`, like a `PathEnsemble`,
-so `forward.solve_forward`, the tests' brute-force reference, iterates both
-alike; the control solves of `control` run on the tree's history levels
-instead.  Tree-mode surveys build no tree, since
+so `forward.solve_forward` iterates both alike: mc mode runs it on sampled
+paths when the coefficients vary over the nodes, and on the tree it is the
+brute-force reference of the exact moments.  The control solves of
+`control` run on the tree's history levels instead.  Tree-mode surveys
+build no tree, since
 `forward.solve_forward_moments` gives the same expectations at any depth.
 `build_tree` caps the depth, so the cap bounds control runs only.
 """

@@ -1,14 +1,25 @@
 """Shared fixtures: a small 1-D laboratory reused across the test modules,
-and scipy.sparse operators that serve as independent oracles."""
+scipy.sparse operators that serve as independent oracles, and the
+independent backward scheme, a second discretization of the backward
+equation against which the adjoint one is checked."""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from stochheat import (CoefficientField, TimeMesh, build_grid, build_tree,
-                       solve_forward)
+from stochheat import (BackwardPair, CoefficientField, TimeMesh, build_grid,
+                       build_tree, solve_forward)
+from stochheat.control import _level_rows
+from stochheat.errors import NumericalError
 from stochheat.forward import implicit_solver, tree_moves
 from stochheat.frequency import H_FLOOR
+
+# the independent scheme's shifted-solve iteration: relative update per row
+# at which it stops, and the cap at which it gives up
+SHIFT_ITERATION_TOL = 1e-14
+MAX_SHIFT_ITERATIONS = 100
 
 
 @pytest.fixture(scope="session")
@@ -64,11 +75,18 @@ def sparse_operators():
     return _sparse_operators
 
 
+def _shifted_solve(solver, rows, shift):
+    """Solve (I - dt Lap_h + shift) z = rows for a scalar shift: the
+    diagonal of the sine-basis solver, shifted, between two transforms."""
+    return solver.sine(solver.sine(rows) / (solver.diagonal + shift))
+
+
 @pytest.fixture(scope="session")
 def superlu_solves(sparse_operators):
-    """(solver, grid, dt) -> (rhs, solver.solve(rhs, shift), SuperLU's solve
-    of (1 + shift) I - dt Lap) for shifts 0, 0.3 and -0.2, each on a field,
-    a batch and a stacked batch."""
+    """(solver, grid, dt) -> (rhs, the solve, SuperLU's solve of
+    (1 + shift) I - dt Lap) for shifts 0, 0.3 and -0.2, each on a field, a
+    batch and a stacked batch: `solver.solve(rhs)` at shift 0, and the
+    shifted solve of the independent backward scheme at the others."""
     from scipy.sparse.linalg import splu
 
     def solves(solver, grid, dt):
@@ -81,7 +99,9 @@ def superlu_solves(sparse_operators):
                         rng.standard_normal((2, 3, n))):
                 flat = rhs.reshape(-1, n)
                 ref = lu.solve(flat.T).T.reshape(rhs.shape)
-                yield rhs, solver.solve(rhs, shift), ref
+                out = solver.solve(rhs) if shift == 0.0 \
+                    else _shifted_solve(solver, rhs, shift)
+                yield rhs, out, ref
     return solves
 
 
@@ -136,18 +156,95 @@ def left_endpoint_residual():
     return integrated
 
 
+def _potential_solve(solver, rhs, potential):
+    """Solve (I - dt*Lap_h + diag(potential)) z = rhs; returns z and the
+    number of implicit solves.
+
+    The solver shifted by the midpoint c of the potential's range is the
+    preconditioner of the fixed-point iteration
+    z <- (M + c)^-1 (rhs - diag(potential - c) z), which contracts by at most
+    max|potential - c| / min(M + c).  The midpoint minimises that bound and,
+    unlike the mean, equals a constant potential exactly, which is then
+    solved in one solve; the iteration stops when no row moves by more than
+    SHIFT_ITERATION_TOL of its norm, and raises NumericalError at
+    MAX_SHIFT_ITERATIONS solves or on a non-finite iterate.
+    """
+    shift = 0.5 * (float(np.max(potential)) + float(np.min(potential)))
+    rest = potential - shift
+    z = _shifted_solve(solver, rhs, shift)
+    if not rest.any():
+        return z, 1
+    for count in range(2, MAX_SHIFT_ITERATIONS + 1):
+        z_next = _shifted_solve(solver, rhs - rest * z, shift)
+        moved = np.linalg.norm(z_next - z, axis=-1)
+        z = z_next
+        if not np.all(np.isfinite(moved)):
+            break
+        if np.all(moved <= SHIFT_ITERATION_TOL * np.linalg.norm(z, axis=-1)):
+            return z, count
+    raise NumericalError(
+        f"independent backward solve: no convergence after {count} shifted "
+        f"solves; dt*a_k spans {float(np.ptp(potential)):.3g} around the "
+        f"shift {shift:.3g}")
+
+
+@dataclass
+class IndependentPair(BackwardPair):
+    """A `BackwardPair` of the independent scheme, with `solves`, the
+    implicit solves per step."""
+
+    solves: list
+
+
+@pytest.fixture(scope="session")
+def independent_backward():
+    """(z_terminal, coeffs, mesh, grid, tree, h=None, control=None) -> the
+    `IndependentPair` of the martingale-representation induction, the
+    backward scheme that `solve_backward_tree`'s adjoint one is checked
+    against: consistent with the equation to O(dt), not its exact adjoint.
+
+    Per step, the conditional mean minus dt*b_k*Z, with Z the difference of
+    the up and the down child over 2 sqrt(dt), weighs the children by
+    1/2 +/- sqrt(dt)*b_k/2; the sources are subtracted as in the adjoint
+    step, and (I - dt*Lap_h + dt*diag(a_k)) is solved by `_potential_solve`
+    on the run's shared sine-basis solver, in physical space for any
+    coefficients."""
+    def solve(z_terminal, coeffs, mesh, grid, tree, h=None, control=None):
+        dt, n = mesh.dt, grid.n_nodes
+        z = np.asarray(z_terminal, dtype=float)
+        assert tree.depth == mesh.steps and z.shape == (tree.n_leaves, n)
+        solver = implicit_solver(grid, dt)
+        b = coeffs.b[:, :1] if coeffs.node_uniform else coeffs.b
+        lift = 0.5 * tree_moves(dt)[1] * b
+        z_levels = [None] * mesh.steps + [z]
+        solves = [0] * mesh.steps
+        for k in range(mesh.steps - 1, -1, -1):
+            z_next = z_levels[k + 1]
+            zk = (0.5 + lift[k]) * z_next[0::2] + (0.5 - lift[k]) * z_next[1::2]
+            h_k = _level_rows(h, k, n)
+            if h_k is not None:
+                zk = zk - dt * h_k
+            if control is not None and control.weights[k] > 0.0:
+                zk = zk - control.weights[k] \
+                    * (control.levels[k] * control.mask)
+            z_levels[k], solves[k] = _potential_solve(solver, zk,
+                                                      dt * coeffs.a[k])
+        return IndependentPair(z_levels, mesh, grid, solves)
+    return solve
+
+
 @pytest.fixture(scope="session")
 def z_martingale():
     """BackwardPair -> the representation integrand Z per step level, shape
     (2^k, n), from its `z_levels`: the difference of the up and the down
-    child over 2 sqrt(dt), of M^-1 z_{k+1} in adjoint mode and of z_{k+1}
-    itself in independent mode."""
+    child over 2 sqrt(dt), of M^-1 z_{k+1} for the adjoint scheme and of
+    z_{k+1} itself for the independent one."""
     def integrand(pair):
         solver = implicit_solver(pair.grid, pair.mesh.dt)
         scale = 2.0 * tree_moves(pair.mesh.dt)[1]
         out = []
         for z_next in pair.z_levels[1:]:
-            if pair.solves is None:
+            if not isinstance(pair, IndependentPair):
                 z_next = solver.solve(z_next)
             out.append((z_next[1::2] - z_next[0::2]) / scale)
         return out

@@ -255,13 +255,14 @@ def test_criterion_08_observability_inequality(sweep):
     _line(8, "observability inequality (20 sweeps)", ok)
 
 
-def test_criterion_09_duality():
+def test_criterion_09_duality(independent_backward):
     grid = build_grid([(0.0, 1.0)], (15,))
     g0 = Ball((0.5,), 0.15)
     e1 = MeasurableTimeSet(((0.05, 0.45),), horizon=0.5)
     x = grid.coords[:, 0]
     ok = True
-    # adjoint mode: machine-exact pairing for 10 random (z_T, h, f) triples
+    # the adjoint scheme: machine-exact pairing for 10 random (z_T, h, f)
+    # triples
     mesh = TimeMesh(horizon=0.5, steps=10)
     tree = build_tree(mesh)
     coeffs = CoefficientField.constant(grid, mesh, 0.3, 0.4)
@@ -273,13 +274,14 @@ def test_criterion_09_duality():
         u = rng.standard_normal(grid.n_nodes)
         cf = ctl.dual_control(u, coeffs, g0, e1, mesh, grid, tree)
         pair = ctl.solve_backward_tree(z_t, coeffs, mesh, grid, tree, h=h,
-                                       control=cf, mode="adjoint")
+                                       control=cf)
         v = rng.standard_normal(grid.n_nodes)
         dv = ctl.solve_dual_forward(v, coeffs, mesh, grid, tree)
         rep = ctl.duality_check(dv, pair, h=h, control=cf)
         ok &= rep["relative_residual"] <= 1e-10
-    # independent mode: O(dt) refinement of the pairing residual on a fixed
-    # continuous-in-time problem (smooth terminal data, deterministic h, f)
+    # the independent scheme: O(dt) refinement of the pairing residual on a
+    # fixed continuous-in-time problem (smooth terminal data, deterministic
+    # h, f)
     rng = np.random.Generator(np.random.Philox(key=[3, 99]))
     c = rng.standard_normal(6)
     res = {}
@@ -297,13 +299,13 @@ def test_criterion_09_duality():
         u = c[4] * np.sin(np.pi * x) + 0.3 * c[5] * np.sin(3 * np.pi * x)
         v = np.sin(np.pi * x) * np.cos(np.pi * (x - 0.5))
         cf = ctl.dual_control(u, coeffs, g0, e1, mesh, grid, tree)
-        pair = ctl.solve_backward_tree(z_t, coeffs, mesh, grid, tree, h=h,
-                                       control=cf, mode="independent")
+        pair = independent_backward(z_t, coeffs, mesh, grid, tree, h=h,
+                                    control=cf)
         dv = ctl.solve_dual_forward(v, coeffs, mesh, grid, tree)
         res[steps] = ctl.duality_check(dv, pair, h=h, control=cf)["residual"]
     slope = math.log(res[4] / res[16], 2) / 2
     ok &= slope >= 0.8
-    _line(9, f"duality pairing (independent-mode slope {slope:.2f})", ok)
+    _line(9, f"duality pairing (independent-scheme slope {slope:.2f})", ok)
 
 
 @pytest.fixture(scope="module")

@@ -52,8 +52,9 @@ def _backward_inverse_at_double_dt(monkeypatch):
 
 
 def _solve_inverse_at_double_dt(monkeypatch):
-    # the implicit solve and its powers invert I - 2 dt Lap_h; `diagonal`
-    # and the shifted solves keep I - dt Lap_h
+    # the implicit solve and its powers invert I - 2 dt Lap_h; `diagonal`,
+    # and so the shifted solves of the tests' independent backward scheme,
+    # keep I - dt Lap_h
     init = ImplicitHeatSolver.__init__
 
     def doubled(self, grid, dt):

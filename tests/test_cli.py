@@ -689,9 +689,9 @@ def test_cli_2d_frequency_at_31x31(tmp_path, capsys):
     assert report["checks"] and all(rec["pass"] for rec in report["checks"])
 
 
-def test_one_factorization_per_run(monkeypatch):
+def test_one_factorization_per_run(monkeypatch, independent_backward):
     # every tree, dual, adjoint and sampled solve of a run shares the one
-    # solver of I - dt Lap for its (grid, dt); the independent mode's
+    # solver of I - dt Lap for its (grid, dt); the independent scheme's
     # potential, constant or not, is a shift of it, so its solve on the
     # run's grid and tree builds none
     built, calls = [], []
@@ -714,8 +714,8 @@ def test_one_factorization_per_run(monkeypatch):
         cli.run_control(exp)
         assert len(built) == 1
         z_term, coeffs, mesh, grid, tree = calls[-1][:5]
-        solves = backward(z_term, coeffs, mesh, grid, tree,
-                          mode="independent").solves  # per step, depth 6
+        solves = independent_backward(z_term, coeffs, mesh, grid,
+                                      tree).solves  # per step, depth 6
         assert len(built) == 1
         if kind == "constant":
             assert solves == [1] * 6

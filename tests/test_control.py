@@ -88,7 +88,7 @@ def test_dual_forward_per_leaf_brute_force(lab):
 
 
 def test_backward_independent_brute_force(lab, sparse_operators,
-                                          z_martingale):
+                                          z_martingale, independent_backward):
     # martingale-representation induction recomputed longhand per level, for
     # constant coefficients and for a potential ramping from 0 to 3, whose
     # implicit matrix I - dt Lap + dt diag(a_k) changes at every step
@@ -102,8 +102,7 @@ def test_backward_independent_brute_force(lab, sparse_operators,
     z_t = _rng(1).standard_normal((tree.n_leaves, grid.n_nodes))
     dt, rootdt = mesh.dt, np.sqrt(mesh.dt)
     for c in (coeffs, ramp):
-        pair = solve_backward_tree(z_t, c, mesh, grid, tree,
-                                   mode="independent")
+        pair = independent_backward(z_t, c, mesh, grid, tree)
         martingale = z_martingale(pair)
         z = z_t.copy()
         for k in range(mesh.steps - 1, -1, -1):
@@ -122,7 +121,8 @@ def test_backward_independent_brute_force(lab, sparse_operators,
     ([(0.0, 1.0), (0.0, 2.0)], (7, 11)),
 ], ids=["1d", "2d"])
 def test_backward_independent_random_potential_matches_splu(
-        extents, shape, sparse_operators, assert_rel_close):
+        extents, shape, sparse_operators, assert_rel_close,
+        independent_backward):
     # a space-varying potential: the shifted sine solve iterated on the
     # remainder against SuperLU of I - dt Lap + dt diag(a_k) at every step
     import scipy.sparse as sp
@@ -133,8 +133,7 @@ def test_backward_independent_random_potential_matches_splu(
     coeffs = CoefficientField.random_bounded(grid, mesh, 3, 2.0, 0.5)
     lap, _ = sparse_operators(grid)
     z_t = _rng(4).standard_normal((tree.n_leaves, grid.n_nodes))
-    pair = solve_backward_tree(z_t, coeffs, mesh, grid, tree,
-                               mode="independent")
+    pair = independent_backward(z_t, coeffs, mesh, grid, tree)
     assert len(pair.solves) == mesh.steps and min(pair.solves) > 1
     dt, rootdt = mesh.dt, np.sqrt(mesh.dt)
     z = z_t
@@ -147,15 +146,15 @@ def test_backward_independent_random_potential_matches_splu(
         assert_rel_close(pair.z_levels[k], z)
     # a constant potential is exact after one solve per step
     const = CoefficientField.constant(grid, mesh, 0.2, 0.5)
-    assert solve_backward_tree(z_t, const, mesh, grid, tree,
-                               mode="independent").solves == [1] * mesh.steps
-    assert solve_backward_tree(z_t, const, mesh, grid, tree).solves is None
+    assert independent_backward(z_t, const, mesh, grid, tree).solves \
+        == [1] * mesh.steps
 
 
-def test_backward_independent_solve_without_convergence_raises():
+def test_backward_independent_solve_without_convergence_raises(
+        independent_backward):
     # a random potential whose spread dt*|a - c| dwarfs the implicit step,
     # on the default control grid and tree at depth 6: the independent
-    # mode's iteration hits its cap and raises, with no numpy warning
+    # scheme's iteration hits its cap and raises, with no numpy warning
     cfg = cfgmod.merge_config({})
     grid = build_grid([(0.0, 1.0)], (cfg["control.nodes"],))
     mesh = TimeMesh(horizon=cfg["control.horizon"], steps=6)
@@ -164,24 +163,27 @@ def test_backward_independent_solve_without_convergence_raises():
                                              cfg["coeff.b_bound"])
     z_t = _rng(5).standard_normal((tree.n_leaves, grid.n_nodes))
     with pytest.raises(NumericalError, match="no convergence"):
-        solve_backward_tree(z_t, coeffs, mesh, grid, tree, mode="independent")
+        independent_backward(z_t, coeffs, mesh, grid, tree)
 
 
-def test_backward_modes_agree_to_first_order(lab):
+def test_backward_modes_agree_to_first_order(lab, independent_backward):
+    # the two schemes of the same backward equation differ by O(dt) at the
+    # root: the observed order of their gap over 4 -> 8 -> 16 steps is at
+    # least 0.8, the bound of acceptance criterion 9
     grid, _, _, coeffs_coarse, _, _ = lab
     gaps = []
-    for steps in (4, 8):
+    for steps in (4, 8, 16):
         mesh = TimeMesh(horizon=0.5, steps=steps)
         tree = build_tree(mesh)
         coeffs = CoefficientField.constant(grid, mesh, 0.2, 0.5)
         x = grid.coords[:, 0]
         z_t = np.broadcast_to(np.sin(np.pi * x),
                               (tree.n_leaves, grid.n_nodes)).copy()
-        za = solve_backward_tree(z_t, coeffs, mesh, grid, tree, mode="adjoint")
-        zi = solve_backward_tree(z_t, coeffs, mesh, grid, tree,
-                                 mode="independent")
+        za = solve_backward_tree(z_t, coeffs, mesh, grid, tree)
+        zi = independent_backward(z_t, coeffs, mesh, grid, tree)
         gaps.append(np.max(np.abs(za.z0 - zi.z0)))
-    assert gaps[1] < gaps[0]
+    orders = np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
+    assert np.all(orders >= 0.8), orders
 
 
 def test_adjoint_duality_machine_precision(lab):
@@ -192,8 +194,7 @@ def test_adjoint_duality_machine_precision(lab):
     h = [rng.standard_normal((2 ** k, grid.n_nodes))
          for k in range(mesh.steps)]
     dual = solve_dual_forward(y0, coeffs, mesh, grid, tree)
-    pair = solve_backward_tree(z_t, coeffs, mesh, grid, tree, h=h,
-                               mode="adjoint")
+    pair = solve_backward_tree(z_t, coeffs, mesh, grid, tree, h=h)
     rep = duality_check(dual, pair, h=h)
     assert rep["relative_residual"] < 1e-12
 
@@ -203,9 +204,6 @@ def test_backward_shape_validation(lab):
     with pytest.raises(ShapeError):
         solve_backward_tree(np.zeros((3, grid.n_nodes)), coeffs, mesh, grid,
                             tree)
-    with pytest.raises(ConfigurationError):
-        solve_backward_tree(np.zeros((tree.n_leaves, grid.n_nodes)), coeffs,
-                            mesh, grid, tree, mode="bogus")
     # a source is one row for every node or one row per history node, on
     # sine coefficients and in physical space alike
     rough = CoefficientField.random_bounded(grid, mesh, 11, 0.5, 0.5)
@@ -302,7 +300,8 @@ def _splu_solver(grid, dt, potential, sparse_operators):
 
 
 def test_ramped_independent_matches_splu(ramped, sparse_operators,
-                                         assert_rel_close, z_martingale):
+                                         assert_rel_close, z_martingale,
+                                         independent_backward):
     # the division on sine coefficients against SuperLU of
     # I - dt Lap + dt diag(a_k), and Z from the children, at every level
     grid, mesh, tree, coeffs, ball, time_set = ramped
@@ -311,8 +310,8 @@ def test_ramped_independent_matches_splu(ramped, sparse_operators,
     h = rng.standard_normal(grid.n_nodes)
     ctrl = dual_control(rng.standard_normal(grid.n_nodes), coeffs, ball,
                         time_set, mesh, grid, tree)
-    pair = solve_backward_tree(z_t, coeffs, mesh, grid, tree, h=h,
-                               control=ctrl, mode="independent")
+    pair = independent_backward(z_t, coeffs, mesh, grid, tree, h=h,
+                                control=ctrl)
     assert pair.solves == [1] * mesh.steps
     martingale = z_martingale(pair)
     dt, rootdt = mesh.dt, np.sqrt(mesh.dt)
@@ -343,7 +342,7 @@ def test_ramped_adjoint_duality_and_martingale(ramped, sparse_operators,
     dual = solve_dual_forward(y0, coeffs, mesh, grid, tree)
     pair = solve_backward_tree(z_t, coeffs, mesh, grid, tree, h=h,
                                control=ctrl)
-    assert pair.z_levels[-1] is z_t and pair.solves is None
+    assert pair.z_levels[-1] is z_t
     assert duality_check(dual, pair, h=h, control=ctrl)[
         "relative_residual"] < 1e-12
     solve = _splu_solver(grid, mesh.dt, np.zeros(grid.n_nodes),
@@ -401,14 +400,13 @@ def test_ramped_backward_transforms_back_only_the_levels_read(
     ([(0.0, 1.0), (0.0, 1.0)], (5, 5), (0.5, 0.5)),
 ], ids=["1d", "2d-5x5"])
 def test_closed_form_backward_matches_the_nodal_steps(
-        kind, extents, shape, center, assert_rel_close):
+        kind, extents, shape, center, assert_rel_close, independent_backward):
     # node-uniform inputs: the factored dual flow against `tree_step` level
     # by level, and the closed-form root and every lazily formed level
     # against `_nodal_backward`, which steps the same inputs in physical
-    # space, in adjoint mode, with h as one row and per level (which steps
-    # in physical space on both sides), with and without a control;
-    # independent mode steps in physical space, its constant potential in
-    # one solve per step
+    # space, with h as one row and per level (which steps in physical space
+    # on both sides), with and without a control; the independent scheme
+    # steps in physical space, its constant potential in one solve per step
     grid = build_grid(extents, shape)
     mesh = TimeMesh(horizon=0.5, steps=5)
     tree, n, steps = build_tree(mesh), grid.n_nodes, mesh.steps
@@ -436,14 +434,11 @@ def test_closed_form_backward_matches_the_nodal_steps(
         for c in (None, ctrl):
             pair = solve_backward_tree(z_t, coeffs, mesh, grid, tree, h=h,
                                        control=c)
-            levels, solves = control._nodal_backward(z_t, coeffs, mesh,
-                                                     solver, h, c, "adjoint")
-            assert pair.solves is None and solves is None
+            levels = control._nodal_backward(z_t, coeffs, mesh, solver, h, c)
             for k in range(steps + 1):
                 assert_rel_close(pair.z_levels[k], levels[k])
-            independent = solve_backward_tree(z_t, coeffs, mesh, grid, tree,
-                                              h=h, control=c,
-                                              mode="independent")
+            independent = independent_backward(z_t, coeffs, mesh, grid, tree,
+                                               h=h, control=c)
             assert isinstance(independent.z_levels, list)
             assert independent.solves == [1] * steps
 
@@ -541,16 +536,15 @@ def test_ramped_gramian_apply_matches_matrix(ramped):
 
 def test_tree_recursions_solve_only_for_nodal_coefficients(lab, monkeypatch):
     # node-uniform coefficients: the dual flow is one orbit and the adjoint
-    # steps are elementwise, so no implicit solve runs per tree level, and
-    # independent mode solves its constant potential in one shifted solve
-    # per step; space-varying ones solve at every level
+    # steps are elementwise, so no implicit solve runs per tree level;
+    # space-varying ones solve at every level
     grid, mesh, tree, coeffs, ball, time_set = lab
     calls = []
     solve = ImplicitHeatSolver.solve
 
-    def counting(self, rhs, shift=0.0):
+    def counting(self, rhs):
         calls.append(np.shape(rhs))
-        return solve(self, rhs, shift)
+        return solve(self, rhs)
 
     monkeypatch.setattr(ImplicitHeatSolver, "solve", counting)
     rough = CoefficientField.random_bounded(grid, mesh, 11, 0.5, 0.5)
@@ -559,13 +553,10 @@ def test_tree_recursions_solve_only_for_nodal_coefficients(lab, monkeypatch):
     for c in (coeffs, rough):
         calls.clear()
         ctrl = dual_control(z_t[0], c, ball, time_set, mesh, grid, tree)
-        for mode in ("adjoint", "independent"):
-            solve_backward_tree(z_t, c, mesh, grid, tree, control=ctrl,
-                                mode=mode)
+        solve_backward_tree(z_t, c, mesh, grid, tree, control=ctrl)
         counts.append(len(calls))
-    # the nodal dual flow and adjoint solve once per step, and the
-    # independent mode at least once
-    assert counts == [mesh.steps, counts[1]] and counts[1] >= 3 * mesh.steps
+    # the nodal dual flow and backward solve once per step each
+    assert counts == [0, 2 * mesh.steps]
 
 
 def test_closed_form_control_on_seeds_that_hit_the_cg_cap():
