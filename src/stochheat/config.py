@@ -155,6 +155,9 @@ def validate_config(cfg: dict) -> None:
         if not _whole(cfg[key]):
             raise ConfigurationError(
                 f"{key} must be a whole number, got {cfg[key]!r}")
+    if not -2 ** 63 <= cfg["seed"] < 2 ** 63:  # Philox keys are 64-bit
+        raise ConfigurationError(
+            f"seed must lie in [-2**63, 2**63), got {cfg['seed']!r}")
     radii = [cfg[f"geometry.r{i}"] for i in (1, 2, 3, 4)]
     if not all(r1 < r2 for r1, r2 in zip(radii, radii[1:])):
         raise ConfigurationError(

@@ -18,9 +18,10 @@ commutes with M^-1 = S diag(1/(1 - dt*lam)) S: the dual flow stays factored
 (path scalars and one orbit), the backward step is elementwise on sine
 coefficients, z(0) is one contraction of the leaves plus one scalar
 recursion per source (h one row for every node, a factored control), and
-the duality checks read every level as one (path scalars, rows) pair: a
-run forms no 2^k-row level.  Nodal coefficients, h per level and controls
-on formed levels step in physical space.
+the duality checks read the dual flow's levels as (path scalars, rows)
+pairs: a run forms no 2^k-row level.  Other inputs step in physical space
+(`_nodal_backward`, the tests' oracle).  A solve returns z(0) and its
+terminal data, all that the duality reads.
 
 The control of a dual datum is `dual_control`, its dual flow observed on
 G0 x E1; the Gramian apply (-z(0) of the adjoint solve it drives from zero
@@ -90,17 +91,13 @@ def control_level_weights(time_set: MeasurableTimeSet, mesh: TimeMesh) -> np.nda
 
 @dataclass
 class BackwardPair:
-    """z on tree history nodes per level (arrays of shape (2^k, n_nodes));
-    on node-uniform coefficients a level between the root and the terminal
-    one is formed only when it is read."""
+    """A backward solve as the duality reads it: z(0), shape (n_nodes,),
+    and the terminal data on the leaves, shape (2^steps, n_nodes)."""
 
-    z_levels: Sequence = field(repr=False)
+    z0: np.ndarray
+    z_terminal: np.ndarray = field(repr=False)
     mesh: TimeMesh
     grid: SpatialGrid
-
-    @property
-    def z0(self) -> np.ndarray:
-        return self.z_levels[0][0]
 
 
 @dataclass
@@ -176,10 +173,10 @@ def solve_backward_tree(z_terminal: np.ndarray, coeffs: CoefficientField,
     Coefficients uniform over the nodes make the step factors scalars, so
     with the sources a run builds (no h or one row h for every node, and no
     control or one on `FactoredLevels`) the recursion is elementwise on sine
-    coefficients and z(0) comes by linearity (`_FactoredBackward`); other
+    coefficients and z(0) comes by linearity (`_factored_root`); other
     inputs, h per level or a control on formed levels, step in physical
-    space (`_nodal_backward`, exact for any coefficients).  The level
-    `steps` of `z_levels` is `z_terminal` itself.
+    space (`_nodal_backward`, exact for any coefficients).  Only z(0) is
+    returned, with `z_terminal` itself.
     """
     if tree.depth != mesh.steps:
         raise ShapeError("tree depth and time mesh disagree")
@@ -191,8 +188,8 @@ def solve_backward_tree(z_terminal: np.ndarray, coeffs: CoefficientField,
     args = (z, coeffs, mesh, implicit_solver(grid, mesh.dt), h, control)
     if coeffs.node_uniform and not isinstance(h, (list, tuple)) and (
             control is None or isinstance(control.levels, FactoredLevels)):
-        return BackwardPair(_FactoredBackward(*args), mesh, grid)
-    return BackwardPair(_nodal_backward(*args), mesh, grid)
+        return BackwardPair(_factored_root(*args), z, mesh, grid)
+    return BackwardPair(_nodal_backward(*args)[0][0], z, mesh, grid)
 
 
 def _child_weights(coeffs: CoefficientField, dt: float):
@@ -204,9 +201,9 @@ def _child_weights(coeffs: CoefficientField, dt: float):
 
 
 def _nodal_backward(z, coeffs, mesh, solver, h, control):
-    """z_levels of `solve_backward_tree` in physical space: a level is the
-    children of the next, solved by M^-1 on the tree rows and weighed by
-    `_child_weights`."""
+    """Every level of `solve_backward_tree`'s solve in physical space, the
+    root to the terminal data: a level is the children of the next, solved
+    by M^-1 on the tree rows and weighed by `_child_weights`."""
     dt, n = mesh.dt, z.shape[1]
     weights = _child_weights(coeffs, dt)
     z_levels = [None] * mesh.steps + [z]
@@ -223,67 +220,37 @@ def _nodal_backward(z, coeffs, mesh, solver, h, control):
     return z_levels
 
 
-class _FactoredBackward(Sequence):
-    """`z_levels` of `solve_backward_tree` for coefficients uniform over
-    the nodes, with no h or one row h for every node and no
-    control or one on `FactoredLevels`.  On sine coefficients a step is
-    elementwise and linear, z_hat_k = iota (p_k z_hat_{k+1}[0::2] + q_k
-    z_hat_{k+1}[1::2]) - S(source_k), iota = 1 / `diagonal` and (p, q) the
-    `_child_weights`.  A source of rows s_k x v_k (path scalars s_k
-    all 1 for h, with step factors f = 1; the control's with its own f)
-    adds s_k x B_k to level k, B_steps = 0 and B_k = iota c_k B_{k+1} -
-    S(v_k), c_k = p_k f_k^down + q_k f_k^up.  The terminal rows enter level
-    j through the leaf weights, the `tree_products` of (p, q) below each of
-    its nodes, times iota once per step.  The root is solved with the pair,
-    the levels between it and the terminal data when read."""
-
-    def __init__(self, z, coeffs, mesh, solver, h, control):
-        dt, steps, n = mesh.dt, mesh.steps, z.shape[1]
-        self._terminal, self._solver = z, solver
-        self._weights = _child_weights(coeffs, dt)[..., 0]
-        self._iota = 1.0 / solver.diagonal
-        parts = [] if h is None else [  # path scalars all 1, one per level
-            (np.broadcast_to(np.ones(1), (steps + 1, 1)), np.ones((steps, 2)),
-             np.array([dt * _level_rows(h, k, n) for k in range(steps)]))]
-        if control is not None:
-            levels = control.levels
-            active = control.weights[:, None] * control.mask
-            parts.append((levels.scalars, levels.factors,
-                          active * levels.orbit[:steps]))
-        # per source: its path scalars and B_0..B_steps
-        self._parts = []
-        for scalars, factors, v in parts:
-            c, v_hat = np.sum(self._weights * factors, axis=1), solver.sine(v)
-            part = np.zeros((steps + 1, n))
-            for k in range(steps - 1, -1, -1):
-                part[k] = self._iota * (c[k] * part[k + 1]) - v_hat[k]
-            self._parts.append((scalars, part))
-        self._root = self.level(0)
-
-    def __len__(self) -> int:
-        return len(self._weights) + 1
-
-    def __getitem__(self, j):
-        if isinstance(j, slice):
-            return [self[i] for i in range(*j.indices(len(self)))]
-        j = range(len(self))[j]  # negative indices; IndexError past the end
-        if j == len(self) - 1:
-            return self._terminal
-        return self._root if j == 0 else self.level(j)
-
-    def level(self, j: int) -> np.ndarray:
-        """Level j in physical space, shape (2^j, n)."""
-        steps, n = len(self._weights), self._terminal.shape[1]
-        # the terminal rows contracted with their leaf weights below each
-        # node of level j
-        omega = tree_products(self._weights[j:])[-1]
-        z_hat = self._solver.sine(
-            omega @ self._terminal.reshape(2 ** j, -1, n))
-        for _ in range(steps - j):  # not iota ** (steps - j): z(0) would move
-            z_hat = self._iota * z_hat
-        for scalars, part in self._parts:
-            z_hat += np.multiply.outer(scalars[j], part[j])
-        return self._solver.sine(z_hat)
+def _factored_root(z, coeffs, mesh, solver, h, control):
+    """z(0) of `solve_backward_tree` for coefficients uniform over the
+    nodes, with no h or one row h for every node and no control or one on
+    `FactoredLevels`.  On sine coefficients a step is elementwise and
+    linear, z_hat_k = iota (p_k z_hat_{k+1}[0::2] + q_k z_hat_{k+1}[1::2])
+    - S(source_k), iota = 1 / `diagonal` and (p, q) the `_child_weights`.
+    The terminal rows enter the root through their leaf weights, the
+    `tree_products` of (p, q), times iota once per step.  A source of rows
+    s_k x v_k (with step factors f = 1 for h; the control's with its own f)
+    adds B_0 to the root, its path scalar being 1: B_steps = 0 and B_k =
+    iota c_k B_{k+1} - S(v_k), c_k = p_k f_k^down + q_k f_k^up."""
+    dt, steps, n = mesh.dt, mesh.steps, z.shape[1]
+    weights = _child_weights(coeffs, dt)[..., 0]
+    iota = 1.0 / solver.diagonal
+    # a (1, n) row: `sine` of a bare (n,) row runs gemv, which rounds apart
+    z_hat = solver.sine(tree_products(weights)[-1] @ z.reshape(1, -1, n))
+    for _ in range(steps):  # not iota ** steps: z(0) would move
+        z_hat = iota * z_hat
+    sources = [] if h is None else [  # (step factors, rows v_k)
+        (np.ones((steps, 2)),
+         np.array([dt * _level_rows(h, k, n) for k in range(steps)]))]
+    if control is not None:
+        sources.append((control.levels.factors, control.weights[:, None]
+                        * control.mask * control.levels.orbit[:steps]))
+    for factors, v in sources:
+        c, v_hat = np.sum(weights * factors, axis=1), solver.sine(v)
+        part = np.zeros(n)
+        for k in range(steps - 1, -1, -1):
+            part = iota * (c[k] * part) - v_hat[k]
+        z_hat += part
+    return solver.sine(z_hat)[0]
 
 
 def _level(levels: Sequence, k: int, mask=None) -> tuple:
@@ -325,7 +292,7 @@ def duality_check(dual_levels: Sequence, pair: BackwardPair, h=None,
     if len(dual_levels) != mesh.steps + 1:
         raise ShapeError("dual forward levels and backward pair disagree")
     w = grid.quad_weight
-    terminal = _level_mean(_level(dual_levels, -1), (1.0, pair.z_levels[-1]))
+    terminal = _level_mean(_level(dual_levels, -1), (1.0, pair.z_terminal))
     lhs = (terminal - _level_mean(_level(dual_levels, 0), (1.0, pair.z0))) * w
     rhs = 0.0
     for k in range(mesh.steps):
@@ -402,9 +369,10 @@ def conjugate_gradient(matvec, rhs: np.ndarray, tol: float = 1e-10,
     Tracks the CG energy functional phi(x) = x.(A x)/2 - rhs.x, which is
     strictly nonincreasing along iterations (unlike the 2-norm residual); its
     values are recorded in `energies`, not asserted.  A direction p with
-    p.Ap <= 0 within n*eps*q*||p||^2 of zero, q the Rayleigh quotient of
-    rhs, is a null direction of a semidefinite operator: CG stops there,
-    unconverged.  A more negative curvature raises NumericalError.
+    |p.Ap| <= n*eps*q*||p||^2, q the Rayleigh quotient of rhs, is a null
+    direction of a semidefinite operator whatever the sign of its
+    round-off: CG stops there, unconverged, rather than take a step of
+    1/p.Ap.  A more negative curvature raises NumericalError.
     """
     x = np.zeros_like(rhs)
     r = rhs.copy()
@@ -423,9 +391,9 @@ def conjugate_gradient(matvec, rhs: np.ndarray, tol: float = 1e-10,
         denom = float(p @ ap)
         if it == 0:  # p = rhs
             quotient = denom / rs
-        if denom <= 0.0:
-            if -denom <= len(rhs) * np.finfo(float).eps * quotient * (p @ p):
-                break  # a null direction of a semidefinite operator
+        if abs(denom) <= len(rhs) * np.finfo(float).eps * quotient * (p @ p):
+            break  # a null direction of a semidefinite operator
+        if denom < 0.0:
             raise NumericalError(
                 "conjugate gradients met a nonpositive curvature direction; "
                 "the Gramian is not positive at this resolution")

@@ -3,7 +3,7 @@ scipy.sparse operators that serve as independent oracles, and the
 independent backward scheme, a second discretization of the backward
 equation against which the adjoint one is checked."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -190,9 +190,10 @@ def _potential_solve(solver, rhs, potential):
 
 @dataclass
 class IndependentPair(BackwardPair):
-    """A `BackwardPair` of the independent scheme, with `solves`, the
-    implicit solves per step."""
+    """A `BackwardPair` of the independent scheme, with its `z_levels`, the
+    root to the terminal data, and `solves`, the implicit solves per step."""
 
+    z_levels: list = field(repr=False)
     solves: list
 
 
@@ -229,22 +230,23 @@ def independent_backward():
                     * (control.levels[k] * control.mask)
             z_levels[k], solves[k] = _potential_solve(solver, zk,
                                                       dt * coeffs.a[k])
-        return IndependentPair(z_levels, mesh, grid, solves)
+        return IndependentPair(z_levels[0][0], z, mesh, grid, z_levels,
+                               solves)
     return solve
 
 
 @pytest.fixture(scope="session")
 def z_martingale():
-    """BackwardPair -> the representation integrand Z per step level, shape
-    (2^k, n), from its `z_levels`: the difference of the up and the down
-    child over 2 sqrt(dt), of M^-1 z_{k+1} for the adjoint scheme and of
-    z_{k+1} itself for the independent one."""
-    def integrand(pair):
-        solver = implicit_solver(pair.grid, pair.mesh.dt)
-        scale = 2.0 * tree_moves(pair.mesh.dt)[1]
+    """(z_levels, dt, solver=None) -> the representation integrand Z per
+    step level, shape (2^k, n), from a backward solve's levels, the root to
+    the terminal data: the difference of the up and the down child over
+    2 sqrt(dt), of z_{k+1} itself for the independent scheme and of
+    M^-1 z_{k+1} for the adjoint one, given its `solver`."""
+    def integrand(z_levels, dt, solver=None):
+        scale = 2.0 * tree_moves(dt)[1]
         out = []
-        for z_next in pair.z_levels[1:]:
-            if not isinstance(pair, IndependentPair):
+        for z_next in z_levels[1:]:
+            if solver is not None:
                 z_next = solver.solve(z_next)
             out.append((z_next[1::2] - z_next[0::2]) / scale)
         return out

@@ -80,11 +80,14 @@ def test_validate_config_errors():
     # pass simulate and fail only observe
     for key, value in (("tree.depth", 6.7), ("mc.paths", 100.5),
                        ("control.nodes", 15.5), ("control.depth", 6.7),
-                       ("seed", 1.5), ("constants.variant", "typo")):
+                       ("seed", 1.5), ("seed", 2**64), ("seed", -2**63 - 1),
+                       ("constants.variant", "typo")):
         bad = cfgmod.merge_config({key: value})
         with pytest.raises(ConfigurationError, match=re.escape(key)):
             cfgmod.validate_config(bad)
     cfgmod.validate_config(cfgmod.merge_config())  # defaults are valid
+    for seed in (-2**63, 2**63 - 1):  # the ends of the Philox key range
+        cfgmod.validate_config(cfgmod.merge_config({"seed": seed}))
 
 
 def test_check_record_margin():
@@ -250,6 +253,10 @@ def test_cli_bad_config_exit_2(tmp_path, capsys):
         ("verify", "tol_scale = 0\n", "tol_scale"),
         (("verify", "--tol-scale", "-1"), "", "tol_scale"),
         ("control", "control.accuracy = -0.5\n", "control.accuracy"),
+        # a seed beyond the 64-bit Philox key, from the command line or
+        # the config
+        (("simulate", "--seed", str(2**64)), "", "seed must lie"),
+        ("simulate", "seed = 1e30\n", "seed must lie"),
         # at dt = 0.05, T - 2 eps and T - eps share one time node, which
         # would zero the log term of A(lambda)
         ("ucp", "ucp.epsilon = 0.01\n", "ucp.epsilon = 0.01"),

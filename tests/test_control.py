@@ -1,5 +1,7 @@
 """Backward tree solves, duality, the Gramian, and control synthesis."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -103,7 +105,7 @@ def test_backward_independent_brute_force(lab, sparse_operators,
     dt, rootdt = mesh.dt, np.sqrt(mesh.dt)
     for c in (coeffs, ramp):
         pair = independent_backward(z_t, c, mesh, grid, tree)
-        martingale = z_martingale(pair)
+        martingale = z_martingale(pair.z_levels, dt)
         z = z_t.copy()
         for k in range(mesh.steps - 1, -1, -1):
             lu = splu(sp.csc_matrix(sp.eye(grid.n_nodes) - dt * lap
@@ -313,8 +315,8 @@ def test_ramped_independent_matches_splu(ramped, sparse_operators,
     pair = independent_backward(z_t, coeffs, mesh, grid, tree, h=h,
                                 control=ctrl)
     assert pair.solves == [1] * mesh.steps
-    martingale = z_martingale(pair)
     dt, rootdt = mesh.dt, np.sqrt(mesh.dt)
+    martingale = z_martingale(pair.z_levels, dt)
     z = z_t
     for k in range(mesh.steps - 1, -1, -1):
         solve = _splu_solver(grid, dt, dt * coeffs.a[k], sparse_operators)
@@ -330,7 +332,8 @@ def test_ramped_independent_matches_splu(ramped, sparse_operators,
 def test_ramped_adjoint_duality_and_martingale(ramped, sparse_operators,
                                                assert_rel_close, z_martingale):
     # duality to machine precision with a per-level h and a control, and
-    # Z of the solved children against SuperLU
+    # Z of the solved children of `_nodal_backward`'s levels, whose root the
+    # solve returns, against SuperLU
     grid, mesh, tree, coeffs, ball, time_set = ramped
     rng = _rng(12)
     y0 = rng.standard_normal(grid.n_nodes)
@@ -342,13 +345,16 @@ def test_ramped_adjoint_duality_and_martingale(ramped, sparse_operators,
     dual = solve_dual_forward(y0, coeffs, mesh, grid, tree)
     pair = solve_backward_tree(z_t, coeffs, mesh, grid, tree, h=h,
                                control=ctrl)
-    assert pair.z_levels[-1] is z_t
+    assert pair.z_terminal is z_t
     assert duality_check(dual, pair, h=h, control=ctrl)[
         "relative_residual"] < 1e-12
+    solver = implicit_solver(grid, mesh.dt)
+    levels = control._nodal_backward(z_t, coeffs, mesh, solver, h, ctrl)
+    assert np.array_equal(pair.z0, levels[0][0]) and levels[-1] is z_t
     solve = _splu_solver(grid, mesh.dt, np.zeros(grid.n_nodes),
                          sparse_operators)
-    for k, big_z in enumerate(z_martingale(pair)):
-        solved = solve(pair.z_levels[k + 1])
+    for k, big_z in enumerate(z_martingale(levels, mesh.dt, solver)):
+        solved = solve(levels[k + 1])
         assert_rel_close(big_z, (solved[1::2] - solved[0::2])
                          / (2.0 * np.sqrt(mesh.dt)))
 
@@ -357,15 +363,14 @@ def test_ramped_backward_transforms_back_only_the_levels_read(
         ramped, monkeypatch, assert_rel_close):
     # a solve transforms the h rows of all steps (one batch), the terminal
     # rows contracted with their leaf weights and the root back: three
-    # transforms of at most `steps` rows; reading a level between the root
-    # and the leaves forms it with two transforms of its 2^k rows on each
-    # access, and the terminal level is the data itself
+    # transforms of at most `steps` rows, and no level between the root and
+    # the leaves; the terminal data is returned as given
     grid, mesh, tree, coeffs, _, _ = ramped
     rng = _rng(13)
     z_t = rng.standard_normal((tree.n_leaves, grid.n_nodes))
     h = rng.standard_normal(grid.n_nodes)
-    full = solve_backward_tree(z_t, coeffs, mesh, grid, tree, h=h)
-    expected = [full.z_levels[k] for k in range(mesh.steps + 1)]
+    expected = control._nodal_backward(
+        z_t, coeffs, mesh, implicit_solver(grid, mesh.dt), h, None)[0][0]
     calls = []
     sine = ImplicitHeatSolver.sine
 
@@ -377,21 +382,8 @@ def test_ramped_backward_transforms_back_only_the_levels_read(
     pair = solve_backward_tree(z_t, coeffs, mesh, grid, tree, h=h)
     assert sorted(calls) == [(1, grid.n_nodes)] * 2 \
         + [(mesh.steps, grid.n_nodes)]
-    calls.clear()
-    assert_rel_close(pair.z0, expected[0][0])
-    assert pair.z_levels[-1] is z_t and not calls
-    assert len(pair.z_levels) == mesh.steps + 1
-    for k, level in enumerate(pair.z_levels[1:-1], start=1):
-        assert np.array_equal(level, expected[k])
-    assert calls == [(2 ** k, grid.n_nodes) for k in range(1, mesh.steps)
-                     for _ in range(2)]
-    # the h rows carry one unit path scalar, broadcast to every level, and
-    # give the root bit for bit what 2^k ones per level give
-    scalars, part = pair.z_levels._parts[0]
-    assert scalars.shape == (mesh.steps + 1, 1) and scalars.strides[0] == 0
-    pair.z_levels._parts[0] = (
-        [np.ones(2 ** k) for k in range(mesh.steps + 1)], part)
-    assert np.array_equal(pair.z_levels.level(0)[0], pair.z0)
+    assert_rel_close(pair.z0, expected)
+    assert pair.z_terminal is z_t
 
 
 @pytest.mark.parametrize("kind", ["constant", "ramped"])
@@ -402,11 +394,11 @@ def test_ramped_backward_transforms_back_only_the_levels_read(
 def test_closed_form_backward_matches_the_nodal_steps(
         kind, extents, shape, center, assert_rel_close, independent_backward):
     # node-uniform inputs: the factored dual flow against `tree_step` level
-    # by level, and the closed-form root and every lazily formed level
-    # against `_nodal_backward`, which steps the same inputs in physical
-    # space, with h as one row and per level (which steps in physical space
-    # on both sides), with and without a control; the independent scheme
-    # steps in physical space, its constant potential in one solve per step
+    # by level, and the closed-form root against `_nodal_backward`'s, which
+    # steps the same inputs in physical space, with h as one row and per
+    # level (which steps in physical space on both sides), with and without
+    # a control; the independent scheme steps in physical space, its
+    # constant potential in one solve per step
     grid = build_grid(extents, shape)
     mesh = TimeMesh(horizon=0.5, steps=5)
     tree, n, steps = build_tree(mesh), grid.n_nodes, mesh.steps
@@ -435,12 +427,52 @@ def test_closed_form_backward_matches_the_nodal_steps(
             pair = solve_backward_tree(z_t, coeffs, mesh, grid, tree, h=h,
                                        control=c)
             levels = control._nodal_backward(z_t, coeffs, mesh, solver, h, c)
-            for k in range(steps + 1):
-                assert_rel_close(pair.z_levels[k], levels[k])
+            assert_rel_close(pair.z0, levels[0][0])
+            assert pair.z_terminal is z_t
             independent = independent_backward(z_t, coeffs, mesh, grid, tree,
                                                h=h, control=c)
             assert isinstance(independent.z_levels, list)
             assert independent.solves == [1] * steps
+
+
+@pytest.mark.parametrize("kind", ["constant", "ramped", "random"])
+@pytest.mark.parametrize("extents, shape", [
+    ([(0.0, 1.0)], (15,)),
+    ([(0.0, 1.0), (0.0, 1.0)], (5, 5)),
+], ids=["1d", "2d-5x5"])
+def test_backward_root_matches_the_nodal_oracle(kind, extents, shape,
+                                                assert_rel_close):
+    # a solve returns z(0) and the terminal data as given, nothing else:
+    # its root against `_nodal_backward`'s, with one row h and a control,
+    # from the closed form on node-uniform coefficients and from the nodal
+    # steps themselves, bit for bit, on `random_bounded` ones
+    assert [f.name for f in dataclasses.fields(control.BackwardPair)] == [
+        "z0", "z_terminal", "mesh", "grid"]
+    grid = build_grid(extents, shape)
+    mesh = TimeMesh(horizon=0.5, steps=5)
+    tree, n, steps = build_tree(mesh), grid.n_nodes, mesh.steps
+    ramp = np.linspace(0.0, 1.0, steps)[:, None] * np.ones(n)
+    coeffs = {"constant": CoefficientField.constant(grid, mesh, 0.3, 0.4),
+              "ramped": CoefficientField(grid, mesh, a=3.0 * ramp,
+                                         b=0.2 + 0.6 * ramp),
+              "random": CoefficientField.random_bounded(grid, mesh, 7, 2.0,
+                                                        0.5)}[kind]
+    rng = _rng(15)
+    ctrl = dual_control(rng.standard_normal(n), coeffs,
+                        Ball((0.5,) * len(shape), 0.3),
+                        MeasurableTimeSet(((0.05, 0.45),), horizon=0.5),
+                        mesh, grid, tree)
+    z_t = rng.standard_normal((tree.n_leaves, n))
+    h = rng.standard_normal(n)
+    pair = solve_backward_tree(z_t, coeffs, mesh, grid, tree, h=h,
+                               control=ctrl)
+    levels = control._nodal_backward(
+        z_t, coeffs, mesh, implicit_solver(grid, mesh.dt), h, ctrl)
+    assert pair.z_terminal is z_t and pair.z0.shape == (n,)
+    if coeffs.node_uniform:
+        assert_rel_close(pair.z0, levels[0][0])
+    else:
+        assert np.array_equal(pair.z0, levels[0][0])
 
 
 def test_run_control_closed_form_matches_the_nodal_path(monkeypatch,
@@ -882,6 +914,22 @@ def test_regularization_curve_is_monotone_on_a_near_null_gramian(depth):
     curve = next(c for c in checks
                  if c["name"] == "regularization_curve_monotone")
     assert curve["pass"], [row["residual"] for row in curve["curve"]]
+
+
+def test_cg_stops_on_the_null_space_of_a_one_step_gramian():
+    # at control.depth = 1 the Gramian is 0.4 diag(chi), with exact zero
+    # eigenvalues: after one step CG meets a direction whose p.Ap is a tiny
+    # round-off of either sign and stops there, where a step of 1/p.Ap
+    # overflowed with numpy warnings; one step cannot steer z(0) to zero or
+    # to the target, and the run says so
+    checks, extras, _ = cli.run_control(cli.Experiment(cfgmod.merge_config(
+        {"control.depth": 1})))
+    records = {rec["name"]: rec for rec in checks}
+    assert records["null_control_verified"]["cg_iterations"] == 1
+    assert extras["gramian_spectrum"]["lambda_min"] == 0.0
+    assert sorted(name for name, rec in records.items()
+                  if not rec["pass"]) == ["approximate_control",
+                                          "null_control_verified"]
 
 
 def test_approx_control_verdict_is_tree_measured(lab, monkeypatch):
